@@ -159,33 +159,60 @@ def _projections(h, head: HeadParams, lift):
     return q, k, v
 
 
-def sdpa(h, head: HeadParams, mask=None, *, lift=None):
+def _by_graph(x, n_graphs: int):
+    """The rows of an N x k array as ``n_graphs`` stacked n x k matrices.
+
+    One graph stays a matrix, so its attention runs on plain matrices.
+    """
+    if n_graphs == 1:
+        return x
+    rows, cols = ad.value(x).shape
+    return ad.reshape(x, (n_graphs, rows // n_graphs, cols))
+
+
+def _scores(a, b, d_k: int, n_graphs: int):
+    """``a b^T / sqrt(d_k)`` between the rows of each graph: n x n per graph."""
+    prod = ad.bmm(_by_graph(a, n_graphs), ad.transpose(_by_graph(b, n_graphs)))
+    return ad.mul(prod, 1.0 / np.sqrt(d_k))
+
+
+def _attend(attention, v, n_graphs: int):
+    """``attention @ v`` per graph, returned as N x d_k rows."""
+    out = ad.bmm(attention, _by_graph(v, n_graphs))
+    if n_graphs == 1:
+        return out
+    return ad.reshape(out, (-1, ad.value(out).shape[-1]))
+
+
+def sdpa(h, head: HeadParams, mask=None, *, lift=None, n_graphs: int = 1):
     """Standard scaled dot-product attention for one head.
 
     Returns ``(attention, y)`` with ``attention = softmax(Q K^T / sqrt(d_k))``
     (row-stochastic, masked entries exactly 0) and ``y = attention @ V``.
+    ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
+    nodes attend only within their own graph. For B > 1 the attention is
+    B x n x n; ``mask`` is N x n, the graphs' n x n masks stacked by rows.
     """
     q, k, v = _projections(h, head, lift)
     d_k = head.w_q.shape[1]
-    logits = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-    attention = ad.row_softmax(logits, mask)
-    return attention, ad.matmul(attention, v)
+    attention = ad.row_softmax(_scores(q, k, d_k, n_graphs), mask)
+    return attention, _attend(attention, v, n_graphs)
 
 
 def compute_gate(h, head: HeadParams, activation: str, *, lift=None):
-    """n x d_k gate values: ``act(H W_g + b_g)``."""
+    """N x d_k gate values: ``act(H W_g + b_g)``."""
     lf = lift or _identity
     z = ad.add(ad.matmul(h, lf(head.w_g)), lf(head.b_g))
     return ad.apply_activation(activation, z)
 
 
-def _logit_gate(h, head: HeadParams, activation: str, *, lift=None):
-    # n x n gate matching the logit shape, built from two d x d_k projections.
+def _logit_gate(h, head: HeadParams, activation: str, n_graphs: int, *, lift=None):
+    # n x n gate per graph matching the logit shape, from two d x d_k projections.
     lf = lift or _identity
     d_k = head.w_g.shape[1]
     left = ad.matmul(h, lf(head.w_g))
     right = ad.matmul(h, lf(head.w_g2))
-    z = ad.mul(ad.matmul(left, ad.transpose(right)), 1.0 / np.sqrt(d_k))
+    z = _scores(left, right, d_k, n_graphs)
     return ad.apply_activation(activation, ad.add(z, lf(head.b_g)))
 
 
@@ -198,40 +225,38 @@ def _override_gate(shape, gate_override):
 
 
 def gated_head_forward(h, head: HeadParams, cfg: GateConfig, mask=None, *,
-                       lift=None, gate_override=None):
+                       lift=None, gate_override=None, n_graphs: int = 1):
     """One head's forward pass under the configured gate placement.
 
     Returns ``(output, HeadTrace)``. ``gate_override`` replaces the computed
     gate with exact all-ones/all-zeros constants; it exists so the limit
-    cases can be expressed without pushing biases to saturation.
+    cases can be expressed without pushing biases to saturation. ``h``,
+    ``mask`` and ``n_graphs`` are as in :func:`sdpa`; the output and the
+    g1/g2 gate are N x d_k, the attention and the g3 gate n x n per graph.
     """
-    n = ad.value(h).shape[0]
-    d_k = head.w_q.shape[1]
     placement = cfg.placement if cfg is not None else "none"
 
     if placement == "none":
-        attention, y = sdpa(h, head, mask, lift=lift)
-        out = y
+        attention, out = sdpa(h, head, mask, lift=lift, n_graphs=n_graphs)
         gate = None
     elif placement == "g1":
-        attention, y = sdpa(h, head, mask, lift=lift)
-        gate = (_override_gate((n, d_k), gate_override) if gate_override
+        attention, y = sdpa(h, head, mask, lift=lift, n_graphs=n_graphs)
+        gate = (_override_gate(ad.value(y).shape, gate_override) if gate_override
                 else compute_gate(h, head, cfg.activation, lift=lift))
         out = ad.mul(y, gate)
     elif placement == "g2":
         q, k, v = _projections(h, head, lift)
-        logits = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-        attention = ad.row_softmax(logits, mask)
-        gate = (_override_gate((n, d_k), gate_override) if gate_override
+        attention = ad.row_softmax(_scores(q, k, head.w_q.shape[1], n_graphs), mask)
+        gate = (_override_gate(ad.value(v).shape, gate_override) if gate_override
                 else compute_gate(h, head, cfg.activation, lift=lift))
-        out = ad.matmul(attention, ad.mul(gate, v))
+        out = _attend(attention, ad.mul(gate, v), n_graphs)
     elif placement == "g3":
         q, k, v = _projections(h, head, lift)
-        raw = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-        gate = (_override_gate((n, n), gate_override) if gate_override
-                else _logit_gate(h, head, cfg.activation, lift=lift))
+        raw = _scores(q, k, head.w_q.shape[1], n_graphs)
+        gate = (_override_gate(ad.value(raw).shape, gate_override) if gate_override
+                else _logit_gate(h, head, cfg.activation, n_graphs, lift=lift))
         attention = ad.row_softmax(ad.mul(gate, raw), mask)
-        out = ad.matmul(attention, v)
+        out = _attend(attention, v, n_graphs)
     else:  # pragma: no cover - GateConfig validates placements
         raise ValueError(f"unknown placement {placement!r}")
 
@@ -243,18 +268,24 @@ def gated_head_forward(h, head: HeadParams, cfg: GateConfig, mask=None, *,
     return out, trace
 
 
-def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=None, gate_override=None):
+def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=None, gate_override=None,
+                 n_graphs: int = 1):
     """Gated multi-head attention: concat of gated heads times W_O.
 
-    Returns ``(out, traces)`` where ``out`` is n x d_out and ``traces`` is
-    one :class:`HeadTrace` per head in head order.
+    Returns ``(out, traces)`` where ``out`` is N x d_out and ``traces`` is
+    one :class:`HeadTrace` per head in head order. ``h`` holds the rows of
+    ``n_graphs`` graphs of equal size (see :func:`sdpa`).
     """
-    _validate_mhsa(ad.value(h).shape[1], params)
+    rows, n_features = ad.value(h).shape
+    _validate_mhsa(n_features, params)
+    if n_graphs < 1 or rows % n_graphs:
+        raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
     outs = []
     traces = []
     for head in params.heads:
         out_k, trace = gated_head_forward(
-            h, head, params.gate, mask, lift=lift, gate_override=gate_override
+            h, head, params.gate, mask, lift=lift, gate_override=gate_override,
+            n_graphs=n_graphs,
         )
         outs.append(out_k)
         traces.append(trace)

@@ -25,6 +25,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "bmm",
     "transpose",
     "vsum",
     "vmean",
@@ -225,10 +226,29 @@ def matmul(a, b):
     )
 
 
+def bmm(a, b):
+    """Stacked matrix product: ``a[i] @ b[i]`` for each matrix of a stack.
+
+    Operands are ``(..., n, k)`` and ``(..., k, m)`` with equal leading
+    axes; on two matrices this is the plain matrix product.
+    """
+    av, bv = value(a), value(b)
+    out = np.matmul(av, bv)
+    if not _tracked(a, b):
+        return out
+    return _binary(
+        a, b, out,
+        lambda g, o=bv: np.matmul(g, o.swapaxes(-1, -2)),
+        lambda g, o=av: np.matmul(o.swapaxes(-1, -2), g),
+    )
+
+
 def transpose(x):
+    """Swap the last two axes: the transpose of a matrix, or of each
+    matrix in a stack."""
     if not isinstance(x, Var):
-        return np.asarray(x).T
-    return Var(x.value.T, ((x, lambda g: np.asarray(g).T),))
+        return np.asarray(x).swapaxes(-1, -2)
+    return Var(x.value.swapaxes(-1, -2), ((x, lambda g: np.asarray(g).swapaxes(-1, -2)),))
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +389,22 @@ def gelu(x):
 
 
 def row_softmax(logits, mask=None):
-    """Differentiable row softmax; see :func:`siggate.numeric.row_softmax`."""
+    """Differentiable row softmax; see :func:`siggate.numeric.row_softmax`.
+
+    A stack of logit matrices runs as the matrix of all its rows, so its
+    ``mask`` holds those rows stacked in order.
+    """
+    z = np.asarray(value(logits))
+    if z.ndim > 2:
+        out = numeric.row_softmax(z.reshape(-1, z.shape[-1]), mask).reshape(z.shape)
+    else:
+        out = numeric.row_softmax(z, mask)
     if not isinstance(logits, Var):
-        return numeric.row_softmax(logits, mask)
-    out = numeric.row_softmax(logits.value, mask)
+        return out
 
     def vjp(g):
         t = np.asarray(g) * out
-        return t - out * t.sum(axis=1, keepdims=True)
+        return t - out * t.sum(axis=-1, keepdims=True)
 
     return Var(out, ((logits, vjp),))
 

@@ -447,6 +447,8 @@ def cmd_param_count(cfg: RunConfig, out_dir: str) -> int:
     heads = cfg["model.heads"]
     layers = cfg["model.layers"]
     placement = cfg["model.placement"]
+    if heads < 1:
+        raise ConfigError(f"model.heads must be >= 1, got {heads}")
     if layers == 0:
         print("warning: model.layers = 0; there is nothing to count")
         print("total params: 0")

@@ -28,6 +28,7 @@ from .numeric import SeededRng, ShapeError, gaussian_matrix
 __all__ = [
     "LN_EPS",
     "GraphInstance",
+    "GraphBatch",
     "MpnnParams",
     "FfnParams",
     "LayerNormParams",
@@ -40,6 +41,7 @@ __all__ = [
     "gps_layer_forward",
     "gps_layer_combine",
     "model_forward",
+    "batch_forward",
     "model_embed",
     "model_readout",
     "init_model",
@@ -95,6 +97,69 @@ class GraphInstance:
     @property
     def d_e(self) -> int:
         return 0 if self.edge_features is None else self.edge_features.shape[1]
+
+
+@dataclass
+class GraphBatch:
+    """Graphs with the same node count stacked into one disjoint union.
+
+    The B graphs' node features form one N x d_in matrix (N = B·n) whose
+    rows b·n ... b·n + n - 1 are graph b's nodes. ``src``/``dst`` index
+    those rows, and ``edge_features`` (None when the graphs have none) is
+    stacked in the same edge order. ``attn_mask`` is None when no graph
+    has a mask; otherwise it stacks the graphs' n x n masks by rows into
+    N x n, all True for a graph without one. Message passing and the
+    row-wise layers run on the stacked rows unchanged; attention stays
+    within each graph.
+    """
+
+    size: int
+    n: int
+    node_features: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    edge_features: np.ndarray | None = None
+    attn_mask: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, graphs) -> "GraphBatch":
+        graphs = list(graphs)
+        if not graphs:
+            raise ValueError("a graph batch needs at least one graph")
+        first = graphs[0]
+        n, d_in, d_e = first.n, first.d_in, first.d_e
+        if n == 0:
+            raise ValueError("empty graph: a forward pass requires n >= 1")
+        for i, g in enumerate(graphs):
+            if (g.n, g.d_in, g.d_e) != (n, d_in, d_e):
+                raise ShapeError(
+                    f"graph {i} has (n, d_in, d_e) = {(g.n, g.d_in, g.d_e)}, "
+                    f"but graph 0 has {(n, d_in, d_e)}"
+                )
+        edges = np.array([e for g in graphs for e in g.edges], dtype=np.intp).reshape(-1, 2)
+        offsets = np.repeat(np.arange(len(graphs)) * n, [len(g.edges) for g in graphs])
+        mask = None
+        if any(g.attn_mask is not None for g in graphs):
+            mask = np.concatenate([np.ones((n, n), dtype=bool) if g.attn_mask is None
+                                   else g.attn_mask for g in graphs])
+        return cls(size=len(graphs), n=n,
+                   node_features=np.concatenate([g.node_features for g in graphs]),
+                   src=edges[:, 0] + offsets, dst=edges[:, 1] + offsets,
+                   edge_features=(np.concatenate([g.edge_features for g in graphs])
+                                  if d_e else None),
+                   attn_mask=mask)
+
+    @property
+    def rows(self) -> int:
+        return self.size * self.n
+
+    @property
+    def d_e(self) -> int:
+        return 0 if self.edge_features is None else self.edge_features.shape[1]
+
+
+def _as_batch(g) -> GraphBatch:
+    return g if isinstance(g, GraphBatch) else GraphBatch.of([g])
 
 
 @dataclass
@@ -160,6 +225,26 @@ class LayerTrace:
     def __len__(self) -> int:
         return len(self.hidden)
 
+    def split(self, n_graphs: int) -> list["LayerTrace"]:
+        """The per-graph traces of a :func:`batch_forward` over ``n_graphs`` graphs."""
+        if n_graphs == 1:
+            return [self]
+        out = [LayerTrace() for _ in range(n_graphs)]
+        for hidden, heads in zip(self.hidden, self.head_traces):
+            pieces = [(_graph_pieces(ht.attention, n_graphs),
+                       [None] * n_graphs if ht.gate is None
+                       else _graph_pieces(ht.gate, n_graphs),
+                       _graph_pieces(ht.output, n_graphs)) for ht in heads]
+            for b, h_b in enumerate(_graph_pieces(hidden, n_graphs)):
+                out[b].append(LayerTraceEntry(
+                    h_b, [HeadTrace(a[b], g[b], o[b]) for a, g, o in pieces]))
+        return out
+
+
+def _graph_pieces(x: np.ndarray, n_graphs: int) -> list[np.ndarray]:
+    """Each graph's piece of a batch array: its matrix of a stack, or its block of rows."""
+    return list(x) if x.ndim == 3 else np.split(x, n_graphs)
+
 
 def layer_norm(h, scale, shift):
     """Row-wise normalization to mean 0 / variance 1 (eps 1e-5), then affine."""
@@ -170,11 +255,16 @@ def layer_norm(h, scale, shift):
     return ad.add(ad.mul(normed, scale), shift)
 
 
-def mpnn_forward(g: GraphInstance, h, p: MpnnParams, *, lift=None):
-    """Edge-gated local aggregation; isolated nodes receive zeros."""
+def mpnn_forward(g, h, p: MpnnParams, *, lift=None):
+    """Edge-gated local aggregation; isolated nodes receive zeros.
+
+    ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch`; ``h`` holds
+    one row per node (the stacked rows of a batch).
+    """
     lf = lift or _identity
+    graphs = _as_batch(g)
     d = ad.value(h).shape[1]
-    want = 2 * d + g.d_e
+    want = 2 * d + graphs.d_e
     if p.w_edge.shape[0] != want:
         raise ShapeError(
             f"w_edge expects input width {p.w_edge.shape[0]}, "
@@ -182,18 +272,16 @@ def mpnn_forward(g: GraphInstance, h, p: MpnnParams, *, lift=None):
         )
     if p.w_val.shape[0] != d:
         raise ShapeError(f"w_val expects {p.w_val.shape[0]} features, hidden has {d}")
-    if not g.edges:
-        return np.zeros((g.n, p.w_val.shape[1]))
-    src = np.fromiter((e[0] for e in g.edges), dtype=np.intp, count=len(g.edges))
-    dst = np.fromiter((e[1] for e in g.edges), dtype=np.intp, count=len(g.edges))
-    h_dst = ad.take_rows(h, dst)
-    h_src = ad.take_rows(h, src)
+    if not graphs.src.size:
+        return np.zeros((graphs.rows, p.w_val.shape[1]))
+    h_dst = ad.take_rows(h, graphs.dst)
+    h_src = ad.take_rows(h, graphs.src)
     parts = [h_dst, h_src]
-    if g.edge_features is not None:
-        parts.append(g.edge_features)
+    if graphs.edge_features is not None:
+        parts.append(graphs.edge_features)
     gate = ad.sigmoid(ad.matmul(ad.concat(parts, axis=1), lf(p.w_edge)))
     messages = ad.mul(gate, ad.matmul(h_src, lf(p.w_val)))
-    return ad.scatter_rows(messages, dst, g.n)
+    return ad.scatter_rows(messages, graphs.dst, graphs.rows)
 
 
 def _ffn_forward(h, p: FfnParams, lift):
@@ -202,12 +290,17 @@ def _ffn_forward(h, p: FfnParams, lift):
     return ad.add(ad.matmul(hidden, lf(p.w2)), lf(p.b2))
 
 
-def gps_layer_forward(g: GraphInstance, h, p: GpsLayerParams, *,
-                      lift=None, gate_override=None):
-    """One block: residual sum of branches, then ln2(ffn(ln1(s)) + ln1(s))."""
-    local = mpnn_forward(g, h, p.mpnn, lift=lift)
+def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=None, gate_override=None):
+    """One block: residual sum of branches, then ln2(ffn(ln1(s)) + ln1(s)).
+
+    ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch` whose
+    stacked rows ``h`` holds.
+    """
+    graphs = _as_batch(g)
+    local = mpnn_forward(graphs, h, p.mpnn, lift=lift)
     global_attn, head_traces = siggate_mhsa(
-        h, p.attn, g.attn_mask, lift=lift, gate_override=gate_override
+        h, p.attn, graphs.attn_mask, lift=lift, gate_override=gate_override,
+        n_graphs=graphs.size,
     )
     h_next = gps_layer_combine(h, local, global_attn, p, lift=lift)
     entry = LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=head_traces)
@@ -226,40 +319,50 @@ def gps_layer_combine(h, local, global_attn, p: GpsLayerParams, *, lift=None):
 
 
 def model_forward(g: GraphInstance, model: ModelParams, *, lift=None, gate_override=None):
-    """Full stack: input projection, L layers, pooling, linear head.
+    """Full stack on one graph: input projection, L layers, pooling, linear head.
 
     Returns ``(prediction, trace)``; the prediction is a length-``out_dim``
-    vector (an autodiff node when ``lift`` is given).
+    vector (an autodiff node when ``lift`` is given). This is
+    :func:`batch_forward` on a batch of one graph.
     """
-    if g.n == 0:
-        raise ValueError("empty graph: model_forward requires n >= 1")
+    pred, trace = batch_forward(GraphBatch.of([g]), model, lift=lift,
+                                gate_override=gate_override)
+    return ad.reshape(pred, (-1,)), trace
+
+
+def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=None, gate_override=None):
+    """Full stack on every graph of a batch in one pass.
+
+    Returns ``(predictions, trace)``: a B x ``out_dim`` matrix with one row
+    per graph, and the batch's :class:`LayerTrace` (hidden states N x d;
+    :meth:`LayerTrace.split` gives the per-graph traces).
+    """
     if not model.layers:
         raise ValueError("model needs at least one layer")
     if model.readout not in READOUTS:
         raise ValueError(f"readout must be one of {READOUTS}, got {model.readout!r}")
-    h = model_embed(g, model, lift=lift)
+    h = model_embed(graphs, model, lift=lift)
     trace = LayerTrace()
     for layer in model.layers:
-        h, entry = gps_layer_forward(g, h, layer, lift=lift, gate_override=gate_override)
+        h, entry = gps_layer_forward(graphs, h, layer, lift=lift, gate_override=gate_override)
         trace.append(entry)
-    return model_readout(h, model, lift=lift), trace
+    return model_readout(h, model, lift=lift, n_graphs=graphs.size), trace
 
 
-def model_embed(g: GraphInstance, model: ModelParams, *, lift=None):
+def model_embed(g, model: ModelParams, *, lift=None):
     """Input projection of the node features: ``X W_in + b_in``."""
     lf = lift or _identity
     return ad.add(ad.matmul(g.node_features, lf(model.w_in)), lf(model.b_in))
 
 
-def model_readout(h, model: ModelParams, *, lift=None):
-    """Pool the last hidden state over nodes, then apply the linear head."""
+def model_readout(h, model: ModelParams, *, lift=None, n_graphs: int = 1):
+    """Pool each graph's rows of the last hidden state, then apply the
+    linear head: a B x ``out_dim`` prediction for ``n_graphs`` = B graphs."""
     lf = lift or _identity
-    if model.readout == "mean":
-        pooled = ad.vmean(h, axis=0, keepdims=True)
-    else:
-        pooled = ad.vsum(h, axis=0, keepdims=True)
-    pred = ad.add(ad.matmul(pooled, lf(model.w_head)), lf(model.b_head))
-    return ad.reshape(pred, (-1,))
+    rows, d = ad.value(h).shape
+    nodes = ad.reshape(h, (n_graphs, rows // n_graphs, d))
+    pool = ad.vmean if model.readout == "mean" else ad.vsum
+    return ad.add(ad.matmul(pool(nodes, axis=1), lf(model.w_head)), lf(model.b_head))
 
 
 def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int,
@@ -327,6 +430,8 @@ def write_graph(g: GraphInstance, path) -> None:
 
 
 def read_graph(path) -> GraphInstance:
+    """Parse a graph file. A malformed or non-finite row, or any line after
+    the last edge row, raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     try:
@@ -338,6 +443,8 @@ def read_graph(path) -> GraphInstance:
             row = [float(t) for t in raw[pos].split()]
             if len(row) != d_in:
                 raise ValueError(f"node row {i} has {len(row)} values, expected {d_in}")
+            if not np.isfinite(row).all():
+                raise ValueError(f"node row {i} has a non-finite value: {raw[pos]!r}")
             feats[i] = row
             pos += 1
         m = int(raw[pos])
@@ -351,7 +458,12 @@ def read_graph(path) -> GraphInstance:
             edges.append((int(toks[0]), int(toks[1])))
             if d_e:
                 edge_feats[i] = [float(t) for t in toks[2:]]
+                if not np.isfinite(edge_feats[i]).all():
+                    raise ValueError(f"edge row {i} has a non-finite value: {raw[pos]!r}")
             pos += 1
+        if pos < len(raw):
+            raise ValueError(f"{len(raw) - pos} line(s) after the last edge row, "
+                             f"starting with {raw[pos]!r}")
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed graph file {path}: {exc}") from exc
     return GraphInstance(n=n, node_features=feats, edges=edges, edge_features=edge_feats)

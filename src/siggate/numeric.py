@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
+    "NonFiniteInputError",
     "SeededRng",
     "matmul",
     "row_softmax",
@@ -26,6 +27,10 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
+
+
+class NonFiniteInputError(ValueError):
+    """An operand holds NaN or infinite values where the result would be undefined."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +129,10 @@ def row_softmax(logits, mask=None) -> np.ndarray:
 
     ``mask`` is an optional boolean array of the same shape; False entries
     are excluded (treated as -inf logits) and come out exactly 0. A fully
-    masked row is rejected: it would have no distribution to normalize.
+    masked row is rejected: it would have no distribution to normalize. So
+    is a row whose largest kept logit is NaN or infinite (a NaN or +inf
+    entry, or every entry -inf): its distribution is undefined. A -inf
+    entry in a row with a finite maximum simply gets weight 0.
     """
     z = _as_matrix(logits, "logits")
     if mask is not None:
@@ -136,6 +144,10 @@ def row_softmax(logits, mask=None) -> np.ndarray:
             raise ValueError(f"row {bad} is fully masked; softmax undefined")
         z = np.where(m, z, -np.inf)
     zmax = z.max(axis=1, keepdims=True)
+    if not np.isfinite(zmax).all():
+        bad = int(np.flatnonzero(~np.isfinite(zmax))[0])
+        raise NonFiniteInputError(
+            f"row {bad} has largest logit {zmax[bad, 0]}; softmax undefined")
     e = np.exp(z - zmax)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -183,9 +195,14 @@ def top_singular_value(m, tol=1e-12, max_iter=10_000) -> float:
     all-ones vector, stopping when the Rayleigh quotient changes by less
     than ``tol`` relative to its magnitude. If the start vector happens to
     lie in the null space, iteration restarts from basis vectors, which
-    always succeeds for a nonzero matrix.
+    always succeeds for a nonzero matrix. A matrix holding NaN or inf is
+    rejected before any iteration.
     """
     m = _as_matrix(m, "m")
+    if not np.isfinite(m).all():
+        row, col = np.argwhere(~np.isfinite(m))[0]
+        raise NonFiniteInputError(
+            f"top_singular_value undefined: entry ({row}, {col}) is {m[row, col]}")
     if not np.any(m):
         raise ValueError("top_singular_value undefined for the zero matrix")
     gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T

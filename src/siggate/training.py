@@ -19,20 +19,22 @@ from .attention import GateConfig, gated_head_forward, merge_heads
 from .gps import (
     FfnParams,
     GpsLayerParams,
+    GraphBatch,
     LayerNormParams,
     LayerTrace,
     ModelParams,
     MpnnParams,
+    batch_forward,
     gps_layer_combine,
     gps_layer_forward,
     init_model,
     model_embed,
-    model_forward,
+    model_forward,  # noqa: F401 - kept importable from here; perfbench's tracer tests patch it
     model_readout,
     mpnn_forward,
 )
 from .attention import HeadParams, MhsaParams
-from .numeric import SeededRng
+from .numeric import NonFiniteInputError, SeededRng
 
 __all__ = [
     "ParamSet",
@@ -176,8 +178,23 @@ class _Lifter:
         return None if node is None else node.grad
 
 
-def _graph_loss(pred, target, kind: str):
-    diff = ad.sub(pred, np.asarray(target, dtype=np.float64).reshape(-1))
+def _graph_groups(batch):
+    """The (graph, target) pairs grouped by node count, in order of first
+    appearance: per group, the pairs' positions in ``batch``, their
+    :class:`GraphBatch` and their targets as a B x out_dim matrix."""
+    positions: dict[int, list[int]] = {}
+    for i, (graph, _) in enumerate(batch):
+        positions.setdefault(graph.n, []).append(i)
+    return [
+        (idx, GraphBatch.of([batch[i][0] for i in idx]),
+         np.stack([np.asarray(batch[i][1], dtype=np.float64).reshape(-1) for i in idx]))
+        for idx in positions.values()
+    ]
+
+
+def _group_loss(pred, targets, kind: str):
+    """Summed loss of one group: ``pred`` and ``targets`` are B x out_dim."""
+    diff = ad.sub(pred, targets)
     if kind == "mse":
         return ad.vsum(ad.square(diff))
     if kind == "mae":
@@ -186,22 +203,23 @@ def _graph_loss(pred, target, kind: str):
 
 
 def batch_loss(model: ModelParams, batch, loss: str = "mse", gate_override=None) -> float:
-    """Mean loss over the batch, plain forward (no tape)."""
+    """Mean loss over the batch, plain forward (no tape), one pass per node count."""
     total = 0.0
-    for graph, target in batch:
-        pred, _ = model_forward(graph, model, gate_override=gate_override)
-        total += float(ad.value(_graph_loss(pred, target, loss)))
+    for _, graphs, targets in _graph_groups(batch):
+        pred, _ = batch_forward(graphs, model, gate_override=gate_override)
+        total += float(ad.value(_group_loss(pred, targets, loss)))
     return total / len(batch)
 
 
 def evaluate(model: ModelParams, batch, loss: str = "mse"):
-    """Mean loss plus the forward traces for each graph in the batch."""
+    """Mean loss plus the forward traces for each graph in the batch, in order."""
     total = 0.0
-    traces = []
-    for graph, target in batch:
-        pred, trace = model_forward(graph, model)
-        total += float(ad.value(_graph_loss(pred, target, loss)))
-        traces.append(trace)
+    traces: list[LayerTrace] = [None] * len(batch)
+    for idx, graphs, targets in _graph_groups(batch):
+        pred, trace = batch_forward(graphs, model)
+        total += float(ad.value(_group_loss(pred, targets, loss)))
+        for i, graph_trace in zip(idx, trace.split(len(idx))):
+            traces[i] = graph_trace
     return total / len(batch), traces
 
 
@@ -216,17 +234,23 @@ def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
                        loss: str = "mse", gate_override=None):
     """Mean batch loss and exact gradients for every registered parameter.
 
+    One taped pass per node count in the batch, one backward sweep.
     Raises :class:`NonFiniteError` (naming the offending parameter) if the
-    loss or any gradient is non-finite.
+    loss, an attention logit or any gradient is non-finite.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
     lifter = _Lifter()
     total = None
-    for graph, target in batch:
-        pred, _ = model_forward(graph, model, lift=lifter, gate_override=gate_override)
-        term = _graph_loss(pred, target, loss)
-        total = term if total is None else ad.add(total, term)
+    try:
+        for _, graphs, targets in _graph_groups(batch):
+            pred, _ = batch_forward(graphs, model, lift=lifter, gate_override=gate_override)
+            term = _group_loss(pred, targets, loss)
+            total = term if total is None else ad.add(total, term)
+    except NonFiniteInputError as exc:
+        offender = _first_nonfinite_param(params)
+        raise NonFiniteError(f"{exc}; first non-finite parameter: {offender}",
+                             offender) from exc
     mean = ad.div(total, float(len(batch)))
     loss_val = float(ad.value(mean))
     if not np.isfinite(loss_val):
@@ -289,33 +313,38 @@ def _holds(obj, arr) -> bool:
     return any(a is arr for a in _arrays(obj))
 
 
+def _head_output(graphs: GraphBatch, h, layer: GpsLayerParams, head: HeadParams):
+    return gated_head_forward(h, head, layer.attn.gate, graphs.attn_mask,
+                              n_graphs=graphs.size)[0]
+
+
 class _PlainForwardCache:
-    """The branch outputs of one tape-free forward per graph of a batch.
+    """The branch outputs of the tape-free forward of each group of a batch.
 
     A finite-difference probe changes one entry of one parameter array, and
     everything the model computes before that array is first read stays as
     it was. :meth:`probe` therefore re-runs only the branches of the first
     layer that read the array (the MPNN, the heads holding it, the W_O
     merge), that layer's combine step, the later layers and the readout.
-    The ops are those of :func:`batch_loss`, applied to the same inputs in
-    the same order, so the loss it returns is bitwise the same.
+    The groups, ops and inputs are those of :func:`batch_loss`, in the same
+    order, so the loss it returns is bitwise the same.
     """
 
     def __init__(self, model: ModelParams, batch, loss: str):
         self.model = model
         self.batch = batch
         self.loss = loss
-        # Per graph: (h, local, head outputs, merged attention) entering
+        self.groups = _graph_groups(batch)
+        # Per group: (h, local, head outputs, merged attention) entering
         # each layer, then the last hidden state.
         self.layers = []
         self.final = []
-        for graph, _ in batch:
-            h = model_embed(graph, model)
+        for _, graphs, _ in self.groups:
+            h = model_embed(graphs, model)
             entries = []
             for layer in model.layers:
-                local = mpnn_forward(graph, h, layer.mpnn)
-                outs = [gated_head_forward(h, head, layer.attn.gate, graph.attn_mask)[0]
-                        for head in layer.attn.heads]
+                local = mpnn_forward(graphs, h, layer.mpnn)
+                outs = [_head_output(graphs, h, layer, head) for head in layer.attn.heads]
                 merged = merge_heads(outs, layer.attn.w_o)
                 entries.append((h, local, outs, merged))
                 h = gps_layer_combine(h, local, merged, layer)
@@ -342,26 +371,25 @@ class _PlainForwardCache:
     def _loss_from(self, index, mpnn, heads, attn):
         model = self.model
         total = 0.0
-        for g, (graph, target) in enumerate(self.batch):
+        for g, (_, graphs, targets) in enumerate(self.groups):
             if index < len(model.layers):
                 layer = model.layers[index]
                 h, local, outs, merged = self.layers[g][index]
                 if mpnn:
-                    local = mpnn_forward(graph, h, layer.mpnn)
+                    local = mpnn_forward(graphs, h, layer.mpnn)
                 if attn:
                     outs = [
-                        gated_head_forward(h, head, layer.attn.gate, graph.attn_mask)[0]
-                        if k in heads else out
+                        _head_output(graphs, h, layer, head) if k in heads else out
                         for k, (head, out) in enumerate(zip(layer.attn.heads, outs))
                     ]
                     merged = merge_heads(outs, layer.attn.w_o)
                 h = gps_layer_combine(h, local, merged, layer)
                 for later in model.layers[index + 1:]:
-                    h, _ = gps_layer_forward(graph, h, later)
+                    h, _ = gps_layer_forward(graphs, h, later)
             else:
                 h = self.final[g]
-            pred = model_readout(h, model)
-            total += float(ad.value(_graph_loss(pred, target, self.loss)))
+            pred = model_readout(h, model, n_graphs=graphs.size)
+            total += float(ad.value(_group_loss(pred, targets, self.loss)))
         return total / len(self.batch)
 
 

@@ -74,6 +74,16 @@ class TestArithmetic:
         check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a, b])
         check_grads(lambda x: ad.vsum(ad.matmul(ad.transpose(x), x)), [a])
 
+    def test_stacked_matmul_and_transpose(self, rng):
+        a = gaussian_matrix(rng, 6, 3, 1.0).reshape(2, 3, 3)
+        b = gaussian_matrix(rng, 6, 4, 1.0).reshape(2, 3, 4)
+        check_grads(lambda x, y: ad.vsum(ad.square(ad.bmm(x, y))), [a, b])
+        check_grads(lambda x: ad.vsum(ad.square(ad.bmm(ad.transpose(x), x))), [b])
+        for i in range(2):
+            assert np.array_equal(ad.bmm(a, b)[i], a[i] @ b[i])
+            assert np.array_equal(ad.transpose(b)[i], b[i].T)
+        assert np.array_equal(ad.bmm(a[0], b[0]), ad.matmul(a[0], b[0]))
+
     def test_mixed_var_and_plain(self, rng):
         a = gaussian_matrix(rng, 3, 3, 1.0)
         fixed = gaussian_matrix(rng, 3, 3, 1.0)
@@ -180,3 +190,13 @@ class TestRowSoftmaxGrad:
         out = ad.vsum(ad.mul(ad.row_softmax(v, mask), w))
         ad.backward(out)
         assert np.all(v.grad[~mask] == 0.0)
+
+    def test_stack_runs_as_its_rows(self, rng):
+        a = gaussian_matrix(rng, 6, 3, 1.0)
+        mask = rng.uniform((6, 3)) > 0.4
+        mask[:, 1] = True
+        w = gaussian_matrix(rng, 6, 3, 1.0).reshape(2, 3, 3)
+        stacked = ad.row_softmax(a.reshape(2, 3, 3), mask)
+        assert np.array_equal(stacked.reshape(6, 3), ad.row_softmax(a, mask))
+        check_grads(lambda x: ad.vsum(ad.mul(ad.row_softmax(x, mask), w)),
+                    [a.reshape(2, 3, 3)])

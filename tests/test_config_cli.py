@@ -282,6 +282,19 @@ class TestDiagnoseCommand:
                        "--out", str(tmp_path)) == 2
 
 
+    def test_non_finite_graph_exits_two(self, tmp_path, capsys):
+        model = init_model(SeededRng(5), d_in=2, d=8, n_heads=2, n_layers=1,
+                           gate=GateConfig())
+        model_path = tmp_path / "model.txt"
+        save_model(model, model_path)
+        graph = tmp_path / "graph.txt"
+        graph.write_text("2 2 0\n1.0 nan\n0.5 0.5\n1\n0 1\n")
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        assert "node row 0 has a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
 class TestParamCountCommand:
     def test_reference_scale_gate_counts(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -301,6 +314,13 @@ class TestParamCountCommand:
         out = capsys.readouterr().out
         assert "warning" in out
         assert "gate params: 0" in out
+
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_non_positive_heads_exit_two(self, tmp_path, capsys, heads):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"model.heads = {heads}\n")
+        assert run_cli("param-count", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert f"model.heads must be >= 1, got {heads}" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):
         assert run_cli("no-such-command") == 2

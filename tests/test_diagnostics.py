@@ -52,6 +52,15 @@ class TestStableRank:
         with pytest.raises(ValueError):
             stable_rank(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_before_iterating(self, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=rf"entry \(1, 2\) is {bad}"):
+            stable_rank(m)
+        with pytest.raises(ValueError, match=rf"entry \(1, 2\) is {bad}"):
+            rank_bound_holds(np.full((3, 3), 1.0 / 3.0), m)
+
 
 class TestMad:
     def test_identical_rows(self):

@@ -4,8 +4,10 @@ import pytest
 from siggate import autodiff as ad
 from siggate.attention import GateConfig, siggate_mhsa
 from siggate.gps import (
+    GraphBatch,
     GraphInstance,
     MpnnParams,
+    batch_forward,
     gps_layer_forward,
     init_model,
     layer_norm,
@@ -244,6 +246,83 @@ class TestModelForward:
         assert all(h.shape == (5, 8) for h in trace.hidden)
 
 
+def assert_rel_close(a, b, rel=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
+
+
+class TestBatchForward:
+    @staticmethod
+    def graphs(d_e=0, masked=()):
+        rng = SeededRng(50)
+        out = []
+        for i in range(4):
+            g = small_graph(rng, n=6, d_in=3, d_e=d_e)
+            if i in masked:
+                mask = np.eye(6, dtype=bool) | (rng.uniform((6, 6)) < 0.5)
+                g = GraphInstance(n=6, node_features=g.node_features, edges=g.edges,
+                                  edge_features=g.edge_features, attn_mask=mask)
+            out.append(g)
+        return out
+
+    @pytest.mark.parametrize("placement, kw, readout, d_e, masked", [
+        ("none", {}, "mean", 0, ()),
+        ("g1", {}, "mean", 0, ()),
+        ("g2", {"activation": "relu"}, "sum", 0, ()),
+        ("g3", {"activation": "tanh"}, "mean", 0, ()),
+        ("g1", {"sharing": "shared"}, "sum", 0, ()),
+        ("g3", {"sharing": "shared"}, "mean", 2, ()),
+        ("g1", {}, "sum", 2, (1, 3)),
+        ("g3", {}, "mean", 0, (0,)),
+    ])
+    def test_batch_equals_each_graph_alone(self, placement, kw, readout, d_e, masked):
+        model = init_model(SeededRng(51), d_in=3, d=8, n_heads=2, n_layers=3, d_e=d_e,
+                           gate=GateConfig(placement=placement, **kw), readout=readout,
+                           out_dim=2)
+        graphs = self.graphs(d_e, masked)
+        preds, trace = batch_forward(GraphBatch.of(graphs), model)
+        assert preds.shape == (4, 2)
+        per_graph = trace.split(4)
+        for g, pred, got in zip(graphs, preds, per_graph):
+            want_pred, want = model_forward(g, model)
+            assert_rel_close(pred, want_pred)
+            assert len(got) == len(want) == 3
+            for h_got, h_want in zip(got.hidden, want.hidden):
+                assert_rel_close(h_got, h_want)
+            for heads_got, heads_want in zip(got.head_traces, want.head_traces):
+                for ht_got, ht_want in zip(heads_got, heads_want):
+                    assert_rel_close(ht_got.attention, ht_want.attention)
+                    assert_rel_close(ht_got.output, ht_want.output)
+                    if placement == "none":
+                        assert ht_got.gate is None and ht_want.gate is None
+                    else:
+                        assert_rel_close(ht_got.gate, ht_want.gate)
+
+    def test_stacked_layout(self):
+        graphs = self.graphs(d_e=2, masked=(2,))
+        batch = GraphBatch.of(graphs)
+        assert (batch.size, batch.n, batch.rows, batch.d_e) == (4, 6, 24, 2)
+        assert np.array_equal(batch.node_features,
+                              np.vstack([g.node_features for g in graphs]))
+        offsets = np.repeat(6 * np.arange(4), [len(g.edges) for g in graphs])
+        assert np.array_equal(batch.src - offsets, [a for g in graphs for a, _ in g.edges])
+        assert np.array_equal(batch.dst - offsets, [b for g in graphs for _, b in g.edges])
+        assert batch.attn_mask.shape == (24, 6)
+        assert np.array_equal(batch.attn_mask[12:18], graphs[2].attn_mask)
+        assert batch.attn_mask[:12].all() and batch.attn_mask[18:].all()
+        assert GraphBatch.of(graphs[:2]).attn_mask is None
+
+    def test_mixed_shapes_rejected(self):
+        rng = SeededRng(52)
+        with pytest.raises(ShapeError, match="graph 1 has"):
+            GraphBatch.of([small_graph(rng, n=4), small_graph(rng, n=5)])
+        with pytest.raises(ShapeError, match="graph 1 has"):
+            GraphBatch.of([small_graph(rng, n=4, d_in=3), small_graph(rng, n=4, d_in=2)])
+        with pytest.raises(ValueError, match="at least one graph"):
+            GraphBatch.of([])
+
+
 class TestGraphFile:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = SeededRng(47)
@@ -276,4 +355,23 @@ class TestGraphFile:
         path = tmp_path / "bad2.txt"
         path.write_text("1 2 0\n1.0\n0\n")
         with pytest.raises(ValueError, match="malformed graph file"):
+            read_graph(path)
+
+    @pytest.mark.parametrize("text, row", [
+        ("2 2 0\n1.0 nan\n0.5 0.5\n0\n", "node row 0"),
+        ("2 2 0\n1.0 2.0\n-inf 0.5\n0\n", "node row 1"),
+        ("2 1 1\n1.0\n2.0\n2\n0 1 0.5\n1 0 inf\n", "edge row 1"),
+    ])
+    def test_non_finite_feature_rejected(self, tmp_path, text, row):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"malformed graph file .*nonfinite.txt: {row} "
+                                             "has a non-finite value"):
+            read_graph(path)
+
+    def test_lines_after_last_edge_rejected(self, tmp_path):
+        path = tmp_path / "trailing.txt"
+        path.write_text("2 1 0\n1.0\n2.0\n1\n0 1\n5 5 5\ngarbage\n\n")
+        with pytest.raises(ValueError, match=r"trailing.txt: 2 line\(s\) after the last "
+                                             r"edge row, starting with '5 5 5'"):
             read_graph(path)

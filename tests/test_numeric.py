@@ -78,6 +78,26 @@ class TestRowSoftmax:
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad_row, max_txt", [
+        ([np.inf, 0.0, 1.0], "inf"),
+        ([0.0, np.nan, 1.0], "nan"),
+        ([-np.inf, -np.inf, -np.inf], "-inf"),
+    ])
+    def test_non_finite_row_maximum_rejected(self, bad_row, max_txt):
+        logits = np.array([[0.0, 1.0, 2.0], bad_row, [np.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"row 1 has largest logit {max_txt}; "):
+            row_softmax(logits)
+
+    def test_masked_non_finite_logit_is_ignored(self):
+        mask = np.array([[True, False, True]])
+        out = row_softmax(np.array([[0.0, np.nan, np.log(3.0)]]), mask)
+        assert np.allclose(out, [[0.25, 0.0, 0.75]], atol=1e-15)
+
+    def test_minus_inf_entry_with_finite_max_gets_zero_weight(self):
+        out = row_softmax(np.array([[-np.inf, 0.0, np.log(3.0)]]))
+        assert out[0, 0] == 0.0
+        assert np.allclose(out, [[0.0, 0.25, 0.75]], atol=1e-15)
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):

@@ -17,6 +17,7 @@ from siggate.training import (
     adamw_step,
     batch_loss,
     cosine_lr,
+    evaluate,
     finite_difference_check,
     init_optimizer,
     is_gate_param,
@@ -120,6 +121,89 @@ class TestLossAndGradients:
             loss_and_gradients(model, params, batch)
         assert err.value.param_name == "layer1.ffn.w1"
 
+    def test_nan_before_an_attention_layer_is_named(self, batch):
+        # the NaN reaches layer 1's attention logits, which the softmax rejects
+        model = tiny_model(seed=3)
+        params = ParamSet.from_model(model)
+        params["layer0.ffn.w1"][0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="largest logit nan") as err:
+            loss_and_gradients(model, params, batch)
+        assert err.value.param_name == "layer0.ffn.w1"
+
+
+def assert_rel_close(a, b, rel=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
+
+
+def mixed_sizes_batch():
+    """Graphs of 5, 7, 5, 6 and 7 nodes, one of them with an attention mask."""
+    pairs = []
+    for seed, n in enumerate((5, 7, 5, 6, 7)):
+        pairs.append(make_toy_task(seed=20 + seed, n_graphs=2, nodes_per_graph=n).train[0])
+    g, y = pairs[2]
+    mask = np.eye(5, dtype=bool)
+    mask[:, :2] = True
+    pairs[2] = (GraphInstance(n=5, node_features=g.node_features, edges=g.edges,
+                              attn_mask=mask), y)
+    return pairs
+
+
+class TestBatchedPass:
+    @pytest.mark.parametrize("placement, kw", [
+        ("none", {}), ("g1", {}), ("g2", {"activation": "tanh"}),
+        ("g3", {"activation": "sigmoid_squared"}), ("g1", {"sharing": "shared"}),
+    ])
+    @pytest.mark.parametrize("loss", ["mse", "mae"])
+    def test_batch_gradients_equal_sum_of_per_graph_tapes(self, placement, kw, loss):
+        model = tiny_model(seed=13, placement=placement, **kw)
+        params = ParamSet.from_model(model)
+        pairs = mixed_sizes_batch()
+        loss_all, grads_all = loss_and_gradients(model, params, pairs, loss=loss)
+        per_graph = [loss_and_gradients(model, params, [pair], loss=loss) for pair in pairs]
+        assert loss_all == pytest.approx(np.mean([lv for lv, _ in per_graph]), rel=1e-12)
+        for name in params.names:
+            summed = sum(grads[name] for _, grads in per_graph) / len(pairs)
+            assert_rel_close(grads_all[name], summed)
+
+    def test_one_taped_pass_per_node_count(self, monkeypatch):
+        model = tiny_model(seed=14)
+        params = ParamSet.from_model(model)
+        sizes = []
+        real = training.batch_forward
+
+        def counted(graphs, *args, **kw):
+            sizes.append((graphs.n, graphs.size))
+            return real(graphs, *args, **kw)
+
+        monkeypatch.setattr(training, "batch_forward", counted)
+        loss_and_gradients(model, params, make_toy_task(seed=4, n_graphs=12).train)
+        assert sizes == [(8, 9)]
+        sizes.clear()
+        loss_and_gradients(model, params, mixed_sizes_batch())
+        assert sizes == [(5, 2), (7, 2), (6, 1)]
+
+    def test_evaluate_keeps_graph_order_across_node_counts(self):
+        model = tiny_model(seed=15, placement="g3", activation="tanh")
+        pairs = mixed_sizes_batch()
+        loss, traces = evaluate(model, pairs, loss="mae")
+        assert len(traces) == len(pairs)
+        expected_loss = 0.0
+        for (graph, target), trace in zip(pairs, traces):
+            pred, want = model_forward(graph, model)
+            expected_loss += float(np.abs(pred - target).sum())
+            for h_got, h_want in zip(trace.hidden, want.hidden):
+                assert h_got.shape == (graph.n, 16)
+                assert_rel_close(h_got, h_want)
+            for heads_got, heads_want in zip(trace.head_traces, want.head_traces):
+                for ht_got, ht_want in zip(heads_got, heads_want):
+                    assert_rel_close(ht_got.attention, ht_want.attention)
+                    assert_rel_close(ht_got.gate, ht_want.gate)
+                    assert_rel_close(ht_got.output, ht_want.output)
+        assert loss == pytest.approx(expected_loss / len(pairs), rel=1e-12)
+        assert batch_loss(model, pairs, "mae") == loss
+
 
 class TestFiniteDifferenceCheck:
     def test_linear_head_is_exact_for_central_differences(self, batch):
@@ -178,6 +262,20 @@ class TestFiniteDifferenceCheck:
                 assert probe() == batch_loss(model, graphs, "mae"), name
                 arr[loc] = old
             assert probe() == batch_loss(model, graphs, "mae"), name
+
+    def test_cached_probe_over_node_count_groups_is_bitwise(self):
+        model = tiny_model(seed=16, placement="g2")
+        pairs = mixed_sizes_batch()
+        cache = training._PlainForwardCache(model, pairs, "mse")
+        params = ParamSet.from_model(model)
+        for name in ("layer0.mpnn.w_edge", "layer0.attn.head2.w_g", "layer1.attn.w_o",
+                     "layer1.ln2.scale", "head.w"):
+            arr = params[name]
+            probe = cache.probe(arr)
+            old = arr.flat[1]
+            arr.flat[1] = old + 1e-3
+            assert probe() == batch_loss(model, pairs, "mse"), name
+            arr.flat[1] = old
 
     def test_report_deterministic_given_seed(self, batch):
         model = tiny_model(seed=8)
