@@ -19,7 +19,7 @@ run as plain numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,9 +73,17 @@ class GateConfig:
             )
 
 
+_QKV = ("w_q", "w_k", "w_v")
+_GATE_FIELDS = ("w_g", "w_g2", "b_g")
+
+
 @dataclass
 class HeadParams:
-    """Projections for one attention head; gate fields unused when ungated."""
+    """Projections for one attention head; gate fields unused when ungated.
+
+    Inside an :class:`MhsaParams` every field is a view of the head's slice
+    of the layer's stacked array.
+    """
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -87,9 +95,68 @@ class HeadParams:
 
 @dataclass
 class MhsaParams:
+    """A layer's attention parameters, with the heads stacked along axis 0.
+
+    ``w_q``/``w_k``/``w_v`` are K x d x d_k, ``w_g``/``w_g2`` G x d x d_k and
+    ``b_g`` G x d_k (G x 1 for g3), where G = K for per-head gates and G = 1
+    for shared ones; the stacks a placement does not read are None. Each
+    head's field is a persistent view of its slice: ``heads[k].w_q`` is
+    ``w_q[k]``, and with shared gates every head holds the one view
+    ``w_g[0]``. Writing into either array is therefore seen by both.
+
+    On construction, head fields that already are the consecutive slices of
+    one stack (``MhsaParams(heads=other.heads, ...)``) adopt that stack
+    without copying. Any other fields are copied into a new stack, and the
+    heads list gets copies of those heads that view it; the head objects
+    passed in are not modified. A head field replaced after construction is
+    rejected by :func:`siggate_mhsa`.
+    """
+
     heads: list[HeadParams]
     w_o: np.ndarray
     gate: GateConfig = field(default_factory=lambda: GateConfig(placement="none"))
+    w_q: np.ndarray | None = field(default=None, init=False, repr=False)
+    w_k: np.ndarray | None = field(default=None, init=False, repr=False)
+    w_v: np.ndarray | None = field(default=None, init=False, repr=False)
+    w_g: np.ndarray | None = field(default=None, init=False, repr=False)
+    w_g2: np.ndarray | None = field(default=None, init=False, repr=False)
+    b_g: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.heads = list(self.heads)
+        self._views: dict[str, list[np.ndarray]] = {}
+        for name in self.stacked_fields():
+            self._stack(name)
+
+    def __setstate__(self, state):
+        # Pickling and deepcopy copy views as independent arrays: restack.
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def stacked_fields(self) -> tuple[str, ...]:
+        """The head fields the gate placement reads, each held as a stack."""
+        placement = self.gate.placement
+        if placement == "none":
+            return _QKV
+        return _QKV + (_GATE_FIELDS if placement == "g3" else ("w_g", "b_g"))
+
+    def _stack(self, name: str) -> None:
+        arrays = [getattr(head, name) for head in self.heads]
+        shared = self.gate.sharing == "shared" and name in _GATE_FIELDS
+        if shared and any(a is not arrays[0] for a in arrays[1:]):
+            return  # siggate_mhsa names the head with its own gate params
+        members = arrays[:1] if shared else arrays
+        if not members or any(a is None for a in members) \
+                or len({np.shape(a) for a in members}) != 1:
+            return  # siggate_mhsa reports the missing or misshapen field
+        stack = _stack_of(members)
+        if stack is None:
+            stack = np.stack(members)
+            members = list(stack)
+            for i, head in enumerate(self.heads):
+                self.heads[i] = replace(head, **{name: members[0 if shared else i]})
+        setattr(self, name, stack)
+        self._views[name] = [members[0 if shared else i] for i in range(len(self.heads))]
 
     @property
     def d(self) -> int:
@@ -98,6 +165,17 @@ class MhsaParams:
     @property
     def d_k(self) -> int:
         return self.heads[0].w_q.shape[1]
+
+
+def _stack_of(arrays):
+    """The stack whose consecutive slices ``arrays`` are, or None."""
+    base = getattr(arrays[0], "base", None)
+    if not isinstance(base, np.ndarray) or base.shape != (len(arrays),) + arrays[0].shape:
+        return None
+    for k, arr in enumerate(arrays):
+        if arr.base is not base or arr.__array_interface__ != base[k].__array_interface__:
+            return None
+    return base
 
 
 @dataclass
@@ -116,7 +194,7 @@ def _validate_mhsa(n_features: int, params: MhsaParams) -> None:
     if n_features != d:
         raise ShapeError(f"input has {n_features} features but heads expect {d}")
     for i, head in enumerate(params.heads):
-        for name in ("w_q", "w_k", "w_v"):
+        for name in _QKV:
             shape = getattr(head, name).shape
             if shape != (d, d_k):
                 raise ShapeError(f"head {i}.{name} has shape {shape}, expected {(d, d_k)}")
@@ -126,8 +204,22 @@ def _validate_mhsa(n_features: int, params: MhsaParams) -> None:
             f"w_o has {params.w_o.shape[0]} input rows but heads concatenate to {k * d_k}"
         )
     cfg = params.gate
-    if cfg.placement == "none":
-        return
+    if cfg.placement != "none":
+        _validate_gates(params, d, d_k)
+    for name in params.stacked_fields():
+        stack = getattr(params, name)
+        views = params._views.get(name, ())
+        for i, head in enumerate(params.heads):
+            if i >= len(views) or getattr(head, name) is not views[i] \
+                    or views[i].base is not stack:
+                raise ValueError(
+                    f"head {i}.{name} is not a view of the layer's stacked {name}; "
+                    f"write new values into the head's array in place"
+                )
+
+
+def _validate_gates(params: MhsaParams, d: int, d_k: int) -> None:
+    cfg = params.gate
     for i, head in enumerate(params.heads):
         if head.w_g is None or head.b_g is None:
             raise ValueError(f"placement {cfg.placement!r} needs gate params on head {i}")
@@ -151,69 +243,80 @@ def _validate_mhsa(n_features: int, params: MhsaParams) -> None:
                 raise ValueError(f"sharing is 'shared' but head {i} has its own gate params")
 
 
-def _projections(h, head: HeadParams, lift):
+# ---------------------------------------------------------------------------
+# The stacked pass: every head of a layer at once
+# ---------------------------------------------------------------------------
+#
+# Each array below carries the head axis first: Q, K, V and the head
+# outputs are K x N x d_k, the logits and attention K x n x n for one graph
+# and K x B x n x n for B graphs, and a shared gate has a head axis of 1
+# that broadcasts over the K heads. ``np.matmul`` runs the same GEMM on
+# each slice that one head's matrix product runs, so every head's values
+# are those of a forward on that head alone.
+
+
+def _stacks(heads, names, lift):
+    """The lifted stacks ``names`` of a layer's :class:`MhsaParams`, or the
+    arrays of one :class:`HeadParams` as stacks of one."""
     lf = lift or _identity
-    q = ad.matmul(h, lf(head.w_q))
-    k = ad.matmul(h, lf(head.w_k))
-    v = ad.matmul(h, lf(head.w_v))
-    return q, k, v
+    if isinstance(heads, HeadParams):
+        return [ad.reshape(lf(arr), (1,) + np.shape(arr))
+                for arr in (getattr(heads, name) for name in names)]
+    return [lf(getattr(heads, name)) for name in names]
+
+
+def _one_head(x, heads):
+    """Drop the head axis of a stack of one computed for a lone head."""
+    if isinstance(heads, HeadParams):
+        return ad.reshape(x, np.shape(ad.value(x))[1:])
+    return x
 
 
 def _by_graph(x, n_graphs: int):
-    """The rows of an N x k array as ``n_graphs`` stacked n x k matrices.
+    """The K x N x k stack as K x B x n x k, ``n_graphs`` = B graphs of n rows.
 
-    One graph stays a matrix, so its attention runs on plain matrices.
+    One graph stays K x n x k, so its attention runs on stacked matrices.
     """
     if n_graphs == 1:
         return x
-    rows, cols = ad.value(x).shape
-    return ad.reshape(x, (n_graphs, rows // n_graphs, cols))
+    heads, rows, cols = ad.value(x).shape
+    return ad.reshape(x, (heads, n_graphs, rows // n_graphs, cols))
 
 
 def _scores(a, b, d_k: int, n_graphs: int):
-    """``a b^T / sqrt(d_k)`` between the rows of each graph: n x n per graph."""
+    """``a b^T / sqrt(d_k)`` between the rows of each graph, per head."""
     prod = ad.bmm(_by_graph(a, n_graphs), ad.transpose(_by_graph(b, n_graphs)))
     return ad.mul(prod, 1.0 / np.sqrt(d_k))
 
 
 def _attend(attention, v, n_graphs: int):
-    """``attention @ v`` per graph, returned as N x d_k rows."""
+    """``attention @ v`` per head and graph, returned as K x N x d_k."""
     out = ad.bmm(attention, _by_graph(v, n_graphs))
     if n_graphs == 1:
         return out
-    return ad.reshape(out, (-1, ad.value(out).shape[-1]))
+    shape = ad.value(out).shape
+    return ad.reshape(out, (shape[0], -1, shape[-1]))
 
 
-def sdpa(h, head: HeadParams, mask=None, *, lift=None, n_graphs: int = 1):
-    """Standard scaled dot-product attention for one head.
-
-    Returns ``(attention, y)`` with ``attention = softmax(Q K^T / sqrt(d_k))``
-    (row-stochastic, masked entries exactly 0) and ``y = attention @ V``.
-    ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
-    nodes attend only within their own graph. For B > 1 the attention is
-    B x n x n; ``mask`` is N x n, the graphs' n x n masks stacked by rows.
-    """
-    q, k, v = _projections(h, head, lift)
-    d_k = head.w_q.shape[1]
-    attention = ad.row_softmax(_scores(q, k, d_k, n_graphs), mask)
-    return attention, _attend(attention, v, n_graphs)
+def _softmax(logits, mask):
+    """Row softmax of every head's logits; all heads read the same mask."""
+    if mask is not None:
+        mask = np.tile(mask, (ad.value(logits).shape[0], 1))
+    return ad.row_softmax(logits, mask)
 
 
-def compute_gate(h, head: HeadParams, activation: str, *, lift=None):
-    """N x d_k gate values: ``act(H W_g + b_g)``."""
-    lf = lift or _identity
-    z = ad.add(ad.matmul(h, lf(head.w_g)), lf(head.b_g))
-    return ad.apply_activation(activation, z)
+def _value_gate(h, w_g, b_g, activation: str):
+    # G x N x d_k gate values act(H W_g + b_g).
+    b = ad.reshape(b_g, (np.shape(ad.value(b_g))[0], 1, -1))
+    return ad.apply_activation(activation, ad.add(ad.bmm(h, w_g), b))
 
 
-def _logit_gate(h, head: HeadParams, activation: str, n_graphs: int, *, lift=None):
-    # n x n gate per graph matching the logit shape, from two d x d_k projections.
-    lf = lift or _identity
-    d_k = head.w_g.shape[1]
-    left = ad.matmul(h, lf(head.w_g))
-    right = ad.matmul(h, lf(head.w_g2))
-    z = _scores(left, right, d_k, n_graphs)
-    return ad.apply_activation(activation, ad.add(z, lf(head.b_g)))
+def _logit_gate(h, w_g, w_g2, b_g, activation: str, n_graphs: int):
+    # G x (B x) n x n gate matching the logits, from two d x d_k projections.
+    d_k = np.shape(ad.value(w_g))[-1]
+    z = _scores(ad.bmm(h, w_g), ad.bmm(h, w_g2), d_k, n_graphs)
+    b = ad.reshape(b_g, (-1,) + (1,) * (np.ndim(ad.value(z)) - 1))
+    return ad.apply_activation(activation, ad.add(z, b))
 
 
 def _override_gate(shape, gate_override):
@@ -224,48 +327,82 @@ def _override_gate(shape, gate_override):
     raise ValueError(f"gate_override must be 'ones', 'zeros' or None, got {gate_override!r}")
 
 
-def gated_head_forward(h, head: HeadParams, cfg: GateConfig, mask=None, *,
-                       lift=None, gate_override=None, n_graphs: int = 1):
-    """One head's forward pass under the configured gate placement.
-
-    Returns ``(output, HeadTrace)``. ``gate_override`` replaces the computed
-    gate with exact all-ones/all-zeros constants; it exists so the limit
-    cases can be expressed without pushing biases to saturation. ``h``,
-    ``mask`` and ``n_graphs`` are as in :func:`sdpa`; the output and the
-    g1/g2 gate are N x d_k, the attention and the g3 gate n x n per graph.
-    """
+def _heads_pass(h, heads, cfg: GateConfig | None, mask, lift, gate_override, n_graphs):
+    """``(output, attention, gate)`` stacks of every head under the placement."""
     placement = cfg.placement if cfg is not None else "none"
-
-    if placement == "none":
-        attention, out = sdpa(h, head, mask, lift=lift, n_graphs=n_graphs)
-        gate = None
-    elif placement == "g1":
-        attention, y = sdpa(h, head, mask, lift=lift, n_graphs=n_graphs)
-        gate = (_override_gate(ad.value(y).shape, gate_override) if gate_override
-                else compute_gate(h, head, cfg.activation, lift=lift))
-        out = ad.mul(y, gate)
-    elif placement == "g2":
-        q, k, v = _projections(h, head, lift)
-        attention = ad.row_softmax(_scores(q, k, head.w_q.shape[1], n_graphs), mask)
-        gate = (_override_gate(ad.value(v).shape, gate_override) if gate_override
-                else compute_gate(h, head, cfg.activation, lift=lift))
-        out = _attend(attention, ad.mul(gate, v), n_graphs)
-    elif placement == "g3":
-        q, k, v = _projections(h, head, lift)
-        raw = _scores(q, k, head.w_q.shape[1], n_graphs)
-        gate = (_override_gate(ad.value(raw).shape, gate_override) if gate_override
-                else _logit_gate(h, head, cfg.activation, n_graphs, lift=lift))
-        attention = ad.row_softmax(ad.mul(gate, raw), mask)
-        out = _attend(attention, v, n_graphs)
-    else:  # pragma: no cover - GateConfig validates placements
+    if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}")
+    w_q, w_k, w_v = _stacks(heads, _QKV, lift)
+    q, k, v = ad.bmm(h, w_q), ad.bmm(h, w_k), ad.bmm(h, w_v)
+    raw = _scores(q, k, np.shape(ad.value(w_q))[-1], n_graphs)
+    gate = None
+    if placement == "g3":
+        gate = (_override_gate(ad.value(raw).shape, gate_override) if gate_override
+                else _logit_gate(h, *_stacks(heads, _GATE_FIELDS, lift), cfg.activation,
+                                 n_graphs))
+        raw = ad.mul(gate, raw)
+    attention = _softmax(raw, mask)
+    if placement == "g2":
+        gate = (_override_gate(ad.value(v).shape, gate_override) if gate_override
+                else _value_gate(h, *_stacks(heads, ("w_g", "b_g"), lift), cfg.activation))
+        v = ad.mul(gate, v)
+    out = _attend(attention, v, n_graphs)
+    if placement == "g1":
+        gate = (_override_gate(ad.value(out).shape, gate_override) if gate_override
+                else _value_gate(h, *_stacks(heads, ("w_g", "b_g"), lift), cfg.activation))
+        out = ad.mul(out, gate)
+    return out, attention, gate
 
-    trace = HeadTrace(
-        attention=np.asarray(ad.value(attention)),
-        gate=None if gate is None else np.asarray(ad.value(gate)),
-        output=np.asarray(ad.value(out)),
-    )
-    return out, trace
+
+def sdpa(h, head, mask=None, *, lift=None, n_graphs: int = 1):
+    """Standard scaled dot-product attention.
+
+    Returns ``(attention, y)`` with ``attention = softmax(Q K^T / sqrt(d_k))``
+    (row-stochastic, masked entries exactly 0) and ``y = attention @ V``.
+    ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
+    nodes attend only within their own graph. For B > 1 the attention is
+    B x n x n; ``mask`` is N x n, the graphs' n x n masks stacked by rows.
+    ``head`` is one :class:`HeadParams`, or a layer's :class:`MhsaParams`
+    for the K-stacks of every head.
+    """
+    out, attention, _ = _heads_pass(h, head, None, mask, lift, None, n_graphs)
+    return _one_head(attention, head), _one_head(out, head)
+
+
+def compute_gate(h, head, activation: str, *, lift=None):
+    """Gate values ``act(H W_g + b_g)``: N x d_k for one :class:`HeadParams`,
+    G x N x d_k for a layer's :class:`MhsaParams`."""
+    gate = _value_gate(h, *_stacks(head, ("w_g", "b_g"), lift), activation)
+    return _one_head(gate, head)
+
+
+def gated_head_forward(h, heads, cfg: GateConfig, mask=None, *,
+                       lift=None, gate_override=None, n_graphs: int = 1):
+    """Every head's forward pass under the configured gate placement, at once.
+
+    ``heads`` is a layer's :class:`MhsaParams`, whose stacks run all K heads
+    in one pass, or one :class:`HeadParams`, which runs as a stack of one.
+    Returns ``(output, traces)``: for a layer, the K x N x d_k output stack
+    and one :class:`HeadTrace` per head; for one head, its N x d_k output
+    and its trace. ``gate_override`` replaces the computed gate with exact
+    all-ones/all-zeros constants; it exists so the limit cases can be
+    expressed without pushing biases to saturation. ``h``, ``mask`` and
+    ``n_graphs`` are as in :func:`sdpa`; per head, the output and the g1/g2
+    gate are N x d_k, the attention and the g3 gate n x n per graph.
+    """
+    out, attention, gate = _heads_pass(h, heads, cfg, mask, lift, gate_override, n_graphs)
+    out_v = np.asarray(ad.value(out))
+    attn_v = np.asarray(ad.value(attention))
+    gate_v = None if gate is None else np.asarray(ad.value(gate))
+    traces = [
+        HeadTrace(attention=attn_v[k],
+                  gate=None if gate_v is None else gate_v[k if len(gate_v) > 1 else 0],
+                  output=out_v[k])
+        for k in range(len(out_v))
+    ]
+    if isinstance(heads, HeadParams):
+        return _one_head(out, heads), traces[0]
+    return out, traces
 
 
 def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=None, gate_override=None,
@@ -274,29 +411,24 @@ def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=None, gate_override=N
 
     Returns ``(out, traces)`` where ``out`` is N x d_out and ``traces`` is
     one :class:`HeadTrace` per head in head order. ``h`` holds the rows of
-    ``n_graphs`` graphs of equal size (see :func:`sdpa`).
+    ``n_graphs`` graphs of equal size (see :func:`sdpa`). All heads run as
+    one stacked pass (:func:`gated_head_forward` on ``params``).
     """
     rows, n_features = ad.value(h).shape
     _validate_mhsa(n_features, params)
     if n_graphs < 1 or rows % n_graphs:
         raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
-    outs = []
-    traces = []
-    for head in params.heads:
-        out_k, trace = gated_head_forward(
-            h, head, params.gate, mask, lift=lift, gate_override=gate_override,
-            n_graphs=n_graphs,
-        )
-        outs.append(out_k)
-        traces.append(trace)
+    outs, traces = gated_head_forward(
+        h, params, params.gate, mask, lift=lift, gate_override=gate_override,
+        n_graphs=n_graphs,
+    )
     return merge_heads(outs, params.w_o, lift=lift), traces
 
 
 def merge_heads(outs, w_o, *, lift=None):
-    """Concatenate the per-head outputs along features and project by W_O."""
+    """Lay the K x N x d_k head outputs side by side (N x K·d_k) and project by W_O."""
     lf = lift or _identity
-    merged = outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
-    return ad.matmul(merged, lf(w_o))
+    return ad.matmul(ad.merge_stack(outs), lf(w_o))
 
 
 def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:

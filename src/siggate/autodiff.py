@@ -31,6 +31,7 @@ __all__ = [
     "vmean",
     "reshape",
     "concat",
+    "merge_stack",
     "take_rows",
     "scatter_rows",
     "sigmoid",
@@ -229,8 +230,11 @@ def matmul(a, b):
 def bmm(a, b):
     """Stacked matrix product: ``a[i] @ b[i]`` for each matrix of a stack.
 
-    Operands are ``(..., n, k)`` and ``(..., k, m)`` with equal leading
-    axes; on two matrices this is the plain matrix product.
+    Operands are ``(..., n, k)`` and ``(..., k, m)`` whose leading axes
+    broadcast, so a matrix times a stack multiplies it by each matrix of
+    the stack; on two matrices this is the plain matrix product. A
+    broadcast operand's gradient is summed over the axes it was broadcast
+    along.
     """
     av, bv = value(a), value(b)
     out = np.matmul(av, bv)
@@ -238,8 +242,8 @@ def bmm(a, b):
         return out
     return _binary(
         a, b, out,
-        lambda g, o=bv: np.matmul(g, o.swapaxes(-1, -2)),
-        lambda g, o=av: np.matmul(o.swapaxes(-1, -2), g),
+        lambda g, o=bv, s=np.shape(av): _unbroadcast(np.matmul(g, o.swapaxes(-1, -2)), s),
+        lambda g, o=av, s=np.shape(bv): _unbroadcast(np.matmul(o.swapaxes(-1, -2), g), s),
     )
 
 
@@ -282,6 +286,17 @@ def reshape(x, shape):
         return np.reshape(x, shape)
     orig = x.value.shape
     return Var(x.value.reshape(shape), ((x, lambda g: np.asarray(g).reshape(orig)),))
+
+
+def merge_stack(x):
+    """A stack of K matrices of shape n x m laid side by side: n x (K·m),
+    with matrix k in columns k·m ... (k+1)·m - 1."""
+    xv = value(x)
+    heads, rows, cols = xv.shape
+    out = xv.transpose(1, 0, 2).reshape(rows, heads * cols)
+    if not isinstance(x, Var):
+        return out
+    return Var(out, ((x, lambda g: np.asarray(g).reshape(rows, heads, cols).transpose(1, 0, 2)),))
 
 
 def concat(parts, axis=1):

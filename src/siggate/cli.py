@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .attention import GateConfig, gate_param_count
+from .attention import GateConfig
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (
     depth_profile,
@@ -48,6 +48,7 @@ from .training import (
     ParamSet,
     TrainConfig,
     finite_difference_check,
+    is_gate_param,
     load_model,
     train_toy,
 )
@@ -442,11 +443,12 @@ def cmd_diagnose(model_path: str, graph_path: str, out_dir: str) -> int:
 
 
 def cmd_param_count(cfg: RunConfig, out_dir: str) -> int:
-    """Total/gate parameter counts for the configured model dimensions."""
+    """Total/gate parameter counts of the configured model: the gate count
+    is the size of the parameters :func:`is_gate_param` names, so it follows
+    the placement (g3 adds a second projection) and the sharing."""
     d = cfg["model.d"]
     heads = cfg["model.heads"]
     layers = cfg["model.layers"]
-    placement = cfg["model.placement"]
     if heads < 1:
         raise ConfigError(f"model.heads must be >= 1, got {heads}")
     if layers == 0:
@@ -456,14 +458,14 @@ def cmd_param_count(cfg: RunConfig, out_dir: str) -> int:
         return EXIT_OK
     if d % heads != 0:
         raise ConfigError(f"model.d={d} not divisible by model.heads={heads}")
-    d_k = d // heads
-    gate = gate_param_count(d, d_k, heads, layers) if placement != "none" else 0
     model = init_model(
         SeededRng(0), d_in=cfg["model.d_in"], d=d, n_heads=heads, n_layers=layers,
         gate=_gate_config(cfg), d_ff=cfg["model.d_ff"] or None,
         readout=cfg["model.readout"], out_dim=cfg["model.out_dim"],
     )
-    total = ParamSet.from_model(model).total_count()
+    params = ParamSet.from_model(model)
+    total = params.total_count()
+    gate = sum(arr.size for name, arr in params.items() if is_gate_param(name))
     print(f"total params: {total}")
     print(f"gate params: {gate}")
     print(f"gate fraction: {gate / total:.4%}")

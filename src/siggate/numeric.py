@@ -148,8 +148,10 @@ def row_softmax(logits, mask=None) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(zmax))[0])
         raise NonFiniteInputError(
             f"row {bad} has largest logit {zmax[bad, 0]}; softmax undefined")
-    e = np.exp(z - zmax)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - zmax
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def sigmoid(x) -> np.ndarray:

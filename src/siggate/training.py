@@ -161,10 +161,23 @@ def is_gate_param(name: str) -> bool:
 
 
 class _Lifter:
-    """Memoizing array -> Var wrapper; shared arrays get a single node."""
+    """Memoizing array -> Var wrapper; shared arrays get a single node.
 
-    def __init__(self):
+    The forward lifts each layer's stacked attention arrays; the gradient of
+    a head's view is the matching slice of its stack's gradient.
+    """
+
+    def __init__(self, model: ModelParams):
         self._vars: dict[int, ad.Var] = {}
+        self._views = {}
+        for layer in model.layers:
+            attn = layer.attn
+            for name in attn.stacked_fields():
+                stack = getattr(attn, name)
+                if stack is None:
+                    continue  # the forward rejects the layer
+                for k, head in enumerate(attn.heads):
+                    self._views[id(getattr(head, name))] = (stack, k if len(stack) > 1 else 0)
 
     def __call__(self, arr):
         node = self._vars.get(id(arr))
@@ -175,6 +188,10 @@ class _Lifter:
 
     def grad(self, arr):
         node = self._vars.get(id(arr))
+        if node is None and id(arr) in self._views:
+            stack, k = self._views[id(arr)]
+            g = self.grad(stack)
+            return None if g is None else g[k]
         return None if node is None else node.grad
 
 
@@ -240,7 +257,7 @@ def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    lifter = _Lifter()
+    lifter = _Lifter(model)
     total = None
     try:
         for _, graphs, targets in _graph_groups(batch):
@@ -309,13 +326,33 @@ def _arrays(obj):
             yield from _arrays(getattr(obj, f.name))
 
 
-def _holds(obj, arr) -> bool:
-    return any(a is arr for a in _arrays(obj))
-
-
-def _head_output(graphs: GraphBatch, h, layer: GpsLayerParams, head: HeadParams):
-    return gated_head_forward(h, head, layer.attn.gate, graphs.attn_mask,
+def _heads_output(graphs: GraphBatch, h, layer: GpsLayerParams):
+    """The K x N x d_k outputs of the layer's heads: one stacked pass."""
+    return gated_head_forward(h, layer.attn, layer.attn.gate, graphs.attn_mask,
                               n_graphs=graphs.size)[0]
+
+
+def _probe_index(model: ModelParams) -> dict:
+    """``id(array) -> (layer index, branches)`` for every array the model
+    reads after its input projection: the first layer that reads the array,
+    and which of that layer's branches do ("mpnn", "heads" for the stacked
+    attention arrays and their views, "w_o", "combine" for the FFN and layer
+    norms). The readout's arrays map to index L with no branch."""
+    index: dict[int, tuple[int, frozenset]] = {}
+    for i, layer in enumerate(model.layers):
+        attn = layer.attn
+        stacks = [getattr(attn, name) for name in attn.stacked_fields()]
+        parts = {"mpnn": layer.mpnn, "heads": (attn.heads, stacks), "w_o": attn.w_o,
+                 "combine": (layer.ffn, layer.ln1, layer.ln2)}
+        found: dict[int, set] = {}
+        for branch, part in parts.items():
+            for arr in _arrays(part):
+                found.setdefault(id(arr), set()).add(branch)
+        for key, branches in found.items():
+            index.setdefault(key, (i, frozenset(branches)))
+    for arr in (model.w_head, model.b_head):
+        index.setdefault(id(arr), (len(model.layers), frozenset()))
+    return index
 
 
 class _PlainForwardCache:
@@ -324,8 +361,8 @@ class _PlainForwardCache:
     A finite-difference probe changes one entry of one parameter array, and
     everything the model computes before that array is first read stays as
     it was. :meth:`probe` therefore re-runs only the branches of the first
-    layer that read the array (the MPNN, the heads holding it, the W_O
-    merge), that layer's combine step, the later layers and the readout.
+    layer that read the array (the MPNN, the stacked pass of the heads, the
+    W_O merge), that layer's combine step, the later layers and the readout.
     The groups, ops and inputs are those of :func:`batch_loss`, in the same
     order, so the loss it returns is bitwise the same.
     """
@@ -335,6 +372,7 @@ class _PlainForwardCache:
         self.batch = batch
         self.loss = loss
         self.groups = _graph_groups(batch)
+        self.index = _probe_index(model)
         # Per group: (h, local, head outputs, merged attention) entering
         # each layer, then the last hidden state.
         self.layers = []
@@ -344,9 +382,9 @@ class _PlainForwardCache:
             entries = []
             for layer in model.layers:
                 local = mpnn_forward(graphs, h, layer.mpnn)
-                outs = [_head_output(graphs, h, layer, head) for head in layer.attn.heads]
-                merged = merge_heads(outs, layer.attn.w_o)
-                entries.append((h, local, outs, merged))
+                heads = _heads_output(graphs, h, layer)
+                merged = merge_heads(heads, layer.attn.w_o)
+                entries.append((h, local, heads, merged))
                 h = gps_layer_combine(h, local, merged, layer)
             self.layers.append(entries)
             self.final.append(h)
@@ -355,34 +393,24 @@ class _PlainForwardCache:
         """A function that returns ``batch_loss(model, batch, loss)`` for the
         current contents of ``arr``, a parameter array of the model."""
         model = self.model
-        if arr is model.w_in or arr is model.b_in:
+        found = self.index.get(id(arr))
+        if arr is model.w_in or arr is model.b_in or found is None:
             return lambda: batch_loss(model, self.batch, self.loss)
-        for index, layer in enumerate(model.layers):
-            if _holds(layer, arr):
-                mpnn = _holds(layer.mpnn, arr)
-                attn = _holds(layer.attn, arr)
-                heads = frozenset(k for k, head in enumerate(layer.attn.heads)
-                                  if _holds(head, arr))
-                return lambda: self._loss_from(index, mpnn, heads, attn)
-        if arr is model.w_head or arr is model.b_head:
-            return lambda: self._loss_from(len(model.layers), False, frozenset(), False)
-        return lambda: batch_loss(model, self.batch, self.loss)
+        return lambda: self._loss_from(*found)
 
-    def _loss_from(self, index, mpnn, heads, attn):
+    def _loss_from(self, index, branches):
         model = self.model
         total = 0.0
         for g, (_, graphs, targets) in enumerate(self.groups):
             if index < len(model.layers):
                 layer = model.layers[index]
-                h, local, outs, merged = self.layers[g][index]
-                if mpnn:
+                h, local, heads, merged = self.layers[g][index]
+                if "mpnn" in branches:
                     local = mpnn_forward(graphs, h, layer.mpnn)
-                if attn:
-                    outs = [
-                        _head_output(graphs, h, layer, head) if k in heads else out
-                        for k, (head, out) in enumerate(zip(layer.attn.heads, outs))
-                    ]
-                    merged = merge_heads(outs, layer.attn.w_o)
+                if "heads" in branches:
+                    heads = _heads_output(graphs, h, layer)
+                if "heads" in branches or "w_o" in branches:
+                    merged = merge_heads(heads, layer.attn.w_o)
                 h = gps_layer_combine(h, local, merged, layer)
                 for later in model.layers[index + 1:]:
                     h, _ = gps_layer_forward(graphs, h, later)

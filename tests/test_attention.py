@@ -1,13 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
 from siggate.attention import (
+    GATE_ACTIVATIONS,
     GateConfig,
     HeadParams,
     MhsaParams,
     compute_gate,
     gate_param_count,
     gated_head_forward,
+    init_head_params,
     init_mhsa_params,
     sdpa,
     siggate_mhsa,
@@ -259,3 +263,139 @@ class TestGateParamCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="n_heads"):
             gate_param_count(16, 4, -1, 3)
+
+
+CELLS = [("none", "sigmoid", "per_head")] + [
+    (placement, activation, "per_head")
+    for placement in ("g1", "g2", "g3") for activation in GATE_ACTIVATIONS
+] + [(placement, "sigmoid", "shared") for placement in ("g1", "g2", "g3")]
+
+
+def stacked_layer(seed, placement, activation="sigmoid", sharing="per_head", d=8, heads=4):
+    cfg = GateConfig(placement=placement, activation=activation, sharing=sharing)
+    return init_mhsa_params(SeededRng(seed), d, heads, cfg)
+
+
+class TestHeadStack:
+    """A layer holds its heads' projections as stacks; each head views its slice."""
+
+    @pytest.mark.parametrize("placement, activation, sharing", CELLS)
+    def test_stacked_pass_equals_loop_over_heads_bitwise(self, placement, activation,
+                                                         sharing):
+        params = stacked_layer(30, placement, activation, sharing)
+        cfg = params.gate
+        rng = SeededRng(31)
+        n = 5
+        mask = np.ones((3 * n, n), dtype=bool)
+        mask[1, 3:] = False
+        mask[n + 4, :2] = False  # the second graph's last node
+        inputs = [(gaussian_matrix(rng, n, 8, 1.0), None, 1),
+                  (gaussian_matrix(rng, n, 8, 1.0), mask[:n], 1),
+                  (gaussian_matrix(rng, 3 * n, 8, 1.0), mask, 3)]
+        overrides = (None,) if placement == "none" else (None, "ones", "zeros")
+        for h, m, n_graphs in inputs:
+            for override in overrides:
+                out, traces = gated_head_forward(h, params, cfg, m, gate_override=override,
+                                                 n_graphs=n_graphs)
+                assert out.shape == (4, len(h), 2) and len(traces) == 4
+                for k, head in enumerate(params.heads):
+                    out_k, trace_k = gated_head_forward(h, head, cfg, m,
+                                                        gate_override=override,
+                                                        n_graphs=n_graphs)
+                    assert np.array_equal(out[k], out_k)
+                    assert np.array_equal(traces[k].output, trace_k.output)
+                    assert np.array_equal(traces[k].attention, trace_k.attention)
+                    if placement == "none":
+                        assert traces[k].gate is None and trace_k.gate is None
+                    else:
+                        assert np.array_equal(traces[k].gate, trace_k.gate)
+
+    @pytest.mark.parametrize("placement, sharing, gate_heads", [
+        ("none", "per_head", 0), ("g1", "per_head", 4), ("g1", "shared", 1),
+        ("g3", "per_head", 4), ("g3", "shared", 1),
+    ])
+    def test_heads_view_slices_of_the_stacks(self, placement, sharing, gate_heads):
+        params = stacked_layer(32, placement, sharing=sharing)
+        assert params.w_q.shape == params.w_k.shape == params.w_v.shape == (4, 8, 2)
+        for k, head in enumerate(params.heads):
+            for name in ("w_q", "w_k", "w_v"):
+                assert getattr(head, name).base is getattr(params, name)
+                assert np.shares_memory(getattr(head, name), getattr(params, name)[k])
+        if not gate_heads:
+            assert params.w_g is None and params.b_g is None
+            return
+        assert params.w_g.shape == (gate_heads, 8, 2)
+        assert params.b_g.shape == (gate_heads, 1 if placement == "g3" else 2)
+        assert (params.w_g2 is None) == (placement != "g3")
+        for k, head in enumerate(params.heads):
+            assert head.w_g.base is params.w_g
+            if gate_heads == 1:
+                assert head.w_g is params.heads[0].w_g and head.b_g is params.heads[0].b_g
+        params.heads[1].w_g[0, 0] = 7.0
+        assert params.w_g[1 if gate_heads > 1 else 0, 0, 0] == 7.0
+
+    def test_init_keeps_the_per_head_draw_order(self):
+        cfg = GateConfig(placement="g3")
+        params = init_mhsa_params(SeededRng(33), 8, 2, cfg)
+        rng = SeededRng(33)
+        for k in range(2):
+            head = init_head_params(rng, 8, 4, cfg)
+            for name in ("w_q", "w_k", "w_v", "w_g", "w_g2", "b_g"):
+                assert np.array_equal(getattr(params.heads[k], name), getattr(head, name))
+        assert np.array_equal(params.w_o, gaussian_matrix(rng, 8, 8, 1.0 / np.sqrt(8)))
+
+    def test_construction_adopts_existing_stacks(self):
+        gated = stacked_layer(34, "g1")
+        ungated = MhsaParams(heads=gated.heads, w_o=gated.w_o,
+                             gate=GateConfig(placement="none"))
+        for name in ("w_q", "w_k", "w_v"):
+            assert getattr(ungated, name) is getattr(gated, name)
+        assert all(a is b for a, b in zip(ungated.heads, gated.heads))
+        assert ungated.w_g is None
+        for k, head in enumerate(gated.heads):
+            for name in ("w_q", "w_k", "w_v", "w_g", "b_g"):
+                assert getattr(head, name).base is getattr(gated, name)
+        h = gaussian_matrix(SeededRng(35), 5, 8, 1.0)
+        siggate_mhsa(h, gated)  # the original still passes the view checks
+        out_ones, _ = siggate_mhsa(h, gated, gate_override="ones")
+        assert np.array_equal(out_ones, siggate_mhsa(h, ungated)[0])
+
+    def test_construction_copies_other_arrays_without_touching_the_heads(self):
+        rng = SeededRng(36)
+        heads = [make_head(rng, 8, 4) for _ in range(2)]
+        originals = [(h.w_q, h.w_g) for h in heads]
+        params = MhsaParams(heads=heads, w_o=np.eye(8), gate=GateConfig(placement="g1"))
+        for head, (w_q, w_g) in zip(heads, originals):
+            assert head.w_q is w_q and head.w_g is w_g
+        for k, head in enumerate(params.heads):
+            assert head.w_q.base is params.w_q and head.w_g.base is params.w_g
+            assert np.array_equal(head.w_q, heads[k].w_q)
+        h = gaussian_matrix(rng, 5, 8, 1.0)
+        out, _ = siggate_mhsa(h, params)
+        loop = [gated_head_forward(h, head, params.gate)[0] for head in heads]
+        assert np.array_equal(out, np.concatenate(loop, axis=1) @ np.eye(8))
+
+    def test_deepcopy_restacks(self):
+        params = stacked_layer(37, "g3", sharing="shared")
+        twin = copy.deepcopy(params)
+        assert twin.w_q is not params.w_q
+        assert all(head.w_q.base is twin.w_q for head in twin.heads)
+        assert all(head.w_g is twin.heads[0].w_g for head in twin.heads)
+        h = gaussian_matrix(SeededRng(38), 5, 8, 1.0)
+        assert np.array_equal(siggate_mhsa(h, twin)[0], siggate_mhsa(h, params)[0])
+
+    @pytest.mark.parametrize("placement, name", [
+        ("g1", "w_q"), ("g1", "w_k"), ("g1", "w_v"), ("g1", "w_g"), ("g1", "b_g"),
+        ("g3", "w_g2"),
+    ])
+    def test_replaced_head_field_rejected(self, placement, name):
+        params = stacked_layer(39, placement)
+        setattr(params.heads[2], name, getattr(params.heads[2], name).copy())
+        with pytest.raises(ValueError, match=rf"head 2\.{name} is not a view"):
+            siggate_mhsa(gaussian_matrix(SeededRng(40), 5, 8, 1.0), params)
+
+    def test_replaced_stack_rejected(self):
+        params = stacked_layer(41, "g2")
+        params.w_v = params.w_v.copy()
+        with pytest.raises(ValueError, match=r"head 0\.w_v is not a view"):
+            siggate_mhsa(gaussian_matrix(SeededRng(42), 5, 8, 1.0), params)

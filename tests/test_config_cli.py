@@ -307,6 +307,22 @@ class TestParamCountCommand:
         run_cli("param-count", "--config", str(cfg), "--out", str(tmp_path))
         assert "gate params: 41600" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sharing", ["per_head", "shared"])
+    @pytest.mark.parametrize("placement", ["g1", "g2", "g3"])
+    def test_gate_count_is_what_the_gate_adds(self, tmp_path, capsys, placement, sharing):
+        def counts(placement):
+            cfg = tmp_path / f"{placement}.txt"
+            cfg.write_text(f"model.placement = {placement}\nmodel.sharing = {sharing}\n")
+            assert run_cli("param-count", "--config", str(cfg), "--out", str(tmp_path)) == 0
+            lines = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+            return int(lines["total params"]), int(lines["gate params"]), lines["gate fraction"]
+
+        total, gate, fraction = counts(placement)
+        ungated, no_gate, _ = counts("none")
+        assert no_gate == 0
+        assert gate == total - ungated > 0
+        assert fraction == f"{gate / total:.4%}"
+
     def test_zero_layers_warns(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("model.layers = 0\n")

@@ -6,7 +6,8 @@ import pytest
 
 import siggate.training as training
 from siggate.attention import GateConfig, gate_param_count
-from siggate.gps import GraphInstance, init_model, model_forward
+from siggate import autodiff as ad
+from siggate.gps import GraphBatch, GraphInstance, batch_forward, init_model, model_forward
 from siggate.numeric import SeededRng
 from siggate.synthexp import make_toy_task
 from siggate.training import (
@@ -71,6 +72,69 @@ class TestParamSet:
         params = ParamSet.from_model(model)
         params["head.b"][:] = 9.0
         assert model.b_head[0] == 9.0
+
+
+class TestHeadStackParams:
+    """ParamSet entries of attention heads are views into the layer's stacks."""
+
+    @pytest.mark.parametrize("placement, kw", [
+        ("g1", {}), ("g3", {"activation": "tanh"}), ("g2", {"sharing": "shared"}),
+    ])
+    def test_view_gradient_is_slice_of_stack_gradient(self, batch, placement, kw):
+        model = tiny_model(seed=40, placement=placement, **kw)
+        params = ParamSet.from_model(model)
+        _, grads = loss_and_gradients(model, params, batch[:3])
+        lifter = training._Lifter(model)
+        graphs = GraphBatch.of([g for g, _ in batch[:3]])
+        pred, _ = batch_forward(graphs, model, lift=lifter)
+        targets = np.stack([np.reshape(t, -1) for _, t in batch[:3]])
+        ad.backward(ad.div(ad.vsum(ad.square(ad.sub(pred, targets))), 3.0))
+        checked = 0
+        for i, layer in enumerate(model.layers):
+            attn = layer.attn
+            for name in attn.stacked_fields():
+                stack_grad = lifter.grad(getattr(attn, name))
+                assert stack_grad.shape == getattr(attn, name).shape
+                for k, head in enumerate(attn.heads):
+                    index = k if len(stack_grad) > 1 else 0
+                    assert np.array_equal(lifter.grad(getattr(head, name)), stack_grad[index])
+                    label = "gate" if len(stack_grad) == 1 else f"head{k}"
+                    assert np.array_equal(grads[f"layer{i}.attn.{label}.{name}"],
+                                          stack_grad[index])
+                    checked += 1
+        assert checked == 2 * 4 * len(model.layers[0].attn.stacked_fields())
+
+    def test_adamw_update_reaches_the_next_forward(self):
+        model = tiny_model(seed=41, placement="g1")
+        params = ParamSet.from_model(model)
+        graph = make_toy_task(seed=7, n_graphs=2, nodes_per_graph=6).train[0][0]
+        before, _ = model_forward(graph, model)
+        stack = model.layers[1].attn.w_v.copy()
+        grads = ParamSet({n: np.zeros_like(a) for n, a in params.items()})
+        grads["layer1.attn.head2.w_v"][:] = 1.0
+        adamw_step(params, grads, init_optimizer(params), 0.1)
+        after, _ = model_forward(graph, model)
+        assert not np.array_equal(before, after)
+        moved = model.layers[1].attn.w_v
+        assert np.array_equal(moved[2], stack[2] - 0.1 * 1.0 / (1.0 + 1e-8))
+        assert np.array_equal(np.delete(moved, 2, axis=0), np.delete(stack, 2, axis=0))
+        assert params["layer1.attn.head2.w_v"].base is moved
+
+    @pytest.mark.parametrize("placement, sharing", [("g1", "per_head"), ("g3", "shared")])
+    def test_load_model_keeps_the_view_link(self, tmp_path, placement, sharing):
+        path = tmp_path / "model.txt"
+        save_model(tiny_model(seed=42, placement=placement, sharing=sharing), path)
+        back = load_model(path)
+        params = ParamSet.from_model(back)
+        graph = make_toy_task(seed=8, n_graphs=2, nodes_per_graph=6).train[0][0]
+        before, _ = model_forward(graph, back)
+        for layer in back.layers:
+            attn = layer.attn
+            for name in attn.stacked_fields():
+                assert all(getattr(h, name).base is getattr(attn, name) for h in attn.heads)
+        params["layer0.attn.head3.w_k"][0, 0] += 1.0
+        assert back.layers[0].attn.w_k[3, 0, 0] == params["layer0.attn.head3.w_k"][0, 0]
+        assert not np.array_equal(model_forward(graph, back)[0], before)
 
 
 class TestLossAndGradients:
@@ -276,6 +340,24 @@ class TestFiniteDifferenceCheck:
             arr.flat[1] = old + 1e-3
             assert probe() == batch_loss(model, pairs, "mse"), name
             arr.flat[1] = old
+
+    @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
+    def test_probe_index_covers_every_parameter_after_the_input(self, batch, placement, kw):
+        model = tiny_model(seed=17, placement=placement, **kw)
+        cache = training._PlainForwardCache(model, batch[:2], "mse")
+        branch = {"w_o": "w_o", "mpnn": "mpnn", "ffn": "combine", "ln1": "combine",
+                  "ln2": "combine"}
+        for name, arr in ParamSet.from_model(model).items():
+            if name.startswith("input."):
+                assert id(arr) not in cache.index, name
+                continue
+            index, branches = cache.index[id(arr)]
+            if name.startswith("head."):
+                assert (index, branches) == (2, frozenset()), name
+                continue
+            part = name.split(".")[1] if ".attn." not in name else name.split(".")[2]
+            assert index == int(name[len("layer")]), name
+            assert branches == {branch.get(part, "heads")}, name
 
     def test_report_deterministic_given_seed(self, batch):
         model = tiny_model(seed=8)
