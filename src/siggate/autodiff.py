@@ -25,6 +25,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "linear",
     "bmm",
     "transpose",
     "vsum",
@@ -44,6 +45,7 @@ __all__ = [
     "absolute",
     "erf",
     "gelu",
+    "layer_norm",
     "row_softmax",
     "apply_activation",
 ]
@@ -156,57 +158,42 @@ def backward(root: Var) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _binary(a, b, out, da, db):
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, da))
-    if isinstance(b, Var):
-        parents.append((b, db))
-    return Var(out, tuple(parents))
+def _node(out, *edges):
+    """A node over ``out`` whose parents are the Var operands among
+    ``edges``, each an (operand, vjp) pair."""
+    return Var(out, tuple((x, vjp) for x, vjp in edges if isinstance(x, Var)))
 
 
 def add(a, b):
     av, bv = value(a), value(b)
     if not _tracked(a, b):
         return av + bv
-    return _binary(
-        a, b, av + bv,
-        lambda g, s=np.shape(av): _unbroadcast(g, s),
-        lambda g, s=np.shape(bv): _unbroadcast(g, s),
-    )
+    return _node(av + bv, (a, lambda g, s=np.shape(av): _unbroadcast(g, s)),
+                 (b, lambda g, s=np.shape(bv): _unbroadcast(g, s)))
 
 
 def sub(a, b):
     av, bv = value(a), value(b)
     if not _tracked(a, b):
         return av - bv
-    return _binary(
-        a, b, av - bv,
-        lambda g, s=np.shape(av): _unbroadcast(g, s),
-        lambda g, s=np.shape(bv): _unbroadcast(-g, s),
-    )
+    return _node(av - bv, (a, lambda g, s=np.shape(av): _unbroadcast(g, s)),
+                 (b, lambda g, s=np.shape(bv): _unbroadcast(-g, s)))
 
 
 def mul(a, b):
     av, bv = value(a), value(b)
     if not _tracked(a, b):
         return av * bv
-    return _binary(
-        a, b, av * bv,
-        lambda g, o=bv, s=np.shape(av): _unbroadcast(g * o, s),
-        lambda g, o=av, s=np.shape(bv): _unbroadcast(g * o, s),
-    )
+    return _node(av * bv, (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(g * o, s)),
+                 (b, lambda g, o=av, s=np.shape(bv): _unbroadcast(g * o, s)))
 
 
 def div(a, b):
     av, bv = value(a), value(b)
     if not _tracked(a, b):
         return av / bv
-    return _binary(
-        a, b, av / bv,
-        lambda g, o=bv, s=np.shape(av): _unbroadcast(g / o, s),
-        lambda g, n=av, o=bv, s=np.shape(bv): _unbroadcast(-g * n / (o * o), s),
-    )
+    return _node(av / bv, (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(g / o, s)),
+                 (b, lambda g, n=av, o=bv, s=np.shape(bv): _unbroadcast(-g * n / (o * o), s)))
 
 
 def neg(x):
@@ -217,14 +204,21 @@ def neg(x):
 
 def matmul(a, b):
     av, bv = value(a), value(b)
-    if not _tracked(a, b):
-        return numeric.matmul(av, bv)
     out = numeric.matmul(av, bv)
-    return _binary(
-        a, b, out,
-        lambda g, o=bv: g @ o.T,
-        lambda g, o=av: o.T @ g,
-    )
+    if not _tracked(a, b):
+        return out
+    return _node(out, (a, lambda g, o=bv: g @ o.T), (b, lambda g, o=av: o.T @ g))
+
+
+def linear(x, w, b):
+    """``x @ w + b`` as one node: the matrix product (shape-checked as in
+    :func:`matmul`) plus a bias broadcast over the rows."""
+    xv, wv, bv = value(x), value(w), value(b)
+    out = numeric.matmul(xv, wv) + bv
+    if not _tracked(x, w, b):
+        return out
+    return _node(out, (x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+                 (b, lambda g, s=np.shape(bv): _unbroadcast(g, s)))
 
 
 def bmm(a, b):
@@ -240,10 +234,10 @@ def bmm(a, b):
     out = np.matmul(av, bv)
     if not _tracked(a, b):
         return out
-    return _binary(
-        a, b, out,
-        lambda g, o=bv, s=np.shape(av): _unbroadcast(np.matmul(g, o.swapaxes(-1, -2)), s),
-        lambda g, o=av, s=np.shape(bv): _unbroadcast(np.matmul(o.swapaxes(-1, -2), g), s),
+    return _node(
+        out,
+        (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(np.matmul(g, o.swapaxes(-1, -2)), s)),
+        (b, lambda g, o=av, s=np.shape(bv): _unbroadcast(np.matmul(o.swapaxes(-1, -2), g), s)),
     )
 
 
@@ -399,8 +393,47 @@ def erf(x):
 
 
 def gelu(x):
-    """Exact (erf-based) Gaussian error linear unit."""
-    return mul(mul(x, 0.5), add(erf(mul(x, _INV_SQRT2)), 1.0))
+    """Exact (erf-based) Gaussian error linear unit, ``(x/2)(1 + erf(x/√2))``.
+
+    The derivative is ``(1 + erf(u))/2 + (x/2)(2/√π)e^{-u²}/√2`` with
+    ``u = x/√2``, evaluated in the order the chain rule through those
+    factors gives.
+    """
+    xv = np.asarray(value(x), dtype=np.float64)
+    half = xv * 0.5
+    u = xv * _INV_SQRT2
+    s = _erf(u) + 1.0
+    out = half * s
+    if not isinstance(x, Var):
+        return out
+    return Var(out, ((x, lambda g: g * s * 0.5
+                      + g * half * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT2),))
+
+
+def layer_norm(h, scale, shift, eps):
+    """Row-wise normalization to mean 0 / variance 1, then ``* scale + shift``.
+
+    One node with the closed-form VJP (Ba, Kiros & Hinton, 2016): with
+    x̂ the normalized rows, σ their standard deviation and gx̂ = g·scale,
+    ∂h = (gx̂ - mean(gx̂) - x̂·mean(gx̂·x̂)) / σ, row by row.
+    """
+    hv, sv, bv = value(h), value(scale), value(shift)
+    cols = float(np.shape(hv)[-1])
+    centered = hv - np.sum(hv, axis=-1, keepdims=True) / cols
+    std = np.sqrt(np.sum(np.square(centered), axis=-1, keepdims=True) / cols + eps)
+    normed = centered / std
+    out = normed * sv + bv
+    if not _tracked(h, scale, shift):
+        return out
+
+    def dh(g):
+        gn = g * sv
+        return (gn - np.mean(gn, axis=-1, keepdims=True)
+                - normed * np.mean(gn * normed, axis=-1, keepdims=True)) / std
+
+    return _node(out, (h, dh),
+                 (scale, lambda g, s=np.shape(sv): _unbroadcast(g * normed, s)),
+                 (shift, lambda g, s=np.shape(bv): _unbroadcast(g, s)))
 
 
 def row_softmax(logits, mask=None):

@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .training import (
     is_gate_param,
     load_model,
     train_toy,
+    write_history_csv,
 )
 
 EXIT_OK = 0
@@ -312,11 +314,8 @@ def _write_cell_history(out_dir, label_fields, summary) -> None:
     hist_dir = os.path.join(out_dir, "histories")
     os.makedirs(hist_dir, exist_ok=True)
     name = "_".join(str(f) for f in label_fields) + ".csv"
-    lines = ["epoch,loss,lr"]
-    for i, (loss, lr) in enumerate(zip(summary["losses"], summary["lrs"])):
-        lines.append(f"{i},{loss:.17g},{lr:.17g}")
-    with open(os.path.join(hist_dir, name), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_history_csv(SimpleNamespace(losses=summary["losses"], lrs=summary["lrs"]),
+                      os.path.join(hist_dir, name))
 
 
 def _cell_row(label_fields, summary) -> str:

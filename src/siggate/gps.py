@@ -248,11 +248,7 @@ def _graph_pieces(x: np.ndarray, n_graphs: int) -> list[np.ndarray]:
 
 def layer_norm(h, scale, shift):
     """Row-wise normalization to mean 0 / variance 1 (eps 1e-5), then affine."""
-    mu = ad.vmean(h, axis=1, keepdims=True)
-    centered = ad.sub(h, mu)
-    var = ad.vmean(ad.square(centered), axis=1, keepdims=True)
-    normed = ad.div(centered, ad.sqrt(ad.add(var, LN_EPS)))
-    return ad.add(ad.mul(normed, scale), shift)
+    return ad.layer_norm(h, scale, shift, LN_EPS)
 
 
 def mpnn_forward(g, h, p: MpnnParams, *, lift=None):
@@ -286,8 +282,8 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=None):
 
 def _ffn_forward(h, p: FfnParams, lift):
     lf = lift or _identity
-    hidden = ad.gelu(ad.add(ad.matmul(h, lf(p.w1)), lf(p.b1)))
-    return ad.add(ad.matmul(hidden, lf(p.w2)), lf(p.b2))
+    hidden = ad.gelu(ad.linear(h, lf(p.w1), lf(p.b1)))
+    return ad.linear(hidden, lf(p.w2), lf(p.b2))
 
 
 def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=None, gate_override=None):
@@ -352,7 +348,7 @@ def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=None, gate_ove
 def model_embed(g, model: ModelParams, *, lift=None):
     """Input projection of the node features: ``X W_in + b_in``."""
     lf = lift or _identity
-    return ad.add(ad.matmul(g.node_features, lf(model.w_in)), lf(model.b_in))
+    return ad.linear(g.node_features, lf(model.w_in), lf(model.b_in))
 
 
 def model_readout(h, model: ModelParams, *, lift=None, n_graphs: int = 1):
@@ -362,7 +358,7 @@ def model_readout(h, model: ModelParams, *, lift=None, n_graphs: int = 1):
     rows, d = ad.value(h).shape
     nodes = ad.reshape(h, (n_graphs, rows // n_graphs, d))
     pool = ad.vmean if model.readout == "mean" else ad.vsum
-    return ad.add(ad.matmul(pool(nodes, axis=1), lf(model.w_head)), lf(model.b_head))
+    return ad.linear(pool(nodes, axis=1), lf(model.w_head), lf(model.b_head))
 
 
 def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int,

@@ -485,8 +485,11 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """AdamW moments as flat float64 vectors, one entry per parameter
+    value: the :class:`ParamSet` arrays in order, each flattened in C order."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int
     beta1: float
     beta2: float
@@ -497,32 +500,45 @@ class OptimizerState:
 def init_optimizer(params: ParamSet, weight_decay: float = 0.0,
                    beta1: float = 0.9, beta2: float = 0.999,
                    eps: float = 1e-8) -> OptimizerState:
+    size = params.total_count()
     return OptimizerState(
-        m={n: np.zeros_like(a) for n, a in params.items()},
-        v={n: np.zeros_like(a) for n, a in params.items()},
+        m=np.zeros(size), v=np.zeros(size),
         step=0, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
     )
 
 
 def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: float):
-    """One AdamW update in place (decoupled weight decay, bias correction)."""
+    """One AdamW update in place (decoupled weight decay, bias correction).
+
+    The parameters and gradients are gathered into flat vectors, updated
+    by whole-vector ops (each element sees the ufuncs of a per-array
+    update), and each parameter's slice is written back into its array.
+    """
+    if params.total_count() != state.m.size:
+        raise ValueError(f"parameters hold {params.total_count()} values, "
+                         f"the optimizer state {state.m.size}")
+    for name, p in params.items():
+        if grads[name].shape != p.shape:
+            raise ValueError(f"gradient shape {grads[name].shape} != param shape "
+                             f"{p.shape} for {name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
-        if state.weight_decay:
-            p *= 1.0 - lr_t * state.weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    flat = np.concatenate([p.reshape(-1) for _, p in params.items()])
+    g = np.concatenate([grads[name].reshape(-1) for name in params.names])
+    m, v = state.m, state.v
+    if state.weight_decay:
+        flat *= 1.0 - lr_t * state.weight_decay
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    flat -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    offset = 0
+    for _, p in params.items():
+        p[...] = flat[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
     return params, state
 
 
@@ -604,6 +620,8 @@ def train_toy(cfg: TrainConfig, task) -> TrainHistory:
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
+    """One ``epoch,loss,lr`` row per epoch of ``history`` (a
+    :class:`TrainHistory`, or anything with ``losses`` and ``lrs``)."""
     lines = ["epoch,loss,lr"]
     for i, (loss, lr) in enumerate(zip(history.losses, history.lrs)):
         lines.append(f"{i},{loss:.17g},{lr:.17g}")
@@ -654,6 +672,9 @@ def save_model(model: ModelParams, path) -> None:
 
 
 def _read_dump(path):
+    """Parse a :func:`save_model` file. A malformed header, a missing or
+    malformed row, or a non-finite value raises ValueError naming the file
+    (and the parameter and row)."""
     meta: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -671,14 +692,22 @@ def _read_dump(path):
                 meta[key.strip()] = val.strip()
             continue
         toks = line.split()
-        if len(toks) != 3:
+        if len(toks) != 3 or not (toks[1].isdigit() and toks[2].isdigit()):
             raise ValueError(f"malformed parameter header in {path}: {line!r}")
         name, rows, cols = toks[0], int(toks[1]), int(toks[2])
         mat = np.empty((rows, cols))
         for r in range(rows):
-            vals = [float(t) for t in raw[i].split()]
+            where = f"model dump {path}: parameter {name!r} row {r}"
+            if i >= len(raw):
+                raise ValueError(f"{where}: the file ends after {r} of {rows} rows")
+            try:
+                vals = [float(t) for t in raw[i].split()]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if len(vals) != cols:
-                raise ValueError(f"parameter {name!r} row {r} has {len(vals)} values, expected {cols}")
+                raise ValueError(f"{where} has {len(vals)} values, expected {cols}")
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{where} has a non-finite value: {raw[i].strip()!r}")
             mat[r] = vals
             i += 1
         arrays[name] = mat

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from siggate import autodiff as ad
-from siggate.numeric import SeededRng, gaussian_matrix
+from siggate.gps import LN_EPS
+from siggate.numeric import SeededRng, ShapeError, gaussian_matrix
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -200,3 +202,119 @@ class TestRowSoftmaxGrad:
         assert np.array_equal(stacked.reshape(6, 3), ad.row_softmax(a, mask))
         check_grads(lambda x: ad.vsum(ad.mul(ad.row_softmax(x, mask), w)),
                     [a.reshape(2, 3, 3)])
+
+
+# ---------------------------------------------------------------------------
+# Fused ops against their compositions of elementary ops (independent oracles)
+# ---------------------------------------------------------------------------
+
+
+def composed_layer_norm(h, scale, shift, eps):
+    mu = ad.vmean(h, axis=1, keepdims=True)
+    centered = ad.sub(h, mu)
+    var = ad.vmean(ad.square(centered), axis=1, keepdims=True)
+    normed = ad.div(centered, ad.sqrt(ad.add(var, eps)))
+    return ad.add(ad.mul(normed, scale), shift)
+
+
+def composed_gelu(x):
+    return ad.mul(ad.mul(x, 0.5), ad.add(ad.erf(ad.mul(x, 1.0 / np.sqrt(2.0))), 1.0))
+
+
+def composed_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def _ln_inputs(rng, rows, cols):
+    return [gaussian_matrix(rng, rows, cols, 2.0) + 0.5,
+            rng.standard_normal((cols,)), rng.standard_normal((cols,))]
+
+
+def _linear_inputs(rng, rows, cols):
+    return [gaussian_matrix(rng, rows, cols, 1.0), gaussian_matrix(rng, cols, rows, 1.0),
+            rng.standard_normal((rows,))]
+
+
+def _ln_terms_scale(arrays, weights):
+    """Size of the terms layer norm's h-gradient sums, ‖g·scale/σ‖. With
+    two columns they cancel to O(eps) (one column: to 0), so there the
+    gradient's own norm is no scale for roundoff."""
+    h, scale, _ = arrays
+    return np.linalg.norm(weights * scale / np.sqrt(np.var(h, axis=1, keepdims=True) + LN_EPS))
+
+
+# name -> (fused op, composed oracle, inputs for a (rows, cols) shape,
+#          scale of the terms its VJP sums)
+FUSED = {
+    "layer_norm": (lambda h, s, b: ad.layer_norm(h, s, b, LN_EPS),
+                   lambda h, s, b: composed_layer_norm(h, s, b, LN_EPS), _ln_inputs,
+                   _ln_terms_scale),
+    "gelu": (ad.gelu, composed_gelu,
+             lambda rng, rows, cols: [gaussian_matrix(rng, rows, cols, 2.0)],
+             lambda arrays, weights: 0.0),
+    "linear": (ad.linear, composed_linear, _linear_inputs, lambda arrays, weights: 0.0),
+}
+
+SHAPES = dict(rows=st.integers(1, 5), cols=st.integers(1, 6), seed=st.integers(0, 2**31))
+
+
+def _weighted_sum(op, weights):
+    return lambda *xs: ad.vsum(ad.mul(op(*xs), weights))
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("name", FUSED)
+    @settings(max_examples=30, deadline=None)
+    @given(**SHAPES)
+    @example(rows=1, cols=4, seed=0)
+    @example(rows=4, cols=1, seed=0)
+    def test_forward_bitwise_equals_composition(self, name, rows, cols, seed):
+        fused, composed, inputs, _ = FUSED[name]
+        arrays = inputs(SeededRng(seed), rows, cols)
+        assert np.array_equal(fused(*arrays), composed(*arrays))
+        taped = fused(*[ad.Var(a) for a in arrays])
+        assert np.array_equal(taped.value, composed(*arrays))
+
+    @pytest.mark.parametrize("name", FUSED)
+    @settings(max_examples=30, deadline=None)
+    @given(tracked=st.lists(st.booleans(), min_size=3, max_size=3).filter(any), **SHAPES)
+    @example(tracked=[True] * 3, rows=1, cols=4, seed=1)
+    @example(tracked=[True] * 3, rows=4, cols=1, seed=1)
+    def test_vjp_matches_composition(self, name, tracked, rows, cols, seed):
+        fused, composed, inputs, terms_scale = FUSED[name]
+        rng = SeededRng(seed)
+        arrays = inputs(rng, rows, cols)
+        tracked = tracked[:len(arrays)]
+        if not any(tracked):
+            tracked[0] = True
+        weights = rng.standard_normal(np.shape(fused(*arrays)))
+        grads = []
+        for op in (fused, composed):
+            xs = [ad.Var(a) if t else a for a, t in zip(arrays, tracked)]
+            ad.backward(_weighted_sum(op, weights)(*xs))
+            grads.append([x.grad for x in xs if isinstance(x, ad.Var)])
+        scale = terms_scale(arrays, weights)
+        for got, want in zip(*grads):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), scale)
+
+    @pytest.mark.parametrize("name", FUSED)
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (1, 5), (4, 1)])
+    def test_vjp_matches_central_differences(self, name, rows, cols, rng):
+        fused, _, inputs, _ = FUSED[name]
+        arrays = inputs(rng, rows, cols)
+        weights = rng.standard_normal(np.shape(fused(*arrays)))
+        check_grads(_weighted_sum(fused, weights), arrays)
+
+    @pytest.mark.parametrize("name", FUSED)
+    def test_tape_free_returns_a_plain_array_and_taped_one_node(self, name, rng):
+        fused, _, inputs, _ = FUSED[name]
+        arrays = inputs(rng, 3, 4)
+        assert type(fused(*arrays)) is np.ndarray
+        xs = [ad.Var(a) for a in arrays]
+        node = fused(*xs)
+        assert [p for p, _ in node.parents] == xs
+
+    def test_linear_keeps_the_matmul_shape_check(self):
+        with pytest.raises(ShapeError):
+            ad.linear(np.ones((2, 3)), ad.Var(np.ones((4, 2))), np.zeros(2))

@@ -230,6 +230,22 @@ class TestTrainingCommands:
         lo, hi, rng_ = float(gated[2]), float(gated[3]), float(gated[4])
         assert rng_ == pytest.approx(hi - lo, abs=1e-15)
 
+    def test_cell_history_is_the_training_history_file(self, tmp_path):
+        from siggate.training import TrainConfig, train_toy, write_history_csv
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_TRAIN + "training.lrs = 1e-3\n")
+        out = tmp_path / "out"
+        assert run_cli("lr-sweep", "--config", str(cfg), "--out", str(out)) == 0
+        task = make_toy_task(seed=0, n_graphs=6, nodes_per_graph=5, feature_dim=4)
+        history = train_toy(
+            TrainConfig(lr=1e-3, weight_decay=1e-5, epochs=3, seed=0, loss="mae",
+                        n_layers=1, d=8, n_heads=2, gate=GateConfig(placement="g1")),
+            task,
+        )
+        write_history_csv(history, tmp_path / "expected.csv")
+        assert read(out / "histories" / "gated_0.001.csv") == read(tmp_path / "expected.csv")
+
     def test_lr_zero_cell_keeps_initial_loss(self, tmp_path):
         from siggate.training import TrainConfig, train_toy
 
@@ -292,6 +308,33 @@ class TestDiagnoseCommand:
         assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
                        "--out", str(tmp_path / "out")) == 2
         assert "node row 0 has a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+    @pytest.mark.parametrize("param, row, edit, message", [
+        ("layer0.ffn.w1", 3, "cut", "row 3: the file ends after 3 of 8 rows"),
+        ("head.b", 0, "nan", "row 0 has a non-finite value"),
+        ("layer0.ffn.b2", 0, "inf", "row 0 has a non-finite value"),
+    ])
+    def test_bad_dump_value_exits_two(self, tmp_path, capsys, param, row, edit, message):
+        model = init_model(SeededRng(5), d_in=2, d=8, n_heads=2, n_layers=1,
+                           gate=GateConfig())
+        model_path = tmp_path / "model.txt"
+        save_model(model, model_path)
+        lines = model_path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.split()[0] == param) + 1 + row
+        if edit == "cut":
+            lines = lines[:at]
+        else:
+            lines[at] = " ".join([edit] + lines[at].split()[1:])
+        model_path.write_text("\n".join(lines) + "\n")
+        graph = tmp_path / "graph.txt"
+        graph.write_text("2 2 0\n1.0 0.5\n0.5 0.5\n1\n0 1\n")
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"model dump {model_path}: parameter '{param}' {message}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 

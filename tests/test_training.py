@@ -248,6 +248,32 @@ class TestBatchedPass:
         loss_and_gradients(model, params, mixed_sizes_batch())
         assert sizes == [(5, 2), (7, 2), (6, 1)]
 
+    def test_twelve_layer_tape_size(self, monkeypatch):
+        """Nodes of one 12-layer g1 training tape (9 graphs of 8 nodes),
+        counted from the root handed to backward: 939 with composed layer
+        norms, GELUs and matmul-plus-bias."""
+        model = init_model(SeededRng(0), d_in=4, d=16, n_heads=4, n_layers=12,
+                           gate=GateConfig(placement="g1"))
+        roots = []
+        real = ad.backward
+
+        def recording(root):
+            roots.append(root)
+            real(root)
+
+        monkeypatch.setattr(ad, "backward", recording)
+        task = make_toy_task(seed=0, n_graphs=12, nodes_per_graph=8)
+        assert len(task.train) == 9
+        loss_and_gradients(model, ParamSet.from_model(model), task.train)
+        seen, stack = set(), list(roots)
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(parent for parent, _ in node.parents)
+        assert len(roots) == 1
+        assert len(seen) <= 650
+
     def test_evaluate_keeps_graph_order_across_node_counts(self):
         model = tiny_model(seed=15, placement="g3", activation="tanh")
         pairs = mixed_sizes_batch()
@@ -417,6 +443,60 @@ class TestAdamW:
                 reference[n] = reference[n] - lr * mhat / (np.sqrt(vhat) + eps)
         for n in shapes:
             assert np.allclose(params[n], reference[n], atol=1e-15)
+
+
+    @staticmethod
+    def _per_array_step(params, grads, m, v, t, lr_t, weight_decay):
+        """AdamW array by array: the reference for the flat-vector step."""
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for name, p in params.items():
+            g = grads[name]
+            p *= 1.0 - lr_t * weight_decay
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v[name] *= b2
+            v[name] += (1.0 - b2) * (g * g)
+            p -= lr_t * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+    @pytest.mark.parametrize("sharing", ["per_head", "shared"])
+    def test_flat_step_equals_per_array_loop_bitwise(self, sharing):
+        model = tiny_model(seed=42, placement="g3", sharing=sharing)
+        params = ParamSet.from_model(model)
+        reference = ParamSet(params.copy_values())
+        m = {n: np.zeros_like(a) for n, a in params.items()}
+        v = {n: np.zeros_like(a) for n, a in params.items()}
+        state = init_optimizer(params, weight_decay=1e-2)
+        assert state.m.shape == state.v.shape == (params.total_count(),)
+        rng = SeededRng(43)
+        for t in range(1, 11):
+            grads = ParamSet({n: rng.standard_normal(a.shape) for n, a in params.items()})
+            lr_t = cosine_lr(t - 1, 10, 1e-2)
+            adamw_step(params, grads, state, lr_t)
+            self._per_array_step(reference, grads, m, v, t, lr_t, 1e-2)
+            for name, arr in params.items():
+                assert np.array_equal(arr, reference[name]), name
+        assert np.array_equal(state.m, np.concatenate([m[n].ravel() for n in params.names]))
+        assert np.array_equal(state.v, np.concatenate([v[n].ravel() for n in params.names]))
+        gate = "gate" if sharing == "shared" else "head0"
+        for i, layer in enumerate(model.layers):  # the updates live in the stacks
+            attn = layer.attn
+            for k in range(len(attn.heads)):
+                assert np.array_equal(attn.w_q[k], reference[f"layer{i}.attn.head{k}.w_q"])
+            for name in ("w_g", "w_g2", "b_g"):
+                assert np.array_equal(getattr(attn, name)[0],
+                                      reference[f"layer{i}.attn.{gate}.{name}"])
+
+    def test_rejects_a_param_set_of_another_size(self):
+        params = ParamSet.from_model(tiny_model(seed=44))
+        state = init_optimizer(params)
+        bigger = ParamSet({**dict(params.items()), "extra": np.zeros(3)})
+        zeros = ParamSet({n: np.zeros_like(a) for n, a in bigger.items()})
+        for other in (bigger, params.subset(params.names[1:])):
+            with pytest.raises(ValueError, match="optimizer state"):
+                adamw_step(other, zeros, state, lr_t=1e-3)
+        assert state.step == 0
+        assert not state.m.any() and not state.v.any()
 
 
 class TestCosineLr:
