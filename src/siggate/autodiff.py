@@ -10,6 +10,8 @@ and serves both the fast inference path and exact gradient computation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf as _erf
 
@@ -311,27 +313,31 @@ def concat(parts, axis=1):
     return Var(out, tuple(parents))
 
 
+def _scatter_add(x, idx, n_rows):
+    """Rows of ``x`` summed into ``n_rows`` rows at ``idx``: ``bincount`` over
+    flat (row, column) indices adds each cell's entries in index order from
+    +0.0, as ``np.add.at`` on zeros does, so the two agree bitwise. (With no
+    indices ``bincount`` returns integers, hence the cast.)"""
+    x = np.asarray(x, dtype=np.float64)
+    cols = math.prod(x.shape[1:])
+    flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+    out = np.bincount(flat, weights=x.ravel(), minlength=n_rows * cols)
+    return out.astype(np.float64, copy=False).reshape((n_rows,) + x.shape[1:])
+
+
 def take_rows(x, idx):
     """Row gather ``x[idx]``; backward scatter-adds into the source rows."""
     idx = np.asarray(idx, dtype=np.intp)
     if not isinstance(x, Var):
         return np.asarray(x)[idx]
-    shape = x.value.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return out
-
-    return Var(x.value[idx], ((x, vjp),))
+    n_rows = x.value.shape[0]
+    return Var(x.value[idx], ((x, lambda g: _scatter_add(g, idx, n_rows)),))
 
 
 def scatter_rows(x, idx, n_rows):
     """Sum rows of ``x`` into an ``n_rows``-row output at positions ``idx``."""
     idx = np.asarray(idx, dtype=np.intp)
-    xv = value(x)
-    out = np.zeros((n_rows,) + xv.shape[1:])
-    np.add.at(out, idx, xv)
+    out = _scatter_add(value(x), idx, n_rows)
     if not isinstance(x, Var):
         return out
     return Var(out, ((x, lambda g: np.asarray(g)[idx]),))

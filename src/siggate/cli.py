@@ -30,7 +30,7 @@ from .diagnostics import (
     write_diagnostics_json,
 )
 from .gps import init_model, model_forward, read_graph
-from .numeric import SeededRng
+from .numeric import NonFiniteInputError, SeededRng
 from .synthexp import (
     GATE_MEAN_TOL,
     GATE_STD_TOL,
@@ -416,10 +416,16 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
 
 
 def cmd_diagnose(model_path: str, graph_path: str, out_dir: str) -> int:
-    """Forward a serialized model on a graph file and emit the instruments."""
+    """Forward a serialized model on a graph file and emit the instruments. A
+    forward pass that overflows (layer norm can turn it into zeros) is rejected."""
     model = load_model(model_path)
     graph = read_graph(graph_path)
-    _, trace = model_forward(graph, model)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, trace = model_forward(graph, model)
+    except FloatingPointError as exc:
+        raise NonFiniteInputError(
+            f"forward pass of {model_path} on {graph_path} is not finite: {exc}") from None
     profile = depth_profile(trace)
     gates = trace_gate_values(trace)
     per_layer = gate_stats(gates, "per_layer") if gates else None

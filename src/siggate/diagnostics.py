@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gps import LayerTrace
-from .numeric import top_singular_value
+from .numeric import NonFiniteInputError, top_singular_value
 
 __all__ = [
     "GateStats",
@@ -80,6 +80,9 @@ def mad(h) -> float:
     if h.ndim != 2 or h.shape[0] < 2:
         raise ValueError(f"mad needs an n x d matrix with n >= 2, got shape {h.shape}")
     norms = np.linalg.norm(h, axis=1)
+    if not np.isfinite(norms).all():
+        raise NonFiniteInputError(f"mad undefined: row {np.argmin(np.isfinite(norms))} has a "
+                                  f"non-finite norm")
     keep = norms > _ZERO_ROW_TOL
     if keep.sum() < 2:
         raise ValueError("mad undefined: fewer than 2 nonzero rows")
@@ -95,16 +98,25 @@ def attention_entropy(a) -> float:
     if a.ndim != 2:
         raise ValueError(f"attention matrix must be 2-D, got shape {a.shape}")
     sums = a.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(a < 0.0):
+    if not np.all(np.abs(sums - 1.0) <= 1e-6) or np.any(a < 0.0):
+        if not np.isfinite(sums).all():
+            raise NonFiniteInputError(f"attention_entropy undefined: row "
+                                      f"{np.argmin(np.isfinite(sums))} holds a non-finite value")
         raise ValueError("invalid attention matrix: rows must be non-negative and sum to 1")
-    plogp = np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0)
+    plogp = np.log(a, out=np.zeros_like(a), where=a > 0.0)
+    plogp *= a
     return float(np.mean(-plogp.sum(axis=1)))
 
 
 def _stats_of(values: np.ndarray) -> GateStats:
     flat = np.asarray(values, dtype=np.float64).ravel()
+    if not flat.size:
+        raise ValueError("gate_stats undefined: a layer holds no gate values")
+    mean = float(flat.mean())
+    if not np.isfinite(mean):
+        raise NonFiniteInputError(f"gate_stats undefined: the gate values have mean {mean}")
     return GateStats(
-        mean=float(flat.mean()),
+        mean=mean,
         std=float(flat.std()),
         frac_below=float(np.mean(flat < GATE_LOW)),
         frac_above=float(np.mean(flat > GATE_HIGH)),

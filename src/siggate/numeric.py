@@ -155,12 +155,12 @@ def row_softmax(logits, mask=None) -> np.ndarray:
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function with one exp: for ``e = exp(-|x|)``
+    it is ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` where x < 0, so
+    the exp never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    pos = 1.0 / (1.0 + np.exp(-np.clip(x, 0.0, None)))
-    ex = np.exp(np.clip(x, None, 0.0))
-    neg = ex / (1.0 + ex)
-    return np.where(x >= 0.0, pos, neg)
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0.0) / (1.0 + e)
 
 
 ACTIVATIONS = {

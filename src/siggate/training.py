@@ -715,12 +715,14 @@ def _read_dump(path):
 
 
 def load_model(path) -> ModelParams:
-    """Rebuild a model from :func:`save_model` output (bit-exact values)."""
+    """Rebuild a model from :func:`save_model` output (bit-exact values). A
+    parameter that is missing, or whose shape is not the one the dump's own
+    metadata implies, raises ValueError naming the file."""
     meta, arrays = _read_dump(path)
     try:
-        d = int(meta["d"])
-        n_heads = int(meta["n_heads"])
-        n_layers = int(meta["n_layers"])
+        d_in, d, n_heads, n_layers, d_ff, d_e, out_dim = (
+            int(meta[key]) for key in ("d_in", "d", "n_heads", "n_layers", "d_ff", "d_e",
+                                       "out_dim"))
         gate = GateConfig(
             placement=meta["placement"], sharing=meta["sharing"],
             activation=meta["activation"], bias_init=float(meta["bias_init"]),
@@ -728,47 +730,56 @@ def load_model(path) -> ModelParams:
         readout = meta["readout"]
     except KeyError as exc:
         raise ValueError(f"model dump {path} is missing metadata key {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"model dump {path} has malformed metadata: {exc}") from None
+    if n_heads < 1 or d % n_heads:
+        raise ValueError(f"model dump {path}: d = {d} is not a multiple of n_heads = {n_heads}")
+    d_k = d // n_heads
 
-    def mat(name):
+    def mat(name, rows, cols):
         try:
-            return arrays[name]
+            arr = arrays[name]
         except KeyError:
             raise ValueError(f"model dump {path} is missing parameter {name!r}") from None
+        if arr.shape != (rows, cols):
+            raise ValueError(f"model dump {path}: parameter {name!r} has shape "
+                             f"{arr.shape}, expected {(rows, cols)}")
+        return arr
 
-    def vec(name):
-        return mat(name).reshape(-1)
+    def vec(name, size):
+        return mat(name, 1, size).reshape(-1)
+
+    def gate_arrays(prefix):
+        g3 = gate.placement == "g3"
+        return (mat(f"{prefix}.w_g", d, d_k), mat(f"{prefix}.w_g2", d, d_k) if g3 else None,
+                vec(f"{prefix}.b_g", 1 if g3 else d_k))
 
     layers = []
     for i in range(n_layers):
         pre = f"layer{i}"
         shared = None
         if gate.placement != "none" and gate.sharing == "shared":
-            w_g2 = arrays.get(f"{pre}.attn.gate.w_g2")
-            shared = (mat(f"{pre}.attn.gate.w_g"), w_g2, vec(f"{pre}.attn.gate.b_g"))
+            shared = gate_arrays(f"{pre}.attn.gate")
         heads = []
         for k in range(n_heads):
             hp = f"{pre}.attn.head{k}"
-            head = HeadParams(mat(f"{hp}.w_q"), mat(f"{hp}.w_k"), mat(f"{hp}.w_v"))
+            head = HeadParams(*(mat(f"{hp}.{w}", d, d_k) for w in ("w_q", "w_k", "w_v")))
             if gate.placement != "none":
-                if shared is not None:
-                    head.w_g, head.w_g2, head.b_g = shared
-                else:
-                    head.w_g = mat(f"{hp}.w_g")
-                    w_g2 = arrays.get(f"{hp}.w_g2")
-                    head.w_g2 = w_g2
-                    head.b_g = vec(f"{hp}.b_g")
+                head.w_g, head.w_g2, head.b_g = shared or gate_arrays(hp)
             heads.append(head)
         layers.append(
             GpsLayerParams(
-                mpnn=MpnnParams(mat(f"{pre}.mpnn.w_edge"), mat(f"{pre}.mpnn.w_val")),
-                attn=MhsaParams(heads=heads, w_o=mat(f"{pre}.attn.w_o"), gate=gate),
-                ffn=FfnParams(mat(f"{pre}.ffn.w1"), vec(f"{pre}.ffn.b1"),
-                              mat(f"{pre}.ffn.w2"), vec(f"{pre}.ffn.b2")),
-                ln1=LayerNormParams(vec(f"{pre}.ln1.scale"), vec(f"{pre}.ln1.shift")),
-                ln2=LayerNormParams(vec(f"{pre}.ln2.scale"), vec(f"{pre}.ln2.shift")),
+                mpnn=MpnnParams(mat(f"{pre}.mpnn.w_edge", 2 * d + d_e, d),
+                                mat(f"{pre}.mpnn.w_val", d, d)),
+                attn=MhsaParams(heads=heads, w_o=mat(f"{pre}.attn.w_o", n_heads * d_k, d),
+                                gate=gate),
+                ffn=FfnParams(mat(f"{pre}.ffn.w1", d, d_ff), vec(f"{pre}.ffn.b1", d_ff),
+                              mat(f"{pre}.ffn.w2", d_ff, d), vec(f"{pre}.ffn.b2", d)),
+                ln1=LayerNormParams(vec(f"{pre}.ln1.scale", d), vec(f"{pre}.ln1.shift", d)),
+                ln2=LayerNormParams(vec(f"{pre}.ln2.scale", d), vec(f"{pre}.ln2.shift", d)),
             )
         )
     return ModelParams(
-        w_in=mat("input.w"), b_in=vec("input.b"), layers=layers,
-        w_head=mat("head.w"), b_head=vec("head.b"), readout=readout,
+        w_in=mat("input.w", d_in, d), b_in=vec("input.b", d), layers=layers,
+        w_head=mat("head.w", d, out_dim), b_head=vec("head.b", out_dim), readout=readout,
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import add_at_rows, assert_bitwise
 from siggate import autodiff as ad
 from siggate.gps import LN_EPS
 from siggate.numeric import SeededRng, ShapeError, gaussian_matrix
@@ -202,6 +203,69 @@ class TestRowSoftmaxGrad:
         assert np.array_equal(stacked.reshape(6, 3), ad.row_softmax(a, mask))
         check_grads(lambda x: ad.vsum(ad.mul(ad.row_softmax(x, mask), w)),
                     [a.reshape(2, 3, 3)])
+
+
+# ---------------------------------------------------------------------------
+# Row scatter-add against np.add.at (independent oracle)
+# ---------------------------------------------------------------------------
+
+
+def _scatter_case(seed, n_rows, n_idx, cols):
+    """Indices into ``n_rows`` rows and values whose magnitudes span 1e-8..1e8,
+    so a changed summation order shows in the last bits."""
+    rng = SeededRng(seed)
+    idx = np.minimum((rng.uniform((n_idx,)) * n_rows).astype(np.intp), n_rows - 1)
+    scale = 10.0 ** np.round(16.0 * rng.uniform((n_idx, cols)) - 8.0)
+    return idx, rng.standard_normal((n_idx, cols)) * scale
+
+
+def _take_rows_vjp(n_rows, cols, idx):
+    (_, vjp), = ad.take_rows(ad.Var(np.zeros((n_rows, cols))), idx).parents
+    return vjp
+
+
+SCATTER = dict(n_rows=st.integers(1, 7), n_idx=st.integers(0, 15), cols=st.integers(1, 5),
+               seed=st.integers(0, 2**31))
+
+
+class TestScatterAdd:
+    """``scatter_rows`` and the ``take_rows`` VJP equal ``np.add.at``, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SCATTER)
+    @example(n_rows=4, n_idx=0, cols=3, seed=0)
+    @example(n_rows=5, n_idx=9, cols=1, seed=1)
+    def test_scatter_rows(self, n_rows, n_idx, cols, seed):
+        idx, x = _scatter_case(seed, n_rows, n_idx, cols)
+        want = add_at_rows(x, idx, n_rows)
+        assert_bitwise(ad.scatter_rows(x, idx, n_rows), want)
+        assert_bitwise(ad.scatter_rows(ad.Var(x), idx, n_rows).value, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SCATTER)
+    @example(n_rows=4, n_idx=0, cols=3, seed=0)
+    @example(n_rows=5, n_idx=9, cols=1, seed=1)
+    def test_take_rows_vjp(self, n_rows, n_idx, cols, seed):
+        idx, g = _scatter_case(seed, n_rows, n_idx, cols)
+        assert_bitwise(_take_rows_vjp(n_rows, cols, idx)(g), add_at_rows(g, idx, n_rows))
+
+    def test_repeats_and_rows_that_receive_nothing(self):
+        # Added in index order 1e16 + 1 - 1e16 is 0 in row 1; any other order is not.
+        idx = np.array([1, 3, 1, 1, 3])
+        x = np.array([[1e16, 2.0], [0.5, -0.0], [1.0, 3.0], [-1e16, -2.0], [-0.5, 0.0]])
+        want = add_at_rows(x, idx, 5)
+        assert want[1, 0] == 0.0 and not want[[0, 2, 4]].any()
+        assert_bitwise(ad.scatter_rows(x, idx, 5), want)
+        assert_bitwise(_take_rows_vjp(5, 2, idx)(x), want)
+
+    def test_one_column_and_empty(self):
+        idx = np.array([2, 0, 2])
+        x = np.array([[0.1], [0.2], [0.3]])
+        assert_bitwise(ad.scatter_rows(x, idx, 4), add_at_rows(x, idx, 4))
+        empty = np.zeros((0, 3))
+        none = np.zeros(0, dtype=np.intp)
+        assert_bitwise(ad.scatter_rows(empty, none, 3), np.zeros((3, 3)))
+        assert_bitwise(_take_rows_vjp(3, 3, none)(empty), np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from siggate.cli import main
@@ -336,6 +338,69 @@ class TestDiagnoseCommand:
         assert f"model dump {model_path}: parameter '{param}' {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+    @staticmethod
+    def _edited_dump(tmp_path, edit):
+        model = init_model(SeededRng(5), d_in=2, d=8, n_heads=2, n_layers=1,
+                           gate=GateConfig())
+        model_path = tmp_path / "model.txt"
+        save_model(model, model_path)
+        lines = model_path.read_text().splitlines()
+        model_path.write_text("\n".join(edit(lines)) + "\n")
+        graph = tmp_path / "graph.txt"
+        graph.write_text("2 2 0\n1.0 0.5\n0.5 0.5\n1\n0 1\n")
+        return model_path, graph
+
+    def test_overflowing_forward_exits_two(self, tmp_path, capsys):
+        # b2 = 1e308 overflows layer norm's variance, which turns every hidden
+        # row into exact zeros, not NaN: only the forward pass can see it.
+        def edit(lines):
+            at = lines.index("layer0.ffn.b2 1 8") + 1
+            lines[at] = " ".join(["1e308"] + lines[at].split()[1:])
+            return lines
+
+        model_path, graph = self._edited_dump(tmp_path, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                           "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"forward pass of {model_path} on {graph} is not finite: overflow" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("param, header, keep, found, expected", [
+        ("layer0.ffn.b2", "1 7", slice(0, 1), (1, 7), (1, 8)),
+        ("head.w", "7 1", slice(0, 7), (7, 1), (8, 1)),
+    ])
+    def test_misshapen_parameter_exits_two(self, tmp_path, capsys, param, header, keep,
+                                           found, expected):
+        # Each record is self-consistent; only the dump's metadata (d = 8) rules it out.
+        def edit(lines):
+            at = next(i for i, ln in enumerate(lines) if ln.split()[0] == param)
+            rows = int(lines[at].split()[1])
+            body = lines[at + 1:at + 1 + rows][keep]
+            if param == "layer0.ffn.b2":
+                body = [" ".join(body[0].split()[:7])]
+            return lines[:at] + [f"{param} {header}"] + body + lines[at + 1 + rows:]
+
+        model_path, graph = self._edited_dump(tmp_path, edit)
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert (f"model dump {model_path}: parameter '{param}' has shape {found}, "
+                f"expected {expected}") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+    def test_malformed_metadata_exits_two(self, tmp_path, capsys):
+        model_path, graph = self._edited_dump(
+            tmp_path, lambda lines: ["# d = eight" if ln == "# d = 8" else ln for ln in lines])
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        assert f"model dump {model_path} has malformed metadata" in capsys.readouterr().err
 
 
 class TestParamCountCommand:

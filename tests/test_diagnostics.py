@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import nested_where_entropy
 from siggate.attention import GateConfig
 from siggate.diagnostics import (
     attention_entropy,
@@ -16,7 +18,7 @@ from siggate.diagnostics import (
     write_diagnostics_json,
 )
 from siggate.gps import init_model, model_forward
-from siggate.numeric import SeededRng, gaussian_matrix, row_softmax
+from siggate.numeric import NonFiniteInputError, SeededRng, gaussian_matrix, row_softmax
 from siggate.synthexp import make_toy_task
 
 
@@ -88,6 +90,13 @@ class TestMad:
         with pytest.raises(ValueError, match="fewer than 2 nonzero rows"):
             mad(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        h = np.eye(4)
+        h[2, 1] = bad
+        with pytest.raises(NonFiniteInputError, match="^mad undefined: row 2"):
+            mad(h)
+
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
             mad(np.ones((1, 3)))
@@ -115,6 +124,29 @@ class TestAttentionEntropy:
         a = np.array([[1.5, -0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="invalid attention"):
             attention_entropy(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # The masked log alone would skip the NaN (NaN > 0 is False).
+        a = np.full((3, 3), 1.0 / 3.0)
+        a[1, 2] = bad
+        with pytest.raises(NonFiniteInputError, match="^attention_entropy undefined: row 1"):
+            attention_entropy(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), masked=st.booleans(), seed=st.integers(0, 2**31))
+    @example(n=131, masked=True, seed=0)
+    @example(n=128, masked=False, seed=1)
+    def test_bitwise_equals_nested_where_formula(self, n, masked, seed):
+        rng = SeededRng(seed)
+        mask = None
+        if masked:  # masked entries come out of the softmax as exact zeros
+            mask = rng.uniform((n, n)) < 0.5
+            np.fill_diagonal(mask, True)
+        a = row_softmax(gaussian_matrix(rng, n, n, 3.0), mask)
+        assert (a == 0.0).any() == (masked and not mask.all())
+        got, want = attention_entropy(a), nested_where_entropy(a)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_upper_bound_with_equality_only_at_uniform(self):
         rng = SeededRng(5)
@@ -157,9 +189,18 @@ class TestGateStats:
         per_layer = gate_stats(layers, "per_layer")
         assert pooled.count == sum(g.count for g in per_layer)
 
+    @pytest.mark.parametrize("pooling", ["pooled", "per_layer"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gate_rejected(self, pooling, bad):
+        layers = [np.full((2, 3), 0.5), np.array([0.2, bad, 0.7])]
+        with pytest.raises(NonFiniteInputError, match="^gate_stats undefined"):
+            gate_stats(layers, pooling)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             gate_stats([], "pooled")
+        with pytest.raises(ValueError, match="no gate values"):
+            gate_stats([np.ones(3), np.zeros((2, 0))], "per_layer")
         with pytest.raises(ValueError):
             gate_stats([np.ones(3)], "median")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import add_at_rows, assert_bitwise, two_branch_sigmoid
 from siggate import autodiff as ad
 from siggate.attention import GateConfig, siggate_mhsa
 from siggate.gps import (
@@ -109,6 +110,42 @@ class TestMpnnForward:
         h = gaussian_matrix(rng, 4, 3, 1.0)
         out = mpnn_forward(g, h, p)
         assert out.shape == (4, 3)
+
+    @staticmethod
+    def reference(graphs, h, p):
+        """Gather, concatenate, two-branch sigmoid gate, ``np.add.at`` scatter."""
+        n = graphs[0].n
+        src = np.array([b * n + s for b, g in enumerate(graphs) for s, _ in g.edges], dtype=np.intp)
+        dst = np.array([b * n + t for b, g in enumerate(graphs) for _, t in g.edges], dtype=np.intp)
+        parts = [h[dst], h[src]]
+        if graphs[0].edge_features is not None:
+            parts.append(np.concatenate([g.edge_features for g in graphs]))
+        gate = two_branch_sigmoid(np.concatenate(parts, axis=1) @ p.w_edge)
+        return add_at_rows(gate * (h[src] @ p.w_val), dst, len(h))
+
+    @pytest.mark.parametrize("case", ["one", "batch3", "edge_features", "isolated", "no_edges"])
+    def test_bitwise_equals_gather_concat_add_at_reference(self, case):
+        rng = SeededRng(27)
+        d_e = 2 if case == "edge_features" else 0
+        graphs = [small_graph(rng, n=6, d_in=3, d_e=d_e)
+                  for _ in range(3 if case == "batch3" else 1)]
+        if case == "isolated":  # node 5 neither sends nor receives
+            g = graphs[0]
+            graphs = [GraphInstance(n=6, node_features=g.node_features,
+                                    edges=[e for e in g.edges if 5 not in e])]
+        if case == "no_edges":
+            graphs = [GraphInstance(n=6, node_features=graphs[0].node_features, edges=[])]
+        assert all(g.edges for g in graphs) == (case != "no_edges")
+        batch = GraphBatch.of(graphs)
+        p = MpnnParams(w_edge=gaussian_matrix(rng, 2 * 4 + d_e, 4, 2.0),
+                       w_val=gaussian_matrix(rng, 4, 4, 1.0))
+        h = gaussian_matrix(rng, batch.rows, 4, 3.0)
+        want = self.reference(graphs, h, p)
+        if case == "isolated":
+            assert not want[5].any()
+        assert_bitwise(mpnn_forward(batch, h, p), want)
+        taped = mpnn_forward(batch, ad.Var(h), p, lift=ad.Var)
+        assert_bitwise(ad.value(taped), want)
 
     def test_width_mismatch_rejected(self):
         rng = SeededRng(26)

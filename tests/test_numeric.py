@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import assert_bitwise, two_branch_sigmoid
 from siggate.numeric import (
     SeededRng,
     ShapeError,
@@ -9,6 +11,7 @@ from siggate.numeric import (
     hadamard,
     matmul,
     row_softmax,
+    sigmoid,
     top_singular_value,
 )
 
@@ -130,6 +133,41 @@ class TestElementwise:
     def test_unknown_op(self):
         with pytest.raises(ValueError, match="unknown elementwise op"):
             elementwise("softplus", np.zeros((1, 1)))
+
+
+# Beyond |x| = 709.78 exp(|x|) overflows; beyond 745.13 exp(-|x|) is 0.
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, 709.5, -709.5, 710.0, -710.0, 745.2, -745.2,
+               800.0, -800.0, 1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7, 1e-17]
+
+
+class TestSigmoidKernel:
+    """``sigmoid`` (one exp) against the two-branch formula, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), max_size=30))
+    @example(EDGE_VALUES)
+    def test_bitwise_equals_two_branch_formula(self, xs):
+        x = np.array(xs, dtype=np.float64)
+        assert_bitwise(sigmoid(x), two_branch_sigmoid(x))
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 400.0, 1000.0])
+    def test_matrix_draws(self, scale):
+        x = gaussian_matrix(SeededRng(17), 64, 50, scale)
+        assert_bitwise(sigmoid(x), two_branch_sigmoid(x))
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_zero_dimensional_input(self, value):
+        for x in (value, np.float64(value), np.array(value)):
+            got = sigmoid(x)
+            assert np.shape(got) == ()
+            assert_bitwise(np.asarray(got), two_branch_sigmoid(x))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
+    def test_empty_input(self, shape):
+        assert_bitwise(sigmoid(np.zeros(shape)), two_branch_sigmoid(np.zeros(shape)))
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 class TestHadamard:
