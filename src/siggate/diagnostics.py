@@ -79,10 +79,18 @@ def mad(h) -> float:
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] < 2:
         raise ValueError(f"mad needs an n x d matrix with n >= 2, got shape {h.shape}")
-    norms = np.linalg.norm(h, axis=1)
-    if not np.isfinite(norms).all():
-        raise NonFiniteInputError(f"mad undefined: row {np.argmin(np.isfinite(norms))} has a "
-                                  f"non-finite norm")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(h, axis=1)
+    big = ~np.isfinite(norms)
+    if big.any():
+        if not np.isfinite(h[big]).all():
+            raise NonFiniteInputError(f"mad undefined: row {np.argmin(np.isfinite(h).all(axis=1))} "
+                                      f"holds a non-finite value")
+        # A finite row whose norm overflows: cosine distance does not depend on
+        # scale, so divide the row by its largest magnitude first.
+        h = h.copy()
+        h[big] /= np.abs(h[big]).max(axis=1, keepdims=True)
+        norms[big] = np.linalg.norm(h[big], axis=1)
     keep = norms > _ZERO_ROW_TOL
     if keep.sum() < 2:
         raise ValueError("mad undefined: fewer than 2 nonzero rows")

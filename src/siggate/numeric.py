@@ -8,6 +8,8 @@ normalization checks for 1e-12, neither of which survives float32.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -190,6 +192,9 @@ def hadamard(a, b) -> np.ndarray:
     return a * b
 
 
+_TINY = np.finfo(float).tiny
+
+
 def top_singular_value(m, tol=1e-12, max_iter=10_000) -> float:
     """Largest singular value by power iteration on the Gram matrix.
 
@@ -211,20 +216,22 @@ def top_singular_value(m, tol=1e-12, max_iter=10_000) -> float:
     dim = gram.shape[0]
     v = np.full(dim, 1.0 / np.sqrt(dim))
     lam = float(v @ gram @ v)
+    gv = gram @ v  # carried: a step's Rayleigh product is the next step's power product
     restart = 0
     for _ in range(max_iter):
-        w = gram @ v
-        norm_w = float(np.linalg.norm(w))
+        norm_w = math.sqrt(gv.dot(gv))
         if norm_w == 0.0:
             v = np.zeros(dim)
             v[restart % dim] = 1.0
             restart += 1
             lam = float(v @ gram @ v)
+            gv = gram @ v
             continue
-        v = w / norm_w
-        lam_new = float(v @ (gram @ v))
+        v = gv / norm_w
+        gv = gram @ v
+        lam_new = float(v @ gv)
         # relative change so the stopping point is scale-free
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), _TINY):
             lam = lam_new
             break
         lam = lam_new

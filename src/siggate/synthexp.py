@@ -15,7 +15,8 @@ heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,8 +70,8 @@ class RankExpConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.c <= 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.d_k * self.n_heads != self.d:
             raise ValueError(
                 f"d_k * n_heads must equal d ({self.d_k} * {self.n_heads} != {self.d})"
@@ -163,7 +164,7 @@ def calibrate_gate(target_mean: float, target_std: float,
     if not 0.0 < target_mean < 1.0:
         raise ValueError(f"target mean must lie in (0, 1), got {target_mean}")
     sup_std = float(np.sqrt(target_mean * (1.0 - target_mean)))
-    if target_std < 0.0 or target_std >= sup_std:
+    if not 0.0 <= target_std < sup_std:  # also rejects NaN
         raise ValueError(
             f"target std {target_std} infeasible at mean {target_mean}; "
             f"the feasible range is [0, {sup_std:.6g})"
@@ -207,62 +208,88 @@ def calibrate_gate(target_mean: float, target_std: float,
 # ---------------------------------------------------------------------------
 
 
-def _attention_mask(rng: SeededRng, n: int, rho: float) -> np.ndarray:
-    # Each off-diagonal ordered pair dropped independently; diagonal kept so
-    # no row can end up empty.
-    keep = rng.uniform((n, n)) >= rho
-    np.fill_diagonal(keep, True)
-    return keep
-
-
 def _unit_column_gaussian(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
     w = gaussian_matrix(rng, rows, cols, 1.0)
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
 def _run_seed(args):
-    """One seed of the rank experiment (top-level so process pools can map it)."""
-    cfg, seed, cal, gate_override, capture = args
+    """One seed of the rank study for every (c, rho) in ``pairs``: the draws and
+    the gate do not depend on c or rho, so they are made once (top-level so
+    process pools can map it)."""
+    cfg, pairs, seed, cal, gate_override, capture = args
     inv_sqrt_dk = 1.0 / np.sqrt(cfg.d_k)
     proj_std = 1.0 / np.sqrt(cfg.d)
     rng = SeededRng(seed)
     hidden = gaussian_matrix(rng, cfg.n, cfg.d, 1.0)
-    mask = _attention_mask(rng, cfg.n, cfg.rho)
-    sr_ungated = []
-    sr_gated = []
-    gate_sum = 0.0
-    gate_sq_sum = 0.0
+    uniforms = rng.uniform((cfg.n, cfg.n))
+    masks = []
+    for _, rho in pairs:
+        # each off-diagonal pair dropped independently; diagonal kept so no row is empty
+        keep = uniforms >= rho
+        np.fill_diagonal(keep, True)
+        masks.append(keep)
+    sranks = [([], []) for _ in pairs]
+    gate_sum = gate_sq_sum = 0.0
     gate_count = 0
-    captured = []
+    captured = [[] for _ in pairs]
     for _ in range(cfg.n_heads):
         w_q = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_k = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_v = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_g = _unit_column_gaussian(rng, cfg.d, cfg.d_k)
         q, k, v = hidden @ w_q, hidden @ w_k, hidden @ w_v
-        logits = cfg.c * (q @ k.T) * inv_sqrt_dk
-        attn = row_softmax(logits, mask)
-        y = attn @ v
+        scores = q @ k.T
         if gate_override is not None:
             gate = np.full((cfg.n, cfg.d_k), float(gate_override))
         else:
             gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias)
-        gated = y * gate
-        sr_ungated.append(stable_rank(y))
-        sr_gated.append(stable_rank(gated))
         gate_sum += gate.sum()
         gate_sq_sum += (gate * gate).sum()
         gate_count += gate.size
-        if capture:
-            captured.append({"seed": seed, "y": y, "gate": gate,
-                             "srank_ungated": sr_ungated[-1],
-                             "srank_gated": sr_gated[-1]})
-    result = SeedResult(
-        seed=seed,
-        srank_ungated=float(np.mean(sr_ungated)),
-        srank_gated=float(np.mean(sr_gated)),
-    )
-    return result, gate_sum, gate_sq_sum, gate_count, captured
+        for (c, _), mask, (sr_ungated, sr_gated), cap in zip(pairs, masks, sranks, captured):
+            y = row_softmax(c * scores * inv_sqrt_dk, mask) @ v
+            sr_ungated.append(stable_rank(y))
+            sr_gated.append(stable_rank(y * gate))
+            if capture:
+                cap.append({"seed": seed, "y": y, "gate": gate,
+                            "srank_ungated": sr_ungated[-1], "srank_gated": sr_gated[-1]})
+    results = [SeedResult(seed=seed, srank_ungated=float(np.mean(sr_ungated)),
+                          srank_gated=float(np.mean(sr_gated)))
+               for sr_ungated, sr_gated in sranks]
+    return results, gate_sum, gate_sq_sum, gate_count, captured
+
+
+def _run_configs(configs: list[RankExpConfig], gate_override=None,
+                 capture_intermediates=False, map_fn=map) -> list[RankExpResult]:
+    """The rank study for configs that differ only in c and rho: one pass
+    per seed serves every config, and equal (c, rho) pairs run once."""
+    if not configs:
+        return []
+    cfg = configs[0]
+    cal = calibrate_gate(cfg.target_gate_mean, cfg.target_gate_std)
+    slot = {key: i for i, key in enumerate(dict.fromkeys((c.c, c.rho) for c in configs))}
+    jobs = [(cfg, list(slot), seed, cal, gate_override, capture_intermediates)
+            for seed in cfg.seeds]
+    per_seed = [[] for _ in slot]
+    captured = [[] for _ in slot]
+    gate_sum = gate_sq_sum = 0.0
+    gate_count = 0
+    for results, gsum, gsq, gcount, caps in map_fn(_run_seed, jobs):
+        for i, result in enumerate(results):
+            per_seed[i].append(result)
+            captured[i].extend(caps[i])
+        gate_sum += gsum
+        gate_sq_sum += gsq
+        gate_count += gcount
+    gate_mean = gate_sum / gate_count
+    gate_var = gate_sq_sum / gate_count - gate_mean ** 2
+    return [RankExpResult(
+        config=c, calibration=cal, per_seed=list(per_seed[slot[c.c, c.rho]]),
+        attained_gate_mean=float(gate_mean),
+        attained_gate_std=float(np.sqrt(max(gate_var, 0.0))),
+        intermediates=list(captured[slot[c.c, c.rho]]) if capture_intermediates else None,
+    ) for c in configs]
 
 
 def run_rank_experiment(cfg: RankExpConfig, gate_override: float | None = None,
@@ -275,28 +302,7 @@ def run_rank_experiment(cfg: RankExpConfig, gate_override: float | None = None,
     caller fan the independent seeds out to a process pool; aggregation
     order (and therefore the result) is seed order either way.
     """
-    cal = calibrate_gate(cfg.target_gate_mean, cfg.target_gate_std)
-    jobs = [(cfg, seed, cal, gate_override, capture_intermediates) for seed in cfg.seeds]
-    per_seed = []
-    gate_sum = 0.0
-    gate_sq_sum = 0.0
-    gate_count = 0
-    intermediates = [] if capture_intermediates else None
-    for result, gsum, gsq, gcount, captured in map_fn(_run_seed, jobs):
-        per_seed.append(result)
-        gate_sum += gsum
-        gate_sq_sum += gsq
-        gate_count += gcount
-        if capture_intermediates:
-            intermediates.extend(captured)
-    gate_mean = gate_sum / gate_count
-    gate_var = gate_sq_sum / gate_count - gate_mean ** 2
-    return RankExpResult(
-        config=cfg, calibration=cal, per_seed=per_seed,
-        attained_gate_mean=float(gate_mean),
-        attained_gate_std=float(np.sqrt(max(gate_var, 0.0))),
-        intermediates=intermediates,
-    )
+    return _run_configs([cfg], gate_override, capture_intermediates, map_fn)[0]
 
 
 @dataclass
@@ -307,25 +313,23 @@ class SweepCell:
     result: RankExpResult
 
 
-def _run_cell(args):
-    config_id, cfg = args
-    return SweepCell(config_id, cfg.c, cfg.rho, run_rank_experiment(cfg))
-
-
 def run_robustness_sweep(base: RankExpConfig, c_values=C_SWEEP,
                          rho_values=RHO_SWEEP, map_fn=map) -> list[SweepCell]:
     """Gain across the concentration sweep (at base rho) and the sparsity
-    sweep (at c = 1.0); one cell per configuration."""
+    sweep (at c = 1.0); one cell per configuration. Every config is built
+    (and so validated) before anything is drawn; ``map_fn`` maps over seeds."""
 
-    def variant(c, rho):
-        return RankExpConfig(n=base.n, d=base.d, n_heads=base.n_heads, d_k=base.d_k,
-                             rho=rho, c=c, seeds=base.seeds,
-                             target_gate_mean=base.target_gate_mean,
-                             target_gate_std=base.target_gate_std)
+    def variant(config_id, c, rho):
+        try:
+            return config_id, replace(base, c=c, rho=rho)
+        except ValueError as exc:
+            raise ValueError(f"sweep cell {config_id}: {exc}") from None
 
-    jobs = [(f"c_{c:g}", variant(c, base.rho)) for c in c_values]
-    jobs += [(f"rho_{rho:g}", variant(1.0, rho)) for rho in rho_values]
-    return list(map_fn(_run_cell, jobs))
+    cells = [variant(f"c_{c:g}", c, base.rho) for c in c_values]
+    cells += [variant(f"rho_{rho:g}", 1.0, rho) for rho in rho_values]
+    results = _run_configs([cfg for _, cfg in cells], map_fn=map_fn)
+    return [SweepCell(config_id, cfg.c, cfg.rho, result)
+            for (config_id, cfg), result in zip(cells, results)]
 
 
 # ---------------------------------------------------------------------------

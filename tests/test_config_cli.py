@@ -166,6 +166,27 @@ class TestRankExpCommand:
                 "--out", str(out2))
         assert read(out1 / "rank_seeds.csv") == read(out2 / "rank_seeds.csv")
 
+    @pytest.mark.parametrize("setting, message", [
+        ("experiment.c = nan", "error: c must be positive and finite, got nan"),
+        ("experiment.c = inf", "error: c must be positive and finite, got inf"),
+        ("experiment.target_gate_std = nan", "error: target std nan infeasible at mean 0.58"),
+        ("experiment.robustness = true\nexperiment.c_sweep = 0.5, nan",
+         "error: sweep cell c_nan: c must be positive and finite, got nan"),
+        ("experiment.robustness = true\nexperiment.rho_sweep = 0.2, nan",
+         "error: sweep cell rho_nan: rho must lie in [0, 1), got nan"),
+    ])
+    def test_non_finite_setting_exits_two(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_RANK + setting + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("rank-exp", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (out / "robustness_seeds.csv").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_RANK)
@@ -174,6 +195,16 @@ class TestRankExpCommand:
         run_cli("rank-exp", "--config", str(cfg), "--out", str(out2),
                 "--parallel", "2")
         assert read(out1 / "rank_seeds.csv") == read(out2 / "rank_seeds.csv")
+
+    def test_parallel_sweep_matches_serial(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_RANK + "experiment.robustness = true\n")
+        out1, out2 = tmp_path / "serial", tmp_path / "par"
+        run_cli("rank-exp", "--config", str(cfg), "--out", str(out1))
+        run_cli("rank-exp", "--config", str(cfg), "--out", str(out2), "--parallel", "2")
+        for name in ("rank_seeds.csv", "rank_aggregate.csv",
+                     "robustness_seeds.csv", "robustness_aggregate.csv"):
+            assert read(out1 / name) == read(out2 / name), name
 
 
 class TestGradCheckCommand:

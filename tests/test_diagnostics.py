@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import nested_where_entropy
+from oracles import assert_bitwise, nested_where_entropy
 from siggate.attention import GateConfig
 from siggate.diagnostics import (
     attention_entropy,
@@ -100,6 +101,36 @@ class TestMad:
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
             mad(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("h, want", [
+        ([[1e200, 1e200], [2e200, 2e200]], 0.0),
+        ([[1e200, 0.0], [0.0, 3e300], [1.0, 0.0]], 2.0 / 3.0),
+        ([[-1e308, 1e308], [1.0, 1.0], [1e160, -1e160]], 4.0 / 3.0),
+    ])
+    def test_finite_rows_whose_norm_overflows(self, h, want):
+        # cosine distance does not depend on scale; no RuntimeWarning either
+        h = np.array(h)
+        before = h.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mad(h)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert_bitwise(h, before)  # the caller's array is untouched
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_beside_an_overflowing_row_rejected(self, bad):
+        h = np.array([[1e200, 1e200], [1.0, 2.0], [bad, 1.0]])
+        with pytest.raises(NonFiniteInputError, match="^mad undefined: row 2"):
+            mad(h)
+
+    def test_ordinary_rows_bitwise_unchanged(self):
+        # the rescaling path runs only for rows whose norm overflows
+        h = gaussian_matrix(SeededRng(8), 12, 5, 3.0)
+        norms = np.linalg.norm(h, axis=1)
+        unit = h / norms[:, None]
+        sim = unit @ unit.T
+        iu = np.triu_indices(12, k=1)
+        assert mad(h) == float(np.mean(1.0 - sim[iu]))
 
 
 class TestAttentionEntropy:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import assert_bitwise, two_branch_sigmoid
+from oracles import assert_bitwise, two_branch_sigmoid, two_product_top_singular_value
 from siggate.numeric import (
     SeededRng,
     ShapeError,
@@ -234,6 +234,46 @@ class TestTopSingularValue:
         assert top_singular_value(np.array([[1.0, -1.0]])) == pytest.approx(
             np.sqrt(2.0), rel=1e-9
         )
+
+
+class TestPowerIterationKernel:
+    """One Gram product per step against two per step, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.data())
+    def test_bitwise_equals_two_product_iteration(self, rows, cols, data):
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=rows * cols,
+                                    max_size=rows * cols))
+        m = np.array(values).reshape(rows, cols)
+        if not np.any(m):
+            m[0, 0] = 1.0
+        assert top_singular_value(m) == two_product_top_singular_value(m)
+
+    @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (8, 4), (13, 13)])
+    def test_gaussian_draws(self, shape):
+        rng = SeededRng(31)
+        for _ in range(10):
+            m = rng.standard_normal(shape)
+            assert top_singular_value(m) == two_product_top_singular_value(m)
+
+    @pytest.mark.parametrize("m, sigma", [
+        # the all-ones start is a null vector; one restart finds sigma = 2
+        ([[1.0, -1.0], [1.0, -1.0]], 2.0),
+        # the all-ones start and the first basis vector are both null vectors
+        ([[0.0, 1.0, -1.0]] * 4, np.sqrt(8.0)),
+    ])
+    def test_restart_path(self, m, sigma):
+        m = np.array(m)
+        got = top_singular_value(m)
+        assert got == two_product_top_singular_value(m)
+        assert got == pytest.approx(sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    def test_stopped_at_max_iter(self, max_iter):
+        rng = SeededRng(32)
+        for m in (rng.standard_normal((10, 10)), np.array([[1.0, -1.0], [1.0, -1.0]])):
+            assert top_singular_value(m, max_iter=max_iter) == \
+                two_product_top_singular_value(m, max_iter=max_iter)
 
 
 class TestGaussianMatrix:

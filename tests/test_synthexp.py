@@ -1,6 +1,13 @@
+import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import assert_bitwise, per_cell_rank_experiment
+from siggate import synthexp
 from siggate.gps import GraphInstance
 from siggate.numeric import SeededRng
 from siggate.synthexp import (
@@ -52,6 +59,11 @@ class TestCalibrateGate:
         with pytest.raises(ValueError, match="target mean"):
             calibrate_gate(1.2, 0.1)
 
+    @pytest.mark.parametrize("std", [math.nan, math.inf, -math.inf])
+    def test_non_finite_std_names_feasible_range(self, std):
+        with pytest.raises(ValueError, match=r"target std .* feasible range is \[0, 0.4935"):
+            calibrate_gate(0.58, std)
+
     def test_deterministic(self):
         a = calibrate_gate(0.3, 0.15)
         b = calibrate_gate(0.3, 0.15)
@@ -102,6 +114,11 @@ class TestRankExperiment:
         with pytest.raises(ValueError, match="c must be positive"):
             RankExpConfig(c=0.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c_rejected(self, c):
+        with pytest.raises(ValueError, match=f"c must be positive and finite, got {c}"):
+            RankExpConfig(c=c)
+
     def test_mask_keeps_diagonal(self):
         cfg = RankExpConfig(n=8, d=16, n_heads=4, d_k=4, seeds=(0,), rho=0.95)
         result = run_rank_experiment(cfg)  # survives extreme sparsity
@@ -135,6 +152,143 @@ class TestRobustnessSweep:
         agg_lines = agg_path.read_text().strip().splitlines()
         assert len(agg_lines) == 2
         assert float(agg_lines[1].split(",")[7]) == cells[0].result.mean_gain
+
+
+def _result_key(result):
+    """Every number of a RankExpResult except its intermediates."""
+    key = [result.calibration.scale, result.calibration.bias,
+           result.calibration.attained_mean, result.calibration.attained_std,
+           result.attained_gate_mean, result.attained_gate_std]
+    key += [(s.seed, s.srank_ungated, s.srank_gated) for s in result.per_seed]
+    return key
+
+
+def _oracle_key(cfg, gate_override=None):
+    cal, per_seed, gate_mean, gate_std, _ = per_cell_rank_experiment(cfg, gate_override)
+    return [cal.scale, cal.bias, cal.attained_mean, cal.attained_std,
+            gate_mean, gate_std] + per_seed
+
+
+SHARED_PASS_CONFIGS = {
+    "mini": MINI,
+    "rho_0": RankExpConfig(n=8, d=16, n_heads=4, d_k=4, seeds=(0, 3), rho=0.0),
+    "rho_0.95": RankExpConfig(n=8, d=16, n_heads=4, d_k=4, seeds=(1,), rho=0.95),
+    "tiny_c": RankExpConfig(n=16, d=32, n_heads=4, d_k=8, seeds=(0,), c=1e-6, rho=0.0),
+}
+
+
+class TestSharedSeedPass:
+    """One pass per seed for every (c, rho) against the per-cell loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SHARED_PASS_CONFIGS))
+    def test_sweep_cells_equal_per_cell_oracle(self, name):
+        base = SHARED_PASS_CONFIGS[name]
+        cells = run_robustness_sweep(base, c_values=(0.5, 1.0, 3.0),
+                                     rho_values=(0.0, 0.05, 0.6, 0.95))
+        assert len(cells) == 7
+        for cell in cells:
+            want = replace(base, c=cell.c, rho=cell.rho)
+            assert cell.result.config == want
+            assert _result_key(cell.result) == _oracle_key(want), cell.config_id
+
+    @pytest.mark.parametrize("name", sorted(SHARED_PASS_CONFIGS))
+    @pytest.mark.parametrize("gate_override", [None, 1.0, 0.3])
+    def test_rank_experiment_equals_per_cell_oracle(self, name, gate_override):
+        cfg = SHARED_PASS_CONFIGS[name]
+        result = run_rank_experiment(cfg, gate_override=gate_override)
+        assert result.config == cfg
+        assert result.intermediates is None
+        assert _result_key(result) == _oracle_key(cfg, gate_override)
+
+    @pytest.mark.parametrize("gate_override", [None, 1.0])
+    def test_captured_intermediates_equal_oracle(self, gate_override):
+        result = run_rank_experiment(MINI, gate_override=gate_override,
+                                     capture_intermediates=True)
+        want = per_cell_rank_experiment(MINI, gate_override)[4]
+        assert len(result.intermediates) == len(want) == len(MINI.seeds) * MINI.n_heads
+        for got, exp in zip(result.intermediates, want):
+            assert got.keys() == exp.keys()
+            assert (got["seed"], got["srank_ungated"], got["srank_gated"]) == \
+                (exp["seed"], exp["srank_ungated"], exp["srank_gated"])
+            assert_bitwise(got["y"], exp["y"])
+            assert_bitwise(got["gate"], exp["gate"])
+
+    def test_duplicate_pairs_give_equal_cells_with_their_own_ids(self):
+        # c_1 and rho_0.2 are both (c = 1, rho = 0.2); c_1 also appears twice
+        cells = run_robustness_sweep(MINI, c_values=(1.0, 2.0, 1.0), rho_values=(0.2, 0.4))
+        assert [c.config_id for c in cells] == ["c_1", "c_2", "c_1", "rho_0.2", "rho_0.4"]
+        same = [cells[0], cells[2], cells[3]]
+        assert len({id(c.result) for c in same}) == 3
+        assert len({id(c.result.per_seed) for c in same}) == 3
+        for cell in same:
+            assert (cell.c, cell.rho) == (1.0, 0.2)
+            assert cell.result.config == replace(MINI, c=1.0, rho=0.2)
+            assert _result_key(cell.result) == _result_key(cells[0].result)
+        assert _result_key(cells[1].result) != _result_key(cells[0].result)
+
+    def test_process_pool_map_matches_builtin(self):
+        serial = run_robustness_sweep(MINI)
+        with ProcessPoolExecutor(max_workers=2,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            pooled = run_robustness_sweep(MINI, map_fn=pool.map)
+            single = run_rank_experiment(MINI, map_fn=pool.map)
+        assert [c.config_id for c in pooled] == [c.config_id for c in serial]
+        for a, b in zip(pooled, serial):
+            assert _result_key(a.result) == _result_key(b.result)
+        assert _result_key(single) == _result_key(run_rank_experiment(MINI))
+
+    def test_map_fn_maps_over_seeds(self):
+        items = []
+
+        def recording_map(fn, jobs):
+            jobs = list(jobs)
+            items.extend(jobs)
+            return map(fn, jobs)
+
+        run_robustness_sweep(MINI, map_fn=recording_map)
+        assert [job[2] for job in items] == list(MINI.seeds)
+
+
+class TestWorkCount:
+    """The sweep draws each seed once and calibrates once, whatever its cell count."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"normal": 0, "calibrate": 0}
+        draw, calibrate = SeededRng.standard_normal, synthexp.calibrate_gate
+
+        def counted_draw(self, shape=()):
+            counts["normal"] += 1
+            return draw(self, shape)
+
+        def counted_calibrate(*args, **kwargs):
+            counts["calibrate"] += 1
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(SeededRng, "standard_normal", counted_draw)
+        monkeypatch.setattr(synthexp, "calibrate_gate", counted_calibrate)
+        return counts
+
+    def test_sweep_draws_as_much_as_one_experiment(self, counts):
+        run_rank_experiment(MINI)
+        single = dict(counts)
+        assert single == {"normal": len(MINI.seeds) * (1 + 4 * MINI.n_heads), "calibrate": 1}
+        counts.update(normal=0, calibrate=0)
+        cells = run_robustness_sweep(MINI)
+        assert len(cells) == 9
+        assert counts == single
+
+    def test_empty_sweep_draws_nothing(self, counts):
+        assert run_robustness_sweep(MINI, c_values=(), rho_values=()) == []
+        assert counts == {"normal": 0, "calibrate": 0}
+
+    def test_invalid_sweep_value_rejected_before_any_draw(self, counts):
+        for c_values, rho_values, bad in [((0.5, math.nan), (0.2,), "c_nan"),
+                                          ((0.5,), (0.2, math.inf), "rho_inf"),
+                                          ((math.inf,), (), "c_inf")]:
+            with pytest.raises(ValueError, match=f"^sweep cell {bad}: "):
+                run_robustness_sweep(MINI, c_values=c_values, rho_values=rho_values)
+        assert counts == {"normal": 0, "calibrate": 0}
 
 
 class TestToyTask:
