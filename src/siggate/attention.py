@@ -13,8 +13,8 @@ Gate placements:
 
 Heads either own their gate parameters (``per_head``) or alias a single
 shared set (``shared``). Forward functions accept an optional ``lift``
-callable that wraps parameter arrays into autodiff nodes; without it they
-run as plain numpy.
+callable that wraps parameter arrays into autodiff nodes; with the default,
+``autodiff.no_tape``, they run as plain numpy.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ __all__ = [
 PLACEMENTS = ("none", "g1", "g2", "g3")
 SHARINGS = ("per_head", "shared")
 GATE_ACTIVATIONS = ("sigmoid", "tanh", "relu", "sigmoid_squared")
-
-
-def _identity(x):
-    return x
 
 
 @dataclass
@@ -258,11 +254,10 @@ def _validate_gates(params: MhsaParams, d: int, d_k: int) -> None:
 def _stacks(heads, names, lift):
     """The lifted stacks ``names`` of a layer's :class:`MhsaParams`, or the
     arrays of one :class:`HeadParams` as stacks of one."""
-    lf = lift or _identity
     if isinstance(heads, HeadParams):
-        return [ad.reshape(lf(arr), (1,) + np.shape(arr))
+        return [ad.reshape(lift(arr), (1,) + np.shape(arr))
                 for arr in (getattr(heads, name) for name in names)]
-    return [lf(getattr(heads, name)) for name in names]
+    return [lift(getattr(heads, name)) for name in names]
 
 
 def _one_head(x, heads):
@@ -354,7 +349,7 @@ def _heads_pass(h, heads, cfg: GateConfig | None, mask, lift, gate_override, n_g
     return out, attention, gate
 
 
-def sdpa(h, head, mask=None, *, lift=None, n_graphs: int = 1):
+def sdpa(h, head, mask=None, *, lift=ad.no_tape, n_graphs: int = 1):
     """Standard scaled dot-product attention.
 
     Returns ``(attention, y)`` with ``attention = softmax(Q K^T / sqrt(d_k))``
@@ -369,7 +364,7 @@ def sdpa(h, head, mask=None, *, lift=None, n_graphs: int = 1):
     return _one_head(attention, head), _one_head(out, head)
 
 
-def compute_gate(h, head, activation: str, *, lift=None):
+def compute_gate(h, head, activation: str, *, lift=ad.no_tape):
     """Gate values ``act(H W_g + b_g)``: N x d_k for one :class:`HeadParams`,
     G x N x d_k for a layer's :class:`MhsaParams`."""
     gate = _value_gate(h, *_stacks(head, ("w_g", "b_g"), lift), activation)
@@ -377,7 +372,7 @@ def compute_gate(h, head, activation: str, *, lift=None):
 
 
 def gated_head_forward(h, heads, cfg: GateConfig, mask=None, *,
-                       lift=None, gate_override=None, n_graphs: int = 1):
+                       lift=ad.no_tape, gate_override=None, n_graphs: int = 1):
     """Every head's forward pass under the configured gate placement, at once.
 
     ``heads`` is a layer's :class:`MhsaParams`, whose stacks run all K heads
@@ -405,7 +400,7 @@ def gated_head_forward(h, heads, cfg: GateConfig, mask=None, *,
     return out, traces
 
 
-def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=None, gate_override=None,
+def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, gate_override=None,
                  n_graphs: int = 1):
     """Gated multi-head attention: concat of gated heads times W_O.
 
@@ -425,10 +420,9 @@ def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=None, gate_override=N
     return merge_heads(outs, params.w_o, lift=lift), traces
 
 
-def merge_heads(outs, w_o, *, lift=None):
+def merge_heads(outs, w_o, *, lift=ad.no_tape):
     """Lay the K x N x d_k head outputs side by side (N x K·d_k) and project by W_O."""
-    lf = lift or _identity
-    return ad.matmul(ad.merge_stack(outs), lf(w_o))
+    return ad.matmul(ad.merge_stack(outs), lift(w_o))
 
 
 def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:

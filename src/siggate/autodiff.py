@@ -19,6 +19,7 @@ from . import numeric
 
 __all__ = [
     "Var",
+    "no_tape",
     "value",
     "backward",
     "add",
@@ -100,6 +101,11 @@ class Var:
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
+
+
+def no_tape(arr):
+    """The ``lift`` of a tape-free forward: each parameter stays a plain array."""
+    return arr
 
 
 def value(x):
@@ -422,11 +428,19 @@ def layer_norm(h, scale, shift, eps):
     One node with the closed-form VJP (Ba, Kiros & Hinton, 2016): with
     x̂ the normalized rows, σ their standard deviation and gx̂ = g·scale,
     ∂h = (gx̂ - mean(gx̂) - x̂·mean(gx̂·x̂)) / σ, row by row.
+
+    A row whose variance overflows would become exact zeros, so an infinite
+    σ raises :class:`~siggate.numeric.NonFiniteInputError` naming the row. A
+    row holding NaN stays NaN for the checks downstream to name.
     """
     hv, sv, bv = value(h), value(scale), value(shift)
     cols = float(np.shape(hv)[-1])
     centered = hv - np.sum(hv, axis=-1, keepdims=True) / cols
     std = np.sqrt(np.sum(np.square(centered), axis=-1, keepdims=True) / cols + eps)
+    if np.isinf(std).any():
+        row = int(np.flatnonzero(np.isinf(std))[0])
+        raise numeric.NonFiniteInputError(
+            f"layer_norm: row {row} has an infinite standard deviation (its variance overflows)")
     normed = centered / std
     out = normed * sv + bv
     if not _tracked(h, scale, shift):

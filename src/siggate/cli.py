@@ -30,7 +30,7 @@ from .diagnostics import (
     write_diagnostics_json,
 )
 from .gps import init_model, model_forward, read_graph
-from .numeric import NonFiniteInputError, SeededRng
+from .numeric import NonFiniteInputError, SeededRng, fmt_exact
 from .synthexp import (
     GATE_MEAN_TOL,
     GATE_STD_TOL,
@@ -60,10 +60,6 @@ EXIT_BAND = 1
 EXIT_USAGE = 2
 
 GRADCHECK_LOSS = "mse"  # smooth by construction; MAE's kink would poison FD
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _gate_config(cfg: RunConfig, placement=None, sharing=None, activation=None) -> GateConfig:
@@ -205,28 +201,22 @@ def _gradcheck_cells(cfg: RunConfig):
 
 
 def _gradcheck_one(args):
-    (placement, activation, cfg_dict) = args
-    gate = GateConfig(
-        placement=placement,
-        sharing=cfg_dict["sharing"],
-        activation=activation if activation != "-" else "sigmoid",
-        bias_init=cfg_dict["bias_init"],
-    )
+    placement, activation, cfg = args
+    gate = _gate_config(cfg, placement=placement,
+                        activation=activation if activation != "-" else "sigmoid")
     model = init_model(
-        SeededRng(cfg_dict["model_seed"]), d_in=cfg_dict["d_in"], d=cfg_dict["d"],
-        n_heads=cfg_dict["heads"], n_layers=cfg_dict["layers"], gate=gate,
-        d_ff=cfg_dict["d_ff"], readout=cfg_dict["readout"],
+        SeededRng(cfg["training.seed"]), d_in=cfg["model.d_in"], d=cfg["model.d"],
+        n_heads=cfg["model.heads"], n_layers=cfg["model.layers"], gate=gate,
+        d_ff=cfg["model.d_ff"] or None, readout=cfg["model.readout"],
     )
-    params = ParamSet.from_model(model)
     task = make_toy_task(
-        seed=cfg_dict["task_seed"], n_graphs=2,
-        nodes_per_graph=cfg_dict["nodes"], feature_dim=cfg_dict["d_in"],
-        edge_prob=cfg_dict["edge_prob"],
+        seed=cfg["task.seed"], n_graphs=2, nodes_per_graph=cfg["gradcheck.nodes"],
+        feature_dim=cfg["model.d_in"], edge_prob=cfg["task.edge_prob"],
     )
     report = finite_difference_check(
-        model, params, task.train[:1], h=cfg_dict["h"],
-        sample=None if cfg_dict["exhaustive"] else cfg_dict["samples"],
-        seed=cfg_dict["fd_seed"], loss=GRADCHECK_LOSS,
+        model, ParamSet.from_model(model), task.train[:1], h=cfg["gradcheck.h"],
+        sample=None if cfg["gradcheck.exhaustive"] else cfg["gradcheck.samples"],
+        seed=cfg["gradcheck.seed"], loss=GRADCHECK_LOSS,
     )
     return placement, activation, report
 
@@ -238,17 +228,7 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     maximum is reported alongside (coordinates whose true gradient sits
     below the h=1e-5 noise floor inflate it without indicating a bug).
     """
-    cfg_dict = {
-        "d_in": cfg["model.d_in"], "d": cfg["model.d"], "heads": cfg["model.heads"],
-        "layers": cfg["model.layers"], "d_ff": cfg["model.d_ff"] or None,
-        "readout": cfg["model.readout"], "sharing": cfg["model.sharing"],
-        "bias_init": cfg["model.bias_init"], "model_seed": cfg["training.seed"],
-        "task_seed": cfg["task.seed"], "nodes": cfg["gradcheck.nodes"],
-        "edge_prob": cfg["task.edge_prob"], "h": cfg["gradcheck.h"],
-        "exhaustive": cfg["gradcheck.exhaustive"], "samples": cfg["gradcheck.samples"],
-        "fd_seed": cfg["gradcheck.seed"],
-    }
-    jobs = [(p, a, cfg_dict) for p, a in _gradcheck_cells(cfg)]
+    jobs = [(p, a, cfg) for p, a in _gradcheck_cells(cfg)]
     tol = cfg["gradcheck.tolerance"]
     lines = ["placement,activation,n_checked,param_rel_max,worst_param,coord_rel_max,"
              "worst_coord,status"]
@@ -265,8 +245,8 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
               f"[{report.n_checked} coords] {status}")
         lines.append(",".join([
             placement, activation, str(report.n_checked),
-            _fmt(report.max_param_rel), report.worst_param_by_norm,
-            _fmt(report.max_rel_err), f"{report.worst_param}[{report.worst_index}]",
+            fmt_exact(report.max_param_rel), report.worst_param_by_norm,
+            fmt_exact(report.max_rel_err), f"{report.worst_param}[{report.worst_index}]",
             status,
         ]))
     with open(os.path.join(out_dir, "gradcheck_report.csv"), "w", encoding="utf-8") as fh:
@@ -324,10 +304,10 @@ def _cell_row(label_fields, summary) -> str:
     return ",".join(
         list(label_fields)
         + ["ok"]
-        + [_fmt(summary[k]) for k in ("final_train_loss", "final_test_loss",
+        + [fmt_exact(summary[k]) for k in ("final_train_loss", "final_test_loss",
                                       "mad_last", "entropy_last")]
-        + [_fmt(summary.get("gate_mean", float("nan"))),
-           _fmt(summary.get("gate_std", float("nan")))]
+        + [fmt_exact(summary.get("gate_mean", float("nan"))),
+           fmt_exact(summary.get("gate_std", float("nan")))]
     )
 
 
@@ -395,8 +375,8 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
         vals = ranges.get(kind, [])
         if vals:
             summary_lines.append(",".join([
-                kind, str(len(vals)), _fmt(min(vals)), _fmt(max(vals)),
-                _fmt(max(vals) - min(vals)),
+                kind, str(len(vals)), fmt_exact(min(vals)), fmt_exact(max(vals)),
+                fmt_exact(max(vals) - min(vals)),
             ]))
             print(f"lr-sweep {kind:>7} range = {max(vals) - min(vals):.4f} "
                   f"over {len(vals)} completed cells")
@@ -417,7 +397,8 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
 
 def cmd_diagnose(model_path: str, graph_path: str, out_dir: str) -> int:
     """Forward a serialized model on a graph file and emit the instruments. A
-    forward pass that overflows (layer norm can turn it into zeros) is rejected."""
+    forward pass that overflows or meets a non-finite value (layer norm
+    rejects a row whose variance is not finite) is rejected."""
     model = load_model(model_path)
     graph = read_graph(graph_path)
     try:

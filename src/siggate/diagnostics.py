@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gps import LayerTrace
-from .numeric import NonFiniteInputError, top_singular_value
+from .numeric import NonFiniteInputError, fmt_exact, top_singular_value
 
 __all__ = [
     "GateStats",
@@ -195,10 +195,6 @@ def depth_profile(trace: LayerTrace) -> DepthProfile:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_diagnostics_csv(path, profile: DepthProfile, per_layer, pooled) -> None:
     """CSV layout: one row per layer plus a 'pooled' summary row.
 
@@ -208,17 +204,17 @@ def write_diagnostics_csv(path, profile: DepthProfile, per_layer, pooled) -> Non
     lines = ["layer,mad,entropy,gate_mean,gate_std,gate_below,gate_above"]
     for i, (m, e) in enumerate(zip(profile.mad, profile.entropy)):
         gs = per_layer[i] if per_layer else None
-        cells = [str(i), _fmt(m), _fmt(e)]
+        cells = [str(i), fmt_exact(m), fmt_exact(e)]
         if gs is None:
             cells += ["nan"] * 4
         else:
-            cells += [_fmt(gs.mean), _fmt(gs.std), _fmt(gs.frac_below), _fmt(gs.frac_above)]
+            cells += [fmt_exact(v) for v in (gs.mean, gs.std, gs.frac_below, gs.frac_above)]
         lines.append(",".join(cells))
     if pooled is not None:
         lines.append(",".join([
             "pooled", "nan", "nan",
-            _fmt(pooled.mean), _fmt(pooled.std),
-            _fmt(pooled.frac_below), _fmt(pooled.frac_above),
+            fmt_exact(pooled.mean), fmt_exact(pooled.std),
+            fmt_exact(pooled.frac_below), fmt_exact(pooled.frac_above),
         ]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -17,13 +17,15 @@ Floats are written with 17 significant digits so round-trips are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import GateConfig, HeadTrace, MhsaParams, init_mhsa_params, siggate_mhsa
-from .numeric import SeededRng, ShapeError, gaussian_matrix
+from .attention import (
+    _GATE_FIELDS, _QKV, GateConfig, HeadTrace, MhsaParams, init_mhsa_params, siggate_mhsa,
+)
+from .numeric import SeededRng, ShapeError, fmt_exact, gaussian_matrix
 
 __all__ = [
     "LN_EPS",
@@ -45,16 +47,13 @@ __all__ = [
     "model_embed",
     "model_readout",
     "init_model",
+    "named_params",
     "write_graph",
     "read_graph",
 ]
 
 LN_EPS = 1e-5
 READOUTS = ("mean", "sum")
-
-
-def _identity(x):
-    return x
 
 
 @dataclass
@@ -251,13 +250,12 @@ def layer_norm(h, scale, shift):
     return ad.layer_norm(h, scale, shift, LN_EPS)
 
 
-def mpnn_forward(g, h, p: MpnnParams, *, lift=None):
+def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
     """Edge-gated local aggregation; isolated nodes receive zeros.
 
     ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch`; ``h`` holds
     one row per node (the stacked rows of a batch).
     """
-    lf = lift or _identity
     graphs = _as_batch(g)
     d = ad.value(h).shape[1]
     want = 2 * d + graphs.d_e
@@ -275,18 +273,17 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=None):
     parts = [h_dst, h_src]
     if graphs.edge_features is not None:
         parts.append(graphs.edge_features)
-    gate = ad.sigmoid(ad.matmul(ad.concat(parts, axis=1), lf(p.w_edge)))
-    messages = ad.mul(gate, ad.matmul(h_src, lf(p.w_val)))
+    gate = ad.sigmoid(ad.matmul(ad.concat(parts, axis=1), lift(p.w_edge)))
+    messages = ad.mul(gate, ad.matmul(h_src, lift(p.w_val)))
     return ad.scatter_rows(messages, graphs.dst, graphs.rows)
 
 
 def _ffn_forward(h, p: FfnParams, lift):
-    lf = lift or _identity
-    hidden = ad.gelu(ad.linear(h, lf(p.w1), lf(p.b1)))
-    return ad.linear(hidden, lf(p.w2), lf(p.b2))
+    hidden = ad.gelu(ad.linear(h, lift(p.w1), lift(p.b1)))
+    return ad.linear(hidden, lift(p.w2), lift(p.b2))
 
 
-def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=None, gate_override=None):
+def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape, gate_override=None):
     """One block: residual sum of branches, then ln2(ffn(ln1(s)) + ln1(s)).
 
     ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch` whose
@@ -303,22 +300,21 @@ def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=None, gate_override=None)
     return h_next, entry
 
 
-def gps_layer_combine(h, local, global_attn, p: GpsLayerParams, *, lift=None):
+def gps_layer_combine(h, local, global_attn, p: GpsLayerParams, *, lift=ad.no_tape):
     """The block after its two branches: ``s = h + local + global_attn``,
     then ``ln2(ffn(ln1(s)) + ln1(s))``."""
-    lf = lift or _identity
     s = ad.add(ad.add(h, local), global_attn)
-    t = layer_norm(s, lf(p.ln1.scale), lf(p.ln1.shift))
+    t = layer_norm(s, lift(p.ln1.scale), lift(p.ln1.shift))
     return layer_norm(
-        ad.add(_ffn_forward(t, p.ffn, lift), t), lf(p.ln2.scale), lf(p.ln2.shift)
+        ad.add(_ffn_forward(t, p.ffn, lift), t), lift(p.ln2.scale), lift(p.ln2.shift)
     )
 
 
-def model_forward(g: GraphInstance, model: ModelParams, *, lift=None, gate_override=None):
+def model_forward(g: GraphInstance, model: ModelParams, *, lift=ad.no_tape, gate_override=None):
     """Full stack on one graph: input projection, L layers, pooling, linear head.
 
     Returns ``(prediction, trace)``; the prediction is a length-``out_dim``
-    vector (an autodiff node when ``lift`` is given). This is
+    vector (an autodiff node when ``lift`` puts the parameters on a tape). This is
     :func:`batch_forward` on a batch of one graph.
     """
     pred, trace = batch_forward(GraphBatch.of([g]), model, lift=lift,
@@ -326,7 +322,7 @@ def model_forward(g: GraphInstance, model: ModelParams, *, lift=None, gate_overr
     return ad.reshape(pred, (-1,)), trace
 
 
-def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=None, gate_override=None):
+def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=ad.no_tape, gate_override=None):
     """Full stack on every graph of a batch in one pass.
 
     Returns ``(predictions, trace)``: a B x ``out_dim`` matrix with one row
@@ -345,20 +341,18 @@ def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=None, gate_ove
     return model_readout(h, model, lift=lift, n_graphs=graphs.size), trace
 
 
-def model_embed(g, model: ModelParams, *, lift=None):
+def model_embed(g, model: ModelParams, *, lift=ad.no_tape):
     """Input projection of the node features: ``X W_in + b_in``."""
-    lf = lift or _identity
-    return ad.linear(g.node_features, lf(model.w_in), lf(model.b_in))
+    return ad.linear(g.node_features, lift(model.w_in), lift(model.b_in))
 
 
-def model_readout(h, model: ModelParams, *, lift=None, n_graphs: int = 1):
+def model_readout(h, model: ModelParams, *, lift=ad.no_tape, n_graphs: int = 1):
     """Pool each graph's rows of the last hidden state, then apply the
     linear head: a B x ``out_dim`` prediction for ``n_graphs`` = B graphs."""
-    lf = lift or _identity
     rows, d = ad.value(h).shape
     nodes = ad.reshape(h, (n_graphs, rows // n_graphs, d))
     pool = ad.vmean if model.readout == "mean" else ad.vsum
-    return ad.linear(pool(nodes, axis=1), lf(model.w_head), lf(model.b_head))
+    return ad.linear(pool(nodes, axis=1), lift(model.w_head), lift(model.b_head))
 
 
 def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int,
@@ -402,24 +396,55 @@ def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int
                        w_head=w_head, b_head=b_head, readout=readout)
 
 
+def named_params(model: ModelParams):
+    """Yield ``(name, array, layer, branch)`` for every parameter of ``model``
+    once, in the order of its dump and its ``ParamSet``.
+
+    ``layer`` is -1 for the input projection, the layer's index inside the
+    stack, and L for the readout head. ``branch`` is the part of the layer
+    that reads the array: "heads" (a head's view of a stacked attention
+    projection or gate; a shared gate is named once, as ``attn.gate``),
+    "w_o", "mpnn", or "combine" (the FFN and both layer norms); None
+    outside the layers.
+    """
+    yield "input.w", model.w_in, -1, None
+    yield "input.b", model.b_in, -1, None
+    for i, layer in enumerate(model.layers):
+        attn = layer.attn
+        for k, head in enumerate(attn.heads):
+            for f in _QKV:
+                yield f"layer{i}.attn.head{k}.{f}", getattr(head, f), i, "heads"
+        if attn.gate.placement != "none":
+            shared = attn.gate.sharing == "shared"
+            for k, head in enumerate(attn.heads[:1] if shared else attn.heads):
+                owner = "gate" if shared else f"head{k}"
+                for f in _GATE_FIELDS:
+                    if getattr(head, f) is not None:
+                        yield f"layer{i}.attn.{owner}.{f}", getattr(head, f), i, "heads"
+        yield f"layer{i}.attn.w_o", attn.w_o, i, "w_o"
+        for part, branch in (("mpnn", "mpnn"), ("ffn", "combine"), ("ln1", "combine"),
+                             ("ln2", "combine")):
+            held = getattr(layer, part)
+            for f in fields(held):
+                yield f"layer{i}.{part}.{f.name}", getattr(held, f.name), i, branch
+    yield "head.w", model.w_head, len(model.layers), None
+    yield "head.b", model.b_head, len(model.layers), None
+
+
 # ---------------------------------------------------------------------------
 # Graph text format
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_graph(g: GraphInstance, path) -> None:
     lines = [f"{g.n} {g.d_in} {g.d_e}"]
     for row in g.node_features:
-        lines.append(" ".join(_fmt(x) for x in row))
+        lines.append(" ".join(fmt_exact(x) for x in row))
     lines.append(str(len(g.edges)))
     for i, (src, dst) in enumerate(g.edges):
         parts = [str(src), str(dst)]
         if g.edge_features is not None:
-            parts.extend(_fmt(x) for x in g.edge_features[i])
+            parts.extend(fmt_exact(x) for x in g.edge_features[i])
         lines.append(" ".join(parts))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

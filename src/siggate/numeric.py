@@ -23,6 +23,7 @@ __all__ = [
     "hadamard",
     "top_singular_value",
     "gaussian_matrix",
+    "fmt_exact",
     "ACTIVATIONS",
 ]
 
@@ -245,3 +246,8 @@ def gaussian_matrix(rng: SeededRng, rows: int, cols: int, std: float) -> np.ndar
     if rows <= 0 or cols <= 0:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
     return std * rng.standard_normal((rows, cols))
+
+
+def fmt_exact(x) -> str:
+    """``x`` as text with 17 significant digits, which reads back as the same float64."""
+    return format(float(x), ".17g")

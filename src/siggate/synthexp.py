@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import stable_rank
 from .gps import GraphInstance
-from .numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
+from .numeric import SeededRng, fmt_exact, gaussian_matrix, row_softmax, sigmoid
 
 __all__ = [
     "RankExpConfig",
@@ -400,17 +400,13 @@ def make_toy_task(seed: int, n_graphs: int = 24, nodes_per_graph: int = 8,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_seed_csv(path, cells: list[SweepCell]) -> None:
     lines = ["config_id,c,rho,seed,srank_ungated,srank_gated,rel_gain"]
     for cell in cells:
         for s in cell.result.per_seed:
             lines.append(",".join([
-                cell.config_id, _fmt(cell.c), _fmt(cell.rho), str(s.seed),
-                _fmt(s.srank_ungated), _fmt(s.srank_gated), _fmt(s.relative_gain),
+                cell.config_id, fmt_exact(cell.c), fmt_exact(cell.rho), str(s.seed),
+                fmt_exact(s.srank_ungated), fmt_exact(s.srank_gated), fmt_exact(s.relative_gain),
             ]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -427,10 +423,10 @@ def write_aggregate_csv(path, cells: list[SweepCell]) -> None:
         u_mean, u_std = res.mean_std("srank_ungated")
         g_mean, g_std = res.mean_std("srank_gated")
         lines.append(",".join([
-            cell.config_id, _fmt(cell.c), _fmt(cell.rho),
-            _fmt(u_mean), _fmt(u_std), _fmt(g_mean), _fmt(g_std),
-            _fmt(res.mean_gain), _fmt(res.std_gain),
-            _fmt(res.attained_gate_mean), _fmt(res.attained_gate_std),
+            cell.config_id, fmt_exact(cell.c), fmt_exact(cell.rho),
+            fmt_exact(u_mean), fmt_exact(u_std), fmt_exact(g_mean), fmt_exact(g_std),
+            fmt_exact(res.mean_gain), fmt_exact(res.std_gain),
+            fmt_exact(res.attained_gate_mean), fmt_exact(res.attained_gate_std),
         ]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -10,20 +10,17 @@ so in-place optimizer updates are immediately visible to forward passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import GateConfig, gated_head_forward, merge_heads
+from .attention import _GATE_FIELDS, GateConfig, gated_head_forward, merge_heads
 from .gps import (
-    FfnParams,
     GpsLayerParams,
     GraphBatch,
-    LayerNormParams,
     LayerTrace,
     ModelParams,
-    MpnnParams,
     batch_forward,
     gps_layer_combine,
     gps_layer_forward,
@@ -32,9 +29,9 @@ from .gps import (
     model_forward,  # noqa: F401 - kept importable from here; perfbench's tracer tests patch it
     model_readout,
     mpnn_forward,
+    named_params,
 )
-from .attention import HeadParams, MhsaParams
-from .numeric import NonFiniteInputError, SeededRng
+from .numeric import NonFiniteInputError, SeededRng, fmt_exact
 
 __all__ = [
     "ParamSet",
@@ -83,50 +80,8 @@ class ParamSet:
 
     @classmethod
     def from_model(cls, model: ModelParams) -> "ParamSet":
-        items: dict[str, np.ndarray] = {}
-
-        def put(name, arr):
-            if name in items:
-                raise ValueError(f"duplicate parameter name {name!r}")
-            items[name] = arr
-
-        put("input.w", model.w_in)
-        put("input.b", model.b_in)
-        for i, layer in enumerate(model.layers):
-            pre = f"layer{i}"
-            attn = layer.attn
-            for k, head in enumerate(attn.heads):
-                put(f"{pre}.attn.head{k}.w_q", head.w_q)
-                put(f"{pre}.attn.head{k}.w_k", head.w_k)
-                put(f"{pre}.attn.head{k}.w_v", head.w_v)
-            cfg = attn.gate
-            if cfg.placement != "none":
-                if cfg.sharing == "shared":
-                    head = attn.heads[0]
-                    put(f"{pre}.attn.gate.w_g", head.w_g)
-                    if head.w_g2 is not None:
-                        put(f"{pre}.attn.gate.w_g2", head.w_g2)
-                    put(f"{pre}.attn.gate.b_g", head.b_g)
-                else:
-                    for k, head in enumerate(attn.heads):
-                        put(f"{pre}.attn.head{k}.w_g", head.w_g)
-                        if head.w_g2 is not None:
-                            put(f"{pre}.attn.head{k}.w_g2", head.w_g2)
-                        put(f"{pre}.attn.head{k}.b_g", head.b_g)
-            put(f"{pre}.attn.w_o", attn.w_o)
-            put(f"{pre}.mpnn.w_edge", layer.mpnn.w_edge)
-            put(f"{pre}.mpnn.w_val", layer.mpnn.w_val)
-            put(f"{pre}.ffn.w1", layer.ffn.w1)
-            put(f"{pre}.ffn.b1", layer.ffn.b1)
-            put(f"{pre}.ffn.w2", layer.ffn.w2)
-            put(f"{pre}.ffn.b2", layer.ffn.b2)
-            put(f"{pre}.ln1.scale", layer.ln1.scale)
-            put(f"{pre}.ln1.shift", layer.ln1.shift)
-            put(f"{pre}.ln2.scale", layer.ln2.scale)
-            put(f"{pre}.ln2.shift", layer.ln2.shift)
-        put("head.w", model.w_head)
-        put("head.b", model.b_head)
-        return cls(items)
+        """The model's arrays by reference, named and ordered by :func:`named_params`."""
+        return cls({name: arr for name, arr, _, _ in named_params(model)})
 
     @property
     def names(self) -> list[str]:
@@ -156,8 +111,7 @@ class ParamSet:
 
 
 def is_gate_param(name: str) -> bool:
-    stem = name.rsplit(".", 1)[-1]
-    return stem in ("w_g", "w_g2", "b_g")
+    return name.rsplit(".", 1)[-1] in _GATE_FIELDS
 
 
 class _Lifter:
@@ -171,13 +125,11 @@ class _Lifter:
         self._vars: dict[int, ad.Var] = {}
         self._views = {}
         for layer in model.layers:
-            attn = layer.attn
-            for name in attn.stacked_fields():
-                stack = getattr(attn, name)
-                if stack is None:
-                    continue  # the forward rejects the layer
-                for k, head in enumerate(attn.heads):
-                    self._views[id(getattr(head, name))] = (stack, k if len(stack) > 1 else 0)
+            for name, views in layer.attn._views.items():
+                stack = getattr(layer.attn, name)
+                # View k is stack[k]; every head of a shared gate holds stack[0].
+                for k, view in enumerate(views[:len(stack)]):
+                    self._views[id(view)] = (stack, k)
 
     def __call__(self, arr):
         node = self._vars.get(id(arr))
@@ -314,18 +266,6 @@ class FdReport:
         return max(self.param_rel, key=self.param_rel.get)
 
 
-def _arrays(obj):
-    """Every numpy array held by a (nested) parameter dataclass."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _arrays(item)
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            yield from _arrays(getattr(obj, f.name))
-
-
 def _heads_output(graphs: GraphBatch, h, layer: GpsLayerParams):
     """The K x N x d_k outputs of the layer's heads: one stacked pass."""
     return gated_head_forward(h, layer.attn, layer.attn.gate, graphs.attn_mask,
@@ -333,25 +273,17 @@ def _heads_output(graphs: GraphBatch, h, layer: GpsLayerParams):
 
 
 def _probe_index(model: ModelParams) -> dict:
-    """``id(array) -> (layer index, branches)`` for every array the model
+    """``id(array) -> (layer index, branches)`` for every parameter the model
     reads after its input projection: the first layer that reads the array,
-    and which of that layer's branches do ("mpnn", "heads" for the stacked
-    attention arrays and their views, "w_o", "combine" for the FFN and layer
-    norms). The readout's arrays map to index L with no branch."""
+    and which of that layer's branches do (:func:`named_params`' branches;
+    an array read under two names keeps both). The readout's arrays map to
+    index L with no branch."""
     index: dict[int, tuple[int, frozenset]] = {}
-    for i, layer in enumerate(model.layers):
-        attn = layer.attn
-        stacks = [getattr(attn, name) for name in attn.stacked_fields()]
-        parts = {"mpnn": layer.mpnn, "heads": (attn.heads, stacks), "w_o": attn.w_o,
-                 "combine": (layer.ffn, layer.ln1, layer.ln2)}
-        found: dict[int, set] = {}
-        for branch, part in parts.items():
-            for arr in _arrays(part):
-                found.setdefault(id(arr), set()).add(branch)
-        for key, branches in found.items():
-            index.setdefault(key, (i, frozenset(branches)))
-    for arr in (model.w_head, model.b_head):
-        index.setdefault(id(arr), (len(model.layers), frozenset()))
+    for _, arr, layer, branch in named_params(model):
+        if layer >= 0:
+            first, branches = index.setdefault(id(arr), (layer, frozenset()))
+            if first == layer and branch is not None:
+                index[id(arr)] = (layer, branches | {branch})
     return index
 
 
@@ -624,7 +556,7 @@ def write_history_csv(history: TrainHistory, path) -> None:
     :class:`TrainHistory`, or anything with ``losses`` and ``lrs``)."""
     lines = ["epoch,loss,lr"]
     for i, (loss, lr) in enumerate(zip(history.losses, history.lrs)):
-        lines.append(f"{i},{loss:.17g},{lr:.17g}")
+        lines.append(f"{i},{fmt_exact(loss)},{fmt_exact(lr)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -635,7 +567,9 @@ def write_history_csv(history: TrainHistory, path) -> None:
 #
 # `# key = value` header comments carry the structural hyperparameters;
 # each parameter follows as `name rows cols` and rows lines of 17-digit
-# values (vectors are written as a single row).
+# values (vectors are written as a single row). The records are exactly
+# the parameters of the model the metadata describes, in the order of
+# :func:`named_params`.
 
 
 def _model_meta(model: ModelParams) -> dict:
@@ -658,23 +592,21 @@ def _model_meta(model: ModelParams) -> dict:
 
 
 def save_model(model: ModelParams, path) -> None:
-    meta = _model_meta(model)
-    params = ParamSet.from_model(model)
     lines = ["# siggate-model"]
-    lines += [f"# {k} = {v}" for k, v in meta.items()]
-    for name, arr in params.items():
+    lines += [f"# {k} = {v}" for k, v in _model_meta(model).items()]
+    for name, arr, _, _ in named_params(model):
         mat = np.atleast_2d(arr)
         lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
         for row in mat:
-            lines.append(" ".join(format(float(x), ".17g") for x in row))
+            lines.append(" ".join(map(fmt_exact, row.tolist())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _read_dump(path):
-    """Parse a :func:`save_model` file. A malformed header, a missing or
-    malformed row, or a non-finite value raises ValueError naming the file
-    (and the parameter and row)."""
+    """Parse a :func:`save_model` file. A malformed header, a repeated
+    parameter, a missing or malformed row, or a non-finite value raises
+    ValueError naming the file (and the parameter and row)."""
     meta: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -695,6 +627,8 @@ def _read_dump(path):
         if len(toks) != 3 or not (toks[1].isdigit() and toks[2].isdigit()):
             raise ValueError(f"malformed parameter header in {path}: {line!r}")
         name, rows, cols = toks[0], int(toks[1]), int(toks[2])
+        if name in arrays:
+            raise ValueError(f"model dump {path}: parameter {name!r} appears twice")
         mat = np.empty((rows, cols))
         for r in range(rows):
             where = f"model dump {path}: parameter {name!r} row {r}"
@@ -715,71 +649,41 @@ def _read_dump(path):
 
 
 def load_model(path) -> ModelParams:
-    """Rebuild a model from :func:`save_model` output (bit-exact values). A
-    parameter that is missing, or whose shape is not the one the dump's own
-    metadata implies, raises ValueError naming the file."""
+    """Rebuild a model from :func:`save_model` output (bit-exact values).
+
+    :func:`init_model` builds the model the dump's metadata describes, and
+    each of its parameters takes the values of the record of that name. A
+    record that is missing, misshapen, repeated or not a parameter of that
+    model raises ValueError naming the file and the parameter.
+    """
     meta, arrays = _read_dump(path)
+    longest = max((n for record in arrays.values() for n in record.shape), default=0)
     try:
         d_in, d, n_heads, n_layers, d_ff, d_e, out_dim = (
             int(meta[key]) for key in ("d_in", "d", "n_heads", "n_layers", "d_ff", "d_e",
                                        "out_dim"))
+        if n_layers > len(arrays) or max(d_in, d, d_ff, d_e, out_dim) > longest:
+            raise ValueError(f"it describes a model larger than the {len(arrays)} records")
         gate = GateConfig(
             placement=meta["placement"], sharing=meta["sharing"],
             activation=meta["activation"], bias_init=float(meta["bias_init"]),
         )
-        readout = meta["readout"]
+        model = init_model(SeededRng(0), d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers,
+                           gate=gate, d_ff=d_ff, d_e=d_e, readout=meta["readout"],
+                           out_dim=out_dim)
     except KeyError as exc:
         raise ValueError(f"model dump {path} is missing metadata key {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"model dump {path} has malformed metadata: {exc}") from None
-    if n_heads < 1 or d % n_heads:
-        raise ValueError(f"model dump {path}: d = {d} is not a multiple of n_heads = {n_heads}")
-    d_k = d // n_heads
-
-    def mat(name, rows, cols):
-        try:
-            arr = arrays[name]
-        except KeyError:
-            raise ValueError(f"model dump {path} is missing parameter {name!r}") from None
-        if arr.shape != (rows, cols):
+    for name, arr, _, _ in named_params(model):
+        record = arrays.pop(name, None)
+        if record is None:
+            raise ValueError(f"model dump {path} is missing parameter {name!r}")
+        if record.shape != np.atleast_2d(arr).shape:
             raise ValueError(f"model dump {path}: parameter {name!r} has shape "
-                             f"{arr.shape}, expected {(rows, cols)}")
-        return arr
-
-    def vec(name, size):
-        return mat(name, 1, size).reshape(-1)
-
-    def gate_arrays(prefix):
-        g3 = gate.placement == "g3"
-        return (mat(f"{prefix}.w_g", d, d_k), mat(f"{prefix}.w_g2", d, d_k) if g3 else None,
-                vec(f"{prefix}.b_g", 1 if g3 else d_k))
-
-    layers = []
-    for i in range(n_layers):
-        pre = f"layer{i}"
-        shared = None
-        if gate.placement != "none" and gate.sharing == "shared":
-            shared = gate_arrays(f"{pre}.attn.gate")
-        heads = []
-        for k in range(n_heads):
-            hp = f"{pre}.attn.head{k}"
-            head = HeadParams(*(mat(f"{hp}.{w}", d, d_k) for w in ("w_q", "w_k", "w_v")))
-            if gate.placement != "none":
-                head.w_g, head.w_g2, head.b_g = shared or gate_arrays(hp)
-            heads.append(head)
-        layers.append(
-            GpsLayerParams(
-                mpnn=MpnnParams(mat(f"{pre}.mpnn.w_edge", 2 * d + d_e, d),
-                                mat(f"{pre}.mpnn.w_val", d, d)),
-                attn=MhsaParams(heads=heads, w_o=mat(f"{pre}.attn.w_o", n_heads * d_k, d),
-                                gate=gate),
-                ffn=FfnParams(mat(f"{pre}.ffn.w1", d, d_ff), vec(f"{pre}.ffn.b1", d_ff),
-                              mat(f"{pre}.ffn.w2", d_ff, d), vec(f"{pre}.ffn.b2", d)),
-                ln1=LayerNormParams(vec(f"{pre}.ln1.scale", d), vec(f"{pre}.ln1.shift", d)),
-                ln2=LayerNormParams(vec(f"{pre}.ln2.scale", d), vec(f"{pre}.ln2.shift", d)),
-            )
-        )
-    return ModelParams(
-        w_in=mat("input.w", d_in, d), b_in=vec("input.b", d), layers=layers,
-        w_head=mat("head.w", d, out_dim), b_head=vec("head.b", out_dim), readout=readout,
-    )
+                             f"{record.shape}, expected {np.atleast_2d(arr).shape}")
+        arr[...] = record.reshape(arr.shape)
+    if arrays:
+        raise ValueError(f"model dump {path}: parameter {next(iter(arrays))!r} is not in "
+                         f"the model its metadata describes")
+    return model

@@ -6,10 +6,15 @@ independent oracle: ``numeric.sigmoid``, the row scatter-add behind
 sum of ``diagnostics.attention_entropy``, the power iteration of
 ``numeric.top_singular_value`` with two Gram products per step, and the
 rank study run one (c, rho) cell at a time, each cell drawing its seeds
-from scratch.
+from scratch. It also keeps the hand-written descriptions of the model's
+parameters that ``gps.named_params`` replaced: the parameter registry
+written out name by name, and the probe index built by walking the
+parameter dataclasses.
 """
 
 import numpy as np
+
+from dataclasses import fields, is_dataclass
 
 from siggate.numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
 from siggate.synthexp import calibrate_gate
@@ -136,3 +141,95 @@ def assert_bitwise(got, want):
     assert got.shape == want.shape, (got.shape, want.shape)
     assert got.dtype == want.dtype, (got.dtype, want.dtype)
     assert got.tobytes() == want.tobytes()
+
+
+def hand_written_registry(model):
+    """``{name: array}`` of every parameter, written out name by name in the
+    order of the model dump."""
+    items = {}
+
+    def put(name, arr):
+        if name in items:
+            raise ValueError(f"duplicate parameter name {name!r}")
+        items[name] = arr
+
+    put("input.w", model.w_in)
+    put("input.b", model.b_in)
+    for i, layer in enumerate(model.layers):
+        pre = f"layer{i}"
+        attn = layer.attn
+        for k, head in enumerate(attn.heads):
+            put(f"{pre}.attn.head{k}.w_q", head.w_q)
+            put(f"{pre}.attn.head{k}.w_k", head.w_k)
+            put(f"{pre}.attn.head{k}.w_v", head.w_v)
+        cfg = attn.gate
+        if cfg.placement != "none":
+            if cfg.sharing == "shared":
+                head = attn.heads[0]
+                put(f"{pre}.attn.gate.w_g", head.w_g)
+                if head.w_g2 is not None:
+                    put(f"{pre}.attn.gate.w_g2", head.w_g2)
+                put(f"{pre}.attn.gate.b_g", head.b_g)
+            else:
+                for k, head in enumerate(attn.heads):
+                    put(f"{pre}.attn.head{k}.w_g", head.w_g)
+                    if head.w_g2 is not None:
+                        put(f"{pre}.attn.head{k}.w_g2", head.w_g2)
+                    put(f"{pre}.attn.head{k}.b_g", head.b_g)
+        put(f"{pre}.attn.w_o", attn.w_o)
+        put(f"{pre}.mpnn.w_edge", layer.mpnn.w_edge)
+        put(f"{pre}.mpnn.w_val", layer.mpnn.w_val)
+        put(f"{pre}.ffn.w1", layer.ffn.w1)
+        put(f"{pre}.ffn.b1", layer.ffn.b1)
+        put(f"{pre}.ffn.w2", layer.ffn.w2)
+        put(f"{pre}.ffn.b2", layer.ffn.b2)
+        put(f"{pre}.ln1.scale", layer.ln1.scale)
+        put(f"{pre}.ln1.shift", layer.ln1.shift)
+        put(f"{pre}.ln2.scale", layer.ln2.scale)
+        put(f"{pre}.ln2.shift", layer.ln2.shift)
+    put("head.w", model.w_head)
+    put("head.b", model.b_head)
+    return items
+
+
+def dataclass_arrays(obj):
+    """Every numpy array held by a (nested) parameter dataclass."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from dataclass_arrays(item)
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from dataclass_arrays(getattr(obj, f.name))
+
+
+def dataclass_probe_index(model):
+    """``id(array) -> (first layer that reads it, that layer's branches that
+    read it)`` for every array the layers hold (the attention stacks
+    included), and ``(L, frozenset())`` for the readout's arrays."""
+    index = {}
+    for i, layer in enumerate(model.layers):
+        attn = layer.attn
+        stacks = [getattr(attn, name) for name in attn.stacked_fields()]
+        parts = {"mpnn": layer.mpnn, "heads": (attn.heads, stacks), "w_o": attn.w_o,
+                 "combine": (layer.ffn, layer.ln1, layer.ln2)}
+        found = {}
+        for branch, part in parts.items():
+            for arr in dataclass_arrays(part):
+                found.setdefault(id(arr), set()).add(branch)
+        for key, branches in found.items():
+            index.setdefault(key, (i, frozenset(branches)))
+    for arr in (model.w_head, model.b_head):
+        index.setdefault(id(arr), (len(model.layers), frozenset()))
+    return index
+
+
+def dump_text(meta, registry):
+    """A model dump written from ``meta`` and the records of ``registry`` in its order."""
+    lines = ["# siggate-model"] + [f"# {k} = {v}" for k, v in meta.items()]
+    for name, arr in registry.items():
+        mat = np.atleast_2d(arr)
+        lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
+        lines += [" ".join(format(float(x), ".17g") for x in row) for row in mat]
+    return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import add_at_rows, assert_bitwise
 from siggate import autodiff as ad
 from siggate.gps import LN_EPS
-from siggate.numeric import SeededRng, ShapeError, gaussian_matrix
+from siggate.numeric import NonFiniteInputError, SeededRng, ShapeError, gaussian_matrix
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -382,3 +382,20 @@ class TestFusedOps:
     def test_linear_keeps_the_matmul_shape_check(self):
         with pytest.raises(ShapeError):
             ad.linear(np.ones((2, 3)), ad.Var(np.ones((4, 2))), np.zeros(2))
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_layer_norm_rejects_a_row_whose_variance_overflows(self, taped):
+        # The variance of [1e308, -1e308] overflows to inf; dividing by an
+        # infinite std would turn the row into exact zeros.
+        h = np.array([[1.0, 2.0, 3.0], [1e308, -1e308, 0.0]])
+        args = [h, np.ones(3), np.zeros(3)]
+        if taped:
+            args = [ad.Var(a) for a in args]
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteInputError, match=r"^layer_norm: row 1 has an infinite standard"):
+            ad.layer_norm(*args, LN_EPS)
+
+    def test_layer_norm_keeps_a_nan_row_nan(self):
+        out = ad.layer_norm(np.array([[1.0, np.nan], [1.0, 2.0]]), np.ones(2), np.zeros(2),
+                            LN_EPS)
+        assert np.isnan(out[0]).all() and np.isfinite(out[1]).all()

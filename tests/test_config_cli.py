@@ -348,18 +348,33 @@ class TestDiagnoseCommand:
         ("layer0.ffn.w1", 3, "cut", "row 3: the file ends after 3 of 8 rows"),
         ("head.b", 0, "nan", "row 0 has a non-finite value"),
         ("layer0.ffn.b2", 0, "inf", "row 0 has a non-finite value"),
+        # Records the metadata does not imply: the first one is named. (row
+        # None: ``edit`` replaces a metadata line or is appended.)
+        pytest.param("layer0.attn.head0.w_g", None, "# placement = none",
+                     "is not in the model its metadata describes", id="gated-records-ungated"),
+        pytest.param("layer1.attn.head0.w_q", None, "# n_layers = 1",
+                     "is not in the model its metadata describes", id="more-layers-than-meta"),
+        pytest.param("layer9.bogus", None, "layer9.bogus 1 2\n0.5 0.5",
+                     "is not in the model its metadata describes", id="unknown-record"),
+        pytest.param("head.b", None, "head.b 1 1\n0.5", "appears twice", id="repeated-record"),
     ])
     def test_bad_dump_value_exits_two(self, tmp_path, capsys, param, row, edit, message):
-        model = init_model(SeededRng(5), d_in=2, d=8, n_heads=2, n_layers=1,
+        model = init_model(SeededRng(5), d_in=2, d=8, n_heads=2, n_layers=2,
                            gate=GateConfig())
         model_path = tmp_path / "model.txt"
         save_model(model, model_path)
         lines = model_path.read_text().splitlines()
-        at = next(i for i, ln in enumerate(lines) if ln.split()[0] == param) + 1 + row
-        if edit == "cut":
-            lines = lines[:at]
+        if row is None and edit.startswith("#"):
+            key = edit.split("=")[0]
+            lines = [edit if ln.startswith(key) else ln for ln in lines]
+        elif row is None:
+            lines += edit.split("\n")
         else:
-            lines[at] = " ".join([edit] + lines[at].split()[1:])
+            at = next(i for i, ln in enumerate(lines) if ln.split()[0] == param) + 1 + row
+            if edit == "cut":
+                lines = lines[:at]
+            else:
+                lines[at] = " ".join([edit] + lines[at].split()[1:])
         model_path.write_text("\n".join(lines) + "\n")
         graph = tmp_path / "graph.txt"
         graph.write_text("2 2 0\n1.0 0.5\n0.5 0.5\n1\n0 1\n")

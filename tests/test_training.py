@@ -1,14 +1,19 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import siggate.training as training
+from oracles import dataclass_probe_index, dump_text, hand_written_registry
 from siggate.attention import GateConfig, gate_param_count
 from siggate import autodiff as ad
-from siggate.gps import GraphBatch, GraphInstance, batch_forward, init_model, model_forward
-from siggate.numeric import SeededRng
+from siggate.gps import (
+    GraphBatch, GraphInstance, LayerNormParams, batch_forward, init_model, model_forward,
+    named_params,
+)
+from siggate.numeric import NonFiniteInputError, SeededRng
 from siggate.synthexp import make_toy_task
 from siggate.training import (
     DivergenceError,
@@ -193,6 +198,99 @@ class TestLossAndGradients:
         with pytest.raises(NonFiniteError, match="largest logit nan") as err:
             loss_and_gradients(model, params, batch)
         assert err.value.param_name == "layer0.ffn.w1"
+
+    def test_layer_norm_overflow_is_an_error_not_zeros(self, batch, monkeypatch):
+        # b2 = 1e308 overflows the variance of layer 0's second layer norm,
+        # which used to turn every row into zeros and give a finite loss.
+        def poisoned(*args, **kw):
+            model = init_model(*args, **kw)
+            model.layers[0].ffn.b2[0] = 1e308
+            return model
+
+        model = poisoned(SeededRng(3), d_in=4, d=16, n_heads=4, n_layers=2, gate=GateConfig())
+        monkeypatch.setattr(training, "init_model", poisoned)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteInputError, match="^layer_norm: row 0 has an infinite"):
+                model_forward(batch[0][0], model)
+            with pytest.raises(NonFiniteError, match="^layer_norm: row 0 has an infinite"):
+                loss_and_gradients(model, ParamSet.from_model(model), batch)
+            with pytest.raises(DivergenceError) as err:
+                train_toy(TrainConfig(epochs=2, n_layers=2, d=16, n_heads=4),
+                          make_toy_task(seed=3, n_graphs=4, nodes_per_graph=6))
+        assert err.value.epoch == 0
+
+
+WALK_CASES = [(placement, sharing) for placement in ("none", "g1", "g2", "g3")
+              for sharing in ("per_head", "shared")]
+
+
+def walk_model(placement, sharing):
+    """Three layers with edge features, a two-wide output and a sum readout."""
+    gate = GateConfig(placement=placement, sharing=sharing, activation="tanh")
+    return init_model(SeededRng(30), d_in=3, d=8, n_heads=2, n_layers=3, gate=gate, d_e=2,
+                      out_dim=2, readout="sum")
+
+
+class TestParamWalk:
+    """``named_params`` and what derives from it, against the hand-written
+    registry and dataclass walk it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_names_order_and_arrays_match_the_hand_written_registry(self, placement, sharing):
+        model = walk_model(placement, sharing)
+        want = hand_written_registry(model)
+        walk = list(named_params(model))
+        assert [name for name, *_ in walk] == list(want)
+        assert all(arr is want[name] for name, arr, *_ in walk)
+        params = ParamSet.from_model(model)
+        assert params.names == list(want)
+        assert all(params[name] is arr for name, arr in want.items())
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_probe_index_matches_the_dataclass_walk(self, placement, sharing):
+        model = walk_model(placement, sharing)
+        want = dataclass_probe_index(model)
+        got = training._probe_index(model)
+        # The dataclass walk also indexes the stacks, which no parameter name reaches.
+        stacks = {id(getattr(layer.attn, f)) for layer in model.layers
+                  for f in layer.attn.stacked_fields()}
+        assert set(want) - set(got) == stacks
+        assert got == {key: want[key] for key in got}
+
+    def test_an_array_read_under_two_names_keeps_every_branch(self, batch):
+        model = walk_model("g1", "per_head")
+        for layer in model.layers:
+            layer.ln2 = LayerNormParams(layer.ln1.scale, layer.ln1.shift)
+        model.layers[1].attn.w_o = model.layers[1].mpnn.w_val
+        model.layers[2].mpnn.w_val = model.layers[1].mpnn.w_val
+        want = dataclass_probe_index(model)
+        got = training._probe_index(model)
+        w_val = model.layers[1].mpnn.w_val
+        assert got[id(w_val)] == (1, frozenset({"mpnn", "w_o"}))
+        assert got[id(model.layers[0].ln1.scale)] == (0, frozenset({"combine"}))
+        assert got == {key: want[key] for key in got}
+        params = ParamSet.from_model(model)
+        assert all(params[name] is arr for name, arr in hand_written_registry(model).items())
+        graphs = [(GraphInstance(n=g.n, node_features=g.node_features[:, :3], edges=g.edges,
+                                 edge_features=np.ones((len(g.edges), 2))), np.ones(2))
+                  for g, _ in batch[:2]]
+        cache = training._PlainForwardCache(model, graphs, "mse")
+        for name in ("layer1.mpnn.w_val", "layer2.ln2.shift"):
+            arr = params[name]
+            old = arr.flat[0]
+            arr.flat[0] = old + 1e-3
+            assert cache.probe(arr)() == batch_loss(model, graphs, "mse"), name
+            arr.flat[0] = old
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_dump_bytes_follow_the_hand_written_order(self, tmp_path, placement, sharing):
+        model = walk_model(placement, sharing)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        want = dump_text(training._model_meta(model), hand_written_registry(model))
+        assert path.read_bytes() == want.encode()
+        save_model(load_model(path), tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == want.encode()
 
 
 def assert_rel_close(a, b, rel=1e-12):
@@ -608,6 +706,23 @@ class TestModelSerialization:
         del text[idx:idx + 1 + 16]
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ValueError, match="missing parameter"):
+            load_model(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("# n_layers = 0", "n_layers must be >= 1, got 0"),
+        ("# n_heads = 3", "d=16 is not divisible by n_heads=3"),
+        ("# readout = max", "readout must be one of"),
+        ("# d = 16000", "it describes a model larger than the 66 records"),
+        ("# n_layers = 1000000", "it describes a model larger than the 66 records"),
+    ])
+    def test_metadata_no_model_can_be_built_from_names_the_file(self, tmp_path, line, message):
+        path = tmp_path / "model.txt"
+        save_model(tiny_model(seed=24), path)
+        key = line.split("=")[0]
+        path.write_text("\n".join(line if ln.startswith(key) else ln
+                                  for ln in path.read_text().splitlines()) + "\n")
+        with pytest.raises(ValueError, match=(f"^model dump {re.escape(str(path))} has "
+                                              f"malformed metadata: .*{re.escape(message)}")):
             load_model(path)
 
     def test_loss_round_trips_through_batch_loss(self, tmp_path):
