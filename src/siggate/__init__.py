@@ -12,11 +12,9 @@ from .attention import (
     HeadParams,
     HeadTrace,
     MhsaParams,
-    compute_gate,
     gate_param_count,
     gated_head_forward,
     init_mhsa_params,
-    sdpa,
     siggate_mhsa,
 )
 from .diagnostics import (
@@ -46,9 +44,7 @@ from .gps import (
 from .numeric import (
     SeededRng,
     ShapeError,
-    elementwise,
     gaussian_matrix,
-    hadamard,
     matmul,
     row_softmax,
     top_singular_value,

@@ -34,13 +34,10 @@ __all__ = [
     "HeadParams",
     "MhsaParams",
     "HeadTrace",
-    "sdpa",
-    "compute_gate",
     "gated_head_forward",
     "siggate_mhsa",
     "merge_heads",
     "gate_param_count",
-    "init_head_params",
     "init_mhsa_params",
 ]
 
@@ -77,8 +74,9 @@ _GATE_FIELDS = ("w_g", "w_g2", "b_g")
 class HeadParams:
     """Projections for one attention head; gate fields unused when ungated.
 
-    Inside an :class:`MhsaParams` every field is a view of the head's slice
-    of the layer's stacked array.
+    The forward functions read a layer's :class:`MhsaParams`, never a lone
+    head: inside it every field is a view of the head's slice of the
+    layer's stacked array, and a single head is a layer with K = 1.
     """
 
     w_q: np.ndarray
@@ -153,14 +151,6 @@ class MhsaParams:
                 self.heads[i] = replace(head, **{name: members[0 if shared else i]})
         setattr(self, name, stack)
         self._views[name] = [members[0 if shared else i] for i in range(len(self.heads))]
-
-    @property
-    def d(self) -> int:
-        return self.heads[0].w_q.shape[0]
-
-    @property
-    def d_k(self) -> int:
-        return self.heads[0].w_q.shape[1]
 
 
 def _stack_of(arrays):
@@ -251,20 +241,9 @@ def _validate_gates(params: MhsaParams, d: int, d_k: int) -> None:
 # are those of a forward on that head alone.
 
 
-def _stacks(heads, names, lift):
-    """The lifted stacks ``names`` of a layer's :class:`MhsaParams`, or the
-    arrays of one :class:`HeadParams` as stacks of one."""
-    if isinstance(heads, HeadParams):
-        return [ad.reshape(lift(arr), (1,) + np.shape(arr))
-                for arr in (getattr(heads, name) for name in names)]
-    return [lift(getattr(heads, name)) for name in names]
-
-
-def _one_head(x, heads):
-    """Drop the head axis of a stack of one computed for a lone head."""
-    if isinstance(heads, HeadParams):
-        return ad.reshape(x, np.shape(ad.value(x))[1:])
-    return x
+def _stacks(params, names, lift):
+    """The lifted stacks ``names`` of a layer's :class:`MhsaParams`."""
+    return [lift(getattr(params, name)) for name in names]
 
 
 def _by_graph(x, n_graphs: int):
@@ -322,9 +301,9 @@ def _override_gate(shape, gate_override):
     raise ValueError(f"gate_override must be 'ones', 'zeros' or None, got {gate_override!r}")
 
 
-def _heads_pass(h, heads, cfg: GateConfig | None, mask, lift, gate_override, n_graphs):
+def _heads_pass(h, heads, cfg: GateConfig, mask, lift, gate_override, n_graphs):
     """``(output, attention, gate)`` stacks of every head under the placement."""
-    placement = cfg.placement if cfg is not None else "none"
+    placement = cfg.placement
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}")
     w_q, w_k, w_v = _stacks(heads, _QKV, lift)
@@ -349,41 +328,24 @@ def _heads_pass(h, heads, cfg: GateConfig | None, mask, lift, gate_override, n_g
     return out, attention, gate
 
 
-def sdpa(h, head, mask=None, *, lift=ad.no_tape, n_graphs: int = 1):
-    """Standard scaled dot-product attention.
-
-    Returns ``(attention, y)`` with ``attention = softmax(Q K^T / sqrt(d_k))``
-    (row-stochastic, masked entries exactly 0) and ``y = attention @ V``.
-    ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
-    nodes attend only within their own graph. For B > 1 the attention is
-    B x n x n; ``mask`` is N x n, the graphs' n x n masks stacked by rows.
-    ``head`` is one :class:`HeadParams`, or a layer's :class:`MhsaParams`
-    for the K-stacks of every head.
-    """
-    out, attention, _ = _heads_pass(h, head, None, mask, lift, None, n_graphs)
-    return _one_head(attention, head), _one_head(out, head)
-
-
-def compute_gate(h, head, activation: str, *, lift=ad.no_tape):
-    """Gate values ``act(H W_g + b_g)``: N x d_k for one :class:`HeadParams`,
-    G x N x d_k for a layer's :class:`MhsaParams`."""
-    gate = _value_gate(h, *_stacks(head, ("w_g", "b_g"), lift), activation)
-    return _one_head(gate, head)
-
-
-def gated_head_forward(h, heads, cfg: GateConfig, mask=None, *,
+def gated_head_forward(h, heads: MhsaParams, cfg: GateConfig, mask=None, *,
                        lift=ad.no_tape, gate_override=None, n_graphs: int = 1):
     """Every head's forward pass under the configured gate placement, at once.
 
     ``heads`` is a layer's :class:`MhsaParams`, whose stacks run all K heads
-    in one pass, or one :class:`HeadParams`, which runs as a stack of one.
-    Returns ``(output, traces)``: for a layer, the K x N x d_k output stack
-    and one :class:`HeadTrace` per head; for one head, its N x d_k output
-    and its trace. ``gate_override`` replaces the computed gate with exact
-    all-ones/all-zeros constants; it exists so the limit cases can be
-    expressed without pushing biases to saturation. ``h``, ``mask`` and
-    ``n_graphs`` are as in :func:`sdpa`; per head, the output and the g1/g2
-    gate are N x d_k, the attention and the g3 gate n x n per graph.
+    in one pass; a single head is a layer with K = 1. Returns ``(output,
+    traces)``: the K x N x d_k output stack and one :class:`HeadTrace` per
+    head. With placement ``none`` each head is plain scaled dot-product
+    attention, ``softmax(Q K^T / sqrt(d_k)) V``, whose attention rows are
+    stochastic with masked entries exactly 0. ``gate_override`` replaces the
+    computed gate with exact all-ones/all-zeros constants; it exists so the
+    limit cases can be expressed without pushing biases to saturation.
+
+    ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
+    nodes attend only within their own graph. ``mask`` is N x n, the graphs'
+    n x n masks stacked by rows. Per head, the output and the g1/g2 gate are
+    N x d_k, the attention and the g3 gate n x n per graph (B x n x n for
+    B > 1).
     """
     out, attention, gate = _heads_pass(h, heads, cfg, mask, lift, gate_override, n_graphs)
     out_v = np.asarray(ad.value(out))
@@ -395,8 +357,6 @@ def gated_head_forward(h, heads, cfg: GateConfig, mask=None, *,
                   output=out_v[k])
         for k in range(len(out_v))
     ]
-    if isinstance(heads, HeadParams):
-        return _one_head(out, heads), traces[0]
     return out, traces
 
 
@@ -406,8 +366,8 @@ def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, gate_over
 
     Returns ``(out, traces)`` where ``out`` is N x d_out and ``traces`` is
     one :class:`HeadTrace` per head in head order. ``h`` holds the rows of
-    ``n_graphs`` graphs of equal size (see :func:`sdpa`). All heads run as
-    one stacked pass (:func:`gated_head_forward` on ``params``).
+    ``n_graphs`` graphs of equal size (see :func:`gated_head_forward`). All
+    heads run as one stacked pass (:func:`gated_head_forward` on ``params``).
     """
     rows, n_features = ad.value(h).shape
     _validate_mhsa(n_features, params)
@@ -451,40 +411,31 @@ def _init_gate_arrays(rng: SeededRng, d: int, d_k: int, cfg: GateConfig,
     return w_g, w_g2, b_g
 
 
-def init_head_params(rng: SeededRng, d: int, d_k: int, cfg: GateConfig, *,
-                     gate_weight_std: float | None = None,
-                     shared_gate: tuple | None = None) -> HeadParams:
-    """Head init: Q/K/V Gaussian with std 1/sqrt(d); gate bias at ``bias_init``."""
-    std = 1.0 / np.sqrt(d)
-    w_q = gaussian_matrix(rng, d, d_k, std)
-    w_k = gaussian_matrix(rng, d, d_k, std)
-    w_v = gaussian_matrix(rng, d, d_k, std)
-    head = HeadParams(w_q, w_k, w_v)
-    if cfg.placement != "none":
-        if shared_gate is not None:
-            head.w_g, head.w_g2, head.b_g = shared_gate
-        else:
-            head.w_g, head.w_g2, head.b_g = _init_gate_arrays(rng, d, d_k, cfg, gate_weight_std)
-    return head
-
-
 def init_mhsa_params(rng: SeededRng, d: int, n_heads: int, cfg: GateConfig, *,
                      d_k: int | None = None,
                      gate_weight_std: float | None = None) -> MhsaParams:
-    """Build MHSA parameters. ``d_k`` defaults to d / n_heads (must divide)."""
+    """Build MHSA parameters. ``d_k`` defaults to d / n_heads (must divide).
+
+    Q/K/V are Gaussian with std 1/sqrt(d), the gate bias sits at
+    ``bias_init``. The draws run head by head: a shared gate first, then
+    each head's Q, K, V and its own gate, then W_O.
+    """
     if n_heads < 1:
         raise ValueError(f"n_heads must be >= 1, got {n_heads}")
     if d_k is None:
         if d % n_heads != 0:
             raise ValueError(f"d={d} is not divisible by n_heads={n_heads}; pass d_k explicitly")
         d_k = d // n_heads
-    shared_gate = None
-    if cfg.placement != "none" and cfg.sharing == "shared":
-        shared_gate = _init_gate_arrays(rng, d, d_k, cfg, gate_weight_std)
-    heads = [
-        init_head_params(rng, d, d_k, cfg, gate_weight_std=gate_weight_std,
-                         shared_gate=shared_gate)
-        for _ in range(n_heads)
-    ]
-    w_o = gaussian_matrix(rng, n_heads * d_k, d, 1.0 / np.sqrt(d))
+    gated = cfg.placement != "none"
+    shared_gate = (_init_gate_arrays(rng, d, d_k, cfg, gate_weight_std)
+                   if gated and cfg.sharing == "shared" else None)
+    std = 1.0 / np.sqrt(d)
+    heads = []
+    for _ in range(n_heads):
+        head = HeadParams(*(gaussian_matrix(rng, d, d_k, std) for _ in _QKV))
+        if gated:
+            head.w_g, head.w_g2, head.b_g = shared_gate or _init_gate_arrays(
+                rng, d, d_k, cfg, gate_weight_std)
+        heads.append(head)
+    w_o = gaussian_matrix(rng, n_heads * d_k, d, std)
     return MhsaParams(heads=heads, w_o=w_o, gate=cfg)

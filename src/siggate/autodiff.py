@@ -487,6 +487,4 @@ def apply_activation(name: str, x):
         return relu(x)
     if name == "sigmoid_squared":
         return square(sigmoid(x))
-    if name == "identity":
-        return x
     raise ValueError(f"unknown activation {name!r}")

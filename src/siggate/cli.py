@@ -30,7 +30,7 @@ from .diagnostics import (
     write_diagnostics_json,
 )
 from .gps import init_model, model_forward, read_graph
-from .numeric import NonFiniteInputError, SeededRng, fmt_exact
+from .numeric import NonFiniteInputError, SeededRng, write_csv
 from .synthexp import (
     GATE_MEAN_TOL,
     GATE_STD_TOL,
@@ -87,7 +87,15 @@ def _train_config(cfg: RunConfig, gate: GateConfig, lr=None, seed=None) -> Train
     )
 
 
+def _require_scalar_target(cfg: RunConfig) -> None:
+    """The toy target is one number per graph: trained and checked models have one output."""
+    if cfg["model.out_dim"] != 1:
+        raise ConfigError(f"model.out_dim must be 1 for the toy task's scalar target, "
+                          f"got {cfg['model.out_dim']}")
+
+
 def _task(cfg: RunConfig, seed=None):
+    _require_scalar_target(cfg)
     return make_toy_task(
         seed=cfg["task.seed"] if seed is None else seed,
         n_graphs=cfg["task.n_graphs"],
@@ -228,10 +236,16 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     maximum is reported alongside (coordinates whose true gradient sits
     below the h=1e-5 noise floor inflate it without indicating a bug).
     """
+    _require_scalar_target(cfg)
     jobs = [(p, a, cfg) for p, a in _gradcheck_cells(cfg)]
+    if not jobs:
+        key = "gradcheck.activations" if cfg["gradcheck.placements"] else "gradcheck.placements"
+        raise ConfigError(f"{key} selects no grad-check cell; nothing would be checked")
+    if not cfg["gradcheck.exhaustive"] and cfg["gradcheck.samples"] < 1:
+        raise ConfigError(f"gradcheck.samples must be >= 1 when gradcheck.exhaustive is "
+                          f"false, got {cfg['gradcheck.samples']}")
     tol = cfg["gradcheck.tolerance"]
-    lines = ["placement,activation,n_checked,param_rel_max,worst_param,coord_rel_max,"
-             "worst_coord,status"]
+    rows = []
     ok = True
     with _Pool(parallel) as map_fn:
         results = list(map_fn(_gradcheck_one, jobs))
@@ -243,14 +257,12 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
               f"param_rel {report.max_param_rel:.3e} ({report.worst_param_by_norm}) "
               f"coord_rel {report.max_rel_err:.3e} ({report.worst_param}) "
               f"[{report.n_checked} coords] {status}")
-        lines.append(",".join([
-            placement, activation, str(report.n_checked),
-            fmt_exact(report.max_param_rel), report.worst_param_by_norm,
-            fmt_exact(report.max_rel_err), f"{report.worst_param}[{report.worst_index}]",
-            status,
-        ]))
-    with open(os.path.join(out_dir, "gradcheck_report.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append((placement, activation, report.n_checked, report.max_param_rel,
+                     report.worst_param_by_norm, report.max_rel_err,
+                     f"{report.worst_param}[{report.worst_index}]", status))
+    write_csv(os.path.join(out_dir, "gradcheck_report.csv"),
+              "placement,activation,n_checked,param_rel_max,worst_param,coord_rel_max,"
+              "worst_coord,status", rows)
     _echo_config(cfg, out_dir)
     print(f"result: {'PASS' if ok else 'FAIL'} (tolerance {tol:g})")
     return EXIT_OK if ok else EXIT_BAND
@@ -298,17 +310,13 @@ def _write_cell_history(out_dir, label_fields, summary) -> None:
                       os.path.join(hist_dir, name))
 
 
-def _cell_row(label_fields, summary) -> str:
+def _cell_row(label_fields, summary) -> list:
     if summary["status"] != "ok":
-        return ",".join(list(label_fields) + [summary["status"]] + ["nan"] * 6)
-    return ",".join(
-        list(label_fields)
-        + ["ok"]
-        + [fmt_exact(summary[k]) for k in ("final_train_loss", "final_test_loss",
-                                      "mad_last", "entropy_last")]
-        + [fmt_exact(summary.get("gate_mean", float("nan"))),
-           fmt_exact(summary.get("gate_std", float("nan")))]
-    )
+        return list(label_fields) + [summary["status"]] + ["nan"] * 6
+    return list(label_fields) + ["ok"] + [
+        summary.get(k, float("nan")) for k in ("final_train_loss", "final_test_loss",
+                                               "mad_last", "entropy_last", "gate_mean",
+                                               "gate_std")]
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
@@ -330,16 +338,16 @@ def cmd_ablate(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
                              _train_config(cfg, gate), task))
     with _Pool(parallel) as map_fn:
         results = list(map_fn(_train_cell, jobs))
-    lines = ["placement,sharing,activation,status,final_train_loss,final_test_loss,"
-             "mad_last,entropy_last,gate_mean,gate_std"]
+    rows = []
     for label, summary in results:
-        lines.append(_cell_row(label, summary))
+        rows.append(_cell_row(label, summary))
         _write_cell_history(out_dir, label, summary)
         loss_txt = ("diverged" if summary["status"] != "ok"
                     else f"test loss {summary['final_test_loss']:.4f}")
         print(f"ablate {label[0]:>4}/{label[1]:<8}/{label[2]:<15} {loss_txt}")
-    with open(os.path.join(out_dir, "ablation.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(out_dir, "ablation.csv"),
+              "placement,sharing,activation,status,final_train_loss,final_test_loss,"
+              "mad_last,entropy_last,gate_mean,gate_std", rows)
     _echo_config(cfg, out_dir)
     return EXIT_OK
 
@@ -358,11 +366,10 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
             jobs.append(((kind, f"{lr:g}"), _train_config(cfg, gate, lr=lr), task))
     with _Pool(parallel) as map_fn:
         results = list(map_fn(_train_cell, jobs))
-    lines = ["model,lr,status,final_train_loss,final_test_loss,mad_last,entropy_last,"
-             "gate_mean,gate_std"]
+    rows = []
     ranges = {}
     for (kind, lr_txt), summary in results:
-        lines.append(_cell_row((kind, lr_txt), summary))
+        rows.append(_cell_row((kind, lr_txt), summary))
         _write_cell_history(out_dir, (kind, lr_txt), summary)
         if summary["status"] == "ok":
             ranges.setdefault(kind, []).append(summary["final_test_loss"])
@@ -370,22 +377,19 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
                   f"{summary['final_test_loss']:.4f}")
         else:
             print(f"lr-sweep {kind:>7} lr={lr_txt:<7} {summary['status']}")
-    summary_lines = ["model,n_completed,loss_min,loss_max,range"]
+    summary_rows = []
     for kind in ("gated", "ungated"):
         vals = ranges.get(kind, [])
         if vals:
-            summary_lines.append(",".join([
-                kind, str(len(vals)), fmt_exact(min(vals)), fmt_exact(max(vals)),
-                fmt_exact(max(vals) - min(vals)),
-            ]))
+            summary_rows.append((kind, len(vals), min(vals), max(vals), max(vals) - min(vals)))
             print(f"lr-sweep {kind:>7} range = {max(vals) - min(vals):.4f} "
                   f"over {len(vals)} completed cells")
         else:
-            summary_lines.append(f"{kind},0,nan,nan,nan")
-    with open(os.path.join(out_dir, "lr_sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "lr_sweep_summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary_lines) + "\n")
+            summary_rows.append((kind, 0, "nan", "nan", "nan"))
+    write_csv(os.path.join(out_dir, "lr_sweep.csv"), "model,lr,status,final_train_loss,"
+              "final_test_loss,mad_last,entropy_last,gate_mean,gate_std", rows)
+    write_csv(os.path.join(out_dir, "lr_sweep_summary.csv"),
+              "model,n_completed,loss_min,loss_max,range", summary_rows)
     _echo_config(cfg, out_dir)
     return EXIT_OK
 

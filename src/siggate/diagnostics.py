@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gps import LayerTrace
-from .numeric import NonFiniteInputError, fmt_exact, top_singular_value
+from .numeric import NonFiniteInputError, top_singular_value, write_csv
 
 __all__ = [
     "GateStats",
@@ -201,23 +201,14 @@ def write_diagnostics_csv(path, profile: DepthProfile, per_layer, pooled) -> Non
     Gate columns are 'nan' for ungated models. ``per_layer``/``pooled`` may
     be None in that case.
     """
-    lines = ["layer,mad,entropy,gate_mean,gate_std,gate_below,gate_above"]
-    for i, (m, e) in enumerate(zip(profile.mad, profile.entropy)):
-        gs = per_layer[i] if per_layer else None
-        cells = [str(i), fmt_exact(m), fmt_exact(e)]
-        if gs is None:
-            cells += ["nan"] * 4
-        else:
-            cells += [fmt_exact(v) for v in (gs.mean, gs.std, gs.frac_below, gs.frac_above)]
-        lines.append(",".join(cells))
+    def gate_cells(gs):
+        return ["nan"] * 4 if gs is None else [gs.mean, gs.std, gs.frac_below, gs.frac_above]
+
+    rows = [[i, m, e] + gate_cells(per_layer[i] if per_layer else None)
+            for i, (m, e) in enumerate(zip(profile.mad, profile.entropy))]
     if pooled is not None:
-        lines.append(",".join([
-            "pooled", "nan", "nan",
-            fmt_exact(pooled.mean), fmt_exact(pooled.std),
-            fmt_exact(pooled.frac_below), fmt_exact(pooled.frac_above),
-        ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append(["pooled", "nan", "nan"] + gate_cells(pooled))
+    write_csv(path, "layer,mad,entropy,gate_mean,gate_std,gate_below,gate_above", rows)
 
 
 def diagnostics_report(profile: DepthProfile, per_layer, pooled) -> dict:

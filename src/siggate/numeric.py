@@ -18,13 +18,11 @@ __all__ = [
     "SeededRng",
     "matmul",
     "row_softmax",
-    "elementwise",
     "sigmoid",
-    "hadamard",
     "top_singular_value",
     "gaussian_matrix",
     "fmt_exact",
-    "ACTIVATIONS",
+    "write_csv",
 ]
 
 
@@ -166,33 +164,6 @@ def sigmoid(x) -> np.ndarray:
     return np.maximum(e, x >= 0.0) / (1.0 + e)
 
 
-ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "relu": lambda x: np.maximum(np.asarray(x, dtype=np.float64), 0.0),
-    "sigmoid_squared": lambda x: sigmoid(x) ** 2,
-    "identity": lambda x: np.asarray(x, dtype=np.float64),
-}
-
-
-def elementwise(op: str, m) -> np.ndarray:
-    """Apply a named nonlinearity entrywise."""
-    try:
-        fn = ACTIVATIONS[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}; known: {sorted(ACTIVATIONS)}") from None
-    return fn(np.asarray(m, dtype=np.float64))
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two same-shaped matrices."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
-    return a * b
-
-
 _TINY = np.finfo(float).tiny
 
 
@@ -251,3 +222,22 @@ def gaussian_matrix(rng: SeededRng, rows: int, cols: int, std: float) -> np.ndar
 def fmt_exact(x) -> str:
     """``x`` as text with 17 significant digits, which reads back as the same float64."""
     return format(float(x), ".17g")
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one comma-separated line per row of ``rows``.
+
+    Text cells are written as they are, integers in decimal and every other
+    number through :func:`fmt_exact`, so each value reads back as the same
+    float64. Each line, the last included, ends in a newline.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def _csv_cell(c) -> str:
+    if isinstance(c, str):
+        return c
+    return str(c) if isinstance(c, (int, np.integer)) else fmt_exact(c)

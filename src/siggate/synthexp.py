@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import stable_rank
 from .gps import GraphInstance
-from .numeric import SeededRng, fmt_exact, gaussian_matrix, row_softmax, sigmoid
+from .numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid, write_csv
 
 __all__ = [
     "RankExpConfig",
@@ -401,32 +401,20 @@ def make_toy_task(seed: int, n_graphs: int = 24, nodes_per_graph: int = 8,
 
 
 def write_seed_csv(path, cells: list[SweepCell]) -> None:
-    lines = ["config_id,c,rho,seed,srank_ungated,srank_gated,rel_gain"]
-    for cell in cells:
-        for s in cell.result.per_seed:
-            lines.append(",".join([
-                cell.config_id, fmt_exact(cell.c), fmt_exact(cell.rho), str(s.seed),
-                fmt_exact(s.srank_ungated), fmt_exact(s.srank_gated), fmt_exact(s.relative_gain),
-            ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "config_id,c,rho,seed,srank_ungated,srank_gated,rel_gain", (
+        (cell.config_id, cell.c, cell.rho, s.seed, s.srank_ungated, s.srank_gated,
+         s.relative_gain)
+        for cell in cells for s in cell.result.per_seed
+    ))
 
 
 def write_aggregate_csv(path, cells: list[SweepCell]) -> None:
-    lines = [
-        "config_id,c,rho,srank_ungated_mean,srank_ungated_std,"
-        "srank_gated_mean,srank_gated_std,rel_gain_mean,rel_gain_std,"
-        "gate_mean,gate_std"
-    ]
+    rows = []
     for cell in cells:
-        res = cell.result
-        u_mean, u_std = res.mean_std("srank_ungated")
-        g_mean, g_std = res.mean_std("srank_gated")
-        lines.append(",".join([
-            cell.config_id, fmt_exact(cell.c), fmt_exact(cell.rho),
-            fmt_exact(u_mean), fmt_exact(u_std), fmt_exact(g_mean), fmt_exact(g_std),
-            fmt_exact(res.mean_gain), fmt_exact(res.std_gain),
-            fmt_exact(res.attained_gate_mean), fmt_exact(res.attained_gate_std),
-        ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        r = cell.result
+        rows.append((cell.config_id, cell.c, cell.rho, *r.mean_std("srank_ungated"),
+                     *r.mean_std("srank_gated"), r.mean_gain, r.std_gain,
+                     r.attained_gate_mean, r.attained_gate_std))
+    write_csv(path, "config_id,c,rho,srank_ungated_mean,srank_ungated_std,"
+              "srank_gated_mean,srank_gated_std,rel_gain_mean,rel_gain_std,"
+              "gate_mean,gate_std", rows)

@@ -31,7 +31,7 @@ from .gps import (
     mpnn_forward,
     named_params,
 )
-from .numeric import NonFiniteInputError, SeededRng, fmt_exact
+from .numeric import NonFiniteInputError, SeededRng, fmt_exact, write_csv
 
 __all__ = [
     "ParamSet",
@@ -151,6 +151,8 @@ def _graph_groups(batch):
     """The (graph, target) pairs grouped by node count, in order of first
     appearance: per group, the pairs' positions in ``batch``, their
     :class:`GraphBatch` and their targets as a B x out_dim matrix."""
+    if not batch:
+        raise ValueError("batch must be non-empty")
     positions: dict[int, list[int]] = {}
     for i, (graph, _) in enumerate(batch):
         positions.setdefault(graph.n, []).append(i)
@@ -207,8 +209,6 @@ def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
     Raises :class:`NonFiniteError` (naming the offending parameter) if the
     loss, an attention logit or any gradient is non-finite.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
     lifter = _Lifter(model)
     total = None
     try:
@@ -358,13 +358,15 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
                             seed: int = 0, loss: str = "mse") -> FdReport:
     """Compare analytic gradients against central finite differences.
 
-    ``sample`` coordinates are drawn per parameter (deterministically from
-    ``seed``); ``sample=None`` checks every coordinate. Each perturbed loss
+    ``sample`` >= 1 coordinates are drawn per parameter (deterministically
+    from ``seed``); ``sample=None`` checks every coordinate. Each perturbed loss
     re-runs the model only from the first branch that reads the perturbed
     array; it equals the full :func:`batch_loss` bitwise.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"h must lie in [1e-7, 1e-3], got {h}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1 (or None for every coordinate), got {sample}")
     _, grads = loss_and_gradients(model, params, batch, loss=loss)
     cache = _PlainForwardCache(model, batch, loss)
     rng = SeededRng(seed)
@@ -521,7 +523,11 @@ class TrainHistory:
 
 
 def train_toy(cfg: TrainConfig, task) -> TrainHistory:
-    """Full-batch AdamW training on a synthetic task; deterministic in seed."""
+    """Full-batch AdamW training on a synthetic task; deterministic in seed.
+    Both splits of ``task`` must hold graphs."""
+    if not task.train or not task.test:
+        raise ValueError(f"toy training needs graphs in both splits; the task has "
+                         f"{len(task.train)} train and {len(task.test)} test graphs")
     d_in = task.train[0][0].d_in
     model = init_model(
         SeededRng(cfg.seed), d_in=d_in, d=cfg.d, n_heads=cfg.n_heads,
@@ -554,11 +560,8 @@ def train_toy(cfg: TrainConfig, task) -> TrainHistory:
 def write_history_csv(history: TrainHistory, path) -> None:
     """One ``epoch,loss,lr`` row per epoch of ``history`` (a
     :class:`TrainHistory`, or anything with ``losses`` and ``lrs``)."""
-    lines = ["epoch,loss,lr"]
-    for i, (loss, lr) in enumerate(zip(history.losses, history.lrs)):
-        lines.append(f"{i},{fmt_exact(loss)},{fmt_exact(lr)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ((i, loss, lr) for i, (loss, lr) in enumerate(zip(history.losses, history.lrs)))
+    write_csv(path, "epoch,loss,lr", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ rank study run one (c, rho) cell at a time, each cell drawing its seeds
 from scratch. It also keeps the hand-written descriptions of the model's
 parameters that ``gps.named_params`` replaced: the parameter registry
 written out name by name, and the probe index built by walking the
-parameter dataclasses.
+parameter dataclasses. For attention it keeps the gate activations as
+plain numpy, one head's forward pass written out op by op, and the
+head-by-head draws of ``attention.init_mhsa_params``.
 """
 
 import numpy as np
 
 from dataclasses import fields, is_dataclass
 
+from siggate.attention import HeadParams
 from siggate.numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
 from siggate.synthexp import calibrate_gate
 
@@ -233,3 +236,71 @@ def dump_text(meta, registry):
         lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
         lines += [" ".join(format(float(x), ".17g") for x in row) for row in mat]
     return "\n".join(lines) + "\n"
+
+
+GATE_ACTIVATIONS = {
+    "sigmoid": two_branch_sigmoid,
+    "tanh": np.tanh,
+    "relu": lambda x: np.maximum(np.asarray(x, dtype=np.float64), 0.0),
+    "sigmoid_squared": lambda x: two_branch_sigmoid(x) ** 2,
+}
+
+
+def masked_softmax(logits, mask=None):
+    """Row softmax after max subtraction; masked entries come out exactly 0."""
+    z = np.asarray(logits, dtype=np.float64)
+    if mask is not None:
+        z = np.where(mask, z, -np.inf)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def head_forward(h, head, placement, activation="sigmoid", mask=None):
+    """One head on one graph, op by op in the library's order: ``(output,
+    attention, gate)`` with ``gate`` None for placement ``none``."""
+    act = GATE_ACTIVATIONS[activation]
+    inv_sqrt_dk = 1.0 / np.sqrt(head.w_q.shape[1])
+    logits = ((h @ head.w_q) @ (h @ head.w_k).T) * inv_sqrt_dk
+    v = h @ head.w_v
+    gate = None
+    if placement == "g3":
+        gate = act(((h @ head.w_g) @ (h @ head.w_g2).T) * inv_sqrt_dk + head.b_g[0])
+        logits = gate * logits
+    attention = masked_softmax(logits, mask)
+    if placement == "g2":
+        gate = act(h @ head.w_g + head.b_g)
+        v = gate * v
+    out = attention @ v
+    if placement == "g1":
+        gate = act(h @ head.w_g + head.b_g)
+        out = out * gate
+    return out, attention, gate
+
+
+def head_by_head_init(rng, d, n_heads, cfg, gate_weight_std=None):
+    """``(heads, w_o)`` drawn as a layer's init draws them: a shared gate
+    first, then per head Q, K, V (std 1/sqrt(d)) and the head's own gate
+    (W_g, for g3 also W_g2, and a bias at ``bias_init`` that draws
+    nothing), then W_O. A gate weight std of 0 gives zeros and draws
+    nothing."""
+    d_k = d // n_heads
+    std = 1.0 / np.sqrt(d)
+    g_std = std if gate_weight_std is None else gate_weight_std
+    g3 = cfg.placement == "g3"
+
+    def gate():
+        if g_std:
+            w_g = gaussian_matrix(rng, d, d_k, g_std)
+            w_g2 = gaussian_matrix(rng, d, d_k, g_std) if g3 else None
+        else:
+            w_g, w_g2 = np.zeros((d, d_k)), np.zeros((d, d_k)) if g3 else None
+        return w_g, w_g2, np.full(1 if g3 else d_k, float(cfg.bias_init))
+
+    gated = cfg.placement != "none"
+    shared = gate() if gated and cfg.sharing == "shared" else None
+    heads = []
+    for _ in range(n_heads):
+        qkv = [gaussian_matrix(rng, d, d_k, std) for _ in range(3)]
+        g = (shared or gate()) if gated else (None, None, None)
+        heads.append(HeadParams(*qkv, *g))
+    return heads, gaussian_matrix(rng, n_heads * d_k, d, std)

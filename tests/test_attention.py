@@ -3,28 +3,18 @@ import copy
 import numpy as np
 import pytest
 
+from oracles import GATE_ACTIVATIONS as ACTIVATION_ORACLES, head_by_head_init, head_forward
 from siggate.attention import (
     GATE_ACTIVATIONS,
     GateConfig,
     HeadParams,
     MhsaParams,
-    compute_gate,
     gate_param_count,
     gated_head_forward,
-    init_head_params,
     init_mhsa_params,
-    sdpa,
     siggate_mhsa,
 )
-from siggate.numeric import (
-    SeededRng,
-    ShapeError,
-    elementwise,
-    gaussian_matrix,
-    hadamard,
-    matmul,
-    row_softmax,
-)
+from siggate.numeric import SeededRng, ShapeError, gaussian_matrix
 
 
 def make_head(rng, d, d_k, gated=True, g3=False):
@@ -44,13 +34,25 @@ def make_head(rng, d, d_k, gated=True, g3=False):
     return head
 
 
+def run_head(h, head, placement="none", activation="sigmoid", mask=None, **kwargs):
+    """One head's output and :class:`HeadTrace`, run as a layer of K = 1
+    (the layer stacks copies of the head's arrays)."""
+    cfg = GateConfig(placement=placement, activation=activation)
+    layer = MhsaParams(heads=[head], w_o=np.eye(head.w_q.shape[1]), gate=cfg)
+    out, traces = gated_head_forward(h, layer, cfg, mask, **kwargs)
+    assert out.shape[0] == 1 and len(traces) == 1
+    return out[0], traces[0]
+
+
 class TestSdpa:
+    """Placement ``none`` is plain scaled dot-product attention."""
+
     def test_single_node_forced_attention(self):
         rng = SeededRng(0)
         head = make_head(rng, 4, 2, gated=False)
         h = gaussian_matrix(rng, 1, 4, 1.0)
-        attn, y = sdpa(h, head)
-        assert np.array_equal(attn, [[1.0]])
+        y, trace = run_head(h, head)
+        assert np.array_equal(trace.attention, [[1.0]])
         assert y.shape == (1, 2)
 
     def test_zero_values_give_zero_output(self):
@@ -58,7 +60,7 @@ class TestSdpa:
         head = make_head(rng, 4, 2, gated=False)
         head.w_v = np.zeros((4, 2))
         h = gaussian_matrix(rng, 5, 4, 1.0)
-        _, y = sdpa(h, head)
+        y, _ = run_head(h, head)
         assert np.array_equal(y, np.zeros((5, 2)))
 
     def test_two_node_scalar_hand_computation(self):
@@ -66,32 +68,34 @@ class TestSdpa:
         h = np.array([[1.0], [2.0]])
         head = HeadParams(w_q=np.array([[0.3]]), w_k=np.array([[-0.7]]),
                           w_v=np.array([[1.1]]))
-        attn, y = sdpa(h, head)
+        y, trace = run_head(h, head)
         q = h * 0.3
         k = h * -0.7
         v = h * 1.1
         logits = q @ k.T / 1.0
         expected_attn = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected_attn /= expected_attn.sum(axis=1, keepdims=True)
-        assert np.allclose(attn, expected_attn, atol=1e-15)
+        assert np.allclose(trace.attention, expected_attn, atol=1e-15)
         assert np.allclose(y, expected_attn @ v, atol=1e-15)
 
     def test_rows_are_stochastic(self):
         rng = SeededRng(2)
         head = make_head(rng, 8, 4, gated=False)
         h = gaussian_matrix(rng, 6, 8, 1.0)
-        attn, _ = sdpa(h, head)
-        assert np.max(np.abs(attn.sum(axis=1) - 1.0)) <= 1e-12
+        _, trace = run_head(h, head)
+        assert np.max(np.abs(trace.attention.sum(axis=1) - 1.0)) <= 1e-12
 
 
 class TestComputeGate:
+    """The g1 gate values ``act(H W_g + b_g)``, read from the head's trace."""
+
     def test_zero_weights_bias_half_sigmoid(self):
         rng = SeededRng(3)
         head = make_head(rng, 4, 3)
         head.w_g = np.zeros((4, 3))
         h = gaussian_matrix(rng, 5, 4, 1.0)
-        gate = compute_gate(h, head, "sigmoid")
-        assert np.allclose(gate, 0.6224593312018546, atol=1e-12)
+        _, trace = run_head(h, head, "g1")
+        assert np.allclose(trace.gate, 0.6224593312018546, atol=1e-12)
 
     def test_zero_bias_gives_half(self):
         rng = SeededRng(4)
@@ -99,18 +103,23 @@ class TestComputeGate:
         head.w_g = np.zeros((4, 3))
         head.b_g = np.zeros(3)
         h = gaussian_matrix(rng, 5, 4, 1.0)
-        assert np.allclose(compute_gate(h, head, "sigmoid"), 0.5, atol=0)
+        _, trace = run_head(h, head, "g1")
+        assert np.allclose(trace.gate, 0.5, atol=0)
 
-    def test_identity_activation_is_projection(self):
+    def test_identity_projection_gates_by_the_activation_of_the_input(self):
         rng = SeededRng(5)
         head = make_head(rng, 4, 4)
         head.w_g = np.eye(4)
         head.b_g = np.zeros(4)
         h = gaussian_matrix(rng, 5, 4, 1.0)
-        assert np.allclose(compute_gate(h, head, "identity"), h, atol=0)
+        for activation in GATE_ACTIVATIONS:
+            _, trace = run_head(h, head, "g1", activation)
+            assert np.array_equal(trace.gate, ACTIVATION_ORACLES[activation](h))
 
 
 class TestGatedHeadForward:
+    """One head, run as a K = 1 layer, against the op-by-op oracle."""
+
     def setup_method(self):
         rng = SeededRng(6)
         self.h = gaussian_matrix(rng, 6, 8, 1.0)
@@ -118,48 +127,56 @@ class TestGatedHeadForward:
         self.head_g3 = make_head(SeededRng(6).child(1), 8, 4, g3=True)
 
     def test_placement_none_equals_sdpa(self):
-        out, trace = gated_head_forward(self.h, self.head, GateConfig(placement="none"))
-        _, y = sdpa(self.h, self.head)
+        out, trace = run_head(self.h, self.head, "none")
+        y, attn, _ = head_forward(self.h, self.head, "none")
         assert np.array_equal(out, y)
+        assert np.array_equal(trace.attention, attn)
         assert trace.gate is None
 
     def test_g1_ones_override_is_bitwise_ungated(self):
-        out, _ = gated_head_forward(self.h, self.head, GateConfig(placement="g1"),
-                                    gate_override="ones")
-        _, y = sdpa(self.h, self.head)
+        out, _ = run_head(self.h, self.head, "g1", gate_override="ones")
+        y, _ = run_head(self.h, self.head, "none")
         assert np.array_equal(out, y)
 
     def test_g1_zeros_override_kills_output(self):
-        out, _ = gated_head_forward(self.h, self.head, GateConfig(placement="g1"),
-                                    gate_override="zeros")
+        out, _ = run_head(self.h, self.head, "g1", gate_override="zeros")
         assert np.array_equal(out, np.zeros((6, 4)))
 
     def test_g1_matches_numeric_composition(self):
-        out, trace = gated_head_forward(self.h, self.head, GateConfig(placement="g1"))
-        attn = row_softmax(matmul(self.h, self.head.w_q) @ matmul(self.h, self.head.w_k).T
-                           / np.sqrt(4))
-        y = matmul(attn, matmul(self.h, self.head.w_v))
-        gate = elementwise("sigmoid", matmul(self.h, self.head.w_g) + self.head.b_g)
-        assert np.allclose(out, hadamard(y, gate), atol=1e-14)
-        assert np.allclose(trace.attention, attn, atol=1e-14)
+        out, trace = run_head(self.h, self.head, "g1")
+        y, attn, gate = head_forward(self.h, self.head, "g1")
+        assert np.array_equal(out, y)
+        assert np.array_equal(trace.attention, attn)
+        assert np.array_equal(trace.gate, gate)
 
     def test_g2_matches_numeric_composition(self):
-        out, _ = gated_head_forward(self.h, self.head, GateConfig(placement="g2"))
-        attn = row_softmax(matmul(self.h, self.head.w_q) @ matmul(self.h, self.head.w_k).T
-                           / np.sqrt(4))
-        gate = elementwise("sigmoid", matmul(self.h, self.head.w_g) + self.head.b_g)
-        expected = matmul(attn, hadamard(gate, matmul(self.h, self.head.w_v)))
-        assert np.allclose(out, expected, atol=1e-14)
+        out, trace = run_head(self.h, self.head, "g2")
+        y, _, gate = head_forward(self.h, self.head, "g2")
+        assert np.array_equal(out, y)
+        assert np.array_equal(trace.gate, gate)
 
     def test_g3_matches_numeric_composition(self):
         head = self.head_g3
-        out, trace = gated_head_forward(self.h, head, GateConfig(placement="g3"))
-        raw = matmul(self.h, head.w_q) @ matmul(self.h, head.w_k).T / np.sqrt(4)
-        bilinear = matmul(self.h, head.w_g) @ matmul(self.h, head.w_g2).T / np.sqrt(4)
-        gate = elementwise("sigmoid", bilinear + head.b_g[0])
-        attn = row_softmax(hadamard(gate, raw))
+        out, trace = run_head(self.h, head, "g3")
+        y, attn, gate = head_forward(self.h, head, "g3")
         assert trace.gate.shape == (6, 6)
-        assert np.allclose(out, matmul(attn, matmul(self.h, head.w_v)), atol=1e-14)
+        assert np.array_equal(out, y)
+        assert np.array_equal(trace.attention, attn)
+        assert np.array_equal(trace.gate, gate)
+
+    @pytest.mark.parametrize("placement", ["none", "g1", "g2", "g3"])
+    @pytest.mark.parametrize("activation", GATE_ACTIVATIONS)
+    def test_every_cell_equals_the_oracle_bitwise(self, placement, activation):
+        head = self.head_g3 if placement == "g3" else self.head
+        mask = np.ones((6, 6), dtype=bool)
+        mask[0, 3:] = mask[4, :2] = False
+        for m in (None, mask):
+            out, trace = run_head(self.h, head, placement, activation, m)
+            y, attn, gate = head_forward(self.h, head, placement, activation, m)
+            assert np.array_equal(out, y)
+            assert np.array_equal(trace.attention, attn)
+            assert (trace.gate is None) == (gate is None)
+            assert gate is None or np.array_equal(trace.gate, gate)
 
     def test_g3_requires_second_projection(self):
         cfg = GateConfig(placement="g3")
@@ -171,16 +188,16 @@ class TestGatedHeadForward:
     def test_attention_rows_stochastic_for_all_placements(self):
         for placement, head in (("none", self.head), ("g1", self.head),
                                 ("g2", self.head), ("g3", self.head_g3)):
-            _, trace = gated_head_forward(self.h, head, GateConfig(placement=placement))
+            _, trace = run_head(self.h, head, placement)
             assert np.max(np.abs(trace.attention.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_sigmoid_gate_strictly_inside_unit_interval(self):
-        _, trace = gated_head_forward(self.h, self.head, GateConfig(placement="g1"))
+        _, trace = run_head(self.h, self.head, "g1")
         assert np.all(trace.gate > 0.0) and np.all(trace.gate < 1.0)
 
     def test_g1_never_amplifies_ungated_output(self):
-        out, _ = gated_head_forward(self.h, self.head, GateConfig(placement="g1"))
-        _, y = sdpa(self.h, self.head)
+        out, _ = run_head(self.h, self.head, "g1")
+        y, _ = run_head(self.h, self.head, "none")
         assert np.all(np.abs(out) <= np.abs(y) + 1e-15)
 
 
@@ -191,7 +208,7 @@ class TestSiggateMhsa:
         params.w_o = np.eye(6)
         h = gaussian_matrix(rng, 5, 6, 1.0)
         out, traces = siggate_mhsa(h, params)
-        _, y = sdpa(h, params.heads[0])
+        y, _, _ = head_forward(h, params.heads[0], "none")
         assert np.array_equal(out, y)
         assert len(traces) == 1
 
@@ -265,7 +282,7 @@ class TestGateParamCount:
             gate_param_count(16, 4, -1, 3)
 
 
-CELLS = [("none", "sigmoid", "per_head")] + [
+CELLS = [("none", "sigmoid", "per_head"), ("none", "sigmoid", "shared")] + [
     (placement, activation, "per_head")
     for placement in ("g1", "g2", "g3") for activation in GATE_ACTIVATIONS
 ] + [(placement, "sigmoid", "shared") for placement in ("g1", "g2", "g3")]
@@ -299,9 +316,11 @@ class TestHeadStack:
                                                  n_graphs=n_graphs)
                 assert out.shape == (4, len(h), 2) and len(traces) == 4
                 for k, head in enumerate(params.heads):
-                    out_k, trace_k = gated_head_forward(h, head, cfg, m,
-                                                        gate_override=override,
-                                                        n_graphs=n_graphs)
+                    # head k alone, as a layer of K = 1
+                    alone = MhsaParams(heads=[head], w_o=params.w_o[2 * k:2 * k + 2], gate=cfg)
+                    (out_k,), (trace_k,) = gated_head_forward(h, alone, cfg, m,
+                                                              gate_override=override,
+                                                              n_graphs=n_graphs)
                     assert np.array_equal(out[k], out_k)
                     assert np.array_equal(traces[k].output, trace_k.output)
                     assert np.array_equal(traces[k].attention, trace_k.attention)
@@ -335,14 +354,19 @@ class TestHeadStack:
         assert params.w_g[1 if gate_heads > 1 else 0, 0, 0] == 7.0
 
     def test_init_keeps_the_per_head_draw_order(self):
-        cfg = GateConfig(placement="g3")
-        params = init_mhsa_params(SeededRng(33), 8, 2, cfg)
-        rng = SeededRng(33)
-        for k in range(2):
-            head = init_head_params(rng, 8, 4, cfg)
-            for name in ("w_q", "w_k", "w_v", "w_g", "w_g2", "b_g"):
-                assert np.array_equal(getattr(params.heads[k], name), getattr(head, name))
-        assert np.array_equal(params.w_o, gaussian_matrix(rng, 8, 8, 1.0 / np.sqrt(8)))
+        for placement in ("none", "g1", "g2", "g3"):
+            for sharing in ("per_head", "shared"):
+                for gate_std in (None, 0.0, 0.3):
+                    cfg = GateConfig(placement=placement, sharing=sharing, bias_init=-0.25)
+                    params = init_mhsa_params(SeededRng(33), 8, 2, cfg,
+                                              gate_weight_std=gate_std)
+                    heads, w_o = head_by_head_init(SeededRng(33), 8, 2, cfg, gate_std)
+                    for got, want in zip(params.heads, heads):
+                        for name in ("w_q", "w_k", "w_v", "w_g", "w_g2", "b_g"):
+                            a, b = getattr(got, name), getattr(want, name)
+                            assert (a is None) == (b is None)
+                            assert a is None or np.array_equal(a, b)
+                    assert np.array_equal(params.w_o, w_o)
 
     def test_construction_adopts_existing_stacks(self):
         gated = stacked_layer(34, "g1")
@@ -372,7 +396,7 @@ class TestHeadStack:
             assert np.array_equal(head.w_q, heads[k].w_q)
         h = gaussian_matrix(rng, 5, 8, 1.0)
         out, _ = siggate_mhsa(h, params)
-        loop = [gated_head_forward(h, head, params.gate)[0] for head in heads]
+        loop = [run_head(h, head, "g1")[0] for head in heads]
         assert np.array_equal(out, np.concatenate(loop, axis=1) @ np.eye(8))
 
     def test_deepcopy_restacks(self):

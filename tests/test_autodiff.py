@@ -171,9 +171,11 @@ class TestNonlinearities:
         sig = 1.0 / (1.0 + np.exp(-a))
         assert np.allclose(ad.apply_activation("sigmoid", a), sig)
         assert np.allclose(ad.apply_activation("sigmoid_squared", a), sig**2)
-        assert np.array_equal(ad.apply_activation("identity", a), a)
-        with pytest.raises(ValueError):
-            ad.apply_activation("softmax", a)
+        assert np.array_equal(ad.apply_activation("tanh", a), np.tanh(a))
+        assert np.array_equal(ad.apply_activation("relu", a), np.maximum(a, 0.0))
+        for name in ("softmax", "identity"):
+            with pytest.raises(ValueError, match="unknown activation"):
+                ad.apply_activation(name, a)
 
 
 class TestRowSoftmaxGrad:

@@ -219,6 +219,29 @@ class TestGradCheckCommand:
         assert len(report) == 3  # header + none + g1/sigmoid
         assert report[1].endswith("pass")
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sample_count_below_one_exits_two(self, tmp_path, capsys, samples):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"gradcheck.exhaustive = false\ngradcheck.samples = {samples}\n"
+                       "gradcheck.placements = none\n")
+        out = tmp_path / "out"
+        assert run_cli("grad-check", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"gradcheck.samples must be >= 1 when gradcheck.exhaustive is false, got " \
+               f"{samples}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text, key", [
+        ("gradcheck.placements =\n", "gradcheck.placements"),
+        ("gradcheck.placements = g1, g3\ngradcheck.activations =\n", "gradcheck.activations"),
+    ])
+    def test_no_cell_to_check_exits_two(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("grad-check", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{key} selects no grad-check cell" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestTrainingCommands:
     def test_ablate_matrix_shape(self, tmp_path):
@@ -278,6 +301,24 @@ class TestTrainingCommands:
         )
         write_history_csv(history, tmp_path / "expected.csv")
         assert read(out / "histories" / "gated_0.001.csv") == read(tmp_path / "expected.csv")
+
+    @pytest.mark.parametrize("command", ["ablate", "lr-sweep"])
+    def test_task_without_test_graphs_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                command):
+        import siggate.training as training
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(training, "loss_and_gradients", no_epoch)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_TRAIN.replace("task.n_graphs = 6", "task.n_graphs = 2"))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "needs graphs in both splits; the task has 2 train and 0 test graphs" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_lr_zero_cell_keeps_initial_loss(self, tmp_path):
         from siggate.training import TrainConfig, train_toy
@@ -447,6 +488,30 @@ class TestDiagnoseCommand:
         assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
                        "--out", str(tmp_path / "out")) == 2
         assert f"model dump {model_path} has malformed metadata" in capsys.readouterr().err
+
+
+class TestOutDim:
+    """The toy target is one number, so only param-count reads model.out_dim."""
+
+    @pytest.mark.parametrize("command", ["ablate", "lr-sweep", "grad-check"])
+    def test_trained_and_checked_models_reject_other_widths(self, tmp_path, capsys,
+                                                            command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_TRAIN + "model.out_dim = 3\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert "model.out_dim must be 1 for the toy task's scalar target, got 3" \
+            in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_param_count_honours_it(self, tmp_path, capsys):
+        def total(out_dim):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"model.out_dim = {out_dim}\n")
+            assert run_cli("param-count", "--config", str(cfg), "--out", str(tmp_path)) == 0
+            return int(capsys.readouterr().out.splitlines()[0].split(": ")[1])
+
+        assert total(3) - total(1) == 2 * (16 + 1)  # readout weight column + bias
 
 
 class TestParamCountCommand:

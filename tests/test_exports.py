@@ -1,0 +1,40 @@
+"""Every public name the package exports exists, so a stale export of a
+deleted name fails here instead of at a user's import."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import siggate
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(siggate.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"siggate.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_succeeds(name):
+    namespace = {}
+    exec(f"from siggate.{name} import *", namespace)
+    assert set(getattr(importlib.import_module(f"siggate.{name}"), "__all__", ())) \
+        <= set(namespace)
+
+
+def test_every_name_the_package_imports_exists():
+    tree = ast.parse(Path(siggate.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"siggate.{node.module}")
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"siggate.{node.module}.{alias.name}"
+            assert getattr(siggate, alias.asname or alias.name) \
+                is getattr(module, alias.name)

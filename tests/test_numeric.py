@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import assert_bitwise, two_branch_sigmoid, two_product_top_singular_value
+from oracles import (
+    GATE_ACTIVATIONS,
+    assert_bitwise,
+    two_branch_sigmoid,
+    two_product_top_singular_value,
+)
+from siggate import autodiff as ad
+from siggate.attention import GateConfig, HeadParams, MhsaParams, siggate_mhsa
 from siggate.numeric import (
     SeededRng,
     ShapeError,
-    elementwise,
     gaussian_matrix,
-    hadamard,
     matmul,
     row_softmax,
     sigmoid,
     top_singular_value,
+    write_csv,
 )
 
 
@@ -103,36 +109,44 @@ class TestRowSoftmax:
 
 
 class TestElementwise:
+    """The gate activations as ``autodiff.apply_activation`` applies them
+    entrywise without a tape, against hand values and the plain-numpy table
+    in ``tests/oracles.py``."""
+
     def test_sigmoid_at_zero(self):
-        assert elementwise("sigmoid", np.zeros((1, 1)))[0, 0] == 0.5
+        assert ad.apply_activation("sigmoid", np.zeros((1, 1)))[0, 0] == 0.5
 
     def test_sigmoid_at_half(self):
         # 1 / (1 + e^{-1/2})
-        val = elementwise("sigmoid", np.array([[0.5]]))[0, 0]
+        val = ad.apply_activation("sigmoid", np.array([[0.5]]))[0, 0]
         assert val == pytest.approx(0.6224593312018546, abs=1e-12)
 
     def test_sigmoid_odd_symmetry(self):
         rng = SeededRng(3)
         x = gaussian_matrix(rng, 4, 4, 3.0)
-        total = elementwise("sigmoid", x) + elementwise("sigmoid", -x)
+        total = ad.apply_activation("sigmoid", x) + ad.apply_activation("sigmoid", -x)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_sigmoid_open_interval(self):
         x = np.array([[-30.0, 30.0]])
-        out = elementwise("sigmoid", x)
+        out = ad.apply_activation("sigmoid", x)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_other_activations(self):
         x = np.array([[-1.0, 0.0, 2.0]])
-        assert np.allclose(elementwise("tanh", x), np.tanh(x))
-        assert np.array_equal(elementwise("relu", x), [[0.0, 0.0, 2.0]])
+        assert np.allclose(ad.apply_activation("tanh", x), np.tanh(x))
+        assert np.array_equal(ad.apply_activation("relu", x), [[0.0, 0.0, 2.0]])
         sig = 1.0 / (1.0 + np.exp(-x))
-        assert np.allclose(elementwise("sigmoid_squared", x), sig**2, atol=1e-15)
-        assert np.array_equal(elementwise("identity", x), x)
+        assert np.allclose(ad.apply_activation("sigmoid_squared", x), sig**2, atol=1e-15)
+        m = gaussian_matrix(SeededRng(6), 4, 5, 3.0)
+        for name, oracle in GATE_ACTIVATIONS.items():
+            assert_bitwise(ad.apply_activation(name, m), oracle(m))
 
     def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown elementwise op"):
-            elementwise("softplus", np.zeros((1, 1)))
+        # "identity" is no gate activation: no GateConfig can name it
+        for name in ("softplus", "identity"):
+            with pytest.raises(ValueError, match=f"unknown activation '{name}'"):
+                ad.apply_activation(name, np.zeros((1, 1)))
 
 
 # Beyond |x| = 709.78 exp(|x|) overflows; beyond 745.13 exp(-|x|) is 0.
@@ -171,17 +185,19 @@ class TestSigmoidKernel:
 
 
 class TestHadamard:
+    """Entrywise products as the gates apply them: ``autodiff.mul`` on plain arrays."""
+
     def test_ones_identity(self):
         rng = SeededRng(4)
         a = gaussian_matrix(rng, 3, 4, 1.0)
-        assert np.array_equal(hadamard(a, np.ones_like(a)), a)
+        assert np.array_equal(ad.mul(a, np.ones_like(a)), a)
 
     def test_zeros(self):
         a = np.full((2, 2), 7.0)
-        assert np.array_equal(hadamard(a, np.zeros_like(a)), np.zeros((2, 2)))
+        assert np.array_equal(ad.mul(a, np.zeros_like(a)), np.zeros((2, 2)))
 
     def test_hand_product(self):
-        out = hadamard([[1.0, 2.0], [3.0, 4.0]], [[2.0, 2.0], [2.0, 2.0]])
+        out = ad.mul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.full((2, 2), 2.0))
         assert np.array_equal(out, [[2.0, 4.0], [6.0, 8.0]])
 
     def test_commutative_and_associative(self):
@@ -189,13 +205,24 @@ class TestHadamard:
         a = gaussian_matrix(rng, 3, 3, 1.0)
         b = gaussian_matrix(rng, 3, 3, 1.0)
         c = gaussian_matrix(rng, 3, 3, 1.0)
-        assert np.array_equal(hadamard(a, b), hadamard(b, a))
-        assert np.allclose(hadamard(hadamard(a, b), c), hadamard(a, hadamard(b, c)),
-                           atol=1e-15)
+        assert np.array_equal(ad.mul(a, b), ad.mul(b, a))
+        assert np.allclose(ad.mul(ad.mul(a, b), c), ad.mul(a, ad.mul(b, c)), atol=1e-15)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="shapes differ"):
-            hadamard(np.zeros((2, 2)), np.zeros((2, 3)))
+        # A gate whose shape differs from its head's output is rejected by name.
+        rng = SeededRng(6)
+        h = gaussian_matrix(rng, 5, 4, 1.0)
+        qkv = [gaussian_matrix(rng, 4, 2, 0.5) for _ in range(3)]
+        for w_g, b_g, message in (
+            (gaussian_matrix(rng, 4, 3, 0.5), np.zeros(2),
+             r"head 0\.w_g has shape \(4, 3\), expected \(4, 2\)"),
+            (gaussian_matrix(rng, 4, 2, 0.5), np.zeros(3),
+             r"gate bias must have shape \(2,\), got \(3,\)"),
+        ):
+            layer = MhsaParams(heads=[HeadParams(*qkv, w_g=w_g, b_g=b_g)], w_o=np.eye(2, 4),
+                               gate=GateConfig(placement="g1"))
+            with pytest.raises(ShapeError, match=message):
+                siggate_mhsa(h, layer)
 
 
 def _svd_top(m):
@@ -335,3 +362,32 @@ class TestSeededRng:
         seq2 = [r2.standard_normal((4,)), r2.uniform((3,)), r2.standard_normal((6,))]
         for a, b in zip(seq1, seq2):
             assert np.array_equal(a, b)
+
+
+class TestWriteCsv:
+    def test_cells_and_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, "name,count,value", [
+            ("a", 3, 0.1), ("b", np.int64(-7), np.float64(1.0) / 3.0),
+            ("c", 10**20, float("nan")), ("d", 0, float("-inf")),
+        ])
+        assert path.read_bytes() == (
+            b"name,count,value\n"
+            b"a,3,0.10000000000000001\n"
+            b"b,-7,0.33333333333333331\n"
+            b"c,100000000000000000000,nan\n"
+            b"d,0,-inf\n"
+        )
+
+    def test_every_float_reads_back(self, tmp_path):
+        values = gaussian_matrix(SeededRng(8), 5, 4, 1e3).ravel().tolist() + [5e-324, 1e308]
+        path = tmp_path / "t.csv"
+        write_csv(path, "x", [(v,) for v in values])
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "x" and lines[-1] == ""
+        assert [float(x) for x in lines[1:-1]] == values
+
+    def test_no_rows_writes_the_header_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b", iter(()))
+        assert path.read_bytes() == b"a,b\n"

@@ -159,6 +159,11 @@ class TestLossAndGradients:
         with pytest.raises(ValueError, match="non-empty"):
             loss_and_gradients(model, ParamSet.from_model(model), [])
 
+    @pytest.mark.parametrize("run", [batch_loss, evaluate])
+    def test_plain_passes_reject_an_empty_batch(self, run):
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            run(tiny_model(), [])
+
     def test_gradients_match_finite_differences(self, batch):
         model = tiny_model(seed=7)
         params = ParamSet.from_model(model)
@@ -405,6 +410,12 @@ class TestFiniteDifferenceCheck:
         assert report.max_param_rel <= 1e-10
         assert report.max_rel_err <= 1e-8
 
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_sample_below_one_rejected(self, batch, sample):
+        model = tiny_model()
+        with pytest.raises(ValueError, match=f"sample must be >= 1 .*got {sample}"):
+            finite_difference_check(model, ParamSet.from_model(model), batch, sample=sample)
+
     def test_h_outside_bounds_rejected(self, batch):
         model = tiny_model()
         params = ParamSet.from_model(model)
@@ -629,12 +640,29 @@ class TestTrainToy:
     def test_divergence_reports_epoch(self):
         cfg = TrainConfig(lr=1e-3, epochs=3, seed=0, loss="mse",
                           n_layers=1, d=8, n_heads=2, gate=GateConfig(placement="none"))
-        task = make_toy_task(seed=0, n_graphs=2, nodes_per_graph=4)
+        task = make_toy_task(seed=0, n_graphs=3, nodes_per_graph=4)  # 2 train, 1 test
         exploded = type(task)(train=[(g, 1e7) for g, _ in task.train],
                               test=task.test, seed=task.seed)
         with pytest.raises(DivergenceError) as err:
             train_toy(cfg, exploded)
         assert err.value.epoch == 0
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_rejected_before_any_epoch(self, monkeypatch, split):
+        cfg = TrainConfig(lr=1e-3, epochs=3, n_layers=1, d=8, n_heads=2)
+        task = make_toy_task(seed=0, n_graphs=4, nodes_per_graph=4)
+        empty = type(task)(**{"train": task.train, "test": task.test, split: [],
+                              "seed": task.seed})
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(training, "loss_and_gradients", no_epoch)
+        counts = (f"0 train and {len(task.test)}" if split == "train"
+                  else f"{len(task.train)} train and 0")
+        with pytest.raises(ValueError, match=f"needs graphs in both splits; the task has "
+                                             f"{counts} test graphs"):
+            train_toy(cfg, empty)
 
     def test_history_csv_format(self, tmp_path):
         cfg = TrainConfig(lr=1e-3, epochs=3, seed=1, n_layers=1, d=8, n_heads=2,
