@@ -238,7 +238,9 @@ def _validate_gates(params: MhsaParams, d: int, d_k: int) -> None:
 # and K x B x n x n for B graphs, and a shared gate has a head axis of 1
 # that broadcasts over the K heads. ``np.matmul`` runs the same GEMM on
 # each slice that one head's matrix product runs, so every head's values
-# are those of a forward on that head alone.
+# are those of a forward on that head alone. A tape-free pass may put a
+# stack of copies (of the input or of a parameter stack) on axes before
+# the head axis; each copy then runs on slices of these same shapes.
 
 
 def _stacks(params, names, lift):
@@ -253,8 +255,8 @@ def _by_graph(x, n_graphs: int):
     """
     if n_graphs == 1:
         return x
-    heads, rows, cols = ad.value(x).shape
-    return ad.reshape(x, (heads, n_graphs, rows // n_graphs, cols))
+    *lead, rows, cols = ad.value(x).shape
+    return ad.reshape(x, (*lead, n_graphs, rows // n_graphs, cols))
 
 
 def _scores(a, b, d_k: int, n_graphs: int):
@@ -269,19 +271,20 @@ def _attend(attention, v, n_graphs: int):
     if n_graphs == 1:
         return out
     shape = ad.value(out).shape
-    return ad.reshape(out, (shape[0], -1, shape[-1]))
+    return ad.reshape(out, shape[:-3] + (-1, shape[-1]))
 
 
 def _softmax(logits, mask):
     """Row softmax of every head's logits; all heads read the same mask."""
     if mask is not None:
-        mask = np.tile(mask, (ad.value(logits).shape[0], 1))
+        mask = np.tile(mask, (ad.value(logits).size // mask.size, 1))
     return ad.row_softmax(logits, mask)
 
 
 def _value_gate(h, w_g, b_g, activation: str):
     # G x N x d_k gate values act(H W_g + b_g).
-    b = ad.reshape(b_g, (np.shape(ad.value(b_g))[0], 1, -1))
+    shape = np.shape(ad.value(b_g))
+    b = ad.reshape(b_g, shape[:-1] + (1, shape[-1]))
     return ad.apply_activation(activation, ad.add(ad.bmm(h, w_g), b))
 
 
@@ -289,7 +292,8 @@ def _logit_gate(h, w_g, w_g2, b_g, activation: str, n_graphs: int):
     # G x (B x) n x n gate matching the logits, from two d x d_k projections.
     d_k = np.shape(ad.value(w_g))[-1]
     z = _scores(ad.bmm(h, w_g), ad.bmm(h, w_g2), d_k, n_graphs)
-    b = ad.reshape(b_g, (-1,) + (1,) * (np.ndim(ad.value(z)) - 1))
+    trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
+    b = ad.reshape(b_g, np.shape(ad.value(b_g))[:-1] + trailing)
     return ad.apply_activation(activation, ad.add(z, b))
 
 
@@ -306,6 +310,8 @@ def _heads_pass(h, heads, cfg: GateConfig, mask, lift, gate_override, n_graphs):
     placement = cfg.placement
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}")
+    if np.ndim(ad.value(h)) > 2:  # tape-free copies of the input: add the head axis
+        h = h[..., None, :, :]
     w_q, w_k, w_v = _stacks(heads, _QKV, lift)
     q, k, v = ad.bmm(h, w_q), ad.bmm(h, w_k), ad.bmm(h, w_v)
     raw = _scores(q, k, np.shape(ad.value(w_q))[-1], n_graphs)
@@ -348,16 +354,20 @@ def gated_head_forward(h, heads: MhsaParams, cfg: GateConfig, mask=None, *,
     B > 1).
     """
     out, attention, gate = _heads_pass(h, heads, cfg, mask, lift, gate_override, n_graphs)
-    out_v = np.asarray(ad.value(out))
-    attn_v = np.asarray(ad.value(attention))
-    gate_v = None if gate is None else np.asarray(ad.value(gate))
-    traces = [
-        HeadTrace(attention=attn_v[k],
-                  gate=None if gate_v is None else gate_v[k if len(gate_v) > 1 else 0],
-                  output=out_v[k])
-        for k in range(len(out_v))
-    ]
+    square = 3 if n_graphs == 1 else 4  # axes from the head axis on of an n x n stack
+    k = np.shape(ad.value(out))[-3]
+    gates = ([None] * k if gate is None
+             else _per_head(gate, k, square if cfg.placement == "g3" else 3))
+    traces = [HeadTrace(attention=a, gate=g, output=o)
+              for a, g, o in zip(_per_head(attention, k, square), gates, _per_head(out, k, 3))]
     return out, traces
+
+
+def _per_head(x, heads: int, axes: int):
+    """Each head's part of a stack with its head axis ``axes`` from the end."""
+    x = np.asarray(ad.value(x))
+    lead = (slice(None),) * (x.ndim - axes)
+    return [x[lead + (k if x.shape[-axes] > 1 else 0,)] for k in range(heads)]
 
 
 def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, gate_override=None,
@@ -369,7 +379,7 @@ def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, gate_over
     ``n_graphs`` graphs of equal size (see :func:`gated_head_forward`). All
     heads run as one stacked pass (:func:`gated_head_forward` on ``params``).
     """
-    rows, n_features = ad.value(h).shape
+    rows, n_features = ad.value(h).shape[-2:]
     _validate_mhsa(n_features, params)
     if n_graphs < 1 or rows % n_graphs:
         raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")

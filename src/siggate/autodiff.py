@@ -215,16 +215,27 @@ def matmul(a, b):
     out = numeric.matmul(av, bv)
     if not _tracked(a, b):
         return out
+    if out.ndim != 2:
+        raise numeric.ShapeError("a taped matmul multiplies matrices; stacks go through bmm")
     return _node(out, (a, lambda g, o=bv: g @ o.T), (b, lambda g, o=av: o.T @ g))
+
+
+def _per_row(v):
+    """A tape-free vector (or stack of them) made to broadcast over matrix rows."""
+    return v if np.ndim(v) < 2 else np.expand_dims(v, -2)
 
 
 def linear(x, w, b):
     """``x @ w + b`` as one node: the matrix product (shape-checked as in
-    :func:`matmul`) plus a bias broadcast over the rows."""
+    :func:`matmul`) plus a bias broadcast over the rows. Tape-free, each
+    operand may carry a stack of copies along leading axes."""
     xv, wv, bv = value(x), value(w), value(b)
-    out = numeric.matmul(xv, wv) + bv
+    prod = numeric.matmul(xv, wv)
     if not _tracked(x, w, b):
-        return out
+        return prod + _per_row(bv)
+    if prod.ndim != 2:
+        raise numeric.ShapeError("a taped linear multiplies matrices; stacks go through bmm")
+    out = prod + bv
     return _node(out, (x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
                  (b, lambda g, s=np.shape(bv): _unbroadcast(g, s)))
 
@@ -292,20 +303,24 @@ def reshape(x, shape):
 
 def merge_stack(x):
     """A stack of K matrices of shape n x m laid side by side: n x (K·m),
-    with matrix k in columns k·m ... (k+1)·m - 1."""
+    with matrix k in columns k·m ... (k+1)·m - 1. Tape-free, axes before
+    the K axis are a stack of copies, each merged on its own."""
     xv = value(x)
-    heads, rows, cols = xv.shape
-    out = xv.transpose(1, 0, 2).reshape(rows, heads * cols)
+    *lead, heads, rows, cols = xv.shape
+    out = xv.swapaxes(-3, -2).reshape((*lead, rows, heads * cols))
     if not isinstance(x, Var):
         return out
     return Var(out, ((x, lambda g: np.asarray(g).reshape(rows, heads, cols).transpose(1, 0, 2)),))
 
 
-def concat(parts, axis=1):
+def concat(parts, axis=-1):
+    """Join ``parts`` along ``axis``. Tape-free, parts given as stacks of
+    copies along leading axes broadcast the parts that have no such axes."""
     vals = [value(p) for p in parts]
-    out = np.concatenate(vals, axis=axis)
     if not _tracked(*parts):
-        return out
+        lead = np.broadcast_shapes(*(np.shape(v)[:-2] for v in vals))
+        return np.concatenate([np.broadcast_to(v, lead + np.shape(v)[-2:]) for v in vals], axis)
+    out = np.concatenate(vals, axis=axis)
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
     parents = []
     for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -320,22 +335,25 @@ def concat(parts, axis=1):
 
 
 def _scatter_add(x, idx, n_rows):
-    """Rows of ``x`` summed into ``n_rows`` rows at ``idx``: ``bincount`` over
-    flat (row, column) indices adds each cell's entries in index order from
-    +0.0, as ``np.add.at`` on zeros does, so the two agree bitwise. (With no
-    indices ``bincount`` returns integers, hence the cast.)"""
+    """Rows (axis -2) of ``x`` summed into ``n_rows`` rows at ``idx``, each
+    matrix of a stack along leading axes on its own: ``bincount`` over flat
+    (matrix, row, column) indices adds each cell's entries in index order
+    from +0.0, as ``np.add.at`` on zeros does, so the two agree bitwise.
+    (With no indices ``bincount`` returns integers, hence the cast.)"""
     x = np.asarray(x, dtype=np.float64)
-    cols = math.prod(x.shape[1:])
-    flat = (idx[:, None] * cols + np.arange(cols)).ravel()
-    out = np.bincount(flat, weights=x.ravel(), minlength=n_rows * cols)
-    return out.astype(np.float64, copy=False).reshape((n_rows,) + x.shape[1:])
+    *lead, _, cols = x.shape
+    rows = np.arange(math.prod(lead))[:, None] * n_rows + idx if lead else idx
+    flat = (rows[..., None] * cols + np.arange(cols)).ravel()
+    out = np.bincount(flat, weights=x.ravel(), minlength=math.prod(lead) * n_rows * cols)
+    return out.astype(np.float64, copy=False).reshape((*lead, n_rows, cols))
 
 
 def take_rows(x, idx):
-    """Row gather ``x[idx]``; backward scatter-adds into the source rows."""
+    """Row gather ``x[idx]`` (tape-free, rows are axis -2 of a stack of
+    matrices); backward scatter-adds into the source rows."""
     idx = np.asarray(idx, dtype=np.intp)
     if not isinstance(x, Var):
-        return np.asarray(x)[idx]
+        return np.take(x, idx, axis=-2)
     n_rows = x.value.shape[0]
     return Var(x.value[idx], ((x, lambda g: _scatter_add(g, idx, n_rows)),))
 
@@ -442,9 +460,9 @@ def layer_norm(h, scale, shift, eps):
         raise numeric.NonFiniteInputError(
             f"layer_norm: row {row} has an infinite standard deviation (its variance overflows)")
     normed = centered / std
-    out = normed * sv + bv
     if not _tracked(h, scale, shift):
-        return out
+        return normed * _per_row(sv) + _per_row(bv)
+    out = normed * sv + bv
 
     def dh(g):
         gn = g * sv

@@ -13,6 +13,7 @@ acceptance-band failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +30,7 @@ from .diagnostics import (
     write_diagnostics_csv,
     write_diagnostics_json,
 )
-from .gps import init_model, model_forward, read_graph
+from .gps import init_model, model_forward, named_params, read_graph
 from .numeric import NonFiniteInputError, SeededRng, write_csv
 from .synthexp import (
     GATE_MEAN_TOL,
@@ -208,15 +209,19 @@ def _gradcheck_cells(cfg: RunConfig):
     return cells
 
 
-def _gradcheck_one(args):
-    placement, activation, cfg = args
+def _gradcheck_model(cfg: RunConfig, placement: str, activation: str):
     gate = _gate_config(cfg, placement=placement,
                         activation=activation if activation != "-" else "sigmoid")
-    model = init_model(
+    return init_model(
         SeededRng(cfg["training.seed"]), d_in=cfg["model.d_in"], d=cfg["model.d"],
         n_heads=cfg["model.heads"], n_layers=cfg["model.layers"], gate=gate,
         d_ff=cfg["model.d_ff"] or None, readout=cfg["model.readout"],
     )
+
+
+def _gradcheck_one(args):
+    placement, activation, cfg = args
+    model = _gradcheck_model(cfg, placement, activation)
     task = make_toy_task(
         seed=cfg["task.seed"], n_graphs=2, nodes_per_graph=cfg["gradcheck.nodes"],
         feature_dim=cfg["model.d_in"], edge_prob=cfg["task.edge_prob"],
@@ -245,11 +250,20 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
         raise ConfigError(f"gradcheck.samples must be >= 1 when gradcheck.exhaustive is "
                           f"false, got {cfg['gradcheck.samples']}")
     tol = cfg["gradcheck.tolerance"]
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"gradcheck.tolerance must be finite and > 0, got {tol}")
+    # The workers take the cells that check the most coordinates first;
+    # the rows keep the cell order.
+    cap = None if cfg["gradcheck.exhaustive"] else cfg["gradcheck.samples"]
+    coords = [sum(min(cap or arr.size, arr.size)
+                  for _, arr, _, _ in named_params(_gradcheck_model(cfg, p, a)))
+              for p, a, _ in jobs]
+    order = sorted(range(len(jobs)), key=lambda i: -coords[i])
+    with _Pool(parallel) as map_fn:
+        done = dict(zip(order, map_fn(_gradcheck_one, [jobs[i] for i in order])))
     rows = []
     ok = True
-    with _Pool(parallel) as map_fn:
-        results = list(map_fn(_gradcheck_one, jobs))
-    for placement, activation, report in results:
+    for placement, activation, report in (done[i] for i in range(len(jobs))):
         passed = report.max_param_rel <= tol
         ok = ok and passed
         status = "pass" if passed else "FAIL"

@@ -257,7 +257,7 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
     one row per node (the stacked rows of a batch).
     """
     graphs = _as_batch(g)
-    d = ad.value(h).shape[1]
+    d = ad.value(h).shape[-1]
     want = 2 * d + graphs.d_e
     if p.w_edge.shape[0] != want:
         raise ShapeError(
@@ -273,7 +273,7 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
     parts = [h_dst, h_src]
     if graphs.edge_features is not None:
         parts.append(graphs.edge_features)
-    gate = ad.sigmoid(ad.matmul(ad.concat(parts, axis=1), lift(p.w_edge)))
+    gate = ad.sigmoid(ad.matmul(ad.concat(parts), lift(p.w_edge)))
     messages = ad.mul(gate, ad.matmul(h_src, lift(p.w_val)))
     return ad.scatter_rows(messages, graphs.dst, graphs.rows)
 
@@ -347,12 +347,12 @@ def model_embed(g, model: ModelParams, *, lift=ad.no_tape):
 
 
 def model_readout(h, model: ModelParams, *, lift=ad.no_tape, n_graphs: int = 1):
-    """Pool each graph's rows of the last hidden state, then apply the
-    linear head: a B x ``out_dim`` prediction for ``n_graphs`` = B graphs."""
-    rows, d = ad.value(h).shape
-    nodes = ad.reshape(h, (n_graphs, rows // n_graphs, d))
+    """Pool each graph's rows of the last hidden state, then apply the linear
+    head: a B x ``out_dim`` prediction for ``n_graphs`` = B graphs (per copy)."""
+    *lead, rows, d = ad.value(h).shape
+    nodes = ad.reshape(h, (*lead, n_graphs, rows // n_graphs, d))
     pool = ad.vmean if model.readout == "mean" else ad.vsum
-    return ad.linear(pool(nodes, axis=1), lift(model.w_head), lift(model.b_head))
+    return ad.linear(pool(nodes, axis=-2), lift(model.w_head), lift(model.b_head))
 
 
 def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int,

@@ -117,11 +117,12 @@ def _as_matrix(x, name="operand") -> np.ndarray:
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
+    """Matrix product with an explicit shape check. Stacks of matrices along
+    leading axes broadcast as in ``np.matmul``, each product on its own."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: shapes do not multiply as matrices, {a.shape} x {b.shape}")
     return a @ b
 
 

@@ -391,7 +391,7 @@ def make_toy_task(seed: int, n_graphs: int = 24, nodes_per_graph: int = 8,
         feats = gaussian_matrix(rng, n, feature_dim, 1.0)
         graph = GraphInstance(n=n, node_features=feats, edges=edges)
         pairs.append((graph, toy_label(graph)))
-    n_train = max(1, int(round(TRAIN_FRACTION * n_graphs)))
+    n_train = min(max(1, round(TRAIN_FRACTION * n_graphs)), n_graphs - 1)
     return SyntheticTask(train=pairs[:n_train], test=pairs[n_train:], seed=seed)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .attention import _GATE_FIELDS, GateConfig, gated_head_forward, merge_heads
 from .gps import (
-    GpsLayerParams,
     GraphBatch,
     LayerTrace,
     ModelParams,
@@ -114,6 +113,18 @@ def is_gate_param(name: str) -> bool:
     return name.rsplit(".", 1)[-1] in _GATE_FIELDS
 
 
+def _head_views(model: ModelParams) -> dict:
+    """``id(view) -> (stack, k)`` for every head's view ``stack[k]`` of a layer's
+    stacked attention array (every head of a shared gate holds ``stack[0]``)."""
+    views = {}
+    for layer in model.layers:
+        for name, held in layer.attn._views.items():
+            stack = getattr(layer.attn, name)
+            for k, view in enumerate(held[:len(stack)]):
+                views[id(view)] = (stack, k)
+    return views
+
+
 class _Lifter:
     """Memoizing array -> Var wrapper; shared arrays get a single node.
 
@@ -123,13 +134,7 @@ class _Lifter:
 
     def __init__(self, model: ModelParams):
         self._vars: dict[int, ad.Var] = {}
-        self._views = {}
-        for layer in model.layers:
-            for name, views in layer.attn._views.items():
-                stack = getattr(layer.attn, name)
-                # View k is stack[k]; every head of a shared gate holds stack[0].
-                for k, view in enumerate(views[:len(stack)]):
-                    self._views[id(view)] = (stack, k)
+        self._views = _head_views(model)
 
     def __call__(self, arr):
         node = self._vars.get(id(arr))
@@ -164,12 +169,12 @@ def _graph_groups(batch):
 
 
 def _group_loss(pred, targets, kind: str):
-    """Summed loss of one group: ``pred`` and ``targets`` are B x out_dim."""
+    """Summed loss of one group (of each copy of a tape-free stack): B x out_dim."""
     diff = ad.sub(pred, targets)
     if kind == "mse":
-        return ad.vsum(ad.square(diff))
+        return ad.vsum(ad.square(diff), axis=(-2, -1))
     if kind == "mae":
-        return ad.vsum(ad.absolute(diff))
+        return ad.vsum(ad.absolute(diff), axis=(-2, -1))
     raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
 
 
@@ -266,12 +271,6 @@ class FdReport:
         return max(self.param_rel, key=self.param_rel.get)
 
 
-def _heads_output(graphs: GraphBatch, h, layer: GpsLayerParams):
-    """The K x N x d_k outputs of the layer's heads: one stacked pass."""
-    return gated_head_forward(h, layer.attn, layer.attn.gate, graphs.attn_mask,
-                              n_graphs=graphs.size)[0]
-
-
 def _probe_index(model: ModelParams) -> dict:
     """``id(array) -> (layer index, branches)`` for every parameter the model
     reads after its input projection: the first layer that reads the array,
@@ -287,16 +286,22 @@ def _probe_index(model: ModelParams) -> dict:
     return index
 
 
+PROBE_CHUNK = 256  # perturbed copies per batched pass; bounds the probes' memory
+
+
 class _PlainForwardCache:
     """The branch outputs of the tape-free forward of each group of a batch.
 
     A finite-difference probe changes one entry of one parameter array, and
     everything the model computes before that array is first read stays as
-    it was. :meth:`probe` therefore re-runs only the branches of the first
-    layer that read the array (the MPNN, the stacked pass of the heads, the
-    W_O merge), that layer's combine step, the later layers and the readout.
-    The groups, ops and inputs are those of :func:`batch_loss`, in the same
-    order, so the loss it returns is bitwise the same.
+    it was. :meth:`probe_losses` runs all probes of one array as one pass:
+    its ``lift`` puts perturbed copies of the array the forward reads (a
+    head's view is read through its layer's stack) on a leading copy axis,
+    and the branches of the first layer that read it, that layer's combine
+    step, the later layers and the readout run once over the copies. Each
+    copy keeps its own slice of every op, with the shapes of
+    :func:`batch_loss`, so its loss is bitwise the :func:`batch_loss` of
+    the model holding that copy. The model's arrays are never written.
     """
 
     def __init__(self, model: ModelParams, batch, loss: str):
@@ -305,6 +310,7 @@ class _PlainForwardCache:
         self.loss = loss
         self.groups = _graph_groups(batch)
         self.index = _probe_index(model)
+        self.views = _head_views(model)
         # Per group: (h, local, head outputs, merged attention) entering
         # each layer, then the last hidden state.
         self.layers = []
@@ -314,42 +320,63 @@ class _PlainForwardCache:
             entries = []
             for layer in model.layers:
                 local = mpnn_forward(graphs, h, layer.mpnn)
-                heads = _heads_output(graphs, h, layer)
+                heads = gated_head_forward(h, layer.attn, layer.attn.gate, graphs.attn_mask,
+                                           n_graphs=graphs.size)[0]
                 merged = merge_heads(heads, layer.attn.w_o)
                 entries.append((h, local, heads, merged))
                 h = gps_layer_combine(h, local, merged, layer)
             self.layers.append(entries)
             self.final.append(h)
 
-    def probe(self, arr):
-        """A function that returns ``batch_loss(model, batch, loss)`` for the
-        current contents of ``arr``, a parameter array of the model."""
-        model = self.model
-        found = self.index.get(id(arr))
-        if arr is model.w_in or arr is model.b_in or found is None:
-            return lambda: batch_loss(model, self.batch, self.loss)
-        return lambda: self._loss_from(*found)
+    def probe_losses(self, arr, idxs, h: float):
+        """``(f_plus, f_minus)``: for each flat index j of ``idxs``, the
+        :func:`batch_loss` with ``arr``'s entry j moved to ``old + h`` and to
+        ``old - h``. ``arr`` is a parameter array of the model; its copies
+        run :data:`PROBE_CHUNK` at a time."""
+        read, k = self.views.get(id(arr), (arr, None))
+        start = self.index.get(id(arr))
+        if start is None or arr is self.model.w_in or arr is self.model.b_in:
+            start = (-1, frozenset())
+        idxs = np.asarray(idxs, dtype=np.intp)
+        old = arr.reshape(-1)[idxs]
+        # Copy 2m holds entry idxs[m] at old + h, copy 2m + 1 at old - h.
+        values = np.stack([old + h, old - h], axis=1).reshape(-1)
+        where = np.repeat(idxs + (0 if k is None else k * arr.size), 2)
+        losses = np.empty(values.size)
+        for lo in range(0, values.size, PROBE_CHUNK):
+            chunk = slice(lo, lo + PROBE_CHUNK)
+            count = values[chunk].size
+            copies = np.repeat(read[None], count, axis=0)
+            copies.reshape(count, -1)[np.arange(count), where[chunk]] = values[chunk]
+            subs = {id(read): copies, id(arr): copies if k is None else copies[:, k]}
+            losses[chunk] = self._loss_from(*start, lambda a: subs.get(id(a), a))
+        return losses[0::2], losses[1::2]
 
-    def _loss_from(self, index, branches):
+    def _loss_from(self, index, branches, lift):
+        """Per copy, the mean loss of a forward from layer ``index`` (-1: the input
+        projection) re-running its ``branches``; ``lift`` gives each copy's arrays."""
         model = self.model
         total = 0.0
         for g, (_, graphs, targets) in enumerate(self.groups):
-            if index < len(model.layers):
+            if index < 0:
+                h = model_embed(graphs, model, lift=lift)
+            elif index < len(model.layers):
                 layer = model.layers[index]
                 h, local, heads, merged = self.layers[g][index]
                 if "mpnn" in branches:
-                    local = mpnn_forward(graphs, h, layer.mpnn)
+                    local = mpnn_forward(graphs, h, layer.mpnn, lift=lift)
                 if "heads" in branches:
-                    heads = _heads_output(graphs, h, layer)
+                    heads = gated_head_forward(h, layer.attn, layer.attn.gate, graphs.attn_mask,
+                                               lift=lift, n_graphs=graphs.size)[0]
                 if "heads" in branches or "w_o" in branches:
-                    merged = merge_heads(heads, layer.attn.w_o)
-                h = gps_layer_combine(h, local, merged, layer)
-                for later in model.layers[index + 1:]:
-                    h, _ = gps_layer_forward(graphs, h, later)
+                    merged = merge_heads(heads, layer.attn.w_o, lift=lift)
+                h = gps_layer_combine(h, local, merged, layer, lift=lift)
             else:
                 h = self.final[g]
-            pred = model_readout(h, model, n_graphs=graphs.size)
-            total += float(ad.value(_group_loss(pred, targets, self.loss)))
+            for later in model.layers[index + 1:]:
+                h, _ = gps_layer_forward(graphs, h, later, lift=lift)
+            pred = model_readout(h, model, lift=lift, n_graphs=graphs.size)
+            total = total + _group_loss(pred, targets, self.loss)
         return total / len(self.batch)
 
 
@@ -359,9 +386,9 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     """Compare analytic gradients against central finite differences.
 
     ``sample`` >= 1 coordinates are drawn per parameter (deterministically
-    from ``seed``); ``sample=None`` checks every coordinate. Each perturbed loss
-    re-runs the model only from the first branch that reads the perturbed
-    array; it equals the full :func:`batch_loss` bitwise.
+    from ``seed``); ``sample=None`` checks every coordinate. A parameter's
+    probes run as one batched pass (:class:`_PlainForwardCache`), each loss
+    bitwise the :func:`batch_loss` of the perturbed model; the model is only read.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"h must lie in [1e-7, 1e-3], got {h}")
@@ -379,32 +406,17 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
         analytic = grads[name].reshape(-1)
         size = arr.size
         if sample is None or sample >= size:
-            idxs = range(size)
+            idxs = np.arange(size)
         else:
             u = rng.uniform((size,))
             idxs = np.sort(np.argsort(u)[:sample])
-        probe = cache.probe(arr)
-        a_checked = []
-        n_checked_vals = []
-        for j in idxs:
-            loc = np.unravel_index(int(j), arr.shape)
-            old = arr[loc]
-            arr[loc] = old + h
-            f_plus = probe()
-            arr[loc] = old - h
-            f_minus = probe()
-            arr[loc] = old
-            numeric_g = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(analytic[j] - numeric_g) / max(abs(analytic[j]), abs(numeric_g), 1e-12)
-            n_checked += 1
-            a_checked.append(analytic[j])
-            n_checked_vals.append(numeric_g)
+        f_plus, f_minus = cache.probe_losses(arr, idxs, h)
+        a_vec, n_vec = analytic[idxs], (f_plus - f_minus) / (2.0 * h)
+        n_checked += idxs.size
+        for j, a, n in zip(idxs, a_vec, n_vec):
+            rel = abs(a - n) / max(abs(a), abs(n), 1e-12)
             if rel > max_rel:
-                max_rel = rel
-                worst_param = name
-                worst_index = int(j)
-        a_vec = np.array(a_checked)
-        n_vec = np.array(n_checked_vals)
+                max_rel, worst_param, worst_index = rel, name, int(j)
         param_rel[name] = float(
             np.linalg.norm(a_vec - n_vec)
             / max(np.linalg.norm(a_vec), np.linalg.norm(n_vec), 1e-12)

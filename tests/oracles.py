@@ -11,7 +11,9 @@ parameters that ``gps.named_params`` replaced: the parameter registry
 written out name by name, and the probe index built by walking the
 parameter dataclasses. For attention it keeps the gate activations as
 plain numpy, one head's forward pass written out op by op, and the
-head-by-head draws of ``attention.init_mhsa_params``.
+head-by-head draws of ``attention.init_mhsa_params``. For the gradient
+check it keeps the one-probe loop: each probe writes its perturbed entry
+into the model and runs the full tape-free ``training.batch_loss``.
 """
 
 import numpy as np
@@ -304,3 +306,54 @@ def head_by_head_init(rng, d, n_heads, cfg, gate_weight_std=None):
         g = (shared or gate()) if gated else (None, None, None)
         heads.append(HeadParams(*qkv, *g))
     return heads, gaussian_matrix(rng, n_heads * d_k, d, std)
+
+
+def one_probe_losses(model, batch, loss, arr, idxs, h):
+    """``(f_plus, f_minus)``: for each flat index j of ``idxs``, the full
+    ``batch_loss`` with ``arr``'s entry j written to ``old + h``, then to
+    ``old - h``, one probe at a time; the entry is restored after each."""
+    from siggate.training import batch_loss
+
+    plus, minus = [], []
+    for j in idxs:
+        loc = np.unravel_index(int(j), arr.shape)
+        old = arr[loc]
+        try:
+            arr[loc] = old + h
+            plus.append(batch_loss(model, batch, loss))
+            arr[loc] = old - h
+            minus.append(batch_loss(model, batch, loss))
+        finally:
+            arr[loc] = old
+    return plus, minus
+
+
+def one_probe_fd_check(model, params, batch, h=1e-5, sample=100, seed=0, loss="mse"):
+    """``training.finite_difference_check`` with its probes run one at a
+    time by :func:`one_probe_losses`: the same coordinates, arithmetic and
+    report."""
+    from siggate.training import FdReport, loss_and_gradients
+
+    _, grads = loss_and_gradients(model, params, batch, loss=loss)
+    rng = SeededRng(seed)
+    max_rel, worst_param, worst_index, n_checked = 0.0, None, None, 0
+    param_rel = {}
+    for name, arr in params.items():
+        analytic = grads[name].reshape(-1)
+        if sample is None or sample >= arr.size:
+            idxs = range(arr.size)
+        else:
+            idxs = np.sort(np.argsort(rng.uniform((arr.size,)))[:sample])
+        a_checked, n_checked_vals = [], []
+        for j, f_plus, f_minus in zip(idxs, *one_probe_losses(model, batch, loss, arr, idxs, h)):
+            numeric_g = (f_plus - f_minus) / (2.0 * h)
+            rel = abs(analytic[j] - numeric_g) / max(abs(analytic[j]), abs(numeric_g), 1e-12)
+            n_checked += 1
+            a_checked.append(analytic[j])
+            n_checked_vals.append(numeric_g)
+            if rel > max_rel:
+                max_rel, worst_param, worst_index = rel, name, int(j)
+        a_vec, n_vec = np.array(a_checked), np.array(n_checked_vals)
+        param_rel[name] = float(np.linalg.norm(a_vec - n_vec)
+                                / max(np.linalg.norm(a_vec), np.linalg.norm(n_vec), 1e-12))
+    return FdReport(max_rel, worst_param, worst_index, n_checked, param_rel)

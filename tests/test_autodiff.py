@@ -401,3 +401,33 @@ class TestFusedOps:
         out = ad.layer_norm(np.array([[1.0, np.nan], [1.0, 2.0]]), np.ones(2), np.zeros(2),
                             LN_EPS)
         assert np.isnan(out[0]).all() and np.isfinite(out[1]).all()
+
+
+class TestCopyAxis:
+    """Tape-free ops over a leading stack of copies: each copy's slice is bit
+    for bit the op on that copy alone. Taped products keep to matrices."""
+
+    def test_each_copy_equals_the_op_on_it_alone(self, rng):
+        x = rng.standard_normal((5, 6, 4))
+        w = rng.standard_normal((4, 3))
+        ws = rng.standard_normal((5, 4, 3))
+        vec = rng.standard_normal((5, 4))
+        edge = rng.standard_normal((6, 2))
+        heads = rng.standard_normal((5, 3, 6, 2))
+        idx = np.array([0, 2, 2, 5, 1, 0])
+        for c in range(5):
+            assert_bitwise(ad.matmul(x, w)[c], ad.matmul(x[c], w))
+            assert_bitwise(ad.matmul(x[0], ws)[c], ad.matmul(x[0], ws[c]))
+            assert_bitwise(ad.linear(x, ws, vec[:, :3])[c], ad.linear(x[c], ws[c], vec[c, :3]))
+            assert_bitwise(ad.take_rows(x, idx)[c], ad.take_rows(x[c], idx))
+            assert_bitwise(ad.scatter_rows(x, idx, 7)[c], ad.scatter_rows(x[c], idx, 7))
+            assert_bitwise(ad.concat([x, edge])[c], ad.concat([x[c], edge]))
+            assert_bitwise(ad.merge_stack(heads)[c], ad.merge_stack(heads[c]))
+            assert_bitwise(ad.layer_norm(x, vec, vec[::-1], LN_EPS)[c],
+                           ad.layer_norm(x[c], vec[c], vec[4 - c], LN_EPS))
+
+    def test_taped_products_reject_stacks(self):
+        with pytest.raises(ShapeError, match="taped matmul multiplies matrices"):
+            ad.matmul(ad.Var(np.ones((2, 3, 4))), np.ones((4, 2)))
+        with pytest.raises(ShapeError, match="taped linear multiplies matrices"):
+            ad.linear(np.ones((2, 3, 4)), ad.Var(np.ones((4, 2))), np.zeros(2))

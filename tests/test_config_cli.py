@@ -243,6 +243,51 @@ class TestGradCheckCommand:
         assert list(out.iterdir()) == []
 
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "0"])
+    def test_tolerance_not_finite_and_positive_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                          tolerance):
+        import siggate.cli as cli
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "finite_difference_check", no_cell)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"gradcheck.tolerance = {tolerance}\ngradcheck.placements = none\n")
+        out = tmp_path / "out"
+        assert run_cli("grad-check", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "gradcheck.tolerance must be finite and > 0, got " in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_cells_run_longest_first_and_rows_keep_cell_order(self, tmp_path, capsys,
+                                                              monkeypatch):
+        import siggate.cli as cli
+
+        ran = []
+        real = cli._gradcheck_one
+
+        def recorded(args):
+            ran.append(args[:2])
+            return real(args)
+
+        monkeypatch.setattr(cli, "_gradcheck_one", recorded)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("gradcheck.exhaustive = false\ngradcheck.samples = 3\n"
+                       "gradcheck.activations = sigmoid, relu\n")
+        out = tmp_path / "out"
+        assert run_cli("grad-check", "--config", str(cfg), "--out", str(out)) == 0
+        cells = [("none", "-")] + [(p, a) for p in ("g1", "g2", "g3") for a in ("sigmoid", "relu")]
+        # g3 reads the most arrays (a second gate projection), none the fewest.
+        assert ran == cells[5:] + cells[1:5] + cells[:1]
+        rows = (out / "gradcheck_report.csv").read_text().splitlines()[1:]
+        assert [tuple(row.split(",")[:2]) for row in rows] == cells
+        printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("grad-check ")]
+        assert printed == [f"{p}/{a}" for p, a in cells]
+
+
 class TestTrainingCommands:
     def test_ablate_matrix_shape(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -303,22 +348,23 @@ class TestTrainingCommands:
         assert read(out / "histories" / "gated_0.001.csv") == read(tmp_path / "expected.csv")
 
     @pytest.mark.parametrize("command", ["ablate", "lr-sweep"])
-    def test_task_without_test_graphs_exits_two(self, tmp_path, capsys, monkeypatch,
-                                                command):
-        import siggate.training as training
+    def test_two_graph_task_splits_one_and_one(self, tmp_path, capsys, monkeypatch, command):
+        import siggate.cli as cli
 
-        def no_epoch(*args, **kwargs):
-            raise AssertionError("an epoch ran")
+        splits = set()
+        real = cli.train_toy
 
-        monkeypatch.setattr(training, "loss_and_gradients", no_epoch)
+        def recorded(cfg, task):
+            splits.add((len(task.train), len(task.test)))
+            return real(cfg, task)
+
+        monkeypatch.setattr(cli, "train_toy", recorded)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(TINY_TRAIN.replace("task.n_graphs = 6", "task.n_graphs = 2"))
         out = tmp_path / "out"
-        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "needs graphs in both splits; the task has 2 train and 0 test graphs" in err
-        assert "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 0
+        assert splits == {(1, 1)}
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_lr_zero_cell_keeps_initial_loss(self, tmp_path):
         from siggate.training import TrainConfig, train_toy

@@ -331,6 +331,17 @@ class TestToyTask:
         assert len(task.train) == 6
         assert len(task.test) == 2
 
+    def test_two_graphs_split_one_and_one_in_draw_order(self):
+        pair = make_toy_task(seed=14, n_graphs=2, nodes_per_graph=5)
+        assert (len(pair.train), len(pair.test)) == (1, 1)
+        more = make_toy_task(seed=14, n_graphs=4, nodes_per_graph=5)
+        for (got, label), (want, want_label) in zip(pair.train + pair.test, more.train):
+            assert label == want_label and got.edges == want.edges
+            assert np.array_equal(got.node_features, want.node_features)
+        for n_graphs in range(3, 30):
+            task = make_toy_task(seed=14, n_graphs=n_graphs, nodes_per_graph=2)
+            assert len(task.train) == max(1, round(0.75 * n_graphs)), n_graphs
+
     def test_edges_are_symmetric(self):
         task = make_toy_task(seed=15, n_graphs=3, nodes_per_graph=6)
         for g, _ in task.train:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import siggate.training as training
-from oracles import dataclass_probe_index, dump_text, hand_written_registry
+from oracles import (
+    dataclass_probe_index, dump_text, hand_written_registry, one_probe_fd_check, one_probe_losses,
+)
 from siggate.attention import GateConfig, gate_param_count
 from siggate import autodiff as ad
 from siggate.gps import (
@@ -236,6 +238,18 @@ def walk_model(placement, sharing):
                       out_dim=2, readout="sum")
 
 
+def aliased_walk_model():
+    """:func:`walk_model` for g1 whose layers read some arrays under two names:
+    each ln2 is its ln1, and layer 1's W_V of the MPNN is also its W_O and
+    layer 2's W_V."""
+    model = walk_model("g1", "per_head")
+    for layer in model.layers:
+        layer.ln2 = LayerNormParams(layer.ln1.scale, layer.ln1.shift)
+    model.layers[1].attn.w_o = model.layers[1].mpnn.w_val
+    model.layers[2].mpnn.w_val = model.layers[1].mpnn.w_val
+    return model
+
+
 class TestParamWalk:
     """``named_params`` and what derives from it, against the hand-written
     registry and dataclass walk it replaced (tests/oracles.py)."""
@@ -263,11 +277,7 @@ class TestParamWalk:
         assert got == {key: want[key] for key in got}
 
     def test_an_array_read_under_two_names_keeps_every_branch(self, batch):
-        model = walk_model("g1", "per_head")
-        for layer in model.layers:
-            layer.ln2 = LayerNormParams(layer.ln1.scale, layer.ln1.shift)
-        model.layers[1].attn.w_o = model.layers[1].mpnn.w_val
-        model.layers[2].mpnn.w_val = model.layers[1].mpnn.w_val
+        model = aliased_walk_model()
         want = dataclass_probe_index(model)
         got = training._probe_index(model)
         w_val = model.layers[1].mpnn.w_val
@@ -282,10 +292,8 @@ class TestParamWalk:
         cache = training._PlainForwardCache(model, graphs, "mse")
         for name in ("layer1.mpnn.w_val", "layer2.ln2.shift"):
             arr = params[name]
-            old = arr.flat[0]
-            arr.flat[0] = old + 1e-3
-            assert cache.probe(arr)() == batch_loss(model, graphs, "mse"), name
-            arr.flat[0] = old
+            got = cache.probe_losses(arr, [0], 1e-3)
+            assert_same_losses(got, one_probe_losses(model, graphs, "mse", arr, [0], 1e-3))
 
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_dump_bytes_follow_the_hand_written_order(self, tmp_path, placement, sharing):
@@ -302,6 +310,12 @@ def assert_rel_close(a, b, rel=1e-12):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape
     assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
+
+
+def assert_same_losses(got, want):
+    """Batched ``(f_plus, f_minus)`` probe losses equal the one-probe ones bit for bit."""
+    for got_side, want_side in zip(got, want):
+        assert [float(x).hex() for x in got_side] == [float(x).hex() for x in want_side]
 
 
 def mixed_sizes_batch():
@@ -453,14 +467,11 @@ class TestFiniteDifferenceCheck:
         cache = training._PlainForwardCache(model, graphs, "mae")
         rng = np.random.default_rng(0)
         for name, arr in ParamSet.from_model(model).items():
-            probe = cache.probe(arr)
-            for j in rng.choice(arr.size, size=min(3, arr.size), replace=False):
-                loc = np.unravel_index(int(j), arr.shape)
-                old = arr[loc]
-                arr[loc] = old + 1e-3
-                assert probe() == batch_loss(model, graphs, "mae"), name
-                arr[loc] = old
-            assert probe() == batch_loss(model, graphs, "mae"), name
+            idxs = rng.choice(arr.size, size=min(3, arr.size), replace=False)
+            got = cache.probe_losses(arr, idxs, 1e-3)
+            assert_same_losses(got, one_probe_losses(model, graphs, "mae", arr, idxs, 1e-3))
+            unmoved = batch_loss(model, graphs, "mae")
+            assert all(loss == unmoved for loss in cache.probe_losses(arr, idxs, 0.0)[0]), name
 
     def test_cached_probe_over_node_count_groups_is_bitwise(self):
         model = tiny_model(seed=16, placement="g2")
@@ -470,11 +481,8 @@ class TestFiniteDifferenceCheck:
         for name in ("layer0.mpnn.w_edge", "layer0.attn.head2.w_g", "layer1.attn.w_o",
                      "layer1.ln2.scale", "head.w"):
             arr = params[name]
-            probe = cache.probe(arr)
-            old = arr.flat[1]
-            arr.flat[1] = old + 1e-3
-            assert probe() == batch_loss(model, pairs, "mse"), name
-            arr.flat[1] = old
+            got = cache.probe_losses(arr, [1], 1e-3)
+            assert_same_losses(got, one_probe_losses(model, pairs, "mse", arr, [1], 1e-3))
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
     def test_probe_index_covers_every_parameter_after_the_input(self, batch, placement, kw):
@@ -500,6 +508,58 @@ class TestFiniteDifferenceCheck:
         a = finite_difference_check(model, params, batch, sample=4, seed=9)
         b = finite_difference_check(model, params, batch, sample=4, seed=9)
         assert a == b
+
+
+def walk_batch():
+    """The graphs of :func:`mixed_sizes_batch` (5, 7, 5, 6 and 7 nodes, one
+    masked) with three features, two-wide edge features and two-wide targets,
+    for :func:`walk_model`."""
+    rng = SeededRng(40)
+    return [(GraphInstance(n=g.n, node_features=g.node_features[:, :3], edges=g.edges,
+                           edge_features=rng.standard_normal((len(g.edges), 2)),
+                           attn_mask=g.attn_mask), rng.standard_normal(2))
+            for g, _ in mixed_sizes_batch()]
+
+
+class TestBatchedProbes:
+    """``_PlainForwardCache.probe_losses`` runs all probes of one array as
+    one pass over a copy axis; each loss is the one-probe oracle's
+    ``batch_loss`` bit for bit (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES + [("aliased", None)])
+    def test_every_probe_loss_equals_the_one_probe_oracle(self, placement, sharing):
+        model = aliased_walk_model() if placement == "aliased" else walk_model(placement, sharing)
+        pairs = walk_batch()
+        cache = training._PlainForwardCache(model, pairs, "mse")
+        rng = np.random.default_rng(1)
+        for name, arr in ParamSet.from_model(model).items():
+            idxs = np.sort(rng.choice(arr.size, size=min(2, arr.size), replace=False))
+            assert_same_losses(cache.probe_losses(arr, idxs, 1e-5),
+                               one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5))
+
+    def test_an_exhaustive_array_crosses_chunk_boundaries(self, batch):
+        model = init_model(SeededRng(18), d_in=4, d=16, n_heads=4, n_layers=2,
+                           gate=GateConfig(placement="g3"), d_ff=20)
+        arr = model.layers[0].ffn.w1
+        # 640 copies: two full chunks and a part of one.
+        assert 2 * training.PROBE_CHUNK < 2 * arr.size < 3 * training.PROBE_CHUNK
+        idxs = np.arange(arr.size)
+        cache = training._PlainForwardCache(model, batch[:1], "mse")
+        assert_same_losses(cache.probe_losses(arr, idxs, 1e-5),
+                           one_probe_losses(model, batch[:1], "mse", arr, idxs, 1e-5))
+
+    @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g2", {"sharing": "shared"})])
+    def test_the_check_never_writes_into_the_model(self, batch, placement, kw):
+        model = tiny_model(seed=19, placement=placement, **kw)
+        params = ParamSet.from_model(model)
+        want = one_probe_fd_check(model, params, batch[:2], sample=3, seed=5)
+        before = params.copy_values()
+        stacks = [getattr(layer.attn, f) for layer in model.layers
+                  for f in layer.attn.stacked_fields()]
+        for arr in stacks + [arr for _, arr in params.items()]:
+            arr.setflags(write=False)
+        assert finite_difference_check(model, params, batch[:2], sample=3, seed=5) == want
+        assert all(np.array_equal(arr, before[name]) for name, arr in params.items())
 
 
 class TestAdamW:
