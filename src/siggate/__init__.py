@@ -9,7 +9,6 @@ exact gradients with a finite-difference oracle, and a toy trainer.
 
 from .attention import (
     GateConfig,
-    HeadParams,
     HeadTrace,
     MhsaParams,
     gate_param_count,

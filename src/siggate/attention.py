@@ -11,15 +11,15 @@ Gate placements:
   ``g' = act((H W_g)(H W_g2)^T / sqrt(d_k) + b)``.
 * ``none`` — plain softmax attention.
 
-Heads either own their gate parameters (``per_head``) or alias a single
-shared set (``shared``). Forward functions accept an optional ``lift``
+Heads either own their gate parameters (``per_head``) or share a single
+set (``shared``). Forward functions accept an optional ``lift``
 callable that wraps parameter arrays into autodiff nodes; with the default,
 ``autodiff.no_tape``, they run as plain numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "SHARINGS",
     "GATE_ACTIVATIONS",
     "GateConfig",
-    "HeadParams",
     "MhsaParams",
     "HeadTrace",
     "gated_head_forward",
@@ -64,6 +63,8 @@ class GateConfig:
             raise ValueError(
                 f"activation must be one of {GATE_ACTIVATIONS}, got {self.activation!r}"
             )
+        if not np.isfinite(self.bias_init):
+            raise ValueError(f"bias_init must be finite, got {self.bias_init}")
 
 
 _QKV = ("w_q", "w_k", "w_v")
@@ -71,97 +72,31 @@ _GATE_FIELDS = ("w_g", "w_g2", "b_g")
 
 
 @dataclass
-class HeadParams:
-    """Projections for one attention head; gate fields unused when ungated.
+class MhsaParams:
+    """A layer's attention parameters, with the heads stacked along axis 0.
 
-    The forward functions read a layer's :class:`MhsaParams`, never a lone
-    head: inside it every field is a view of the head's slice of the
-    layer's stacked array, and a single head is a layer with K = 1.
+    ``w_q``/``w_k``/``w_v`` are K x d x d_k and ``w_o`` is K·d_k x d_out;
+    ``w_g``/``w_g2`` are G x d x d_k and ``b_g`` G x d_k (G x 1 for g3),
+    where G = K for per-head gates and G = 1 for a shared gate. A stack the
+    placement does not read is None. Head k is slice k of each stack (of a
+    shared gate's, slice 0), so a single head is a layer with K = 1.
     """
 
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
+    w_o: np.ndarray
+    gate: GateConfig = field(default_factory=lambda: GateConfig(placement="none"))
     w_g: np.ndarray | None = None
     w_g2: np.ndarray | None = None
     b_g: np.ndarray | None = None
 
-
-@dataclass
-class MhsaParams:
-    """A layer's attention parameters, with the heads stacked along axis 0.
-
-    ``w_q``/``w_k``/``w_v`` are K x d x d_k, ``w_g``/``w_g2`` G x d x d_k and
-    ``b_g`` G x d_k (G x 1 for g3), where G = K for per-head gates and G = 1
-    for shared ones; the stacks a placement does not read are None. Each
-    head's field is a persistent view of its slice: ``heads[k].w_q`` is
-    ``w_q[k]``, and with shared gates every head holds the one view
-    ``w_g[0]``. Writing into either array is therefore seen by both.
-
-    On construction, head fields that already are the consecutive slices of
-    one stack (``MhsaParams(heads=other.heads, ...)``) adopt that stack
-    without copying. Any other fields are copied into a new stack, and the
-    heads list gets copies of those heads that view it; the head objects
-    passed in are not modified. A head field replaced after construction is
-    rejected by :func:`siggate_mhsa`.
-    """
-
-    heads: list[HeadParams]
-    w_o: np.ndarray
-    gate: GateConfig = field(default_factory=lambda: GateConfig(placement="none"))
-    w_q: np.ndarray | None = field(default=None, init=False, repr=False)
-    w_k: np.ndarray | None = field(default=None, init=False, repr=False)
-    w_v: np.ndarray | None = field(default=None, init=False, repr=False)
-    w_g: np.ndarray | None = field(default=None, init=False, repr=False)
-    w_g2: np.ndarray | None = field(default=None, init=False, repr=False)
-    b_g: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self.heads = list(self.heads)
-        self._views: dict[str, list[np.ndarray]] = {}
-        for name in self.stacked_fields():
-            self._stack(name)
-
-    def __setstate__(self, state):
-        # Pickling and deepcopy copy views as independent arrays: restack.
-        self.__dict__.update(state)
-        self.__post_init__()
-
     def stacked_fields(self) -> tuple[str, ...]:
-        """The head fields the gate placement reads, each held as a stack."""
+        """The head stacks the gate placement reads."""
         placement = self.gate.placement
         if placement == "none":
             return _QKV
         return _QKV + (_GATE_FIELDS if placement == "g3" else ("w_g", "b_g"))
-
-    def _stack(self, name: str) -> None:
-        arrays = [getattr(head, name) for head in self.heads]
-        shared = self.gate.sharing == "shared" and name in _GATE_FIELDS
-        if shared and any(a is not arrays[0] for a in arrays[1:]):
-            return  # siggate_mhsa names the head with its own gate params
-        members = arrays[:1] if shared else arrays
-        if not members or any(a is None for a in members) \
-                or len({np.shape(a) for a in members}) != 1:
-            return  # siggate_mhsa reports the missing or misshapen field
-        stack = _stack_of(members)
-        if stack is None:
-            stack = np.stack(members)
-            members = list(stack)
-            for i, head in enumerate(self.heads):
-                self.heads[i] = replace(head, **{name: members[0 if shared else i]})
-        setattr(self, name, stack)
-        self._views[name] = [members[0 if shared else i] for i in range(len(self.heads))]
-
-
-def _stack_of(arrays):
-    """The stack whose consecutive slices ``arrays`` are, or None."""
-    base = getattr(arrays[0], "base", None)
-    if not isinstance(base, np.ndarray) or base.shape != (len(arrays),) + arrays[0].shape:
-        return None
-    for k, arr in enumerate(arrays):
-        if arr.base is not base or arr.__array_interface__ != base[k].__array_interface__:
-            return None
-    return base
 
 
 @dataclass
@@ -174,59 +109,30 @@ class HeadTrace:
 
 
 def _validate_mhsa(n_features: int, params: MhsaParams) -> None:
-    if not params.heads:
-        raise ValueError("MhsaParams needs at least one head")
-    d, d_k = params.heads[0].w_q.shape
+    shape = np.shape(params.w_q)
+    if len(shape) != 3 or not shape[0]:
+        raise ShapeError(f"w_q must stack at least one head as K x d x d_k, got shape {shape}")
+    k, d, d_k = shape
     if n_features != d:
         raise ShapeError(f"input has {n_features} features but heads expect {d}")
-    for i, head in enumerate(params.heads):
-        for name in _QKV:
-            shape = getattr(head, name).shape
-            if shape != (d, d_k):
-                raise ShapeError(f"head {i}.{name} has shape {shape}, expected {(d, d_k)}")
-    k = len(params.heads)
     if params.w_o.shape[0] != k * d_k:
         raise ShapeError(
             f"w_o has {params.w_o.shape[0]} input rows but heads concatenate to {k * d_k}"
         )
-    cfg = params.gate
-    if cfg.placement != "none":
-        _validate_gates(params, d, d_k)
-    for name in params.stacked_fields():
+    g = 1 if params.gate.sharing == "shared" else k
+    expected = {"w_k": (k, d, d_k), "w_v": (k, d, d_k), "w_g": (g, d, d_k),
+                "w_g2": (g, d, d_k), "b_g": (g, 1 if params.gate.placement == "g3" else d_k)}
+    read = params.stacked_fields()
+    for name, want in expected.items():
         stack = getattr(params, name)
-        views = params._views.get(name, ())
-        for i, head in enumerate(params.heads):
-            if i >= len(views) or getattr(head, name) is not views[i] \
-                    or views[i].base is not stack:
-                raise ValueError(
-                    f"head {i}.{name} is not a view of the layer's stacked {name}; "
-                    f"write new values into the head's array in place"
-                )
-
-
-def _validate_gates(params: MhsaParams, d: int, d_k: int) -> None:
-    cfg = params.gate
-    for i, head in enumerate(params.heads):
-        if head.w_g is None or head.b_g is None:
-            raise ValueError(f"placement {cfg.placement!r} needs gate params on head {i}")
-        if head.w_g.shape != (d, d_k):
-            raise ShapeError(f"head {i}.w_g has shape {head.w_g.shape}, expected {(d, d_k)}")
-        if cfg.placement == "g3":
-            if head.w_g2 is None:
-                raise ShapeError(f"placement 'g3' needs a second gate projection on head {i}")
-            if head.w_g2.shape != (d, d_k):
-                raise ShapeError(
-                    f"head {i}.w_g2 has shape {head.w_g2.shape}, expected {(d, d_k)}"
-                )
-            if np.shape(head.b_g) != (1,):
-                raise ShapeError("g3 gate bias must be a single scalar, shape (1,)")
-        elif np.shape(head.b_g) != (d_k,):
-            raise ShapeError(f"gate bias must have shape ({d_k},), got {np.shape(head.b_g)}")
-    if cfg.sharing == "shared":
-        first = params.heads[0]
-        for i, head in enumerate(params.heads[1:], start=1):
-            if head.w_g is not first.w_g or head.b_g is not first.b_g:
-                raise ValueError(f"sharing is 'shared' but head {i} has its own gate params")
+        if name not in read:
+            if stack is not None:
+                raise ValueError(f"placement {params.gate.placement!r} does not read {name}; "
+                                 f"it must be None")
+        elif stack is None:
+            raise ValueError(f"placement {params.gate.placement!r} needs {name}")
+        elif np.shape(stack) != want:
+            raise ShapeError(f"{name} has shape {np.shape(stack)}, expected {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +343,16 @@ def init_mhsa_params(rng: SeededRng, d: int, n_heads: int, cfg: GateConfig, *,
             raise ValueError(f"d={d} is not divisible by n_heads={n_heads}; pass d_k explicitly")
         d_k = d // n_heads
     gated = cfg.placement != "none"
-    shared_gate = (_init_gate_arrays(rng, d, d_k, cfg, gate_weight_std)
-                   if gated and cfg.sharing == "shared" else None)
+    gates = ([_init_gate_arrays(rng, d, d_k, cfg, gate_weight_std)]
+             if gated and cfg.sharing == "shared" else [])
     std = 1.0 / np.sqrt(d)
-    heads = []
+    qkv = []
     for _ in range(n_heads):
-        head = HeadParams(*(gaussian_matrix(rng, d, d_k, std) for _ in _QKV))
-        if gated:
-            head.w_g, head.w_g2, head.b_g = shared_gate or _init_gate_arrays(
-                rng, d, d_k, cfg, gate_weight_std)
-        heads.append(head)
+        qkv.append([gaussian_matrix(rng, d, d_k, std) for _ in _QKV])
+        if gated and cfg.sharing == "per_head":
+            gates.append(_init_gate_arrays(rng, d, d_k, cfg, gate_weight_std))
     w_o = gaussian_matrix(rng, n_heads * d_k, d, std)
-    return MhsaParams(heads=heads, w_o=w_o, gate=cfg)
+    stacks = dict(zip(_QKV, map(np.stack, zip(*qkv))))
+    for name, arrays in zip(_GATE_FIELDS, zip(*gates)):
+        stacks[name] = None if arrays[0] is None else np.stack(arrays)
+    return MhsaParams(w_o=w_o, gate=cfg, **stacks)

@@ -30,7 +30,7 @@ from .diagnostics import (
     write_diagnostics_csv,
     write_diagnostics_json,
 )
-from .gps import init_model, model_forward, named_params, read_graph
+from .gps import init_model, model_forward, read_graph
 from .numeric import NonFiniteInputError, SeededRng, write_csv
 from .synthexp import (
     GATE_MEAN_TOL,
@@ -256,7 +256,7 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     # the rows keep the cell order.
     cap = None if cfg["gradcheck.exhaustive"] else cfg["gradcheck.samples"]
     coords = [sum(min(cap or arr.size, arr.size)
-                  for _, arr, _, _ in named_params(_gradcheck_model(cfg, p, a)))
+                  for _, arr in ParamSet.from_model(_gradcheck_model(cfg, p, a)).items())
               for p, a, _ in jobs]
     order = sorted(range(len(jobs)), key=lambda i: -coords[i])
     with _Pool(parallel) as map_fn:
@@ -372,6 +372,8 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     Reports per-lr final losses and the max-min range per model; these are
     toy-task losses standing in for the benchmark protocol, nothing more.
     """
+    if not cfg["training.lrs"]:
+        raise ConfigError("training.lrs is empty; there is no learning rate to sweep")
     task = _task(cfg)
     jobs = []
     for kind, gate in (("gated", _gate_config(cfg)),

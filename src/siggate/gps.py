@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import (
-    _GATE_FIELDS, _QKV, GateConfig, HeadTrace, MhsaParams, init_mhsa_params, siggate_mhsa,
+    _QKV, GateConfig, HeadTrace, MhsaParams, init_mhsa_params, siggate_mhsa,
 )
 from .numeric import SeededRng, ShapeError, fmt_exact, gaussian_matrix
 
@@ -48,6 +48,7 @@ __all__ = [
     "model_readout",
     "init_model",
     "named_params",
+    "param_view",
     "write_graph",
     "read_graph",
 ]
@@ -397,38 +398,46 @@ def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int
 
 
 def named_params(model: ModelParams):
-    """Yield ``(name, array, layer, branch)`` for every parameter of ``model``
-    once, in the order of its dump and its ``ParamSet``.
+    """Yield ``(name, array, k, layer, branch)`` for every parameter of
+    ``model`` once, in the order of its dump and its ``ParamSet``.
 
-    ``layer`` is -1 for the input projection, the layer's index inside the
-    stack, and L for the readout head. ``branch`` is the part of the layer
-    that reads the array: "heads" (a head's view of a stacked attention
-    projection or gate; a shared gate is named once, as ``attn.gate``),
-    "w_o", "mpnn", or "combine" (the FFN and both layer norms); None
-    outside the layers.
+    ``array`` is the array the forward reads. For a head's name
+    (``layer{i}.attn.head{k}.w_q``; a shared gate is named once, as
+    ``layer{i}.attn.gate.w_g``) it is the layer's stack and the parameter is
+    its slice ``k``; elsewhere ``k`` is None. :func:`param_view` gives the
+    parameter. ``layer`` is -1 for the input projection, the layer's index
+    inside the stack, and L for the readout head. ``branch`` is the part of
+    the layer that reads the array: "heads", "w_o", "mpnn", or "combine"
+    (the FFN and both layer norms); None outside the layers.
     """
-    yield "input.w", model.w_in, -1, None
-    yield "input.b", model.b_in, -1, None
+    yield "input.w", model.w_in, None, -1, None
+    yield "input.b", model.b_in, None, -1, None
     for i, layer in enumerate(model.layers):
         attn = layer.attn
-        for k, head in enumerate(attn.heads):
+        gate_fields = attn.stacked_fields()[len(_QKV):]
+        heads = len(attn.w_q)
+        for k in range(heads):
             for f in _QKV:
-                yield f"layer{i}.attn.head{k}.{f}", getattr(head, f), i, "heads"
-        if attn.gate.placement != "none":
-            shared = attn.gate.sharing == "shared"
-            for k, head in enumerate(attn.heads[:1] if shared else attn.heads):
+                yield f"layer{i}.attn.head{k}.{f}", getattr(attn, f), k, i, "heads"
+        shared = attn.gate.sharing == "shared"
+        for k in range(1 if shared else heads):
+            for f in gate_fields:
                 owner = "gate" if shared else f"head{k}"
-                for f in _GATE_FIELDS:
-                    if getattr(head, f) is not None:
-                        yield f"layer{i}.attn.{owner}.{f}", getattr(head, f), i, "heads"
-        yield f"layer{i}.attn.w_o", attn.w_o, i, "w_o"
+                yield f"layer{i}.attn.{owner}.{f}", getattr(attn, f), k, i, "heads"
+        yield f"layer{i}.attn.w_o", attn.w_o, None, i, "w_o"
         for part, branch in (("mpnn", "mpnn"), ("ffn", "combine"), ("ln1", "combine"),
                              ("ln2", "combine")):
             held = getattr(layer, part)
             for f in fields(held):
-                yield f"layer{i}.{part}.{f.name}", getattr(held, f.name), i, branch
-    yield "head.w", model.w_head, len(model.layers), None
-    yield "head.b", model.b_head, len(model.layers), None
+                yield f"layer{i}.{part}.{f.name}", getattr(held, f.name), None, i, branch
+    yield "head.w", model.w_head, None, len(model.layers), None
+    yield "head.b", model.b_head, None, len(model.layers), None
+
+
+def param_view(array, k):
+    """The parameter a :func:`named_params` item names: ``array[k]``, or
+    ``array`` itself when ``k`` is None."""
+    return array if k is None else array[k]
 
 
 # ---------------------------------------------------------------------------

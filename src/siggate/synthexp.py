@@ -378,6 +378,8 @@ def make_toy_task(seed: int, n_graphs: int = 24, nodes_per_graph: int = 8,
     """Random undirected graphs with a label computable by brute force."""
     if n_graphs < 2 or nodes_per_graph < 1:
         raise ValueError("need at least 2 graphs and 1 node per graph")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     rng = SeededRng(seed)
     pairs = []
     for _ in range(n_graphs):

@@ -29,6 +29,7 @@ from .gps import (
     model_readout,
     mpnn_forward,
     named_params,
+    param_view,
 )
 from .numeric import NonFiniteInputError, SeededRng, fmt_exact, write_csv
 
@@ -79,8 +80,9 @@ class ParamSet:
 
     @classmethod
     def from_model(cls, model: ModelParams) -> "ParamSet":
-        """The model's arrays by reference, named and ordered by :func:`named_params`."""
-        return cls({name: arr for name, arr, _, _ in named_params(model)})
+        """The model's arrays by reference, named and ordered by :func:`named_params`
+        (a head's parameter is a view of its slice of the layer's stack)."""
+        return cls({name: param_view(arr, k) for name, arr, k, _, _ in named_params(model)})
 
     @property
     def names(self) -> list[str]:
@@ -113,28 +115,11 @@ def is_gate_param(name: str) -> bool:
     return name.rsplit(".", 1)[-1] in _GATE_FIELDS
 
 
-def _head_views(model: ModelParams) -> dict:
-    """``id(view) -> (stack, k)`` for every head's view ``stack[k]`` of a layer's
-    stacked attention array (every head of a shared gate holds ``stack[0]``)."""
-    views = {}
-    for layer in model.layers:
-        for name, held in layer.attn._views.items():
-            stack = getattr(layer.attn, name)
-            for k, view in enumerate(held[:len(stack)]):
-                views[id(view)] = (stack, k)
-    return views
-
-
 class _Lifter:
-    """Memoizing array -> Var wrapper; shared arrays get a single node.
+    """Memoizing array -> Var wrapper; shared arrays get a single node."""
 
-    The forward lifts each layer's stacked attention arrays; the gradient of
-    a head's view is the matching slice of its stack's gradient.
-    """
-
-    def __init__(self, model: ModelParams):
+    def __init__(self):
         self._vars: dict[int, ad.Var] = {}
-        self._views = _head_views(model)
 
     def __call__(self, arr):
         node = self._vars.get(id(arr))
@@ -145,10 +130,6 @@ class _Lifter:
 
     def grad(self, arr):
         node = self._vars.get(id(arr))
-        if node is None and id(arr) in self._views:
-            stack, k = self._views[id(arr)]
-            g = self.grad(stack)
-            return None if g is None else g[k]
         return None if node is None else node.grad
 
 
@@ -214,7 +195,7 @@ def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
     Raises :class:`NonFiniteError` (naming the offending parameter) if the
     loss, an attention logit or any gradient is non-finite.
     """
-    lifter = _Lifter(model)
+    lifter = _Lifter()
     total = None
     try:
         for _, graphs, targets in _graph_groups(batch):
@@ -234,9 +215,11 @@ def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
         )
     ad.backward(mean)
     grads: dict[str, np.ndarray] = {}
-    for name, arr in params.items():
+    read = {name: (arr, k) for name, arr, k, _, _ in named_params(model)}
+    for name in params.names:
+        arr, k = read[name]
         g = lifter.grad(arr)
-        g = np.zeros_like(arr) if g is None else np.asarray(g)
+        g = np.zeros_like(params[name]) if g is None else param_view(np.asarray(g), k)
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}", name)
         grads[name] = g
@@ -272,13 +255,14 @@ class FdReport:
 
 
 def _probe_index(model: ModelParams) -> dict:
-    """``id(array) -> (layer index, branches)`` for every parameter the model
-    reads after its input projection: the first layer that reads the array,
-    and which of that layer's branches do (:func:`named_params`' branches;
-    an array read under two names keeps both). The readout's arrays map to
-    index L with no branch."""
+    """``id(array) -> (layer index, branches)`` for every array the model
+    reads after its input projection (a layer's stack for a head's
+    parameters): the first layer that reads the array, and which of that
+    layer's branches do (:func:`named_params`' branches; an array read under
+    two names keeps both). The readout's arrays map to index L with no
+    branch."""
     index: dict[int, tuple[int, frozenset]] = {}
-    for _, arr, layer, branch in named_params(model):
+    for _, arr, _, layer, branch in named_params(model):
         if layer >= 0:
             first, branches = index.setdefault(id(arr), (layer, frozenset()))
             if first == layer and branch is not None:
@@ -294,9 +278,10 @@ class _PlainForwardCache:
 
     A finite-difference probe changes one entry of one parameter array, and
     everything the model computes before that array is first read stays as
-    it was. :meth:`probe_losses` runs all probes of one array as one pass:
-    its ``lift`` puts perturbed copies of the array the forward reads (a
-    head's view is read through its layer's stack) on a leading copy axis,
+    it was. :meth:`probe_losses` runs all probes of one parameter as one
+    pass: its ``lift`` puts perturbed copies of the array the forward reads
+    (a head's parameter is read through its layer's stack) on a leading copy
+    axis,
     and the branches of the first layer that read it, that layer's combine
     step, the later layers and the readout run once over the copies. Each
     copy keeps its own slice of every op, with the shapes of
@@ -310,7 +295,7 @@ class _PlainForwardCache:
         self.loss = loss
         self.groups = _graph_groups(batch)
         self.index = _probe_index(model)
-        self.views = _head_views(model)
+        self.read = {name: (arr, k) for name, arr, k, _, _ in named_params(model)}
         # Per group: (h, local, head outputs, merged attention) entering
         # each layer, then the last hidden state.
         self.layers = []
@@ -328,28 +313,28 @@ class _PlainForwardCache:
             self.layers.append(entries)
             self.final.append(h)
 
-    def probe_losses(self, arr, idxs, h: float):
+    def probe_losses(self, name: str, idxs, h: float):
         """``(f_plus, f_minus)``: for each flat index j of ``idxs``, the
-        :func:`batch_loss` with ``arr``'s entry j moved to ``old + h`` and to
-        ``old - h``. ``arr`` is a parameter array of the model; its copies
-        run :data:`PROBE_CHUNK` at a time."""
-        read, k = self.views.get(id(arr), (arr, None))
+        :func:`batch_loss` with entry j of the parameter ``name`` moved to
+        ``old + h`` and to ``old - h``. Its copies run :data:`PROBE_CHUNK`
+        at a time."""
+        arr, k = self.read[name]
         start = self.index.get(id(arr))
         if start is None or arr is self.model.w_in or arr is self.model.b_in:
             start = (-1, frozenset())
+        param = param_view(arr, k)
         idxs = np.asarray(idxs, dtype=np.intp)
-        old = arr.reshape(-1)[idxs]
+        old = param.reshape(-1)[idxs]
         # Copy 2m holds entry idxs[m] at old + h, copy 2m + 1 at old - h.
         values = np.stack([old + h, old - h], axis=1).reshape(-1)
-        where = np.repeat(idxs + (0 if k is None else k * arr.size), 2)
+        where = np.repeat(idxs + (0 if k is None else k * param.size), 2)
         losses = np.empty(values.size)
         for lo in range(0, values.size, PROBE_CHUNK):
             chunk = slice(lo, lo + PROBE_CHUNK)
             count = values[chunk].size
-            copies = np.repeat(read[None], count, axis=0)
+            copies = np.repeat(arr[None], count, axis=0)
             copies.reshape(count, -1)[np.arange(count), where[chunk]] = values[chunk]
-            subs = {id(read): copies, id(arr): copies if k is None else copies[:, k]}
-            losses[chunk] = self._loss_from(*start, lambda a: subs.get(id(a), a))
+            losses[chunk] = self._loss_from(*start, lambda a: copies if a is arr else a)
         return losses[0::2], losses[1::2]
 
     def _loss_from(self, index, branches, lift):
@@ -410,7 +395,7 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
         else:
             u = rng.uniform((size,))
             idxs = np.sort(np.argsort(u)[:sample])
-        f_plus, f_minus = cache.probe_losses(arr, idxs, h)
+        f_plus, f_minus = cache.probe_losses(name, idxs, h)
         a_vec, n_vec = analytic[idxs], (f_plus - f_minus) / (2.0 * h)
         n_checked += idxs.size
         for j, a, n in zip(idxs, a_vec, n_vec):
@@ -515,8 +500,10 @@ class TrainConfig:
     readout: str = "mean"
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.loss not in LOSSES:
@@ -593,7 +580,7 @@ def _model_meta(model: ModelParams) -> dict:
     return {
         "d_in": model.w_in.shape[0],
         "d": d,
-        "n_heads": len(attn.heads),
+        "n_heads": len(attn.w_q),
         "n_layers": len(model.layers),
         "d_ff": model.layers[0].ffn.w1.shape[1],
         "d_e": model.layers[0].mpnn.w_edge.shape[0] - 2 * d,
@@ -609,8 +596,8 @@ def _model_meta(model: ModelParams) -> dict:
 def save_model(model: ModelParams, path) -> None:
     lines = ["# siggate-model"]
     lines += [f"# {k} = {v}" for k, v in _model_meta(model).items()]
-    for name, arr, _, _ in named_params(model):
-        mat = np.atleast_2d(arr)
+    for name, arr, k, _, _ in named_params(model):
+        mat = np.atleast_2d(param_view(arr, k))
         lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
         for row in mat:
             lines.append(" ".join(map(fmt_exact, row.tolist())))
@@ -690,7 +677,8 @@ def load_model(path) -> ModelParams:
         raise ValueError(f"model dump {path} is missing metadata key {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"model dump {path} has malformed metadata: {exc}") from None
-    for name, arr, _, _ in named_params(model):
+    for name, stack, k, _, _ in named_params(model):
+        arr = param_view(stack, k)
         record = arrays.pop(name, None)
         if record is None:
             raise ValueError(f"model dump {path} is missing parameter {name!r}")

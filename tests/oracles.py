@@ -8,9 +8,10 @@ sum of ``diagnostics.attention_entropy``, the power iteration of
 rank study run one (c, rho) cell at a time, each cell drawing its seeds
 from scratch. It also keeps the hand-written descriptions of the model's
 parameters that ``gps.named_params`` replaced: the parameter registry
-written out name by name, and the probe index built by walking the
-parameter dataclasses. For attention it keeps the gate activations as
-plain numpy, one head's forward pass written out op by op, and the
+written out name by name (a head's parameter is its slice of the layer's
+stack), and the probe index built by walking the parameter dataclasses.
+For attention it keeps the gate activations as plain numpy, one head's
+forward pass written out op by op on that head's plain arrays, and the
 head-by-head draws of ``attention.init_mhsa_params``. For the gradient
 check it keeps the one-probe loop: each probe writes its perturbed entry
 into the model and runs the full tape-free ``training.batch_loss``.
@@ -20,7 +21,6 @@ import numpy as np
 
 from dataclasses import fields, is_dataclass
 
-from siggate.attention import HeadParams
 from siggate.numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
 from siggate.synthexp import calibrate_gate
 
@@ -163,24 +163,23 @@ def hand_written_registry(model):
     for i, layer in enumerate(model.layers):
         pre = f"layer{i}"
         attn = layer.attn
-        for k, head in enumerate(attn.heads):
-            put(f"{pre}.attn.head{k}.w_q", head.w_q)
-            put(f"{pre}.attn.head{k}.w_k", head.w_k)
-            put(f"{pre}.attn.head{k}.w_v", head.w_v)
+        for k in range(attn.w_q.shape[0]):
+            put(f"{pre}.attn.head{k}.w_q", attn.w_q[k])
+            put(f"{pre}.attn.head{k}.w_k", attn.w_k[k])
+            put(f"{pre}.attn.head{k}.w_v", attn.w_v[k])
         cfg = attn.gate
         if cfg.placement != "none":
             if cfg.sharing == "shared":
-                head = attn.heads[0]
-                put(f"{pre}.attn.gate.w_g", head.w_g)
-                if head.w_g2 is not None:
-                    put(f"{pre}.attn.gate.w_g2", head.w_g2)
-                put(f"{pre}.attn.gate.b_g", head.b_g)
+                put(f"{pre}.attn.gate.w_g", attn.w_g[0])
+                if attn.w_g2 is not None:
+                    put(f"{pre}.attn.gate.w_g2", attn.w_g2[0])
+                put(f"{pre}.attn.gate.b_g", attn.b_g[0])
             else:
-                for k, head in enumerate(attn.heads):
-                    put(f"{pre}.attn.head{k}.w_g", head.w_g)
-                    if head.w_g2 is not None:
-                        put(f"{pre}.attn.head{k}.w_g2", head.w_g2)
-                    put(f"{pre}.attn.head{k}.b_g", head.b_g)
+                for k in range(attn.w_q.shape[0]):
+                    put(f"{pre}.attn.head{k}.w_g", attn.w_g[k])
+                    if attn.w_g2 is not None:
+                        put(f"{pre}.attn.head{k}.w_g2", attn.w_g2[k])
+                    put(f"{pre}.attn.head{k}.b_g", attn.b_g[k])
         put(f"{pre}.attn.w_o", attn.w_o)
         put(f"{pre}.mpnn.w_edge", layer.mpnn.w_edge)
         put(f"{pre}.mpnn.w_val", layer.mpnn.w_val)
@@ -211,13 +210,13 @@ def dataclass_arrays(obj):
 
 def dataclass_probe_index(model):
     """``id(array) -> (first layer that reads it, that layer's branches that
-    read it)`` for every array the layers hold (the attention stacks
-    included), and ``(L, frozenset())`` for the readout's arrays."""
+    read it)`` for every array the layers hold (each attention stack once),
+    and ``(L, frozenset())`` for the readout's arrays."""
     index = {}
     for i, layer in enumerate(model.layers):
         attn = layer.attn
-        stacks = [getattr(attn, name) for name in attn.stacked_fields()]
-        parts = {"mpnn": layer.mpnn, "heads": (attn.heads, stacks), "w_o": attn.w_o,
+        stacks = [attn.w_q, attn.w_k, attn.w_v, attn.w_g, attn.w_g2, attn.b_g]
+        parts = {"mpnn": layer.mpnn, "heads": stacks, "w_o": attn.w_o,
                  "combine": (layer.ffn, layer.ln1, layer.ln2)}
         found = {}
         for branch, part in parts.items():
@@ -259,22 +258,24 @@ def masked_softmax(logits, mask=None):
 
 def head_forward(h, head, placement, activation="sigmoid", mask=None):
     """One head on one graph, op by op in the library's order: ``(output,
-    attention, gate)`` with ``gate`` None for placement ``none``."""
+    attention, gate)`` with ``gate`` None for placement ``none``. ``head``
+    maps ``w_q``, ``w_k``, ``w_v`` (and the gate's ``w_g``, ``w_g2``,
+    ``b_g``) to that head's plain arrays."""
     act = GATE_ACTIVATIONS[activation]
-    inv_sqrt_dk = 1.0 / np.sqrt(head.w_q.shape[1])
-    logits = ((h @ head.w_q) @ (h @ head.w_k).T) * inv_sqrt_dk
-    v = h @ head.w_v
+    inv_sqrt_dk = 1.0 / np.sqrt(head["w_q"].shape[1])
+    logits = ((h @ head["w_q"]) @ (h @ head["w_k"]).T) * inv_sqrt_dk
+    v = h @ head["w_v"]
     gate = None
     if placement == "g3":
-        gate = act(((h @ head.w_g) @ (h @ head.w_g2).T) * inv_sqrt_dk + head.b_g[0])
+        gate = act(((h @ head["w_g"]) @ (h @ head["w_g2"]).T) * inv_sqrt_dk + head["b_g"][0])
         logits = gate * logits
     attention = masked_softmax(logits, mask)
     if placement == "g2":
-        gate = act(h @ head.w_g + head.b_g)
+        gate = act(h @ head["w_g"] + head["b_g"])
         v = gate * v
     out = attention @ v
     if placement == "g1":
-        gate = act(h @ head.w_g + head.b_g)
+        gate = act(h @ head["w_g"] + head["b_g"])
         out = out * gate
     return out, attention, gate
 
@@ -284,7 +285,8 @@ def head_by_head_init(rng, d, n_heads, cfg, gate_weight_std=None):
     first, then per head Q, K, V (std 1/sqrt(d)) and the head's own gate
     (W_g, for g3 also W_g2, and a bias at ``bias_init`` that draws
     nothing), then W_O. A gate weight std of 0 gives zeros and draws
-    nothing."""
+    nothing. Each head is a dict of its plain arrays by field name (a gate
+    field the placement lacks is None; every head holds the shared gate)."""
     d_k = d // n_heads
     std = 1.0 / np.sqrt(d)
     g_std = std if gate_weight_std is None else gate_weight_std
@@ -304,7 +306,7 @@ def head_by_head_init(rng, d, n_heads, cfg, gate_weight_std=None):
     for _ in range(n_heads):
         qkv = [gaussian_matrix(rng, d, d_k, std) for _ in range(3)]
         g = (shared or gate()) if gated else (None, None, None)
-        heads.append(HeadParams(*qkv, *g))
+        heads.append(dict(zip(("w_q", "w_k", "w_v", "w_g", "w_g2", "b_g"), (*qkv, *g))))
     return heads, gaussian_matrix(rng, n_heads * d_k, d, std)
 
 

@@ -166,8 +166,8 @@ class TestCriterion4ForwardIdentities:
         ungated_layers = [
             GpsLayerParams(
                 mpnn=layer.mpnn,
-                attn=MhsaParams(heads=layer.attn.heads, w_o=layer.attn.w_o,
-                                gate=GateConfig(placement="none")),
+                attn=MhsaParams(layer.attn.w_q, layer.attn.w_k, layer.attn.w_v,
+                                layer.attn.w_o, GateConfig(placement="none")),
                 ffn=layer.ffn, ln1=layer.ln1, ln2=layer.ln2,
             )
             for layer in model.layers
@@ -194,10 +194,9 @@ class TestCriterion4ForwardIdentities:
         rng = SeededRng(5)
         shared = init_mhsa_params(rng, 16, 4, GateConfig(placement="g1", sharing="shared"))
         duplicated = MhsaParams(
-            heads=[type(h)(h.w_q, h.w_k, h.w_v, h.w_g, h.w_g2, h.b_g)
-                   for h in shared.heads],
-            w_o=shared.w_o,
-            gate=GateConfig(placement="g1", sharing="per_head"),
+            shared.w_q, shared.w_k, shared.w_v, shared.w_o,
+            GateConfig(placement="g1", sharing="per_head"),
+            w_g=np.repeat(shared.w_g, 4, axis=0), b_g=np.repeat(shared.b_g, 4, axis=0),
         )
         h = gaussian_matrix(rng, 7, 16, 1.0)
         out_a, _ = siggate_mhsa(h, shared)

@@ -7,7 +7,6 @@ from oracles import GATE_ACTIVATIONS as ACTIVATION_ORACLES, head_by_head_init, h
 from siggate.attention import (
     GATE_ACTIVATIONS,
     GateConfig,
-    HeadParams,
     MhsaParams,
     gate_param_count,
     gated_head_forward,
@@ -18,27 +17,53 @@ from siggate.numeric import SeededRng, ShapeError, gaussian_matrix
 
 
 def make_head(rng, d, d_k, gated=True, g3=False):
+    """One head's plain arrays by field name."""
     std = 1.0 / np.sqrt(d)
-    head = HeadParams(
-        w_q=gaussian_matrix(rng, d, d_k, std),
-        w_k=gaussian_matrix(rng, d, d_k, std),
-        w_v=gaussian_matrix(rng, d, d_k, std),
-    )
+    head = {name: gaussian_matrix(rng, d, d_k, std) for name in ("w_q", "w_k", "w_v")}
     if gated:
-        head.w_g = gaussian_matrix(rng, d, d_k, std)
+        head["w_g"] = gaussian_matrix(rng, d, d_k, std)
         if g3:
-            head.w_g2 = gaussian_matrix(rng, d, d_k, std)
-            head.b_g = np.array([0.5])
+            head["w_g2"] = gaussian_matrix(rng, d, d_k, std)
+            head["b_g"] = np.array([0.5])
         else:
-            head.b_g = np.full(d_k, 0.5)
+            head["b_g"] = np.full(d_k, 0.5)
     return head
+
+
+GATE_FIELDS = ("w_g", "w_g2", "b_g")
+
+
+def stack_heads(heads, cfg, w_o=None):
+    """The layer whose head k holds ``heads[k]``'s arrays, each field the
+    placement reads stacked over the heads (a shared gate from head 0); W_O
+    defaults to the identity."""
+    read = MhsaParams(None, None, None, None, cfg).stacked_fields()
+    shared = cfg.sharing == "shared"
+    stacks = {name: np.stack([head[name] for head in
+                              (heads[:1] if shared and name in GATE_FIELDS else heads)])
+              for name in read}
+    if w_o is None:
+        w_o = np.eye(len(heads) * heads[0]["w_q"].shape[1])
+    return MhsaParams(w_o=w_o, gate=cfg, **stacks)
+
+
+def head_layer(params, k):
+    """Head k of ``params`` alone: a layer of K = 1 built from the slices
+    ``stack[k:k+1]`` (``[0:1]`` of a shared gate) and head k's rows of W_O."""
+    d_k = params.w_q.shape[-1]
+    shared = params.gate.sharing == "shared"
+    stacks = {}
+    for name in params.stacked_fields():
+        j = 0 if shared and name in GATE_FIELDS else k
+        stacks[name] = getattr(params, name)[j:j + 1]
+    return MhsaParams(w_o=params.w_o[k * d_k:(k + 1) * d_k], gate=params.gate, **stacks)
 
 
 def run_head(h, head, placement="none", activation="sigmoid", mask=None, **kwargs):
     """One head's output and :class:`HeadTrace`, run as a layer of K = 1
     (the layer stacks copies of the head's arrays)."""
     cfg = GateConfig(placement=placement, activation=activation)
-    layer = MhsaParams(heads=[head], w_o=np.eye(head.w_q.shape[1]), gate=cfg)
+    layer = stack_heads([head], cfg)
     out, traces = gated_head_forward(h, layer, cfg, mask, **kwargs)
     assert out.shape[0] == 1 and len(traces) == 1
     return out[0], traces[0]
@@ -58,7 +83,7 @@ class TestSdpa:
     def test_zero_values_give_zero_output(self):
         rng = SeededRng(1)
         head = make_head(rng, 4, 2, gated=False)
-        head.w_v = np.zeros((4, 2))
+        head["w_v"] = np.zeros((4, 2))
         h = gaussian_matrix(rng, 5, 4, 1.0)
         y, _ = run_head(h, head)
         assert np.array_equal(y, np.zeros((5, 2)))
@@ -66,8 +91,8 @@ class TestSdpa:
     def test_two_node_scalar_hand_computation(self):
         # d = d_k = 1: everything reduces to scalar arithmetic done by hand
         h = np.array([[1.0], [2.0]])
-        head = HeadParams(w_q=np.array([[0.3]]), w_k=np.array([[-0.7]]),
-                          w_v=np.array([[1.1]]))
+        head = {"w_q": np.array([[0.3]]), "w_k": np.array([[-0.7]]),
+                "w_v": np.array([[1.1]])}
         y, trace = run_head(h, head)
         q = h * 0.3
         k = h * -0.7
@@ -92,7 +117,7 @@ class TestComputeGate:
     def test_zero_weights_bias_half_sigmoid(self):
         rng = SeededRng(3)
         head = make_head(rng, 4, 3)
-        head.w_g = np.zeros((4, 3))
+        head["w_g"] = np.zeros((4, 3))
         h = gaussian_matrix(rng, 5, 4, 1.0)
         _, trace = run_head(h, head, "g1")
         assert np.allclose(trace.gate, 0.6224593312018546, atol=1e-12)
@@ -100,8 +125,8 @@ class TestComputeGate:
     def test_zero_bias_gives_half(self):
         rng = SeededRng(4)
         head = make_head(rng, 4, 3)
-        head.w_g = np.zeros((4, 3))
-        head.b_g = np.zeros(3)
+        head["w_g"] = np.zeros((4, 3))
+        head["b_g"] = np.zeros(3)
         h = gaussian_matrix(rng, 5, 4, 1.0)
         _, trace = run_head(h, head, "g1")
         assert np.allclose(trace.gate, 0.5, atol=0)
@@ -109,8 +134,8 @@ class TestComputeGate:
     def test_identity_projection_gates_by_the_activation_of_the_input(self):
         rng = SeededRng(5)
         head = make_head(rng, 4, 4)
-        head.w_g = np.eye(4)
-        head.b_g = np.zeros(4)
+        head["w_g"] = np.eye(4)
+        head["b_g"] = np.zeros(4)
         h = gaussian_matrix(rng, 5, 4, 1.0)
         for activation in GATE_ACTIVATIONS:
             _, trace = run_head(h, head, "g1", activation)
@@ -180,9 +205,10 @@ class TestGatedHeadForward:
 
     def test_g3_requires_second_projection(self):
         cfg = GateConfig(placement="g3")
-        bad = make_head(SeededRng(9), 8, 4)  # no w_g2, d_k-shaped bias
-        params = MhsaParams(heads=[bad], w_o=np.eye(4, 8), gate=cfg)
-        with pytest.raises(ShapeError, match="second gate projection"):
+        head = self.head_g3
+        params = MhsaParams(*(head[name][None] for name in ("w_q", "w_k", "w_v")),
+                            np.eye(4, 8), cfg, w_g=head["w_g"][None], b_g=head["b_g"][None])
+        with pytest.raises(ValueError, match="^placement 'g3' needs w_g2$"):
             siggate_mhsa(self.h, params)
 
     def test_attention_rows_stochastic_for_all_placements(self):
@@ -208,18 +234,19 @@ class TestSiggateMhsa:
         params.w_o = np.eye(6)
         h = gaussian_matrix(rng, 5, 6, 1.0)
         out, traces = siggate_mhsa(h, params)
-        y, _, _ = head_forward(h, params.heads[0], "none")
+        y, _, _ = head_forward(h, {name: getattr(params, name)[0]
+                                   for name in ("w_q", "w_k", "w_v")}, "none")
         assert np.array_equal(out, y)
         assert len(traces) == 1
 
     def test_shared_equals_per_head_with_duplicated_params(self):
         rng = SeededRng(11)
         shared = init_mhsa_params(rng, 8, 4, GateConfig(placement="g1", sharing="shared"))
-        # same arrays, flagged per-head
-        heads = [HeadParams(h.w_q, h.w_k, h.w_v, h.w_g, h.w_g2, h.b_g)
-                 for h in shared.heads]
-        per_head = MhsaParams(heads=heads, w_o=shared.w_o,
-                              gate=GateConfig(placement="g1", sharing="per_head"))
+        # the same stacks, with the shared gate repeated for each of the 4 heads
+        per_head = MhsaParams(shared.w_q, shared.w_k, shared.w_v, shared.w_o,
+                              GateConfig(placement="g1", sharing="per_head"),
+                              w_g=np.repeat(shared.w_g, 4, axis=0),
+                              b_g=np.repeat(shared.b_g, 4, axis=0))
         h = gaussian_matrix(rng, 7, 8, 1.0)
         out_shared, _ = siggate_mhsa(h, shared)
         out_per, _ = siggate_mhsa(h, per_head)
@@ -241,8 +268,9 @@ class TestSiggateMhsa:
     def test_inconsistent_heads_rejected(self):
         rng = SeededRng(14)
         params = init_mhsa_params(rng, 8, 2, GateConfig(placement="none"))
-        params.heads[1].w_k = np.zeros((8, 3))
-        with pytest.raises(ShapeError, match="head 1.w_k"):
+        params.w_k = np.zeros((2, 8, 3))
+        with pytest.raises(ShapeError,
+                           match=r"^w_k has shape \(2, 8, 3\), expected \(2, 8, 4\)$"):
             siggate_mhsa(gaussian_matrix(rng, 4, 8, 1.0), params)
 
     def test_wrong_input_width_rejected(self):
@@ -253,9 +281,11 @@ class TestSiggateMhsa:
 
     def test_shared_flag_with_private_arrays_rejected(self):
         rng = SeededRng(16)
+        # a shared config whose w_g holds a gate per head fails the shape check
         params = init_mhsa_params(rng, 8, 2, GateConfig(placement="g1", sharing="shared"))
-        params.heads[1].w_g = params.heads[1].w_g.copy()
-        with pytest.raises(ValueError, match="its own gate params"):
+        params.w_g = np.repeat(params.w_g, 2, axis=0)
+        with pytest.raises(ShapeError,
+                           match=r"^w_g has shape \(2, 8, 4\), expected \(1, 8, 4\)$"):
             siggate_mhsa(gaussian_matrix(rng, 4, 8, 1.0), params)
 
     def test_mask_propagates(self):
@@ -294,7 +324,7 @@ def stacked_layer(seed, placement, activation="sigmoid", sharing="per_head", d=8
 
 
 class TestHeadStack:
-    """A layer holds its heads' projections as stacks; each head views its slice."""
+    """A layer holds its heads' projections as stacks; head k is slice k."""
 
     @pytest.mark.parametrize("placement, activation, sharing", CELLS)
     def test_stacked_pass_equals_loop_over_heads_bitwise(self, placement, activation,
@@ -315,10 +345,8 @@ class TestHeadStack:
                 out, traces = gated_head_forward(h, params, cfg, m, gate_override=override,
                                                  n_graphs=n_graphs)
                 assert out.shape == (4, len(h), 2) and len(traces) == 4
-                for k, head in enumerate(params.heads):
-                    # head k alone, as a layer of K = 1
-                    alone = MhsaParams(heads=[head], w_o=params.w_o[2 * k:2 * k + 2], gate=cfg)
-                    (out_k,), (trace_k,) = gated_head_forward(h, alone, cfg, m,
+                for k in range(4):
+                    (out_k,), (trace_k,) = gated_head_forward(h, head_layer(params, k), cfg, m,
                                                               gate_override=override,
                                                               n_graphs=n_graphs)
                     assert np.array_equal(out[k], out_k)
@@ -334,24 +362,31 @@ class TestHeadStack:
         ("g3", "per_head", 4), ("g3", "shared", 1),
     ])
     def test_heads_view_slices_of_the_stacks(self, placement, sharing, gate_heads):
+        # The stacks have the documented shapes, and a layer of one head built
+        # from slices of them reads the stacks' memory: a write into slice k
+        # reaches head k's K = 1 layer and no other head's.
         params = stacked_layer(32, placement, sharing=sharing)
         assert params.w_q.shape == params.w_k.shape == params.w_v.shape == (4, 8, 2)
-        for k, head in enumerate(params.heads):
-            for name in ("w_q", "w_k", "w_v"):
-                assert getattr(head, name).base is getattr(params, name)
-                assert np.shares_memory(getattr(head, name), getattr(params, name)[k])
         if not gate_heads:
-            assert params.w_g is None and params.b_g is None
-            return
-        assert params.w_g.shape == (gate_heads, 8, 2)
-        assert params.b_g.shape == (gate_heads, 1 if placement == "g3" else 2)
-        assert (params.w_g2 is None) == (placement != "g3")
-        for k, head in enumerate(params.heads):
-            assert head.w_g.base is params.w_g
-            if gate_heads == 1:
-                assert head.w_g is params.heads[0].w_g and head.b_g is params.heads[0].b_g
-        params.heads[1].w_g[0, 0] = 7.0
-        assert params.w_g[1 if gate_heads > 1 else 0, 0, 0] == 7.0
+            assert params.w_g is None and params.w_g2 is None and params.b_g is None
+        else:
+            assert params.w_g.shape == (gate_heads, 8, 2)
+            assert params.b_g.shape == (gate_heads, 1 if placement == "g3" else 2)
+            assert (params.w_g2 is None) == (placement != "g3")
+        h = gaussian_matrix(SeededRng(33), 5, 8, 1.0)
+        for name in params.stacked_fields():
+            stack = getattr(params, name)
+            k = 1 if len(stack) > 1 else 0
+            layers = [head_layer(params, j) for j in range(4)]
+            assert all(np.shares_memory(getattr(layers[j], name), stack) for j in range(4))
+            before = [siggate_mhsa(h, layer)[0] for layer in layers]
+            old = stack[k].flat[0]
+            stack[k].flat[0] = old + 0.5
+            after = [siggate_mhsa(h, layer)[0] for layer in layers]
+            stack[k].flat[0] = old
+            readers = {1} if len(stack) > 1 else {0, 1, 2, 3}
+            for j in range(4):
+                assert np.array_equal(before[j], after[j]) == (j not in readers), (name, j)
 
     def test_init_keeps_the_per_head_draw_order(self):
         for placement in ("none", "g1", "g2", "g3"):
@@ -361,50 +396,51 @@ class TestHeadStack:
                     params = init_mhsa_params(SeededRng(33), 8, 2, cfg,
                                               gate_weight_std=gate_std)
                     heads, w_o = head_by_head_init(SeededRng(33), 8, 2, cfg, gate_std)
-                    for got, want in zip(params.heads, heads):
-                        for name in ("w_q", "w_k", "w_v", "w_g", "w_g2", "b_g"):
-                            a, b = getattr(got, name), getattr(want, name)
-                            assert (a is None) == (b is None)
-                            assert a is None or np.array_equal(a, b)
-                    assert np.array_equal(params.w_o, w_o)
+                    want = stack_heads(heads, cfg, w_o)
+                    for name in ("w_q", "w_k", "w_v", "w_o", "w_g", "w_g2", "b_g"):
+                        a, b = getattr(params, name), getattr(want, name)
+                        assert (a is None) == (b is None)
+                        assert a is None or np.array_equal(a, b)
 
     def test_construction_adopts_existing_stacks(self):
+        # An ungated layer built from a gated layer's stacks holds those same
+        # arrays, and equals the gated layer under an all-ones gate.
         gated = stacked_layer(34, "g1")
-        ungated = MhsaParams(heads=gated.heads, w_o=gated.w_o,
-                             gate=GateConfig(placement="none"))
-        for name in ("w_q", "w_k", "w_v"):
+        ungated = MhsaParams(gated.w_q, gated.w_k, gated.w_v, gated.w_o,
+                             GateConfig(placement="none"))
+        for name in ("w_q", "w_k", "w_v", "w_o"):
             assert getattr(ungated, name) is getattr(gated, name)
-        assert all(a is b for a, b in zip(ungated.heads, gated.heads))
         assert ungated.w_g is None
-        for k, head in enumerate(gated.heads):
-            for name in ("w_q", "w_k", "w_v", "w_g", "b_g"):
-                assert getattr(head, name).base is getattr(gated, name)
         h = gaussian_matrix(SeededRng(35), 5, 8, 1.0)
-        siggate_mhsa(h, gated)  # the original still passes the view checks
         out_ones, _ = siggate_mhsa(h, gated, gate_override="ones")
         assert np.array_equal(out_ones, siggate_mhsa(h, ungated)[0])
 
     def test_construction_copies_other_arrays_without_touching_the_heads(self):
+        # Stacking plain per-head arrays copies them: a write into the stack
+        # leaves the heads' own arrays as they were, and the stacked layer
+        # equals the heads run one by one.
         rng = SeededRng(36)
         heads = [make_head(rng, 8, 4) for _ in range(2)]
-        originals = [(h.w_q, h.w_g) for h in heads]
-        params = MhsaParams(heads=heads, w_o=np.eye(8), gate=GateConfig(placement="g1"))
-        for head, (w_q, w_g) in zip(heads, originals):
-            assert head.w_q is w_q and head.w_g is w_g
-        for k, head in enumerate(params.heads):
-            assert head.w_q.base is params.w_q and head.w_g.base is params.w_g
-            assert np.array_equal(head.w_q, heads[k].w_q)
+        originals = [{name: arr.copy() for name, arr in head.items()} for head in heads]
+        params = stack_heads(heads, GateConfig(placement="g1"))
+        params.w_q[0, 0, 0] += 1.0
+        params.w_g[1, 0, 0] += 1.0
+        for head, original in zip(heads, originals):
+            assert all(np.array_equal(head[name], original[name]) for name in head)
+        params.w_q[0, 0, 0] -= 1.0
+        params.w_g[1, 0, 0] -= 1.0
         h = gaussian_matrix(rng, 5, 8, 1.0)
         out, _ = siggate_mhsa(h, params)
         loop = [run_head(h, head, "g1")[0] for head in heads]
         assert np.array_equal(out, np.concatenate(loop, axis=1) @ np.eye(8))
 
     def test_deepcopy_restacks(self):
+        # A deep copy holds stacks of its own with the same values and forward.
         params = stacked_layer(37, "g3", sharing="shared")
         twin = copy.deepcopy(params)
-        assert twin.w_q is not params.w_q
-        assert all(head.w_q.base is twin.w_q for head in twin.heads)
-        assert all(head.w_g is twin.heads[0].w_g for head in twin.heads)
+        for name in params.stacked_fields() + ("w_o",):
+            assert not np.shares_memory(getattr(twin, name), getattr(params, name))
+            assert np.array_equal(getattr(twin, name), getattr(params, name))
         h = gaussian_matrix(SeededRng(38), 5, 8, 1.0)
         assert np.array_equal(siggate_mhsa(h, twin)[0], siggate_mhsa(h, params)[0])
 
@@ -413,13 +449,53 @@ class TestHeadStack:
         ("g3", "w_g2"),
     ])
     def test_replaced_head_field_rejected(self, placement, name):
+        # A field replaced by a stack without head 2 no longer agrees with the
+        # layer's other stacks; the error names the field (W_O's row count
+        # when the field is w_q, whose stack sets the head count).
         params = stacked_layer(39, placement)
-        setattr(params.heads[2], name, getattr(params.heads[2], name).copy())
-        with pytest.raises(ValueError, match=rf"head 2\.{name} is not a view"):
+        stack = getattr(params, name)
+        setattr(params, name, np.delete(stack, 2, axis=0))
+        message = (r"^w_o has 8 input rows but heads concatenate to 6$" if name == "w_q"
+                   else rf"^{name} has shape \(3, .*\), expected \(4, ")
+        with pytest.raises(ShapeError, match=message):
             siggate_mhsa(gaussian_matrix(SeededRng(40), 5, 8, 1.0), params)
 
     def test_replaced_stack_rejected(self):
         params = stacked_layer(41, "g2")
-        params.w_v = params.w_v.copy()
-        with pytest.raises(ValueError, match=r"head 0\.w_v is not a view"):
+        params.w_v = np.zeros((4, 8, 3))
+        with pytest.raises(ShapeError,
+                           match=r"^w_v has shape \(4, 8, 3\), expected \(4, 8, 2\)$"):
             siggate_mhsa(gaussian_matrix(SeededRng(42), 5, 8, 1.0), params)
+
+
+class TestStackValidation:
+    """``siggate_mhsa`` checks the stacks against one shape table."""
+
+    @pytest.mark.parametrize("placement, name", [
+        ("g1", "w_g"), ("g1", "b_g"), ("g2", "b_g"), ("g3", "w_g2"),
+    ])
+    def test_missing_stack_for_the_placement_rejected(self, placement, name):
+        params = stacked_layer(43, placement)
+        setattr(params, name, None)
+        with pytest.raises(ValueError, match=rf"^placement '{placement}' needs {name}$"):
+            siggate_mhsa(gaussian_matrix(SeededRng(44), 5, 8, 1.0), params)
+
+    @pytest.mark.parametrize("placement, name", [("none", "w_g"), ("g1", "w_g2")])
+    def test_stack_the_placement_does_not_read_rejected(self, placement, name):
+        params = stacked_layer(45, placement)
+        setattr(params, name, np.zeros((4, 8, 2)))
+        with pytest.raises(ValueError, match=rf"placement '{placement}' does not read {name}"):
+            siggate_mhsa(gaussian_matrix(SeededRng(46), 5, 8, 1.0), params)
+
+    def test_w_o_row_count_rejected(self):
+        params = stacked_layer(47, "g1")
+        params.w_o = np.eye(6, 8)
+        with pytest.raises(ShapeError, match="^w_o has 6 input rows but heads concatenate to 8$"):
+            siggate_mhsa(gaussian_matrix(SeededRng(48), 5, 8, 1.0), params)
+
+    @pytest.mark.parametrize("shape", [(8, 2), (0, 8, 2)])
+    def test_w_q_without_a_head_axis_or_a_head_rejected(self, shape):
+        params = stacked_layer(49, "none")
+        params.w_q = np.zeros(shape)
+        with pytest.raises(ShapeError, match="^w_q must stack at least one head"):
+            siggate_mhsa(gaussian_matrix(SeededRng(50), 5, 8, 1.0), params)

@@ -536,6 +536,43 @@ class TestDiagnoseCommand:
         assert f"model dump {model_path} has malformed metadata" in capsys.readouterr().err
 
 
+class TestBadTrainingInputs:
+    """A training or task setting no run can use exits 2 before any cell runs:
+    the error names the setting, no traceback, no result file."""
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("ablate", "training.lr = nan", "lr must be finite and >= 0, got nan"),
+        ("ablate", "training.lr = inf", "lr must be finite and >= 0, got inf"),
+        ("ablate", "training.weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
+        ("ablate", "training.weight_decay = -1", "weight_decay must be finite and >= 0, got -1.0"),
+        ("lr-sweep", "training.weight_decay = nan",
+         "weight_decay must be finite and >= 0, got nan"),
+        ("lr-sweep", "training.lrs = 1e-3, nan", "lr must be finite and >= 0, got nan"),
+        ("lr-sweep", "training.lrs =", "training.lrs is empty; there is no learning rate to sweep"),
+        ("ablate", "model.bias_init = nan", "bias_init must be finite, got nan"),
+        ("ablate", "model.bias_init = inf", "bias_init must be finite, got inf"),
+        ("lr-sweep", "model.bias_init = nan", "bias_init must be finite, got nan"),
+        ("grad-check", "model.bias_init = nan", "bias_init must be finite, got nan"),
+        ("grad-check", "model.bias_init = inf", "bias_init must be finite, got inf"),
+        ("ablate", "task.edge_prob = nan", "edge_prob must lie in [0, 1], got nan"),
+        ("ablate", "task.edge_prob = 2", "edge_prob must lie in [0, 1], got 2.0"),
+        ("lr-sweep", "task.edge_prob = -0.5", "edge_prob must lie in [0, 1], got -0.5"),
+        ("grad-check", "task.edge_prob = nan", "edge_prob must lie in [0, 1], got nan"),
+    ])
+    def test_rejected_with_exit_two(self, tmp_path, capsys, command, setting, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_TRAIN + "gradcheck.placements = g1\ngradcheck.activations = sigmoid\n"
+                       + setting + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 class TestOutDim:
     """The toy target is one number, so only param-count reads model.out_dim."""
 

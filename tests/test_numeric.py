@@ -9,7 +9,7 @@ from oracles import (
     two_product_top_singular_value,
 )
 from siggate import autodiff as ad
-from siggate.attention import GateConfig, HeadParams, MhsaParams, siggate_mhsa
+from siggate.attention import GateConfig, MhsaParams, siggate_mhsa
 from siggate.numeric import (
     SeededRng,
     ShapeError,
@@ -212,15 +212,14 @@ class TestHadamard:
         # A gate whose shape differs from its head's output is rejected by name.
         rng = SeededRng(6)
         h = gaussian_matrix(rng, 5, 4, 1.0)
-        qkv = [gaussian_matrix(rng, 4, 2, 0.5) for _ in range(3)]
+        qkv = [gaussian_matrix(rng, 4, 2, 0.5)[None] for _ in range(3)]
         for w_g, b_g, message in (
-            (gaussian_matrix(rng, 4, 3, 0.5), np.zeros(2),
-             r"head 0\.w_g has shape \(4, 3\), expected \(4, 2\)"),
-            (gaussian_matrix(rng, 4, 2, 0.5), np.zeros(3),
-             r"gate bias must have shape \(2,\), got \(3,\)"),
+            (gaussian_matrix(rng, 4, 3, 0.5)[None], np.zeros((1, 2)),
+             r"^w_g has shape \(1, 4, 3\), expected \(1, 4, 2\)$"),
+            (gaussian_matrix(rng, 4, 2, 0.5)[None], np.zeros((1, 3)),
+             r"^b_g has shape \(1, 3\), expected \(1, 2\)$"),
         ):
-            layer = MhsaParams(heads=[HeadParams(*qkv, w_g=w_g, b_g=b_g)], w_o=np.eye(2, 4),
-                               gate=GateConfig(placement="g1"))
+            layer = MhsaParams(*qkv, np.eye(2, 4), GateConfig(placement="g1"), w_g=w_g, b_g=b_g)
             with pytest.raises(ShapeError, match=message):
                 siggate_mhsa(h, layer)
 

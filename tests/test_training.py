@@ -13,7 +13,7 @@ from siggate.attention import GateConfig, gate_param_count
 from siggate import autodiff as ad
 from siggate.gps import (
     GraphBatch, GraphInstance, LayerNormParams, batch_forward, init_model, model_forward,
-    named_params,
+    named_params, param_view,
 )
 from siggate.numeric import NonFiniteInputError, SeededRng
 from siggate.synthexp import make_toy_task
@@ -81,8 +81,19 @@ class TestParamSet:
         assert model.b_head[0] == 9.0
 
 
+def head_slot(name):
+    """``(layer, field, k)`` of a head's parameter name: the layer, the stack
+    it is a slice of, and the slice (0 for a shared gate)."""
+    layer, _, owner, field = name.split(".")
+    return int(layer[len("layer"):]), field, 0 if owner == "gate" else int(owner[len("head"):])
+
+
+def head_names(params):
+    return [name for name in params.names if ".attn.head" in name or ".attn.gate." in name]
+
+
 class TestHeadStackParams:
-    """ParamSet entries of attention heads are views into the layer's stacks."""
+    """ParamSet entries of attention heads are views of slices of the layer's stacks."""
 
     @pytest.mark.parametrize("placement, kw", [
         ("g1", {}), ("g3", {"activation": "tanh"}), ("g2", {"sharing": "shared"}),
@@ -91,7 +102,7 @@ class TestHeadStackParams:
         model = tiny_model(seed=40, placement=placement, **kw)
         params = ParamSet.from_model(model)
         _, grads = loss_and_gradients(model, params, batch[:3])
-        lifter = training._Lifter(model)
+        lifter = training._Lifter()
         graphs = GraphBatch.of([g for g, _ in batch[:3]])
         pred, _ = batch_forward(graphs, model, lift=lifter)
         targets = np.stack([np.reshape(t, -1) for _, t in batch[:3]])
@@ -102,14 +113,14 @@ class TestHeadStackParams:
             for name in attn.stacked_fields():
                 stack_grad = lifter.grad(getattr(attn, name))
                 assert stack_grad.shape == getattr(attn, name).shape
-                for k, head in enumerate(attn.heads):
-                    index = k if len(stack_grad) > 1 else 0
-                    assert np.array_equal(lifter.grad(getattr(head, name)), stack_grad[index])
+                for k in range(len(stack_grad)):
                     label = "gate" if len(stack_grad) == 1 else f"head{k}"
-                    assert np.array_equal(grads[f"layer{i}.attn.{label}.{name}"],
-                                          stack_grad[index])
+                    assert np.array_equal(grads[f"layer{i}.attn.{label}.{name}"], stack_grad[k])
                     checked += 1
-        assert checked == 2 * 4 * len(model.layers[0].attn.stacked_fields())
+        gate_heads = 1 if kw.get("sharing") == "shared" else 4
+        gate_fields = len(model.layers[0].attn.stacked_fields()) - 3
+        assert checked == 2 * (3 * 4 + gate_fields * gate_heads)
+        assert len(head_names(params)) == checked
 
     def test_adamw_update_reaches_the_next_forward(self):
         model = tiny_model(seed=41, placement="g1")
@@ -125,7 +136,7 @@ class TestHeadStackParams:
         moved = model.layers[1].attn.w_v
         assert np.array_equal(moved[2], stack[2] - 0.1 * 1.0 / (1.0 + 1e-8))
         assert np.array_equal(np.delete(moved, 2, axis=0), np.delete(stack, 2, axis=0))
-        assert params["layer1.attn.head2.w_v"].base is moved
+        assert np.shares_memory(params["layer1.attn.head2.w_v"], moved[2])
 
     @pytest.mark.parametrize("placement, sharing", [("g1", "per_head"), ("g3", "shared")])
     def test_load_model_keeps_the_view_link(self, tmp_path, placement, sharing):
@@ -135,13 +146,40 @@ class TestHeadStackParams:
         params = ParamSet.from_model(back)
         graph = make_toy_task(seed=8, n_graphs=2, nodes_per_graph=6).train[0][0]
         before, _ = model_forward(graph, back)
-        for layer in back.layers:
-            attn = layer.attn
-            for name in attn.stacked_fields():
-                assert all(getattr(h, name).base is getattr(attn, name) for h in attn.heads)
+        for name in head_names(params):
+            i, field, k = head_slot(name)
+            assert np.shares_memory(params[name], getattr(back.layers[i].attn, field)[k])
         params["layer0.attn.head3.w_k"][0, 0] += 1.0
         assert back.layers[0].attn.w_k[3, 0, 0] == params["layer0.attn.head3.w_k"][0, 0]
         assert not np.array_equal(model_forward(graph, back)[0], before)
+
+    @pytest.mark.parametrize("source", ["init_model", "load_model"])
+    @pytest.mark.parametrize("sharing", ["per_head", "shared"])
+    def test_each_head_entry_writes_through_to_its_slice_alone(self, tmp_path, sharing, source):
+        # Writing into a head-named entry changes that slice of its stack and
+        # the next forward, and no other value of the model.
+        model = tiny_model(seed=43, placement="g3", sharing=sharing)
+        if source == "load_model":
+            save_model(model, tmp_path / "model.txt")
+            model = load_model(tmp_path / "model.txt")
+        params = ParamSet.from_model(model)
+        graph = make_toy_task(seed=9, n_graphs=2, nodes_per_graph=6).train[0][0]
+        before = model_forward(graph, model)[0]
+        names = head_names(params)
+        assert len(names) == 2 * (3 * 4 + 3 * (1 if sharing == "shared" else 4))
+        for name in names:
+            i, field, k = head_slot(name)
+            stack = getattr(model.layers[i].attn, field)
+            want = stack.copy()
+            want[k].flat[-1] += 0.25
+            values = params.copy_values()
+            params[name].flat[-1] += 0.25
+            assert np.array_equal(stack, want), name
+            assert all(np.array_equal(arr, values[other])
+                       for other, arr in params.items() if other != name), name
+            assert not np.array_equal(model_forward(graph, model)[0], before), name
+            params[name][...] = values[name]
+        assert np.array_equal(model_forward(graph, model)[0], before)
 
 
 class TestLossAndGradients:
@@ -260,21 +298,18 @@ class TestParamWalk:
         want = hand_written_registry(model)
         walk = list(named_params(model))
         assert [name for name, *_ in walk] == list(want)
-        assert all(arr is want[name] for name, arr, *_ in walk)
+        assert all(same_array(param_view(arr, k), want[name]) for name, arr, k, *_ in walk)
         params = ParamSet.from_model(model)
         assert params.names == list(want)
-        assert all(params[name] is arr for name, arr in want.items())
+        assert all(same_array(params[name], arr) for name, arr in want.items())
 
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_probe_index_matches_the_dataclass_walk(self, placement, sharing):
         model = walk_model(placement, sharing)
         want = dataclass_probe_index(model)
         got = training._probe_index(model)
-        # The dataclass walk also indexes the stacks, which no parameter name reaches.
-        stacks = {id(getattr(layer.attn, f)) for layer in model.layers
-                  for f in layer.attn.stacked_fields()}
-        assert set(want) - set(got) == stacks
-        assert got == {key: want[key] for key in got}
+        assert set(got) == set(want)
+        assert got == want
 
     def test_an_array_read_under_two_names_keeps_every_branch(self, batch):
         model = aliased_walk_model()
@@ -285,14 +320,15 @@ class TestParamWalk:
         assert got[id(model.layers[0].ln1.scale)] == (0, frozenset({"combine"}))
         assert got == {key: want[key] for key in got}
         params = ParamSet.from_model(model)
-        assert all(params[name] is arr for name, arr in hand_written_registry(model).items())
+        assert all(same_array(params[name], arr)
+                   for name, arr in hand_written_registry(model).items())
         graphs = [(GraphInstance(n=g.n, node_features=g.node_features[:, :3], edges=g.edges,
                                  edge_features=np.ones((len(g.edges), 2))), np.ones(2))
                   for g, _ in batch[:2]]
         cache = training._PlainForwardCache(model, graphs, "mse")
         for name in ("layer1.mpnn.w_val", "layer2.ln2.shift"):
             arr = params[name]
-            got = cache.probe_losses(arr, [0], 1e-3)
+            got = cache.probe_losses(name, [0], 1e-3)
             assert_same_losses(got, one_probe_losses(model, graphs, "mse", arr, [0], 1e-3))
 
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
@@ -310,6 +346,12 @@ def assert_rel_close(a, b, rel=1e-12):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape
     assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
+
+
+def same_array(a, b):
+    """``a`` and ``b`` are the same array or the same view: one buffer, shape,
+    strides and dtype."""
+    return a is b or a.__array_interface__ == b.__array_interface__
 
 
 def assert_same_losses(got, want):
@@ -468,10 +510,10 @@ class TestFiniteDifferenceCheck:
         rng = np.random.default_rng(0)
         for name, arr in ParamSet.from_model(model).items():
             idxs = rng.choice(arr.size, size=min(3, arr.size), replace=False)
-            got = cache.probe_losses(arr, idxs, 1e-3)
+            got = cache.probe_losses(name, idxs, 1e-3)
             assert_same_losses(got, one_probe_losses(model, graphs, "mae", arr, idxs, 1e-3))
             unmoved = batch_loss(model, graphs, "mae")
-            assert all(loss == unmoved for loss in cache.probe_losses(arr, idxs, 0.0)[0]), name
+            assert all(loss == unmoved for loss in cache.probe_losses(name, idxs, 0.0)[0]), name
 
     def test_cached_probe_over_node_count_groups_is_bitwise(self):
         model = tiny_model(seed=16, placement="g2")
@@ -481,7 +523,7 @@ class TestFiniteDifferenceCheck:
         for name in ("layer0.mpnn.w_edge", "layer0.attn.head2.w_g", "layer1.attn.w_o",
                      "layer1.ln2.scale", "head.w"):
             arr = params[name]
-            got = cache.probe_losses(arr, [1], 1e-3)
+            got = cache.probe_losses(name, [1], 1e-3)
             assert_same_losses(got, one_probe_losses(model, pairs, "mse", arr, [1], 1e-3))
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
@@ -490,7 +532,7 @@ class TestFiniteDifferenceCheck:
         cache = training._PlainForwardCache(model, batch[:2], "mse")
         branch = {"w_o": "w_o", "mpnn": "mpnn", "ffn": "combine", "ln1": "combine",
                   "ln2": "combine"}
-        for name, arr in ParamSet.from_model(model).items():
+        for name, arr, _, _, _ in named_params(model):  # a head's stack, not its slice
             if name.startswith("input."):
                 assert id(arr) not in cache.index, name
                 continue
@@ -534,7 +576,7 @@ class TestBatchedProbes:
         rng = np.random.default_rng(1)
         for name, arr in ParamSet.from_model(model).items():
             idxs = np.sort(rng.choice(arr.size, size=min(2, arr.size), replace=False))
-            assert_same_losses(cache.probe_losses(arr, idxs, 1e-5),
+            assert_same_losses(cache.probe_losses(name, idxs, 1e-5),
                                one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5))
 
     def test_an_exhaustive_array_crosses_chunk_boundaries(self, batch):
@@ -545,7 +587,7 @@ class TestBatchedProbes:
         assert 2 * training.PROBE_CHUNK < 2 * arr.size < 3 * training.PROBE_CHUNK
         idxs = np.arange(arr.size)
         cache = training._PlainForwardCache(model, batch[:1], "mse")
-        assert_same_losses(cache.probe_losses(arr, idxs, 1e-5),
+        assert_same_losses(cache.probe_losses("layer0.ffn.w1", idxs, 1e-5),
                            one_probe_losses(model, batch[:1], "mse", arr, idxs, 1e-5))
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g2", {"sharing": "shared"})])
@@ -650,7 +692,7 @@ class TestAdamW:
         gate = "gate" if sharing == "shared" else "head0"
         for i, layer in enumerate(model.layers):  # the updates live in the stacks
             attn = layer.attn
-            for k in range(len(attn.heads)):
+            for k in range(len(attn.w_q)):
                 assert np.array_equal(attn.w_q[k], reference[f"layer{i}.attn.head{k}.w_q"])
             for name in ("w_g", "w_g2", "b_g"):
                 assert np.array_equal(getattr(attn, name)[0],
@@ -781,8 +823,12 @@ class TestModelSerialization:
         path = tmp_path / "model.txt"
         save_model(model, path)
         back = load_model(path)
-        heads = back.layers[0].attn.heads
-        assert all(h.w_g is heads[0].w_g for h in heads)
+        # every head reads the one gate: a stack of a single slice
+        for layer in back.layers:
+            assert layer.attn.w_g.shape == (1, 16, 4) and layer.attn.b_g.shape == (1, 4)
+        names = [n for n in ParamSet.from_model(back).names if is_gate_param(n)]
+        assert names == ["layer0.attn.gate.w_g", "layer0.attn.gate.b_g",
+                         "layer1.attn.gate.w_g", "layer1.attn.gate.b_g"]
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = tiny_model(seed=22)
@@ -802,6 +848,7 @@ class TestModelSerialization:
         ("# readout = max", "readout must be one of"),
         ("# d = 16000", "it describes a model larger than the 66 records"),
         ("# n_layers = 1000000", "it describes a model larger than the 66 records"),
+        ("# bias_init = nan", "bias_init must be finite, got nan"),
     ])
     def test_metadata_no_model_can_be_built_from_names_the_file(self, tmp_path, line, message):
         path = tmp_path / "model.txt"
