@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .numeric import SeededRng, ShapeError, gaussian_matrix
+from .numeric import SeededRng, ShapeError, carve, fill_gaussian
 
 __all__ = [
     "PLACEMENTS",
@@ -37,6 +37,7 @@ __all__ = [
     "siggate_mhsa",
     "merge_heads",
     "gate_param_count",
+    "mhsa_skeleton",
     "init_mhsa_params",
 ]
 
@@ -314,45 +315,52 @@ def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _init_gate_arrays(rng: SeededRng, d: int, d_k: int, cfg: GateConfig,
-                      gate_weight_std: float | None):
-    std = (1.0 / np.sqrt(d)) if gate_weight_std is None else gate_weight_std
-    if std == 0.0:
-        w_g = np.zeros((d, d_k))
-        w_g2 = np.zeros((d, d_k)) if cfg.placement == "g3" else None
-    else:
-        w_g = gaussian_matrix(rng, d, d_k, std)
-        w_g2 = gaussian_matrix(rng, d, d_k, std) if cfg.placement == "g3" else None
-    b_g = np.full(1 if cfg.placement == "g3" else d_k, float(cfg.bias_init))
-    return w_g, w_g2, b_g
-
-
-def init_mhsa_params(rng: SeededRng, d: int, n_heads: int, cfg: GateConfig, *,
-                     d_k: int | None = None,
-                     gate_weight_std: float | None = None) -> MhsaParams:
-    """Build MHSA parameters. ``d_k`` defaults to d / n_heads (must divide).
-
-    Q/K/V are Gaussian with std 1/sqrt(d), the gate bias sits at
-    ``bias_init``. The draws run head by head: a shared gate first, then
-    each head's Q, K, V and its own gate, then W_O.
-    """
+def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *, d_k: int | None = None,
+                  gate_weight_std: float | None = None):
+    """``(params, draws)``: a layer's attention laid out by ``take``
+    (:func:`numeric.carve`) as each head's Q, K, V, then one record per gate
+    (W_g, W_g2 for g3, b_g at ``bias_init``), then W_O; and each Gaussian
+    block's ``(view, std)`` in draw order: a shared gate, each head's Q, K,
+    V and own gate, then W_O, with std 1/sqrt(d) (gate weights:
+    ``gate_weight_std`` if given; 0 draws none). ``d_k`` defaults to d / K."""
     if n_heads < 1:
         raise ValueError(f"n_heads must be >= 1, got {n_heads}")
     if d_k is None:
         if d % n_heads != 0:
             raise ValueError(f"d={d} is not divisible by n_heads={n_heads}; pass d_k explicitly")
         d_k = d // n_heads
-    gated = cfg.placement != "none"
-    gates = ([_init_gate_arrays(rng, d, d_k, cfg, gate_weight_std)]
-             if gated and cfg.sharing == "shared" else [])
+    qkv = take(n_heads, len(_QKV), d, d_k)
+    stacks = {name: qkv[:, i] for i, name in enumerate(_QKV)}
+    weights = ()
+    if cfg.placement != "none":
+        weights = _GATE_FIELDS[:2 if cfg.placement == "g3" else 1]
+        size = d * d_k
+        records = take(1 if cfg.sharing == "shared" else n_heads,
+                       len(weights) * size + (1 if cfg.placement == "g3" else d_k))
+        for i, name in enumerate(weights):
+            stacks[name] = records[:, i * size:(i + 1) * size].reshape(-1, d, d_k)
+        stacks["b_g"] = records[:, len(weights) * size:]
+        stacks["b_g"][...] = float(cfg.bias_init)
     std = 1.0 / np.sqrt(d)
-    qkv = []
-    for _ in range(n_heads):
-        qkv.append([gaussian_matrix(rng, d, d_k, std) for _ in _QKV])
-        if gated and cfg.sharing == "per_head":
-            gates.append(_init_gate_arrays(rng, d, d_k, cfg, gate_weight_std))
-    w_o = gaussian_matrix(rng, n_heads * d_k, d, std)
-    stacks = dict(zip(_QKV, map(np.stack, zip(*qkv))))
-    for name, arrays in zip(_GATE_FIELDS, zip(*gates)):
-        stacks[name] = None if arrays[0] is None else np.stack(arrays)
-    return MhsaParams(w_o=w_o, gate=cfg, **stacks)
+    gate_std = std if gate_weight_std is None else gate_weight_std
+    shared = cfg.sharing == "shared"
+
+    def gate(g):
+        return [(stacks[name][g], gate_std) for name in weights] if gate_std else []
+
+    draws = gate(0) if shared else []
+    for k in range(n_heads):
+        draws += [(stacks[name][k], std) for name in _QKV] + ([] if shared else gate(k))
+    params = MhsaParams(w_o=take(n_heads * d_k, d), gate=cfg, **stacks)
+    return params, draws + [(params.w_o, std)]
+
+
+def init_mhsa_params(rng: SeededRng, d: int, n_heads: int, cfg: GateConfig, *,
+                     d_k: int | None = None,
+                     gate_weight_std: float | None = None) -> MhsaParams:
+    """MHSA parameters on a vector of their own, drawn in one pass
+    (:func:`mhsa_skeleton`)."""
+    (params, draws), _ = carve(lambda take: mhsa_skeleton(
+        take, d, n_heads, cfg, d_k=d_k, gate_weight_std=gate_weight_std))
+    fill_gaussian(rng, draws)
+    return params

@@ -110,11 +110,11 @@ def no_tape(arr):
 
 def value(x):
     """Unwrap a Var (or pass a plain array/scalar through)."""
-    return x.value if isinstance(x, Var) else x
+    return x.value if type(x) is Var else x
 
 
 def _tracked(*xs):
-    return any(isinstance(x, Var) for x in xs)
+    return any(type(x) is Var for x in xs)
 
 
 def _unbroadcast(g, shape):

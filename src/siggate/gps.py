@@ -23,9 +23,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import (
-    _QKV, GateConfig, HeadTrace, MhsaParams, init_mhsa_params, siggate_mhsa,
+    _QKV, GateConfig, HeadTrace, MhsaParams, mhsa_skeleton, siggate_mhsa,
 )
-from .numeric import SeededRng, ShapeError, fmt_exact, gaussian_matrix
+from .numeric import SeededRng, ShapeError, carve, fill_gaussian, fmt_exact
 
 __all__ = [
     "LN_EPS",
@@ -46,6 +46,7 @@ __all__ = [
     "batch_forward",
     "model_embed",
     "model_readout",
+    "model_skeleton",
     "init_model",
     "named_params",
     "param_view",
@@ -356,45 +357,58 @@ def model_readout(h, model: ModelParams, *, lift=ad.no_tape, n_graphs: int = 1):
     return ad.linear(pool(nodes, axis=-2), lift(model.w_head), lift(model.b_head))
 
 
-def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int,
-               gate: GateConfig, d_ff: int | None = None, d_e: int = 0,
-               readout: str = "mean", out_dim: int = 1,
-               gate_weight_std: float | None = None) -> ModelParams:
-    """Seeded model init. ``gate_weight_std=0.0`` zeroes the gate projections
-    so fresh gates sit exactly at ``act(bias_init)``."""
+def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: GateConfig,
+                   d_ff: int | None = None, d_e: int = 0, readout: str = "mean",
+                   out_dim: int = 1, gate_weight_std: float | None = None):
+    """``(model, draws)``: the model with every array a view of one zero
+    vector in :func:`named_params` order (head stacks strided, see
+    :func:`attention.mhsa_skeleton`), layer-norm scales at 1; and each
+    Gaussian block's ``(view, std)`` in draw order: W_in, per layer the
+    attention's, W_edge, W_val, W_1, W_2, then the head (std 1/sqrt(fan-in))."""
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if readout not in READOUTS:
         raise ValueError(f"readout must be one of {READOUTS}, got {readout!r}")
     d_ff = 2 * d if d_ff is None else d_ff
-    w_in = gaussian_matrix(rng, d_in, d, 1.0 / np.sqrt(d_in))
-    b_in = np.zeros(d)
-    layers = []
-    for _ in range(n_layers):
-        attn = init_mhsa_params(rng, d, n_heads, gate, gate_weight_std=gate_weight_std)
-        mpnn = MpnnParams(
-            w_edge=gaussian_matrix(rng, 2 * d + d_e, d, 1.0 / np.sqrt(2 * d + d_e)),
-            w_val=gaussian_matrix(rng, d, d, 1.0 / np.sqrt(d)),
-        )
-        ffn = FfnParams(
-            w1=gaussian_matrix(rng, d, d_ff, 1.0 / np.sqrt(d)),
-            b1=np.zeros(d_ff),
-            w2=gaussian_matrix(rng, d_ff, d, 1.0 / np.sqrt(d_ff)),
-            b2=np.zeros(d),
-        )
-        layers.append(
-            GpsLayerParams(
-                mpnn=mpnn,
-                attn=attn,
-                ffn=ffn,
-                ln1=LayerNormParams(np.ones(d), np.zeros(d)),
-                ln2=LayerNormParams(np.ones(d), np.zeros(d)),
-            )
-        )
-    w_head = gaussian_matrix(rng, d, out_dim, 1.0 / np.sqrt(d))
-    b_head = np.zeros(out_dim)
-    return ModelParams(w_in=w_in, b_in=b_in, layers=layers,
-                       w_head=w_head, b_head=b_head, readout=readout)
+
+    def build(take):
+        draws = []
+
+        def weight(rows, cols):
+            w = take(rows, cols)
+            draws.append((w, 1.0 / np.sqrt(rows)))
+            return w
+
+        w_in, b_in = weight(d_in, d), take(d)
+        layers = []
+        for _ in range(n_layers):
+            attn, attn_draws = mhsa_skeleton(take, d, n_heads, gate,
+                                             gate_weight_std=gate_weight_std)
+            draws += attn_draws
+            mpnn = MpnnParams(w_edge=weight(2 * d + d_e, d), w_val=weight(d, d))
+            ffn = FfnParams(w1=weight(d, d_ff), b1=take(d_ff), w2=weight(d_ff, d), b2=take(d))
+            ln1, ln2 = LayerNormParams(take(d), take(d)), LayerNormParams(take(d), take(d))
+            ln1.scale[...] = ln2.scale[...] = 1.0
+            layers.append(GpsLayerParams(mpnn=mpnn, attn=attn, ffn=ffn, ln1=ln1, ln2=ln2))
+        model = ModelParams(w_in=w_in, b_in=b_in, layers=layers, w_head=weight(d, out_dim),
+                            b_head=take(out_dim), readout=readout)
+        return model, draws
+
+    return carve(build)[0]
+
+
+def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int,
+               gate: GateConfig, d_ff: int | None = None, d_e: int = 0,
+               readout: str = "mean", out_dim: int = 1,
+               gate_weight_std: float | None = None) -> ModelParams:
+    """Seeded model init: :func:`model_skeleton` with its Gaussian blocks
+    drawn in one pass. ``gate_weight_std=0.0`` zeroes the gate projections
+    so fresh gates sit exactly at ``act(bias_init)``."""
+    model, draws = model_skeleton(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers,
+                                  gate=gate, d_ff=d_ff, d_e=d_e, readout=readout,
+                                  out_dim=out_dim, gate_weight_std=gate_weight_std)
+    fill_gaussian(rng, draws)
+    return model
 
 
 def named_params(model: ModelParams):

@@ -8,6 +8,7 @@ normalization checks for 1e-12, neither of which survives float32.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ __all__ = [
     "sigmoid",
     "top_singular_value",
     "gaussian_matrix",
+    "fill_gaussian",
+    "carve",
     "fmt_exact",
     "write_csv",
 ]
@@ -86,18 +89,33 @@ class SeededRng:
         return u.reshape(shape) if shape else float(u[0])
 
     def standard_normal(self, shape=()) -> np.ndarray:
-        """I.i.d. N(0, 1) draws via Box-Muller on pairs of uniforms."""
+        """I.i.d. N(0, 1) draws: one block of :meth:`normal_blocks`."""
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        pairs = (count + 1) // 2
-        raw = self._raw(2 * pairs)
-        # u1 in (0, 1] so log(u1) is finite; u2 in [0, 1).
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) / _U53
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) / _U53
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-        z = z[:count]
+        z = self.normal_blocks([math.prod(shape)])[0]
         return z.reshape(shape) if shape else float(z[0])
+
+    def normal_blocks(self, sizes) -> list[np.ndarray]:
+        """N(0, 1) vectors of these sizes in one pass, bitwise what
+        ``standard_normal`` calls would give in turn: a block of n takes
+        p = ceil(n / 2) Box-Muller pairs from its next 2p raw outputs (u1 the
+        first p, u2 the next p) and gives p cosines then p sines, cut to n."""
+        pairs = [(n + 1) // 2 for n in sizes]
+        total = sum(pairs)
+        if len(pairs) == 1:
+            first, second = slice(0, total), slice(total, 2 * total)
+        else:  # the raw positions of each pair's u1 and u2
+            p = np.array(pairs, dtype=np.intp)
+            first = np.arange(total) + np.repeat(np.cumsum(p) - p, p)
+            second = first + np.repeat(p, p)
+        bits = self._raw(2 * total)
+        bits >>= np.uint64(11)
+        bits = bits.astype(np.float64)
+        r = np.sqrt(-2.0 * np.log((bits[first] + 1.0) / _U53))  # u1 in (0, 1]
+        angle = 2.0 * np.pi * (bits[second] / _U53)  # u2 in [0, 1)
+        z = np.empty(2 * total)  # each normal sits where its u1 or u2 was drawn
+        z[first], z[second] = r * np.cos(angle), r * np.sin(angle)
+        starts = itertools.accumulate(pairs, initial=0)
+        return [z[2 * a:2 * a + n] for a, n in zip(starts, sizes)]
 
     def child(self, index: int) -> "SeededRng":
         """Independent stream for parallel work; deterministic in (seed, index)."""
@@ -218,6 +236,40 @@ def gaussian_matrix(rng: SeededRng, rows: int, cols: int, std: float) -> np.ndar
     if rows <= 0 or cols <= 0:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
     return std * rng.standard_normal((rows, cols))
+
+
+def fill_gaussian(rng: SeededRng, draws) -> None:
+    """Fill each ``(view, std)`` of ``draws`` with N(0, std^2) values from one
+    :meth:`SeededRng.normal_blocks` pass: the values that one
+    :func:`gaussian_matrix` call per view, in list order, would draw."""
+    bad = [std for _, std in draws if std <= 0.0]
+    if bad:
+        raise ValueError(f"std must be positive, got {bad[0]}")
+    for (view, std), z in zip(draws, rng.normal_blocks([v.size for v, _ in draws])):
+        view[...] = std * z.reshape(view.shape)
+
+
+def carve(build):
+    """``(build(take), vector)``: ``take(*shape)`` hands out the next entries
+    of one zero vector as a view of that shape (a dimension below 1 is a
+    :class:`ShapeError`). A first run of ``build`` sizes the vector."""
+    sizes = []
+
+    def sizing(*shape):
+        if min(shape) <= 0:
+            raise ShapeError(f"matrix dimensions must be positive, got "
+                             f"{'x'.join(map(str, shape[-2:]))}")
+        sizes.append(math.prod(shape))
+        return np.empty(shape)
+
+    build(sizing)
+    vector, starts = np.zeros(sum(sizes)), itertools.accumulate(sizes, initial=0)
+
+    def take(*shape):
+        start = next(starts)
+        return vector[start:start + math.prod(shape)].reshape(shape)
+
+    return build(take), vector
 
 
 def fmt_exact(x) -> str:

@@ -27,6 +27,7 @@ from .gps import (
     model_embed,
     model_forward,  # noqa: F401 - kept importable from here; perfbench's tracer tests patch it
     model_readout,
+    model_skeleton,
     mpnn_forward,
     named_params,
     param_view,
@@ -73,42 +74,86 @@ class NonFiniteError(RuntimeError):
 
 
 class ParamSet:
-    """Ordered name -> array registry over all trainable parameters."""
+    """Ordered name -> array registry over all trainable parameters, whose
+    values live in one float64 vector ``flat``, each entry a view of its
+    slice. :meth:`from_model` holds the model's arrays and, for a model
+    built by ``init_model`` or ``load_model``, its vector (None for a
+    hand-assembled model); ``ParamSet(dict)`` copies into a new vector."""
 
     def __init__(self, items: dict[str, np.ndarray]):
-        self._items = dict(items)
+        items = {name: np.asarray(a, dtype=np.float64) for name, a in items.items()}
+        self._layout(items, np.concatenate([a.reshape(-1) for a in items.values()]
+                                           or [np.zeros(0)]), None)
+
+    def _layout(self, arrays: dict, flat, items):
+        self._names, self._shapes = tuple(arrays), tuple(a.shape for a in arrays.values())
+        self._starts = np.cumsum([0] + [a.size for a in arrays.values()]).tolist()
+        self.flat, self._items = flat, items
 
     @classmethod
     def from_model(cls, model: ModelParams) -> "ParamSet":
         """The model's arrays by reference, named and ordered by :func:`named_params`
         (a head's parameter is a view of its slice of the layer's stack)."""
-        return cls({name: param_view(arr, k) for name, arr, k, _, _ in named_params(model)})
+        items = {name: param_view(arr, k) for name, arr, k, _, _ in named_params(model)}
+        params = cls.__new__(cls)
+        params._layout(items, None, items)
+        flat = next(iter(items.values())).base  # the vector, if every entry is its slice
+        if (isinstance(flat, np.ndarray) and flat.dtype == np.float64
+                and flat.shape == (params.total_count(),)):
+            at = flat.__array_interface__["data"][0]
+            if all(a.base is flat and a.flags.c_contiguous
+                   and a.__array_interface__["data"][0] == at + 8 * start
+                   for start, a in zip(params._starts, items.values())):
+                params.flat = flat
+        return params
+
+    def _like(self, flat: np.ndarray) -> "ParamSet":
+        params = ParamSet.__new__(ParamSet)  # laid out as this set, over ``flat``
+        params.__dict__.update(self.__dict__, flat=flat, _items=None)
+        return params
 
     @property
     def names(self) -> list[str]:
-        return list(self._items)
+        return list(self._names)
+
+    def _entries(self) -> dict[str, np.ndarray]:
+        if self._items is None:  # views of the vector, made on first use
+            self._items = {name: self.flat[a:b].reshape(shape) for name, shape, a, b in
+                           zip(self._names, self._shapes, self._starts, self._starts[1:])}
+        return self._items
 
     def items(self):
-        return self._items.items()
+        return self._entries().items()
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._items[name]
+        return self._entries()[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._items
+        return name in self._names
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._names)
 
     def total_count(self) -> int:
-        return sum(a.size for a in self._items.values())
+        return self._starts[-1]
 
     def subset(self, names) -> "ParamSet":
-        return ParamSet({n: self._items[n] for n in names})
+        """Copies of the named entries, as ``ParamSet(dict)``."""
+        return ParamSet({n: self[n] for n in names})
 
     def copy_values(self) -> dict[str, np.ndarray]:
         """Detached snapshot of the current values."""
-        return {n: a.copy() for n, a in self._items.items()}
+        return {n: a.copy() for n, a in self.items()}
+
+    def first_nonfinite(self) -> str | None:
+        """The first entry holding a NaN or an infinity (None if there is
+        none): one ``isfinite`` over the values, named by their offsets."""
+        values = (self.flat if self.flat is not None
+                  else np.concatenate([a.reshape(-1) for _, a in self.items()]))
+        finite = np.isfinite(values)
+        if finite.all():
+            return None
+        return self._names[np.searchsorted(self._starts, np.argmin(finite), side="right") - 1]
 
 
 def is_gate_param(name: str) -> bool:
@@ -131,6 +176,11 @@ class _Lifter:
     def grad(self, arr):
         node = self._vars.get(id(arr))
         return None if node is None else node.grad
+
+    def raveled_grad(self, arr, k):
+        """The gradient of ``param_view(arr, k)``, raveled; zeros off the tape."""
+        g = self.grad(arr)
+        return np.zeros(param_view(arr, k).size) if g is None else param_view(g, k).reshape(-1)
 
 
 def _graph_groups(batch):
@@ -180,13 +230,6 @@ def evaluate(model: ModelParams, batch, loss: str = "mse"):
     return total / len(batch), traces
 
 
-def _first_nonfinite_param(params: ParamSet) -> str | None:
-    for name, arr in params.items():
-        if not np.all(np.isfinite(arr)):
-            return name
-    return None
-
-
 def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
                        loss: str = "mse", gate_override=None):
     """Mean batch loss and exact gradients for every registered parameter.
@@ -203,27 +246,24 @@ def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
             term = _group_loss(pred, targets, loss)
             total = term if total is None else ad.add(total, term)
     except NonFiniteInputError as exc:
-        offender = _first_nonfinite_param(params)
+        offender = params.first_nonfinite()
         raise NonFiniteError(f"{exc}; first non-finite parameter: {offender}",
                              offender) from exc
     mean = ad.div(total, float(len(batch)))
     loss_val = float(ad.value(mean))
     if not np.isfinite(loss_val):
-        offender = _first_nonfinite_param(params)
+        offender = params.first_nonfinite()
         raise NonFiniteError(
             f"non-finite loss; first non-finite parameter: {offender}", offender
         )
     ad.backward(mean)
-    grads: dict[str, np.ndarray] = {}
     read = {name: (arr, k) for name, arr, k, _, _ in named_params(model)}
-    for name in params.names:
-        arr, k = read[name]
-        g = lifter.grad(arr)
-        g = np.zeros_like(params[name]) if g is None else param_view(np.asarray(g), k)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}", name)
-        grads[name] = g
-    return loss_val, ParamSet(grads)
+    grads = params._like(np.concatenate([lifter.raveled_grad(*read[name])
+                                         for name in params._names]))
+    offender = grads.first_nonfinite()
+    if offender is not None:
+        raise NonFiniteError(f"non-finite gradient for parameter {offender!r}", offender)
+    return loss_val, grads
 
 
 @dataclass
@@ -439,26 +479,23 @@ def init_optimizer(params: ParamSet, weight_decay: float = 0.0,
 
 
 def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: float):
-    """One AdamW update in place (decoupled weight decay, bias correction).
-
-    The parameters and gradients are gathered into flat vectors, updated
-    by whole-vector ops (each element sees the ufuncs of a per-array
-    update), and each parameter's slice is written back into its array.
-    """
-    if params.total_count() != state.m.size:
-        raise ValueError(f"parameters hold {params.total_count()} values, "
+    """One AdamW update (decoupled weight decay, bias correction) in place on
+    ``params.flat`` from ``grads.flat``, by whole-vector ops: each element
+    sees the ufuncs of a per-array update."""
+    flat = params.flat
+    if flat is None:
+        raise ValueError("the parameters do not share one vector; build the model with "
+                         "init_model or load_model, or pack them with ParamSet(dict)")
+    if flat.size != state.m.size:
+        raise ValueError(f"parameters hold {flat.size} values, "
                          f"the optimizer state {state.m.size}")
-    for name, p in params.items():
-        if grads[name].shape != p.shape:
-            raise ValueError(f"gradient shape {grads[name].shape} != param shape "
-                             f"{p.shape} for {name!r}")
+    if (grads._names, grads._shapes) != (params._names, params._shapes):
+        raise ValueError("the gradients are not laid out like the parameters")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    flat = np.concatenate([p.reshape(-1) for _, p in params.items()])
-    g = np.concatenate([grads[name].reshape(-1) for name in params.names])
-    m, v = state.m, state.v
+    g, m, v = grads.flat, state.m, state.v
     if state.weight_decay:
         flat *= 1.0 - lr_t * state.weight_decay
     m *= state.beta1
@@ -466,10 +503,6 @@ def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: f
     v *= state.beta2
     v += (1.0 - state.beta2) * (g * g)
     flat -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    offset = 0
-    for _, p in params.items():
-        p[...] = flat[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
     return params, state
 
 
@@ -653,10 +686,11 @@ def _read_dump(path):
 def load_model(path) -> ModelParams:
     """Rebuild a model from :func:`save_model` output (bit-exact values).
 
-    :func:`init_model` builds the model the dump's metadata describes, and
-    each of its parameters takes the values of the record of that name. A
-    record that is missing, misshapen, repeated or not a parameter of that
-    model raises ValueError naming the file and the parameter.
+    :func:`model_skeleton` lays out the model the dump's metadata describes,
+    drawing nothing, and each parameter takes the values of the record of
+    that name. A record that is missing, misshapen, repeated or not a
+    parameter of that model raises ValueError naming the file and the
+    parameter.
     """
     meta, arrays = _read_dump(path)
     longest = max((n for record in arrays.values() for n in record.shape), default=0)
@@ -670,9 +704,9 @@ def load_model(path) -> ModelParams:
             placement=meta["placement"], sharing=meta["sharing"],
             activation=meta["activation"], bias_init=float(meta["bias_init"]),
         )
-        model = init_model(SeededRng(0), d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers,
-                           gate=gate, d_ff=d_ff, d_e=d_e, readout=meta["readout"],
-                           out_dim=out_dim)
+        model, _ = model_skeleton(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers,
+                                  gate=gate, d_ff=d_ff, d_e=d_e, readout=meta["readout"],
+                                  out_dim=out_dim)
     except KeyError as exc:
         raise ValueError(f"model dump {path} is missing metadata key {exc}") from exc
     except ValueError as exc:

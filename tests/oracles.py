@@ -14,7 +14,12 @@ For attention it keeps the gate activations as plain numpy, one head's
 forward pass written out op by op on that head's plain arrays, and the
 head-by-head draws of ``attention.init_mhsa_params``. For the gradient
 check it keeps the one-probe loop: each probe writes its perturbed entry
-into the model and runs the full tape-free ``training.batch_loss``.
+into the model and runs the full tape-free ``training.batch_loss``. For the
+parameter storage it keeps the Box-Muller formula of one
+``SeededRng.standard_normal`` call, the model init drawn one
+``gaussian_matrix`` call per weight, the gradients assembled name by name
+after the backward sweep, and the loop that named the first non-finite
+parameter array by array.
 """
 
 import numpy as np
@@ -359,3 +364,85 @@ def one_probe_fd_check(model, params, batch, h=1e-5, sample=100, seed=0, loss="m
         param_rel[name] = float(np.linalg.norm(a_vec - n_vec)
                                 / max(np.linalg.norm(a_vec), np.linalg.norm(n_vec), 1e-12))
     return FdReport(max_rel, worst_param, worst_index, n_checked, param_rel)
+
+
+def concatenated_box_muller(rng, count):
+    """``count`` normals as one ``standard_normal`` call drew them: p =
+    ceil(count / 2) pairs from the next 2p raw outputs, u1 the first p and u2
+    the next p, then the p cosine values and the p sine values, cut to
+    ``count``."""
+    pairs = (count + 1) // 2
+    raw = rng._raw(2 * pairs)
+    u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
+    u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:count]
+
+
+def per_call_init(rng, *, d_in, d, n_heads, n_layers, gate, d_ff=None, d_e=0, out_dim=1,
+                  gate_weight_std=None):
+    """``{name: array}`` of the model ``gps.init_model`` builds, in dump
+    order, drawn one ``gaussian_matrix`` call per weight: W_in, then per
+    layer the heads (:func:`head_by_head_init`), W_edge, W_val, W_1 and W_2,
+    then the head. Biases are zero, layer-norm scales one and gate biases
+    at ``bias_init``."""
+    d_ff = 2 * d if d_ff is None else d_ff
+    out = {"input.w": gaussian_matrix(rng, d_in, d, 1.0 / np.sqrt(d_in)), "input.b": np.zeros(d)}
+    for i in range(n_layers):
+        pre = f"layer{i}"
+        heads, w_o = head_by_head_init(rng, d, n_heads, gate, gate_weight_std)
+        for k, head in enumerate(heads):
+            for f in ("w_q", "w_k", "w_v"):
+                out[f"{pre}.attn.head{k}.{f}"] = head[f]
+        if gate.placement != "none":
+            owners = ["gate"] if gate.sharing == "shared" else [f"head{k}" for k in range(n_heads)]
+            for owner, head in zip(owners, heads):
+                for f in ("w_g", "w_g2", "b_g"):
+                    if head[f] is not None:
+                        out[f"{pre}.attn.{owner}.{f}"] = head[f]
+        out[f"{pre}.attn.w_o"] = w_o
+        out[f"{pre}.mpnn.w_edge"] = gaussian_matrix(rng, 2 * d + d_e, d, 1.0 / np.sqrt(2 * d + d_e))
+        out[f"{pre}.mpnn.w_val"] = gaussian_matrix(rng, d, d, 1.0 / np.sqrt(d))
+        out[f"{pre}.ffn.w1"] = gaussian_matrix(rng, d, d_ff, 1.0 / np.sqrt(d))
+        out[f"{pre}.ffn.b1"] = np.zeros(d_ff)
+        out[f"{pre}.ffn.w2"] = gaussian_matrix(rng, d_ff, d, 1.0 / np.sqrt(d_ff))
+        out[f"{pre}.ffn.b2"] = np.zeros(d)
+        for ln in ("ln1", "ln2"):
+            out[f"{pre}.{ln}.scale"] = np.ones(d)
+            out[f"{pre}.{ln}.shift"] = np.zeros(d)
+    out["head.w"] = gaussian_matrix(rng, d, out_dim, 1.0 / np.sqrt(d))
+    out["head.b"] = np.zeros(out_dim)
+    return out
+
+
+def per_name_gradients(model, params, batch, loss="mse", gate_override=None):
+    """``{name: gradient}`` for every name of ``params``, assembled name by
+    name after one taped pass: each name looks its array up in the
+    parameter walk and takes that array's gradient (slice k of a head
+    stack's), or zeros when the array is not on the tape."""
+    from siggate import autodiff as ad
+    from siggate.gps import batch_forward, named_params, param_view
+    from siggate.training import _Lifter, _graph_groups, _group_loss
+
+    lifter = _Lifter()
+    total = None
+    for _, graphs, targets in _graph_groups(batch):
+        pred, _ = batch_forward(graphs, model, lift=lifter, gate_override=gate_override)
+        term = _group_loss(pred, targets, loss)
+        total = term if total is None else ad.add(total, term)
+    ad.backward(ad.div(total, float(len(batch))))
+    read = {name: (arr, k) for name, arr, k, *_ in named_params(model)}
+    grads = {}
+    for name, arr in params.items():
+        stack, k = read[name]
+        g = lifter.grad(stack)
+        grads[name] = np.zeros_like(arr) if g is None else param_view(np.asarray(g), k)
+    return grads
+
+
+def first_nonfinite_by_loop(params):
+    """The first name of ``params`` whose array holds a NaN or an infinity, array by array."""
+    for name, arr in params.items():
+        if not np.all(np.isfinite(arr)):
+            return name
+    return None

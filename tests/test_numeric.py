@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     GATE_ACTIVATIONS,
     assert_bitwise,
+    concatenated_box_muller,
     two_branch_sigmoid,
     two_product_top_singular_value,
 )
@@ -361,6 +362,33 @@ class TestSeededRng:
         seq2 = [r2.standard_normal((4,)), r2.uniform((3,)), r2.standard_normal((6,))]
         for a, b in zip(seq1, seq2):
             assert np.array_equal(a, b)
+
+
+class TestNormalBlocks:
+    """``normal_blocks`` draws consecutive ``standard_normal`` calls in one pass."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 41), min_size=1, max_size=12),
+           skip=st.integers(0, 9), seed=st.integers(0, 2**64 - 1))
+    @example(sizes=[1], skip=0, seed=0)
+    @example(sizes=[3, 1, 1, 5, 2], skip=3, seed=5)
+    def test_one_pass_equals_sequential_calls_bitwise(self, sizes, skip, seed):
+        one_pass, calls, oracle = SeededRng(seed), SeededRng(seed), SeededRng(seed)
+        for rng in (one_pass, calls, oracle):
+            if skip:  # start the blocks at a non-zero counter
+                rng.uniform((skip,))
+        got = one_pass.normal_blocks(sizes)
+        assert [g.shape for g in got] == [(n,) for n in sizes]
+        for block, n in zip(got, sizes):
+            assert_bitwise(block, calls.standard_normal((n,)))
+            assert_bitwise(block, concatenated_box_muller(oracle, n))
+        assert one_pass._counter == calls._counter == oracle._counter
+
+    def test_standard_normal_keeps_its_per_call_formula(self):
+        rng, oracle = SeededRng(77), SeededRng(77)
+        assert_bitwise(rng.standard_normal((3, 5)),
+                       concatenated_box_muller(oracle, 15).reshape(3, 5))
+        assert rng.standard_normal() == concatenated_box_muller(oracle, 1)[0]
 
 
 class TestWriteCsv:

@@ -7,7 +7,9 @@ import pytest
 
 import siggate.training as training
 from oracles import (
-    dataclass_probe_index, dump_text, hand_written_registry, one_probe_fd_check, one_probe_losses,
+    assert_bitwise, dataclass_probe_index, dump_text, first_nonfinite_by_loop,
+    hand_written_registry, one_probe_fd_check, one_probe_losses, per_call_init,
+    per_name_gradients,
 )
 from siggate.attention import GateConfig, gate_param_count
 from siggate import autodiff as ad
@@ -868,3 +870,205 @@ class TestModelSerialization:
         save_model(model, path)
         after = batch_loss(load_model(path), task.train, "mae")
         assert before == after
+
+
+def storage_model(source, placement, sharing, tmp_path):
+    """:func:`walk_model`, or the model its dump loads back as."""
+    model = walk_model(placement, sharing)
+    if source == "load_model":
+        save_model(model, tmp_path / "model.txt")
+        model = load_model(tmp_path / "model.txt")
+    return model
+
+
+def slots(params):
+    """``(name, start, stop)`` of each entry's slice of the set's vector, in order."""
+    start = 0
+    for name, arr in params.items():
+        yield name, start, start + arr.size
+        start += arr.size
+
+
+NAN_CASES = [("g1", "per_head", "input.w"), ("g3", "per_head", "layer1.attn.head1.w_k"),
+             ("g2", "shared", "layer0.attn.gate.w_g"), ("g1", "shared", "head.b")]
+
+
+class TestParamStorage:
+    """A model built by ``init_model`` or ``load_model`` holds its parameters
+    in one vector in dump order, and gradients come back as one vector laid
+    out the same way."""
+
+    @pytest.mark.parametrize("source", ["init_model", "load_model"])
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_each_entry_is_its_slice_of_the_buffer(self, tmp_path, source, placement, sharing):
+        params = ParamSet.from_model(storage_model(source, placement, sharing, tmp_path))
+        flat = params.flat
+        assert flat is not None and flat.size == params.total_count()
+        for name, start, stop in slots(params):
+            entry = params[name]
+            assert same_array(entry, flat[start:stop].reshape(entry.shape)), name
+            before = flat.copy()
+            entry += 1.0
+            assert np.flatnonzero(flat != before).tolist() == list(range(start, stop)), name
+            flat[...] = before
+
+    @pytest.mark.parametrize("source", ["init_model", "load_model"])
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_each_gradient_entry_is_its_slice_of_the_gradient_vector(self, tmp_path, source,
+                                                                    placement, sharing):
+        model = storage_model(source, placement, sharing, tmp_path)
+        params = ParamSet.from_model(model)
+        _, grads = loss_and_gradients(model, params, walk_batch())
+        assert grads.names == params.names
+        assert grads.flat.shape == (params.total_count(),)
+        assert not np.shares_memory(grads.flat, params.flat)
+        for name, start, stop in slots(grads):
+            assert same_array(grads[name], grads.flat[start:stop].reshape(params[name].shape))
+
+    @pytest.mark.parametrize("gate_override", [None, "ones"])
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES + [("aliased", None)])
+    def test_flat_gradients_equal_the_per_name_assembly_bitwise(self, placement, sharing,
+                                                               gate_override):
+        model = aliased_walk_model() if placement == "aliased" else walk_model(placement, sharing)
+        params = ParamSet.from_model(model)
+        pairs = walk_batch()
+        for names in (params.names, ["head.w", "layer2.attn.w_o", "layer1.ln2.scale",
+                                     "layer0.attn.head1.w_v", "input.b"]):
+            chosen = params.subset(names)
+            _, grads = loss_and_gradients(model, chosen, pairs, gate_override=gate_override)
+            want = per_name_gradients(model, chosen, pairs, gate_override=gate_override)
+            assert grads.names == list(want)
+            for name, g in grads.items():
+                assert_bitwise(g, want[name])
+
+    def test_a_hand_assembled_model_has_no_buffer_for_adamw(self):
+        model = aliased_walk_model()
+        params = ParamSet.from_model(model)
+        assert params.flat is None
+        _, grads = loss_and_gradients(model, params, walk_batch())
+        with pytest.raises(ValueError, match="^the parameters do not share one vector"):
+            adamw_step(params, grads, init_optimizer(params), 1e-3)
+
+    def test_arrays_swapped_inside_the_buffer_are_not_its_layout(self):
+        model = walk_model("g1", "per_head")
+        first, second = model.layers[0].ffn, model.layers[1].ffn
+        first.b2, second.b2 = second.b2, first.b2
+        assert ParamSet.from_model(model).flat is None
+
+    def test_a_dict_set_packs_copies_into_its_own_vector(self):
+        a, b = np.arange(6.0).reshape(2, 3), np.array([7.0])
+        params = ParamSet({"a": a, "b": b})
+        assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+        assert same_array(params["a"], params.flat[:6].reshape(2, 3))
+        a[0, 0] = 9.0
+        params["b"][0] = 3.0
+        assert params["a"][0, 0] == 0.0 and params.flat[6] == 3.0
+        params.subset(["b"])["b"][0] = 5.0
+        assert params["b"][0] == 3.0
+
+    def test_adamw_moves_the_model_buffer_in_place(self):
+        model = tiny_model(seed=45, placement="g3")
+        params = ParamSet.from_model(model)
+        flat = params.flat
+        before = flat.copy()
+        ones = ParamSet({n: np.ones_like(a) for n, a in params.items()})
+        adamw_step(params, ones, init_optimizer(params), 1e-3)
+        assert params.flat is flat
+        assert np.array_equal(flat, before - 1e-3 * 1.0 / (1.0 + 1e-8))
+        assert np.array_equal(model.layers[1].attn.w_g2.reshape(-1),
+                              np.concatenate([params[f"layer1.attn.head{k}.w_g2"].reshape(-1)
+                                              for k in range(4)]))
+
+    @pytest.mark.parametrize("placement, sharing, name", NAN_CASES)
+    def test_a_nan_parameter_is_named_as_by_the_per_array_loop(self, placement, sharing, name):
+        model = walk_model(placement, sharing)
+        params = ParamSet.from_model(model)
+        params[name].reshape(-1)[0] = np.nan  # the first value of the entry
+        assert params.first_nonfinite() == first_nonfinite_by_loop(params) == name
+        with pytest.raises(NonFiniteError) as err:
+            loss_and_gradients(model, params, walk_batch())
+        assert err.value.param_name == name
+
+    @pytest.mark.parametrize("placement, sharing, name", NAN_CASES)
+    def test_a_nan_gradient_is_named_as_by_the_per_array_loop(self, monkeypatch, placement,
+                                                             sharing, name):
+        model = walk_model(placement, sharing)
+        params = ParamSet.from_model(model)
+        _, grads = loss_and_gradients(model, params, walk_batch())
+        grads[name].reshape(-1)[0] = np.inf
+        assert grads.first_nonfinite() == first_nonfinite_by_loop(grads) == name
+        stack, k = {n: (arr, k) for n, arr, k, _, _ in named_params(model)}[name]
+        first = (k or 0) * params[name].size
+
+        class Poisoned(training._Lifter):
+            def grad(self, arr):
+                g = super().grad(arr)
+                if arr is stack:
+                    g = np.array(g)
+                    g.reshape(-1)[first] = np.nan
+                return g
+
+        monkeypatch.setattr(training, "_Lifter", Poisoned)
+        with pytest.raises(NonFiniteError, match=f"^non-finite gradient for parameter "
+                                                 f"{re.escape(repr(name))}$") as err:
+            loss_and_gradients(model, params, walk_batch())
+        assert err.value.param_name == name
+
+    @pytest.mark.parametrize("gate_weight_std", [None, 0.0, 0.25])
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_init_equals_the_per_call_oracle_bitwise(self, placement, sharing, gate_weight_std):
+        gate = GateConfig(placement=placement, sharing=sharing, bias_init=-0.3)
+        for dims in (dict(d_in=3, d=8, n_heads=2, n_layers=3, d_e=2, out_dim=2),
+                     dict(d_in=3, d=5, n_heads=1, n_layers=2, d_ff=7)):  # odd block sizes
+            model = init_model(SeededRng(31), gate=gate, gate_weight_std=gate_weight_std, **dims)
+            want = per_call_init(SeededRng(31), gate=gate, gate_weight_std=gate_weight_std,
+                                 **dims)
+            params = ParamSet.from_model(model)
+            assert params.names == list(want)
+            for name, arr in params.items():
+                assert_bitwise(arr, want[name])
+
+
+class TestStorageWorkCount:
+    """Loading a model draws nothing, init draws in one pass, and a
+    gradient's finiteness is one check of the whole vector."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        counts = dict.fromkeys(("standard_normal", "normal_blocks", "uniform"), 0)
+        for entry in counts:
+            def counted(self, *args, _real=getattr(SeededRng, entry), _entry=entry):
+                counts[_entry] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(SeededRng, entry, counted)
+        return counts
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_init_draws_once_and_load_draws_nothing(self, draws, tmp_path, placement, sharing):
+        model = walk_model(placement, sharing)
+        assert draws == {"standard_normal": 0, "normal_blocks": 1, "uniform": 0}
+        save_model(model, tmp_path / "model.txt")
+        draws.update(dict.fromkeys(draws, 0))
+        load_model(tmp_path / "model.txt")
+        assert draws == dict.fromkeys(draws, 0)
+
+    def test_gradients_are_checked_by_one_isfinite(self, monkeypatch):
+        model = init_model(SeededRng(0), d_in=4, d=16, n_heads=4, n_layers=12,
+                           gate=GateConfig(placement="g1"))
+        params = ParamSet.from_model(model)
+        calls = []
+        real_backward, real_isfinite = ad.backward, np.isfinite
+
+        def backward(root):
+            real_backward(root)
+            calls.append("backward")
+
+        def isfinite(x, *args, **kw):
+            calls.append(np.shape(x))
+            return real_isfinite(x, *args, **kw)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        loss_and_gradients(model, params, make_toy_task(seed=0, n_graphs=12).train)
+        assert calls[calls.index("backward") + 1:] == [(params.total_count(),)]
