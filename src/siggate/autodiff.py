@@ -26,7 +26,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
     "linear",
     "bmm",
@@ -41,8 +40,6 @@ __all__ = [
     "sigmoid",
     "tanh",
     "relu",
-    "exp",
-    "log",
     "sqrt",
     "square",
     "absolute",
@@ -66,38 +63,6 @@ class Var:
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents  # tuple of (Var, vjp) pairs
         self.grad = None
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
@@ -202,12 +167,6 @@ def div(a, b):
         return av / bv
     return _node(av / bv, (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(g / o, s)),
                  (b, lambda g, n=av, o=bv, s=np.shape(bv): _unbroadcast(-g * n / (o * o), s)))
-
-
-def neg(x):
-    if not isinstance(x, Var):
-        return -np.asarray(x)
-    return Var(-x.value, ((x, lambda g: -g),))
 
 
 def matmul(a, b):
@@ -392,14 +351,6 @@ def relu(x):
     return _unary(
         x, lambda v: np.maximum(v, 0.0), lambda xv, yv: lambda g: g * (xv > 0.0)
     )
-
-
-def exp(x):
-    return _unary(x, np.exp, lambda xv, yv: lambda g: g * yv)
-
-
-def log(x):
-    return _unary(x, np.log, lambda xv, yv: lambda g: g / xv)
 
 
 def sqrt(x):

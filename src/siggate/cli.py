@@ -40,7 +40,6 @@ from .synthexp import (
     RankExpConfig,
     SweepCell,
     make_toy_task,
-    run_rank_experiment,
     run_robustness_sweep,
     write_aggregate_csv,
     write_seed_csv,
@@ -147,14 +146,14 @@ class _Pool:
 def cmd_rank_exp(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     """Synthetic stable-rank study; exit 0 only if the gain bands hold."""
     base = _rank_config(cfg)
+    robust = cfg["experiment.robustness"]
+    # The default cell runs as the c sweep's first cell: one pass per seed serves both.
     with _Pool(parallel) as map_fn:
-        result = run_rank_experiment(base, map_fn=map_fn)
-        cells = [SweepCell("default", base.c, base.rho, result)]
-        sweep_cells = None
-        if cfg["experiment.robustness"]:
-            sweep_cells = run_robustness_sweep(
-                base, cfg["experiment.c_sweep"], cfg["experiment.rho_sweep"], map_fn=map_fn
-            )
+        first, *sweep_cells = run_robustness_sweep(
+            base, (base.c, *(cfg["experiment.c_sweep"] if robust else ())),
+            cfg["experiment.rho_sweep"] if robust else (), map_fn=map_fn)
+    result = first.result
+    cells = [SweepCell("default", base.c, base.rho, result)]
     write_seed_csv(os.path.join(out_dir, "rank_seeds.csv"), cells)
     write_aggregate_csv(os.path.join(out_dir, "rank_aggregate.csv"), cells)
 
@@ -179,7 +178,7 @@ def cmd_rank_exp(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
         and abs(result.attained_gate_mean - base.target_gate_mean) <= GATE_MEAN_TOL
         and abs(result.attained_gate_std - base.target_gate_std) <= GATE_STD_TOL
     )
-    if sweep_cells is not None:
+    if robust:
         write_seed_csv(os.path.join(out_dir, "robustness_seeds.csv"), sweep_cells)
         write_aggregate_csv(os.path.join(out_dir, "robustness_aggregate.csv"), sweep_cells)
         print("robustness sweep:")
@@ -454,18 +453,12 @@ def cmd_param_count(cfg: RunConfig, out_dir: str) -> int:
     the placement (g3 adds a second projection) and the sharing."""
     d = cfg["model.d"]
     heads = cfg["model.heads"]
-    layers = cfg["model.layers"]
     if heads < 1:
         raise ConfigError(f"model.heads must be >= 1, got {heads}")
-    if layers == 0:
-        print("warning: model.layers = 0; there is nothing to count")
-        print("total params: 0")
-        print("gate params: 0")
-        return EXIT_OK
     if d % heads != 0:
         raise ConfigError(f"model.d={d} not divisible by model.heads={heads}")
     model = init_model(
-        SeededRng(0), d_in=cfg["model.d_in"], d=d, n_heads=heads, n_layers=layers,
+        SeededRng(0), d_in=cfg["model.d_in"], d=d, n_heads=heads, n_layers=cfg["model.layers"],
         gate=_gate_config(cfg), d_ff=cfg["model.d_ff"] or None,
         readout=cfg["model.readout"], out_dim=cfg["model.out_dim"],
     )

@@ -17,7 +17,9 @@ Floats are written with 17 significant digits so round-trips are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -50,6 +52,7 @@ __all__ = [
     "init_model",
     "named_params",
     "param_view",
+    "ParamSet",
     "write_graph",
     "read_graph",
 ]
@@ -200,6 +203,8 @@ class ModelParams:
     w_head: np.ndarray
     b_head: np.ndarray
     readout: str = "mean"
+    # its ParamSet (model_skeleton); None when assembled by hand: forward only
+    layout: ParamSet | None = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -362,9 +367,10 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
                    out_dim: int = 1, gate_weight_std: float | None = None):
     """``(model, draws)``: the model with every array a view of one zero
     vector in :func:`named_params` order (head stacks strided, see
-    :func:`attention.mhsa_skeleton`), layer-norm scales at 1; and each
-    Gaussian block's ``(view, std)`` in draw order: W_in, per layer the
-    attention's, W_edge, W_val, W_1, W_2, then the head (std 1/sqrt(fan-in))."""
+    :func:`attention.mhsa_skeleton`), layer-norm scales at 1, and its
+    :class:`ParamSet` over that vector as ``model.layout``; and each Gaussian
+    block's ``(view, std)`` in draw order: W_in, per layer the attention's,
+    W_edge, W_val, W_1, W_2, then the head (std 1/sqrt(fan-in))."""
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if readout not in READOUTS:
@@ -394,7 +400,14 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
                             b_head=take(out_dim), readout=readout)
         return model, draws
 
-    return carve(build)[0]
+    (model, draws), flat = carve(build)
+    names, arrays, ks, _, _ = zip(*named_params(model))
+    layout = model.layout = ParamSet.__new__(ParamSet)._over(
+        names, tuple(param_view(arr, k).shape for arr, k in zip(arrays, ks)), flat)
+    layout.reads = tuple(zip(arrays, ks))
+    layout.offsets = {id(arr): start - (k or 0) * arr.strides[0] // flat.itemsize
+                      for arr, k, start in zip(arrays, ks, layout._starts)}
+    return model, draws
 
 
 def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int,
@@ -452,6 +465,81 @@ def param_view(array, k):
     """The parameter a :func:`named_params` item names: ``array[k]``, or
     ``array`` itself when ``k`` is None."""
     return array if k is None else array[k]
+
+
+class ParamSet:
+    """Ordered name -> array registry over all trainable parameters, whose
+    values live in one float64 vector ``flat``, each entry a view of its
+    slice; ``ParamSet(dict)`` copies the arrays into a new vector. A model
+    that :func:`model_skeleton` built holds its own as ``model.layout``,
+    which also records ``reads``, the ``(array, k)`` the forward reads for
+    each name, and ``offsets``: by ``id``, where in ``flat`` each array the
+    forward reads starts (the array is the view from there with its strides)."""
+
+    def __init__(self, items: dict[str, np.ndarray]):
+        items = {name: np.asarray(a, dtype=np.float64) for name, a in items.items()}
+        self._over(tuple(items), tuple(a.shape for a in items.values()),
+                   np.concatenate([a.reshape(-1) for a in items.values()] or [np.zeros(0)]))
+
+    def _over(self, names, shapes, flat) -> "ParamSet":
+        self._names, self._shapes, self.flat, self._items = names, shapes, flat, None
+        self._starts = np.cumsum([0, *map(math.prod, shapes)]).tolist()
+        return self
+
+    @classmethod
+    def from_model(cls, model: ModelParams) -> "ParamSet":
+        """``model.layout``, once each parameter :func:`named_params` finds has
+        the name and is the array (``is``) that it records; else ValueError
+        names the first parameter off the layout. A model assembled by hand
+        has none, and an array swapped or aliased after the build is off it."""
+        layout = model.layout
+        held = () if layout is None else zip(layout._names, (arr for arr, _ in layout.reads))
+        found = ((name, arr) for name, arr, _, _, _ in named_params(model))
+        for (name, arr), (want, kept) in zip_longest(found, held, fillvalue=(None, None)):
+            if name != want or arr is not kept:
+                raise ValueError(f"parameter {name or want!r} is off the model's layout: a "
+                                 f"model has one only as init_model or load_model built it")
+        return layout
+
+    def _like(self, flat: np.ndarray) -> "ParamSet":
+        params = ParamSet.__new__(ParamSet)  # laid out as this set, over ``flat``
+        params.__dict__.update(self.__dict__, flat=flat, _items=None)
+        return params
+
+    @property
+    def names(self) -> list[str]:
+        return list(self._names)
+
+    def _entries(self) -> dict[str, np.ndarray]:
+        if self._items is None:  # views of the vector, made on first use
+            self._items = {name: self.flat[a:b].reshape(shape) for name, shape, a, b in
+                           zip(self._names, self._shapes, self._starts, self._starts[1:])}
+        return self._items
+
+    def items(self):
+        return self._entries().items()
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._entries()[name]
+
+    def total_count(self) -> int:
+        return self._starts[-1]
+
+    def subset(self, names) -> "ParamSet":
+        """Copies of the named entries, as ``ParamSet(dict)``."""
+        return ParamSet({n: self[n] for n in names})
+
+    def copy_values(self) -> dict[str, np.ndarray]:
+        """Detached snapshot of the current values."""
+        return {n: a.copy() for n, a in self.items()}
+
+    def first_nonfinite(self) -> str | None:
+        """The first entry holding a NaN or an infinity (None if there is
+        none): one ``isfinite`` over ``flat``, named by the offsets."""
+        finite = np.isfinite(self.flat)
+        if finite.all():
+            return None
+        return self._names[np.searchsorted(self._starts, np.argmin(finite), side="right") - 1]
 
 
 # ---------------------------------------------------------------------------

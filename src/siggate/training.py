@@ -20,6 +20,7 @@ from .gps import (
     GraphBatch,
     LayerTrace,
     ModelParams,
+    ParamSet,
     batch_forward,
     gps_layer_combine,
     gps_layer_forward,
@@ -73,89 +74,6 @@ class NonFiniteError(RuntimeError):
         self.param_name = param_name
 
 
-class ParamSet:
-    """Ordered name -> array registry over all trainable parameters, whose
-    values live in one float64 vector ``flat``, each entry a view of its
-    slice. :meth:`from_model` holds the model's arrays and, for a model
-    built by ``init_model`` or ``load_model``, its vector (None for a
-    hand-assembled model); ``ParamSet(dict)`` copies into a new vector."""
-
-    def __init__(self, items: dict[str, np.ndarray]):
-        items = {name: np.asarray(a, dtype=np.float64) for name, a in items.items()}
-        self._layout(items, np.concatenate([a.reshape(-1) for a in items.values()]
-                                           or [np.zeros(0)]), None)
-
-    def _layout(self, arrays: dict, flat, items):
-        self._names, self._shapes = tuple(arrays), tuple(a.shape for a in arrays.values())
-        self._starts = np.cumsum([0] + [a.size for a in arrays.values()]).tolist()
-        self.flat, self._items = flat, items
-
-    @classmethod
-    def from_model(cls, model: ModelParams) -> "ParamSet":
-        """The model's arrays by reference, named and ordered by :func:`named_params`
-        (a head's parameter is a view of its slice of the layer's stack)."""
-        items = {name: param_view(arr, k) for name, arr, k, _, _ in named_params(model)}
-        params = cls.__new__(cls)
-        params._layout(items, None, items)
-        flat = next(iter(items.values())).base  # the vector, if every entry is its slice
-        if (isinstance(flat, np.ndarray) and flat.dtype == np.float64
-                and flat.shape == (params.total_count(),)):
-            at = flat.__array_interface__["data"][0]
-            if all(a.base is flat and a.flags.c_contiguous
-                   and a.__array_interface__["data"][0] == at + 8 * start
-                   for start, a in zip(params._starts, items.values())):
-                params.flat = flat
-        return params
-
-    def _like(self, flat: np.ndarray) -> "ParamSet":
-        params = ParamSet.__new__(ParamSet)  # laid out as this set, over ``flat``
-        params.__dict__.update(self.__dict__, flat=flat, _items=None)
-        return params
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._names)
-
-    def _entries(self) -> dict[str, np.ndarray]:
-        if self._items is None:  # views of the vector, made on first use
-            self._items = {name: self.flat[a:b].reshape(shape) for name, shape, a, b in
-                           zip(self._names, self._shapes, self._starts, self._starts[1:])}
-        return self._items
-
-    def items(self):
-        return self._entries().items()
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._entries()[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._names
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def total_count(self) -> int:
-        return self._starts[-1]
-
-    def subset(self, names) -> "ParamSet":
-        """Copies of the named entries, as ``ParamSet(dict)``."""
-        return ParamSet({n: self[n] for n in names})
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        """Detached snapshot of the current values."""
-        return {n: a.copy() for n, a in self.items()}
-
-    def first_nonfinite(self) -> str | None:
-        """The first entry holding a NaN or an infinity (None if there is
-        none): one ``isfinite`` over the values, named by their offsets."""
-        values = (self.flat if self.flat is not None
-                  else np.concatenate([a.reshape(-1) for _, a in self.items()]))
-        finite = np.isfinite(values)
-        if finite.all():
-            return None
-        return self._names[np.searchsorted(self._starts, np.argmin(finite), side="right") - 1]
-
-
 def is_gate_param(name: str) -> bool:
     return name.rsplit(".", 1)[-1] in _GATE_FIELDS
 
@@ -176,11 +94,6 @@ class _Lifter:
     def grad(self, arr):
         node = self._vars.get(id(arr))
         return None if node is None else node.grad
-
-    def raveled_grad(self, arr, k):
-        """The gradient of ``param_view(arr, k)``, raveled; zeros off the tape."""
-        g = self.grad(arr)
-        return np.zeros(param_view(arr, k).size) if g is None else param_view(g, k).reshape(-1)
 
 
 def _graph_groups(batch):
@@ -232,12 +145,17 @@ def evaluate(model: ModelParams, batch, loss: str = "mse"):
 
 def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
                        loss: str = "mse", gate_override=None):
-    """Mean batch loss and exact gradients for every registered parameter.
+    """Mean batch loss and exact gradients for every parameter of the model.
 
-    One taped pass per node count in the batch, one backward sweep.
-    Raises :class:`NonFiniteError` (naming the offending parameter) if the
-    loss, an attention logit or any gradient is non-finite.
+    One taped pass per node count in the batch, one backward sweep. The
+    gradients are one vector laid out as ``model.layout``: each array on the
+    tape writes its gradient into the view of that vector at the array's
+    offset, with the array's strides. Raises :class:`NonFiniteError` (naming
+    the offending parameter) if the loss, an attention logit or any gradient
+    is non-finite, and ValueError, as :meth:`ParamSet.from_model` does, if
+    the forward read an array that the layout does not hold.
     """
+    layout = model.layout or ParamSet.from_model(model)  # no layout: this raises
     lifter = _Lifter()
     total = None
     try:
@@ -257,9 +175,15 @@ def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
             f"non-finite loss; first non-finite parameter: {offender}", offender
         )
     ad.backward(mean)
-    read = {name: (arr, k) for name, arr, k, _, _ in named_params(model)}
-    grads = params._like(np.concatenate([lifter.raveled_grad(*read[name])
-                                         for name in params._names]))
+    flat = np.zeros(layout.flat.size)
+    for arr in (node.value for node in lifter._vars.values()):
+        if id(arr) not in layout.offsets:
+            ParamSet.from_model(model)  # raises, naming the parameter that reads ``arr``
+        g = lifter.grad(arr)
+        if g is not None:
+            np.ndarray(arr.shape, buffer=flat, offset=layout.offsets[id(arr)] * flat.itemsize,
+                       strides=arr.strides)[...] = g
+    grads = layout._like(flat)
     offender = grads.first_nonfinite()
     if offender is not None:
         raise NonFiniteError(f"non-finite gradient for parameter {offender!r}", offender)
@@ -297,17 +221,12 @@ class FdReport:
 def _probe_index(model: ModelParams) -> dict:
     """``id(array) -> (layer index, branches)`` for every array the model
     reads after its input projection (a layer's stack for a head's
-    parameters): the first layer that reads the array, and which of that
-    layer's branches do (:func:`named_params`' branches; an array read under
-    two names keeps both). The readout's arrays map to index L with no
-    branch."""
-    index: dict[int, tuple[int, frozenset]] = {}
-    for _, arr, _, layer, branch in named_params(model):
-        if layer >= 0:
-            first, branches = index.setdefault(id(arr), (layer, frozenset()))
-            if first == layer and branch is not None:
-                index[id(arr)] = (layer, branches | {branch})
-    return index
+    parameters): the layer that reads it and, as a set, the branch of that
+    layer that does (:func:`named_params`' branches; one per array, as
+    :meth:`ParamSet.from_model` checks). The readout's arrays map to index L
+    with no branch."""
+    return {id(arr): (layer, frozenset() if branch is None else frozenset({branch}))
+            for _, arr, _, layer, branch in named_params(model) if layer >= 0}
 
 
 PROBE_CHUNK = 256  # perturbed copies per batched pass; bounds the probes' memory
@@ -334,8 +253,9 @@ class _PlainForwardCache:
         self.batch = batch
         self.loss = loss
         self.groups = _graph_groups(batch)
+        layout = ParamSet.from_model(model)  # so each array is read under one name
+        self.read = dict(zip(layout.names, layout.reads))
         self.index = _probe_index(model)
-        self.read = {name: (arr, k) for name, arr, k, _, _ in named_params(model)}
         # Per group: (h, local, head outputs, merged attention) entering
         # each layer, then the last hidden state.
         self.layers = []
@@ -481,11 +401,9 @@ def init_optimizer(params: ParamSet, weight_decay: float = 0.0,
 def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: float):
     """One AdamW update (decoupled weight decay, bias correction) in place on
     ``params.flat`` from ``grads.flat``, by whole-vector ops: each element
-    sees the ufuncs of a per-array update."""
+    sees the ufuncs of a per-array update. For a set from
+    :meth:`ParamSet.from_model` that vector is the model's own."""
     flat = params.flat
-    if flat is None:
-        raise ValueError("the parameters do not share one vector; build the model with "
-                         "init_model or load_model, or pack them with ParamSet(dict)")
     if flat.size != state.m.size:
         raise ValueError(f"parameters hold {flat.size} values, "
                          f"the optimizer state {state.m.size}")
@@ -711,8 +629,7 @@ def load_model(path) -> ModelParams:
         raise ValueError(f"model dump {path} is missing metadata key {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"model dump {path} has malformed metadata: {exc}") from None
-    for name, stack, k, _, _ in named_params(model):
-        arr = param_view(stack, k)
+    for name, arr in ParamSet.from_model(model).items():
         record = arrays.pop(name, None)
         if record is None:
             raise ValueError(f"model dump {path} is missing parameter {name!r}")

@@ -98,14 +98,6 @@ class TestArithmetic:
         ad.backward(out)
         assert x.grad[0] == pytest.approx(5.0)
 
-    def test_operator_overloads(self, rng):
-        a = gaussian_matrix(rng, 2, 2, 1.0)
-        v = ad.Var(a)
-        out = ad.vsum((v + 1.0) * v - v / 2.0 + (-v))
-        ad.backward(out)
-        expected = 2.0 * a + 1.0 - 0.5 - 1.0
-        assert np.allclose(v.grad, expected, atol=1e-12)
-
     def test_deep_chain_no_recursion_error(self):
         x = ad.Var(np.array([1.0]))
         node = x
@@ -150,7 +142,7 @@ class TestReductionsAndShapes:
 
 
 class TestNonlinearities:
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.exp, ad.erf, ad.gelu,
+    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.erf, ad.gelu,
                                     ad.square, ad.absolute])
     def test_unary_grads(self, op, rng):
         a = gaussian_matrix(rng, 3, 4, 1.0) + 0.1  # keep abs away from its kink
@@ -161,9 +153,8 @@ class TestNonlinearities:
         a[np.abs(a) < 1e-3] = 0.5
         check_grads(lambda x: ad.vsum(ad.relu(x)), [a])
 
-    def test_log_sqrt(self, rng):
+    def test_sqrt(self, rng):
         a = np.abs(gaussian_matrix(rng, 3, 3, 1.0)) + 0.5
-        check_grads(lambda x: ad.vsum(ad.log(x)), [a])
         check_grads(lambda x: ad.vsum(ad.sqrt(x)), [a])
 
     def test_apply_activation_matches_named_ops(self, rng):

@@ -187,6 +187,27 @@ class TestRankExpCommand:
         assert "Traceback" not in err
         assert not (out / "robustness_seeds.csv").exists()
 
+    def test_each_seed_is_drawn_once_for_the_default_and_the_sweep(self, tmp_path,
+                                                                    monkeypatch):
+        import siggate.synthexp as synthexp
+
+        seeds = []
+        real = synthexp._run_seed
+
+        def counted(args):
+            seeds.append(args[2])
+            return real(args)
+
+        monkeypatch.setattr(synthexp, "_run_seed", counted)
+        cfg = tmp_path / "cfg.txt"
+        for robustness in ("false", "true"):
+            cfg.write_text(FAST_RANK + f"experiment.robustness = {robustness}\n")
+            run_cli("rank-exp", "--config", str(cfg), "--out", str(tmp_path / robustness))
+            assert seeds == [0, 1]
+            seeds.clear()
+        for name in ("rank_seeds.csv", "rank_aggregate.csv"):  # the sweep moves no default value
+            assert read(tmp_path / "false" / name) == read(tmp_path / "true" / name), name
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_RANK)
@@ -625,13 +646,13 @@ class TestParamCountCommand:
         assert gate == total - ungated > 0
         assert fraction == f"{gate / total:.4%}"
 
-    def test_zero_layers_warns(self, tmp_path, capsys):
+    def test_zero_layers_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("model.layers = 0\n")
-        assert run_cli("param-count", "--config", str(cfg), "--out", str(tmp_path)) == 0
-        out = capsys.readouterr().out
-        assert "warning" in out
-        assert "gate params: 0" in out
+        assert run_cli("param-count", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: n_layers must be >= 1, got 0\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("heads", [0, -2])
     def test_non_positive_heads_exit_two(self, tmp_path, capsys, heads):

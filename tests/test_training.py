@@ -13,6 +13,7 @@ from oracles import (
 )
 from siggate.attention import GateConfig, gate_param_count
 from siggate import autodiff as ad
+from siggate import gps
 from siggate.gps import (
     GraphBatch, GraphInstance, LayerNormParams, batch_forward, init_model, model_forward,
     named_params, param_view,
@@ -313,25 +314,16 @@ class TestParamWalk:
         assert set(got) == set(want)
         assert got == want
 
-    def test_an_array_read_under_two_names_keeps_every_branch(self, batch):
+    def test_an_array_read_under_two_names_cannot_reach_the_check(self):
+        # The probe index keeps one branch per array, so a model that reads an
+        # array under two names is refused before anything is probed.
         model = aliased_walk_model()
-        want = dataclass_probe_index(model)
-        got = training._probe_index(model)
-        w_val = model.layers[1].mpnn.w_val
-        assert got[id(w_val)] == (1, frozenset({"mpnn", "w_o"}))
-        assert got[id(model.layers[0].ln1.scale)] == (0, frozenset({"combine"}))
-        assert got == {key: want[key] for key in got}
-        params = ParamSet.from_model(model)
-        assert all(same_array(params[name], arr)
-                   for name, arr in hand_written_registry(model).items())
-        graphs = [(GraphInstance(n=g.n, node_features=g.node_features[:, :3], edges=g.edges,
-                                 edge_features=np.ones((len(g.edges), 2))), np.ones(2))
-                  for g, _ in batch[:2]]
-        cache = training._PlainForwardCache(model, graphs, "mse")
-        for name in ("layer1.mpnn.w_val", "layer2.ln2.shift"):
-            arr = params[name]
-            got = cache.probe_losses(name, [0], 1e-3)
-            assert_same_losses(got, one_probe_losses(model, graphs, "mse", arr, [0], 1e-3))
+        params = ParamSet.from_model(walk_model("g1", "per_head"))
+        off = "^parameter 'layer0.ln2.scale' is off the model's layout"
+        with pytest.raises(ValueError, match=off):
+            training._PlainForwardCache(model, walk_batch(), "mse")
+        with pytest.raises(ValueError, match=off):
+            finite_difference_check(model, params, walk_batch(), sample=1)
 
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_dump_bytes_follow_the_hand_written_order(self, tmp_path, placement, sharing):
@@ -570,9 +562,9 @@ class TestBatchedProbes:
     one pass over a copy axis; each loss is the one-probe oracle's
     ``batch_loss`` bit for bit (tests/oracles.py)."""
 
-    @pytest.mark.parametrize("placement, sharing", WALK_CASES + [("aliased", None)])
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_every_probe_loss_equals_the_one_probe_oracle(self, placement, sharing):
-        model = aliased_walk_model() if placement == "aliased" else walk_model(placement, sharing)
+        model = walk_model(placement, sharing)
         pairs = walk_batch()
         cache = training._PlainForwardCache(model, pairs, "mse")
         rng = np.random.default_rng(1)
@@ -926,34 +918,73 @@ class TestParamStorage:
             assert same_array(grads[name], grads.flat[start:stop].reshape(params[name].shape))
 
     @pytest.mark.parametrize("gate_override", [None, "ones"])
-    @pytest.mark.parametrize("placement, sharing", WALK_CASES + [("aliased", None)])
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_flat_gradients_equal_the_per_name_assembly_bitwise(self, placement, sharing,
                                                                gate_override):
-        model = aliased_walk_model() if placement == "aliased" else walk_model(placement, sharing)
+        model = walk_model(placement, sharing)
         params = ParamSet.from_model(model)
         pairs = walk_batch()
-        for names in (params.names, ["head.w", "layer2.attn.w_o", "layer1.ln2.scale",
-                                     "layer0.attn.head1.w_v", "input.b"]):
-            chosen = params.subset(names)
-            _, grads = loss_and_gradients(model, chosen, pairs, gate_override=gate_override)
-            want = per_name_gradients(model, chosen, pairs, gate_override=gate_override)
-            assert grads.names == list(want)
-            for name, g in grads.items():
-                assert_bitwise(g, want[name])
+        _, grads = loss_and_gradients(model, params, pairs, gate_override=gate_override)
+        want = per_name_gradients(model, params, pairs, gate_override=gate_override)
+        assert grads.names == list(want)
+        for name, g in grads.items():
+            assert_bitwise(g, want[name])
+        # a subset of the parameters still gets the gradients of the whole model
+        chosen = params.subset(["head.w", "layer2.attn.w_o", "layer0.attn.head1.w_v"])
+        _, whole = loss_and_gradients(model, chosen, pairs, gate_override=gate_override)
+        assert whole.names == params.names
+        assert_bitwise(whole.flat, grads.flat)
 
-    def test_a_hand_assembled_model_has_no_buffer_for_adamw(self):
-        model = aliased_walk_model()
-        params = ParamSet.from_model(model)
-        assert params.flat is None
-        _, grads = loss_and_gradients(model, params, walk_batch())
-        with pytest.raises(ValueError, match="^the parameters do not share one vector"):
-            adamw_step(params, grads, init_optimizer(params), 1e-3)
+    def test_a_hand_assembled_model_runs_the_forward_only(self):
+        built = walk_model("g1", "per_head")
+        model = type(built)(w_in=built.w_in, b_in=built.b_in, layers=built.layers,
+                            w_head=built.w_head, b_head=built.b_head, readout=built.readout)
+        assert model.layout is None
+        pairs = walk_batch()
+        assert batch_loss(model, pairs) == batch_loss(built, pairs)
+        off = ("^parameter 'input.w' is off the model's layout: a model has one only as "
+               "init_model or load_model built it$")
+        with pytest.raises(ValueError, match=off):
+            ParamSet.from_model(model)
+        with pytest.raises(ValueError, match=off):
+            loss_and_gradients(model, ParamSet.from_model(built), pairs)
 
-    def test_arrays_swapped_inside_the_buffer_are_not_its_layout(self):
-        model = walk_model("g1", "per_head")
+    @pytest.mark.parametrize("change, name", [
+        ("swap", "layer0.ffn.b2"), ("copy", "layer1.ffn.w1"), ("alias", "layer0.ln2.scale"),
+    ])
+    def test_a_swapped_or_aliased_array_is_off_the_layout(self, change, name):
+        model = aliased_walk_model() if change == "alias" else walk_model("g1", "per_head")
         first, second = model.layers[0].ffn, model.layers[1].ffn
-        first.b2, second.b2 = second.b2, first.b2
-        assert ParamSet.from_model(model).flat is None
+        if change == "swap":  # both arrays stay in the model's vector
+            first.b2, second.b2 = second.b2, first.b2
+        elif change == "copy":
+            second.w1 = second.w1.copy()
+        with pytest.raises(ValueError, match=f"^parameter {re.escape(repr(name))} is off the "
+                                             f"model's layout"):
+            ParamSet.from_model(model)
+
+    def test_gradients_refuse_an_array_swapped_after_from_model(self):
+        model = walk_model("g2", "shared")
+        params = ParamSet.from_model(model)
+        model.layers[1].mpnn.w_val = model.layers[1].mpnn.w_val.copy()
+        with pytest.raises(ValueError, match="^parameter 'layer1.mpnn.w_val' is off the "
+                                             "model's layout"):
+            loss_and_gradients(model, params, walk_batch())
+
+    def test_a_training_step_walks_no_parameters(self, monkeypatch):
+        model = walk_model("g3", "per_head")
+        params = ParamSet.from_model(model)
+        state = init_optimizer(params, weight_decay=1e-2)
+
+        def no_walk(model):
+            raise AssertionError("a training step walked the parameters")
+
+        monkeypatch.setattr(training, "named_params", no_walk)
+        monkeypatch.setattr(gps, "named_params", no_walk)
+        for _ in range(2):
+            _, grads = loss_and_gradients(model, params, walk_batch())
+            adamw_step(params, grads, state, 1e-3)
+        assert state.step == 2
 
     def test_a_dict_set_packs_copies_into_its_own_vector(self):
         a, b = np.arange(6.0).reshape(2, 3), np.array([7.0])
