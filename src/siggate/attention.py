@@ -80,17 +80,18 @@ class MhsaParams:
     ``w_g``/``w_g2`` are G x d x d_k and ``b_g`` G x d_k (G x 1 for g3),
     where G = K for per-head gates and G = 1 for a shared gate. A stack the
     placement does not read is None. Head k is slice k of each stack (of a
-    shared gate's, slice 0), so a single head is a layer with K = 1.
+    shared gate's, slice 0), so a single head is a layer with K = 1. The
+    fields follow the carve order of :func:`mhsa_skeleton` (see ``gps.GpsLayerParams``).
     """
 
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
+    w_g: np.ndarray | None = field(default=None, kw_only=True)
+    w_g2: np.ndarray | None = field(default=None, kw_only=True)
+    b_g: np.ndarray | None = field(default=None, kw_only=True)
     w_o: np.ndarray
     gate: GateConfig = field(default_factory=lambda: GateConfig(placement="none"))
-    w_g: np.ndarray | None = None
-    w_g2: np.ndarray | None = None
-    b_g: np.ndarray | None = None
 
     def stacked_fields(self) -> tuple[str, ...]:
         """The head stacks the gate placement reads."""
@@ -317,12 +318,15 @@ def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:
 
 def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *, d_k: int | None = None,
                   gate_weight_std: float | None = None):
-    """``(params, draws)``: a layer's attention laid out by ``take``
+    """``(params, draws, record)``: a layer's attention laid out by ``take``
     (:func:`numeric.carve`) as each head's Q, K, V, then one record per gate
-    (W_g, W_g2 for g3, b_g at ``bias_init``), then W_O; and each Gaussian
+    (W_g, W_g2 for g3, b_g at ``bias_init``), then W_O; each Gaussian
     block's ``(view, std)`` in draw order: a shared gate, each head's Q, K,
     V and own gate, then W_O, with std 1/sqrt(d) (gate weights:
-    ``gate_weight_std`` if given; 0 draws none). ``d_k`` defaults to d / K."""
+    ``gate_weight_std`` if given; 0 draws none); and each parameter's
+    ``(name, array, k, branch)`` in layout order: ``head{k}.w_q`` (a shared
+    gate's ``gate.w_g``) is slice k of a stack, read by branch "heads";
+    ``w_o`` by "w_o". ``d_k`` defaults to d / K."""
     if n_heads < 1:
         raise ValueError(f"n_heads must be >= 1, got {n_heads}")
     if d_k is None:
@@ -331,19 +335,23 @@ def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *, d_k: int | Non
         d_k = d // n_heads
     qkv = take(n_heads, len(_QKV), d, d_k)
     stacks = {name: qkv[:, i] for i, name in enumerate(_QKV)}
+    record = [(f"head{k}.{name}", stacks[name], k, "heads")
+              for k in range(n_heads) for name in _QKV]
     weights = ()
+    shared = cfg.sharing == "shared"
     if cfg.placement != "none":
         weights = _GATE_FIELDS[:2 if cfg.placement == "g3" else 1]
         size = d * d_k
-        records = take(1 if cfg.sharing == "shared" else n_heads,
+        records = take(1 if shared else n_heads,
                        len(weights) * size + (1 if cfg.placement == "g3" else d_k))
         for i, name in enumerate(weights):
             stacks[name] = records[:, i * size:(i + 1) * size].reshape(-1, d, d_k)
         stacks["b_g"] = records[:, len(weights) * size:]
         stacks["b_g"][...] = float(cfg.bias_init)
+        record += [(f"{'gate' if shared else f'head{g}'}.{name}", stacks[name], g, "heads")
+                   for g in range(len(records)) for name in (*weights, "b_g")]
     std = 1.0 / np.sqrt(d)
     gate_std = std if gate_weight_std is None else gate_weight_std
-    shared = cfg.sharing == "shared"
 
     def gate(g):
         return [(stacks[name][g], gate_std) for name in weights] if gate_std else []
@@ -352,7 +360,8 @@ def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *, d_k: int | Non
     for k in range(n_heads):
         draws += [(stacks[name][k], std) for name in _QKV] + ([] if shared else gate(k))
     params = MhsaParams(w_o=take(n_heads * d_k, d), gate=cfg, **stacks)
-    return params, draws + [(params.w_o, std)]
+    record.append(("w_o", params.w_o, None, "w_o"))
+    return params, draws + [(params.w_o, std)], record
 
 
 def init_mhsa_params(rng: SeededRng, d: int, n_heads: int, cfg: GateConfig, *,
@@ -360,7 +369,7 @@ def init_mhsa_params(rng: SeededRng, d: int, n_heads: int, cfg: GateConfig, *,
                      gate_weight_std: float | None = None) -> MhsaParams:
     """MHSA parameters on a vector of their own, drawn in one pass
     (:func:`mhsa_skeleton`)."""
-    (params, draws), _ = carve(lambda take: mhsa_skeleton(
+    (params, draws, _), _ = carve(lambda take: mhsa_skeleton(
         take, d, n_heads, cfg, d_k=d_k, gate_weight_std=gate_weight_std))
     fill_gaussian(rng, draws)
     return params

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,22 +121,16 @@ def _echo_config(cfg: RunConfig, out_dir: str) -> None:
     cfg.write(os.path.join(out_dir, "resolved_config.txt"))
 
 
-class _Pool:
-    """map() over a process pool when parallel > 1, else the builtin."""
-
-    def __init__(self, parallel: int):
-        self.parallel = max(1, int(parallel))
-        self._executor = None
-
-    def __enter__(self):
-        if self.parallel > 1:
-            self._executor = ProcessPoolExecutor(max_workers=self.parallel)
-        return self._executor.map if self._executor else map
-
-    def __exit__(self, *exc):
-        if self._executor:
-            self._executor.shutdown()
-        return False
+@contextmanager
+def _pool(parallel: int, tasks: int):
+    """map() over a process pool of ``parallel`` workers, but no more than the
+    ``tasks`` it maps (a forked pool starts every worker at once), when that
+    is more than one; else the builtin."""
+    if min(parallel, tasks) < 2:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=min(parallel, tasks)) as executor:
+            yield executor.map
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +143,7 @@ def cmd_rank_exp(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     base = _rank_config(cfg)
     robust = cfg["experiment.robustness"]
     # The default cell runs as the c sweep's first cell: one pass per seed serves both.
-    with _Pool(parallel) as map_fn:
+    with _pool(parallel, len(base.seeds)) as map_fn:
         first, *sweep_cells = run_robustness_sweep(
             base, (base.c, *(cfg["experiment.c_sweep"] if robust else ())),
             cfg["experiment.rho_sweep"] if robust else (), map_fn=map_fn)
@@ -258,7 +253,7 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
                   for _, arr in ParamSet.from_model(_gradcheck_model(cfg, p, a)).items())
               for p, a, _ in jobs]
     order = sorted(range(len(jobs)), key=lambda i: -coords[i])
-    with _Pool(parallel) as map_fn:
+    with _pool(parallel, len(jobs)) as map_fn:
         done = dict(zip(order, map_fn(_gradcheck_one, [jobs[i] for i in order])))
     rows = []
     ok = True
@@ -349,7 +344,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
                                     activation=activation)
                 jobs.append(((placement, sharing, activation),
                              _train_config(cfg, gate), task))
-    with _Pool(parallel) as map_fn:
+    with _pool(parallel, len(jobs)) as map_fn:
         results = list(map_fn(_train_cell, jobs))
     rows = []
     for label, summary in results:
@@ -379,7 +374,7 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
                        ("ungated", GateConfig(placement="none"))):
         for lr in cfg["training.lrs"]:
             jobs.append(((kind, f"{lr:g}"), _train_config(cfg, gate, lr=lr), task))
-    with _Pool(parallel) as map_fn:
+    with _pool(parallel, len(jobs)) as map_fn:
         results = list(map_fn(_train_cell, jobs))
     rows = []
     ranges = {}
@@ -522,6 +517,8 @@ def main(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "diagnose":
             return cmd_diagnose(args.model, args.graph, out_dir)
+        if args.parallel < 1:
+            raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
         cfg = _load_config(args)
         if args.command == "rank-exp":
             return cmd_rank_exp(cfg, out_dir, args.parallel)

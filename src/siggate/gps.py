@@ -18,15 +18,13 @@ Floats are written with 17 significant digits so round-trips are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
 from itertools import zip_longest
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (
-    _QKV, GateConfig, HeadTrace, MhsaParams, mhsa_skeleton, siggate_mhsa,
-)
+from .attention import GateConfig, HeadTrace, MhsaParams, mhsa_skeleton, siggate_mhsa
 from .numeric import SeededRng, ShapeError, carve, fill_gaussian, fmt_exact
 
 __all__ = [
@@ -50,8 +48,6 @@ __all__ = [
     "model_readout",
     "model_skeleton",
     "init_model",
-    "named_params",
-    "param_view",
     "ParamSet",
     "write_graph",
     "read_graph",
@@ -188,8 +184,11 @@ class LayerNormParams:
 
 @dataclass
 class GpsLayerParams:
-    mpnn: MpnnParams
+    """One block's parameters. Like every parameter dataclass, its fields follow
+    the carve order of :func:`model_skeleton`; ``ParamSet.from_model`` relies on it."""
+
     attn: MhsaParams
+    mpnn: MpnnParams
     ffn: FfnParams
     ln1: LayerNormParams
     ln2: LayerNormParams
@@ -205,10 +204,6 @@ class ModelParams:
     readout: str = "mean"
     # its ParamSet (model_skeleton); None when assembled by hand: forward only
     layout: ParamSet | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def d(self) -> int:
-        return self.w_in.shape[1]
 
 
 @dataclass
@@ -366,11 +361,14 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
                    d_ff: int | None = None, d_e: int = 0, readout: str = "mean",
                    out_dim: int = 1, gate_weight_std: float | None = None):
     """``(model, draws)``: the model with every array a view of one zero
-    vector in :func:`named_params` order (head stacks strided, see
-    :func:`attention.mhsa_skeleton`), layer-norm scales at 1, and its
-    :class:`ParamSet` over that vector as ``model.layout``; and each Gaussian
-    block's ``(view, std)`` in draw order: W_in, per layer the attention's,
-    W_edge, W_val, W_1, W_2, then the head (std 1/sqrt(fan-in))."""
+    vector (head stacks strided, see :func:`attention.mhsa_skeleton`),
+    layer-norm scales at 1, and as ``model.layout`` the :class:`ParamSet`
+    its declarations make; and each Gaussian block's ``(view, std)`` in draw
+    order: W_in, per layer the attention's, W_edge, W_val, W_1, W_2, then the
+    head (std 1/sqrt(fan-in)). Each parameter is declared where it is carved,
+    in dump order: its name, the array the forward reads (slice k of it for
+    a head's), its layer (-1: the input projection, L: the readout head) and
+    the branch that reads it ("heads", "w_o", "mpnn", "combine"; or None)."""
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if readout not in READOUTS:
@@ -378,35 +376,52 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
     d_ff = 2 * d if d_ff is None else d_ff
 
     def build(take):
-        draws = []
+        draws, record = [], []
 
-        def weight(rows, cols):
-            w = take(rows, cols)
-            draws.append((w, 1.0 / np.sqrt(rows)))
-            return w
+        def param(name, layer, branch, *shape):
+            """The next parameter, declared; a matrix is a Gaussian block."""
+            arr = take(*shape)
+            record.append((name, arr, None, layer, branch))
+            if len(shape) == 2:
+                draws.append((arr, 1.0 / np.sqrt(shape[0])))
+            return arr
 
-        w_in, b_in = weight(d_in, d), take(d)
+        w_in, b_in = param("input.w", -1, None, d_in, d), param("input.b", -1, None, d)
         layers = []
-        for _ in range(n_layers):
-            attn, attn_draws = mhsa_skeleton(take, d, n_heads, gate,
-                                             gate_weight_std=gate_weight_std)
+        for i in range(n_layers):
+            attn, attn_draws, attn_record = mhsa_skeleton(take, d, n_heads, gate,
+                                                          gate_weight_std=gate_weight_std)
             draws += attn_draws
-            mpnn = MpnnParams(w_edge=weight(2 * d + d_e, d), w_val=weight(d, d))
-            ffn = FfnParams(w1=weight(d, d_ff), b1=take(d_ff), w2=weight(d_ff, d), b2=take(d))
-            ln1, ln2 = LayerNormParams(take(d), take(d)), LayerNormParams(take(d), take(d))
+            record += [(f"layer{i}.attn.{name}", arr, k, i, branch)
+                       for name, arr, k, branch in attn_record]
+            pre = f"layer{i}."
+            mpnn = MpnnParams(w_edge=param(pre + "mpnn.w_edge", i, "mpnn", 2 * d + d_e, d),
+                              w_val=param(pre + "mpnn.w_val", i, "mpnn", d, d))
+            ffn = FfnParams(w1=param(pre + "ffn.w1", i, "combine", d, d_ff),
+                            b1=param(pre + "ffn.b1", i, "combine", d_ff),
+                            w2=param(pre + "ffn.w2", i, "combine", d_ff, d),
+                            b2=param(pre + "ffn.b2", i, "combine", d))
+            ln1, ln2 = (LayerNormParams(param(pre + ln + ".scale", i, "combine", d),
+                                        param(pre + ln + ".shift", i, "combine", d))
+                        for ln in ("ln1", "ln2"))
             ln1.scale[...] = ln2.scale[...] = 1.0
-            layers.append(GpsLayerParams(mpnn=mpnn, attn=attn, ffn=ffn, ln1=ln1, ln2=ln2))
-        model = ModelParams(w_in=w_in, b_in=b_in, layers=layers, w_head=weight(d, out_dim),
-                            b_head=take(out_dim), readout=readout)
-        return model, draws
+            layers.append(GpsLayerParams(attn=attn, mpnn=mpnn, ffn=ffn, ln1=ln1, ln2=ln2))
+        model = ModelParams(w_in=w_in, b_in=b_in, layers=layers,
+                            w_head=param("head.w", n_layers, None, d, out_dim),
+                            b_head=param("head.b", n_layers, None, out_dim), readout=readout)
+        return model, draws, record
 
-    (model, draws), flat = carve(build)
-    names, arrays, ks, _, _ = zip(*named_params(model))
+    (model, draws, record), flat = carve(build)
+    names, arrays, ks, layer_of, branch_of = zip(*record)
     layout = model.layout = ParamSet.__new__(ParamSet)._over(
-        names, tuple(param_view(arr, k).shape for arr, k in zip(arrays, ks)), flat)
-    layout.reads = tuple(zip(arrays, ks))
-    layout.offsets = {id(arr): start - (k or 0) * arr.strides[0] // flat.itemsize
-                      for arr, k, start in zip(arrays, ks, layout._starts)}
+        names, tuple(arr.shape if k is None else arr.shape[1:] for arr, k in zip(arrays, ks)),
+        flat)
+    layout.reads = dict(zip(names, zip(arrays, ks)))
+    layout.index = {}
+    for entry in zip(layout._starts, layer_of, branch_of, names, arrays):
+        layout.index.setdefault(id(entry[-1]), entry)  # a stack's first entry: its slice 0
+    layout.header = dict(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff,
+                         d_e=d_e, out_dim=out_dim, readout=readout, **vars(gate))
     return model, draws
 
 
@@ -424,57 +439,16 @@ def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int
     return model
 
 
-def named_params(model: ModelParams):
-    """Yield ``(name, array, k, layer, branch)`` for every parameter of
-    ``model`` once, in the order of its dump and its ``ParamSet``.
-
-    ``array`` is the array the forward reads. For a head's name
-    (``layer{i}.attn.head{k}.w_q``; a shared gate is named once, as
-    ``layer{i}.attn.gate.w_g``) it is the layer's stack and the parameter is
-    its slice ``k``; elsewhere ``k`` is None. :func:`param_view` gives the
-    parameter. ``layer`` is -1 for the input projection, the layer's index
-    inside the stack, and L for the readout head. ``branch`` is the part of
-    the layer that reads the array: "heads", "w_o", "mpnn", or "combine"
-    (the FFN and both layer norms); None outside the layers.
-    """
-    yield "input.w", model.w_in, None, -1, None
-    yield "input.b", model.b_in, None, -1, None
-    for i, layer in enumerate(model.layers):
-        attn = layer.attn
-        gate_fields = attn.stacked_fields()[len(_QKV):]
-        heads = len(attn.w_q)
-        for k in range(heads):
-            for f in _QKV:
-                yield f"layer{i}.attn.head{k}.{f}", getattr(attn, f), k, i, "heads"
-        shared = attn.gate.sharing == "shared"
-        for k in range(1 if shared else heads):
-            for f in gate_fields:
-                owner = "gate" if shared else f"head{k}"
-                yield f"layer{i}.attn.{owner}.{f}", getattr(attn, f), k, i, "heads"
-        yield f"layer{i}.attn.w_o", attn.w_o, None, i, "w_o"
-        for part, branch in (("mpnn", "mpnn"), ("ffn", "combine"), ("ln1", "combine"),
-                             ("ln2", "combine")):
-            held = getattr(layer, part)
-            for f in fields(held):
-                yield f"layer{i}.{part}.{f.name}", getattr(held, f.name), None, i, branch
-    yield "head.w", model.w_head, None, len(model.layers), None
-    yield "head.b", model.b_head, None, len(model.layers), None
-
-
-def param_view(array, k):
-    """The parameter a :func:`named_params` item names: ``array[k]``, or
-    ``array`` itself when ``k`` is None."""
-    return array if k is None else array[k]
-
-
 class ParamSet:
     """Ordered name -> array registry over all trainable parameters, whose
     values live in one float64 vector ``flat``, each entry a view of its
     slice; ``ParamSet(dict)`` copies the arrays into a new vector. A model
     that :func:`model_skeleton` built holds its own as ``model.layout``,
-    which also records ``reads``, the ``(array, k)`` the forward reads for
-    each name, and ``offsets``: by ``id``, where in ``flat`` each array the
-    forward reads starts (the array is the view from there with its strides)."""
+    which also records ``reads``, name -> the ``(array, k)`` the forward
+    reads; ``index``, by ``id`` of each array the forward reads, in carve
+    order, ``(offset, layer, branch, name, array)``: where in ``flat`` it
+    starts (it is the view from there with its strides), the layer and
+    branch that read it, and its first parameter; and the dump ``header``."""
 
     def __init__(self, items: dict[str, np.ndarray]):
         items = {name: np.asarray(a, dtype=np.float64) for name, a in items.items()}
@@ -488,17 +462,22 @@ class ParamSet:
 
     @classmethod
     def from_model(cls, model: ModelParams) -> "ParamSet":
-        """``model.layout``, once each parameter :func:`named_params` finds has
-        the name and is the array (``is``) that it records; else ValueError
-        names the first parameter off the layout. A model assembled by hand
-        has none, and an array swapped or aliased after the build is off it."""
+        """``model.layout``, once the arrays the model holds, in the order of
+        its dataclass fields (the carve order), are (``is``) those its
+        ``index`` records, under their own ``id``; else ValueError names the
+        first parameter off the layout. A model assembled by hand has none;
+        an array swapped, copied or aliased, a layer added or removed, or a
+        deep copy of the model (its layout keeps the original ids) is off it."""
         layout = model.layout
-        held = () if layout is None else zip(layout._names, (arr for arr, _ in layout.reads))
-        found = ((name, arr) for name, arr, _, _, _ in named_params(model))
-        for (name, arr), (want, kept) in zip_longest(found, held, fillvalue=(None, None)):
-            if name != want or arr is not kept:
-                raise ValueError(f"parameter {name or want!r} is off the model's layout: a "
-                                 f"model has one only as init_model or load_model built it")
+        if layout is None:
+            raise ValueError("the model has no layout: a model has one only as init_model "
+                             "or load_model built it")
+        held = _arrays_held(model, [])
+        for arr, (key, (_, _, _, name, kept)) in zip_longest(
+                held, layout.index.items(), fillvalue=(None, (None,) * 5)):
+            if arr is not kept or id(arr) != key:
+                raise ValueError(f"parameter {name!r} is off the model's layout: a model "
+                                 f"has one only as init_model or load_model built it")
         return layout
 
     def _like(self, flat: np.ndarray) -> "ParamSet":
@@ -542,6 +521,20 @@ class ParamSet:
         return self._names[np.searchsorted(self._starts, np.argmin(finite), side="right") - 1]
 
 
+def _arrays_held(value, out: list) -> list:
+    """``out`` extended by every array ``value`` holds, through lists and the
+    fields of dataclasses (their instance attributes, in field order)."""
+    if isinstance(value, np.ndarray):
+        out.append(value)
+    elif isinstance(value, list):
+        for item in value:
+            _arrays_held(item, out)
+    elif is_dataclass(value):
+        for item in vars(value).values():
+            _arrays_held(item, out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Graph text format
 # ---------------------------------------------------------------------------
@@ -563,39 +556,43 @@ def write_graph(g: GraphInstance, path) -> None:
 
 def read_graph(path) -> GraphInstance:
     """Parse a graph file. A malformed or non-finite row, or any line after
-    the last edge row, raises ValueError naming the file."""
+    the last edge row, raises ValueError naming the file. Only the rows the
+    file holds are stored, whatever sizes its header gives."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     try:
         pos = 0
         n, d_in, d_e = (int(t) for t in raw[pos].split())
+        if min(n, d_in, d_e) < 0:
+            raise ValueError(f"the header {raw[pos]!r} has a negative size")
         pos += 1
-        feats = np.empty((n, d_in))
+        feats = []
         for i in range(n):
             row = [float(t) for t in raw[pos].split()]
             if len(row) != d_in:
                 raise ValueError(f"node row {i} has {len(row)} values, expected {d_in}")
             if not np.isfinite(row).all():
                 raise ValueError(f"node row {i} has a non-finite value: {raw[pos]!r}")
-            feats[i] = row
+            feats.append(row)
             pos += 1
         m = int(raw[pos])
         pos += 1
-        edges = []
-        edge_feats = np.empty((m, d_e)) if d_e else None
+        edges, edge_feats = [], []
         for i in range(m):
             toks = raw[pos].split()
             if len(toks) != 2 + d_e:
                 raise ValueError(f"edge row {i} has {len(toks)} tokens, expected {2 + d_e}")
             edges.append((int(toks[0]), int(toks[1])))
             if d_e:
-                edge_feats[i] = [float(t) for t in toks[2:]]
+                edge_feats.append([float(t) for t in toks[2:]])
                 if not np.isfinite(edge_feats[i]).all():
                     raise ValueError(f"edge row {i} has a non-finite value: {raw[pos]!r}")
             pos += 1
         if pos < len(raw):
             raise ValueError(f"{len(raw) - pos} line(s) after the last edge row, "
                              f"starting with {raw[pos]!r}")
+        feats = np.array(feats, dtype=np.float64).reshape(n, d_in)
+        edge_feats = np.array(edge_feats, dtype=np.float64).reshape(m, d_e) if d_e else None
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed graph file {path}: {exc}") from exc
     return GraphInstance(n=n, node_features=feats, edges=edges, edge_features=edge_feats)

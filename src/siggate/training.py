@@ -30,8 +30,6 @@ from .gps import (
     model_readout,
     model_skeleton,
     mpnn_forward,
-    named_params,
-    param_view,
 )
 from .numeric import NonFiniteInputError, SeededRng, fmt_exact, write_csv
 
@@ -143,17 +141,17 @@ def evaluate(model: ModelParams, batch, loss: str = "mse"):
     return total / len(batch), traces
 
 
-def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
-                       loss: str = "mse", gate_override=None):
+def loss_and_gradients(model: ModelParams, batch, loss: str = "mse", gate_override=None):
     """Mean batch loss and exact gradients for every parameter of the model.
 
     One taped pass per node count in the batch, one backward sweep. The
     gradients are one vector laid out as ``model.layout``: each array on the
     tape writes its gradient into the view of that vector at the array's
-    offset, with the array's strides. Raises :class:`NonFiniteError` (naming
-    the offending parameter) if the loss, an attention logit or any gradient
-    is non-finite, and ValueError, as :meth:`ParamSet.from_model` does, if
-    the forward read an array that the layout does not hold.
+    recorded offset, with the array's strides. Raises
+    :class:`NonFiniteError` if the loss, an attention logit or any gradient
+    is non-finite, naming the first non-finite parameter (or gradient) of
+    the layout; and ValueError, as :meth:`ParamSet.from_model` does, if the
+    model has no layout or the forward read an array that it does not hold.
     """
     layout = model.layout or ParamSet.from_model(model)  # no layout: this raises
     lifter = _Lifter()
@@ -164,24 +162,25 @@ def loss_and_gradients(model: ModelParams, params: ParamSet, batch,
             term = _group_loss(pred, targets, loss)
             total = term if total is None else ad.add(total, term)
     except NonFiniteInputError as exc:
-        offender = params.first_nonfinite()
+        offender = layout.first_nonfinite()
         raise NonFiniteError(f"{exc}; first non-finite parameter: {offender}",
                              offender) from exc
     mean = ad.div(total, float(len(batch)))
     loss_val = float(ad.value(mean))
     if not np.isfinite(loss_val):
-        offender = params.first_nonfinite()
+        offender = layout.first_nonfinite()
         raise NonFiniteError(
             f"non-finite loss; first non-finite parameter: {offender}", offender
         )
     ad.backward(mean)
     flat = np.zeros(layout.flat.size)
     for arr in (node.value for node in lifter._vars.values()):
-        if id(arr) not in layout.offsets:
+        entry = layout.index.get(id(arr))
+        if entry is None:
             ParamSet.from_model(model)  # raises, naming the parameter that reads ``arr``
         g = lifter.grad(arr)
         if g is not None:
-            np.ndarray(arr.shape, buffer=flat, offset=layout.offsets[id(arr)] * flat.itemsize,
+            np.ndarray(arr.shape, buffer=flat, offset=entry[0] * flat.itemsize,
                        strides=arr.strides)[...] = g
     grads = layout._like(flat)
     offender = grads.first_nonfinite()
@@ -218,17 +217,6 @@ class FdReport:
         return max(self.param_rel, key=self.param_rel.get)
 
 
-def _probe_index(model: ModelParams) -> dict:
-    """``id(array) -> (layer index, branches)`` for every array the model
-    reads after its input projection (a layer's stack for a head's
-    parameters): the layer that reads it and, as a set, the branch of that
-    layer that does (:func:`named_params`' branches; one per array, as
-    :meth:`ParamSet.from_model` checks). The readout's arrays map to index L
-    with no branch."""
-    return {id(arr): (layer, frozenset() if branch is None else frozenset({branch}))
-            for _, arr, _, layer, branch in named_params(model) if layer >= 0}
-
-
 PROBE_CHUNK = 256  # perturbed copies per batched pass; bounds the probes' memory
 
 
@@ -240,12 +228,12 @@ class _PlainForwardCache:
     it was. :meth:`probe_losses` runs all probes of one parameter as one
     pass: its ``lift`` puts perturbed copies of the array the forward reads
     (a head's parameter is read through its layer's stack) on a leading copy
-    axis,
-    and the branches of the first layer that read it, that layer's combine
-    step, the later layers and the readout run once over the copies. Each
-    copy keeps its own slice of every op, with the shapes of
-    :func:`batch_loss`, so its loss is bitwise the :func:`batch_loss` of
-    the model holding that copy. The model's arrays are never written.
+    axis, and the branch of the layer that reads it (the layout's ``index``),
+    that layer's combine step, the later layers and the readout run once
+    over the copies. Each copy keeps its own slice of every op, with the
+    shapes of :func:`batch_loss`, so its loss is bitwise the
+    :func:`batch_loss` of the model holding that copy. The model's arrays
+    are never written.
     """
 
     def __init__(self, model: ModelParams, batch, loss: str):
@@ -253,9 +241,7 @@ class _PlainForwardCache:
         self.batch = batch
         self.loss = loss
         self.groups = _graph_groups(batch)
-        layout = ParamSet.from_model(model)  # so each array is read under one name
-        self.read = dict(zip(layout.names, layout.reads))
-        self.index = _probe_index(model)
+        self.layout = ParamSet.from_model(model)  # so each array is read by one branch
         # Per group: (h, local, head outputs, merged attention) entering
         # each layer, then the last hidden state.
         self.layers = []
@@ -278,11 +264,9 @@ class _PlainForwardCache:
         :func:`batch_loss` with entry j of the parameter ``name`` moved to
         ``old + h`` and to ``old - h``. Its copies run :data:`PROBE_CHUNK`
         at a time."""
-        arr, k = self.read[name]
-        start = self.index.get(id(arr))
-        if start is None or arr is self.model.w_in or arr is self.model.b_in:
-            start = (-1, frozenset())
-        param = param_view(arr, k)
+        arr, k = self.layout.reads[name]
+        _, layer, branch, _, _ = self.layout.index[id(arr)]
+        param = arr if k is None else arr[k]
         idxs = np.asarray(idxs, dtype=np.intp)
         old = param.reshape(-1)[idxs]
         # Copy 2m holds entry idxs[m] at old + h, copy 2m + 1 at old - h.
@@ -294,12 +278,12 @@ class _PlainForwardCache:
             count = values[chunk].size
             copies = np.repeat(arr[None], count, axis=0)
             copies.reshape(count, -1)[np.arange(count), where[chunk]] = values[chunk]
-            losses[chunk] = self._loss_from(*start, lambda a: copies if a is arr else a)
+            losses[chunk] = self._loss_from(layer, branch, lambda a: copies if a is arr else a)
         return losses[0::2], losses[1::2]
 
-    def _loss_from(self, index, branches, lift):
+    def _loss_from(self, index, branch, lift):
         """Per copy, the mean loss of a forward from layer ``index`` (-1: the input
-        projection) re-running its ``branches``; ``lift`` gives each copy's arrays."""
+        projection) re-running its ``branch``; ``lift`` gives each copy's arrays."""
         model = self.model
         total = 0.0
         for g, (_, graphs, targets) in enumerate(self.groups):
@@ -308,12 +292,12 @@ class _PlainForwardCache:
             elif index < len(model.layers):
                 layer = model.layers[index]
                 h, local, heads, merged = self.layers[g][index]
-                if "mpnn" in branches:
+                if branch == "mpnn":
                     local = mpnn_forward(graphs, h, layer.mpnn, lift=lift)
-                if "heads" in branches:
+                if branch == "heads":
                     heads = gated_head_forward(h, layer.attn, layer.attn.gate, graphs.attn_mask,
                                                lift=lift, n_graphs=graphs.size)[0]
-                if "heads" in branches or "w_o" in branches:
+                if branch in ("heads", "w_o"):
                     merged = merge_heads(heads, layer.attn.w_o, lift=lift)
                 h = gps_layer_combine(h, local, merged, layer, lift=lift)
             else:
@@ -339,7 +323,7 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
         raise ValueError(f"h must lie in [1e-7, 1e-3], got {h}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1 (or None for every coordinate), got {sample}")
-    _, grads = loss_and_gradients(model, params, batch, loss=loss)
+    _, grads = loss_and_gradients(model, batch, loss=loss)
     cache = _PlainForwardCache(model, batch, loss)
     rng = SeededRng(seed)
     max_rel = 0.0
@@ -490,7 +474,7 @@ def train_toy(cfg: TrainConfig, task) -> TrainHistory:
     for epoch in range(cfg.epochs):
         lr_t = cosine_lr(epoch, cfg.epochs, cfg.lr)
         try:
-            loss, grads = loss_and_gradients(model, params, task.train, loss=cfg.loss)
+            loss, grads = loss_and_gradients(model, task.train, loss=cfg.loss)
         except NonFiniteError as exc:
             raise DivergenceError(epoch, float("nan")) from exc
         if loss > DIVERGENCE_LIMIT:
@@ -518,37 +502,21 @@ def write_history_csv(history: TrainHistory, path) -> None:
 # Model serialization (flat text format)
 # ---------------------------------------------------------------------------
 #
-# `# key = value` header comments carry the structural hyperparameters;
-# each parameter follows as `name rows cols` and rows lines of 17-digit
-# values (vectors are written as a single row). The records are exactly
-# the parameters of the model the metadata describes, in the order of
-# :func:`named_params`.
-
-
-def _model_meta(model: ModelParams) -> dict:
-    attn = model.layers[0].attn
-    d = model.d
-    return {
-        "d_in": model.w_in.shape[0],
-        "d": d,
-        "n_heads": len(attn.w_q),
-        "n_layers": len(model.layers),
-        "d_ff": model.layers[0].ffn.w1.shape[1],
-        "d_e": model.layers[0].mpnn.w_edge.shape[0] - 2 * d,
-        "out_dim": model.w_head.shape[1],
-        "readout": model.readout,
-        "placement": attn.gate.placement,
-        "sharing": attn.gate.sharing,
-        "activation": attn.gate.activation,
-        "bias_init": attn.gate.bias_init,
-    }
+# `# key = value` header comments carry the structural hyperparameters
+# (the layout's ``header``); each parameter follows as `name rows cols` and
+# rows lines of 17-digit values (vectors are written as a single row). The
+# records are exactly the parameters of the model the metadata describes,
+# in the order of its layout.
 
 
 def save_model(model: ModelParams, path) -> None:
+    """Write the model's layout: its recorded header, then each parameter of
+    :meth:`ParamSet.from_model` (so only a model with a layout is saved)."""
+    params = ParamSet.from_model(model)
     lines = ["# siggate-model"]
-    lines += [f"# {k} = {v}" for k, v in _model_meta(model).items()]
-    for name, arr, k, _, _ in named_params(model):
-        mat = np.atleast_2d(param_view(arr, k))
+    lines += [f"# {k} = {v}" for k, v in params.header.items()]
+    for name, arr in params.items():
+        mat = np.atleast_2d(arr)
         lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
         for row in mat:
             lines.append(" ".join(map(fmt_exact, row.tolist())))
@@ -582,7 +550,7 @@ def _read_dump(path):
         name, rows, cols = toks[0], int(toks[1]), int(toks[2])
         if name in arrays:
             raise ValueError(f"model dump {path}: parameter {name!r} appears twice")
-        mat = np.empty((rows, cols))
+        mat = []  # only the rows the file holds: the header's sizes may be huge
         for r in range(rows):
             where = f"model dump {path}: parameter {name!r} row {r}"
             if i >= len(raw):
@@ -595,9 +563,9 @@ def _read_dump(path):
                 raise ValueError(f"{where} has {len(vals)} values, expected {cols}")
             if not np.isfinite(vals).all():
                 raise ValueError(f"{where} has a non-finite value: {raw[i].strip()!r}")
-            mat[r] = vals
+            mat.append(vals)
             i += 1
-        arrays[name] = mat
+        arrays[name] = np.array(mat, dtype=np.float64).reshape(rows, cols)
     return meta, arrays
 
 

@@ -6,10 +6,11 @@ independent oracle: ``numeric.sigmoid``, the row scatter-add behind
 sum of ``diagnostics.attention_entropy``, the power iteration of
 ``numeric.top_singular_value`` with two Gram products per step, and the
 rank study run one (c, rho) cell at a time, each cell drawing its seeds
-from scratch. It also keeps the hand-written descriptions of the model's
-parameters that ``gps.named_params`` replaced: the parameter registry
-written out name by name (a head's parameter is its slice of the layer's
-stack), and the probe index built by walking the parameter dataclasses.
+from scratch. It also keeps hand-written descriptions of the model's
+parameters, against which the declarations of ``gps.model_skeleton`` are
+checked: the parameter registry written out name by name (a head's
+parameter is its slice of the layer's stack), and the probe index built by
+walking the parameter dataclasses.
 For attention it keeps the gate activations as plain numpy, one head's
 forward pass written out op by op on that head's plain arrays, and the
 head-by-head draws of ``attention.init_mhsa_params``. For the gradient
@@ -341,7 +342,7 @@ def one_probe_fd_check(model, params, batch, h=1e-5, sample=100, seed=0, loss="m
     report."""
     from siggate.training import FdReport, loss_and_gradients
 
-    _, grads = loss_and_gradients(model, params, batch, loss=loss)
+    _, grads = loss_and_gradients(model, batch, loss=loss)
     rng = SeededRng(seed)
     max_rel, worst_param, worst_index, n_checked = 0.0, None, None, 0
     param_rel = {}
@@ -417,11 +418,11 @@ def per_call_init(rng, *, d_in, d, n_heads, n_layers, gate, d_ff=None, d_e=0, ou
 
 def per_name_gradients(model, params, batch, loss="mse", gate_override=None):
     """``{name: gradient}`` for every name of ``params``, assembled name by
-    name after one taped pass: each name looks its array up in the
-    parameter walk and takes that array's gradient (slice k of a head
-    stack's), or zeros when the array is not on the tape."""
+    name after one taped pass: each name looks up the array the model's
+    layout records for it and takes that array's gradient (slice k of a
+    head stack's), or zeros when the array is not on the tape."""
     from siggate import autodiff as ad
-    from siggate.gps import batch_forward, named_params, param_view
+    from siggate.gps import batch_forward
     from siggate.training import _Lifter, _graph_groups, _group_loss
 
     lifter = _Lifter()
@@ -431,12 +432,13 @@ def per_name_gradients(model, params, batch, loss="mse", gate_override=None):
         term = _group_loss(pred, targets, loss)
         total = term if total is None else ad.add(total, term)
     ad.backward(ad.div(total, float(len(batch))))
-    read = {name: (arr, k) for name, arr, k, *_ in named_params(model)}
+    read = model.layout.reads
     grads = {}
     for name, arr in params.items():
         stack, k = read[name]
         g = lifter.grad(stack)
-        grads[name] = np.zeros_like(arr) if g is None else param_view(np.asarray(g), k)
+        grads[name] = (np.zeros_like(arr) if g is None
+                       else np.asarray(g) if k is None else np.asarray(g)[k])
     return grads
 
 

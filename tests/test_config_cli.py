@@ -2,6 +2,7 @@ import warnings
 
 import pytest
 
+import siggate.cli as cli
 from siggate.cli import main
 from siggate.config import ConfigError, RunConfig, parse_config_text
 from siggate.gps import init_model, model_forward, write_graph
@@ -549,12 +550,88 @@ class TestDiagnoseCommand:
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 
+    @pytest.mark.parametrize("record, graph_text, message", [
+        ("input.w 1000000000 1000000000", None,
+         "parameter 'input.w' row 0 has 8 values, expected 1000000000"),
+        ("input.w 1 1000000000000", None,
+         "parameter 'input.w' row 0 has 8 values, expected 1000000000000"),
+        (None, "1000000000 1000000000 0\n1.0 0.5\n1\n0 1\n",
+         "node row 0 has 2 values, expected 1000000000"),
+    ])
+    def test_huge_sizes_in_a_header_exit_two(self, tmp_path, capsys, record, graph_text,
+                                             message):
+        # Nothing is allocated for rows the file does not hold.
+        model_path, graph = self._edited_dump(
+            tmp_path, lambda lines: [record if record and ln == "input.w 2 8" else ln
+                                     for ln in lines])
+        if graph_text:
+            graph.write_text(graph_text)
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert str(graph if graph_text else model_path) in err and message in err
+        assert "Traceback" not in err
+
     def test_malformed_metadata_exits_two(self, tmp_path, capsys):
         model_path, graph = self._edited_dump(
             tmp_path, lambda lines: ["# d = eight" if ln == "# d = 8" else ln for ln in lines])
         assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
                        "--out", str(tmp_path / "out")) == 2
         assert f"model dump {model_path} has malformed metadata" in capsys.readouterr().err
+
+
+class FakeExecutor:
+    """A process pool stand-in: records each pool's worker count, maps in process."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestParallelOption:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(FakeExecutor, "workers", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        return FakeExecutor.workers
+
+    GRAD_TWO_CELLS = ("gradcheck.exhaustive = false\ngradcheck.samples = 1\n"
+                      "gradcheck.placements = none, g1\ngradcheck.activations = sigmoid\n")
+
+    @pytest.mark.parametrize("command, text, tasks", [
+        ("grad-check", GRAD_TWO_CELLS, 2),
+        ("rank-exp", FAST_RANK, 2),
+        ("lr-sweep", TINY_TRAIN + "training.lrs = 0.001\n", 2),
+        ("ablate", TINY_TRAIN.replace("training.epochs = 3", "training.epochs = 1"), 25),
+    ])
+    def test_no_more_workers_than_tasks(self, tmp_path, pools, command, text, tasks):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        for parallel, want in (("5000", [tasks]), ("2", [2]), ("1", [])):
+            pools.clear()
+            assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / parallel),
+                           "--parallel", parallel) in (0, 1)
+            assert pools == want, parallel
+
+    @pytest.mark.parametrize("command", ["grad-check", "rank-exp", "ablate", "lr-sweep",
+                                         "param-count"])
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_exits_two(self, tmp_path, capsys, pools, command, parallel):
+        assert run_cli(command, "--out", str(tmp_path / "out"), "--parallel", parallel) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --parallel must be >= 1, got {parallel}\n"
+        assert captured.out == "" and pools == []
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestBadTrainingInputs:

@@ -406,6 +406,14 @@ class TestGraphFile:
                                              "has a non-finite value"):
             read_graph(path)
 
+    @pytest.mark.parametrize("header", ["-1 2 0", "0 -2 0", "0 2 -1"])
+    def test_negative_header_size_rejected(self, tmp_path, header):
+        path = tmp_path / "negative.txt"
+        path.write_text(f"{header}\n0\n")
+        with pytest.raises(ValueError, match=f"malformed graph file .*negative.txt: the "
+                                             f"header '{header}' has a negative size"):
+            read_graph(path)
+
     def test_lines_after_last_edge_rejected(self, tmp_path):
         path = tmp_path / "trailing.txt"
         path.write_text("2 1 0\n1.0\n2.0\n1\n0 1\n5 5 5\ngarbage\n\n")

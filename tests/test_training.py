@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -16,7 +17,6 @@ from siggate import autodiff as ad
 from siggate import gps
 from siggate.gps import (
     GraphBatch, GraphInstance, LayerNormParams, batch_forward, init_model, model_forward,
-    named_params, param_view,
 )
 from siggate.numeric import NonFiniteInputError, SeededRng
 from siggate.synthexp import make_toy_task
@@ -104,7 +104,7 @@ class TestHeadStackParams:
     def test_view_gradient_is_slice_of_stack_gradient(self, batch, placement, kw):
         model = tiny_model(seed=40, placement=placement, **kw)
         params = ParamSet.from_model(model)
-        _, grads = loss_and_gradients(model, params, batch[:3])
+        _, grads = loss_and_gradients(model, batch[:3])
         lifter = training._Lifter()
         graphs = GraphBatch.of([g for g, _ in batch[:3]])
         pred, _ = batch_forward(graphs, model, lift=lifter)
@@ -193,14 +193,14 @@ class TestLossAndGradients:
             arr[:] = 0.0
         task = make_toy_task(seed=1, n_graphs=3, nodes_per_graph=5)
         zero_batch = [(g, 0.0) for g, _ in task.train]
-        loss, grads = loss_and_gradients(model, params, zero_batch, loss="mse")
+        loss, grads = loss_and_gradients(model, zero_batch, loss="mse")
         assert loss == 0.0
         assert all(np.array_equal(g, np.zeros_like(g)) for _, g in grads.items())
 
     def test_empty_batch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError, match="non-empty"):
-            loss_and_gradients(model, ParamSet.from_model(model), [])
+            loss_and_gradients(model, [])
 
     @pytest.mark.parametrize("run", [batch_loss, evaluate])
     def test_plain_passes_reject_an_empty_batch(self, run):
@@ -219,7 +219,7 @@ class TestLossAndGradients:
         # bias_init 0.5 must leave the gate projections trainable from step one
         model = tiny_model(seed=2, placement="g1")
         params = ParamSet.from_model(model)
-        _, grads = loss_and_gradients(model, params, batch, loss="mse")
+        _, grads = loss_and_gradients(model, batch, loss="mse")
         for name in params.names:
             if name.endswith(".w_g"):
                 assert np.linalg.norm(grads[name]) > 0.0
@@ -227,7 +227,7 @@ class TestLossAndGradients:
     def test_shared_gate_gradient_accumulates_over_heads(self, batch):
         model = tiny_model(seed=2, placement="g1", sharing="shared")
         params = ParamSet.from_model(model)
-        _, grads = loss_and_gradients(model, params, batch, loss="mse")
+        _, grads = loss_and_gradients(model, batch, loss="mse")
         assert np.linalg.norm(grads["layer0.attn.gate.w_g"]) > 0.0
 
     def test_nan_parameter_is_named(self, batch):
@@ -235,7 +235,7 @@ class TestLossAndGradients:
         params = ParamSet.from_model(model)
         params["layer1.ffn.w1"][0, 0] = np.nan
         with pytest.raises(NonFiniteError) as err:
-            loss_and_gradients(model, params, batch)
+            loss_and_gradients(model, batch)
         assert err.value.param_name == "layer1.ffn.w1"
 
     def test_nan_before_an_attention_layer_is_named(self, batch):
@@ -244,7 +244,7 @@ class TestLossAndGradients:
         params = ParamSet.from_model(model)
         params["layer0.ffn.w1"][0, 0] = np.nan
         with pytest.raises(NonFiniteError, match="largest logit nan") as err:
-            loss_and_gradients(model, params, batch)
+            loss_and_gradients(model, batch)
         assert err.value.param_name == "layer0.ffn.w1"
 
     def test_layer_norm_overflow_is_an_error_not_zeros(self, batch, monkeypatch):
@@ -261,7 +261,7 @@ class TestLossAndGradients:
             with pytest.raises(NonFiniteInputError, match="^layer_norm: row 0 has an infinite"):
                 model_forward(batch[0][0], model)
             with pytest.raises(NonFiniteError, match="^layer_norm: row 0 has an infinite"):
-                loss_and_gradients(model, ParamSet.from_model(model), batch)
+                loss_and_gradients(model, batch)
             with pytest.raises(DivergenceError) as err:
                 train_toy(TrainConfig(epochs=2, n_layers=2, d=16, n_heads=4),
                           make_toy_task(seed=3, n_graphs=4, nodes_per_graph=6))
@@ -291,17 +291,25 @@ def aliased_walk_model():
     return model
 
 
+def probe_index(layout):
+    """The layout's ``index`` as :func:`oracles.dataclass_probe_index` gives
+    it: ``id -> (layer, branches)`` for every array after the input projection."""
+    return {key: (layer, frozenset() if branch is None else frozenset({branch}))
+            for key, (_, layer, branch, _, _) in layout.index.items() if layer >= 0}
+
+
 class TestParamWalk:
-    """``named_params`` and what derives from it, against the hand-written
-    registry and dataclass walk it replaced (tests/oracles.py)."""
+    """The parameters ``model_skeleton`` declares, against the hand-written
+    registry and dataclass walk in tests/oracles.py."""
 
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_names_order_and_arrays_match_the_hand_written_registry(self, placement, sharing):
         model = walk_model(placement, sharing)
         want = hand_written_registry(model)
-        walk = list(named_params(model))
-        assert [name for name, *_ in walk] == list(want)
-        assert all(same_array(param_view(arr, k), want[name]) for name, arr, k, *_ in walk)
+        layout = model.layout
+        assert layout.names == list(layout.reads) == list(want)
+        assert all(same_array(arr if k is None else arr[k], want[name])
+                   for name, (arr, k) in layout.reads.items())
         params = ParamSet.from_model(model)
         assert params.names == list(want)
         assert all(same_array(params[name], arr) for name, arr in want.items())
@@ -310,9 +318,11 @@ class TestParamWalk:
     def test_probe_index_matches_the_dataclass_walk(self, placement, sharing):
         model = walk_model(placement, sharing)
         want = dataclass_probe_index(model)
-        got = training._probe_index(model)
+        got = probe_index(model.layout)
         assert set(got) == set(want)
         assert got == want
+        assert [model.layout.index[id(arr)][1:3] for arr in (model.w_in, model.b_in)] == [
+            (-1, None), (-1, None)]
 
     def test_an_array_read_under_two_names_cannot_reach_the_check(self):
         # The probe index keeps one branch per array, so a model that reads an
@@ -330,7 +340,10 @@ class TestParamWalk:
         model = walk_model(placement, sharing)
         path = tmp_path / "model.txt"
         save_model(model, path)
-        want = dump_text(training._model_meta(model), hand_written_registry(model))
+        meta = {"d_in": 3, "d": 8, "n_heads": 2, "n_layers": 3, "d_ff": 16, "d_e": 2,
+                "out_dim": 2, "readout": "sum", "placement": placement, "sharing": sharing,
+                "activation": "tanh", "bias_init": 0.5}
+        want = dump_text(meta, hand_written_registry(model))
         assert path.read_bytes() == want.encode()
         save_model(load_model(path), tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == want.encode()
@@ -377,8 +390,8 @@ class TestBatchedPass:
         model = tiny_model(seed=13, placement=placement, **kw)
         params = ParamSet.from_model(model)
         pairs = mixed_sizes_batch()
-        loss_all, grads_all = loss_and_gradients(model, params, pairs, loss=loss)
-        per_graph = [loss_and_gradients(model, params, [pair], loss=loss) for pair in pairs]
+        loss_all, grads_all = loss_and_gradients(model, pairs, loss=loss)
+        per_graph = [loss_and_gradients(model, [pair], loss=loss) for pair in pairs]
         assert loss_all == pytest.approx(np.mean([lv for lv, _ in per_graph]), rel=1e-12)
         for name in params.names:
             summed = sum(grads[name] for _, grads in per_graph) / len(pairs)
@@ -395,10 +408,10 @@ class TestBatchedPass:
             return real(graphs, *args, **kw)
 
         monkeypatch.setattr(training, "batch_forward", counted)
-        loss_and_gradients(model, params, make_toy_task(seed=4, n_graphs=12).train)
+        loss_and_gradients(model, make_toy_task(seed=4, n_graphs=12).train)
         assert sizes == [(8, 9)]
         sizes.clear()
-        loss_and_gradients(model, params, mixed_sizes_batch())
+        loss_and_gradients(model, mixed_sizes_batch())
         assert sizes == [(5, 2), (7, 2), (6, 1)]
 
     def test_twelve_layer_tape_size(self, monkeypatch):
@@ -417,7 +430,7 @@ class TestBatchedPass:
         monkeypatch.setattr(ad, "backward", recording)
         task = make_toy_task(seed=0, n_graphs=12, nodes_per_graph=8)
         assert len(task.train) == 9
-        loss_and_gradients(model, ParamSet.from_model(model), task.train)
+        loss_and_gradients(model, task.train)
         seen, stack = set(), list(roots)
         while stack:
             node = stack.pop()
@@ -521,22 +534,19 @@ class TestFiniteDifferenceCheck:
             assert_same_losses(got, one_probe_losses(model, pairs, "mse", arr, [1], 1e-3))
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
-    def test_probe_index_covers_every_parameter_after_the_input(self, batch, placement, kw):
+    def test_probe_index_covers_every_parameter(self, batch, placement, kw):
         model = tiny_model(seed=17, placement=placement, **kw)
         cache = training._PlainForwardCache(model, batch[:2], "mse")
-        branch = {"w_o": "w_o", "mpnn": "mpnn", "ffn": "combine", "ln1": "combine",
-                  "ln2": "combine"}
-        for name, arr, _, _, _ in named_params(model):  # a head's stack, not its slice
-            if name.startswith("input."):
-                assert id(arr) not in cache.index, name
-                continue
-            index, branches = cache.index[id(arr)]
-            if name.startswith("head."):
-                assert (index, branches) == (2, frozenset()), name
+        branches = {"w_o": "w_o", "mpnn": "mpnn", "ffn": "combine", "ln1": "combine",
+                    "ln2": "combine"}
+        for name, (arr, _) in cache.layout.reads.items():  # a head's stack, not its slice
+            _, index, branch, _, _ = cache.layout.index[id(arr)]
+            if name.startswith(("input.", "head.")):
+                assert (index, branch) == (-1 if name[0] == "i" else 2, None), name
                 continue
             part = name.split(".")[1] if ".attn." not in name else name.split(".")[2]
             assert index == int(name[len("layer")]), name
-            assert branches == {branch.get(part, "heads")}, name
+            assert branch == branches.get(part, "heads"), name
 
     def test_report_deterministic_given_seed(self, batch):
         model = tiny_model(seed=8)
@@ -910,7 +920,7 @@ class TestParamStorage:
                                                                     placement, sharing):
         model = storage_model(source, placement, sharing, tmp_path)
         params = ParamSet.from_model(model)
-        _, grads = loss_and_gradients(model, params, walk_batch())
+        _, grads = loss_and_gradients(model, walk_batch())
         assert grads.names == params.names
         assert grads.flat.shape == (params.total_count(),)
         assert not np.shares_memory(grads.flat, params.flat)
@@ -924,16 +934,11 @@ class TestParamStorage:
         model = walk_model(placement, sharing)
         params = ParamSet.from_model(model)
         pairs = walk_batch()
-        _, grads = loss_and_gradients(model, params, pairs, gate_override=gate_override)
+        _, grads = loss_and_gradients(model, pairs, gate_override=gate_override)
         want = per_name_gradients(model, params, pairs, gate_override=gate_override)
         assert grads.names == list(want)
         for name, g in grads.items():
             assert_bitwise(g, want[name])
-        # a subset of the parameters still gets the gradients of the whole model
-        chosen = params.subset(["head.w", "layer2.attn.w_o", "layer0.attn.head1.w_v"])
-        _, whole = loss_and_gradients(model, chosen, pairs, gate_override=gate_override)
-        assert whole.names == params.names
-        assert_bitwise(whole.flat, grads.flat)
 
     def test_a_hand_assembled_model_runs_the_forward_only(self):
         built = walk_model("g1", "per_head")
@@ -942,15 +947,16 @@ class TestParamStorage:
         assert model.layout is None
         pairs = walk_batch()
         assert batch_loss(model, pairs) == batch_loss(built, pairs)
-        off = ("^parameter 'input.w' is off the model's layout: a model has one only as "
-               "init_model or load_model built it$")
+        off = ("^the model has no layout: a model has one only as init_model or load_model "
+               "built it$")
         with pytest.raises(ValueError, match=off):
             ParamSet.from_model(model)
         with pytest.raises(ValueError, match=off):
-            loss_and_gradients(model, ParamSet.from_model(built), pairs)
+            loss_and_gradients(model, pairs)
 
     @pytest.mark.parametrize("change, name", [
         ("swap", "layer0.ffn.b2"), ("copy", "layer1.ffn.w1"), ("alias", "layer0.ln2.scale"),
+        ("append", "head.w"), ("pop", "layer2.attn.head0.w_q"), ("deepcopy", "input.w"),
     ])
     def test_a_swapped_or_aliased_array_is_off_the_layout(self, change, name):
         model = aliased_walk_model() if change == "alias" else walk_model("g1", "per_head")
@@ -959,6 +965,12 @@ class TestParamStorage:
             first.b2, second.b2 = second.b2, first.b2
         elif change == "copy":
             second.w1 = second.w1.copy()
+        elif change == "append":  # the arrays after the last layer are displaced
+            model.layers.append(model.layers[0])
+        elif change == "pop":
+            model.layers.pop()
+        elif change == "deepcopy":  # its layout is a copy keyed by the original arrays
+            model = copy.deepcopy(model)
         with pytest.raises(ValueError, match=f"^parameter {re.escape(repr(name))} is off the "
                                              f"model's layout"):
             ParamSet.from_model(model)
@@ -969,20 +981,19 @@ class TestParamStorage:
         model.layers[1].mpnn.w_val = model.layers[1].mpnn.w_val.copy()
         with pytest.raises(ValueError, match="^parameter 'layer1.mpnn.w_val' is off the "
                                              "model's layout"):
-            loss_and_gradients(model, params, walk_batch())
+            loss_and_gradients(model, walk_batch())
 
     def test_a_training_step_walks_no_parameters(self, monkeypatch):
         model = walk_model("g3", "per_head")
         params = ParamSet.from_model(model)
         state = init_optimizer(params, weight_decay=1e-2)
 
-        def no_walk(model):
+        def no_walk(value, out):
             raise AssertionError("a training step walked the parameters")
 
-        monkeypatch.setattr(training, "named_params", no_walk)
-        monkeypatch.setattr(gps, "named_params", no_walk)
+        monkeypatch.setattr(gps, "_arrays_held", no_walk)
         for _ in range(2):
-            _, grads = loss_and_gradients(model, params, walk_batch())
+            _, grads = loss_and_gradients(model, walk_batch())
             adamw_step(params, grads, state, 1e-3)
         assert state.step == 2
 
@@ -1017,18 +1028,31 @@ class TestParamStorage:
         params[name].reshape(-1)[0] = np.nan  # the first value of the entry
         assert params.first_nonfinite() == first_nonfinite_by_loop(params) == name
         with pytest.raises(NonFiniteError) as err:
-            loss_and_gradients(model, params, walk_batch())
+            loss_and_gradients(model, walk_batch())
         assert err.value.param_name == name
+
+    def test_a_nan_outside_the_checked_subset_is_named(self):
+        # the checked subset holds copies, so the offender is named from the model's layout
+        model = walk_model("g1", "per_head")
+        params = ParamSet.from_model(model)
+        params["layer0.attn.head0.w_q"][0, 0] = np.nan
+        with pytest.raises(NonFiniteError) as err:
+            loss_and_gradients(model, walk_batch())
+        assert err.value.param_name == "layer0.attn.head0.w_q"
+        with pytest.raises(NonFiniteError, match="first non-finite parameter: "
+                                                 "layer0.attn.head0.w_q$") as err:
+            finite_difference_check(model, params.subset(["head.w"]), walk_batch(), sample=1)
+        assert err.value.param_name == "layer0.attn.head0.w_q"
 
     @pytest.mark.parametrize("placement, sharing, name", NAN_CASES)
     def test_a_nan_gradient_is_named_as_by_the_per_array_loop(self, monkeypatch, placement,
                                                              sharing, name):
         model = walk_model(placement, sharing)
         params = ParamSet.from_model(model)
-        _, grads = loss_and_gradients(model, params, walk_batch())
+        _, grads = loss_and_gradients(model, walk_batch())
         grads[name].reshape(-1)[0] = np.inf
         assert grads.first_nonfinite() == first_nonfinite_by_loop(grads) == name
-        stack, k = {n: (arr, k) for n, arr, k, _, _ in named_params(model)}[name]
+        stack, k = model.layout.reads[name]
         first = (k or 0) * params[name].size
 
         class Poisoned(training._Lifter):
@@ -1042,7 +1066,7 @@ class TestParamStorage:
         monkeypatch.setattr(training, "_Lifter", Poisoned)
         with pytest.raises(NonFiniteError, match=f"^non-finite gradient for parameter "
                                                  f"{re.escape(repr(name))}$") as err:
-            loss_and_gradients(model, params, walk_batch())
+            loss_and_gradients(model, walk_batch())
         assert err.value.param_name == name
 
     @pytest.mark.parametrize("gate_weight_std", [None, 0.0, 0.25])
@@ -1101,5 +1125,5 @@ class TestStorageWorkCount:
 
         monkeypatch.setattr(ad, "backward", backward)
         monkeypatch.setattr(np, "isfinite", isfinite)
-        loss_and_gradients(model, params, make_toy_task(seed=0, n_graphs=12).train)
+        loss_and_gradients(model, make_toy_task(seed=0, n_graphs=12).train)
         assert calls[calls.index("backward") + 1:] == [(params.total_count(),)]
