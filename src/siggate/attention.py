@@ -205,16 +205,9 @@ def _logit_gate(h, w_g, w_g2, b_g, activation: str, n_graphs: int):
     return ad.apply_activation(activation, ad.add(z, b))
 
 
-def _override_gate(shape, gate_override):
-    if gate_override == "ones":
-        return np.ones(shape)
-    if gate_override == "zeros":
-        return np.zeros(shape)
-    raise ValueError(f"gate_override must be 'ones', 'zeros' or None, got {gate_override!r}")
-
-
-def _heads_pass(h, heads, cfg: GateConfig, mask, lift, gate_override, n_graphs):
+def _heads_pass(h, heads, mask, lift, n_graphs):
     """``(output, attention, gate)`` stacks of every head under the placement."""
+    cfg = heads.gate
     placement = cfg.placement
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}")
@@ -225,35 +218,28 @@ def _heads_pass(h, heads, cfg: GateConfig, mask, lift, gate_override, n_graphs):
     raw = _scores(q, k, np.shape(ad.value(w_q))[-1], n_graphs)
     gate = None
     if placement == "g3":
-        gate = (_override_gate(ad.value(raw).shape, gate_override) if gate_override
-                else _logit_gate(h, *_stacks(heads, _GATE_FIELDS, lift), cfg.activation,
-                                 n_graphs))
+        gate = _logit_gate(h, *_stacks(heads, _GATE_FIELDS, lift), cfg.activation, n_graphs)
         raw = ad.mul(gate, raw)
     attention = _softmax(raw, mask)
     if placement == "g2":
-        gate = (_override_gate(ad.value(v).shape, gate_override) if gate_override
-                else _value_gate(h, *_stacks(heads, ("w_g", "b_g"), lift), cfg.activation))
+        gate = _value_gate(h, *_stacks(heads, ("w_g", "b_g"), lift), cfg.activation)
         v = ad.mul(gate, v)
     out = _attend(attention, v, n_graphs)
     if placement == "g1":
-        gate = (_override_gate(ad.value(out).shape, gate_override) if gate_override
-                else _value_gate(h, *_stacks(heads, ("w_g", "b_g"), lift), cfg.activation))
+        gate = _value_gate(h, *_stacks(heads, ("w_g", "b_g"), lift), cfg.activation)
         out = ad.mul(out, gate)
     return out, attention, gate
 
 
-def gated_head_forward(h, heads: MhsaParams, cfg: GateConfig, mask=None, *,
-                       lift=ad.no_tape, gate_override=None, n_graphs: int = 1):
-    """Every head's forward pass under the configured gate placement, at once.
+def gated_head_forward(h, heads: MhsaParams, mask=None, *, lift=ad.no_tape, n_graphs: int = 1):
+    """Every head's forward pass under the layer's gate, ``heads.gate``, at once.
 
     ``heads`` is a layer's :class:`MhsaParams`, whose stacks run all K heads
     in one pass; a single head is a layer with K = 1. Returns ``(output,
     traces)``: the K x N x d_k output stack and one :class:`HeadTrace` per
     head. With placement ``none`` each head is plain scaled dot-product
     attention, ``softmax(Q K^T / sqrt(d_k)) V``, whose attention rows are
-    stochastic with masked entries exactly 0. ``gate_override`` replaces the
-    computed gate with exact all-ones/all-zeros constants; it exists so the
-    limit cases can be expressed without pushing biases to saturation.
+    stochastic with masked entries exactly 0.
 
     ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
     nodes attend only within their own graph. ``mask`` is N x n, the graphs'
@@ -261,11 +247,11 @@ def gated_head_forward(h, heads: MhsaParams, cfg: GateConfig, mask=None, *,
     N x d_k, the attention and the g3 gate n x n per graph (B x n x n for
     B > 1).
     """
-    out, attention, gate = _heads_pass(h, heads, cfg, mask, lift, gate_override, n_graphs)
+    out, attention, gate = _heads_pass(h, heads, mask, lift, n_graphs)
     square = 3 if n_graphs == 1 else 4  # axes from the head axis on of an n x n stack
     k = np.shape(ad.value(out))[-3]
     gates = ([None] * k if gate is None
-             else _per_head(gate, k, square if cfg.placement == "g3" else 3))
+             else _per_head(gate, k, square if heads.gate.placement == "g3" else 3))
     traces = [HeadTrace(attention=a, gate=g, output=o)
               for a, g, o in zip(_per_head(attention, k, square), gates, _per_head(out, k, 3))]
     return out, traces
@@ -278,8 +264,7 @@ def _per_head(x, heads: int, axes: int):
     return [x[lead + (k if x.shape[-axes] > 1 else 0,)] for k in range(heads)]
 
 
-def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, gate_override=None,
-                 n_graphs: int = 1):
+def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, n_graphs: int = 1):
     """Gated multi-head attention: concat of gated heads times W_O.
 
     Returns ``(out, traces)`` where ``out`` is N x d_out and ``traces`` is
@@ -291,10 +276,7 @@ def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, gate_over
     _validate_mhsa(n_features, params)
     if n_graphs < 1 or rows % n_graphs:
         raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
-    outs, traces = gated_head_forward(
-        h, params, params.gate, mask, lift=lift, gate_override=gate_override,
-        n_graphs=n_graphs,
-    )
+    outs, traces = gated_head_forward(h, params, mask, lift=lift, n_graphs=n_graphs)
     return merge_heads(outs, params.w_o, lift=lift), traces
 
 

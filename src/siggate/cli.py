@@ -31,7 +31,7 @@ from .diagnostics import (
     write_diagnostics_csv,
     write_diagnostics_json,
 )
-from .gps import init_model, model_forward, read_graph
+from .gps import init_model, model_forward, model_skeleton, read_graph
 from .numeric import NonFiniteInputError, SeededRng, write_csv
 from .synthexp import (
     GATE_MEAN_TOL,
@@ -203,19 +203,19 @@ def _gradcheck_cells(cfg: RunConfig):
     return cells
 
 
-def _gradcheck_model(cfg: RunConfig, placement: str, activation: str):
+def _gradcheck_dims(cfg: RunConfig, placement: str, activation: str) -> dict:
+    """The keyword arguments that build a grad-check cell's model."""
     gate = _gate_config(cfg, placement=placement,
                         activation=activation if activation != "-" else "sigmoid")
-    return init_model(
-        SeededRng(cfg["training.seed"]), d_in=cfg["model.d_in"], d=cfg["model.d"],
-        n_heads=cfg["model.heads"], n_layers=cfg["model.layers"], gate=gate,
-        d_ff=cfg["model.d_ff"] or None, readout=cfg["model.readout"],
-    )
+    return dict(d_in=cfg["model.d_in"], d=cfg["model.d"], n_heads=cfg["model.heads"],
+                n_layers=cfg["model.layers"], gate=gate, d_ff=cfg["model.d_ff"] or None,
+                readout=cfg["model.readout"])
 
 
 def _gradcheck_one(args):
     placement, activation, cfg = args
-    model = _gradcheck_model(cfg, placement, activation)
+    model = init_model(SeededRng(cfg["training.seed"]),
+                       **_gradcheck_dims(cfg, placement, activation))
     task = make_toy_task(
         seed=cfg["task.seed"], n_graphs=2, nodes_per_graph=cfg["gradcheck.nodes"],
         feature_dim=cfg["model.d_in"], edge_prob=cfg["task.edge_prob"],
@@ -247,10 +247,10 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck.tolerance must be finite and > 0, got {tol}")
     # The workers take the cells that check the most coordinates first;
-    # the rows keep the cell order.
+    # the rows keep the cell order. The skeleton's layout counts them: it draws nothing.
     cap = None if cfg["gradcheck.exhaustive"] else cfg["gradcheck.samples"]
     coords = [sum(min(cap or arr.size, arr.size)
-                  for _, arr in ParamSet.from_model(_gradcheck_model(cfg, p, a)).items())
+                  for _, arr in model_skeleton(**_gradcheck_dims(cfg, p, a))[0].layout.items())
               for p, a, _ in jobs]
     order = sorted(range(len(jobs)), key=lambda i: -coords[i])
     with _pool(parallel, len(jobs)) as map_fn:
@@ -415,6 +415,11 @@ def cmd_diagnose(model_path: str, graph_path: str, out_dir: str) -> int:
     rejects a row whose variance is not finite) is rejected."""
     model = load_model(model_path)
     graph = read_graph(graph_path)
+    for size in ("d_in", "d_e"):
+        want, got = model.layout.header[size], getattr(graph, size)
+        if got != want:
+            raise ValueError(f"graph {graph_path} has {size} = {got}, but model {model_path} "
+                             f"expects {size} = {want}")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _, trace = model_forward(graph, model)

@@ -285,7 +285,7 @@ def _ffn_forward(h, p: FfnParams, lift):
     return ad.linear(hidden, lift(p.w2), lift(p.b2))
 
 
-def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape, gate_override=None):
+def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape):
     """One block: residual sum of branches, then ln2(ffn(ln1(s)) + ln1(s)).
 
     ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch` whose
@@ -293,10 +293,8 @@ def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape, gate_override
     """
     graphs = _as_batch(g)
     local = mpnn_forward(graphs, h, p.mpnn, lift=lift)
-    global_attn, head_traces = siggate_mhsa(
-        h, p.attn, graphs.attn_mask, lift=lift, gate_override=gate_override,
-        n_graphs=graphs.size,
-    )
+    global_attn, head_traces = siggate_mhsa(h, p.attn, graphs.attn_mask, lift=lift,
+                                            n_graphs=graphs.size)
     h_next = gps_layer_combine(h, local, global_attn, p, lift=lift)
     entry = LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=head_traces)
     return h_next, entry
@@ -312,19 +310,18 @@ def gps_layer_combine(h, local, global_attn, p: GpsLayerParams, *, lift=ad.no_ta
     )
 
 
-def model_forward(g: GraphInstance, model: ModelParams, *, lift=ad.no_tape, gate_override=None):
+def model_forward(g: GraphInstance, model: ModelParams, *, lift=ad.no_tape):
     """Full stack on one graph: input projection, L layers, pooling, linear head.
 
     Returns ``(prediction, trace)``; the prediction is a length-``out_dim``
     vector (an autodiff node when ``lift`` puts the parameters on a tape). This is
     :func:`batch_forward` on a batch of one graph.
     """
-    pred, trace = batch_forward(GraphBatch.of([g]), model, lift=lift,
-                                gate_override=gate_override)
+    pred, trace = batch_forward(GraphBatch.of([g]), model, lift=lift)
     return ad.reshape(pred, (-1,)), trace
 
 
-def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=ad.no_tape, gate_override=None):
+def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=ad.no_tape):
     """Full stack on every graph of a batch in one pass.
 
     Returns ``(predictions, trace)``: a B x ``out_dim`` matrix with one row
@@ -338,7 +335,7 @@ def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=ad.no_tape, ga
     h = model_embed(graphs, model, lift=lift)
     trace = LayerTrace()
     for layer in model.layers:
-        h, entry = gps_layer_forward(graphs, h, layer, lift=lift, gate_override=gate_override)
+        h, entry = gps_layer_forward(graphs, h, layer, lift=lift)
         trace.append(entry)
     return model_readout(h, model, lift=lift, n_graphs=graphs.size), trace
 

@@ -106,7 +106,6 @@ class RankExpResult:
     per_seed: list[SeedResult]
     attained_gate_mean: float
     attained_gate_std: float
-    intermediates: list[dict] | None = None
 
     @property
     def mean_gain(self) -> float:
@@ -217,7 +216,7 @@ def _run_seed(args):
     """One seed of the rank study for every (c, rho) in ``pairs``: the draws and
     the gate do not depend on c or rho, so they are made once (top-level so
     process pools can map it)."""
-    cfg, pairs, seed, cal, gate_override, capture = args
+    cfg, pairs, seed, cal = args
     inv_sqrt_dk = 1.0 / np.sqrt(cfg.d_k)
     proj_std = 1.0 / np.sqrt(cfg.d)
     rng = SeededRng(seed)
@@ -232,7 +231,6 @@ def _run_seed(args):
     sranks = [([], []) for _ in pairs]
     gate_sum = gate_sq_sum = 0.0
     gate_count = 0
-    captured = [[] for _ in pairs]
     for _ in range(cfg.n_heads):
         w_q = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_k = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
@@ -240,28 +238,21 @@ def _run_seed(args):
         w_g = _unit_column_gaussian(rng, cfg.d, cfg.d_k)
         q, k, v = hidden @ w_q, hidden @ w_k, hidden @ w_v
         scores = q @ k.T
-        if gate_override is not None:
-            gate = np.full((cfg.n, cfg.d_k), float(gate_override))
-        else:
-            gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias)
+        gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias)
         gate_sum += gate.sum()
         gate_sq_sum += (gate * gate).sum()
         gate_count += gate.size
-        for (c, _), mask, (sr_ungated, sr_gated), cap in zip(pairs, masks, sranks, captured):
+        for (c, _), mask, (sr_ungated, sr_gated) in zip(pairs, masks, sranks):
             y = row_softmax(c * scores * inv_sqrt_dk, mask) @ v
             sr_ungated.append(stable_rank(y))
             sr_gated.append(stable_rank(y * gate))
-            if capture:
-                cap.append({"seed": seed, "y": y, "gate": gate,
-                            "srank_ungated": sr_ungated[-1], "srank_gated": sr_gated[-1]})
     results = [SeedResult(seed=seed, srank_ungated=float(np.mean(sr_ungated)),
                           srank_gated=float(np.mean(sr_gated)))
                for sr_ungated, sr_gated in sranks]
-    return results, gate_sum, gate_sq_sum, gate_count, captured
+    return results, gate_sum, gate_sq_sum, gate_count
 
 
-def _run_configs(configs: list[RankExpConfig], gate_override=None,
-                 capture_intermediates=False, map_fn=map) -> list[RankExpResult]:
+def _run_configs(configs: list[RankExpConfig], map_fn=map) -> list[RankExpResult]:
     """The rank study for configs that differ only in c and rho: one pass
     per seed serves every config, and equal (c, rho) pairs run once."""
     if not configs:
@@ -269,16 +260,13 @@ def _run_configs(configs: list[RankExpConfig], gate_override=None,
     cfg = configs[0]
     cal = calibrate_gate(cfg.target_gate_mean, cfg.target_gate_std)
     slot = {key: i for i, key in enumerate(dict.fromkeys((c.c, c.rho) for c in configs))}
-    jobs = [(cfg, list(slot), seed, cal, gate_override, capture_intermediates)
-            for seed in cfg.seeds]
+    jobs = [(cfg, list(slot), seed, cal) for seed in cfg.seeds]
     per_seed = [[] for _ in slot]
-    captured = [[] for _ in slot]
     gate_sum = gate_sq_sum = 0.0
     gate_count = 0
-    for results, gsum, gsq, gcount, caps in map_fn(_run_seed, jobs):
+    for results, gsum, gsq, gcount in map_fn(_run_seed, jobs):
         for i, result in enumerate(results):
             per_seed[i].append(result)
-            captured[i].extend(caps[i])
         gate_sum += gsum
         gate_sq_sum += gsq
         gate_count += gcount
@@ -288,21 +276,16 @@ def _run_configs(configs: list[RankExpConfig], gate_override=None,
         config=c, calibration=cal, per_seed=list(per_seed[slot[c.c, c.rho]]),
         attained_gate_mean=float(gate_mean),
         attained_gate_std=float(np.sqrt(max(gate_var, 0.0))),
-        intermediates=list(captured[slot[c.c, c.rho]]) if capture_intermediates else None,
     ) for c in configs]
 
 
-def run_rank_experiment(cfg: RankExpConfig, gate_override: float | None = None,
-                        capture_intermediates: bool = False,
-                        map_fn=map) -> RankExpResult:
+def run_rank_experiment(cfg: RankExpConfig, map_fn=map) -> RankExpResult:
     """Stable rank of per-head attention outputs, gated vs ungated.
 
-    ``gate_override`` replaces the calibrated gate with that constant
-    (e.g. 1.0 reproduces the ungated column exactly). ``map_fn`` lets a
-    caller fan the independent seeds out to a process pool; aggregation
-    order (and therefore the result) is seed order either way.
+    ``map_fn`` lets a caller fan the independent seeds out to a process
+    pool; aggregation order (and therefore the result) is seed order either way.
     """
-    return _run_configs([cfg], gate_override, capture_intermediates, map_fn)[0]
+    return _run_configs([cfg], map_fn)[0]
 
 
 @dataclass

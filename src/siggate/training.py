@@ -120,11 +120,11 @@ def _group_loss(pred, targets, kind: str):
     raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
 
 
-def batch_loss(model: ModelParams, batch, loss: str = "mse", gate_override=None) -> float:
+def batch_loss(model: ModelParams, batch, loss: str = "mse") -> float:
     """Mean loss over the batch, plain forward (no tape), one pass per node count."""
     total = 0.0
     for _, graphs, targets in _graph_groups(batch):
-        pred, _ = batch_forward(graphs, model, gate_override=gate_override)
+        pred, _ = batch_forward(graphs, model)
         total += float(ad.value(_group_loss(pred, targets, loss)))
     return total / len(batch)
 
@@ -141,7 +141,7 @@ def evaluate(model: ModelParams, batch, loss: str = "mse"):
     return total / len(batch), traces
 
 
-def loss_and_gradients(model: ModelParams, batch, loss: str = "mse", gate_override=None):
+def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
     """Mean batch loss and exact gradients for every parameter of the model.
 
     One taped pass per node count in the batch, one backward sweep. The
@@ -158,7 +158,7 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse", gate_overri
     total = None
     try:
         for _, graphs, targets in _graph_groups(batch):
-            pred, _ = batch_forward(graphs, model, lift=lifter, gate_override=gate_override)
+            pred, _ = batch_forward(graphs, model, lift=lifter)
             term = _group_loss(pred, targets, loss)
             total = term if total is None else ad.add(total, term)
     except NonFiniteInputError as exc:
@@ -251,7 +251,7 @@ class _PlainForwardCache:
             entries = []
             for layer in model.layers:
                 local = mpnn_forward(graphs, h, layer.mpnn)
-                heads = gated_head_forward(h, layer.attn, layer.attn.gate, graphs.attn_mask,
+                heads = gated_head_forward(h, layer.attn, graphs.attn_mask,
                                            n_graphs=graphs.size)[0]
                 merged = merge_heads(heads, layer.attn.w_o)
                 entries.append((h, local, heads, merged))
@@ -295,7 +295,7 @@ class _PlainForwardCache:
                 if branch == "mpnn":
                     local = mpnn_forward(graphs, h, layer.mpnn, lift=lift)
                 if branch == "heads":
-                    heads = gated_head_forward(h, layer.attn, layer.attn.gate, graphs.attn_mask,
+                    heads = gated_head_forward(h, layer.attn, graphs.attn_mask,
                                                lift=lift, n_graphs=graphs.size)[0]
                 if branch in ("heads", "w_o"):
                     merged = merge_heads(heads, layer.attn.w_o, lift=lift)

@@ -86,11 +86,11 @@ def _stable_rank(m):
     return float(np.sum(m * m)) / (top * top)
 
 
-def per_cell_rank_seed(cfg, seed, cal, gate_override=None):
+def per_cell_rank_seed(cfg, seed, cal):
     """One seed of one rank-study cell: every draw made for this cell alone.
 
-    Returns the head-mean stable ranks, the gate sums and the per-head
-    intermediates, in the layout of ``RankExpResult.intermediates``."""
+    Returns the head-mean stable ranks, the gate sums and one dict per head
+    of its ``seed``, output ``y``, ``gate`` and both stable ranks."""
     inv_sqrt_dk = 1.0 / np.sqrt(cfg.d_k)
     proj_std = 1.0 / np.sqrt(cfg.d)
     rng = SeededRng(seed)
@@ -109,10 +109,7 @@ def per_cell_rank_seed(cfg, seed, cal, gate_override=None):
         q, k, v = hidden @ w_q, hidden @ w_k, hidden @ w_v
         attn = row_softmax(cfg.c * (q @ k.T) * inv_sqrt_dk, mask)
         y = attn @ v
-        if gate_override is not None:
-            gate = np.full((cfg.n, cfg.d_k), float(gate_override))
-        else:
-            gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias)
+        gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias)
         sr_ungated.append(_stable_rank(y))
         sr_gated.append(_stable_rank(y * gate))
         gate_sum += gate.sum()
@@ -124,7 +121,7 @@ def per_cell_rank_seed(cfg, seed, cal, gate_override=None):
             gate_sum, gate_sq_sum, gate_count, captured)
 
 
-def per_cell_rank_experiment(cfg, gate_override=None):
+def per_cell_rank_experiment(cfg):
     """The rank study for one config, seed by seed, every draw made afresh.
 
     Returns ``(calibration, [(seed, srank_ungated, srank_gated)], gate mean,
@@ -134,7 +131,7 @@ def per_cell_rank_experiment(cfg, gate_override=None):
     gate_sum = gate_sq_sum = 0.0
     gate_count = 0
     for seed in cfg.seeds:
-        su, sg, gsum, gsq, gcount, captured = per_cell_rank_seed(cfg, seed, cal, gate_override)
+        su, sg, gsum, gsq, gcount, captured = per_cell_rank_seed(cfg, seed, cal)
         per_seed.append((seed, su, sg))
         gate_sum += gsum
         gate_sq_sum += gsq
@@ -416,7 +413,7 @@ def per_call_init(rng, *, d_in, d, n_heads, n_layers, gate, d_ff=None, d_e=0, ou
     return out
 
 
-def per_name_gradients(model, params, batch, loss="mse", gate_override=None):
+def per_name_gradients(model, params, batch, loss="mse"):
     """``{name: gradient}`` for every name of ``params``, assembled name by
     name after one taped pass: each name looks up the array the model's
     layout records for it and takes that array's gradient (slice k of a
@@ -428,7 +425,7 @@ def per_name_gradients(model, params, batch, loss="mse", gate_override=None):
     lifter = _Lifter()
     total = None
     for _, graphs, targets in _graph_groups(batch):
-        pred, _ = batch_forward(graphs, model, lift=lifter, gate_override=gate_override)
+        pred, _ = batch_forward(graphs, model, lift=lifter)
         term = _group_loss(pred, targets, loss)
         total = term if total is None else ad.add(total, term)
     ad.backward(ad.div(total, float(len(batch))))

@@ -158,37 +158,49 @@ class TestCriterion3GradientCorrectness:
 
 class TestCriterion4ForwardIdentities:
     def test_forced_ones_gate_equals_ungated_bitwise(self):
-        model = init_model(SeededRng(3), d_in=4, d=16, n_heads=4, n_layers=2,
-                           gate=GateConfig(placement="g1"))
+        # Zero gate weights and bias_init 40 give gates of sigmoid(40), which
+        # is exactly 1.0 in float64, on every placement and sharing.
         task = make_toy_task(seed=3, n_graphs=2, nodes_per_graph=6)
         graph = task.train[0][0]
-        pred_ones, trace_ones = model_forward(graph, model, gate_override="ones")
-        ungated_layers = [
-            GpsLayerParams(
-                mpnn=layer.mpnn,
-                attn=MhsaParams(layer.attn.w_q, layer.attn.w_k, layer.attn.w_v,
-                                layer.attn.w_o, GateConfig(placement="none")),
-                ffn=layer.ffn, ln1=layer.ln1, ln2=layer.ln2,
-            )
-            for layer in model.layers
-        ]
-        ungated = type(model)(w_in=model.w_in, b_in=model.b_in, layers=ungated_layers,
-                              w_head=model.w_head, b_head=model.b_head,
-                              readout=model.readout)
-        pred_none, trace_none = model_forward(graph, ungated)
-        bitwise = np.array_equal(pred_ones, pred_none) and all(
-            np.array_equal(a, b) for a, b in zip(trace_ones.hidden, trace_none.hidden)
-        )
-        report("4a", bitwise, "G1 with all-ones gate override equals placement-none "
-                              "model bitwise (prediction and every hidden state)")
+        cells = [(p, s) for p in ("g1", "g2", "g3") for s in ("per_head", "shared")]
+        bitwise = []
+        for placement, sharing in cells:
+            model = init_model(SeededRng(3), d_in=4, d=16, n_heads=4, n_layers=2,
+                               gate=GateConfig(placement=placement, sharing=sharing,
+                                               bias_init=40.0),
+                               gate_weight_std=0.0)
+            pred_ones, trace_ones = model_forward(graph, model)
+            ungated_layers = [
+                GpsLayerParams(
+                    mpnn=layer.mpnn,
+                    attn=MhsaParams(layer.attn.w_q, layer.attn.w_k, layer.attn.w_v,
+                                    layer.attn.w_o, GateConfig(placement="none")),
+                    ffn=layer.ffn, ln1=layer.ln1, ln2=layer.ln2,
+                )
+                for layer in model.layers
+            ]
+            ungated = type(model)(w_in=model.w_in, b_in=model.b_in, layers=ungated_layers,
+                                  w_head=model.w_head, b_head=model.b_head,
+                                  readout=model.readout)
+            pred_none, trace_none = model_forward(graph, ungated)
+            bitwise.append(np.array_equal(pred_ones, pred_none) and all(
+                np.array_equal(a, b) for a, b in zip(trace_ones.hidden, trace_none.hidden)
+            ) and all(np.all(g == 1.0) for g in trace_gate_values(trace_ones)))
+        report("4a", all(bitwise),
+               f"{sum(bitwise)}/{len(cells)} saturated-gate models ({{g1,g2,g3}} x "
+               f"{{per_head,shared}}, W_g = 0, bias_init 40) equal the placement-none model "
+               f"bitwise (prediction and every hidden state)")
 
     def test_forced_zero_gate_zeroes_attention_branch(self):
         rng = SeededRng(4)
-        params = init_mhsa_params(rng, 16, 4, GateConfig(placement="g1"))
+        params = init_mhsa_params(rng, 16, 4, GateConfig(placement="g1", activation="relu",
+                                                         bias_init=-1.0),
+                                  gate_weight_std=0.0)
         h = gaussian_matrix(rng, 6, 16, 1.0)
-        out, _ = siggate_mhsa(h, params, gate_override="zeros")
+        out, _ = siggate_mhsa(h, params)
         report("4b", bool(np.all(out == 0.0)),
-               "all-zeros gate override yields an exactly zero attention branch")
+               "a closed gate (relu, W_g = 0, bias_init -1) yields an exactly zero "
+               "attention branch")
 
     def test_shared_gating_bitwise_equals_duplicated_per_head(self):
         rng = SeededRng(5)

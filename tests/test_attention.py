@@ -64,7 +64,7 @@ def run_head(h, head, placement="none", activation="sigmoid", mask=None, **kwarg
     (the layer stacks copies of the head's arrays)."""
     cfg = GateConfig(placement=placement, activation=activation)
     layer = stack_heads([head], cfg)
-    out, traces = gated_head_forward(h, layer, cfg, mask, **kwargs)
+    out, traces = gated_head_forward(h, layer, mask, **kwargs)
     assert out.shape[0] == 1 and len(traces) == 1
     return out[0], traces[0]
 
@@ -158,13 +158,17 @@ class TestGatedHeadForward:
         assert np.array_equal(trace.attention, attn)
         assert trace.gate is None
 
-    def test_g1_ones_override_is_bitwise_ungated(self):
-        out, _ = run_head(self.h, self.head, "g1", gate_override="ones")
+    def test_g1_saturated_gate_is_bitwise_ungated(self):
+        # W_g = 0 and b_g = 40: every gate is sigmoid(40), which is 1.0 in float64.
+        head = dict(self.head, w_g=np.zeros((8, 4)), b_g=np.full(4, 40.0))
+        out, trace = run_head(self.h, head, "g1")
         y, _ = run_head(self.h, self.head, "none")
+        assert np.all(trace.gate == 1.0)
         assert np.array_equal(out, y)
 
-    def test_g1_zeros_override_kills_output(self):
-        out, _ = run_head(self.h, self.head, "g1", gate_override="zeros")
+    def test_g1_closed_relu_gate_kills_output(self):
+        head = dict(self.head, w_g=np.zeros((8, 4)), b_g=np.full(4, -1.0))
+        out, _ = run_head(self.h, head, "g1", "relu")
         assert np.array_equal(out, np.zeros((6, 4)))
 
     def test_g1_matches_numeric_composition(self):
@@ -330,7 +334,6 @@ class TestHeadStack:
     def test_stacked_pass_equals_loop_over_heads_bitwise(self, placement, activation,
                                                          sharing):
         params = stacked_layer(30, placement, activation, sharing)
-        cfg = params.gate
         rng = SeededRng(31)
         n = 5
         mask = np.ones((3 * n, n), dtype=bool)
@@ -339,23 +342,19 @@ class TestHeadStack:
         inputs = [(gaussian_matrix(rng, n, 8, 1.0), None, 1),
                   (gaussian_matrix(rng, n, 8, 1.0), mask[:n], 1),
                   (gaussian_matrix(rng, 3 * n, 8, 1.0), mask, 3)]
-        overrides = (None,) if placement == "none" else (None, "ones", "zeros")
         for h, m, n_graphs in inputs:
-            for override in overrides:
-                out, traces = gated_head_forward(h, params, cfg, m, gate_override=override,
-                                                 n_graphs=n_graphs)
-                assert out.shape == (4, len(h), 2) and len(traces) == 4
-                for k in range(4):
-                    (out_k,), (trace_k,) = gated_head_forward(h, head_layer(params, k), cfg, m,
-                                                              gate_override=override,
-                                                              n_graphs=n_graphs)
-                    assert np.array_equal(out[k], out_k)
-                    assert np.array_equal(traces[k].output, trace_k.output)
-                    assert np.array_equal(traces[k].attention, trace_k.attention)
-                    if placement == "none":
-                        assert traces[k].gate is None and trace_k.gate is None
-                    else:
-                        assert np.array_equal(traces[k].gate, trace_k.gate)
+            out, traces = gated_head_forward(h, params, m, n_graphs=n_graphs)
+            assert out.shape == (4, len(h), 2) and len(traces) == 4
+            for k in range(4):
+                (out_k,), (trace_k,) = gated_head_forward(h, head_layer(params, k), m,
+                                                          n_graphs=n_graphs)
+                assert np.array_equal(out[k], out_k)
+                assert np.array_equal(traces[k].output, trace_k.output)
+                assert np.array_equal(traces[k].attention, trace_k.attention)
+                if placement == "none":
+                    assert traces[k].gate is None and trace_k.gate is None
+                else:
+                    assert np.array_equal(traces[k].gate, trace_k.gate)
 
     @pytest.mark.parametrize("placement, sharing, gate_heads", [
         ("none", "per_head", 0), ("g1", "per_head", 4), ("g1", "shared", 1),
@@ -404,15 +403,18 @@ class TestHeadStack:
 
     def test_construction_adopts_existing_stacks(self):
         # An ungated layer built from a gated layer's stacks holds those same
-        # arrays, and equals the gated layer under an all-ones gate.
-        gated = stacked_layer(34, "g1")
+        # arrays, and equals the gated layer under a saturated gate (W_g = 0,
+        # b_g = 40: sigmoid(40) is 1.0 in float64).
+        gated = init_mhsa_params(SeededRng(34), 8, 4, GateConfig(placement="g1", bias_init=40.0),
+                                 gate_weight_std=0.0)
         ungated = MhsaParams(gated.w_q, gated.w_k, gated.w_v, gated.w_o,
                              GateConfig(placement="none"))
         for name in ("w_q", "w_k", "w_v", "w_o"):
             assert getattr(ungated, name) is getattr(gated, name)
         assert ungated.w_g is None
         h = gaussian_matrix(SeededRng(35), 5, 8, 1.0)
-        out_ones, _ = siggate_mhsa(h, gated, gate_override="ones")
+        out_ones, traces = siggate_mhsa(h, gated)
+        assert all(np.all(t.gate == 1.0) for t in traces)
         assert np.array_equal(out_ones, siggate_mhsa(h, ungated)[0])
 
     def test_construction_copies_other_arrays_without_touching_the_heads(self):

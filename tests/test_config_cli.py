@@ -309,6 +309,23 @@ class TestGradCheckCommand:
                    if line.startswith("grad-check ")]
         assert printed == [f"{p}/{a}" for p, a in cells]
 
+    def test_each_cell_builds_its_model_once(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.init_model
+
+        def counted(*args, **kwargs):
+            built.append(kwargs["gate"].placement)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "init_model", counted)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("gradcheck.exhaustive = false\ngradcheck.samples = 1\n")
+        out = tmp_path / "out"
+        assert run_cli("grad-check", "--config", str(cfg), "--out", str(out),
+                       "--parallel", "1") == 0
+        assert len((out / "gradcheck_report.csv").read_text().splitlines()) == 1 + 13
+        assert sorted(built) == sorted(["none"] + ["g1", "g2", "g3"] * 4)
+
 
 class TestTrainingCommands:
     def test_ablate_matrix_shape(self, tmp_path):
@@ -439,6 +456,27 @@ class TestDiagnoseCommand:
         assert run_cli("diagnose", "--model", str(bad), "--graph", str(graph),
                        "--out", str(tmp_path)) == 2
 
+
+    @pytest.mark.parametrize("graph_text, size, got, want", [
+        ("2 3 0\n1.0 0.5 0.25\n0.5 0.5 0.5\n1\n0 1\n", "d_in", 3, 4),
+        ("2 4 2\n1 0 0 0\n0 1 0 0\n1\n0 1 0.5 -0.5\n", "d_e", 2, 0),
+    ], ids=["node-features", "edge-features"])
+    def test_graph_widths_off_the_model_name_both_files(self, tmp_path, capsys, graph_text,
+                                                        size, got, want):
+        # The model is a d_in = 4, d_e = 0 dump.
+        model = init_model(SeededRng(5), d_in=4, d=8, n_heads=2, n_layers=1,
+                           gate=GateConfig())
+        model_path = tmp_path / "model.txt"
+        save_model(model, model_path)
+        graph = tmp_path / "graph.txt"
+        graph.write_text(graph_text)
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert (f"graph {graph} has {size} = {got}, but model {model_path} expects "
+                f"{size} = {want}") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
     def test_non_finite_graph_exits_two(self, tmp_path, capsys):
         model = init_model(SeededRng(5), d_in=2, d=8, n_heads=2, n_layers=1,

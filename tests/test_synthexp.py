@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import assert_bitwise, per_cell_rank_experiment
+from oracles import per_cell_rank_experiment
 from siggate import synthexp
 from siggate.gps import GraphInstance
 from siggate.numeric import SeededRng
@@ -72,25 +72,20 @@ class TestCalibrateGate:
 
 class TestRankExperiment:
     def test_miniature_sranks_match_svd_recomputation(self):
-        result = run_rank_experiment(MINI, capture_intermediates=True)
+        # The per-head outputs and gates come from the per-cell oracle, which
+        # draws the same arrays; their stable ranks are recomputed by SVD.
+        result = run_rank_experiment(MINI)
         by_seed = {}
-        for item in result.intermediates:
+        for item in per_cell_rank_experiment(MINI)[4]:
             for key, mat in (("ungated", item["y"]), ("gated", item["y"] * item["gate"])):
                 s = np.linalg.svd(mat, compute_uv=False)
-                expected = float(np.sum(s**2) / s[0] ** 2)
-                got = item[f"srank_{key}"]
-                assert got == pytest.approx(expected, rel=1e-9)
-                by_seed.setdefault((item["seed"], key), []).append(expected)
+                by_seed.setdefault((item["seed"], key), []).append(float(np.sum(s**2) / s[0] ** 2))
+        assert [res.seed for res in result.per_seed] == list(MINI.seeds)
         for res in result.per_seed:
             assert res.srank_ungated == pytest.approx(
-                np.mean(by_seed[(res.seed, "ungated")]), rel=1e-12)
+                np.mean(by_seed[(res.seed, "ungated")]), rel=1e-9)
             assert res.srank_gated == pytest.approx(
-                np.mean(by_seed[(res.seed, "gated")]), rel=1e-12)
-
-    def test_constant_unit_gate_gives_exactly_zero_gain(self):
-        cfg = RankExpConfig(n=8, d=16, n_heads=4, d_k=4, seeds=(0,), rho=0.0)
-        result = run_rank_experiment(cfg, gate_override=1.0)
-        assert result.per_seed[0].relative_gain == 0.0
+                np.mean(by_seed[(res.seed, "gated")]), rel=1e-9)
 
     def test_deterministic_given_config(self):
         a = run_rank_experiment(MINI)
@@ -155,7 +150,7 @@ class TestRobustnessSweep:
 
 
 def _result_key(result):
-    """Every number of a RankExpResult except its intermediates."""
+    """Every number of a RankExpResult."""
     key = [result.calibration.scale, result.calibration.bias,
            result.calibration.attained_mean, result.calibration.attained_std,
            result.attained_gate_mean, result.attained_gate_std]
@@ -163,8 +158,8 @@ def _result_key(result):
     return key
 
 
-def _oracle_key(cfg, gate_override=None):
-    cal, per_seed, gate_mean, gate_std, _ = per_cell_rank_experiment(cfg, gate_override)
+def _oracle_key(cfg):
+    cal, per_seed, gate_mean, gate_std, _ = per_cell_rank_experiment(cfg)
     return [cal.scale, cal.bias, cal.attained_mean, cal.attained_std,
             gate_mean, gate_std] + per_seed
 
@@ -192,26 +187,11 @@ class TestSharedSeedPass:
             assert _result_key(cell.result) == _oracle_key(want), cell.config_id
 
     @pytest.mark.parametrize("name", sorted(SHARED_PASS_CONFIGS))
-    @pytest.mark.parametrize("gate_override", [None, 1.0, 0.3])
-    def test_rank_experiment_equals_per_cell_oracle(self, name, gate_override):
+    def test_rank_experiment_equals_per_cell_oracle(self, name):
         cfg = SHARED_PASS_CONFIGS[name]
-        result = run_rank_experiment(cfg, gate_override=gate_override)
+        result = run_rank_experiment(cfg)
         assert result.config == cfg
-        assert result.intermediates is None
-        assert _result_key(result) == _oracle_key(cfg, gate_override)
-
-    @pytest.mark.parametrize("gate_override", [None, 1.0])
-    def test_captured_intermediates_equal_oracle(self, gate_override):
-        result = run_rank_experiment(MINI, gate_override=gate_override,
-                                     capture_intermediates=True)
-        want = per_cell_rank_experiment(MINI, gate_override)[4]
-        assert len(result.intermediates) == len(want) == len(MINI.seeds) * MINI.n_heads
-        for got, exp in zip(result.intermediates, want):
-            assert got.keys() == exp.keys()
-            assert (got["seed"], got["srank_ungated"], got["srank_gated"]) == \
-                (exp["seed"], exp["srank_ungated"], exp["srank_gated"])
-            assert_bitwise(got["y"], exp["y"])
-            assert_bitwise(got["gate"], exp["gate"])
+        assert _result_key(result) == _oracle_key(cfg)
 
     def test_duplicate_pairs_give_equal_cells_with_their_own_ids(self):
         # c_1 and rho_0.2 are both (c = 1, rho = 0.2); c_1 also appears twice

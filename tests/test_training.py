@@ -927,18 +927,26 @@ class TestParamStorage:
         for name, start, stop in slots(grads):
             assert same_array(grads[name], grads.flat[start:stop].reshape(params[name].shape))
 
-    @pytest.mark.parametrize("gate_override", [None, "ones"])
+    @pytest.mark.parametrize("edges", [True, False], ids=["edges", "edgeless"])
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_flat_gradients_equal_the_per_name_assembly_bitwise(self, placement, sharing,
-                                                               gate_override):
+                                                               edges):
+        # Without edges mpnn_forward returns before it lifts w_edge and w_val,
+        # so those arrays stay off the tape and their slots must stay zero.
         model = walk_model(placement, sharing)
         params = ParamSet.from_model(model)
         pairs = walk_batch()
-        _, grads = loss_and_gradients(model, pairs, gate_override=gate_override)
-        want = per_name_gradients(model, params, pairs, gate_override=gate_override)
+        if not edges:
+            pairs = [(GraphInstance(n=g.n, node_features=g.node_features, edges=[],
+                                    edge_features=np.empty((0, 2)), attn_mask=g.attn_mask), y)
+                     for g, y in pairs]
+        _, grads = loss_and_gradients(model, pairs)
+        want = per_name_gradients(model, params, pairs)
         assert grads.names == list(want)
         for name, g in grads.items():
             assert_bitwise(g, want[name])
+            if not edges and ".mpnn." in name:
+                assert not np.any(g), name
 
     def test_a_hand_assembled_model_runs_the_forward_only(self):
         built = walk_model("g1", "per_head")
