@@ -87,6 +87,17 @@ class TestRankExperiment:
             assert res.srank_gated == pytest.approx(
                 np.mean(by_seed[(res.seed, "gated")]), rel=1e-9)
 
+    def test_constant_half_gate_gives_exactly_zero_gain(self):
+        # A zero target std calibrates to scale 0 and bias 0, so every gate is
+        # exactly 0.5; halving is exact in floating point and the stable rank
+        # is scale-free, so gating changes no stable rank by a single bit.
+        cfg = RankExpConfig(n=8, d=16, n_heads=4, d_k=4, seeds=(0,), rho=0.0,
+                            target_gate_mean=0.5, target_gate_std=0.0)
+        result = run_rank_experiment(cfg)
+        assert (result.calibration.scale, result.calibration.bias) == (0.0, 0.0)
+        assert (result.attained_gate_mean, result.attained_gate_std) == (0.5, 0.0)
+        assert result.per_seed[0].relative_gain == 0.0
+
     def test_deterministic_given_config(self):
         a = run_rank_experiment(MINI)
         b = run_rank_experiment(MINI)
@@ -187,8 +198,13 @@ class TestSharedSeedPass:
             assert _result_key(cell.result) == _oracle_key(want), cell.config_id
 
     @pytest.mark.parametrize("name", sorted(SHARED_PASS_CONFIGS))
-    def test_rank_experiment_equals_per_cell_oracle(self, name):
+    @pytest.mark.parametrize("constant_gate", [None, 0.5, 0.3])
+    def test_rank_experiment_equals_per_cell_oracle(self, name, constant_gate):
+        # None keeps the calibrated gate; a number is the mean of a constant
+        # gate, calibrated from a zero target std (scale 0).
         cfg = SHARED_PASS_CONFIGS[name]
+        if constant_gate is not None:
+            cfg = replace(cfg, target_gate_mean=constant_gate, target_gate_std=0.0)
         result = run_rank_experiment(cfg)
         assert result.config == cfg
         assert _result_key(result) == _oracle_key(cfg)
