@@ -298,7 +298,7 @@ def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *, d_k: int | None = None,
+def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *,
                   gate_weight_std: float | None = None):
     """``(params, draws, record)``: a layer's attention laid out by ``take``
     (:func:`numeric.carve`) as each head's Q, K, V, then one record per gate
@@ -308,13 +308,12 @@ def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *, d_k: int | Non
     ``gate_weight_std`` if given; 0 draws none); and each parameter's
     ``(name, array, k, branch)`` in layout order: ``head{k}.w_q`` (a shared
     gate's ``gate.w_g``) is slice k of a stack, read by branch "heads";
-    ``w_o`` by "w_o". ``d_k`` defaults to d / K."""
+    ``w_o`` by "w_o". Each head is d_k = d / K wide."""
     if n_heads < 1:
         raise ValueError(f"n_heads must be >= 1, got {n_heads}")
-    if d_k is None:
-        if d % n_heads != 0:
-            raise ValueError(f"d={d} is not divisible by n_heads={n_heads}; pass d_k explicitly")
-        d_k = d // n_heads
+    if d % n_heads != 0:
+        raise ValueError(f"d={d} is not divisible by n_heads={n_heads}")
+    d_k = d // n_heads
     qkv = take(n_heads, len(_QKV), d, d_k)
     stacks = {name: qkv[:, i] for i, name in enumerate(_QKV)}
     record = [(f"head{k}.{name}", stacks[name], k, "heads")
@@ -347,11 +346,10 @@ def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *, d_k: int | Non
 
 
 def init_mhsa_params(rng: SeededRng, d: int, n_heads: int, cfg: GateConfig, *,
-                     d_k: int | None = None,
                      gate_weight_std: float | None = None) -> MhsaParams:
     """MHSA parameters on a vector of their own, drawn in one pass
     (:func:`mhsa_skeleton`)."""
     (params, draws, _), _ = carve(lambda take: mhsa_skeleton(
-        take, d, n_heads, cfg, d_k=d_k, gate_weight_std=gate_weight_std))
+        take, d, n_heads, cfg, gate_weight_std=gate_weight_std))
     fill_gaussian(rng, draws)
     return params

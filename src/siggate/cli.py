@@ -5,9 +5,9 @@
 
 Subcommands: rank-exp, grad-check, ablate, lr-sweep, diagnose, param-count.
 Human-readable summaries go to stdout; data goes to CSV files in the output
-directory, together with the fully resolved configuration (rerunning from
-that echo reproduces every output bitwise). Exit codes: 0 success, 1
-acceptance-band failure, 2 usage/config error.
+directory. The commands of ``_COMMANDS`` also write the fully resolved
+configuration there (rerunning from that echo reproduces every output
+bitwise). Exit codes: 0 success, 1 acceptance-band failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from types import SimpleNamespace
+from itertools import product
 
 import numpy as np
 
-from .attention import GateConfig
+from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS, GateConfig
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (
     depth_profile,
@@ -47,6 +47,7 @@ from .synthexp import (
 )
 from .training import (
     DivergenceError,
+    NonFiniteError,
     ParamSet,
     TrainConfig,
     finite_difference_check,
@@ -63,28 +64,26 @@ EXIT_USAGE = 2
 GRADCHECK_LOSS = "mse"  # smooth by construction; MAE's kink would poison FD
 
 
-def _gate_config(cfg: RunConfig, placement=None, sharing=None, activation=None) -> GateConfig:
-    return GateConfig(
-        placement=cfg["model.placement"] if placement is None else placement,
-        sharing=cfg["model.sharing"] if sharing is None else sharing,
-        activation=cfg["model.activation"] if activation is None else activation,
-        bias_init=cfg["model.bias_init"],
-    )
+def _gate_config(cfg: RunConfig, **axes) -> GateConfig:
+    """The configured gate, with any of its placement, sharing and activation replaced."""
+    axes = {axis: cfg[f"model.{axis}"] for axis in ("placement", "sharing", "activation")} | axes
+    return GateConfig(bias_init=cfg["model.bias_init"], **axes)
 
 
-def _train_config(cfg: RunConfig, gate: GateConfig, lr=None, seed=None) -> TrainConfig:
+def _model_dims(cfg: RunConfig, gate: GateConfig) -> dict:
+    """The model keywords that :func:`init_model` and :class:`TrainConfig` both take."""
+    return dict(d=cfg["model.d"], n_heads=cfg["model.heads"], n_layers=cfg["model.layers"],
+                gate=gate, d_ff=cfg["model.d_ff"] or None, readout=cfg["model.readout"])
+
+
+def _train_config(cfg: RunConfig, gate: GateConfig, lr=None) -> TrainConfig:
     return TrainConfig(
         lr=cfg["training.lr"] if lr is None else lr,
         weight_decay=cfg["training.weight_decay"],
         epochs=cfg["training.epochs"],
-        seed=cfg["training.seed"] if seed is None else seed,
+        seed=cfg["training.seed"],
         loss=cfg["training.loss"],
-        n_layers=cfg["model.layers"],
-        d=cfg["model.d"],
-        n_heads=cfg["model.heads"],
-        gate=gate,
-        d_ff=cfg["model.d_ff"] or None,
-        readout=cfg["model.readout"],
+        **_model_dims(cfg, gate),
     )
 
 
@@ -95,10 +94,10 @@ def _require_scalar_target(cfg: RunConfig) -> None:
                           f"got {cfg['model.out_dim']}")
 
 
-def _task(cfg: RunConfig, seed=None):
+def _task(cfg: RunConfig):
     _require_scalar_target(cfg)
     return make_toy_task(
-        seed=cfg["task.seed"] if seed is None else seed,
+        seed=cfg["task.seed"],
         n_graphs=cfg["task.n_graphs"],
         nodes_per_graph=cfg["task.nodes"],
         feature_dim=cfg["model.d_in"],
@@ -115,10 +114,6 @@ def _rank_config(cfg: RunConfig) -> RankExpConfig:
         target_gate_mean=cfg["experiment.target_gate_mean"],
         target_gate_std=cfg["experiment.target_gate_std"],
     )
-
-
-def _echo_config(cfg: RunConfig, out_dir: str) -> None:
-    cfg.write(os.path.join(out_dir, "resolved_config.txt"))
 
 
 @contextmanager
@@ -182,7 +177,6 @@ def cmd_rank_exp(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
             print(f"  {cell.config_id:>9}  c={cell.c:<4g} rho={cell.rho:<5g} "
                   f"gain {100 * gain:+6.2f}%")
             ok = ok and gain > 0.0 and SWEEP_GAIN_BAND[0] <= gain <= SWEEP_GAIN_BAND[1]
-    _echo_config(cfg, out_dir)
     print("result: PASS" if ok else "result: FAIL (outside acceptance bands)")
     return EXIT_OK if ok else EXIT_BAND
 
@@ -207,9 +201,7 @@ def _gradcheck_dims(cfg: RunConfig, placement: str, activation: str) -> dict:
     """The keyword arguments that build a grad-check cell's model."""
     gate = _gate_config(cfg, placement=placement,
                         activation=activation if activation != "-" else "sigmoid")
-    return dict(d_in=cfg["model.d_in"], d=cfg["model.d"], n_heads=cfg["model.heads"],
-                n_layers=cfg["model.layers"], gate=gate, d_ff=cfg["model.d_ff"] or None,
-                readout=cfg["model.readout"])
+    return dict(d_in=cfg["model.d_in"], **_model_dims(cfg, gate))
 
 
 def _gradcheck_one(args):
@@ -220,11 +212,14 @@ def _gradcheck_one(args):
         seed=cfg["task.seed"], n_graphs=2, nodes_per_graph=cfg["gradcheck.nodes"],
         feature_dim=cfg["model.d_in"], edge_prob=cfg["task.edge_prob"],
     )
-    report = finite_difference_check(
-        model, ParamSet.from_model(model), task.train[:1], h=cfg["gradcheck.h"],
-        sample=None if cfg["gradcheck.exhaustive"] else cfg["gradcheck.samples"],
-        seed=cfg["gradcheck.seed"], loss=GRADCHECK_LOSS,
-    )
+    try:
+        report = finite_difference_check(
+            model, ParamSet.from_model(model), task.train[:1], h=cfg["gradcheck.h"],
+            sample=None if cfg["gradcheck.exhaustive"] else cfg["gradcheck.samples"],
+            seed=cfg["gradcheck.seed"], loss=GRADCHECK_LOSS,
+        )
+    except NonFiniteError as exc:
+        raise ConfigError(f"grad-check cell {placement}/{activation}: {exc}") from None
     return placement, activation, report
 
 
@@ -271,7 +266,6 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     write_csv(os.path.join(out_dir, "gradcheck_report.csv"),
               "placement,activation,n_checked,param_rel_max,worst_param,coord_rel_max,"
               "worst_coord,status", rows)
-    _echo_config(cfg, out_dir)
     print(f"result: {'PASS' if ok else 'FAIL'} (tolerance {tol:g})")
     return EXIT_OK if ok else EXIT_BAND
 
@@ -282,49 +276,37 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
 
 
 def _train_cell(args):
-    """Train one cell and boil it down to plain numbers (pool-friendly)."""
-    label, train_cfg, task = args
+    """Train one cell (pool-friendly), write its loss history to
+    ``histories/<label>.csv`` if it completes, and return its CSV row: the
+    label, the status, then six numbers ("nan" if it diverged or has no gate)."""
+    label, train_cfg, task, out_dir = args
     try:
         history = train_toy(train_cfg, task)
     except DivergenceError as exc:
-        return label, {"status": f"diverged@{exc.epoch}"}
+        return [*label, f"diverged@{exc.epoch}"] + ["nan"] * 6
     profiles = [depth_profile(t) for t in history.final_test_traces]
-    summary = {
-        "status": "ok",
-        "final_train_loss": history.final_train_loss,
-        "final_test_loss": history.final_test_loss,
-        "mad_last": float(np.mean([p.mad[-1] for p in profiles])),
-        "entropy_last": float(np.mean([p.entropy[-1] for p in profiles])),
-        "losses": history.losses,
-        "lrs": history.lrs,
-    }
-    gates = []
-    for t in history.final_test_traces:
-        gates.extend(trace_gate_values(t))
-    if gates:
-        pooled = gate_stats(gates, "pooled")
-        summary["gate_mean"] = pooled.mean
-        summary["gate_std"] = pooled.std
-    return label, summary
+    gates = [g for t in history.final_test_traces for g in trace_gate_values(t)]
+    pooled = gate_stats(gates, "pooled") if gates else None
+    row = [*label, "ok", history.final_train_loss, history.final_test_loss,
+           float(np.mean([p.mad[-1] for p in profiles])),
+           float(np.mean([p.entropy[-1] for p in profiles])),
+           pooled.mean if pooled else "nan", pooled.std if pooled else "nan"]
+    os.makedirs(os.path.join(out_dir, "histories"), exist_ok=True)
+    write_history_csv(history, os.path.join(out_dir, "histories", "_".join(label) + ".csv"))
+    return row
 
 
-def _write_cell_history(out_dir, label_fields, summary) -> None:
-    if summary["status"] != "ok":
-        return
-    hist_dir = os.path.join(out_dir, "histories")
-    os.makedirs(hist_dir, exist_ok=True)
-    name = "_".join(str(f) for f in label_fields) + ".csv"
-    write_history_csv(SimpleNamespace(losses=summary["losses"], lrs=summary["lrs"]),
-                      os.path.join(hist_dir, name))
-
-
-def _cell_row(label_fields, summary) -> list:
-    if summary["status"] != "ok":
-        return list(label_fields) + [summary["status"]] + ["nan"] * 6
-    return list(label_fields) + ["ok"] + [
-        summary.get(k, float("nan")) for k in ("final_train_loss", "final_test_loss",
-                                               "mad_last", "entropy_last", "gate_mean",
-                                               "gate_std")]
+def _train_cells(cfg: RunConfig, out_dir: str, parallel: int, cells, csv_name: str,
+                 label_header: str) -> list:
+    """Train ``cells``, ``(label, TrainConfig)`` pairs drawn once the task is built (its
+    config errors come first), on that task; write their rows to ``csv_name``, return them."""
+    task = _task(cfg)
+    jobs = [(label, train_cfg, task, out_dir) for label, train_cfg in cells]
+    with _pool(parallel, len(jobs)) as map_fn:
+        rows = list(map_fn(_train_cell, jobs))
+    write_csv(os.path.join(out_dir, csv_name), f"{label_header},status,final_train_loss,"
+              "final_test_loss,mad_last,entropy_last,gate_mean,gate_std", rows)
+    return rows
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
@@ -333,30 +315,14 @@ def cmd_ablate(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     Losses are toy-task values, not benchmark numbers. The ungated
     placement collapses to a single row (sharing/activation are moot).
     """
-    task = _task(cfg)
-    jobs = []
-    jobs.append((("none", "-", "-"),
-                 _train_config(cfg, GateConfig(placement="none")), task))
-    for placement in ("g1", "g2", "g3"):
-        for sharing in ("per_head", "shared"):
-            for activation in ("sigmoid", "tanh", "relu", "sigmoid_squared"):
-                gate = _gate_config(cfg, placement=placement, sharing=sharing,
-                                    activation=activation)
-                jobs.append(((placement, sharing, activation),
-                             _train_config(cfg, gate), task))
-    with _pool(parallel, len(jobs)) as map_fn:
-        results = list(map_fn(_train_cell, jobs))
-    rows = []
-    for label, summary in results:
-        rows.append(_cell_row(label, summary))
-        _write_cell_history(out_dir, label, summary)
-        loss_txt = ("diverged" if summary["status"] != "ok"
-                    else f"test loss {summary['final_test_loss']:.4f}")
-        print(f"ablate {label[0]:>4}/{label[1]:<8}/{label[2]:<15} {loss_txt}")
-    write_csv(os.path.join(out_dir, "ablation.csv"),
-              "placement,sharing,activation,status,final_train_loss,final_test_loss,"
-              "mad_last,entropy_last,gate_mean,gate_std", rows)
-    _echo_config(cfg, out_dir)
+    grid = [("none", "-", "-"), *product(PLACEMENTS[1:], SHARINGS, GATE_ACTIVATIONS)]
+    cells = (((p, s, a), _train_config(cfg, GateConfig(placement="none") if p == "none" else
+                                       _gate_config(cfg, placement=p, sharing=s, activation=a)))
+             for p, s, a in grid)
+    for p, s, a, status, _, test_loss, *_ in _train_cells(
+            cfg, out_dir, parallel, cells, "ablation.csv", "placement,sharing,activation"):
+        print(f"ablate {p:>4}/{s:<8}/{a:<15} "
+              + ("diverged" if status != "ok" else f"test loss {test_loss:.4f}"))
     return EXIT_OK
 
 
@@ -368,39 +334,29 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     """
     if not cfg["training.lrs"]:
         raise ConfigError("training.lrs is empty; there is no learning rate to sweep")
-    task = _task(cfg)
-    jobs = []
-    for kind, gate in (("gated", _gate_config(cfg)),
-                       ("ungated", GateConfig(placement="none"))):
-        for lr in cfg["training.lrs"]:
-            jobs.append(((kind, f"{lr:g}"), _train_config(cfg, gate, lr=lr), task))
-    with _pool(parallel, len(jobs)) as map_fn:
-        results = list(map_fn(_train_cell, jobs))
-    rows = []
-    ranges = {}
-    for (kind, lr_txt), summary in results:
-        rows.append(_cell_row((kind, lr_txt), summary))
-        _write_cell_history(out_dir, (kind, lr_txt), summary)
-        if summary["status"] == "ok":
-            ranges.setdefault(kind, []).append(summary["final_test_loss"])
-            print(f"lr-sweep {kind:>7} lr={lr_txt:<7} test loss "
-                  f"{summary['final_test_loss']:.4f}")
-        else:
-            print(f"lr-sweep {kind:>7} lr={lr_txt:<7} {summary['status']}")
+
+    def cells():
+        for kind, gate in (("gated", _gate_config(cfg)), ("ungated", GateConfig(placement="none"))):
+            for lr in cfg["training.lrs"]:
+                yield (kind, f"{lr:g}"), _train_config(cfg, gate, lr=lr)
+
+    ranges = {"gated": [], "ungated": []}
+    for kind, lr_txt, status, _, test_loss, *_ in _train_cells(
+            cfg, out_dir, parallel, cells(), "lr_sweep.csv", "model,lr"):
+        if status == "ok":
+            ranges[kind].append(test_loss)
+        print(f"lr-sweep {kind:>7} lr={lr_txt:<7} "
+              + (f"test loss {test_loss:.4f}" if status == "ok" else status))
     summary_rows = []
-    for kind in ("gated", "ungated"):
-        vals = ranges.get(kind, [])
+    for kind, vals in ranges.items():
         if vals:
             summary_rows.append((kind, len(vals), min(vals), max(vals), max(vals) - min(vals)))
             print(f"lr-sweep {kind:>7} range = {max(vals) - min(vals):.4f} "
                   f"over {len(vals)} completed cells")
         else:
             summary_rows.append((kind, 0, "nan", "nan", "nan"))
-    write_csv(os.path.join(out_dir, "lr_sweep.csv"), "model,lr,status,final_train_loss,"
-              "final_test_loss,mad_last,entropy_last,gate_mean,gate_std", rows)
     write_csv(os.path.join(out_dir, "lr_sweep_summary.csv"),
               "model,n_completed,loss_min,loss_max,range", summary_rows)
-    _echo_config(cfg, out_dir)
     return EXIT_OK
 
 
@@ -457,14 +413,10 @@ def cmd_param_count(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError(f"model.heads must be >= 1, got {heads}")
     if d % heads != 0:
         raise ConfigError(f"model.d={d} not divisible by model.heads={heads}")
-    model = init_model(
-        SeededRng(0), d_in=cfg["model.d_in"], d=d, n_heads=heads, n_layers=cfg["model.layers"],
-        gate=_gate_config(cfg), d_ff=cfg["model.d_ff"] or None,
-        readout=cfg["model.readout"], out_dim=cfg["model.out_dim"],
-    )
-    params = ParamSet.from_model(model)
-    total = params.total_count()
-    gate = sum(arr.size for name, arr in params.items() if is_gate_param(name))
+    layout = model_skeleton(d_in=cfg["model.d_in"], out_dim=cfg["model.out_dim"],
+                            **_model_dims(cfg, _gate_config(cfg)))[0].layout
+    total = layout.total_count()
+    gate = sum(arr.size for name, arr in layout.items() if is_gate_param(name))
     print(f"total params: {total}")
     print(f"gate params: {gate}")
     print(f"gate fraction: {gate / total:.4%}")
@@ -474,6 +426,10 @@ def cmd_param_count(cfg: RunConfig, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+_COMMANDS = {"rank-exp": cmd_rank_exp, "grad-check": cmd_grad_check, "ablate": cmd_ablate,
+             "lr-sweep": cmd_lr_sweep}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -491,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallel", type=int, default=1,
                        help="worker processes for independent cells/seeds")
 
-    for name in ("rank-exp", "grad-check", "ablate", "lr-sweep", "param-count"):
+    for name in (*_COMMANDS, "param-count"):
         common(sub.add_parser(name))
     diag = sub.add_parser("diagnose")
     diag.add_argument("--model", required=True, help="model dump file")
@@ -525,17 +481,11 @@ def main(argv=None) -> int:
         if args.parallel < 1:
             raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
         cfg = _load_config(args)
-        if args.command == "rank-exp":
-            return cmd_rank_exp(cfg, out_dir, args.parallel)
-        if args.command == "grad-check":
-            return cmd_grad_check(cfg, out_dir, args.parallel)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, out_dir, args.parallel)
-        if args.command == "lr-sweep":
-            return cmd_lr_sweep(cfg, out_dir, args.parallel)
         if args.command == "param-count":
             return cmd_param_count(cfg, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        code = _COMMANDS[args.command](cfg, out_dir, args.parallel)
+        cfg.write(os.path.join(out_dir, "resolved_config.txt"))
+        return code
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

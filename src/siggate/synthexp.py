@@ -68,6 +68,9 @@ class RankExpConfig:
     target_gate_std: float = 0.19
 
     def __post_init__(self):
+        for name in ("n", "d", "n_heads", "d_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if not (math.isfinite(self.c) and self.c > 0.0):
@@ -127,10 +130,10 @@ class RankExpResult:
 _QUAD_ORDER = 96
 
 
-def _gauss_hermite(order: int = _QUAD_ORDER):
+def _gauss_hermite():
     # Physicists' rule; change of variables z = sqrt(2) x turns it into an
     # expectation against the standard normal density.
-    x, w = np.polynomial.hermite.hermgauss(order)
+    x, w = np.polynomial.hermite.hermgauss(_QUAD_ORDER)
     return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
@@ -151,10 +154,9 @@ def _logit(p: float) -> float:
     return float(np.log(p / (1.0 - p)))
 
 
-def calibrate_gate(target_mean: float, target_std: float,
-                   quad_order: int = _QUAD_ORDER) -> CalibratedGate:
+def calibrate_gate(target_mean: float, target_std: float) -> CalibratedGate:
     """Find (scale, bias) with sigma(scale*z + bias), z ~ N(0,1), matching
-    the target mean and std. Deterministic given the quadrature order.
+    the target mean and std, by Gauss-Hermite quadrature of order 96.
 
     The reachable stds at mean m are (0, sqrt(m(1-m))): the supremum is the
     Bernoulli limit of an infinitely steep gate. Infeasible targets raise
@@ -173,7 +175,7 @@ def calibrate_gate(target_mean: float, target_std: float,
         return CalibratedGate(scale=0.0, bias=bias,
                               attained_mean=target_mean, attained_std=0.0)
 
-    z, w = _gauss_hermite(quad_order)
+    z, w = _gauss_hermite()
     target_m2 = target_std ** 2 + target_mean ** 2
     bias = _logit(target_mean)
     # First-order guess: std(sigmoid(s z + b)) ~ sigma'(b) * s for small s.

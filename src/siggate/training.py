@@ -492,8 +492,7 @@ def train_toy(cfg: TrainConfig, task) -> TrainHistory:
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
-    """One ``epoch,loss,lr`` row per epoch of ``history`` (a
-    :class:`TrainHistory`, or anything with ``losses`` and ``lrs``)."""
+    """One ``epoch,loss,lr`` row per epoch of ``history``."""
     rows = ((i, loss, lr) for i, (loss, lr) in enumerate(zip(history.losses, history.lrs)))
     write_csv(path, "epoch,loss,lr", rows)
 

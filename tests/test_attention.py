@@ -234,7 +234,7 @@ class TestGatedHeadForward:
 class TestSiggateMhsa:
     def test_single_head_identity_projection(self):
         rng = SeededRng(10)
-        params = init_mhsa_params(rng, 6, 1, GateConfig(placement="none"), d_k=6)
+        params = init_mhsa_params(rng, 6, 1, GateConfig(placement="none"))
         params.w_o = np.eye(6)
         h = gaussian_matrix(rng, 5, 6, 1.0)
         out, traces = siggate_mhsa(h, params)

@@ -188,6 +188,22 @@ class TestRankExpCommand:
         assert "Traceback" not in err
         assert not (out / "robustness_seeds.csv").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("experiment.heads = -8\nexperiment.d_k = -32", "error: n_heads must be >= 1, got -8"),
+        ("experiment.d = -256\nexperiment.d_k = -32", "error: d must be >= 1, got -256"),
+    ], ids=["heads", "d"])
+    def test_non_positive_size_exits_two(self, tmp_path, capsys, setting, message):
+        # Both pass the d_k * n_heads == d check; neither may reach the seed loop.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(setting + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("rank-exp", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == message + "\n"
+        assert list(out.iterdir()) == []
+
     def test_each_seed_is_drawn_once_for_the_default_and_the_sweep(self, tmp_path,
                                                                     monkeypatch):
         import siggate.synthexp as synthexp
@@ -309,6 +325,24 @@ class TestGradCheckCommand:
                    if line.startswith("grad-check ")]
         assert printed == [f"{p}/{a}" for p, a in cells]
 
+    @pytest.mark.parametrize("setting, cell, op", [
+        ("model.bias_init = 1e308\ngradcheck.placements = g3", "g3/relu",
+         "row 8 has largest logit inf; softmax undefined"),
+        ("model.readout = sum\nmodel.bias_init = 1e300\ngradcheck.placements = g1", "g1/relu",
+         "layer_norm: row 0 has an infinite standard deviation"),
+    ], ids=["logits-overflow", "sum-readout-layer-norm"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_forward_exits_two(self, tmp_path, capsys, setting, cell, op):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(setting + "\ngradcheck.activations = relu\n"
+                       "gradcheck.exhaustive = false\ngradcheck.samples = 2\n")
+        out = tmp_path / "out"
+        assert run_cli("grad-check", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: grad-check cell {cell}: {op}" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_each_cell_builds_its_model_once(self, tmp_path, monkeypatch):
         built = []
         real = cli.init_model
@@ -404,6 +438,32 @@ class TestTrainingCommands:
         assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 0
         assert splits == {(1, 1)}
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ablate", "lr-sweep"])
+    def test_parallel_tree_matches_serial(self, tmp_path, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_TRAIN + "training.lrs = 1e-3, 1e6\n")
+        trees = []
+        for parallel in ("1", "2"):
+            out = tmp_path / parallel
+            assert run_cli(command, "--config", str(cfg), "--out", str(out),
+                           "--parallel", parallel) == 0
+            trees.append({str(p.relative_to(out)): read(p)
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1]
+        assert sum(name.startswith("histories") for name in trees[0]) == \
+            {"ablate": 25, "lr-sweep": 2}[command]
+
+    def test_diverged_cell_writes_no_history(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_TRAIN + "training.lrs = 1e-3, 1e6\n")
+        out = tmp_path / "out"
+        assert run_cli("lr-sweep", "--config", str(cfg), "--out", str(out)) == 0
+        rows = [r.split(",") for r in (out / "lr_sweep.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["ok", "diverged@1", "ok", "diverged@1"]
+        assert rows[1][3:] == ["nan"] * 6
+        assert sorted(p.name for p in (out / "histories").iterdir()) == \
+            ["gated_0.001.csv", "ungated_0.001.csv"]
 
     def test_lr_zero_cell_keeps_initial_loss(self, tmp_path):
         from siggate.training import TrainConfig, train_toy
@@ -760,6 +820,23 @@ class TestParamCountCommand:
         assert no_gate == 0
         assert gate == total - ungated > 0
         assert fraction == f"{gate / total:.4%}"
+
+    def test_draws_nothing(self, tmp_path, capsys, monkeypatch):
+        import siggate.gps as gps
+
+        drawn = []
+        real = gps.fill_gaussian
+
+        def counted(rng, draws):
+            drawn.append(len(draws))
+            return real(rng, draws)
+
+        monkeypatch.setattr(gps, "fill_gaussian", counted)
+        assert run_cli("param-count", "--out", str(tmp_path)) == 0
+        assert "total params: " in capsys.readouterr().out
+        assert drawn == []
+        init_model(SeededRng(0), d_in=4, d=8, n_heads=2, n_layers=1, gate=GateConfig())
+        assert len(drawn) == 1  # the counter sees what init_model draws
 
     def test_zero_layers_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
