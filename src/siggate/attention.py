@@ -169,13 +169,13 @@ def _by_graph(x, n_graphs: int):
 
 def _scores(a, b, d_k: int, n_graphs: int):
     """``a b^T / sqrt(d_k)`` between the rows of each graph, per head."""
-    prod = ad.bmm(_by_graph(a, n_graphs), ad.transpose(_by_graph(b, n_graphs)))
+    prod = ad.matmul(_by_graph(a, n_graphs), ad.transpose(_by_graph(b, n_graphs)))
     return ad.mul(prod, 1.0 / np.sqrt(d_k))
 
 
 def _attend(attention, v, n_graphs: int):
     """``attention @ v`` per head and graph, returned as K x N x d_k."""
-    out = ad.bmm(attention, _by_graph(v, n_graphs))
+    out = ad.matmul(attention, _by_graph(v, n_graphs))
     if n_graphs == 1:
         return out
     shape = ad.value(out).shape
@@ -193,13 +193,13 @@ def _value_gate(h, w_g, b_g, activation: str):
     # G x N x d_k gate values act(H W_g + b_g).
     shape = np.shape(ad.value(b_g))
     b = ad.reshape(b_g, shape[:-1] + (1, shape[-1]))
-    return ad.apply_activation(activation, ad.add(ad.bmm(h, w_g), b))
+    return ad.apply_activation(activation, ad.add(ad.matmul(h, w_g), b))
 
 
 def _logit_gate(h, w_g, w_g2, b_g, activation: str, n_graphs: int):
     # G x (B x) n x n gate matching the logits, from two d x d_k projections.
     d_k = np.shape(ad.value(w_g))[-1]
-    z = _scores(ad.bmm(h, w_g), ad.bmm(h, w_g2), d_k, n_graphs)
+    z = _scores(ad.matmul(h, w_g), ad.matmul(h, w_g2), d_k, n_graphs)
     trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
     b = ad.reshape(b_g, np.shape(ad.value(b_g))[:-1] + trailing)
     return ad.apply_activation(activation, ad.add(z, b))
@@ -214,7 +214,7 @@ def _heads_pass(h, heads, mask, lift, n_graphs):
     if np.ndim(ad.value(h)) > 2:  # tape-free copies of the input: add the head axis
         h = h[..., None, :, :]
     w_q, w_k, w_v = _stacks(heads, _QKV, lift)
-    q, k, v = ad.bmm(h, w_q), ad.bmm(h, w_k), ad.bmm(h, w_v)
+    q, k, v = ad.matmul(h, w_q), ad.matmul(h, w_k), ad.matmul(h, w_v)
     raw = _scores(q, k, np.shape(ad.value(w_q))[-1], n_graphs)
     gate = None
     if placement == "g3":

@@ -28,7 +28,6 @@ __all__ = [
     "div",
     "matmul",
     "linear",
-    "bmm",
     "transpose",
     "vsum",
     "vmean",
@@ -134,7 +133,7 @@ def backward(root: Var) -> None:
 def _node(out, *edges):
     """A node over ``out`` whose parents are the Var operands among
     ``edges``, each an (operand, vjp) pair."""
-    return Var(out, tuple((x, vjp) for x, vjp in edges if isinstance(x, Var)))
+    return Var(out, tuple((x, vjp) for x, vjp in edges if type(x) is Var))
 
 
 def add(a, b):
@@ -170,13 +169,22 @@ def div(a, b):
 
 
 def matmul(a, b):
+    """Matrix product ``a @ b`` of two matrices, or of stacks of them.
+
+    Operands are ``(..., n, k)`` and ``(..., k, m)`` (shape-checked by
+    :func:`numeric.matmul`) whose leading axes broadcast, so a matrix times
+    a stack multiplies it by each matrix of the stack. A broadcast
+    operand's gradient is summed over the axes it was broadcast along.
+    """
     av, bv = value(a), value(b)
     out = numeric.matmul(av, bv)
     if not _tracked(a, b):
         return out
-    if out.ndim != 2:
-        raise numeric.ShapeError("a taped matmul multiplies matrices; stacks go through bmm")
-    return _node(out, (a, lambda g, o=bv: g @ o.T), (b, lambda g, o=av: o.T @ g))
+    return _node(
+        out,
+        (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(np.matmul(g, o.swapaxes(-1, -2)), s)),
+        (b, lambda g, o=av, s=np.shape(bv): _unbroadcast(np.matmul(o.swapaxes(-1, -2), g), s)),
+    )
 
 
 def _per_row(v):
@@ -193,36 +201,16 @@ def linear(x, w, b):
     if not _tracked(x, w, b):
         return prod + _per_row(bv)
     if prod.ndim != 2:
-        raise numeric.ShapeError("a taped linear multiplies matrices; stacks go through bmm")
+        raise numeric.ShapeError("a taped linear multiplies matrices; stacks go through matmul")
     out = prod + bv
     return _node(out, (x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
                  (b, lambda g, s=np.shape(bv): _unbroadcast(g, s)))
 
 
-def bmm(a, b):
-    """Stacked matrix product: ``a[i] @ b[i]`` for each matrix of a stack.
-
-    Operands are ``(..., n, k)`` and ``(..., k, m)`` whose leading axes
-    broadcast, so a matrix times a stack multiplies it by each matrix of
-    the stack; on two matrices this is the plain matrix product. A
-    broadcast operand's gradient is summed over the axes it was broadcast
-    along.
-    """
-    av, bv = value(a), value(b)
-    out = np.matmul(av, bv)
-    if not _tracked(a, b):
-        return out
-    return _node(
-        out,
-        (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(np.matmul(g, o.swapaxes(-1, -2)), s)),
-        (b, lambda g, o=av, s=np.shape(bv): _unbroadcast(np.matmul(o.swapaxes(-1, -2), g), s)),
-    )
-
-
 def transpose(x):
     """Swap the last two axes: the transpose of a matrix, or of each
     matrix in a stack."""
-    if not isinstance(x, Var):
+    if type(x) is not Var:
         return np.asarray(x).swapaxes(-1, -2)
     return Var(x.value.swapaxes(-1, -2), ((x, lambda g: np.asarray(g).swapaxes(-1, -2)),))
 
@@ -240,7 +228,7 @@ def _spread(g, shape, axis, keepdims):
 
 
 def vsum(x, axis=None, keepdims=False):
-    if not isinstance(x, Var):
+    if type(x) is not Var:
         return np.sum(x, axis=axis, keepdims=keepdims)
     out = np.sum(x.value, axis=axis, keepdims=keepdims)
     shape = x.value.shape
@@ -254,7 +242,7 @@ def vmean(x, axis=None, keepdims=False):
 
 
 def reshape(x, shape):
-    if not isinstance(x, Var):
+    if type(x) is not Var:
         return np.reshape(x, shape)
     orig = x.value.shape
     return Var(x.value.reshape(shape), ((x, lambda g: np.asarray(g).reshape(orig)),))
@@ -267,7 +255,7 @@ def merge_stack(x):
     xv = value(x)
     *lead, heads, rows, cols = xv.shape
     out = xv.swapaxes(-3, -2).reshape((*lead, rows, heads * cols))
-    if not isinstance(x, Var):
+    if type(x) is not Var:
         return out
     return Var(out, ((x, lambda g: np.asarray(g).reshape(rows, heads, cols).transpose(1, 0, 2)),))
 
@@ -283,7 +271,7 @@ def concat(parts, axis=-1):
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
     parents = []
     for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        if isinstance(part, Var):
+        if type(part) is Var:
             def vjp(g, lo=int(lo), hi=int(hi)):
                 sl = [slice(None)] * np.asarray(g).ndim
                 sl[axis] = slice(lo, hi)
@@ -311,7 +299,7 @@ def take_rows(x, idx):
     """Row gather ``x[idx]`` (tape-free, rows are axis -2 of a stack of
     matrices); backward scatter-adds into the source rows."""
     idx = np.asarray(idx, dtype=np.intp)
-    if not isinstance(x, Var):
+    if type(x) is not Var:
         return np.take(x, idx, axis=-2)
     n_rows = x.value.shape[0]
     return Var(x.value[idx], ((x, lambda g: _scatter_add(g, idx, n_rows)),))
@@ -321,7 +309,7 @@ def scatter_rows(x, idx, n_rows):
     """Sum rows of ``x`` into an ``n_rows``-row output at positions ``idx``."""
     idx = np.asarray(idx, dtype=np.intp)
     out = _scatter_add(value(x), idx, n_rows)
-    if not isinstance(x, Var):
+    if type(x) is not Var:
         return out
     return Var(out, ((x, lambda g: np.asarray(g)[idx]),))
 
@@ -332,7 +320,7 @@ def scatter_rows(x, idx, n_rows):
 
 
 def _unary(x, fwd, make_vjp):
-    if not isinstance(x, Var):
+    if type(x) is not Var:
         return fwd(np.asarray(x, dtype=np.float64))
     out = fwd(x.value)
     return Var(out, ((x, make_vjp(x.value, out)),))
@@ -385,7 +373,7 @@ def gelu(x):
     u = xv * _INV_SQRT2
     s = _erf(u) + 1.0
     out = half * s
-    if not isinstance(x, Var):
+    if type(x) is not Var:
         return out
     return Var(out, ((x, lambda g: g * s * 0.5
                       + g * half * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT2),))
@@ -436,7 +424,7 @@ def row_softmax(logits, mask=None):
         out = numeric.row_softmax(z.reshape(-1, z.shape[-1]), mask).reshape(z.shape)
     else:
         out = numeric.row_softmax(z, mask)
-    if not isinstance(logits, Var):
+    if type(logits) is not Var:
         return out
 
     def vjp(g):

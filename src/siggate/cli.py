@@ -2,6 +2,7 @@
 
     siggate <subcommand> --config <path> [--out <dir>] [--seed-override <int>]
                          [--parallel <n>]
+    siggate param-count --config <path> [--out <dir>]
 
 Subcommands: rank-exp, grad-check, ablate, lr-sweep, diagnose, param-count.
 Human-readable summaries go to stdout; data goes to CSV files in the output
@@ -71,9 +72,15 @@ def _gate_config(cfg: RunConfig, **axes) -> GateConfig:
 
 
 def _model_dims(cfg: RunConfig, gate: GateConfig) -> dict:
-    """The model keywords that :func:`init_model` and :class:`TrainConfig` both take."""
-    return dict(d=cfg["model.d"], n_heads=cfg["model.heads"], n_layers=cfg["model.layers"],
-                gate=gate, d_ff=cfg["model.d_ff"] or None, readout=cfg["model.readout"])
+    """The model keywords that :func:`init_model` and :class:`TrainConfig` both take,
+    once ``model.heads`` is known to split ``model.d``."""
+    d, heads = cfg["model.d"], cfg["model.heads"]
+    if heads < 1:
+        raise ConfigError(f"model.heads must be >= 1, got {heads}")
+    if d % heads != 0:
+        raise ConfigError(f"model.d={d} not divisible by model.heads={heads}")
+    return dict(d=d, n_heads=heads, n_layers=cfg["model.layers"], gate=gate,
+                d_ff=cfg["model.d_ff"] or None, readout=cfg["model.readout"])
 
 
 def _train_config(cfg: RunConfig, gate: GateConfig, lr=None) -> TrainConfig:
@@ -403,16 +410,10 @@ def cmd_diagnose(model_path: str, graph_path: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_param_count(cfg: RunConfig, out_dir: str) -> int:
+def cmd_param_count(cfg: RunConfig) -> int:
     """Total/gate parameter counts of the configured model: the gate count
     is the size of the parameters :func:`is_gate_param` names, so it follows
     the placement (g3 adds a second projection) and the sharing."""
-    d = cfg["model.d"]
-    heads = cfg["model.heads"]
-    if heads < 1:
-        raise ConfigError(f"model.heads must be >= 1, got {heads}")
-    if d % heads != 0:
-        raise ConfigError(f"model.d={d} not divisible by model.heads={heads}")
     layout = model_skeleton(d_in=cfg["model.d_in"], out_dim=cfg["model.out_dim"],
                             **_model_dims(cfg, _gate_config(cfg)))[0].layout
     total = layout.total_count()
@@ -439,16 +440,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, runs=True):
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace every seed in the configuration")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for independent cells/seeds")
+        if runs:
+            p.add_argument("--seed-override", type=int, default=None,
+                           help="replace every seed in the configuration")
+            p.add_argument("--parallel", type=int, default=1,
+                           help="worker processes for independent cells/seeds")
 
-    for name in (*_COMMANDS, "param-count"):
+    for name in _COMMANDS:
         common(sub.add_parser(name))
+    common(sub.add_parser("param-count"), runs=False)
     diag = sub.add_parser("diagnose")
     diag.add_argument("--model", required=True, help="model dump file")
     diag.add_argument("--graph", required=True, help="graph file")
@@ -456,14 +459,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
-    if args.seed_override is not None:
-        v = args.seed_override
-        cfg.set("training.seed", v)
-        cfg.set("task.seed", v)
-        cfg.set("gradcheck.seed", v)
-        cfg.set("experiment.seeds", (v,))
+def _load_config(path, seed: int | None = None) -> RunConfig:
+    cfg = parse_config(path) if path else RunConfig()
+    if seed is not None:
+        cfg.set("training.seed", seed)
+        cfg.set("task.seed", seed)
+        cfg.set("gradcheck.seed", seed)
+        cfg.set("experiment.seeds", (seed,))
     return cfg
 
 
@@ -476,14 +478,16 @@ def main(argv=None) -> int:
     try:
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
-        if args.command == "diagnose":
-            return cmd_diagnose(args.model, args.graph, out_dir)
-        if args.parallel < 1:
-            raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
-        cfg = _load_config(args)
-        if args.command == "param-count":
-            return cmd_param_count(cfg, out_dir)
-        code = _COMMANDS[args.command](cfg, out_dir, args.parallel)
+        # A value that overflows is an error or a diverged row, never a numpy warning.
+        with np.errstate(all="ignore"):
+            if args.command == "diagnose":
+                return cmd_diagnose(args.model, args.graph, out_dir)
+            if args.command == "param-count":
+                return cmd_param_count(_load_config(args.config))
+            if args.parallel < 1:
+                raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+            cfg = _load_config(args.config, args.seed_override)
+            code = _COMMANDS[args.command](cfg, out_dir, args.parallel)
         cfg.write(os.path.join(out_dir, "resolved_config.txt"))
         return code
     except (ConfigError, OSError, ValueError) as exc:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .diagnostics import stable_rank
 from .gps import GraphInstance
-from .numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid, write_csv
+from .numeric import NonFiniteInputError, SeededRng, gaussian_matrix, row_softmax, sigmoid
+from .numeric import write_csv
 
 __all__ = [
     "RankExpConfig",
@@ -244,8 +245,11 @@ def _run_seed(args):
         gate_sum += gate.sum()
         gate_sq_sum += (gate * gate).sum()
         gate_count += gate.size
-        for (c, _), mask, (sr_ungated, sr_gated) in zip(pairs, masks, sranks):
-            y = row_softmax(c * scores * inv_sqrt_dk, mask) @ v
+        for (c, rho), mask, (sr_ungated, sr_gated) in zip(pairs, masks, sranks):
+            try:
+                y = row_softmax(c * scores * inv_sqrt_dk, mask) @ v
+            except NonFiniteInputError as exc:
+                raise NonFiniteInputError(f"rank study cell c={c:g} rho={rho:g}: {exc}") from None
             sr_ungated.append(stable_rank(y))
             sr_gated.append(stable_rank(y * gate))
     results = [SeedResult(seed=seed, srank_ungated=float(np.mean(sr_ungated)),

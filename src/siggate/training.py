@@ -76,24 +76,6 @@ def is_gate_param(name: str) -> bool:
     return name.rsplit(".", 1)[-1] in _GATE_FIELDS
 
 
-class _Lifter:
-    """Memoizing array -> Var wrapper; shared arrays get a single node."""
-
-    def __init__(self):
-        self._vars: dict[int, ad.Var] = {}
-
-    def __call__(self, arr):
-        node = self._vars.get(id(arr))
-        if node is None:
-            node = ad.Var(arr)
-            self._vars[id(arr)] = node
-        return node
-
-    def grad(self, arr):
-        node = self._vars.get(id(arr))
-        return None if node is None else node.grad
-
-
 def _graph_groups(batch):
     """The (graph, target) pairs grouped by node count, in order of first
     appearance: per group, the pairs' positions in ``batch``, their
@@ -120,68 +102,76 @@ def _group_loss(pred, targets, kind: str):
     raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
 
 
+def _summed_loss(model: ModelParams, batch, loss: str, lift=ad.no_tape):
+    """``(total, groups)``: the loss summed over the batch, one forward per
+    node count (a tape node when ``lift`` tapes), and per group its
+    positions in ``batch`` and its :class:`LayerTrace`."""
+    total, groups = None, []
+    for idx, graphs, targets in _graph_groups(batch):
+        pred, trace = batch_forward(graphs, model, lift=lift)
+        term = _group_loss(pred, targets, loss)
+        total = term if total is None else ad.add(total, term)
+        groups.append((idx, trace))
+    return total, groups
+
+
 def batch_loss(model: ModelParams, batch, loss: str = "mse") -> float:
     """Mean loss over the batch, plain forward (no tape), one pass per node count."""
-    total = 0.0
-    for _, graphs, targets in _graph_groups(batch):
-        pred, _ = batch_forward(graphs, model)
-        total += float(ad.value(_group_loss(pred, targets, loss)))
-    return total / len(batch)
+    return float(_summed_loss(model, batch, loss)[0]) / len(batch)
 
 
 def evaluate(model: ModelParams, batch, loss: str = "mse"):
     """Mean loss plus the forward traces for each graph in the batch, in order."""
-    total = 0.0
+    total, groups = _summed_loss(model, batch, loss)
     traces: list[LayerTrace] = [None] * len(batch)
-    for idx, graphs, targets in _graph_groups(batch):
-        pred, trace = batch_forward(graphs, model)
-        total += float(ad.value(_group_loss(pred, targets, loss)))
+    for idx, trace in groups:
         for i, graph_trace in zip(idx, trace.split(len(idx))):
             traces[i] = graph_trace
-    return total / len(batch), traces
+    return float(total) / len(batch), traces
 
 
 def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
     """Mean batch loss and exact gradients for every parameter of the model.
 
     One taped pass per node count in the batch, one backward sweep. The
-    gradients are one vector laid out as ``model.layout``: each array on the
-    tape writes its gradient into the view of that vector at the array's
-    recorded offset, with the array's strides. Raises
-    :class:`NonFiniteError` if the loss, an attention logit or any gradient
-    is non-finite, naming the first non-finite parameter (or gradient) of
-    the layout; and ValueError, as :meth:`ParamSet.from_model` does, if the
-    model has no layout or the forward read an array that it does not hold.
+    tape's leaves are the arrays of the layout's ``index``, one ``Var``
+    each; the gradients are one vector laid out as ``model.layout``, each
+    leaf writing its gradient into the view of that vector at its recorded
+    offset, with the array's strides. Raises :class:`NonFiniteError` if the
+    loss, an attention logit or any gradient is non-finite, naming the
+    first non-finite parameter (or gradient) of the layout; and ValueError,
+    as :meth:`ParamSet.from_model` does, if the model has no layout or
+    holds an array off it (checked when the forward reads an array outside
+    the index, or leaves one of its arrays without a gradient).
     """
     layout = model.layout or ParamSet.from_model(model)  # no layout: this raises
-    lifter = _Lifter()
-    total = None
+    leaves = {key: ad.Var(arr) for key, (*_, arr) in layout.index.items()}
+
+    def lift(arr):
+        leaf = leaves.get(id(arr))
+        if leaf is None:
+            ParamSet.from_model(model)  # raises, naming the parameter that reads ``arr``
+        return leaf
+
     try:
-        for _, graphs, targets in _graph_groups(batch):
-            pred, _ = batch_forward(graphs, model, lift=lifter)
-            term = _group_loss(pred, targets, loss)
-            total = term if total is None else ad.add(total, term)
+        total, _ = _summed_loss(model, batch, loss, lift)
+        mean = ad.div(total, float(len(batch)))
+        loss_val = float(ad.value(mean))
+        if not np.isfinite(loss_val):
+            raise NonFiniteInputError("non-finite loss")
     except NonFiniteInputError as exc:
         offender = layout.first_nonfinite()
-        raise NonFiniteError(f"{exc}; first non-finite parameter: {offender}",
-                             offender) from exc
-    mean = ad.div(total, float(len(batch)))
-    loss_val = float(ad.value(mean))
-    if not np.isfinite(loss_val):
-        offender = layout.first_nonfinite()
-        raise NonFiniteError(
-            f"non-finite loss; first non-finite parameter: {offender}", offender
-        )
+        blame = ("every parameter is finite" if offender is None
+                 else f"first non-finite parameter: {offender}")
+        raise NonFiniteError(f"{exc}; {blame}", offender) from exc
     ad.backward(mean)
     flat = np.zeros(layout.flat.size)
-    for arr in (node.value for node in lifter._vars.values()):
-        entry = layout.index.get(id(arr))
-        if entry is None:
-            ParamSet.from_model(model)  # raises, naming the parameter that reads ``arr``
-        g = lifter.grad(arr)
-        if g is not None:
-            np.ndarray(arr.shape, buffer=flat, offset=entry[0] * flat.itemsize,
-                       strides=arr.strides)[...] = g
+    for (offset, *_, arr), leaf in zip(layout.index.values(), leaves.values()):
+        if leaf.grad is not None:
+            np.ndarray(arr.shape, buffer=flat, offset=offset * flat.itemsize,
+                       strides=arr.strides)[...] = leaf.grad
+    if any(leaf.grad is None for leaf in leaves.values()):
+        ParamSet.from_model(model)  # an edgeless batch leaves the MPNN off; an alias raises
     grads = layout._like(flat)
     offender = grads.first_nonfinite()
     if offender is not None:

@@ -19,7 +19,8 @@ into the model and runs the full tape-free ``training.batch_loss``. For the
 parameter storage it keeps the Box-Muller formula of one
 ``SeededRng.standard_normal`` call, the model init drawn one
 ``gaussian_matrix`` call per weight, the gradients assembled name by name
-after the backward sweep, and the loop that named the first non-finite
+after the backward sweep of a forward with its own memoizing ``lift``
+(:class:`MemoLift`), and the loop that named the first non-finite
 parameter array by array.
 """
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from dataclasses import fields, is_dataclass
 
+from siggate import autodiff as ad
 from siggate.numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
 from siggate.synthexp import calibrate_gate
 
@@ -413,19 +415,36 @@ def per_call_init(rng, *, d_in, d, n_heads, n_layers, gate, d_ff=None, d_e=0, ou
     return out
 
 
+class MemoLift:
+    """The ``lift`` of a taped forward that puts each array on the tape once,
+    the first time the forward reads it; ``grad(arr)`` is that leaf's
+    gradient after a backward sweep (None if the forward never read ``arr``)."""
+
+    def __init__(self):
+        self.leaves = {}
+
+    def __call__(self, arr):
+        if id(arr) not in self.leaves:
+            self.leaves[id(arr)] = ad.Var(arr)
+        return self.leaves[id(arr)]
+
+    def grad(self, arr):
+        leaf = self.leaves.get(id(arr))
+        return None if leaf is None else leaf.grad
+
+
 def per_name_gradients(model, params, batch, loss="mse"):
     """``{name: gradient}`` for every name of ``params``, assembled name by
     name after one taped pass: each name looks up the array the model's
     layout records for it and takes that array's gradient (slice k of a
     head stack's), or zeros when the array is not on the tape."""
-    from siggate import autodiff as ad
     from siggate.gps import batch_forward
-    from siggate.training import _Lifter, _graph_groups, _group_loss
+    from siggate.training import _graph_groups, _group_loss
 
-    lifter = _Lifter()
+    lift = MemoLift()
     total = None
     for _, graphs, targets in _graph_groups(batch):
-        pred, _ = batch_forward(graphs, model, lift=lifter)
+        pred, _ = batch_forward(graphs, model, lift=lift)
         term = _group_loss(pred, targets, loss)
         total = term if total is None else ad.add(total, term)
     ad.backward(ad.div(total, float(len(batch))))
@@ -433,7 +452,7 @@ def per_name_gradients(model, params, batch, loss="mse"):
     grads = {}
     for name, arr in params.items():
         stack, k = read[name]
-        g = lifter.grad(stack)
+        g = lift.grad(stack)
         grads[name] = (np.zeros_like(arr) if g is None
                        else np.asarray(g) if k is None else np.asarray(g)[k])
     return grads

@@ -80,12 +80,13 @@ class TestArithmetic:
     def test_stacked_matmul_and_transpose(self, rng):
         a = gaussian_matrix(rng, 6, 3, 1.0).reshape(2, 3, 3)
         b = gaussian_matrix(rng, 6, 4, 1.0).reshape(2, 3, 4)
-        check_grads(lambda x, y: ad.vsum(ad.square(ad.bmm(x, y))), [a, b])
-        check_grads(lambda x: ad.vsum(ad.square(ad.bmm(ad.transpose(x), x))), [b])
+        check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a, b])
+        check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a[0], b])  # broadcast
+        check_grads(lambda x: ad.vsum(ad.square(ad.matmul(ad.transpose(x), x))), [b])
         for i in range(2):
-            assert np.array_equal(ad.bmm(a, b)[i], a[i] @ b[i])
+            assert np.array_equal(ad.matmul(a, b)[i], a[i] @ b[i])
+            assert np.array_equal(ad.matmul(a[0], b)[i], a[0] @ b[i])
             assert np.array_equal(ad.transpose(b)[i], b[i].T)
-        assert np.array_equal(ad.bmm(a[0], b[0]), ad.matmul(a[0], b[0]))
 
     def test_mixed_var_and_plain(self, rng):
         a = gaussian_matrix(rng, 3, 3, 1.0)
@@ -396,7 +397,8 @@ class TestFusedOps:
 
 class TestCopyAxis:
     """Tape-free ops over a leading stack of copies: each copy's slice is bit
-    for bit the op on that copy alone. Taped products keep to matrices."""
+    for bit the op on that copy alone. Taped, ``matmul`` takes stacks as
+    well; ``linear`` keeps to matrices."""
 
     def test_each_copy_equals_the_op_on_it_alone(self, rng):
         x = rng.standard_normal((5, 6, 4))
@@ -417,8 +419,29 @@ class TestCopyAxis:
             assert_bitwise(ad.layer_norm(x, vec, vec[::-1], LN_EPS)[c],
                            ad.layer_norm(x[c], vec[c], vec[4 - c], LN_EPS))
 
-    def test_taped_products_reject_stacks(self):
-        with pytest.raises(ShapeError, match="taped matmul multiplies matrices"):
-            ad.matmul(ad.Var(np.ones((2, 3, 4))), np.ones((4, 2)))
-        with pytest.raises(ShapeError, match="taped linear multiplies matrices"):
+    @pytest.mark.parametrize("stacked", ["left", "right", "both"])
+    def test_taped_matmul_gives_each_copy_its_lone_product_and_vjps(self, rng, stacked):
+        a = rng.standard_normal((5, 6, 4) if stacked != "right" else (6, 4))
+        b = rng.standard_normal((5, 4, 3) if stacked != "left" else (4, 3))
+        weights = rng.standard_normal((5, 6, 3))
+        xs = [ad.Var(a), ad.Var(b)]
+        out = ad.matmul(*xs)
+        ad.backward(ad.vsum(ad.mul(out, weights)))
+        lone_grads = []
+        for c in range(5):
+            lone = [ad.Var(v[c] if v.ndim == 3 else v) for v in (a, b)]
+            prod = ad.matmul(*lone)
+            ad.backward(ad.vsum(ad.mul(prod, weights[c])))
+            assert_bitwise(out.value[c], prod.value)
+            for x, leaf in zip(xs, lone):
+                if x.value.ndim == 3:
+                    assert_bitwise(x.grad[c], leaf.grad)
+            lone_grads.append([leaf.grad for leaf in lone])
+        for x, per_copy in zip(xs, zip(*lone_grads)):
+            if x.value.ndim == 2:  # broadcast over the copies: the sum of their VJPs
+                assert np.allclose(x.grad, sum(per_copy), rtol=1e-14, atol=0)
+
+    def test_taped_linear_rejects_stacks(self):
+        with pytest.raises(ShapeError, match="taped linear multiplies matrices; stacks go "
+                                             "through matmul"):
             ad.linear(np.ones((2, 3, 4)), ad.Var(np.ones((4, 2))), np.zeros(2))

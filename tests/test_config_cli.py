@@ -329,18 +329,18 @@ class TestGradCheckCommand:
         ("model.bias_init = 1e308\ngradcheck.placements = g3", "g3/relu",
          "row 8 has largest logit inf; softmax undefined"),
         ("model.readout = sum\nmodel.bias_init = 1e300\ngradcheck.placements = g1", "g1/relu",
-         "layer_norm: row 0 has an infinite standard deviation"),
+         "layer_norm: row 0 has an infinite standard deviation (its variance overflows)"),
     ], ids=["logits-overflow", "sum-readout-layer-norm"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_forward_exits_two(self, tmp_path, capsys, setting, cell, op):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(setting + "\ngradcheck.activations = relu\n"
                        "gradcheck.exhaustive = false\ngradcheck.samples = 2\n")
         out = tmp_path / "out"
-        assert run_cli("grad-check", "--config", str(cfg), "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert f"error: grad-check cell {cell}: {op}" in err
-        assert "Traceback" not in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("grad-check", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: grad-check cell {cell}: {op}; "
+                                           f"every parameter is finite\n")
         assert list(out.iterdir()) == []
 
     def test_each_cell_builds_its_model_once(self, tmp_path, monkeypatch):
@@ -721,8 +721,7 @@ class TestParallelOption:
                            "--parallel", parallel) in (0, 1)
             assert pools == want, parallel
 
-    @pytest.mark.parametrize("command", ["grad-check", "rank-exp", "ablate", "lr-sweep",
-                                         "param-count"])
+    @pytest.mark.parametrize("command", ["grad-check", "rank-exp", "ablate", "lr-sweep"])
     @pytest.mark.parametrize("parallel", ["0", "-3"])
     def test_parallel_below_one_exits_two(self, tmp_path, capsys, pools, command, parallel):
         assert run_cli(command, "--out", str(tmp_path / "out"), "--parallel", parallel) == 2
@@ -730,6 +729,29 @@ class TestParallelOption:
         assert captured.err == f"error: --parallel must be >= 1, got {parallel}\n"
         assert captured.out == "" and pools == []
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("option", [("--parallel", "0"), ("--parallel", "-3"),
+                                        ("--parallel", "2"), ("--seed-override", "3")],
+                             ids=["parallel-0", "parallel--3", "parallel-2", "seed-override"])
+    def test_param_count_takes_no_parallel_or_seed_override(self, tmp_path, capsys, pools,
+                                                            option):
+        # param-count runs no worker and draws nothing: neither option means anything to it.
+        assert run_cli("param-count", "--out", str(tmp_path / "out"), *option) == 2
+        captured = capsys.readouterr()
+        assert f"error: unrecognized arguments: {' '.join(option)}\n" in captured.err
+        assert captured.out == "" and pools == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "lr-sweep", "grad-check", "param-count"])
+    def test_heads_that_do_not_split_d_give_one_message(self, tmp_path, capsys, pools,
+                                                        command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_TRAIN.replace("model.heads = 2", "model.heads = 3"))
+        parallel = () if command == "param-count" else ("--parallel", "2")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out), *parallel) == 2
+        assert capsys.readouterr() == ("", "error: model.d=8 not divisible by model.heads=3\n")
+        assert pools == [] and list(out.iterdir()) == []
 
 
 class TestBadTrainingInputs:
@@ -767,6 +789,37 @@ class TestBadTrainingInputs:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+
+class TestOverflowingSettings:
+    """Settings whose values overflow in the forward pass: each command gives
+    its error or its diverged rows, and numpy warns of nothing, in the
+    command's own process or in its workers (which inherit the filter that
+    makes a warning an error)."""
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    @pytest.mark.parametrize("command, setting, code, err", [
+        ("grad-check", "model.bias_init = 1e308\ngradcheck.placements = g1\n"
+         "gradcheck.activations = relu\ngradcheck.exhaustive = false\ngradcheck.samples = 2",
+         2, "error: grad-check cell g1/relu: layer_norm: row 0 has an infinite standard "
+            "deviation (its variance overflows); every parameter is finite\n"),
+        ("rank-exp", FAST_RANK + "experiment.c = 1e308", 2,
+         "error: rank study cell c=1e+308 rho=0.2: row 0 has largest logit inf; "
+         "softmax undefined\n"),
+        ("lr-sweep", TINY_TRAIN + "training.weight_decay = 1e308", 0, ""),
+        ("lr-sweep", TINY_TRAIN + "model.bias_init = 1e308\nmodel.activation = relu", 0, ""),
+    ], ids=["grad-check", "rank-exp", "lr-sweep-weight-decay", "lr-sweep-bias"])
+    def test_no_numpy_warning(self, tmp_path, capsys, command, setting, code, err, parallel):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(setting + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                           "--parallel", parallel) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if command == "lr-sweep":
+            assert "diverged@" in captured.out
 
 
 class TestOutDim:

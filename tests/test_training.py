@@ -9,7 +9,7 @@ import pytest
 import siggate.training as training
 from oracles import (
     assert_bitwise, dataclass_probe_index, dump_text, first_nonfinite_by_loop,
-    hand_written_registry, one_probe_fd_check, one_probe_losses, per_call_init,
+    hand_written_registry, MemoLift, one_probe_fd_check, one_probe_losses, per_call_init,
     per_name_gradients,
 )
 from siggate.attention import GateConfig, gate_param_count
@@ -105,16 +105,16 @@ class TestHeadStackParams:
         model = tiny_model(seed=40, placement=placement, **kw)
         params = ParamSet.from_model(model)
         _, grads = loss_and_gradients(model, batch[:3])
-        lifter = training._Lifter()
+        lift = MemoLift()
         graphs = GraphBatch.of([g for g, _ in batch[:3]])
-        pred, _ = batch_forward(graphs, model, lift=lifter)
+        pred, _ = batch_forward(graphs, model, lift=lift)
         targets = np.stack([np.reshape(t, -1) for _, t in batch[:3]])
         ad.backward(ad.div(ad.vsum(ad.square(ad.sub(pred, targets))), 3.0))
         checked = 0
         for i, layer in enumerate(model.layers):
             attn = layer.attn
             for name in attn.stacked_fields():
-                stack_grad = lifter.grad(getattr(attn, name))
+                stack_grad = lift.grad(getattr(attn, name))
                 assert stack_grad.shape == getattr(attn, name).shape
                 for k in range(len(stack_grad)):
                     label = "gate" if len(stack_grad) == 1 else f"head{k}"
@@ -459,6 +459,7 @@ class TestBatchedPass:
                     assert_rel_close(ht_got.output, ht_want.output)
         assert loss == pytest.approx(expected_loss / len(pairs), rel=1e-12)
         assert batch_loss(model, pairs, "mae") == loss
+        assert loss_and_gradients(model, pairs, "mae")[0] == loss
 
 
 class TestFiniteDifferenceCheck:
@@ -991,6 +992,21 @@ class TestParamStorage:
                                              "model's layout"):
             loss_and_gradients(model, walk_batch())
 
+    def test_gradients_refuse_a_layer_that_reads_another_parameters_array(self):
+        # The replaced array gets no gradient; it must not come back as zeros.
+        model = init_model(SeededRng(1), d_in=4, d=8, n_heads=2, n_layers=3, gate=GateConfig())
+        pairs = make_toy_task(0, n_graphs=6, nodes_per_graph=5).train
+        edgeless = [(GraphInstance(n=g.n, node_features=g.node_features, edges=[]), y)
+                    for g, y in pairs]
+        _, grads = loss_and_gradients(model, edgeless)  # MPNN off the tape: zeros, no error
+        assert not any(np.any(g) for name, g in grads.items() if ".mpnn." in name)
+        model.layers[2].mpnn.w_val = model.layers[1].mpnn.w_val
+        for model, batch, name in ((model, pairs, "layer2.mpnn.w_val"),
+                                   (aliased_walk_model(), walk_batch(), "layer0.ln2.scale")):
+            with pytest.raises(ValueError, match=f"^parameter {re.escape(repr(name))} is off "
+                                                 f"the model's layout"):
+                loss_and_gradients(model, batch)
+
     def test_a_training_step_walks_no_parameters(self, monkeypatch):
         model = walk_model("g3", "per_head")
         params = ParamSet.from_model(model)
@@ -1063,15 +1079,21 @@ class TestParamStorage:
         stack, k = model.layout.reads[name]
         first = (k or 0) * params[name].size
 
-        class Poisoned(training._Lifter):
-            def grad(self, arr):
-                g = super().grad(arr)
-                if arr is stack:
-                    g = np.array(g)
-                    g.reshape(-1)[first] = np.nan
-                return g
+        real_backward = ad.backward
 
-        monkeypatch.setattr(training, "_Lifter", Poisoned)
+        def poisoned(root):  # the stack's leaf gets a NaN at the entry's first value
+            real_backward(root)
+            nodes, seen = [root], set()
+            while nodes:
+                node = nodes.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    nodes.extend(parent for parent, _ in node.parents)
+                    if node.value is stack:
+                        node.grad = np.array(node.grad)
+                        node.grad.reshape(-1)[first] = np.nan
+
+        monkeypatch.setattr(ad, "backward", poisoned)
         with pytest.raises(NonFiniteError, match=f"^non-finite gradient for parameter "
                                                  f"{re.escape(repr(name))}$") as err:
             loss_and_gradients(model, walk_batch())
