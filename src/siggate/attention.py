@@ -35,7 +35,6 @@ __all__ = [
     "HeadTrace",
     "gated_head_forward",
     "siggate_mhsa",
-    "merge_heads",
     "gate_param_count",
     "mhsa_skeleton",
     "init_mhsa_params",
@@ -277,12 +276,7 @@ def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, n_graphs:
     if n_graphs < 1 or rows % n_graphs:
         raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
     outs, traces = gated_head_forward(h, params, mask, lift=lift, n_graphs=n_graphs)
-    return merge_heads(outs, params.w_o, lift=lift), traces
-
-
-def merge_heads(outs, w_o, *, lift=ad.no_tape):
-    """Lay the K x N x d_k head outputs side by side (N x K·d_k) and project by W_O."""
-    return ad.matmul(ad.merge_stack(outs), lift(w_o))
+    return ad.matmul(ad.merge_stack(outs), lift(params.w_o)), traces
 
 
 def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:
@@ -306,9 +300,9 @@ def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *,
     block's ``(view, std)`` in draw order: a shared gate, each head's Q, K,
     V and own gate, then W_O, with std 1/sqrt(d) (gate weights:
     ``gate_weight_std`` if given; 0 draws none); and each parameter's
-    ``(name, array, k, branch)`` in layout order: ``head{k}.w_q`` (a shared
-    gate's ``gate.w_g``) is slice k of a stack, read by branch "heads";
-    ``w_o`` by "w_o". Each head is d_k = d / K wide."""
+    ``(name, array, k)`` in layout order: ``head{k}.w_q`` (a shared gate's
+    ``gate.w_g``) is slice k of a stack, ``w_o`` (k None) a plain array.
+    Each head is d_k = d / K wide."""
     if n_heads < 1:
         raise ValueError(f"n_heads must be >= 1, got {n_heads}")
     if d % n_heads != 0:
@@ -316,7 +310,7 @@ def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *,
     d_k = d // n_heads
     qkv = take(n_heads, len(_QKV), d, d_k)
     stacks = {name: qkv[:, i] for i, name in enumerate(_QKV)}
-    record = [(f"head{k}.{name}", stacks[name], k, "heads")
+    record = [(f"head{k}.{name}", stacks[name], k)
               for k in range(n_heads) for name in _QKV]
     weights = ()
     shared = cfg.sharing == "shared"
@@ -329,7 +323,7 @@ def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *,
             stacks[name] = records[:, i * size:(i + 1) * size].reshape(-1, d, d_k)
         stacks["b_g"] = records[:, len(weights) * size:]
         stacks["b_g"][...] = float(cfg.bias_init)
-        record += [(f"{'gate' if shared else f'head{g}'}.{name}", stacks[name], g, "heads")
+        record += [(f"{'gate' if shared else f'head{g}'}.{name}", stacks[name], g)
                    for g in range(len(records)) for name in (*weights, "b_g")]
     std = 1.0 / np.sqrt(d)
     gate_std = std if gate_weight_std is None else gate_weight_std
@@ -341,7 +335,7 @@ def mhsa_skeleton(take, d: int, n_heads: int, cfg: GateConfig, *,
     for k in range(n_heads):
         draws += [(stacks[name][k], std) for name in _QKV] + ([] if shared else gate(k))
     params = MhsaParams(w_o=take(n_heads * d_k, d), gate=cfg, **stacks)
-    record.append(("w_o", params.w_o, None, "w_o"))
+    record.append(("w_o", params.w_o, None))
     return params, draws + [(params.w_o, std)], record
 
 

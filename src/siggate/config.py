@@ -11,6 +11,10 @@ that echo reproduces the outputs bitwise.
 
 from __future__ import annotations
 
+from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS
+from .gps import READOUTS
+from .training import LOSSES
+
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text", "SCHEMA"]
 
 
@@ -63,18 +67,17 @@ SCHEMA: dict[str, tuple] = {
     "model.layers": (int, 2),
     "model.d_ff": (int, 0),  # 0 means 2 * model.d
     "model.out_dim": (int, 1),
-    "model.readout": (_parse_choice("mean", "sum"), "mean"),
-    "model.placement": (_parse_choice("none", "g1", "g2", "g3"), "g1"),
-    "model.sharing": (_parse_choice("per_head", "shared"), "per_head"),
-    "model.activation": (
-        _parse_choice("sigmoid", "tanh", "relu", "sigmoid_squared"), "sigmoid"),
+    "model.readout": (_parse_choice(*READOUTS), "mean"),
+    "model.placement": (_parse_choice(*PLACEMENTS), "g1"),
+    "model.sharing": (_parse_choice(*SHARINGS), "per_head"),
+    "model.activation": (_parse_choice(*GATE_ACTIVATIONS), "sigmoid"),
     "model.bias_init": (float, 0.5),
     # toy training
     "training.lr": (float, 1e-3),
     "training.weight_decay": (float, 1e-5),
     "training.epochs": (int, 150),
     "training.seed": (int, 0),
-    "training.loss": (_parse_choice("mae", "mse"), "mae"),
+    "training.loss": (_parse_choice(*LOSSES), "mae"),
     "training.lrs": (_parse_list(float), (5e-4, 1e-3, 2e-3, 3e-3, 5e-3)),
     # synthetic regression task
     "task.seed": (int, 0),
@@ -101,11 +104,8 @@ SCHEMA: dict[str, tuple] = {
     "gradcheck.nodes": (int, 6),
     "gradcheck.seed": (int, 0),
     "gradcheck.tolerance": (float, 1e-5),
-    "gradcheck.placements": (
-        _parse_list(_parse_choice("none", "g1", "g2", "g3")), ("none", "g1", "g2", "g3")),
-    "gradcheck.activations": (
-        _parse_list(_parse_choice("sigmoid", "tanh", "relu", "sigmoid_squared")),
-        ("sigmoid", "tanh", "relu", "sigmoid_squared")),
+    "gradcheck.placements": (_parse_list(_parse_choice(*PLACEMENTS)), PLACEMENTS),
+    "gradcheck.activations": (_parse_list(_parse_choice(*GATE_ACTIVATIONS)), GATE_ACTIVATIONS),
 }
 
 

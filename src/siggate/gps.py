@@ -41,7 +41,6 @@ __all__ = [
     "layer_norm",
     "mpnn_forward",
     "gps_layer_forward",
-    "gps_layer_combine",
     "model_forward",
     "batch_forward",
     "model_embed",
@@ -295,19 +294,12 @@ def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape):
     local = mpnn_forward(graphs, h, p.mpnn, lift=lift)
     global_attn, head_traces = siggate_mhsa(h, p.attn, graphs.attn_mask, lift=lift,
                                             n_graphs=graphs.size)
-    h_next = gps_layer_combine(h, local, global_attn, p, lift=lift)
-    entry = LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=head_traces)
-    return h_next, entry
-
-
-def gps_layer_combine(h, local, global_attn, p: GpsLayerParams, *, lift=ad.no_tape):
-    """The block after its two branches: ``s = h + local + global_attn``,
-    then ``ln2(ffn(ln1(s)) + ln1(s))``."""
     s = ad.add(ad.add(h, local), global_attn)
     t = layer_norm(s, lift(p.ln1.scale), lift(p.ln1.shift))
-    return layer_norm(
-        ad.add(_ffn_forward(t, p.ffn, lift), t), lift(p.ln2.scale), lift(p.ln2.shift)
-    )
+    h_next = layer_norm(ad.add(_ffn_forward(t, p.ffn, lift), t),
+                        lift(p.ln2.scale), lift(p.ln2.shift))
+    entry = LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=head_traces)
+    return h_next, entry
 
 
 def model_forward(g: GraphInstance, model: ModelParams, *, lift=ad.no_tape):
@@ -364,8 +356,7 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
     order: W_in, per layer the attention's, W_edge, W_val, W_1, W_2, then the
     head (std 1/sqrt(fan-in)). Each parameter is declared where it is carved,
     in dump order: its name, the array the forward reads (slice k of it for
-    a head's), its layer (-1: the input projection, L: the readout head) and
-    the branch that reads it ("heads", "w_o", "mpnn", "combine"; or None)."""
+    a head's) and its layer (-1: the input projection, L: the readout head)."""
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if readout not in READOUTS:
@@ -375,47 +366,46 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
     def build(take):
         draws, record = [], []
 
-        def param(name, layer, branch, *shape):
+        def param(name, layer, *shape):
             """The next parameter, declared; a matrix is a Gaussian block."""
             arr = take(*shape)
-            record.append((name, arr, None, layer, branch))
+            record.append((name, arr, None, layer))
             if len(shape) == 2:
                 draws.append((arr, 1.0 / np.sqrt(shape[0])))
             return arr
 
-        w_in, b_in = param("input.w", -1, None, d_in, d), param("input.b", -1, None, d)
+        w_in, b_in = param("input.w", -1, d_in, d), param("input.b", -1, d)
         layers = []
         for i in range(n_layers):
             attn, attn_draws, attn_record = mhsa_skeleton(take, d, n_heads, gate,
                                                           gate_weight_std=gate_weight_std)
             draws += attn_draws
-            record += [(f"layer{i}.attn.{name}", arr, k, i, branch)
-                       for name, arr, k, branch in attn_record]
+            record += [(f"layer{i}.attn.{name}", arr, k, i) for name, arr, k in attn_record]
             pre = f"layer{i}."
-            mpnn = MpnnParams(w_edge=param(pre + "mpnn.w_edge", i, "mpnn", 2 * d + d_e, d),
-                              w_val=param(pre + "mpnn.w_val", i, "mpnn", d, d))
-            ffn = FfnParams(w1=param(pre + "ffn.w1", i, "combine", d, d_ff),
-                            b1=param(pre + "ffn.b1", i, "combine", d_ff),
-                            w2=param(pre + "ffn.w2", i, "combine", d_ff, d),
-                            b2=param(pre + "ffn.b2", i, "combine", d))
-            ln1, ln2 = (LayerNormParams(param(pre + ln + ".scale", i, "combine", d),
-                                        param(pre + ln + ".shift", i, "combine", d))
+            mpnn = MpnnParams(w_edge=param(pre + "mpnn.w_edge", i, 2 * d + d_e, d),
+                              w_val=param(pre + "mpnn.w_val", i, d, d))
+            ffn = FfnParams(w1=param(pre + "ffn.w1", i, d, d_ff),
+                            b1=param(pre + "ffn.b1", i, d_ff),
+                            w2=param(pre + "ffn.w2", i, d_ff, d),
+                            b2=param(pre + "ffn.b2", i, d))
+            ln1, ln2 = (LayerNormParams(param(pre + ln + ".scale", i, d),
+                                        param(pre + ln + ".shift", i, d))
                         for ln in ("ln1", "ln2"))
             ln1.scale[...] = ln2.scale[...] = 1.0
             layers.append(GpsLayerParams(attn=attn, mpnn=mpnn, ffn=ffn, ln1=ln1, ln2=ln2))
         model = ModelParams(w_in=w_in, b_in=b_in, layers=layers,
-                            w_head=param("head.w", n_layers, None, d, out_dim),
-                            b_head=param("head.b", n_layers, None, out_dim), readout=readout)
+                            w_head=param("head.w", n_layers, d, out_dim),
+                            b_head=param("head.b", n_layers, out_dim), readout=readout)
         return model, draws, record
 
     (model, draws, record), flat = carve(build)
-    names, arrays, ks, layer_of, branch_of = zip(*record)
+    names, arrays, ks, layer_of = zip(*record)
     layout = model.layout = ParamSet.__new__(ParamSet)._over(
         names, tuple(arr.shape if k is None else arr.shape[1:] for arr, k in zip(arrays, ks)),
         flat)
     layout.reads = dict(zip(names, zip(arrays, ks)))
     layout.index = {}
-    for entry in zip(layout._starts, layer_of, branch_of, names, arrays):
+    for entry in zip(layout._starts, layer_of, names, arrays):
         layout.index.setdefault(id(entry[-1]), entry)  # a stack's first entry: its slice 0
     layout.header = dict(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff,
                          d_e=d_e, out_dim=out_dim, readout=readout, **vars(gate))
@@ -443,9 +433,9 @@ class ParamSet:
     that :func:`model_skeleton` built holds its own as ``model.layout``,
     which also records ``reads``, name -> the ``(array, k)`` the forward
     reads; ``index``, by ``id`` of each array the forward reads, in carve
-    order, ``(offset, layer, branch, name, array)``: where in ``flat`` it
-    starts (it is the view from there with its strides), the layer and
-    branch that read it, and its first parameter; and the dump ``header``."""
+    order, ``(offset, layer, name, array)``: where in ``flat`` it starts (it
+    is the view from there with its strides), the layer that reads it, and
+    its first parameter; and the dump ``header``."""
 
     def __init__(self, items: dict[str, np.ndarray]):
         items = {name: np.asarray(a, dtype=np.float64) for name, a in items.items()}
@@ -470,8 +460,8 @@ class ParamSet:
             raise ValueError("the model has no layout: a model has one only as init_model "
                              "or load_model built it")
         held = _arrays_held(model, [])
-        for arr, (key, (_, _, _, name, kept)) in zip_longest(
-                held, layout.index.items(), fillvalue=(None, (None,) * 5)):
+        for arr, (key, (_, _, name, kept)) in zip_longest(
+                held, layout.index.items(), fillvalue=(None, (None,) * 4)):
             if arr is not kept or id(arr) != key:
                 raise ValueError(f"parameter {name!r} is off the model's layout: a model "
                                  f"has one only as init_model or load_model built it")
@@ -552,9 +542,10 @@ def write_graph(g: GraphInstance, path) -> None:
 
 
 def read_graph(path) -> GraphInstance:
-    """Parse a graph file. A malformed or non-finite row, or any line after
-    the last edge row, raises ValueError naming the file. Only the rows the
-    file holds are stored, whatever sizes its header gives."""
+    """Parse a graph file. A malformed or non-finite row, an edge row off the
+    nodes, or any line after the last edge row raises ValueError naming the
+    file (and the row). Only the rows the file holds are stored, whatever
+    sizes its header gives."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     try:
@@ -580,6 +571,8 @@ def read_graph(path) -> GraphInstance:
             if len(toks) != 2 + d_e:
                 raise ValueError(f"edge row {i} has {len(toks)} tokens, expected {2 + d_e}")
             edges.append((int(toks[0]), int(toks[1])))
+            if not all(0 <= end < n for end in edges[i]):
+                raise ValueError(f"edge row {i} joins {edges[i]}, outside nodes 0..{n - 1}")
             if d_e:
                 edge_feats.append([float(t) for t in toks[2:]])
                 if not np.isfinite(edge_feats[i]).all():

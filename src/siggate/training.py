@@ -15,21 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import _GATE_FIELDS, GateConfig, gated_head_forward, merge_heads
+from .attention import _GATE_FIELDS, GateConfig
 from .gps import (
     GraphBatch,
     LayerTrace,
     ModelParams,
     ParamSet,
     batch_forward,
-    gps_layer_combine,
     gps_layer_forward,
     init_model,
     model_embed,
     model_forward,  # noqa: F401 - kept importable from here; perfbench's tracer tests patch it
     model_readout,
     model_skeleton,
-    mpnn_forward,
 )
 from .numeric import NonFiniteInputError, SeededRng, fmt_exact, write_csv
 
@@ -57,6 +55,7 @@ __all__ = [
 
 LOSSES = ("mse", "mae")
 DIVERGENCE_LIMIT = 1e6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's fixed decays and floor
 
 
 class DivergenceError(RuntimeError):
@@ -190,6 +189,8 @@ class FdReport:
     gradient, so ``param_rel`` additionally aggregates per parameter as
     ||analytic - numeric|| / max(||analytic||, ||numeric||, 1e-12) over the
     checked coordinates; a genuine backward bug shows up there at O(1).
+    Both are per parameter name, in the order of the checked set, although
+    one probe pass serves every name read through one array.
     """
 
     max_rel_err: float
@@ -211,17 +212,18 @@ PROBE_CHUNK = 256  # perturbed copies per batched pass; bounds the probes' memor
 
 
 class _PlainForwardCache:
-    """The branch outputs of the tape-free forward of each group of a batch.
+    """The hidden state entering each layer of the tape-free forward of each
+    group of a batch.
 
-    A finite-difference probe changes one entry of one parameter array, and
-    everything the model computes before that array is first read stays as
-    it was. :meth:`probe_losses` runs all probes of one parameter as one
-    pass: its ``lift`` puts perturbed copies of the array the forward reads
-    (a head's parameter is read through its layer's stack) on a leading copy
-    axis, and the branch of the layer that reads it (the layout's ``index``),
-    that layer's combine step, the later layers and the readout run once
-    over the copies. Each copy keeps its own slice of every op, with the
-    shapes of :func:`batch_loss`, so its loss is bitwise the
+    A finite-difference probe changes one entry of one array the forward
+    reads, and everything the model computes before the layer that reads
+    that array (the layout's ``index``) stays as it was. :meth:`probe_losses`
+    runs all probes of one array as one pass: its ``lift`` puts perturbed
+    copies of the array on a leading copy axis, and that layer's
+    :func:`gps_layer_forward`, the later layers and the readout run once
+    over the copies (``input.*`` arrays start at the embedding, ``head.*``
+    arrays run the readout alone). Each copy keeps its own slice of every
+    op, with the shapes of :func:`batch_loss`, so its loss is bitwise the
     :func:`batch_loss` of the model holding that copy. The model's arrays
     are never written.
     """
@@ -231,69 +233,44 @@ class _PlainForwardCache:
         self.batch = batch
         self.loss = loss
         self.groups = _graph_groups(batch)
-        self.layout = ParamSet.from_model(model)  # so each array is read by one branch
-        # Per group: (h, local, head outputs, merged attention) entering
-        # each layer, then the last hidden state.
-        self.layers = []
-        self.final = []
+        self.layout = ParamSet.from_model(model)  # so each array is read by one layer
+        # Per group: the hidden state entering each layer, then the last one.
+        self.hidden = []
         for _, graphs, _ in self.groups:
-            h = model_embed(graphs, model)
-            entries = []
+            states = [model_embed(graphs, model)]
             for layer in model.layers:
-                local = mpnn_forward(graphs, h, layer.mpnn)
-                heads = gated_head_forward(h, layer.attn, graphs.attn_mask,
-                                           n_graphs=graphs.size)[0]
-                merged = merge_heads(heads, layer.attn.w_o)
-                entries.append((h, local, heads, merged))
-                h = gps_layer_combine(h, local, merged, layer)
-            self.layers.append(entries)
-            self.final.append(h)
+                states.append(gps_layer_forward(graphs, states[-1], layer)[0])
+            self.hidden.append(states)
 
-    def probe_losses(self, name: str, idxs, h: float):
-        """``(f_plus, f_minus)``: for each flat index j of ``idxs``, the
-        :func:`batch_loss` with entry j of the parameter ``name`` moved to
-        ``old + h`` and to ``old - h``. Its copies run :data:`PROBE_CHUNK`
-        at a time."""
-        arr, k = self.layout.reads[name]
-        _, layer, branch, _, _ = self.layout.index[id(arr)]
-        param = arr if k is None else arr[k]
-        idxs = np.asarray(idxs, dtype=np.intp)
-        old = param.reshape(-1)[idxs]
-        # Copy 2m holds entry idxs[m] at old + h, copy 2m + 1 at old - h.
+    def probe_losses(self, arr, where, h: float):
+        """``(f_plus, f_minus)``: for each flat index j of ``where`` into
+        ``arr``, an array of the layout's ``index``, the :func:`batch_loss`
+        with entry j moved to ``old + h`` and to ``old - h``. Its copies run
+        :data:`PROBE_CHUNK` at a time."""
+        start = self.layout.index[id(arr)][1]
+        where = np.asarray(where, dtype=np.intp)
+        old = arr.reshape(-1)[where]
+        # Copy 2m holds entry where[m] at old + h, copy 2m + 1 at old - h.
         values = np.stack([old + h, old - h], axis=1).reshape(-1)
-        where = np.repeat(idxs + (0 if k is None else k * param.size), 2)
+        where = np.repeat(where, 2)
         losses = np.empty(values.size)
         for lo in range(0, values.size, PROBE_CHUNK):
             chunk = slice(lo, lo + PROBE_CHUNK)
             count = values[chunk].size
             copies = np.repeat(arr[None], count, axis=0)
             copies.reshape(count, -1)[np.arange(count), where[chunk]] = values[chunk]
-            losses[chunk] = self._loss_from(layer, branch, lambda a: copies if a is arr else a)
+            losses[chunk] = self._loss_from(start, lambda a: copies if a is arr else a)
         return losses[0::2], losses[1::2]
 
-    def _loss_from(self, index, branch, lift):
-        """Per copy, the mean loss of a forward from layer ``index`` (-1: the input
-        projection) re-running its ``branch``; ``lift`` gives each copy's arrays."""
+    def _loss_from(self, start, lift):
+        """Per copy, the mean loss of a forward from layer ``start`` (-1: the
+        embedding, L: the readout alone); ``lift`` gives each copy's arrays."""
         model = self.model
         total = 0.0
-        for g, (_, graphs, targets) in enumerate(self.groups):
-            if index < 0:
-                h = model_embed(graphs, model, lift=lift)
-            elif index < len(model.layers):
-                layer = model.layers[index]
-                h, local, heads, merged = self.layers[g][index]
-                if branch == "mpnn":
-                    local = mpnn_forward(graphs, h, layer.mpnn, lift=lift)
-                if branch == "heads":
-                    heads = gated_head_forward(h, layer.attn, graphs.attn_mask,
-                                               lift=lift, n_graphs=graphs.size)[0]
-                if branch in ("heads", "w_o"):
-                    merged = merge_heads(heads, layer.attn.w_o, lift=lift)
-                h = gps_layer_combine(h, local, merged, layer, lift=lift)
-            else:
-                h = self.final[g]
-            for later in model.layers[index + 1:]:
-                h, _ = gps_layer_forward(graphs, h, later, lift=lift)
+        for (_, graphs, targets), states in zip(self.groups, self.hidden):
+            h = model_embed(graphs, model, lift=lift) if start < 0 else states[start]
+            for layer in model.layers[max(start, 0):]:
+                h, _ = gps_layer_forward(graphs, h, layer, lift=lift)
             pred = model_readout(h, model, lift=lift, n_graphs=graphs.size)
             total = total + _group_loss(pred, targets, self.loss)
         return total / len(self.batch)
@@ -305,8 +282,9 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     """Compare analytic gradients against central finite differences.
 
     ``sample`` >= 1 coordinates are drawn per parameter (deterministically
-    from ``seed``); ``sample=None`` checks every coordinate. A parameter's
-    probes run as one batched pass (:class:`_PlainForwardCache`), each loss
+    from ``seed``); ``sample=None`` checks every coordinate. The probes of
+    every parameter read through one array (a layer's K head slices of a
+    stack) run as one batched pass (:class:`_PlainForwardCache`), each loss
     bitwise the :func:`batch_loss` of the perturbed model; the model is only read.
     """
     if not (1e-7 <= h <= 1e-3):
@@ -316,21 +294,31 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     _, grads = loss_and_gradients(model, batch, loss=loss)
     cache = _PlainForwardCache(model, batch, loss)
     rng = SeededRng(seed)
-    max_rel = 0.0
-    worst_param = None
-    worst_index = None
-    n_checked = 0
-    param_rel: dict[str, float] = {}
+    drawn = {}  # name -> its checked flat coordinates
+    by_array = {}  # id of an array the forward reads -> (array, [(name, coordinates in it)])
     for name, arr in params.items():
-        analytic = grads[name].reshape(-1)
         size = arr.size
         if sample is None or sample >= size:
             idxs = np.arange(size)
         else:
             u = rng.uniform((size,))
             idxs = np.sort(np.argsort(u)[:sample])
-        f_plus, f_minus = cache.probe_losses(name, idxs, h)
-        a_vec, n_vec = analytic[idxs], (f_plus - f_minus) / (2.0 * h)
+        drawn[name] = idxs
+        stack, k = cache.layout.reads[name]
+        by_array.setdefault(id(stack), (stack, []))[1].append((name, idxs + (k or 0) * size))
+    numeric = {}
+    for stack, named in by_array.values():
+        names, wheres = zip(*named)
+        f_plus, f_minus = cache.probe_losses(stack, np.concatenate(wheres), h)
+        cuts = np.cumsum([where.size for where in wheres])[:-1]
+        numeric.update(zip(names, np.split((f_plus - f_minus) / (2.0 * h), cuts)))
+    max_rel = 0.0
+    worst_param = None
+    worst_index = None
+    n_checked = 0
+    param_rel: dict[str, float] = {}
+    for name, idxs in drawn.items():
+        a_vec, n_vec = grads[name].reshape(-1)[idxs], numeric[name]
         n_checked += idxs.size
         for j, a, n in zip(idxs, a_vec, n_vec):
             rel = abs(a - n) / max(abs(a), abs(n), 1e-12)
@@ -356,20 +344,13 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step: int
-    beta1: float
-    beta2: float
-    eps: float
     weight_decay: float
 
 
-def init_optimizer(params: ParamSet, weight_decay: float = 0.0,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> OptimizerState:
+def init_optimizer(params: ParamSet, weight_decay: float = 0.0) -> OptimizerState:
     size = params.total_count()
-    return OptimizerState(
-        m=np.zeros(size), v=np.zeros(size),
-        step=0, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
-    )
+    return OptimizerState(m=np.zeros(size), v=np.zeros(size), step=0,
+                          weight_decay=weight_decay)
 
 
 def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: float):
@@ -385,16 +366,16 @@ def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: f
         raise ValueError("the gradients are not laid out like the parameters")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     g, m, v = grads.flat, state.m, state.v
     if state.weight_decay:
         flat *= 1.0 - lr_t * state.weight_decay
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    flat -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    flat -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 

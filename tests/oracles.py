@@ -214,23 +214,14 @@ def dataclass_arrays(obj):
 
 
 def dataclass_probe_index(model):
-    """``id(array) -> (first layer that reads it, that layer's branches that
-    read it)`` for every array the layers hold (each attention stack once),
-    and ``(L, frozenset())`` for the readout's arrays."""
+    """``id(array) -> the first layer that reads it`` for every array the
+    layers hold (each attention stack once), and L for the readout's arrays."""
     index = {}
     for i, layer in enumerate(model.layers):
-        attn = layer.attn
-        stacks = [attn.w_q, attn.w_k, attn.w_v, attn.w_g, attn.w_g2, attn.b_g]
-        parts = {"mpnn": layer.mpnn, "heads": stacks, "w_o": attn.w_o,
-                 "combine": (layer.ffn, layer.ln1, layer.ln2)}
-        found = {}
-        for branch, part in parts.items():
-            for arr in dataclass_arrays(part):
-                found.setdefault(id(arr), set()).add(branch)
-        for key, branches in found.items():
-            index.setdefault(key, (i, frozenset(branches)))
+        for arr in dataclass_arrays(layer):
+            index.setdefault(id(arr), i)
     for arr in (model.w_head, model.b_head):
-        index.setdefault(id(arr), (len(model.layers), frozenset()))
+        index.setdefault(id(arr), len(model.layers))
     return index
 
 

@@ -550,6 +550,25 @@ class TestDiagnoseCommand:
         assert "node row 0 has a non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("edge_rows, message", [
+        ("1\n0 7\n", "edge row 0 joins (0, 7), outside nodes 0..2"),
+        ("2\n0 1\n-1 2\n", "edge row 1 joins (-1, 2), outside nodes 0..2"),
+    ], ids=["past-n", "negative"])
+    def test_edge_off_the_nodes_names_the_file_and_row(self, tmp_path, capsys, edge_rows,
+                                                       message):
+        model = init_model(SeededRng(5), d_in=2, d=8, n_heads=2, n_layers=1,
+                           gate=GateConfig())
+        model_path = tmp_path / "model.txt"
+        save_model(model, model_path)
+        graph = tmp_path / "graph.txt"
+        graph.write_text("3 2 0\n1 0\n0 1\n1 1\n" + edge_rows)
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"malformed graph file {graph}: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
 
     @pytest.mark.parametrize("param, row, edit, message", [
         ("layer0.ffn.w1", 3, "cut", "row 3: the file ends after 3 of 8 rows"),

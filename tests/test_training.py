@@ -293,9 +293,8 @@ def aliased_walk_model():
 
 def probe_index(layout):
     """The layout's ``index`` as :func:`oracles.dataclass_probe_index` gives
-    it: ``id -> (layer, branches)`` for every array after the input projection."""
-    return {key: (layer, frozenset() if branch is None else frozenset({branch}))
-            for key, (_, layer, branch, _, _) in layout.index.items() if layer >= 0}
+    it: ``id -> layer`` for every array after the input projection."""
+    return {key: layer for key, (_, layer, _, _) in layout.index.items() if layer >= 0}
 
 
 class TestParamWalk:
@@ -322,10 +321,10 @@ class TestParamWalk:
         assert set(got) == set(want)
         assert got == want
         assert [model.layout.index[id(arr)][1:3] for arr in (model.w_in, model.b_in)] == [
-            (-1, None), (-1, None)]
+            (-1, "input.w"), (-1, "input.b")]
 
     def test_an_array_read_under_two_names_cannot_reach_the_check(self):
-        # The probe index keeps one branch per array, so a model that reads an
+        # The probe index keeps one layer per array, so a model that reads an
         # array under two names is refused before anything is probed.
         model = aliased_walk_model()
         params = ParamSet.from_model(walk_model("g1", "per_head"))
@@ -516,38 +515,35 @@ class TestFiniteDifferenceCheck:
         graphs = batch[:2] + [(masked, 0.25)]
         cache = training._PlainForwardCache(model, graphs, "mae")
         rng = np.random.default_rng(0)
-        for name, arr in ParamSet.from_model(model).items():
-            idxs = rng.choice(arr.size, size=min(3, arr.size), replace=False)
-            got = cache.probe_losses(name, idxs, 1e-3)
+        unmoved = batch_loss(model, graphs, "mae")
+        for *_, name, arr in cache.layout.index.values():  # each array the forward reads
+            idxs = rng.choice(arr.size, size=min(5, arr.size), replace=False)
+            got = cache.probe_losses(arr, idxs, 1e-3)
             assert_same_losses(got, one_probe_losses(model, graphs, "mae", arr, idxs, 1e-3))
-            unmoved = batch_loss(model, graphs, "mae")
-            assert all(loss == unmoved for loss in cache.probe_losses(name, idxs, 0.0)[0]), name
+            assert all(loss == unmoved for loss in cache.probe_losses(arr, idxs, 0.0)[0]), name
 
     def test_cached_probe_over_node_count_groups_is_bitwise(self):
         model = tiny_model(seed=16, placement="g2")
         pairs = mixed_sizes_batch()
         cache = training._PlainForwardCache(model, pairs, "mse")
-        params = ParamSet.from_model(model)
-        for name in ("layer0.mpnn.w_edge", "layer0.attn.head2.w_g", "layer1.attn.w_o",
-                     "layer1.ln2.scale", "head.w"):
-            arr = params[name]
-            got = cache.probe_losses(name, [1], 1e-3)
-            assert_same_losses(got, one_probe_losses(model, pairs, "mse", arr, [1], 1e-3))
+        first, last = model.layers
+        for arr in (model.w_in, first.mpnn.w_edge, first.attn.w_g, last.attn.w_o,
+                    last.ln2.scale, model.w_head):
+            where = [1, arr.size - 1]  # in the W_g stack: head 0's and head 3's
+            got = cache.probe_losses(arr, where, 1e-3)
+            assert_same_losses(got, one_probe_losses(model, pairs, "mse", arr, where, 1e-3))
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
     def test_probe_index_covers_every_parameter(self, batch, placement, kw):
         model = tiny_model(seed=17, placement=placement, **kw)
         cache = training._PlainForwardCache(model, batch[:2], "mse")
-        branches = {"w_o": "w_o", "mpnn": "mpnn", "ffn": "combine", "ln1": "combine",
-                    "ln2": "combine"}
-        for name, (arr, _) in cache.layout.reads.items():  # a head's stack, not its slice
-            _, index, branch, _, _ = cache.layout.index[id(arr)]
+        for name, (arr, k) in cache.layout.reads.items():  # a head's stack, not its slice
+            _, layer, first, _ = cache.layout.index[id(arr)]
             if name.startswith(("input.", "head.")):
-                assert (index, branch) == (-1 if name[0] == "i" else 2, None), name
-                continue
-            part = name.split(".")[1] if ".attn." not in name else name.split(".")[2]
-            assert index == int(name[len("layer")]), name
-            assert branch == branches.get(part, "heads"), name
+                assert layer == (-1 if name[0] == "i" else 2), name
+            else:
+                assert layer == int(name[len("layer")]), name
+            assert first == (name if k is None else name.replace(f"head{k}.", "head0.")), name
 
     def test_report_deterministic_given_seed(self, batch):
         model = tiny_model(seed=8)
@@ -569,9 +565,10 @@ def walk_batch():
 
 
 class TestBatchedProbes:
-    """``_PlainForwardCache.probe_losses`` runs all probes of one array as
-    one pass over a copy axis; each loss is the one-probe oracle's
-    ``batch_loss`` bit for bit (tests/oracles.py)."""
+    """``_PlainForwardCache.probe_losses`` runs all probes of one array the
+    forward reads as one pass over a copy axis, from the layer that reads
+    it; each loss is the one-probe oracle's ``batch_loss`` bit for bit
+    (tests/oracles.py)."""
 
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_every_probe_loss_equals_the_one_probe_oracle(self, placement, sharing):
@@ -579,21 +576,50 @@ class TestBatchedProbes:
         pairs = walk_batch()
         cache = training._PlainForwardCache(model, pairs, "mse")
         rng = np.random.default_rng(1)
-        for name, arr in ParamSet.from_model(model).items():
-            idxs = np.sort(rng.choice(arr.size, size=min(2, arr.size), replace=False))
-            assert_same_losses(cache.probe_losses(name, idxs, 1e-5),
+        for *_, arr in cache.layout.index.values():  # a stack: both heads' entries
+            idxs = np.sort(rng.choice(arr.size, size=min(4, arr.size), replace=False))
+            assert_same_losses(cache.probe_losses(arr, idxs, 1e-5),
                                one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5))
 
-    def test_an_exhaustive_array_crosses_chunk_boundaries(self, batch):
-        model = init_model(SeededRng(18), d_in=4, d=16, n_heads=4, n_layers=2,
-                           gate=GateConfig(placement="g3"), d_ff=20)
-        arr = model.layers[0].ffn.w1
-        # 640 copies: two full chunks and a part of one.
+    def test_an_exhaustive_head_stack_crosses_chunk_boundaries(self, batch):
+        model = init_model(SeededRng(18), d_in=4, d=18, n_heads=3, n_layers=2,
+                           gate=GateConfig(placement="g3"))
+        arr = model.layers[0].attn.w_q
+        # 648 copies, 216 per head: two full chunks and a part of one, with
+        # both chunk boundaries inside a head's copies (head 1's and head 2's).
+        per_head = 2 * arr[0].size
         assert 2 * training.PROBE_CHUNK < 2 * arr.size < 3 * training.PROBE_CHUNK
+        assert [c * training.PROBE_CHUNK // per_head for c in (1, 2)] == [1, 2]
+        assert all(c * training.PROBE_CHUNK % per_head for c in (1, 2))
         idxs = np.arange(arr.size)
         cache = training._PlainForwardCache(model, batch[:1], "mse")
-        assert_same_losses(cache.probe_losses("layer0.ffn.w1", idxs, 1e-5),
+        assert_same_losses(cache.probe_losses(arr, idxs, 1e-5),
                            one_probe_losses(model, batch[:1], "mse", arr, idxs, 1e-5))
+
+    def test_the_check_makes_one_pass_per_array_read(self, batch, monkeypatch):
+        # Two g1/per_head layers of four heads: each layer's 20 head
+        # parameters are slices of its Q, K, V, W_g and b_g stacks.
+        model = tiny_model(seed=21)
+        params = ParamSet.from_model(model)
+        probed, passes = [], []
+        cache_type = training._PlainForwardCache
+        probe, loss_from = cache_type.probe_losses, cache_type._loss_from
+
+        def counted_probe(cache, arr, *args):
+            probed.append(arr)
+            return probe(cache, arr, *args)
+
+        def counted_pass(cache, *args):
+            passes.append(args)
+            return loss_from(cache, *args)
+
+        monkeypatch.setattr(cache_type, "probe_losses", counted_probe)
+        monkeypatch.setattr(cache_type, "_loss_from", counted_pass)
+        report = finite_difference_check(model, params, batch[:2], sample=2, seed=3)
+        assert (len(passes), len(params.names)) == (36, 66)
+        assert [id(arr) for arr in probed] == list(model.layout.index)
+        monkeypatch.undo()
+        assert report == one_probe_fd_check(model, params, batch[:2], sample=2, seed=3)
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g2", {"sharing": "shared"})])
     def test_the_check_never_writes_into_the_model(self, batch, placement, kw):
@@ -627,7 +653,7 @@ class TestAdamW:
         ones = ParamSet({"w": np.ones((2, 2))})
         state = init_optimizer(params)
         adamw_step(params, ones, state, lr_t=1e-3)
-        expected = -1e-3 / (1.0 + state.eps)
+        expected = -1e-3 / (1.0 + training.ADAM_EPS)
         assert np.allclose(params["w"], expected, rtol=1e-12)
 
     def test_decoupled_decay_is_pure_shrink_without_gradients(self):
@@ -647,7 +673,7 @@ class TestAdamW:
         # independent textbook Adam trajectory
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
-        lr, b1, b2, eps = 1e-3, state.beta1, state.beta2, state.eps
+        lr, b1, b2, eps = 1e-3, training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
         for t in range(1, 11):
             grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
             adamw_step(params, ParamSet(grads), state, lr_t=lr)
