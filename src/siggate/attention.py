@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import numeric
 from .numeric import SeededRng, ShapeError, carve, fill_gaussian
 
 __all__ = [
@@ -150,11 +151,6 @@ def _validate_mhsa(n_features: int, params: MhsaParams) -> None:
 # the head axis; each copy then runs on slices of these same shapes.
 
 
-def _stacks(params, names, lift):
-    """The lifted stacks ``names`` of a layer's :class:`MhsaParams`."""
-    return [lift(getattr(params, name)) for name in names]
-
-
 def _by_graph(x, n_graphs: int):
     """The K x N x k stack as K x B x n x k, ``n_graphs`` = B graphs of n rows.
 
@@ -162,72 +158,107 @@ def _by_graph(x, n_graphs: int):
     """
     if n_graphs == 1:
         return x
-    *lead, rows, cols = ad.value(x).shape
-    return ad.reshape(x, (*lead, n_graphs, rows // n_graphs, cols))
+    *lead, rows, cols = x.shape
+    return x.reshape((*lead, n_graphs, rows // n_graphs, cols))
 
 
 def _scores(a, b, d_k: int, n_graphs: int):
-    """``a b^T / sqrt(d_k)`` between the rows of each graph, per head."""
-    prod = ad.matmul(_by_graph(a, n_graphs), ad.transpose(_by_graph(b, n_graphs)))
-    return ad.mul(prod, 1.0 / np.sqrt(d_k))
+    """``(a b^T / sqrt(d_k), back)`` between the rows of each graph, per head;
+    ``back`` maps the scores' gradient to the gradients of ``a`` and ``b``."""
+    a_b, b_t = _by_graph(a, n_graphs), _by_graph(b, n_graphs).swapaxes(-1, -2)
+    scale = 1.0 / np.sqrt(d_k)
 
+    def back(g):
+        da, db_t = ad.matmul_vjp(g * scale, a_b, b_t)
+        return da.reshape(a.shape), db_t.swapaxes(-1, -2).reshape(b.shape)
 
-def _attend(attention, v, n_graphs: int):
-    """``attention @ v`` per head and graph, returned as K x N x d_k."""
-    out = ad.matmul(attention, _by_graph(v, n_graphs))
-    if n_graphs == 1:
-        return out
-    shape = ad.value(out).shape
-    return ad.reshape(out, shape[:-3] + (-1, shape[-1]))
+    return numeric.matmul(a_b, b_t) * scale, back
 
 
 def _softmax(logits, mask):
     """Row softmax of every head's logits; all heads read the same mask."""
     if mask is not None:
-        mask = np.tile(mask, (ad.value(logits).size // mask.size, 1))
+        mask = np.tile(mask, (logits.size // mask.size, 1))
     return ad.row_softmax(logits, mask)
 
 
-def _value_gate(h, w_g, b_g, activation: str):
-    # G x N x d_k gate values act(H W_g + b_g).
-    shape = np.shape(ad.value(b_g))
-    b = ad.reshape(b_g, shape[:-1] + (1, shape[-1]))
-    return ad.apply_activation(activation, ad.add(ad.matmul(h, w_g), b))
+def _gate(h, stacks, cfg: GateConfig, n_graphs: int):
+    """``(gate, back)``: g1/g2's G x N x d_k act(H W_g + b_g), or g3's G x (B x)
+    n x n gate; ``back(dgate)`` is ``(h's terms, the gate stacks' gradients)``."""
+    w_g, b_g = stacks["w_g"], stacks["b_g"]
+    z = numeric.matmul(h, w_g)
+    trailing = (1, b_g.shape[-1])
+    if cfg.placement == "g3":
+        w_g2 = stacks["w_g2"]
+        z, scores_back = _scores(z, numeric.matmul(h, w_g2), w_g.shape[-1], n_graphs)
+        trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
+    b = b_g.reshape(b_g.shape[:-1] + trailing)
+    gate, act_back = ad.activation_vjp(cfg.activation, z + b)
+
+    def back(dgate):
+        dz = act_back(dgate)
+        db = ad._unbroadcast(dz, b.shape).reshape(b_g.shape)
+        if cfg.placement != "g3":
+            dh, dw_g = ad.matmul_vjp(dz, h, w_g)
+            return [dh], [dw_g, db]
+        dz1, dz2 = scores_back(dz)
+        (dh1, dw_g), (dh2, dw_g2) = ad.matmul_vjp(dz1, h, w_g), ad.matmul_vjp(dz2, h, w_g2)
+        return [dh1, dh2], [dw_g, dw_g2, db]
+
+    return gate, back
 
 
-def _logit_gate(h, w_g, w_g2, b_g, activation: str, n_graphs: int):
-    # G x (B x) n x n gate matching the logits, from two d x d_k projections.
-    d_k = np.shape(ad.value(w_g))[-1]
-    z = _scores(ad.matmul(h, w_g), ad.matmul(h, w_g2), d_k, n_graphs)
-    trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
-    b = ad.reshape(b_g, np.shape(ad.value(b_g))[:-1] + trailing)
-    return ad.apply_activation(activation, ad.add(z, b))
-
-
-def _heads_pass(h, heads, mask, lift, n_graphs):
-    """``(output, attention, gate)`` stacks of every head under the placement."""
-    cfg = heads.gate
+def _heads_pass(h, cfg: GateConfig, stacks, mask, n_graphs):
+    """``(output, attention, gate, back)`` of every head, on the plain arrays
+    ``stacks`` (by field name). ``back(g)`` gives ``h``'s term for each of
+    its products, in the order an op-by-op tape summed them (Q, K, V, gate
+    for g1/none; Q, K, gate, V for g2; W_g, W_g2, Q, K, V for g3), then each
+    stack's gradient in field order, all in the single ops' arithmetic."""
     placement = cfg.placement
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}")
-    if np.ndim(ad.value(h)) > 2:  # tape-free copies of the input: add the head axis
+    if np.ndim(h) > 2:  # tape-free copies of the input: add the head axis
         h = h[..., None, :, :]
-    w_q, w_k, w_v = _stacks(heads, _QKV, lift)
-    q, k, v = ad.matmul(h, w_q), ad.matmul(h, w_k), ad.matmul(h, w_v)
-    raw = _scores(q, k, np.shape(ad.value(w_q))[-1], n_graphs)
-    gate = None
+    w_q, w_k, w_v = (stacks[name] for name in _QKV)
+    q, k, v0 = numeric.matmul(h, w_q), numeric.matmul(h, w_k), numeric.matmul(h, w_v)
+    raw0, scores_back = _scores(q, k, w_q.shape[-1], n_graphs)
+    raw, v, gate = raw0, v0, None
     if placement == "g3":
-        gate = _logit_gate(h, *_stacks(heads, _GATE_FIELDS, lift), cfg.activation, n_graphs)
-        raw = ad.mul(gate, raw)
+        gate, gate_back = _gate(h, stacks, cfg, n_graphs)
+        raw = gate * raw0
     attention = _softmax(raw, mask)
     if placement == "g2":
-        gate = _value_gate(h, *_stacks(heads, ("w_g", "b_g"), lift), cfg.activation)
-        v = ad.mul(gate, v)
-    out = _attend(attention, v, n_graphs)
+        gate, gate_back = _gate(h, stacks, cfg, n_graphs)
+        v = gate * v0
+    v_b = _by_graph(v, n_graphs)
+    out_b = numeric.matmul(attention, v_b)
+    out0 = out = out_b.reshape(out_b.shape[:-3] + (-1, out_b.shape[-1])) if n_graphs > 1 else out_b
     if placement == "g1":
-        gate = _value_gate(h, *_stacks(heads, ("w_g", "b_g"), lift), cfg.activation)
-        out = ad.mul(out, gate)
-    return out, attention, gate
+        gate, gate_back = _gate(h, stacks, cfg, n_graphs)
+        out = out0 * gate
+
+    def back(g):
+        if placement == "g1":
+            g, dgate = ad.mul_vjp(g, out0, gate)
+        dp, dv_b = ad.matmul_vjp(g.reshape(out_b.shape), attention, v_b)
+        dv = dv_b.reshape(v.shape)
+        if placement == "g2":
+            dgate, dv = ad.mul_vjp(dv, gate, v0)
+        t = dp * attention
+        draw = t - attention * t.sum(axis=-1, keepdims=True)
+        if placement == "g3":
+            dgate, draw = ad.mul_vjp(draw, gate, raw0)
+        (dh_q, dw_q), (dh_k, dw_k), (dh_v, dw_v) = (
+            ad.matmul_vjp(d, h, w) for d, w in zip((*scores_back(draw), dv), (w_q, w_k, w_v)))
+        terms, grads = [dh_q, dh_k, dh_v], [dw_q, dw_k, dw_v]
+        if gate is not None:
+            dh_gate, gate_grads = gate_back(dgate)
+            at = {"g1": 3, "g2": 2, "g3": 0}[placement]
+            terms[at:at] = dh_gate
+            grads += gate_grads
+        return terms + grads
+
+    return out, attention, gate, back
 
 
 def gated_head_forward(h, heads: MhsaParams, mask=None, *, lift=ad.no_tape, n_graphs: int = 1):
@@ -238,7 +269,7 @@ def gated_head_forward(h, heads: MhsaParams, mask=None, *, lift=ad.no_tape, n_gr
     traces)``: the K x N x d_k output stack and one :class:`HeadTrace` per
     head. With placement ``none`` each head is plain scaled dot-product
     attention, ``softmax(Q K^T / sqrt(d_k)) V``, whose attention rows are
-    stochastic with masked entries exactly 0.
+    stochastic with masked entries exactly 0. Taped, the output is one node.
 
     ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
     nodes attend only within their own graph. ``mask`` is N x n, the graphs'
@@ -246,19 +277,22 @@ def gated_head_forward(h, heads: MhsaParams, mask=None, *, lift=ad.no_tape, n_gr
     N x d_k, the attention and the g3 gate n x n per graph (B x n x n for
     B > 1).
     """
-    out, attention, gate = _heads_pass(h, heads, mask, lift, n_graphs)
+    names = heads.stacked_fields()
+    stacks = [lift(getattr(heads, name)) for name in names]
+    out, attention, gate, back = _heads_pass(
+        ad.value(h), heads.gate, dict(zip(names, map(ad.value, stacks))), mask, n_graphs)
     square = 3 if n_graphs == 1 else 4  # axes from the head axis on of an n x n stack
-    k = np.shape(ad.value(out))[-3]
+    k = out.shape[-3]
     gates = ([None] * k if gate is None
              else _per_head(gate, k, square if heads.gate.placement == "g3" else 3))
     traces = [HeadTrace(attention=a, gate=g, output=o)
               for a, g, o in zip(_per_head(attention, k, square), gates, _per_head(out, k, 3))]
-    return out, traces
+    products = len(names) - ("b_g" in names)  # h times each weight stack
+    return ad.fused(out, [h] * products + stacks, back), traces
 
 
 def _per_head(x, heads: int, axes: int):
     """Each head's part of a stack with its head axis ``axes`` from the end."""
-    x = np.asarray(ad.value(x))
     lead = (slice(None),) * (x.ndim - axes)
     return [x[lead + (k if x.shape[-axes] > 1 else 0,)] for k in range(heads)]
 
@@ -270,13 +304,22 @@ def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, n_graphs:
     one :class:`HeadTrace` per head in head order. ``h`` holds the rows of
     ``n_graphs`` graphs of equal size (see :func:`gated_head_forward`). All
     heads run as one stacked pass (:func:`gated_head_forward` on ``params``).
+    Taped, ``out`` is one node, in place of the heads' node.
     """
     rows, n_features = ad.value(h).shape[-2:]
     _validate_mhsa(n_features, params)
     if n_graphs < 1 or rows % n_graphs:
         raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
     outs, traces = gated_head_forward(h, params, mask, lift=lift, n_graphs=n_graphs)
-    return ad.matmul(ad.merge_stack(outs), lift(params.w_o)), traces
+    w_o = lift(params.w_o)
+    merged, merge_back = ad.merge_stack_vjp(ad.value(outs))
+    heads, head_terms = ad.inline(outs)
+
+    def back(g):
+        dmerged, dw_o = ad.matmul_vjp(g, merged, ad.value(w_o))
+        return [*head_terms(merge_back(dmerged)), dw_o]
+
+    return ad.fused(numeric.matmul(merged, ad.value(w_o)), [*heads, w_o], back), traces
 
 
 def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:

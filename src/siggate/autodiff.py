@@ -4,8 +4,11 @@ Every op in this module accepts a mix of :class:`Var` nodes and plain
 arrays/scalars. If no argument is a ``Var`` the op computes eagerly and
 returns a plain array, so forward-only code pays nothing; if any argument
 is a ``Var`` the op records a node with the vector-Jacobian products
-needed for the backward sweep. The model code is therefore written once
-and serves both the fast inference path and exact gradient computation.
+needed for the backward sweep. A composite op (a GPS layer and its
+branches) is one :func:`fused` node: its forward runs on plain arrays,
+keeping what its closed-form VJP reads, and the VJP composes the
+``*_vjp`` forms of the ops here, in their arithmetic. So the model's
+forward is written once and serves both paths.
 """
 
 from __future__ import annotations
@@ -47,6 +50,15 @@ __all__ = [
     "layer_norm",
     "row_softmax",
     "apply_activation",
+    "fused",
+    "inline",
+    "mul_vjp",
+    "matmul_vjp",
+    "linear_vjp",
+    "merge_stack_vjp",
+    "gelu_vjp",
+    "layer_norm_vjp",
+    "activation_vjp",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -54,14 +66,17 @@ _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
 class Var:
-    """A node in the computation graph: a value plus backward edges."""
+    """A node in the computation graph: a value plus backward edges, each a
+    ``(parent, vjp)`` pair, or for a :func:`fused` node a ``(parent, index)``
+    pair into the terms its ``joint`` VJP gives at once."""
 
-    __slots__ = ("value", "parents", "grad")
+    __slots__ = ("value", "parents", "grad", "joint")
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, parents=(), joint=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = parents  # tuple of (Var, vjp) pairs
+        self.parents = parents
         self.grad = None
+        self.joint = joint
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
@@ -120,9 +135,16 @@ def backward(root: Var) -> None:
         g = node.grad
         if g is None:
             continue
-        for parent, vjp in node.parents:
-            pg = vjp(g)
+        for (parent, _), pg in zip(node.parents, _terms(node, g)):
             parent.grad = pg if parent.grad is None else parent.grad + pg
+
+
+def _terms(node: Var, g) -> list:
+    """Each parent's gradient term for the gradient ``g`` of ``node``, in parent order."""
+    if node.joint is None:
+        return [vjp(g) for _, vjp in node.parents]
+    terms = node.joint(g)
+    return [terms[i] for _, i in node.parents]
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +156,26 @@ def _node(out, *edges):
     """A node over ``out`` whose parents are the Var operands among
     ``edges``, each an (operand, vjp) pair."""
     return Var(out, tuple((x, vjp) for x, vjp in edges if type(x) is Var))
+
+
+def fused(out, operands, vjp):
+    """One node over ``out`` for a composite op: ``vjp(g)`` returns a gradient
+    term for each of ``operands``, in their order, and the node's parents
+    are the Var operands. An operand listed twice gets two terms, which the
+    sweep adds in that order. With no Var among ``operands`` this is ``out``."""
+    if not _tracked(*operands):
+        return out
+    return Var(out, tuple((x, i) for i, x in enumerate(operands) if type(x) is Var), vjp)
+
+
+def inline(x):
+    """``(operands, terms)`` of node ``x``: its parents, and ``terms(g)``, their
+    gradient terms for the gradient ``g`` of ``x``. A :func:`fused` node that
+    lists these operands and these terms takes ``x``'s place on the tape
+    with the same sums. A plain array has neither."""
+    if type(x) is not Var:
+        return [], lambda g: []
+    return [p for p, _ in x.parents], lambda g: _terms(x, g)
 
 
 def add(a, b):
@@ -154,10 +196,12 @@ def sub(a, b):
 
 def mul(a, b):
     av, bv = value(a), value(b)
-    if not _tracked(a, b):
-        return av * bv
-    return _node(av * bv, (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(g * o, s)),
-                 (b, lambda g, o=av, s=np.shape(bv): _unbroadcast(g * o, s)))
+    return fused(av * bv, (a, b), lambda g: mul_vjp(g, av, bv))
+
+
+def mul_vjp(g, a, b):
+    """``(∂a, ∂b)`` of ``a * b`` for the product's gradient ``g``."""
+    return _unbroadcast(g * b, np.shape(a)), _unbroadcast(g * a, np.shape(b))
 
 
 def div(a, b):
@@ -177,14 +221,13 @@ def matmul(a, b):
     operand's gradient is summed over the axes it was broadcast along.
     """
     av, bv = value(a), value(b)
-    out = numeric.matmul(av, bv)
-    if not _tracked(a, b):
-        return out
-    return _node(
-        out,
-        (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(np.matmul(g, o.swapaxes(-1, -2)), s)),
-        (b, lambda g, o=av, s=np.shape(bv): _unbroadcast(np.matmul(o.swapaxes(-1, -2), g), s)),
-    )
+    return fused(numeric.matmul(av, bv), (a, b), lambda g: matmul_vjp(g, av, bv))
+
+
+def matmul_vjp(g, a, b):
+    """``(∂a, ∂b)`` of ``a @ b`` (arrays) for the product's gradient ``g``."""
+    return (_unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a.shape),
+            _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b.shape))
 
 
 def _per_row(v):
@@ -196,15 +239,19 @@ def linear(x, w, b):
     """``x @ w + b`` as one node: the matrix product (shape-checked as in
     :func:`matmul`) plus a bias broadcast over the rows. Tape-free, each
     operand may carry a stack of copies along leading axes."""
-    xv, wv, bv = value(x), value(w), value(b)
-    prod = numeric.matmul(xv, wv)
+    out, back = linear_vjp(value(x), value(w), value(b))
     if not _tracked(x, w, b):
-        return prod + _per_row(bv)
-    if prod.ndim != 2:
+        return out
+    if out.ndim != 2:
         raise numeric.ShapeError("a taped linear multiplies matrices; stacks go through matmul")
-    out = prod + bv
-    return _node(out, (x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
-                 (b, lambda g, s=np.shape(bv): _unbroadcast(g, s)))
+    return fused(out, (x, w, b), back)
+
+
+def linear_vjp(x, w, b):
+    """``(x @ w + b, back)`` on plain arrays, ``back(g)`` giving ``(∂x, ∂w, ∂b)``
+    of matrices."""
+    out = numeric.matmul(x, w) + _per_row(b)
+    return out, lambda g: (g @ w.T, x.T @ g, _unbroadcast(g, np.shape(b)))
 
 
 def transpose(x):
@@ -252,12 +299,15 @@ def merge_stack(x):
     """A stack of K matrices of shape n x m laid side by side: n x (K·m),
     with matrix k in columns k·m ... (k+1)·m - 1. Tape-free, axes before
     the K axis are a stack of copies, each merged on its own."""
-    xv = value(x)
-    *lead, heads, rows, cols = xv.shape
-    out = xv.swapaxes(-3, -2).reshape((*lead, rows, heads * cols))
-    if type(x) is not Var:
-        return out
-    return Var(out, ((x, lambda g: np.asarray(g).reshape(rows, heads, cols).transpose(1, 0, 2)),))
+    out, back = merge_stack_vjp(value(x))
+    return out if type(x) is not Var else Var(out, ((x, back),))
+
+
+def merge_stack_vjp(x):
+    """``(merge_stack(x), back)`` on a plain array."""
+    *lead, heads, rows, cols = x.shape
+    return (x.swapaxes(-3, -2).reshape((*lead, rows, heads * cols)),
+            lambda g: np.asarray(g).reshape(rows, heads, cols).transpose(1, 0, 2))
 
 
 def concat(parts, axis=-1):
@@ -265,8 +315,10 @@ def concat(parts, axis=-1):
     copies along leading axes broadcast the parts that have no such axes."""
     vals = [value(p) for p in parts]
     if not _tracked(*parts):
-        lead = np.broadcast_shapes(*(np.shape(v)[:-2] for v in vals))
-        return np.concatenate([np.broadcast_to(v, lead + np.shape(v)[-2:]) for v in vals], axis)
+        if any(np.ndim(v) > 2 for v in vals):
+            lead = np.broadcast_shapes(*(np.shape(v)[:-2] for v in vals))
+            vals = [np.broadcast_to(v, lead + np.shape(v)[-2:]) for v in vals]
+        return np.concatenate(vals, axis)
     out = np.concatenate(vals, axis=axis)
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
     parents = []
@@ -368,15 +420,17 @@ def gelu(x):
     ``u = x/√2``, evaluated in the order the chain rule through those
     factors gives.
     """
-    xv = np.asarray(value(x), dtype=np.float64)
-    half = xv * 0.5
-    u = xv * _INV_SQRT2
+    out, back = gelu_vjp(np.asarray(value(x), dtype=np.float64))
+    return out if type(x) is not Var else Var(out, ((x, back),))
+
+
+def gelu_vjp(x):
+    """``(gelu(x), back)`` on a plain array (see :func:`gelu`)."""
+    half = x * 0.5
+    u = x * _INV_SQRT2
     s = _erf(u) + 1.0
-    out = half * s
-    if type(x) is not Var:
-        return out
-    return Var(out, ((x, lambda g: g * s * 0.5
-                      + g * half * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT2),))
+    return half * s, lambda g: (g * s * 0.5
+                                + g * half * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT2)
 
 
 def layer_norm(h, scale, shift, eps):
@@ -390,27 +444,29 @@ def layer_norm(h, scale, shift, eps):
     σ raises :class:`~siggate.numeric.NonFiniteInputError` naming the row. A
     row holding NaN stays NaN for the checks downstream to name.
     """
-    hv, sv, bv = value(h), value(scale), value(shift)
-    cols = float(np.shape(hv)[-1])
-    centered = hv - np.sum(hv, axis=-1, keepdims=True) / cols
-    std = np.sqrt(np.sum(np.square(centered), axis=-1, keepdims=True) / cols + eps)
+    out, back = layer_norm_vjp(value(h), value(scale), value(shift), eps)
+    return fused(out, (h, scale, shift), back)
+
+
+def layer_norm_vjp(h, scale, shift, eps):
+    """``(layer_norm(h, scale, shift, eps), back)`` on plain arrays, ``back(g)``
+    giving ``(∂h, ∂scale, ∂shift)`` of a matrix ``h``."""
+    cols = float(h.shape[-1])
+    centered = h - h.sum(axis=-1, keepdims=True) / cols
+    std = np.sqrt(np.square(centered).sum(axis=-1, keepdims=True) / cols + eps)
     if np.isinf(std).any():
         row = int(np.flatnonzero(np.isinf(std))[0])
         raise numeric.NonFiniteInputError(
             f"layer_norm: row {row} has an infinite standard deviation (its variance overflows)")
     normed = centered / std
-    if not _tracked(h, scale, shift):
-        return normed * _per_row(sv) + _per_row(bv)
-    out = normed * sv + bv
 
-    def dh(g):
-        gn = g * sv
-        return (gn - np.mean(gn, axis=-1, keepdims=True)
-                - normed * np.mean(gn * normed, axis=-1, keepdims=True)) / std
+    def back(g):
+        gn = g * scale  # the means over a row are its sums over ``cols``, as ``np.mean`` has them
+        return ((gn - gn.sum(axis=-1, keepdims=True) / cols
+                 - normed * ((gn * normed).sum(axis=-1, keepdims=True) / cols)) / std,
+                _unbroadcast(g * normed, scale.shape), _unbroadcast(g, shift.shape))
 
-    return _node(out, (h, dh),
-                 (scale, lambda g, s=np.shape(sv): _unbroadcast(g * normed, s)),
-                 (shift, lambda g, s=np.shape(bv): _unbroadcast(g, s)))
+    return normed * _per_row(scale) + _per_row(shift), back
 
 
 def row_softmax(logits, mask=None):
@@ -445,3 +501,19 @@ def apply_activation(name: str, x):
     if name == "sigmoid_squared":
         return square(sigmoid(x))
     raise ValueError(f"unknown activation {name!r}")
+
+
+def activation_vjp(name: str, x):
+    """``(act(x), back)`` of a plain array: :func:`apply_activation` on a leaf
+    of its own, ``back`` running its chain of VJPs down to the leaf."""
+    leaf = Var(x)
+    out = apply_activation(name, leaf)
+
+    def back(g):
+        node = out
+        while node is not leaf:
+            ((node, vjp),) = node.parents
+            g = vjp(g)
+        return g
+
+    return out.value, back

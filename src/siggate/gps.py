@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import GateConfig, HeadTrace, MhsaParams, mhsa_skeleton, siggate_mhsa
-from .numeric import SeededRng, ShapeError, carve, fill_gaussian, fmt_exact
+from .numeric import NonFiniteInputError, SeededRng, ShapeError, carve, fill_gaussian, fmt_exact
 
 __all__ = [
     "LN_EPS",
@@ -43,6 +43,7 @@ __all__ = [
     "gps_layer_forward",
     "model_forward",
     "batch_forward",
+    "run_layers",
     "model_embed",
     "model_readout",
     "model_skeleton",
@@ -255,10 +256,12 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
     """Edge-gated local aggregation; isolated nodes receive zeros.
 
     ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch`; ``h`` holds
-    one row per node (the stacked rows of a batch).
+    one row per node (the stacked rows of a batch). Taped, the output is
+    one node, over ``h`` (its dst-gather term, then its src-gather term).
     """
     graphs = _as_batch(g)
-    d = ad.value(h).shape[-1]
+    hv = ad.value(h)
+    d = hv.shape[-1]
     want = 2 * d + graphs.d_e
     if p.w_edge.shape[0] != want:
         raise ShapeError(
@@ -269,37 +272,59 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
         raise ShapeError(f"w_val expects {p.w_val.shape[0]} features, hidden has {d}")
     if not graphs.src.size:
         return np.zeros((graphs.rows, p.w_val.shape[1]))
-    h_dst = ad.take_rows(h, graphs.dst)
-    h_src = ad.take_rows(h, graphs.src)
-    parts = [h_dst, h_src]
+    w_edge, w_val = lift(p.w_edge), lift(p.w_val)
+    w_e, w_v = ad.value(w_edge), ad.value(w_val)
+    h_src = ad.take_rows(hv, graphs.src)
+    parts = [ad.take_rows(hv, graphs.dst), h_src]
     if graphs.edge_features is not None:
         parts.append(graphs.edge_features)
-    gate = ad.sigmoid(ad.matmul(ad.concat(parts), lift(p.w_edge)))
-    messages = ad.mul(gate, ad.matmul(h_src, lift(p.w_val)))
-    return ad.scatter_rows(messages, graphs.dst, graphs.rows)
+    cat = ad.concat(parts)
+    gate = ad.sigmoid(ad.matmul(cat, w_e))
+    val = ad.matmul(h_src, w_v)
 
+    def back(g):
+        dgate, dval = ad.mul_vjp(np.asarray(g)[graphs.dst], gate, val)
+        dcat, dw_e = ad.matmul_vjp(dgate * gate * (1.0 - gate), cat, w_e)
+        dh_src, dw_v = ad.matmul_vjp(dval, h_src, w_v)
+        return (ad._scatter_add(dcat[:, :d], graphs.dst, graphs.rows),
+                ad._scatter_add(dcat[:, d:2 * d] + dh_src, graphs.src, graphs.rows), dw_e, dw_v)
 
-def _ffn_forward(h, p: FfnParams, lift):
-    hidden = ad.gelu(ad.linear(h, lift(p.w1), lift(p.b1)))
-    return ad.linear(hidden, lift(p.w2), lift(p.b2))
+    out = ad.scatter_rows(ad.mul(gate, val), graphs.dst, graphs.rows)
+    return ad.fused(out, [h, h, w_edge, w_val], back)
 
 
 def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape):
     """One block: residual sum of branches, then ln2(ffn(ln1(s)) + ln1(s)).
 
     ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch` whose
-    stacked rows ``h`` holds.
+    stacked rows ``h`` holds. Taped, the block is one node over ``h`` and
+    its lifted arrays, in place of the MPNN's and the attention's nodes:
+    ``h``'s terms are the residual, the MPNN's, then the attention's.
     """
     graphs = _as_batch(g)
     local = mpnn_forward(graphs, h, p.mpnn, lift=lift)
     global_attn, head_traces = siggate_mhsa(h, p.attn, graphs.attn_mask, lift=lift,
                                             n_graphs=graphs.size)
-    s = ad.add(ad.add(h, local), global_attn)
-    t = layer_norm(s, lift(p.ln1.scale), lift(p.ln1.shift))
-    h_next = layer_norm(ad.add(_ffn_forward(t, p.ffn, lift), t),
-                        lift(p.ln2.scale), lift(p.ln2.shift))
-    entry = LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=head_traces)
-    return h_next, entry
+    leaves = [lift(arr) for arr in (p.ln1.scale, p.ln1.shift, p.ffn.w1, p.ffn.b1,
+                                    p.ffn.w2, p.ffn.b2, p.ln2.scale, p.ln2.shift)]
+    scale1, shift1, w1, b1, w2, b2, scale2, shift2 = map(ad.value, leaves)
+    s = ad.value(h) + ad.value(local) + ad.value(global_attn)
+    t, ln1_back = ad.layer_norm_vjp(s, scale1, shift1, LN_EPS)
+    pre, ffn1_back = ad.linear_vjp(t, w1, b1)
+    hidden, gelu_back = ad.gelu_vjp(pre)
+    ffn, ffn2_back = ad.linear_vjp(hidden, w2, b2)
+    h_next, ln2_back = ad.layer_norm_vjp(ffn + t, scale2, shift2, LN_EPS)
+    (mpnn, mpnn_terms), (attn, attn_terms) = ad.inline(local), ad.inline(global_attn)
+
+    def back(g):
+        du, *d_ln2 = ln2_back(g)
+        dhidden, *d_ffn2 = ffn2_back(du)
+        dt, *d_ffn1 = ffn1_back(gelu_back(dhidden))
+        ds, *d_ln1 = ln1_back(du + dt)
+        return [ds, *mpnn_terms(ds), *attn_terms(ds), *d_ln1, *d_ffn1, *d_ffn2, *d_ln2]
+
+    entry = LayerTraceEntry(hidden=h_next, head_traces=head_traces)
+    return ad.fused(h_next, [h, *mpnn, *attn, *leaves], back), entry
 
 
 def model_forward(g: GraphInstance, model: ModelParams, *, lift=ad.no_tape):
@@ -326,10 +351,20 @@ def batch_forward(graphs: GraphBatch, model: ModelParams, *, lift=ad.no_tape):
         raise ValueError(f"readout must be one of {READOUTS}, got {model.readout!r}")
     h = model_embed(graphs, model, lift=lift)
     trace = LayerTrace()
-    for layer in model.layers:
-        h, entry = gps_layer_forward(graphs, h, layer, lift=lift)
+    for h, entry in run_layers(graphs, h, model.layers, lift=lift):
         trace.append(entry)
     return model_readout(h, model, lift=lift, n_graphs=graphs.size), trace
+
+
+def run_layers(graphs: GraphBatch, h, layers, *, lift=ad.no_tape, first: int = 0):
+    """Yield ``(h, entry)`` after each layer from ``first`` on, ``h`` entering it;
+    a non-finite value layer i meets raises again as ``layer i: <message>``."""
+    for i, layer in enumerate(layers[first:], first):
+        try:
+            h, entry = gps_layer_forward(graphs, h, layer, lift=lift)
+        except (NonFiniteInputError, FloatingPointError) as exc:
+            raise type(exc)(f"layer {i}: {exc}") from exc
+        yield h, entry
 
 
 def model_embed(g, model: ModelParams, *, lift=ad.no_tape):
@@ -407,6 +442,10 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
     layout.index = {}
     for entry in zip(layout._starts, layer_of, names, arrays):
         layout.index.setdefault(id(entry[-1]), entry)  # a stack's first entry: its slice 0
+    at = np.arange(flat.size)
+    layout.slots = np.concatenate([np.ndarray(arr.shape, at.dtype, at, start * at.itemsize,
+                                              arr.strides).ravel()
+                                   for start, _, _, arr in layout.index.values()])
     layout.header = dict(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff,
                          d_e=d_e, out_dim=out_dim, readout=readout, **vars(gate))
     return model, draws
@@ -435,7 +474,9 @@ class ParamSet:
     reads; ``index``, by ``id`` of each array the forward reads, in carve
     order, ``(offset, layer, name, array)``: where in ``flat`` it starts (it
     is the view from there with its strides), the layer that reads it, and
-    its first parameter; and the dump ``header``."""
+    its first parameter; ``slots``, the positions in ``flat`` of those
+    arrays' entries, array after array, each in C order; and the dump
+    ``header``."""
 
     def __init__(self, items: dict[str, np.ndarray]):
         items = {name: np.asarray(a, dtype=np.float64) for name, a in items.items()}

@@ -22,12 +22,12 @@ from .gps import (
     ModelParams,
     ParamSet,
     batch_forward,
-    gps_layer_forward,
     init_model,
     model_embed,
     model_forward,  # noqa: F401 - kept importable from here; perfbench's tracer tests patch it
     model_readout,
     model_skeleton,
+    run_layers,
 )
 from .numeric import NonFiniteInputError, SeededRng, fmt_exact, write_csv
 
@@ -134,9 +134,9 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
 
     One taped pass per node count in the batch, one backward sweep. The
     tape's leaves are the arrays of the layout's ``index``, one ``Var``
-    each; the gradients are one vector laid out as ``model.layout``, each
-    leaf writing its gradient into the view of that vector at its recorded
-    offset, with the array's strides. Raises :class:`NonFiniteError` if the
+    each; the gradients are one vector laid out as ``model.layout``, the
+    leaves' gradients written into it at the layout's ``slots`` (where each
+    array's entries sit). Raises :class:`NonFiniteError` if the
     loss, an attention logit or any gradient is non-finite, naming the
     first non-finite parameter (or gradient) of the layout; and ValueError,
     as :meth:`ParamSet.from_model` does, if the model has no layout or
@@ -164,13 +164,13 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
                  else f"first non-finite parameter: {offender}")
         raise NonFiniteError(f"{exc}; {blame}", offender) from exc
     ad.backward(mean)
-    flat = np.zeros(layout.flat.size)
-    for (offset, *_, arr), leaf in zip(layout.index.values(), leaves.values()):
-        if leaf.grad is not None:
-            np.ndarray(arr.shape, buffer=flat, offset=offset * flat.itemsize,
-                       strides=arr.strides)[...] = leaf.grad
-    if any(leaf.grad is None for leaf in leaves.values()):
+    taped = [leaf.grad for leaf in leaves.values()]
+    if any(g is None for g in taped):
         ParamSet.from_model(model)  # an edgeless batch leaves the MPNN off; an alias raises
+        taped = [np.zeros(arr.shape) if g is None else g
+                 for (*_, arr), g in zip(layout.index.values(), taped)]
+    flat = np.zeros(layout.flat.size)
+    flat[layout.slots] = np.concatenate([np.ravel(g) for g in taped])
     grads = layout._like(flat)
     offender = grads.first_nonfinite()
     if offender is not None:
@@ -238,8 +238,7 @@ class _PlainForwardCache:
         self.hidden = []
         for _, graphs, _ in self.groups:
             states = [model_embed(graphs, model)]
-            for layer in model.layers:
-                states.append(gps_layer_forward(graphs, states[-1], layer)[0])
+            states += [h for h, _ in run_layers(graphs, states[0], model.layers)]
             self.hidden.append(states)
 
     def probe_losses(self, arr, where, h: float):
@@ -269,8 +268,8 @@ class _PlainForwardCache:
         total = 0.0
         for (_, graphs, targets), states in zip(self.groups, self.hidden):
             h = model_embed(graphs, model, lift=lift) if start < 0 else states[start]
-            for layer in model.layers[max(start, 0):]:
-                h, _ = gps_layer_forward(graphs, h, layer, lift=lift)
+            for h, _ in run_layers(graphs, h, model.layers, lift=lift, first=max(start, 0)):
+                pass
             pred = model_readout(h, model, lift=lift, n_graphs=graphs.size)
             total = total + _group_loss(pred, targets, self.loss)
         return total / len(self.batch)

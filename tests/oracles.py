@@ -21,7 +21,9 @@ parameter storage it keeps the Box-Muller formula of one
 ``gaussian_matrix`` call per weight, the gradients assembled name by name
 after the backward sweep of a forward with its own memoizing ``lift``
 (:class:`MemoLift`), and the loop that named the first non-finite
-parameter array by array.
+parameter array by array. For the tape it keeps the GPS layer composed of
+autodiff's ops, one tape node each (:func:`per_op_layer_forward`), whose
+gradients the one-node layer must give bit for bit.
 """
 
 import numpy as np
@@ -455,3 +457,86 @@ def first_nonfinite_by_loop(params):
         if not np.all(np.isfinite(arr)):
             return name
     return None
+
+
+# ---------------------------------------------------------------------------
+# The GPS layer as a composition of tape ops
+# ---------------------------------------------------------------------------
+#
+# ``gps.gps_layer_forward`` as it was written before the layer became one
+# tape node: every numpy op of the layer is an autodiff op, so a taped pass
+# records one node per op and the backward sweep sums each array's
+# gradient terms in the order its consumers come off the tape. The layer
+# node's closed-form VJP must give these gradients bit for bit.
+
+
+def _per_op_by_graph(x, n_graphs):
+    if n_graphs == 1:
+        return x
+    *lead, rows, cols = ad.value(x).shape
+    return ad.reshape(x, (*lead, n_graphs, rows // n_graphs, cols))
+
+
+def _per_op_scores(a, b, d_k, n_graphs):
+    prod = ad.matmul(_per_op_by_graph(a, n_graphs), ad.transpose(_per_op_by_graph(b, n_graphs)))
+    return ad.mul(prod, 1.0 / np.sqrt(d_k))
+
+
+def _per_op_heads(h, heads, mask, lift, n_graphs):
+    cfg = heads.gate
+    act = cfg.activation
+    w_q, w_k, w_v = (lift(getattr(heads, name)) for name in ("w_q", "w_k", "w_v"))
+    q, k, v = ad.matmul(h, w_q), ad.matmul(h, w_k), ad.matmul(h, w_v)
+    raw = _per_op_scores(q, k, np.shape(ad.value(w_q))[-1], n_graphs)
+
+    def value_gate():
+        b_g = lift(heads.b_g)
+        shape = np.shape(ad.value(b_g))
+        b = ad.reshape(b_g, shape[:-1] + (1, shape[-1]))
+        return ad.apply_activation(act, ad.add(ad.matmul(h, lift(heads.w_g)), b))
+
+    if cfg.placement == "g3":
+        w_g, w_g2, b_g = lift(heads.w_g), lift(heads.w_g2), lift(heads.b_g)
+        z = _per_op_scores(ad.matmul(h, w_g), ad.matmul(h, w_g2),
+                           np.shape(ad.value(w_g))[-1], n_graphs)
+        trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
+        b = ad.reshape(b_g, np.shape(ad.value(b_g))[:-1] + trailing)
+        raw = ad.mul(ad.apply_activation(act, ad.add(z, b)), raw)
+    if mask is not None:
+        mask = np.tile(mask, (ad.value(raw).size // mask.size, 1))
+    attention = ad.row_softmax(raw, mask)
+    if cfg.placement == "g2":
+        v = ad.mul(value_gate(), v)
+    out = ad.matmul(attention, _per_op_by_graph(v, n_graphs))
+    if n_graphs > 1:
+        shape = ad.value(out).shape
+        out = ad.reshape(out, shape[:-3] + (-1, shape[-1]))
+    if cfg.placement == "g1":
+        out = ad.mul(out, value_gate())
+    return out
+
+
+def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):
+    """One GPS block op by op: ``(h_next, entry)`` as ``gps.gps_layer_forward``
+    returns them, but with no head traces; taped, one node per op."""
+    from siggate.gps import LN_EPS, LayerTraceEntry, _as_batch
+
+    graphs = _as_batch(g)
+    local = np.zeros((graphs.rows, p.mpnn.w_val.shape[1]))
+    if graphs.src.size:
+        h_dst = ad.take_rows(h, graphs.dst)
+        h_src = ad.take_rows(h, graphs.src)
+        parts = [h_dst, h_src]
+        if graphs.edge_features is not None:
+            parts.append(graphs.edge_features)
+        gate = ad.sigmoid(ad.matmul(ad.concat(parts), lift(p.mpnn.w_edge)))
+        messages = ad.mul(gate, ad.matmul(h_src, lift(p.mpnn.w_val)))
+        local = ad.scatter_rows(messages, graphs.dst, graphs.rows)
+    heads = _per_op_heads(h, p.attn, graphs.attn_mask, lift, graphs.size)
+    global_attn = ad.matmul(ad.merge_stack(heads), lift(p.attn.w_o))
+    s = ad.add(ad.add(h, local), global_attn)
+    t = ad.layer_norm(s, lift(p.ln1.scale), lift(p.ln1.shift), LN_EPS)
+    hidden = ad.gelu(ad.linear(t, lift(p.ffn.w1), lift(p.ffn.b1)))
+    ffn = ad.linear(hidden, lift(p.ffn.w2), lift(p.ffn.b2))
+    h_next = ad.layer_norm(ad.add(ffn, t), lift(p.ln2.scale), lift(p.ln2.shift), LN_EPS)
+    return h_next, LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=[])

@@ -327,9 +327,9 @@ class TestGradCheckCommand:
 
     @pytest.mark.parametrize("setting, cell, op", [
         ("model.bias_init = 1e308\ngradcheck.placements = g3", "g3/relu",
-         "row 8 has largest logit inf; softmax undefined"),
+         "layer 1: row 8 has largest logit inf; softmax undefined"),
         ("model.readout = sum\nmodel.bias_init = 1e300\ngradcheck.placements = g1", "g1/relu",
-         "layer_norm: row 0 has an infinite standard deviation (its variance overflows)"),
+         "layer 0: layer_norm: row 0 has an infinite standard deviation (its variance overflows)"),
     ], ids=["logits-overflow", "sum-readout-layer-norm"])
     def test_non_finite_forward_exits_two(self, tmp_path, capsys, setting, cell, op):
         cfg = tmp_path / "cfg.txt"
@@ -638,7 +638,8 @@ class TestDiagnoseCommand:
             assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
                            "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert f"forward pass of {model_path} on {graph} is not finite: overflow" in err
+        assert (f"forward pass of {model_path} on {graph} is not finite: layer 0: "
+                f"overflow encountered in square\n") in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
@@ -820,8 +821,8 @@ class TestOverflowingSettings:
     @pytest.mark.parametrize("command, setting, code, err", [
         ("grad-check", "model.bias_init = 1e308\ngradcheck.placements = g1\n"
          "gradcheck.activations = relu\ngradcheck.exhaustive = false\ngradcheck.samples = 2",
-         2, "error: grad-check cell g1/relu: layer_norm: row 0 has an infinite standard "
-            "deviation (its variance overflows); every parameter is finite\n"),
+         2, "error: grad-check cell g1/relu: layer 0: layer_norm: row 0 has an infinite "
+            "standard deviation (its variance overflows); every parameter is finite\n"),
         ("rank-exp", FAST_RANK + "experiment.c = 1e308", 2,
          "error: rank study cell c=1e+308 rho=0.2: row 0 has largest logit inf; "
          "softmax undefined\n"),

@@ -10,9 +10,9 @@ import siggate.training as training
 from oracles import (
     assert_bitwise, dataclass_probe_index, dump_text, first_nonfinite_by_loop,
     hand_written_registry, MemoLift, one_probe_fd_check, one_probe_losses, per_call_init,
-    per_name_gradients,
+    per_name_gradients, per_op_layer_forward,
 )
-from siggate.attention import GateConfig, gate_param_count
+from siggate.attention import GATE_ACTIVATIONS, GateConfig, gate_param_count
 from siggate import autodiff as ad
 from siggate import gps
 from siggate.gps import (
@@ -257,24 +257,59 @@ class TestLossAndGradients:
 
         model = poisoned(SeededRng(3), d_in=4, d=16, n_heads=4, n_layers=2, gate=GateConfig())
         monkeypatch.setattr(training, "init_model", poisoned)
+        named = "^layer 0: layer_norm: row 0 has an infinite"
         with np.errstate(over="ignore"):
-            with pytest.raises(NonFiniteInputError, match="^layer_norm: row 0 has an infinite"):
+            with pytest.raises(NonFiniteInputError, match=named):
                 model_forward(batch[0][0], model)
-            with pytest.raises(NonFiniteError, match="^layer_norm: row 0 has an infinite"):
+            with pytest.raises(NonFiniteError, match=named):
                 loss_and_gradients(model, batch)
             with pytest.raises(DivergenceError) as err:
                 train_toy(TrainConfig(epochs=2, n_layers=2, d=16, n_heads=4),
                           make_toy_task(seed=3, n_graphs=4, nodes_per_graph=6))
         assert err.value.epoch == 0
+        assert re.match(named, str(err.value.__cause__))
+
+    @pytest.mark.parametrize("path", ["batch_loss", "loss_and_gradients", "train_toy"])
+    def test_an_overflowing_logit_names_its_layer_on_every_path(self, batch, path):
+        # A g3 gate bias of 1e308 makes layer 0's logits infinite; the
+        # tape-free forward, the taped step and training give one text.
+        gate = GateConfig(placement="g3", activation="relu", bias_init=1e308)
+        model = init_model(SeededRng(3), d_in=4, d=16, n_heads=4, n_layers=2, gate=gate)
+        text = "layer 0: row 21 has largest logit inf; softmax undefined"
+        with np.errstate(all="ignore"), pytest.raises(Exception) as err:
+            if path == "batch_loss":
+                batch_loss(model, batch)
+            elif path == "loss_and_gradients":
+                loss_and_gradients(model, batch)
+            else:
+                train_toy(TrainConfig(epochs=2, n_layers=2, d=16, n_heads=4, gate=gate),
+                          make_toy_task(seed=3, n_graphs=4, nodes_per_graph=6))
+        if path == "batch_loss":
+            assert err.type is NonFiniteInputError and str(err.value) == text
+        elif path == "loss_and_gradients":
+            assert err.type is NonFiniteError
+            assert str(err.value) == f"{text}; every parameter is finite"
+        else:
+            assert err.type is DivergenceError and err.value.epoch == 0
+            assert str(err.value.__cause__).startswith("layer 0: row ")
+
+    def test_a_probe_that_overflows_names_its_layer(self, batch):
+        # The probes start at the layer that reads the array: layer 1 here.
+        model = tiny_model(seed=3, placement="g3", activation="relu")
+        cache = training._PlainForwardCache(model, batch, "mse")
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteInputError,
+                match=r"^layer 1: row 2 has largest logit inf; softmax undefined$"):
+            cache.probe_losses(model.layers[1].attn.b_g, [0], 1e308)
 
 
 WALK_CASES = [(placement, sharing) for placement in ("none", "g1", "g2", "g3")
               for sharing in ("per_head", "shared")]
 
 
-def walk_model(placement, sharing):
+def walk_model(placement, sharing, activation="tanh"):
     """Three layers with edge features, a two-wide output and a sum readout."""
-    gate = GateConfig(placement=placement, sharing=sharing, activation="tanh")
+    gate = GateConfig(placement=placement, sharing=sharing, activation=activation)
     return init_model(SeededRng(30), d_in=3, d=8, n_heads=2, n_layers=3, gate=gate, d_e=2,
                       out_dim=2, readout="sum")
 
@@ -415,8 +450,9 @@ class TestBatchedPass:
 
     def test_twelve_layer_tape_size(self, monkeypatch):
         """Nodes of one 12-layer g1 training tape (9 graphs of 8 nodes),
-        counted from the root handed to backward: 939 with composed layer
-        norms, GELUs and matmul-plus-bias."""
+        counted from the root handed to backward: 217, of which 196 are the
+        parameters' leaves and 12 the layers (one node each). A tape of one
+        node per op had 625, 429 of them ops."""
         model = init_model(SeededRng(0), d_in=4, d=16, n_heads=4, n_layers=12,
                            gate=GateConfig(placement="g1"))
         roots = []
@@ -430,14 +466,16 @@ class TestBatchedPass:
         task = make_toy_task(seed=0, n_graphs=12, nodes_per_graph=8)
         assert len(task.train) == 9
         loss_and_gradients(model, task.train)
-        seen, stack = set(), list(roots)
+        seen, ops, stack = set(), 0, list(roots)
         while stack:
             node = stack.pop()
             if id(node) not in seen:
                 seen.add(id(node))
+                ops += bool(node.parents)
                 stack.extend(parent for parent, _ in node.parents)
         assert len(roots) == 1
-        assert len(seen) <= 650
+        assert len(seen) <= 220
+        assert ops <= 24
 
     def test_evaluate_keeps_graph_order_across_node_counts(self):
         model = tiny_model(seed=15, placement="g3", activation="tanh")
@@ -459,6 +497,83 @@ class TestBatchedPass:
         assert loss == pytest.approx(expected_loss / len(pairs), rel=1e-12)
         assert batch_loss(model, pairs, "mae") == loss
         assert loss_and_gradients(model, pairs, "mae")[0] == loss
+
+
+def per_op_step(model, pairs, loss, monkeypatch):
+    """``loss_and_gradients`` with every layer taped op by op
+    (:func:`oracles.per_op_layer_forward`)."""
+    monkeypatch.setattr(gps, "gps_layer_forward", per_op_layer_forward)
+    try:
+        return loss_and_gradients(model, pairs, loss)
+    finally:
+        monkeypatch.undo()
+
+
+class TestLayerNode:
+    """A taped GPS layer is one node with a closed-form VJP. Its loss and
+    every gradient are bitwise those of the layer taped one node per op
+    (tests/oracles.py), whose backward sweep sums the terms of each array."""
+
+    @pytest.mark.parametrize("loss", ["mse", "mae"])
+    @pytest.mark.parametrize("activation", GATE_ACTIVATIONS)
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_gradients_equal_the_per_op_tape_bitwise(self, monkeypatch, placement, sharing,
+                                                     activation, loss):
+        # Three node counts, one masked graph, edge features and a sum readout.
+        model = walk_model(placement, sharing, activation)
+        pairs = walk_batch()
+        want_loss, want = per_op_step(model, pairs, loss, monkeypatch)
+        got_loss, got = loss_and_gradients(model, pairs, loss)
+        assert float(got_loss).hex() == float(want_loss).hex()
+        assert_bitwise(got.flat, want.flat)
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_an_edgeless_batch_equals_the_per_op_tape_bitwise(self, monkeypatch, placement,
+                                                             sharing):
+        model = walk_model(placement, sharing)
+        pairs = [(GraphInstance(n=g.n, node_features=g.node_features, edges=[],
+                                edge_features=np.empty((0, 2)), attn_mask=g.attn_mask), y)
+                 for g, y in walk_batch()]
+        want_loss, want = per_op_step(model, pairs, "mse", monkeypatch)
+        got_loss, got = loss_and_gradients(model, pairs, "mse")
+        assert float(got_loss).hex() == float(want_loss).hex()
+        assert_bitwise(got.flat, want.flat)
+        assert not any(np.any(g) for name, g in got.items() if ".mpnn." in name)
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_the_taped_forward_is_the_tape_free_forward(self, placement, sharing):
+        model = walk_model(placement, sharing, "sigmoid_squared")
+        for _, graphs, _ in training._graph_groups(walk_batch()):
+            want_pred, want = batch_forward(graphs, model)
+            pred, got = batch_forward(graphs, model, lift=MemoLift())
+            assert type(pred) is ad.Var
+            assert_bitwise(pred.value, want_pred)
+            assert len(got) == len(want) == 3
+            for h_got, h_want in zip(got.hidden, want.hidden):
+                assert_bitwise(h_got, h_want)
+            for heads_got, heads_want in zip(got.head_traces, want.head_traces):
+                assert len(heads_got) == len(heads_want) == 2
+                for ht_got, ht_want in zip(heads_got, heads_want):
+                    assert_bitwise(ht_got.attention, ht_want.attention)
+                    assert_bitwise(ht_got.output, ht_want.output)
+                    if placement == "none":
+                        assert ht_got.gate is None and ht_want.gate is None
+                    else:
+                        assert_bitwise(ht_got.gate, ht_want.gate)
+
+    def test_each_layer_is_one_node_over_its_input_and_arrays(self):
+        model = walk_model("g3", "shared")
+        graphs = GraphBatch.of([g for g, _ in walk_batch()[:1]])
+        lift = MemoLift()
+        h = gps.model_embed(graphs, model, lift=lift)
+        out, entry = gps.gps_layer_forward(graphs, h, model.layers[0], lift=lift)
+        assert entry.hidden is out.value
+        # h once per use (residual, two gathers, five products) and each array once
+        arrays = [id(arr) for _, layer, _, arr in model.layout.index.values() if layer == 0]
+        parents = [parent for parent, _ in out.parents]
+        assert [p for p in parents if p is h] == [h] * 8
+        assert sorted(id(lift.leaves[key]) for key in arrays) == sorted(
+            id(p) for p in parents if p is not h)
 
 
 class TestFiniteDifferenceCheck:
