@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import numeric
 from .numeric import SeededRng, ShapeError, carve, fill_gaussian
 
 __all__ = [
@@ -165,45 +164,45 @@ def _by_graph(x, n_graphs: int):
 def _scores(a, b, d_k: int, n_graphs: int):
     """``(a b^T / sqrt(d_k), back)`` between the rows of each graph, per head;
     ``back`` maps the scores' gradient to the gradients of ``a`` and ``b``."""
-    a_b, b_t = _by_graph(a, n_graphs), _by_graph(b, n_graphs).swapaxes(-1, -2)
+    prod, prod_back = ad.matmul_vjp(_by_graph(a, n_graphs),
+                                    _by_graph(b, n_graphs).swapaxes(-1, -2))
     scale = 1.0 / np.sqrt(d_k)
 
     def back(g):
-        da, db_t = ad.matmul_vjp(g * scale, a_b, b_t)
+        da, db_t = prod_back(g * scale)
         return da.reshape(a.shape), db_t.swapaxes(-1, -2).reshape(b.shape)
 
-    return numeric.matmul(a_b, b_t) * scale, back
+    return prod * scale, back
 
 
 def _softmax(logits, mask):
-    """Row softmax of every head's logits; all heads read the same mask."""
+    """``(P, back)`` of every head's row softmax; all heads read the same mask."""
     if mask is not None:
         mask = np.tile(mask, (logits.size // mask.size, 1))
-    return ad.row_softmax(logits, mask)
+    return ad.row_softmax_vjp(logits, mask)
 
 
 def _gate(h, stacks, cfg: GateConfig, n_graphs: int):
     """``(gate, back)``: g1/g2's G x N x d_k act(H W_g + b_g), or g3's G x (B x)
     n x n gate; ``back(dgate)`` is ``(h's terms, the gate stacks' gradients)``."""
     w_g, b_g = stacks["w_g"], stacks["b_g"]
-    z = numeric.matmul(h, w_g)
+    z, z_back = ad.matmul_vjp(h, w_g)
     trailing = (1, b_g.shape[-1])
     if cfg.placement == "g3":
-        w_g2 = stacks["w_g2"]
-        z, scores_back = _scores(z, numeric.matmul(h, w_g2), w_g.shape[-1], n_graphs)
+        z2, z2_back = ad.matmul_vjp(h, stacks["w_g2"])
+        z, scores_back = _scores(z, z2, w_g.shape[-1], n_graphs)
         trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
-    b = b_g.reshape(b_g.shape[:-1] + trailing)
-    gate, act_back = ad.activation_vjp(cfg.activation, z + b)
+    pre, bias_back = ad.add_vjp(z, b_g.reshape(b_g.shape[:-1] + trailing))
+    gate, act_back = ad.activation_vjp(cfg.activation, pre)
 
     def back(dgate):
-        dz = act_back(dgate)
-        db = ad._unbroadcast(dz, b.shape).reshape(b_g.shape)
+        dz, db = bias_back(*act_back(dgate))
         if cfg.placement != "g3":
-            dh, dw_g = ad.matmul_vjp(dz, h, w_g)
-            return [dh], [dw_g, db]
+            dh, dw_g = z_back(dz)
+            return [dh], [dw_g, db.reshape(b_g.shape)]
         dz1, dz2 = scores_back(dz)
-        (dh1, dw_g), (dh2, dw_g2) = ad.matmul_vjp(dz1, h, w_g), ad.matmul_vjp(dz2, h, w_g2)
-        return [dh1, dh2], [dw_g, dw_g2, db]
+        (dh1, dw_g), (dh2, dw_g2) = z_back(dz1), z2_back(dz2)
+        return [dh1, dh2], [dw_g, dw_g2, db.reshape(b_g.shape)]
 
     return gate, back
 
@@ -213,43 +212,40 @@ def _heads_pass(h, cfg: GateConfig, stacks, mask, n_graphs):
     ``stacks`` (by field name). ``back(g)`` gives ``h``'s term for each of
     its products, in the order an op-by-op tape summed them (Q, K, V, gate
     for g1/none; Q, K, gate, V for g2; W_g, W_g2, Q, K, V for g3), then each
-    stack's gradient in field order, all in the single ops' arithmetic."""
+    stack's gradient in field order, all from the ``back`` of each op's form."""
     placement = cfg.placement
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}")
     if np.ndim(h) > 2:  # tape-free copies of the input: add the head axis
         h = h[..., None, :, :]
-    w_q, w_k, w_v = (stacks[name] for name in _QKV)
-    q, k, v0 = numeric.matmul(h, w_q), numeric.matmul(h, w_k), numeric.matmul(h, w_v)
-    raw0, scores_back = _scores(q, k, w_q.shape[-1], n_graphs)
-    raw, v, gate = raw0, v0, None
+    (q, q_back), (k, k_back), (v, v_back) = (ad.matmul_vjp(h, stacks[name]) for name in _QKV)
+    raw, scores_back = _scores(q, k, stacks["w_q"].shape[-1], n_graphs)
+    gate = None
     if placement == "g3":
         gate, gate_back = _gate(h, stacks, cfg, n_graphs)
-        raw = gate * raw0
-    attention = _softmax(raw, mask)
+        raw, gated_back = ad.mul_vjp(gate, raw)
+    attention, softmax_back = _softmax(raw, mask)
     if placement == "g2":
         gate, gate_back = _gate(h, stacks, cfg, n_graphs)
-        v = gate * v0
-    v_b = _by_graph(v, n_graphs)
-    out_b = numeric.matmul(attention, v_b)
-    out0 = out = out_b.reshape(out_b.shape[:-3] + (-1, out_b.shape[-1])) if n_graphs > 1 else out_b
+        v, gated_back = ad.mul_vjp(gate, v)
+    out_b, out_back = ad.matmul_vjp(attention, _by_graph(v, n_graphs))
+    out = out_b.reshape(out_b.shape[:-3] + (-1, out_b.shape[-1])) if n_graphs > 1 else out_b
     if placement == "g1":
         gate, gate_back = _gate(h, stacks, cfg, n_graphs)
-        out = out0 * gate
+        out, gated_back = ad.mul_vjp(out, gate)
 
     def back(g):
         if placement == "g1":
-            g, dgate = ad.mul_vjp(g, out0, gate)
-        dp, dv_b = ad.matmul_vjp(g.reshape(out_b.shape), attention, v_b)
+            g, dgate = gated_back(g)
+        dp, dv_b = out_back(g.reshape(out_b.shape))
         dv = dv_b.reshape(v.shape)
         if placement == "g2":
-            dgate, dv = ad.mul_vjp(dv, gate, v0)
-        t = dp * attention
-        draw = t - attention * t.sum(axis=-1, keepdims=True)
+            dgate, dv = gated_back(dv)
+        draw, = softmax_back(dp)
         if placement == "g3":
-            dgate, draw = ad.mul_vjp(draw, gate, raw0)
+            dgate, draw = gated_back(draw)
         (dh_q, dw_q), (dh_k, dw_k), (dh_v, dw_v) = (
-            ad.matmul_vjp(d, h, w) for d, w in zip((*scores_back(draw), dv), (w_q, w_k, w_v)))
+            f(d) for f, d in zip((q_back, k_back, v_back), (*scores_back(draw), dv)))
         terms, grads = [dh_q, dh_k, dh_v], [dw_q, dw_k, dw_v]
         if gate is not None:
             dh_gate, gate_grads = gate_back(dgate)
@@ -277,6 +273,10 @@ def gated_head_forward(h, heads: MhsaParams, mask=None, *, lift=ad.no_tape, n_gr
     N x d_k, the attention and the g3 gate n x n per graph (B x n x n for
     B > 1).
     """
+    rows, n_features = ad.value(h).shape[-2:]
+    _validate_mhsa(n_features, heads)
+    if n_graphs < 1 or rows % n_graphs:
+        raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
     names = heads.stacked_fields()
     stacks = [lift(getattr(heads, name)) for name in names]
     out, attention, gate, back = _heads_pass(
@@ -306,20 +306,17 @@ def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, n_graphs:
     heads run as one stacked pass (:func:`gated_head_forward` on ``params``).
     Taped, ``out`` is one node, in place of the heads' node.
     """
-    rows, n_features = ad.value(h).shape[-2:]
-    _validate_mhsa(n_features, params)
-    if n_graphs < 1 or rows % n_graphs:
-        raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
     outs, traces = gated_head_forward(h, params, mask, lift=lift, n_graphs=n_graphs)
     w_o = lift(params.w_o)
     merged, merge_back = ad.merge_stack_vjp(ad.value(outs))
+    out, out_back = ad.matmul_vjp(merged, ad.value(w_o))
     heads, head_terms = ad.inline(outs)
 
     def back(g):
-        dmerged, dw_o = ad.matmul_vjp(g, merged, ad.value(w_o))
-        return [*head_terms(merge_back(dmerged)), dw_o]
+        dmerged, dw_o = out_back(g)
+        return [*head_terms(*merge_back(dmerged)), dw_o]
 
-    return ad.fused(numeric.matmul(merged, ad.value(w_o)), [*heads, w_o], back), traces
+    return ad.fused(out, [*heads, w_o], back), traces
 
 
 def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:

@@ -1,19 +1,22 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-Every op in this module accepts a mix of :class:`Var` nodes and plain
-arrays/scalars. If no argument is a ``Var`` the op computes eagerly and
-returns a plain array, so forward-only code pays nothing; if any argument
-is a ``Var`` the op records a node with the vector-Jacobian products
-needed for the backward sweep. A composite op (a GPS layer and its
-branches) is one :func:`fused` node: its forward runs on plain arrays,
-keeping what its closed-form VJP reads, and the VJP composes the
-``*_vjp`` forms of the ops here, in their arithmetic. So the model's
-forward is written once and serves both paths.
+Every op ``f`` in this module is written once, as its form ``f_vjp(*arrays)
+-> (out, back)`` on plain arrays, the convention of ``jax.vjp``: ``back(g)``
+maps the gradient ``g`` of ``out`` to one term per operand, in operand
+order. The op runs its form on the values of its operands, a mix of
+:class:`Var` nodes and plain arrays/scalars, and passes the result through
+:func:`fused`. With no ``Var`` among the operands that is the plain array,
+so forward-only code records nothing; with one, it is a node whose parents
+are the ``Var`` operands. A composite op (a GPS layer and its branches) is
+one :func:`fused` node too: its forward takes each step's value and
+``back`` from the forms here, and its VJP calls those ``back``s. So the
+model's forward is written once and serves both paths.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -52,13 +55,6 @@ __all__ = [
     "apply_activation",
     "fused",
     "inline",
-    "mul_vjp",
-    "matmul_vjp",
-    "linear_vjp",
-    "merge_stack_vjp",
-    "gelu_vjp",
-    "layer_norm_vjp",
-    "activation_vjp",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -66,17 +62,18 @@ _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
 class Var:
-    """A node in the computation graph: a value plus backward edges, each a
-    ``(parent, vjp)`` pair, or for a :func:`fused` node a ``(parent, index)``
-    pair into the terms its ``joint`` VJP gives at once."""
+    """A node in the computation graph: a value, its parents as ``(parent, i)``
+    pairs, and ``vjp(g)``, which gives a gradient term for each operand of
+    the op that made the node; parent ``(p, i)`` receives term ``i``. A leaf
+    has no parents."""
 
-    __slots__ = ("value", "parents", "grad", "joint")
+    __slots__ = ("value", "parents", "grad", "vjp")
 
-    def __init__(self, value, parents=(), joint=None):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
         self.grad = None
-        self.joint = joint
+        self.vjp = vjp
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
@@ -90,10 +87,6 @@ def no_tape(arr):
 def value(x):
     """Unwrap a Var (or pass a plain array/scalar through)."""
     return x.value if type(x) is Var else x
-
-
-def _tracked(*xs):
-    return any(type(x) is Var for x in xs)
 
 
 def _unbroadcast(g, shape):
@@ -132,40 +125,28 @@ def backward(root: Var) -> None:
                 stack.append((parent, False))
     root.grad = np.ones_like(root.value)
     for node in reversed(topo):
-        g = node.grad
-        if g is None:
+        if node.grad is None or not node.parents:
             continue
-        for (parent, _), pg in zip(node.parents, _terms(node, g)):
-            parent.grad = pg if parent.grad is None else parent.grad + pg
-
-
-def _terms(node: Var, g) -> list:
-    """Each parent's gradient term for the gradient ``g`` of ``node``, in parent order."""
-    if node.joint is None:
-        return [vjp(g) for _, vjp in node.parents]
-    terms = node.joint(g)
-    return [terms[i] for _, i in node.parents]
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic
-# ---------------------------------------------------------------------------
-
-
-def _node(out, *edges):
-    """A node over ``out`` whose parents are the Var operands among
-    ``edges``, each an (operand, vjp) pair."""
-    return Var(out, tuple((x, vjp) for x, vjp in edges if type(x) is Var))
+        terms = node.vjp(node.grad)
+        for parent, i in node.parents:
+            parent.grad = terms[i] if parent.grad is None else parent.grad + terms[i]
 
 
 def fused(out, operands, vjp):
-    """One node over ``out`` for a composite op: ``vjp(g)`` returns a gradient
-    term for each of ``operands``, in their order, and the node's parents
+    """One node over ``out`` for an op on ``operands``: ``vjp(g)`` returns a
+    gradient term for each operand, in their order, and the node's parents
     are the Var operands. An operand listed twice gets two terms, which the
     sweep adds in that order. With no Var among ``operands`` this is ``out``."""
-    if not _tracked(*operands):
+    if Var not in map(type, operands):
         return out
     return Var(out, tuple((x, i) for i, x in enumerate(operands) if type(x) is Var), vjp)
+
+
+def _op(form, *operands, **static):
+    """The op of ``form`` on ``operands``; ``static`` holds its arguments that
+    are not operands (no gradient flows to them)."""
+    out, back = form(*[x.value if type(x) is Var else x for x in operands], **static)
+    return fused(out, operands, back)
 
 
 def inline(x):
@@ -175,41 +156,43 @@ def inline(x):
     with the same sums. A plain array has neither."""
     if type(x) is not Var:
         return [], lambda g: []
-    return [p for p, _ in x.parents], lambda g: _terms(x, g)
+
+    def terms(g):
+        every = x.vjp(g)
+        return [every[i] for _, i in x.parents]
+
+    return [p for p, _ in x.parents], terms
 
 
-def add(a, b):
-    av, bv = value(a), value(b)
-    if not _tracked(a, b):
-        return av + bv
-    return _node(av + bv, (a, lambda g, s=np.shape(av): _unbroadcast(g, s)),
-                 (b, lambda g, s=np.shape(bv): _unbroadcast(g, s)))
+# ---------------------------------------------------------------------------
+# Arithmetic
+# ---------------------------------------------------------------------------
 
 
-def sub(a, b):
-    av, bv = value(a), value(b)
-    if not _tracked(a, b):
-        return av - bv
-    return _node(av - bv, (a, lambda g, s=np.shape(av): _unbroadcast(g, s)),
-                 (b, lambda g, s=np.shape(bv): _unbroadcast(-g, s)))
+def add_vjp(a, b):
+    """``(a + b, back)``; each term is summed down to its operand's shape."""
+    sa, sb = np.shape(a), np.shape(b)
+    return a + b, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
 
-def mul(a, b):
-    av, bv = value(a), value(b)
-    return fused(av * bv, (a, b), lambda g: mul_vjp(g, av, bv))
+def sub_vjp(a, b):
+    sa, sb = np.shape(a), np.shape(b)
+    return a - b, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
 
-def mul_vjp(g, a, b):
-    """``(∂a, ∂b)`` of ``a * b`` for the product's gradient ``g``."""
-    return _unbroadcast(g * b, np.shape(a)), _unbroadcast(g * a, np.shape(b))
+def mul_vjp(a, b):
+    return a * b, lambda g: (_unbroadcast(g * b, np.shape(a)), _unbroadcast(g * a, np.shape(b)))
 
 
-def div(a, b):
-    av, bv = value(a), value(b)
-    if not _tracked(a, b):
-        return av / bv
-    return _node(av / bv, (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(g / o, s)),
-                 (b, lambda g, n=av, o=bv, s=np.shape(bv): _unbroadcast(-g * n / (o * o), s)))
+def div_vjp(a, b):
+    return a / b, lambda g: (_unbroadcast(g / b, np.shape(a)),
+                             _unbroadcast(-g * a / (b * b), np.shape(b)))
+
+
+add = partial(_op, add_vjp)
+sub = partial(_op, sub_vjp)
+mul = partial(_op, mul_vjp)
+div = partial(_op, div_vjp)
 
 
 def matmul(a, b):
@@ -220,14 +203,14 @@ def matmul(a, b):
     a stack multiplies it by each matrix of the stack. A broadcast
     operand's gradient is summed over the axes it was broadcast along.
     """
-    av, bv = value(a), value(b)
-    return fused(numeric.matmul(av, bv), (a, b), lambda g: matmul_vjp(g, av, bv))
+    return _op(matmul_vjp, a, b)
 
 
-def matmul_vjp(g, a, b):
-    """``(∂a, ∂b)`` of ``a @ b`` (arrays) for the product's gradient ``g``."""
-    return (_unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a.shape),
-            _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b.shape))
+def matmul_vjp(a, b):
+    """``(a @ b, back)`` on arrays (see :func:`matmul`)."""
+    return numeric.matmul(a, b), lambda g: (
+        _unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a.shape),
+        _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b.shape))
 
 
 def _per_row(v):
@@ -239,17 +222,14 @@ def linear(x, w, b):
     """``x @ w + b`` as one node: the matrix product (shape-checked as in
     :func:`matmul`) plus a bias broadcast over the rows. Tape-free, each
     operand may carry a stack of copies along leading axes."""
-    out, back = linear_vjp(value(x), value(w), value(b))
-    if not _tracked(x, w, b):
-        return out
-    if out.ndim != 2:
+    out = _op(linear_vjp, x, w, b)
+    if type(out) is Var and out.value.ndim != 2:
         raise numeric.ShapeError("a taped linear multiplies matrices; stacks go through matmul")
-    return fused(out, (x, w, b), back)
+    return out
 
 
 def linear_vjp(x, w, b):
-    """``(x @ w + b, back)`` on plain arrays, ``back(g)`` giving ``(∂x, ∂w, ∂b)``
-    of matrices."""
+    """``(x @ w + b, back)`` on plain arrays; ``back`` takes matrices."""
     out = numeric.matmul(x, w) + _per_row(b)
     return out, lambda g: (g @ w.T, x.T @ g, _unbroadcast(g, np.shape(b)))
 
@@ -257,9 +237,11 @@ def linear_vjp(x, w, b):
 def transpose(x):
     """Swap the last two axes: the transpose of a matrix, or of each
     matrix in a stack."""
-    if type(x) is not Var:
-        return np.asarray(x).swapaxes(-1, -2)
-    return Var(x.value.swapaxes(-1, -2), ((x, lambda g: np.asarray(g).swapaxes(-1, -2)),))
+    return _op(transpose_vjp, x)
+
+
+def transpose_vjp(x):
+    return np.asarray(x).swapaxes(-1, -2), lambda g: (np.asarray(g).swapaxes(-1, -2),)
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +249,18 @@ def transpose(x):
 # ---------------------------------------------------------------------------
 
 
-def _spread(g, shape, axis, keepdims):
-    g = np.asarray(g)
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
 def vsum(x, axis=None, keepdims=False):
-    if type(x) is not Var:
-        return np.sum(x, axis=axis, keepdims=keepdims)
-    out = np.sum(x.value, axis=axis, keepdims=keepdims)
-    shape = x.value.shape
-    return Var(out, ((x, lambda g: _spread(g, shape, axis, keepdims)),))
+    return _op(vsum_vjp, x, axis=axis, keepdims=keepdims)
+
+
+def vsum_vjp(x, axis=None, keepdims=False):
+    def back(g):
+        g = np.asarray(g)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, np.shape(x)),)
+
+    return np.sum(x, axis=axis, keepdims=keepdims), back
 
 
 def vmean(x, axis=None, keepdims=False):
@@ -289,48 +270,39 @@ def vmean(x, axis=None, keepdims=False):
 
 
 def reshape(x, shape):
-    if type(x) is not Var:
-        return np.reshape(x, shape)
-    orig = x.value.shape
-    return Var(x.value.reshape(shape), ((x, lambda g: np.asarray(g).reshape(orig)),))
+    return _op(reshape_vjp, x, shape=shape)
+
+
+def reshape_vjp(x, shape):
+    return np.reshape(x, shape), lambda g: (np.asarray(g).reshape(np.shape(x)),)
 
 
 def merge_stack(x):
     """A stack of K matrices of shape n x m laid side by side: n x (K·m),
     with matrix k in columns k·m ... (k+1)·m - 1. Tape-free, axes before
     the K axis are a stack of copies, each merged on its own."""
-    out, back = merge_stack_vjp(value(x))
-    return out if type(x) is not Var else Var(out, ((x, back),))
+    return _op(merge_stack_vjp, x)
 
 
 def merge_stack_vjp(x):
-    """``(merge_stack(x), back)`` on a plain array."""
+    """``(merge_stack(x), back)`` on a plain array; ``back`` takes one stack."""
     *lead, heads, rows, cols = x.shape
     return (x.swapaxes(-3, -2).reshape((*lead, rows, heads * cols)),
-            lambda g: np.asarray(g).reshape(rows, heads, cols).transpose(1, 0, 2))
+            lambda g: (np.asarray(g).reshape(rows, heads, cols).transpose(1, 0, 2),))
 
 
-def concat(parts, axis=-1):
-    """Join ``parts`` along ``axis``. Tape-free, parts given as stacks of
-    copies along leading axes broadcast the parts that have no such axes."""
-    vals = [value(p) for p in parts]
-    if not _tracked(*parts):
-        if any(np.ndim(v) > 2 for v in vals):
-            lead = np.broadcast_shapes(*(np.shape(v)[:-2] for v in vals))
-            vals = [np.broadcast_to(v, lead + np.shape(v)[-2:]) for v in vals]
-        return np.concatenate(vals, axis)
-    out = np.concatenate(vals, axis=axis)
-    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
-    parents = []
-    for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        if type(part) is Var:
-            def vjp(g, lo=int(lo), hi=int(hi)):
-                sl = [slice(None)] * np.asarray(g).ndim
-                sl[axis] = slice(lo, hi)
-                return np.asarray(g)[tuple(sl)]
+def concat(parts):
+    """Join ``parts`` along their last axis. Tape-free, parts given as stacks
+    of copies along leading axes broadcast the parts that have no such axes."""
+    return _op(concat_vjp, *parts)
 
-            parents.append((part, vjp))
-    return Var(out, tuple(parents))
+
+def concat_vjp(*parts):
+    if any(np.ndim(v) > 2 for v in parts):
+        lead = np.broadcast_shapes(*(np.shape(v)[:-2] for v in parts))
+        parts = [np.broadcast_to(v, lead + np.shape(v)[-2:]) for v in parts]
+    return np.concatenate(parts, -1), lambda g: np.split(
+        np.asarray(g), np.cumsum([np.shape(v)[-1] for v in parts])[:-1], axis=-1)
 
 
 def _scatter_add(x, idx, n_rows):
@@ -350,20 +322,20 @@ def _scatter_add(x, idx, n_rows):
 def take_rows(x, idx):
     """Row gather ``x[idx]`` (tape-free, rows are axis -2 of a stack of
     matrices); backward scatter-adds into the source rows."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if type(x) is not Var:
-        return np.take(x, idx, axis=-2)
-    n_rows = x.value.shape[0]
-    return Var(x.value[idx], ((x, lambda g: _scatter_add(g, idx, n_rows)),))
+    return _op(take_rows_vjp, x, idx=np.asarray(idx, dtype=np.intp))
+
+
+def take_rows_vjp(x, idx):
+    return np.take(x, idx, axis=-2), lambda g: (_scatter_add(g, idx, np.shape(x)[-2]),)
 
 
 def scatter_rows(x, idx, n_rows):
     """Sum rows of ``x`` into an ``n_rows``-row output at positions ``idx``."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = _scatter_add(value(x), idx, n_rows)
-    if type(x) is not Var:
-        return out
-    return Var(out, ((x, lambda g: np.asarray(g)[idx]),))
+    return _op(scatter_rows_vjp, x, idx=np.asarray(idx, dtype=np.intp), n_rows=n_rows)
+
+
+def scatter_rows_vjp(x, idx, n_rows):
+    return _scatter_add(x, idx, n_rows), lambda g: (np.asarray(g)[idx],)
 
 
 # ---------------------------------------------------------------------------
@@ -371,46 +343,26 @@ def scatter_rows(x, idx, n_rows):
 # ---------------------------------------------------------------------------
 
 
-def _unary(x, fwd, make_vjp):
-    if type(x) is not Var:
-        return fwd(np.asarray(x, dtype=np.float64))
-    out = fwd(x.value)
-    return Var(out, ((x, make_vjp(x.value, out)),))
+def _elementwise(fwd, make_vjp):
+    """The form of an elementwise op ``y = fwd(x)``: ``make_vjp(x, y)`` is x's
+    term as a function of ``g``, holding only the arrays it reads."""
+    def form(x):
+        x = np.asarray(x, dtype=np.float64)
+        y = fwd(x)
+        vjp = make_vjp(x, y)
+        return y, lambda g: (vjp(g),)
+
+    return form
 
 
-def sigmoid(x):
-    return _unary(x, numeric.sigmoid, lambda xv, yv: lambda g: g * yv * (1.0 - yv))
-
-
-def tanh(x):
-    return _unary(x, np.tanh, lambda xv, yv: lambda g: g * (1.0 - yv * yv))
-
-
-def relu(x):
-    # Subgradient 0 at the kink.
-    return _unary(
-        x, lambda v: np.maximum(v, 0.0), lambda xv, yv: lambda g: g * (xv > 0.0)
-    )
-
-
-def sqrt(x):
-    return _unary(x, np.sqrt, lambda xv, yv: lambda g: g * 0.5 / yv)
-
-
-def square(x):
-    return _unary(x, np.square, lambda xv, yv: lambda g: g * 2.0 * xv)
-
-
-def absolute(x):
-    return _unary(x, np.abs, lambda xv, yv: lambda g: g * np.sign(xv))
-
-
-def erf(x):
-    return _unary(
-        x,
-        _erf,
-        lambda xv, yv: lambda g: g * _TWO_OVER_SQRT_PI * np.exp(-xv * xv),
-    )
+sqrt_vjp = _elementwise(np.sqrt, lambda x, y: lambda g: g * 0.5 / y)
+square_vjp = _elementwise(np.square, lambda x, y: lambda g: g * 2.0 * x)
+absolute_vjp = _elementwise(np.abs, lambda x, y: lambda g: g * np.sign(x))
+erf_vjp = _elementwise(_erf, lambda x, y: lambda g: g * _TWO_OVER_SQRT_PI * np.exp(-x * x))
+sqrt = partial(_op, sqrt_vjp)
+square = partial(_op, square_vjp)
+absolute = partial(_op, absolute_vjp)
+erf = partial(_op, erf_vjp)
 
 
 def gelu(x):
@@ -420,17 +372,17 @@ def gelu(x):
     ``u = x/√2``, evaluated in the order the chain rule through those
     factors gives.
     """
-    out, back = gelu_vjp(np.asarray(value(x), dtype=np.float64))
-    return out if type(x) is not Var else Var(out, ((x, back),))
+    return _op(gelu_vjp, x)
 
 
 def gelu_vjp(x):
     """``(gelu(x), back)`` on a plain array (see :func:`gelu`)."""
+    x = np.asarray(x, dtype=np.float64)
     half = x * 0.5
     u = x * _INV_SQRT2
     s = _erf(u) + 1.0
     return half * s, lambda g: (g * s * 0.5
-                                + g * half * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT2)
+                                + g * half * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT2,)
 
 
 def layer_norm(h, scale, shift, eps):
@@ -444,8 +396,7 @@ def layer_norm(h, scale, shift, eps):
     σ raises :class:`~siggate.numeric.NonFiniteInputError` naming the row. A
     row holding NaN stays NaN for the checks downstream to name.
     """
-    out, back = layer_norm_vjp(value(h), value(scale), value(shift), eps)
-    return fused(out, (h, scale, shift), back)
+    return _op(layer_norm_vjp, h, scale, shift, eps=eps)
 
 
 def layer_norm_vjp(h, scale, shift, eps):
@@ -475,45 +426,54 @@ def row_softmax(logits, mask=None):
     A stack of logit matrices runs as the matrix of all its rows, so its
     ``mask`` holds those rows stacked in order.
     """
-    z = np.asarray(value(logits))
+    return _op(row_softmax_vjp, logits, mask=mask)
+
+
+def row_softmax_vjp(logits, mask=None):
+    """``(P, back)`` of :func:`row_softmax`, ``back`` being ``t - P·rowsum(t)``
+    with ``t = g·P`` (the FlashAttention backward, Dao et al., 2022, §3.1)."""
+    z = np.asarray(logits)
     if z.ndim > 2:
         out = numeric.row_softmax(z.reshape(-1, z.shape[-1]), mask).reshape(z.shape)
     else:
         out = numeric.row_softmax(z, mask)
-    if type(logits) is not Var:
-        return out
 
-    def vjp(g):
+    def back(g):
         t = np.asarray(g) * out
-        return t - out * t.sum(axis=-1, keepdims=True)
+        return (t - out * t.sum(axis=-1, keepdims=True),)
 
-    return Var(out, ((logits, vjp),))
+    return out, back
 
 
-def apply_activation(name: str, x):
-    """Dispatch the gate activations by name."""
-    if name == "sigmoid":
-        return sigmoid(x)
-    if name == "tanh":
-        return tanh(x)
-    if name == "relu":
-        return relu(x)
-    if name == "sigmoid_squared":
-        return square(sigmoid(x))
-    raise ValueError(f"unknown activation {name!r}")
+def _sigmoid_squared_vjp(x):
+    s = numeric.sigmoid(np.asarray(x, dtype=np.float64))
+    return np.square(s), lambda g: (g * 2.0 * s * s * (1.0 - s),)
+
+
+# The gate activations: each name's form, one closed form apiece. relu's
+# subgradient is 0 at the kink; sigmoid_squared's VJP is square's, then
+# sigmoid's, in that order.
+_ACTIVATIONS = {
+    "sigmoid": _elementwise(numeric.sigmoid, lambda x, s: lambda g: g * s * (1.0 - s)),
+    "tanh": _elementwise(np.tanh, lambda x, t: lambda g: g * (1.0 - t * t)),
+    "relu": _elementwise(lambda x: np.maximum(x, 0.0), lambda x, y: lambda g: g * (x > 0.0)),
+    "sigmoid_squared": _sigmoid_squared_vjp,
+}
 
 
 def activation_vjp(name: str, x):
-    """``(act(x), back)`` of a plain array: :func:`apply_activation` on a leaf
-    of its own, ``back`` running its chain of VJPs down to the leaf."""
-    leaf = Var(x)
-    out = apply_activation(name, leaf)
+    """``(act(x), back)`` of a plain array for the gate activation ``name``."""
+    form = _ACTIVATIONS.get(name)
+    if form is None:
+        raise ValueError(f"unknown activation {name!r}")
+    return form(x)
 
-    def back(g):
-        node = out
-        while node is not leaf:
-            ((node, vjp),) = node.parents
-            g = vjp(g)
-        return g
 
-    return out.value, back
+def apply_activation(name: str, x):
+    """The gate activation ``name`` as one op (:func:`activation_vjp`)."""
+    return _op(partial(activation_vjp, name), x)
+
+
+sigmoid = partial(apply_activation, "sigmoid")
+tanh = partial(apply_activation, "tanh")
+relu = partial(apply_activation, "relu")

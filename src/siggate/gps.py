@@ -273,23 +273,26 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
     if not graphs.src.size:
         return np.zeros((graphs.rows, p.w_val.shape[1]))
     w_edge, w_val = lift(p.w_edge), lift(p.w_val)
-    w_e, w_v = ad.value(w_edge), ad.value(w_val)
-    h_src = ad.take_rows(hv, graphs.src)
-    parts = [ad.take_rows(hv, graphs.dst), h_src]
+    (h_dst, dst_back), (h_src, src_back) = (ad.take_rows_vjp(hv, idx)
+                                            for idx in (graphs.dst, graphs.src))
+    parts = [h_dst, h_src]
     if graphs.edge_features is not None:
         parts.append(graphs.edge_features)
-    cat = ad.concat(parts)
-    gate = ad.sigmoid(ad.matmul(cat, w_e))
-    val = ad.matmul(h_src, w_v)
+    cat, cat_back = ad.concat_vjp(*parts)
+    pre, pre_back = ad.matmul_vjp(cat, ad.value(w_edge))
+    gate, gate_back = ad.activation_vjp("sigmoid", pre)
+    del pre  # its VJP reads only the gate: free the E x d pre-activation now
+    val, val_back = ad.matmul_vjp(h_src, ad.value(w_val))
+    messages, messages_back = ad.mul_vjp(gate, val)
+    out, out_back = ad.scatter_rows_vjp(messages, graphs.dst, graphs.rows)
 
     def back(g):
-        dgate, dval = ad.mul_vjp(np.asarray(g)[graphs.dst], gate, val)
-        dcat, dw_e = ad.matmul_vjp(dgate * gate * (1.0 - gate), cat, w_e)
-        dh_src, dw_v = ad.matmul_vjp(dval, h_src, w_v)
-        return (ad._scatter_add(dcat[:, :d], graphs.dst, graphs.rows),
-                ad._scatter_add(dcat[:, d:2 * d] + dh_src, graphs.src, graphs.rows), dw_e, dw_v)
+        dgate, dval = messages_back(*out_back(g))
+        dcat, dw_e = pre_back(*gate_back(dgate))
+        dh_dst, dh_src_cat = cat_back(dcat)[:2]
+        dh_src, dw_v = val_back(dval)
+        return (*dst_back(dh_dst), *src_back(dh_src_cat + dh_src), dw_e, dw_v)
 
-    out = ad.scatter_rows(ad.mul(gate, val), graphs.dst, graphs.rows)
     return ad.fused(out, [h, h, w_edge, w_val], back)
 
 
@@ -319,7 +322,7 @@ def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape):
     def back(g):
         du, *d_ln2 = ln2_back(g)
         dhidden, *d_ffn2 = ffn2_back(du)
-        dt, *d_ffn1 = ffn1_back(gelu_back(dhidden))
+        dt, *d_ffn1 = ffn1_back(*gelu_back(dhidden))
         ds, *d_ln1 = ln1_back(du + dt)
         return [ds, *mpnn_terms(ds), *attn_terms(ds), *d_ln1, *d_ffn1, *d_ffn2, *d_ln2]
 

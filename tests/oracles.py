@@ -23,7 +23,9 @@ after the backward sweep of a forward with its own memoizing ``lift``
 (:class:`MemoLift`), and the loop that named the first non-finite
 parameter array by array. For the tape it keeps the GPS layer composed of
 autodiff's ops, one tape node each (:func:`per_op_layer_forward`), whose
-gradients the one-node layer must give bit for bit.
+gradients the one-node layer must give bit for bit, and the gate
+activations as the op chains the tape ran before ``autodiff`` had one
+closed form per activation (:func:`chained_activation`).
 """
 
 import numpy as np
@@ -464,10 +466,33 @@ def first_nonfinite_by_loop(params):
 # ---------------------------------------------------------------------------
 #
 # ``gps.gps_layer_forward`` as it was written before the layer became one
-# tape node: every numpy op of the layer is an autodiff op, so a taped pass
-# records one node per op and the backward sweep sums each array's
-# gradient terms in the order its consumers come off the tape. The layer
-# node's closed-form VJP must give these gradients bit for bit.
+# tape node: every numpy op of the layer is an autodiff op (the gate
+# activations are the op chains of :func:`chained_activation`, independent
+# of autodiff's activation table), so a taped pass records one node per
+# op and the backward sweep sums each array's gradient terms in the order
+# its consumers come off the tape. The layer node's closed-form VJP must
+# give these gradients bit for bit.
+
+
+def _elementwise_node(x, fwd, vjp):
+    """``fwd`` on ``x`` as a tape node of its own: ``vjp(g, x, y)`` is x's
+    term for ``y = fwd(x)``."""
+    xv = np.asarray(ad.value(x), dtype=np.float64)
+    y = fwd(xv)
+    return ad.fused(y, [x], lambda g: [vjp(g, xv, y)])
+
+
+def chained_activation(name, x):
+    """The gate activation ``name`` one node per elementwise op, in the
+    arithmetic of the tape's ops before the activation table:
+    ``sigmoid_squared`` is a sigmoid node, then ``autodiff.square``'s node."""
+    if name == "tanh":
+        return _elementwise_node(x, np.tanh, lambda g, x, y: g * (1.0 - y * y))
+    if name == "relu":
+        return _elementwise_node(x, lambda v: np.maximum(v, 0.0),
+                                 lambda g, x, y: g * (x > 0.0))
+    s = _elementwise_node(x, sigmoid, lambda g, x, y: g * y * (1.0 - y))
+    return ad.square(s) if name == "sigmoid_squared" else s
 
 
 def _per_op_by_graph(x, n_graphs):
@@ -493,7 +518,7 @@ def _per_op_heads(h, heads, mask, lift, n_graphs):
         b_g = lift(heads.b_g)
         shape = np.shape(ad.value(b_g))
         b = ad.reshape(b_g, shape[:-1] + (1, shape[-1]))
-        return ad.apply_activation(act, ad.add(ad.matmul(h, lift(heads.w_g)), b))
+        return chained_activation(act, ad.add(ad.matmul(h, lift(heads.w_g)), b))
 
     if cfg.placement == "g3":
         w_g, w_g2, b_g = lift(heads.w_g), lift(heads.w_g2), lift(heads.b_g)
@@ -501,7 +526,7 @@ def _per_op_heads(h, heads, mask, lift, n_graphs):
                            np.shape(ad.value(w_g))[-1], n_graphs)
         trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
         b = ad.reshape(b_g, np.shape(ad.value(b_g))[:-1] + trailing)
-        raw = ad.mul(ad.apply_activation(act, ad.add(z, b)), raw)
+        raw = ad.mul(chained_activation(act, ad.add(z, b)), raw)
     if mask is not None:
         mask = np.tile(mask, (ad.value(raw).size // mask.size, 1))
     attention = ad.row_softmax(raw, mask)
@@ -529,7 +554,7 @@ def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):
         parts = [h_dst, h_src]
         if graphs.edge_features is not None:
             parts.append(graphs.edge_features)
-        gate = ad.sigmoid(ad.matmul(ad.concat(parts), lift(p.mpnn.w_edge)))
+        gate = chained_activation("sigmoid", ad.matmul(ad.concat(parts), lift(p.mpnn.w_edge)))
         messages = ad.mul(gate, ad.matmul(h_src, lift(p.mpnn.w_val)))
         local = ad.scatter_rows(messages, graphs.dst, graphs.rows)
     heads = _per_op_heads(h, p.attn, graphs.attn_mask, lift, graphs.size)

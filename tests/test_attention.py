@@ -16,6 +16,11 @@ from siggate.attention import (
 from siggate.numeric import SeededRng, ShapeError, gaussian_matrix
 
 
+# The two public entry points check their input alike and name the problem.
+BOTH_ENTRIES = pytest.mark.parametrize("entry", [siggate_mhsa, gated_head_forward],
+                                       ids=lambda entry: entry.__name__)
+
+
 def make_head(rng, d, d_k, gated=True, g3=False):
     """One head's plain arrays by field name."""
     std = 1.0 / np.sqrt(d)
@@ -207,13 +212,14 @@ class TestGatedHeadForward:
             assert (trace.gate is None) == (gate is None)
             assert gate is None or np.array_equal(trace.gate, gate)
 
-    def test_g3_requires_second_projection(self):
+    @BOTH_ENTRIES
+    def test_g3_requires_second_projection(self, entry):
         cfg = GateConfig(placement="g3")
         head = self.head_g3
         params = MhsaParams(*(head[name][None] for name in ("w_q", "w_k", "w_v")),
                             np.eye(4, 8), cfg, w_g=head["w_g"][None], b_g=head["b_g"][None])
         with pytest.raises(ValueError, match="^placement 'g3' needs w_g2$"):
-            siggate_mhsa(self.h, params)
+            entry(self.h, params)
 
     def test_attention_rows_stochastic_for_all_placements(self):
         for placement, head in (("none", self.head), ("g1", self.head),
@@ -269,28 +275,39 @@ class TestSiggateMhsa:
         with pytest.raises(ValueError, match="not divisible"):
             init_mhsa_params(SeededRng(0), 10, 4, GateConfig(placement="none"))
 
-    def test_inconsistent_heads_rejected(self):
+    @BOTH_ENTRIES
+    def test_inconsistent_heads_rejected(self, entry):
         rng = SeededRng(14)
         params = init_mhsa_params(rng, 8, 2, GateConfig(placement="none"))
         params.w_k = np.zeros((2, 8, 3))
         with pytest.raises(ShapeError,
                            match=r"^w_k has shape \(2, 8, 3\), expected \(2, 8, 4\)$"):
-            siggate_mhsa(gaussian_matrix(rng, 4, 8, 1.0), params)
+            entry(gaussian_matrix(rng, 4, 8, 1.0), params)
 
-    def test_wrong_input_width_rejected(self):
+    @BOTH_ENTRIES
+    def test_wrong_input_width_rejected(self, entry):
         rng = SeededRng(15)
         params = init_mhsa_params(rng, 8, 2, GateConfig(placement="none"))
         with pytest.raises(ShapeError, match="heads expect 8"):
-            siggate_mhsa(gaussian_matrix(rng, 4, 6, 1.0), params)
+            entry(gaussian_matrix(rng, 4, 6, 1.0), params)
 
-    def test_shared_flag_with_private_arrays_rejected(self):
+    @BOTH_ENTRIES
+    def test_shared_flag_with_private_arrays_rejected(self, entry):
         rng = SeededRng(16)
         # a shared config whose w_g holds a gate per head fails the shape check
         params = init_mhsa_params(rng, 8, 2, GateConfig(placement="g1", sharing="shared"))
         params.w_g = np.repeat(params.w_g, 2, axis=0)
         with pytest.raises(ShapeError,
                            match=r"^w_g has shape \(2, 8, 4\), expected \(1, 8, 4\)$"):
-            siggate_mhsa(gaussian_matrix(rng, 4, 8, 1.0), params)
+            entry(gaussian_matrix(rng, 4, 8, 1.0), params)
+
+    @pytest.mark.parametrize("rows, n_graphs", [(5, 2), (4, 0)])
+    @BOTH_ENTRIES
+    def test_rows_that_do_not_split_into_the_graphs_rejected(self, rows, n_graphs, entry):
+        params = init_mhsa_params(SeededRng(18), 8, 2, GateConfig(placement="g1"))
+        with pytest.raises(ShapeError, match=rf"^{rows} rows do not split into {n_graphs} "
+                                             rf"graphs of equal size$"):
+            entry(gaussian_matrix(SeededRng(19), rows, 8, 1.0), params, n_graphs=n_graphs)
 
     def test_mask_propagates(self):
         rng = SeededRng(17)
@@ -450,7 +467,8 @@ class TestHeadStack:
         ("g1", "w_q"), ("g1", "w_k"), ("g1", "w_v"), ("g1", "w_g"), ("g1", "b_g"),
         ("g3", "w_g2"),
     ])
-    def test_replaced_head_field_rejected(self, placement, name):
+    @BOTH_ENTRIES
+    def test_replaced_head_field_rejected(self, placement, name, entry):
         # A field replaced by a stack without head 2 no longer agrees with the
         # layer's other stacks; the error names the field (W_O's row count
         # when the field is w_q, whose stack sets the head count).
@@ -460,44 +478,50 @@ class TestHeadStack:
         message = (r"^w_o has 8 input rows but heads concatenate to 6$" if name == "w_q"
                    else rf"^{name} has shape \(3, .*\), expected \(4, ")
         with pytest.raises(ShapeError, match=message):
-            siggate_mhsa(gaussian_matrix(SeededRng(40), 5, 8, 1.0), params)
+            entry(gaussian_matrix(SeededRng(40), 5, 8, 1.0), params)
 
-    def test_replaced_stack_rejected(self):
+    @BOTH_ENTRIES
+    def test_replaced_stack_rejected(self, entry):
         params = stacked_layer(41, "g2")
         params.w_v = np.zeros((4, 8, 3))
         with pytest.raises(ShapeError,
                            match=r"^w_v has shape \(4, 8, 3\), expected \(4, 8, 2\)$"):
-            siggate_mhsa(gaussian_matrix(SeededRng(42), 5, 8, 1.0), params)
+            entry(gaussian_matrix(SeededRng(42), 5, 8, 1.0), params)
 
 
 class TestStackValidation:
-    """``siggate_mhsa`` checks the stacks against one shape table."""
+    """``gated_head_forward``, and so ``siggate_mhsa``, checks the stacks
+    against one shape table."""
 
     @pytest.mark.parametrize("placement, name", [
         ("g1", "w_g"), ("g1", "b_g"), ("g2", "b_g"), ("g3", "w_g2"),
     ])
-    def test_missing_stack_for_the_placement_rejected(self, placement, name):
+    @BOTH_ENTRIES
+    def test_missing_stack_for_the_placement_rejected(self, placement, name, entry):
         params = stacked_layer(43, placement)
         setattr(params, name, None)
         with pytest.raises(ValueError, match=rf"^placement '{placement}' needs {name}$"):
-            siggate_mhsa(gaussian_matrix(SeededRng(44), 5, 8, 1.0), params)
+            entry(gaussian_matrix(SeededRng(44), 5, 8, 1.0), params)
 
     @pytest.mark.parametrize("placement, name", [("none", "w_g"), ("g1", "w_g2")])
-    def test_stack_the_placement_does_not_read_rejected(self, placement, name):
+    @BOTH_ENTRIES
+    def test_stack_the_placement_does_not_read_rejected(self, placement, name, entry):
         params = stacked_layer(45, placement)
         setattr(params, name, np.zeros((4, 8, 2)))
         with pytest.raises(ValueError, match=rf"placement '{placement}' does not read {name}"):
-            siggate_mhsa(gaussian_matrix(SeededRng(46), 5, 8, 1.0), params)
+            entry(gaussian_matrix(SeededRng(46), 5, 8, 1.0), params)
 
-    def test_w_o_row_count_rejected(self):
+    @BOTH_ENTRIES
+    def test_w_o_row_count_rejected(self, entry):
         params = stacked_layer(47, "g1")
         params.w_o = np.eye(6, 8)
         with pytest.raises(ShapeError, match="^w_o has 6 input rows but heads concatenate to 8$"):
-            siggate_mhsa(gaussian_matrix(SeededRng(48), 5, 8, 1.0), params)
+            entry(gaussian_matrix(SeededRng(48), 5, 8, 1.0), params)
 
     @pytest.mark.parametrize("shape", [(8, 2), (0, 8, 2)])
-    def test_w_q_without_a_head_axis_or_a_head_rejected(self, shape):
+    @BOTH_ENTRIES
+    def test_w_q_without_a_head_axis_or_a_head_rejected(self, shape, entry):
         params = stacked_layer(49, "none")
         params.w_q = np.zeros(shape)
         with pytest.raises(ShapeError, match="^w_q must stack at least one head"):
-            siggate_mhsa(gaussian_matrix(SeededRng(50), 5, 8, 1.0), params)
+            entry(gaussian_matrix(SeededRng(50), 5, 8, 1.0), params)

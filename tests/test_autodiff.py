@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import add_at_rows, assert_bitwise
+from oracles import add_at_rows, assert_bitwise, chained_activation
 from siggate import autodiff as ad
+from siggate.attention import GATE_ACTIVATIONS
 from siggate.gps import LN_EPS
 from siggate.numeric import NonFiniteInputError, SeededRng, ShapeError, gaussian_matrix
 
@@ -127,7 +128,7 @@ class TestReductionsAndShapes:
     def test_concat(self, rng):
         a = gaussian_matrix(rng, 3, 2, 1.0)
         b = gaussian_matrix(rng, 3, 4, 1.0)
-        check_grads(lambda x, y: ad.vsum(ad.square(ad.concat([x, y], axis=1))), [a, b])
+        check_grads(lambda x, y: ad.vsum(ad.square(ad.concat([x, y]))), [a, b])
 
     def test_take_rows_with_duplicates(self, rng):
         a = gaussian_matrix(rng, 5, 3, 1.0)
@@ -168,6 +169,33 @@ class TestNonlinearities:
         for name in ("softmax", "identity"):
             with pytest.raises(ValueError, match="unknown activation"):
                 ad.apply_activation(name, a)
+
+
+class TestActivationTable:
+    """Each gate activation is one node with a closed form. Its value and VJP
+    are bitwise those of the op chain the tape ran before, one node per
+    elementwise op (``oracles.chained_activation``); ``sigmoid``, ``tanh``
+    and ``relu``, the MPNN's edge gate among them, are the table's entries."""
+
+    @pytest.mark.parametrize("name", GATE_ACTIVATIONS)
+    def test_value_and_vjp_equal_the_op_chain_bitwise(self, name, rng):
+        x = rng.standard_normal((4, 6)) * 3.0
+        x[0] = [0.0, 40.0, -40.0, 1e-300, -750.0, 750.0]  # the kink and saturation
+        weights = rng.standard_normal((4, 6))
+        ops = [lambda v: ad.apply_activation(name, v)]
+        if name != "sigmoid_squared":
+            ops.append(getattr(ad, name))
+        chain_leaf = ad.Var(x)
+        chain = chained_activation(name, chain_leaf)
+        ad.backward(ad.vsum(ad.mul(chain, weights)))
+        for op in ops:
+            leaf = ad.Var(x)
+            out = op(leaf)
+            assert [p for p, _ in out.parents] == [leaf]  # one node over the leaf
+            ad.backward(ad.vsum(ad.mul(out, weights)))
+            assert_bitwise(out.value, chain.value)
+            assert_bitwise(op(x), chain.value)
+            assert_bitwise(leaf.grad, chain_leaf.grad)
 
 
 class TestRowSoftmaxGrad:
@@ -214,8 +242,8 @@ def _scatter_case(seed, n_rows, n_idx, cols):
 
 
 def _take_rows_vjp(n_rows, cols, idx):
-    (_, vjp), = ad.take_rows(ad.Var(np.zeros((n_rows, cols))), idx).parents
-    return vjp
+    node = ad.take_rows(ad.Var(np.zeros((n_rows, cols))), idx)
+    return lambda g: node.vjp(g)[0]
 
 
 SCATTER = dict(n_rows=st.integers(1, 7), n_idx=st.integers(0, 15), cols=st.integers(1, 5),

@@ -750,6 +750,32 @@ class TestBatchedProbes:
         assert all(np.array_equal(arr, before[name]) for name, arr in params.items())
 
 
+class TestTapeFreeForwards:
+    """A forward without a tape records nothing: it builds no ``Var``."""
+
+    @pytest.mark.parametrize("placement, activation", [("none", "sigmoid")] + [
+        (placement, activation) for placement in ("g1", "g2", "g3")
+        for activation in GATE_ACTIVATIONS])
+    def test_no_var_is_built(self, monkeypatch, placement, activation):
+        model = walk_model(placement, "per_head", activation)
+        pairs = walk_batch()
+        built = []
+        real = ad.Var.__init__
+
+        def counting(node, *args, **kw):
+            built.append(node)
+            real(node, *args, **kw)
+
+        monkeypatch.setattr(ad.Var, "__init__", counting)
+        batch_loss(model, pairs)
+        evaluate(model, pairs)
+        cache = training._PlainForwardCache(model, pairs, "mse")
+        cache.probe_losses(model.layers[0].attn.w_q, [0, 5], 1e-5)
+        assert built == []
+        loss_and_gradients(model, pairs)  # the count sees a taped pass
+        assert built
+
+
 class TestAdamW:
     def test_zero_gradients_leave_params_unchanged(self):
         model = tiny_model(seed=10)
