@@ -209,6 +209,7 @@ class FdReport:
 
 
 PROBE_CHUNK = 256  # perturbed copies per batched pass; bounds the probes' memory
+PACK_ENTRIES = 1 << 16  # copies x entries of the arrays one pass packs; bounds the same
 
 
 class _PlainForwardCache:
@@ -218,14 +219,14 @@ class _PlainForwardCache:
     A finite-difference probe changes one entry of one array the forward
     reads, and everything the model computes before the layer that reads
     that array (the layout's ``index``) stays as it was. :meth:`probe_losses`
-    runs all probes of one array as one pass: its ``lift`` puts perturbed
-    copies of the array on a leading copy axis, and that layer's
-    :func:`gps_layer_forward`, the later layers and the readout run once
-    over the copies (``input.*`` arrays start at the embedding, ``head.*``
-    arrays run the readout alone). Each copy keeps its own slice of every
-    op, with the shapes of :func:`batch_loss`, so its loss is bitwise the
-    :func:`batch_loss` of the model holding that copy. The model's arrays
-    are never written.
+    runs the probes of the arrays one layer reads as few passes: a pass's
+    ``lift`` puts each of its arrays on a leading copy axis, and that
+    layer's :func:`gps_layer_forward`, the later layers and the readout run
+    once over the copies (``input.*`` arrays start at the embedding,
+    ``head.*`` arrays run the readout alone). Each copy keeps its own slice
+    of every op, with the shapes of :func:`batch_loss`, so its loss is
+    bitwise the :func:`batch_loss` of the model holding that copy. The
+    model's arrays are never written.
     """
 
     def __init__(self, model: ModelParams, batch, loss: str):
@@ -241,24 +242,46 @@ class _PlainForwardCache:
             states += [h for h, _ in run_layers(graphs, states[0], model.layers)]
             self.hidden.append(states)
 
-    def probe_losses(self, arr, where, h: float):
-        """``(f_plus, f_minus)``: for each flat index j of ``where`` into
-        ``arr``, an array of the layout's ``index``, the :func:`batch_loss`
-        with entry j moved to ``old + h`` and to ``old - h``. Its copies run
-        :data:`PROBE_CHUNK` at a time."""
-        start = self.layout.index[id(arr)][1]
-        where = np.asarray(where, dtype=np.intp)
-        old = arr.reshape(-1)[where]
-        # Copy 2m holds entry where[m] at old + h, copy 2m + 1 at old - h.
-        values = np.stack([old + h, old - h], axis=1).reshape(-1)
-        where = np.repeat(where, 2)
-        losses = np.empty(values.size)
-        for lo in range(0, values.size, PROBE_CHUNK):
-            chunk = slice(lo, lo + PROBE_CHUNK)
-            count = values[chunk].size
-            copies = np.repeat(arr[None], count, axis=0)
-            copies.reshape(count, -1)[np.arange(count), where[chunk]] = values[chunk]
-            losses[chunk] = self._loss_from(start, lambda a: copies if a is arr else a)
+    def probe_losses(self, probes, h: float):
+        """``(f_plus, f_minus)``: for each ``(array, flat indices)`` of
+        ``probes``, arrays of the layout's ``index`` that one layer reads,
+        and for each index j in turn, the :func:`batch_loss` with that
+        array's entry j moved to ``old + h`` and to ``old - h``.
+
+        The copies run array after array. An array of more than
+        :data:`PROBE_CHUNK` copies takes passes of its own, that many copies
+        each; smaller ones share a pass while it holds at most that many
+        copies and copies x entries of its arrays stay within
+        :data:`PACK_ENTRIES`. A pass stacks each of its arrays' copies, all
+        at the array's values but for its own copies' entries."""
+        start = self.layout.index[id(probes[0][0])][1]
+        passes, pack, copies, entries, at = [], [], 0, 0, 0
+        for arr, where in probes:
+            where = np.asarray(where, dtype=np.intp)
+            old = arr.reshape(-1)[where]
+            # Copy 2m holds entry where[m] at old + h, copy 2m + 1 at old - h.
+            values = np.stack([old + h, old - h], axis=1).reshape(-1)
+            run = (arr, np.repeat(where, 2), values, np.arange(at, at + values.size))
+            at += values.size
+            if values.size > PROBE_CHUNK:
+                passes += [[(arr, *(x[lo:lo + PROBE_CHUNK] for x in run[1:]))]
+                           for lo in range(0, values.size, PROBE_CHUNK)]
+                continue
+            copies, entries = copies + values.size, entries + arr.size
+            if pack and (copies > PROBE_CHUNK or copies * entries > PACK_ENTRIES):
+                passes.append(pack)
+                pack, copies, entries = [], values.size, arr.size
+            pack.append(run)
+        losses = np.empty(at)
+        for runs in filter(None, passes + [pack]):
+            rows = np.concatenate([at for *_, at in runs])  # the pass's copies, in order
+            stacks, lo = {}, 0
+            for arr, where, values, _ in runs:
+                stacks[id(arr)] = np.repeat(arr[None], rows.size, axis=0)
+                stacks[id(arr)].reshape(rows.size, -1)[np.arange(lo, lo + where.size),
+                                                       where] = values
+                lo += where.size
+            losses[rows] = self._loss_from(start, lambda a: stacks.get(id(a), a))
         return losses[0::2], losses[1::2]
 
     def _loss_from(self, start, lift):
@@ -280,54 +303,66 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
                             seed: int = 0, loss: str = "mse") -> FdReport:
     """Compare analytic gradients against central finite differences.
 
-    ``sample`` >= 1 coordinates are drawn per parameter (deterministically
-    from ``seed``); ``sample=None`` checks every coordinate. The probes of
-    every parameter read through one array (a layer's K head slices of a
-    stack) run as one batched pass (:class:`_PlainForwardCache`), each loss
-    bitwise the :func:`batch_loss` of the perturbed model; the model is only read.
+    ``params`` names the parameters to check, each with the model's shape
+    (else ValueError). ``sample`` >= 1 coordinates are drawn per parameter
+    (deterministically from ``seed``, in one draw); ``sample=None`` checks
+    every coordinate. The probes of the arrays one layer reads run as a few
+    batched passes (:meth:`_PlainForwardCache.probe_losses`), each loss
+    bitwise the :func:`batch_loss` of the perturbed model; the model is
+    only read.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"h must lie in [1e-7, 1e-3], got {h}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1 (or None for every coordinate), got {sample}")
+    layout = ParamSet.from_model(model)
+    if not params.names:
+        raise ValueError("params is empty: there is no parameter to check")
+    for name, arr in params.items():
+        if name not in layout.reads:
+            raise ValueError(f"params names {name!r}, which is not a parameter of the model")
+        if arr.shape != layout[name].shape:
+            raise ValueError(f"params gives {name!r} the shape {arr.shape}, "
+                             f"but the model's has {layout[name].shape}")
     _, grads = loss_and_gradients(model, batch, loss=loss)
     cache = _PlainForwardCache(model, batch, loss)
-    rng = SeededRng(seed)
+    sizes = {name: arr.size for name, arr in params.items()}
+    cut = [size for size in sizes.values() if sample is not None and sample < size]
+    draws = iter(np.split(SeededRng(seed).uniform((sum(cut),)), np.cumsum(cut)[:-1]))
     drawn = {}  # name -> its checked flat coordinates
-    by_array = {}  # id of an array the forward reads -> (array, [(name, coordinates in it)])
-    for name, arr in params.items():
-        size = arr.size
-        if sample is None or sample >= size:
-            idxs = np.arange(size)
-        else:
-            u = rng.uniform((size,))
-            idxs = np.sort(np.argsort(u)[:sample])
+    by_layer = {}  # layer -> {id of an array it reads: (array, [(name, coordinates in it)])}
+    for name, size in sizes.items():
+        idxs = (np.arange(size) if sample is None or sample >= size
+                else np.sort(np.argsort(next(draws))[:sample]))
         drawn[name] = idxs
-        stack, k = cache.layout.reads[name]
-        by_array.setdefault(id(stack), (stack, []))[1].append((name, idxs + (k or 0) * size))
+        stack, k = layout.reads[name]
+        arrays = by_layer.setdefault(layout.index[id(stack)][1], {})
+        arrays.setdefault(id(stack), (stack, []))[1].append((name, idxs + (k or 0) * size))
     numeric = {}
-    for stack, named in by_array.values():
-        names, wheres = zip(*named)
-        f_plus, f_minus = cache.probe_losses(stack, np.concatenate(wheres), h)
+    for arrays in by_layer.values():
+        f_plus, f_minus = cache.probe_losses(
+            [(stack, np.concatenate([w for _, w in named])) for stack, named in arrays.values()],
+            h)
+        names, wheres = zip(*(pair for _, named in arrays.values() for pair in named))
         cuts = np.cumsum([where.size for where in wheres])[:-1]
         numeric.update(zip(names, np.split((f_plus - f_minus) / (2.0 * h), cuts)))
-    max_rel = 0.0
-    worst_param = None
-    worst_index = None
-    n_checked = 0
+    analytic = {name: grads[name].reshape(-1)[idxs] for name, idxs in drawn.items()}
+    a_all, n_all = (np.concatenate([got[name] for name in drawn]) for got in (analytic, numeric))
+    rel = np.abs(a_all - n_all) / np.maximum(np.maximum(np.abs(a_all), np.abs(n_all)), 1e-12)
+    worst = int(np.argmax(np.where(rel > 0.0, rel, 0.0)))  # the first maximum, never a NaN
+    max_rel, worst_param, worst_index = 0.0, None, None
+    if rel[worst] > 0.0:
+        at = np.searchsorted(np.cumsum([idxs.size for idxs in drawn.values()]), worst, "right")
+        worst_param = list(drawn)[at]
+        max_rel, worst_index = rel[worst], int(np.concatenate(list(drawn.values()))[worst])
     param_rel: dict[str, float] = {}
-    for name, idxs in drawn.items():
-        a_vec, n_vec = grads[name].reshape(-1)[idxs], numeric[name]
-        n_checked += idxs.size
-        for j, a, n in zip(idxs, a_vec, n_vec):
-            rel = abs(a - n) / max(abs(a), abs(n), 1e-12)
-            if rel > max_rel:
-                max_rel, worst_param, worst_index = rel, name, int(j)
+    for name, a_vec in analytic.items():
+        n_vec = numeric[name]
         param_rel[name] = float(
             np.linalg.norm(a_vec - n_vec)
             / max(np.linalg.norm(a_vec), np.linalg.norm(n_vec), 1e-12)
         )
-    return FdReport(max_rel, worst_param, worst_index, n_checked, param_rel)
+    return FdReport(max_rel, worst_param, worst_index, a_all.size, param_rel)
 
 
 # ---------------------------------------------------------------------------

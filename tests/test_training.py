@@ -300,7 +300,7 @@ class TestLossAndGradients:
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteInputError,
                 match=r"^layer 1: row 2 has largest logit inf; softmax undefined$"):
-            cache.probe_losses(model.layers[1].attn.b_g, [0], 1e308)
+            cache.probe_losses([(model.layers[1].attn.b_g, [0])], 1e308)
 
 
 WALK_CASES = [(placement, sharing) for placement in ("none", "g1", "g2", "g3")
@@ -600,6 +600,22 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(ValueError, match="h must lie"):
             finite_difference_check(model, params, batch, h=1e-2)
 
+    @pytest.mark.parametrize("items, message", [
+        ({"head.b": np.zeros(1), "foo": np.zeros(3)},
+         "^params names 'foo', which is not a parameter of the model$"),
+        ({"head.w": np.zeros(3)},
+         r"^params gives 'head.w' the shape \(3,\), but the model's has \(16, 1\)$"),
+        ({}, "^params is empty: there is no parameter to check$"),
+    ], ids=["unknown-name", "other-shape", "empty"])
+    def test_a_bad_params_is_rejected_before_the_taped_pass(self, batch, monkeypatch,
+                                                            items, message):
+        def taped(*args, **kw):
+            raise AssertionError("the taped pass ran")
+
+        monkeypatch.setattr(training, "loss_and_gradients", taped)
+        with pytest.raises(ValueError, match=message):
+            finite_difference_check(tiny_model(), ParamSet(items), batch, sample=2)
+
     def test_corrupted_gradient_is_flagged(self, batch, monkeypatch):
         model = tiny_model(seed=6)
         params = ParamSet.from_model(model)
@@ -615,6 +631,31 @@ class TestFiniteDifferenceCheck:
         assert report.max_rel_err > 1e-2
         assert report.worst_param == "layer0.mpnn.w_val"
         assert report.worst_param_by_norm == "layer0.mpnn.w_val"
+
+    def test_the_first_worst_coordinate_wins_and_a_nan_never_does(self, batch, monkeypatch):
+        # Gradients of 1e300 give a relative error of exactly 1.0 at three
+        # coordinates; a NaN before them and an infinity after them must not
+        # be the worst coordinate, as in the oracle's loop.
+        model = tiny_model(seed=6)
+        params = ParamSet.from_model(model)
+        real = training.loss_and_gradients
+
+        def corrupted(*args, **kw):
+            loss, grads = real(*args, **kw)
+            grads["layer0.mpnn.w_val"].reshape(-1)[:] = np.nan
+            for name in ("layer0.ffn.b1", "layer1.ffn.b1", "layer1.ln2.scale"):
+                grads[name].reshape(-1)[:] = 1e300
+            grads["head.b"][:] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(training, "loss_and_gradients", corrupted)
+        with np.errstate(invalid="ignore", over="ignore"):  # the NaN and 1e300 param_rels
+            report = finite_difference_check(model, params, batch[:2], sample=2, seed=4)
+            want = one_probe_fd_check(model, params, batch[:2], sample=2, seed=4)
+        assert (report.max_rel_err, report.worst_param) == (1.0, "layer0.ffn.b1")
+        assert report.worst_index == want.worst_index and report.n_checked == want.n_checked
+        assert {name: rel.hex() for name, rel in report.param_rel.items()} == {
+            name: rel.hex() for name, rel in want.param_rel.items()}  # NaN != NaN
 
     @pytest.mark.parametrize("placement, kw", [
         ("none", {}), ("g1", {}), ("g2", {"activation": "relu"}),
@@ -633,9 +674,9 @@ class TestFiniteDifferenceCheck:
         unmoved = batch_loss(model, graphs, "mae")
         for *_, name, arr in cache.layout.index.values():  # each array the forward reads
             idxs = rng.choice(arr.size, size=min(5, arr.size), replace=False)
-            got = cache.probe_losses(arr, idxs, 1e-3)
+            got = cache.probe_losses([(arr, idxs)], 1e-3)
             assert_same_losses(got, one_probe_losses(model, graphs, "mae", arr, idxs, 1e-3))
-            assert all(loss == unmoved for loss in cache.probe_losses(arr, idxs, 0.0)[0]), name
+            assert all(loss == unmoved for loss in cache.probe_losses([(arr, idxs)], 0.0)[0]), name
 
     def test_cached_probe_over_node_count_groups_is_bitwise(self):
         model = tiny_model(seed=16, placement="g2")
@@ -645,7 +686,7 @@ class TestFiniteDifferenceCheck:
         for arr in (model.w_in, first.mpnn.w_edge, first.attn.w_g, last.attn.w_o,
                     last.ln2.scale, model.w_head):
             where = [1, arr.size - 1]  # in the W_g stack: head 0's and head 3's
-            got = cache.probe_losses(arr, where, 1e-3)
+            got = cache.probe_losses([(arr, where)], 1e-3)
             assert_same_losses(got, one_probe_losses(model, pairs, "mse", arr, where, 1e-3))
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
@@ -693,7 +734,7 @@ class TestBatchedProbes:
         rng = np.random.default_rng(1)
         for *_, arr in cache.layout.index.values():  # a stack: both heads' entries
             idxs = np.sort(rng.choice(arr.size, size=min(4, arr.size), replace=False))
-            assert_same_losses(cache.probe_losses(arr, idxs, 1e-5),
+            assert_same_losses(cache.probe_losses([(arr, idxs)], 1e-5),
                                one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5))
 
     def test_an_exhaustive_head_stack_crosses_chunk_boundaries(self, batch):
@@ -708,21 +749,23 @@ class TestBatchedProbes:
         assert all(c * training.PROBE_CHUNK % per_head for c in (1, 2))
         idxs = np.arange(arr.size)
         cache = training._PlainForwardCache(model, batch[:1], "mse")
-        assert_same_losses(cache.probe_losses(arr, idxs, 1e-5),
+        assert_same_losses(cache.probe_losses([(arr, idxs)], 1e-5),
                            one_probe_losses(model, batch[:1], "mse", arr, idxs, 1e-5))
 
-    def test_the_check_makes_one_pass_per_array_read(self, batch, monkeypatch):
-        # Two g1/per_head layers of four heads: each layer's 20 head
-        # parameters are slices of its Q, K, V, W_g and b_g stacks.
+    def test_the_check_makes_one_pass_per_pack(self, batch, monkeypatch):
+        # Two g1/per_head layers of four heads, two coordinates per parameter:
+        # each layer's 20 head parameters are slices of its Q, K, V, W_g and
+        # b_g stacks, and its 16 arrays' 172 copies fill three packs (Q, K, V
+        # and W_g hold 64 copies of 1,024 entries, the bound).
         model = tiny_model(seed=21)
         params = ParamSet.from_model(model)
         probed, passes = [], []
         cache_type = training._PlainForwardCache
         probe, loss_from = cache_type.probe_losses, cache_type._loss_from
 
-        def counted_probe(cache, arr, *args):
-            probed.append(arr)
-            return probe(cache, arr, *args)
+        def counted_probe(cache, probes, *args):
+            probed.append([id(arr) for arr, _ in probes])
+            return probe(cache, probes, *args)
 
         def counted_pass(cache, *args):
             passes.append(args)
@@ -731,10 +774,89 @@ class TestBatchedProbes:
         monkeypatch.setattr(cache_type, "probe_losses", counted_probe)
         monkeypatch.setattr(cache_type, "_loss_from", counted_pass)
         report = finite_difference_check(model, params, batch[:2], sample=2, seed=3)
-        assert (len(passes), len(params.names)) == (36, 66)
-        assert [id(arr) for arr in probed] == list(model.layout.index)
+        assert (len(passes), len(params.names)) == (8, 66)
+        assert [start for start, _ in passes] == [-1, 0, 0, 0, 1, 1, 1, 2]
+        layers = [layer for _, layer, _, _ in model.layout.index.values()]
+        assert probed == [[key for key, at in zip(model.layout.index, layers) if at == layer]
+                          for layer in (-1, 0, 1, 2)]
         monkeypatch.undo()
         assert report == one_probe_fd_check(model, params, batch[:2], sample=2, seed=3)
+
+    @staticmethod
+    def recorded_passes(monkeypatch):
+        """Per pass of ``_PlainForwardCache``, the copy stacks its ``lift``
+        gives, by the name of the array's first parameter."""
+        passes = []
+        cache_type = training._PlainForwardCache
+        loss_from = cache_type._loss_from
+
+        def recording(cache, start, lift):
+            passes.append({name: lift(arr) for _, _, name, arr in cache.layout.index.values()
+                           if lift(arr) is not arr})
+            return loss_from(cache, start, lift)
+
+        monkeypatch.setattr(cache_type, "_loss_from", recording)
+        return passes
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_one_pack_of_every_array_a_layer_reads_is_bitwise(self, monkeypatch,
+                                                              placement, sharing):
+        # Two coordinates of each array: the MPNN with edge features, the
+        # Q/K/V and gate stacks, W_O, the FFN and both layer norms. Each layer
+        # reads under 1,024 entries, so its 32 copies fit one pack.
+        model = walk_model(placement, sharing)
+        pairs = walk_batch()
+        cache = training._PlainForwardCache(model, pairs, "mse")
+        passes = self.recorded_passes(monkeypatch)
+        rng = np.random.default_rng(2)
+        for layer in range(3):
+            read = {name: arr for _, at, name, arr in cache.layout.index.values() if at == layer}
+            probes = [(arr, np.sort(rng.choice(arr.size, size=min(2, arr.size), replace=False)))
+                      for arr in read.values()]
+            got = cache.probe_losses(probes, 1e-5)
+            stacks = passes.pop()
+            assert not passes
+            assert list(stacks) == list(read)
+            assert len(read) == {"none": 14, "g1": 16, "g2": 16, "g3": 17}[placement]
+            copies = 2 * sum(len(idxs) for _, idxs in probes)
+            assert all(stack.shape[0] == copies for stack in stacks.values())
+            want = [one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5)
+                    for arr, idxs in probes]
+            assert_same_losses(got, [sum((side[i] for side in want), []) for i in (0, 1)])
+
+    def test_an_array_over_a_chunk_runs_beside_a_pack(self, batch, monkeypatch):
+        # W_Q's 648 copies take three passes of their own; the b_g stack's
+        # and ln1's copies before and after it share one pass.
+        model = init_model(SeededRng(18), d_in=4, d=18, n_heads=3, n_layers=2,
+                           gate=GateConfig(placement="g3"))
+        layer = model.layers[0]
+        probes = [(layer.attn.b_g, [0, 2]), (layer.attn.w_q, np.arange(layer.attn.w_q.size)),
+                  (layer.ln1.scale, [1, 17]), (layer.ln1.shift, [5])]
+        cache = training._PlainForwardCache(model, batch[:1], "mse")
+        passes = self.recorded_passes(monkeypatch)
+        got = cache.probe_losses(probes, 1e-5)
+        assert [sorted(stacks) for stacks in passes] == [["layer0.attn.head0.w_q"]] * 3 + [
+            ["layer0.attn.head0.b_g", "layer0.ln1.scale", "layer0.ln1.shift"]]
+        assert [next(iter(stacks.values())).shape[0] for stacks in passes] == [256, 256, 136, 10]
+        want = [one_probe_losses(model, batch[:1], "mse", arr, idxs, 1e-5)
+                for arr, idxs in probes]
+        assert_same_losses(got, [sum((side[i] for side in want), []) for i in (0, 1)])
+
+    @pytest.mark.parametrize("placement, sample", [("g1", None), ("g3", None), ("g2", 3)])
+    def test_every_pass_keeps_within_the_chunk_and_the_entry_bound(self, batch, monkeypatch,
+                                                                   placement, sample):
+        model = tiny_model(seed=22, placement=placement)
+        params = ParamSet.from_model(model)
+        passes = self.recorded_passes(monkeypatch)
+        finite_difference_check(model, params, batch[:1], sample=sample)
+        packs = [stacks for stacks in passes if len(stacks) > 1]
+        assert packs
+        for stacks in passes:
+            copies = {stack.shape[0] for stack in stacks.values()}
+            assert len(copies) == 1 and max(copies) <= training.PROBE_CHUNK
+        for stacks in packs:
+            entries = sum(stack[0].size for stack in stacks.values())
+            assert next(iter(stacks.values())).shape[0] * entries <= training.PACK_ENTRIES
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g2", {"sharing": "shared"})])
     def test_the_check_never_writes_into_the_model(self, batch, placement, kw):
@@ -770,7 +892,7 @@ class TestTapeFreeForwards:
         batch_loss(model, pairs)
         evaluate(model, pairs)
         cache = training._PlainForwardCache(model, pairs, "mse")
-        cache.probe_losses(model.layers[0].attn.w_q, [0, 5], 1e-5)
+        cache.probe_losses([(model.layers[0].attn.w_q, [0, 5])], 1e-5)
         assert built == []
         loss_and_gradients(model, pairs)  # the count sees a taped pass
         assert built
