@@ -42,7 +42,7 @@ __all__ = [
 
 PLACEMENTS = ("none", "g1", "g2", "g3")
 SHARINGS = ("per_head", "shared")
-GATE_ACTIVATIONS = ("sigmoid", "tanh", "relu", "sigmoid_squared")
+GATE_ACTIVATIONS = tuple(ad._ACTIVATIONS)
 
 
 @dataclass

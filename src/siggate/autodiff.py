@@ -450,9 +450,9 @@ def _sigmoid_squared_vjp(x):
     return np.square(s), lambda g: (g * 2.0 * s * s * (1.0 - s),)
 
 
-# The gate activations: each name's form, one closed form apiece. relu's
-# subgradient is 0 at the kink; sigmoid_squared's VJP is square's, then
-# sigmoid's, in that order.
+# The gate activations, whose names in this order are attention.GATE_ACTIVATIONS:
+# one closed form apiece. relu's subgradient is 0 at the kink; sigmoid_squared's
+# VJP is square's, then sigmoid's, in that order.
 _ACTIVATIONS = {
     "sigmoid": _elementwise(numeric.sigmoid, lambda x, s: lambda g: g * s * (1.0 - s)),
     "tanh": _elementwise(np.tanh, lambda x, t: lambda g: g * (1.0 - t * t)),

@@ -193,28 +193,12 @@ def cmd_rank_exp(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gradcheck_cells(cfg: RunConfig):
-    cells = []
-    for placement in cfg["gradcheck.placements"]:
-        if placement == "none":
-            cells.append(("none", "-"))
-        else:
-            for activation in cfg["gradcheck.activations"]:
-                cells.append((placement, activation))
-    return cells
-
-
-def _gradcheck_dims(cfg: RunConfig, placement: str, activation: str) -> dict:
-    """The keyword arguments that build a grad-check cell's model."""
-    gate = _gate_config(cfg, placement=placement,
-                        activation=activation if activation != "-" else "sigmoid")
-    return dict(d_in=cfg["model.d_in"], **_model_dims(cfg, gate))
-
-
 def _gradcheck_one(args):
     placement, activation, cfg = args
-    model = init_model(SeededRng(cfg["training.seed"]),
-                       **_gradcheck_dims(cfg, placement, activation))
+    gate = _gate_config(cfg, placement=placement,
+                        activation=activation if activation != "-" else "sigmoid")
+    model = init_model(SeededRng(cfg["training.seed"]), d_in=cfg["model.d_in"],
+                       **_model_dims(cfg, gate))
     task = make_toy_task(
         seed=cfg["task.seed"], n_graphs=2, nodes_per_graph=cfg["gradcheck.nodes"],
         feature_dim=cfg["model.d_in"], edge_prob=cfg["task.edge_prob"],
@@ -238,7 +222,8 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     below the h=1e-5 noise floor inflate it without indicating a bug).
     """
     _require_scalar_target(cfg)
-    jobs = [(p, a, cfg) for p, a in _gradcheck_cells(cfg)]
+    jobs = [(p, a, cfg) for p in cfg["gradcheck.placements"]
+            for a in (("-",) if p == "none" else cfg["gradcheck.activations"])]
     if not jobs:
         key = "gradcheck.activations" if cfg["gradcheck.placements"] else "gradcheck.placements"
         raise ConfigError(f"{key} selects no grad-check cell; nothing would be checked")
@@ -248,18 +233,12 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     tol = cfg["gradcheck.tolerance"]
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck.tolerance must be finite and > 0, got {tol}")
-    # The workers take the cells that check the most coordinates first;
-    # the rows keep the cell order. The skeleton's layout counts them: it draws nothing.
-    cap = None if cfg["gradcheck.exhaustive"] else cfg["gradcheck.samples"]
-    coords = [sum(min(cap or arr.size, arr.size)
-                  for _, arr in model_skeleton(**_gradcheck_dims(cfg, p, a))[0].layout.items())
-              for p, a, _ in jobs]
-    order = sorted(range(len(jobs)), key=lambda i: -coords[i])
+    _model_dims(cfg, _gate_config(cfg))  # a bad model.heads exits before any worker starts
     with _pool(parallel, len(jobs)) as map_fn:
-        done = dict(zip(order, map_fn(_gradcheck_one, [jobs[i] for i in order])))
+        reports = list(map_fn(_gradcheck_one, jobs))
     rows = []
     ok = True
-    for placement, activation, report in (done[i] for i in range(len(jobs))):
+    for placement, activation, report in reports:
         passed = report.max_param_rel <= tol
         ok = ok and passed
         status = "pass" if passed else "FAIL"
@@ -341,6 +320,13 @@ def cmd_lr_sweep(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     """
     if not cfg["training.lrs"]:
         raise ConfigError("training.lrs is empty; there is no learning rate to sweep")
+    first = {}  # label -> lr: a cell's rows and its history file are named by its label
+    for lr in cfg["training.lrs"]:
+        label = f"{lr:g}"
+        if label in first:
+            raise ConfigError(f"training.lrs holds {first[label]!r} and {lr!r}, which share "
+                              f"the label {label}; each learning rate needs its own")
+        first[label] = lr
 
     def cells():
         for kind, gate in (("gated", _gate_config(cfg)), ("ungated", GateConfig(placement="none"))):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS
 from .gps import READOUTS
+from .synthexp import C_SWEEP, RHO_SWEEP
 from .training import LOSSES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text", "SCHEMA"]
@@ -95,8 +96,8 @@ SCHEMA: dict[str, tuple] = {
     "experiment.target_gate_mean": (float, 0.58),
     "experiment.target_gate_std": (float, 0.19),
     "experiment.robustness": (_parse_bool, False),
-    "experiment.c_sweep": (_parse_list(float), (0.5, 1.0, 1.5, 2.0, 3.0)),
-    "experiment.rho_sweep": (_parse_list(float), (0.05, 0.20, 0.40, 0.60)),
+    "experiment.c_sweep": (_parse_list(float), C_SWEEP),
+    "experiment.rho_sweep": (_parse_list(float), RHO_SWEEP),
     # gradient check
     "gradcheck.h": (float, 1e-5),
     "gradcheck.exhaustive": (_parse_bool, True),

@@ -454,16 +454,11 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
     return model, draws
 
 
-def init_model(rng: SeededRng, *, d_in: int, d: int, n_heads: int, n_layers: int,
-               gate: GateConfig, d_ff: int | None = None, d_e: int = 0,
-               readout: str = "mean", out_dim: int = 1,
-               gate_weight_std: float | None = None) -> ModelParams:
-    """Seeded model init: :func:`model_skeleton` with its Gaussian blocks
-    drawn in one pass. ``gate_weight_std=0.0`` zeroes the gate projections
-    so fresh gates sit exactly at ``act(bias_init)``."""
-    model, draws = model_skeleton(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers,
-                                  gate=gate, d_ff=d_ff, d_e=d_e, readout=readout,
-                                  out_dim=out_dim, gate_weight_std=gate_weight_std)
+def init_model(rng: SeededRng, **dims) -> ModelParams:
+    """Seeded model init: the :func:`model_skeleton` of ``dims`` with its
+    Gaussian blocks drawn in one pass. ``gate_weight_std=0.0`` zeroes the
+    gate projections so fresh gates sit exactly at ``act(bias_init)``."""
+    model, draws = model_skeleton(**dims)
     fill_gaussian(rng, draws)
     return model
 
@@ -608,6 +603,8 @@ def read_graph(path) -> GraphInstance:
             feats.append(row)
             pos += 1
         m = int(raw[pos])
+        if m < 0:
+            raise ValueError(f"the edge count {raw[pos]!r} is negative")
         pos += 1
         edges, edge_feats = [], []
         for i in range(m):

@@ -51,6 +51,7 @@ MEAN_GAIN_BAND = (0.05, 0.09)
 SWEEP_GAIN_BAND = (0.04, 0.10)
 GATE_MEAN_TOL = 0.03
 GATE_STD_TOL = 0.02
+_CALIBRATION_TOL = 1e-12  # the largest moment residual calibrate_gate returns
 
 C_SWEEP = (0.5, 1.0, 1.5, 2.0, 3.0)
 RHO_SWEEP = (0.05, 0.20, 0.40, 0.60)
@@ -161,7 +162,8 @@ def calibrate_gate(target_mean: float, target_std: float) -> CalibratedGate:
 
     The reachable stds at mean m are (0, sqrt(m(1-m))): the supremum is the
     Bernoulli limit of an infinitely steep gate. Infeasible targets raise
-    with that range in the message.
+    with that range in the message; so do targets so near it that Newton
+    meets a singular Jacobian or ends with a moment residual above 1e-12.
     """
     if not 0.0 < target_mean < 1.0:
         raise ValueError(f"target mean must lie in (0, 1), got {target_mean}")
@@ -176,6 +178,10 @@ def calibrate_gate(target_mean: float, target_std: float) -> CalibratedGate:
         return CalibratedGate(scale=0.0, bias=bias,
                               attained_mean=target_mean, attained_std=0.0)
 
+    def unreached(why: str) -> ValueError:
+        return ValueError(f"calibrate_gate: targets (mean {target_mean}, std {target_std}) "
+                          f"{why} (the std's Bernoulli limit is {sup_std:.6g})")
+
     z, w = _gauss_hermite()
     target_m2 = target_std ** 2 + target_mean ** 2
     bias = _logit(target_mean)
@@ -187,7 +193,11 @@ def calibrate_gate(target_mean: float, target_std: float) -> CalibratedGate:
         err = float(np.max(np.abs(resid)))
         if err < 1e-13:
             break
-        step = np.linalg.solve(jac, resid)
+        try:
+            step = np.linalg.solve(jac, resid)
+        except np.linalg.LinAlgError:
+            raise unreached(f"make the moment Jacobian singular at scale {scale:.6g}, "
+                            f"bias {bias:.6g}") from None
         damp = 1.0
         for _ in range(60):
             s_new = scale - damp * step[0]
@@ -199,6 +209,9 @@ def calibrate_gate(target_mean: float, target_std: float) -> CalibratedGate:
         scale, bias = scale - damp * step[0], bias - damp * step[1]
     scale = abs(scale)  # sigma(s z + b) and sigma(-s z + b) share a law for z ~ N(0,1)
     m1, m2, _ = _gate_moments(scale, bias, z, w)
+    err = max(abs(m1 - target_mean), abs(m2 - target_m2))
+    if not err <= _CALIBRATION_TOL:
+        raise unreached(f"are missed by a moment residual of {err:.3g} > {_CALIBRATION_TOL:g}")
     return CalibratedGate(
         scale=scale, bias=bias,
         attained_mean=m1, attained_std=float(np.sqrt(max(m2 - m1 * m1, 0.0))),

@@ -53,7 +53,8 @@ __all__ = [
     "is_gate_param",
 ]
 
-LOSSES = ("mse", "mae")
+_LOSS_OPS = {"mse": ad.square, "mae": ad.absolute}  # per-entry op, summed over a group
+LOSSES = tuple(_LOSS_OPS)
 DIVERGENCE_LIMIT = 1e6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's fixed decays and floor
 
@@ -93,12 +94,10 @@ def _graph_groups(batch):
 
 def _group_loss(pred, targets, kind: str):
     """Summed loss of one group (of each copy of a tape-free stack): B x out_dim."""
-    diff = ad.sub(pred, targets)
-    if kind == "mse":
-        return ad.vsum(ad.square(diff), axis=(-2, -1))
-    if kind == "mae":
-        return ad.vsum(ad.absolute(diff), axis=(-2, -1))
-    raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
+    op = _LOSS_OPS.get(kind)
+    if op is None:
+        raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
+    return ad.vsum(op(ad.sub(pred, targets)), axis=(-2, -1))
 
 
 def _summed_loss(model: ModelParams, batch, loss: str, lift=ad.no_tape):

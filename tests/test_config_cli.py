@@ -48,6 +48,34 @@ class TestConfigParsing:
         # the five-point lr protocol is the default sweep grid
         assert cfg["training.lrs"] == (5e-4, 1e-3, 2e-3, 3e-3, 5e-3)
 
+    def test_cli_builders_give_the_api_defaults(self, monkeypatch):
+        # config.SCHEMA restates these defaults; a drift on either side fails here.
+        from inspect import signature
+
+        from siggate.gps import model_skeleton
+        from siggate.synthexp import RankExpConfig
+        from siggate.training import TrainConfig, finite_difference_check
+
+        def defaults(fn):
+            return {name: p.default for name, p in signature(fn).parameters.items()
+                    if p.default is not p.empty}
+
+        cfg = RunConfig()
+        assert cli._gate_config(cfg) == GateConfig()
+        assert cli._train_config(cfg, cli._gate_config(cfg)) == TrainConfig()
+        assert cli._rank_config(cfg) == RankExpConfig()
+        assert cfg["model.out_dim"] == defaults(model_skeleton)["out_dim"]
+        check_kwargs, task_kwargs = {}, {}
+        monkeypatch.setattr(cli, "finite_difference_check",
+                            lambda *args, **kw: check_kwargs.update(kw))
+        cli._gradcheck_one(("none", "-", cfg))
+        fd = defaults(finite_difference_check)
+        assert (check_kwargs["h"], check_kwargs["seed"]) == (fd["h"], fd["seed"])
+        assert cfg["gradcheck.samples"] == fd["sample"]  # the sampled check's count
+        monkeypatch.setattr(cli, "make_toy_task", lambda **kw: task_kwargs.update(kw))
+        cli._task(cfg)
+        assert {k: task_kwargs[k] for k in defaults(make_toy_task)} == defaults(make_toy_task)
+
     def test_overrides_and_lists(self):
         cfg = parse_config_text("experiment.seeds = 3,4 , 5\ntraining.lr = 2e-3\n")
         assert cfg["experiment.seeds"] == (3, 4, 5)
@@ -94,6 +122,16 @@ class TestRankExpCommand:
         assert len(seeds) == 6  # header + 5 seeds
         assert (out / "rank_aggregate.csv").exists()
         assert (out / "resolved_config.txt").exists()
+
+    def test_uncalibratable_gate_target_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_RANK + "experiment.target_gate_std = 0.47\n")
+        out = tmp_path / "out"
+        assert run_cli("rank-exp", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", "error: calibrate_gate: targets (mean 0.58, std "
+                                           "0.47) are missed by a moment residual of 0.00382 "
+                                           "> 1e-12 (the std's Bernoulli limit is 0.493559)\n")
+        assert list(out.iterdir()) == []
 
     def test_miniature_config_still_writes_outputs(self, tmp_path):
         # small dimensions fall outside the default-size gain bands (exit 1)
@@ -299,8 +337,7 @@ class TestGradCheckCommand:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
-    def test_cells_run_longest_first_and_rows_keep_cell_order(self, tmp_path, capsys,
-                                                              monkeypatch):
+    def test_cells_run_and_rows_keep_cell_order(self, tmp_path, capsys, monkeypatch):
         import siggate.cli as cli
 
         ran = []
@@ -317,8 +354,7 @@ class TestGradCheckCommand:
         out = tmp_path / "out"
         assert run_cli("grad-check", "--config", str(cfg), "--out", str(out)) == 0
         cells = [("none", "-")] + [(p, a) for p in ("g1", "g2", "g3") for a in ("sigmoid", "relu")]
-        # g3 reads the most arrays (a second gate projection), none the fewest.
-        assert ran == cells[5:] + cells[1:5] + cells[:1]
+        assert ran == cells
         rows = (out / "gradcheck_report.csv").read_text().splitlines()[1:]
         assert [tuple(row.split(",")[:2]) for row in rows] == cells
         printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
@@ -549,6 +585,19 @@ class TestDiagnoseCommand:
                        "--out", str(tmp_path / "out")) == 2
         assert "node row 0 has a non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    def test_negative_edge_count_exits_two(self, tmp_path, capsys):
+        model = init_model(SeededRng(5), d_in=2, d=8, n_heads=2, n_layers=1,
+                           gate=GateConfig())
+        model_path = tmp_path / "model.txt"
+        save_model(model, model_path)
+        graph = tmp_path / "graph.txt"
+        graph.write_text("3 2 0\n1 0\n0 1\n1 1\n-1\n")
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr() == ("", f"error: malformed graph file {graph}: the edge "
+                                           "count '-1' is negative\n")
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("edge_rows, message", [
         ("1\n0 7\n", "edge row 0 joins (0, 7), outside nodes 0..2"),
@@ -808,6 +857,29 @@ class TestBadTrainingInputs:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    @pytest.mark.parametrize("lrs, first, second", [
+        ("0.001, 0.0010000001, 0.001", "0.001", "0.0010000001"),
+        ("5e-4, 1e-3, 0.001", "0.001", "0.001"),
+    ], ids=["near", "equal"])
+    def test_learning_rates_that_share_a_label_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                        parallel, lrs, first, second):
+        # Each lr-sweep cell's rows and history file are named f"{lr:g}".
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(cli, "train_toy", no_training)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_TRAIN + f"training.lrs = {lrs}\n")
+        out = tmp_path / "out"
+        assert run_cli("lr-sweep", "--config", str(cfg), "--out", str(out),
+                       "--parallel", parallel) == 2
+        assert capsys.readouterr() == ("", f"error: training.lrs holds {first} and {second}, "
+                                           "which share the label 0.001; each learning rate "
+                                           "needs its own\n")
         assert list(out.iterdir()) == []
 
 

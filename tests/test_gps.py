@@ -414,6 +414,13 @@ class TestGraphFile:
                                              f"header '{header}' has a negative size"):
             read_graph(path)
 
+    def test_negative_edge_count_rejected(self, tmp_path):
+        path = tmp_path / "negative.txt"
+        path.write_text("2 1 0\n1.0\n2.0\n-1\n")
+        with pytest.raises(ValueError, match="malformed graph file .*negative.txt: the edge "
+                                             "count '-1' is negative"):
+            read_graph(path)
+
     def test_lines_after_last_edge_rejected(self, tmp_path):
         path = tmp_path / "trailing.txt"
         path.write_text("2 1 0\n1.0\n2.0\n1\n0 1\n5 5 5\ngarbage\n\n")

@@ -64,6 +64,33 @@ class TestCalibrateGate:
         with pytest.raises(ValueError, match=r"target std .* feasible range is \[0, 0.4935"):
             calibrate_gate(0.58, std)
 
+    @pytest.mark.parametrize("mean, std", [(0.58, 0.48), (0.58, 0.49), (0.58, 0.4935),
+                                           (0.9, 0.299), (0.1, 0.2999)])
+    def test_singular_jacobian_names_the_targets(self, mean, std):
+        with pytest.raises(ValueError, match=rf"^calibrate_gate: targets \(mean {mean}, std "
+                                             rf"{std}\) make the moment Jacobian singular"):
+            calibrate_gate(mean, std)
+
+    def test_newton_that_ends_off_the_targets_raises(self):
+        # Feasible (the limit is 0.4936), but Newton used its steps up 3.8e-3 away.
+        with pytest.raises(ValueError, match=r"^calibrate_gate: targets \(mean 0.58, std "
+                                             r"0.47\) are missed by a moment residual of "
+                                             r"0.00382 > 1e-12 \(the std's Bernoulli limit "
+                                             r"is 0.493559\)$"):
+            calibrate_gate(0.58, 0.47)
+
+    @pytest.mark.parametrize("mean, std, scale, bias", [
+        (0.58, 0.19, "0x1.d0c49f5d73d93p-1", "0x1.84b8e7b117d86p-2"),
+        (0.5, 0.1, "0x1.aa746c253d3e9p-2", "0x1.4bbb43d03a653p-62"),
+        (0.3, 0.15, "0x1.92285af9f8d59p-1", "-0x1.eaa591bb01af4p-1"),
+        (0.5, 0.499, "0x1.1446cf1468bc0p+5", "-0x1.ca1002e3deff6p-44"),
+    ])
+    def test_reachable_targets_keep_their_calibration(self, mean, std, scale, bias):
+        cal = calibrate_gate(mean, std)
+        assert (cal.scale, cal.bias) == (float.fromhex(scale), float.fromhex(bias))
+        assert abs(cal.attained_mean - mean) <= 1.2e-16
+        assert abs(cal.attained_std ** 2 - std ** 2) <= 1e-12
+
     def test_deterministic(self):
         a = calibrate_gate(0.3, 0.15)
         b = calibrate_gate(0.3, 0.15)
