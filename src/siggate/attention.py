@@ -172,7 +172,7 @@ def _scores(a, b, d_k: int, n_graphs: int):
         da, db_t = prod_back(g * scale)
         return da.reshape(a.shape), db_t.swapaxes(-1, -2).reshape(b.shape)
 
-    return prod * scale, back
+    return np.multiply(prod, scale, out=prod), back
 
 
 def _softmax(logits, mask):

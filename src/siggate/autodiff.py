@@ -305,16 +305,22 @@ def concat_vjp(*parts):
         np.asarray(g), np.cumsum([np.shape(v)[-1] for v in parts])[:-1], axis=-1)
 
 
-def _scatter_add(x, idx, n_rows):
-    """Rows (axis -2) of ``x`` summed into ``n_rows`` rows at ``idx``, each
-    matrix of a stack along leading axes on its own: ``bincount`` over flat
-    (matrix, row, column) indices adds each cell's entries in index order
-    from +0.0, as ``np.add.at`` on zeros does, so the two agree bitwise.
-    (With no indices ``bincount`` returns integers, hence the cast.)"""
+def flat_index(idx, cols: int) -> np.ndarray:
+    """Flat indices of rows ``idx`` of a ``cols``-wide matrix: idx[e]·cols + c at e·cols + c."""
+    return np.add.outer(idx * cols, np.arange(cols)).ravel()
+
+
+def _scatter_add(x, idx, n_rows, flat=None):
+    """Rows (axis -2) of ``x`` summed into ``n_rows`` rows at ``idx``, each matrix
+    of a stack along leading axes on its own: ``bincount`` over flat (matrix, row,
+    column) indices (``flat`` is ``flat_index(idx, cols)`` if the caller keeps one)
+    adds each cell's entries in index order from +0.0, as ``np.add.at`` on zeros does,
+    so the two agree bitwise. (With no indices ``bincount`` returns ints, hence the cast.)"""
     x = np.asarray(x, dtype=np.float64)
     *lead, _, cols = x.shape
-    rows = np.arange(math.prod(lead))[:, None] * n_rows + idx if lead else idx
-    flat = (rows[..., None] * cols + np.arange(cols)).ravel()
+    flat = flat_index(idx, cols) if flat is None else flat
+    if lead:  # matrix p's cells follow the p·n_rows·cols cells before it
+        flat = (np.arange(math.prod(lead))[:, None] * (n_rows * cols) + flat).ravel()
     out = np.bincount(flat, weights=x.ravel(), minlength=math.prod(lead) * n_rows * cols)
     return out.astype(np.float64, copy=False).reshape((*lead, n_rows, cols))
 
@@ -344,11 +350,11 @@ def scatter_rows_vjp(x, idx, n_rows):
 
 
 def _elementwise(fwd, make_vjp):
-    """The form of an elementwise op ``y = fwd(x)``: ``make_vjp(x, y)`` is x's
-    term as a function of ``g``, holding only the arrays it reads."""
-    def form(x):
+    """The form of an elementwise op ``y = fwd(x, out=out)``: ``make_vjp(x, y)``
+    is x's term as a function of ``g``, holding only the arrays it reads."""
+    def form(x, out=None):
         x = np.asarray(x, dtype=np.float64)
-        y = fwd(x)
+        y = fwd(x, out=out)
         vjp = make_vjp(x, y)
         return y, lambda g: (vjp(g),)
 
@@ -445,9 +451,9 @@ def row_softmax_vjp(logits, mask=None):
     return out, back
 
 
-def _sigmoid_squared_vjp(x):
+def _sigmoid_squared_vjp(x, out=None):
     s = numeric.sigmoid(np.asarray(x, dtype=np.float64))
-    return np.square(s), lambda g: (g * 2.0 * s * s * (1.0 - s),)
+    return np.square(s, out=out), lambda g: (g * 2.0 * s * s * (1.0 - s),)
 
 
 # The gate activations, whose names in this order are attention.GATE_ACTIVATIONS:
@@ -456,17 +462,19 @@ def _sigmoid_squared_vjp(x):
 _ACTIVATIONS = {
     "sigmoid": _elementwise(numeric.sigmoid, lambda x, s: lambda g: g * s * (1.0 - s)),
     "tanh": _elementwise(np.tanh, lambda x, t: lambda g: g * (1.0 - t * t)),
-    "relu": _elementwise(lambda x: np.maximum(x, 0.0), lambda x, y: lambda g: g * (x > 0.0)),
+    "relu": _elementwise(lambda x, out: np.maximum(x, 0.0, out=out),
+                         lambda x, y: lambda g: g * (x > 0.0)),
     "sigmoid_squared": _sigmoid_squared_vjp,
 }
 
 
-def activation_vjp(name: str, x):
-    """``(act(x), back)`` of a plain array for the gate activation ``name``."""
+def activation_vjp(name: str, x, out=None):
+    """``(act(x), back)`` of a plain array for the gate activation ``name``. ``out`` (as in
+    numpy) may be ``x``: a ``back`` reads only act(x), or x's sign, which relu keeps."""
     form = _ACTIVATIONS.get(name)
     if form is None:
         raise ValueError(f"unknown activation {name!r}")
-    return form(x)
+    return form(x, out)
 
 
 def apply_activation(name: str, x):

@@ -71,12 +71,15 @@ def _gate_config(cfg: RunConfig, **axes) -> GateConfig:
     return GateConfig(bias_init=cfg["model.bias_init"], **axes)
 
 
-def _model_dims(cfg: RunConfig, gate: GateConfig) -> dict:
+def _model_dims(cfg: RunConfig, gate: GateConfig | None) -> dict:
     """The model keywords that :func:`init_model` and :class:`TrainConfig` both take,
-    once ``model.heads`` is known to split ``model.d``."""
+    once every size is known to be positive (``model.d_ff`` 0: the default) and
+    ``model.heads`` to split ``model.d``."""
+    for key, low in (("model.heads", 1), ("model.layers", 1), ("model.d", 1),
+                     ("model.d_in", 1), ("model.d_ff", 0)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
     d, heads = cfg["model.d"], cfg["model.heads"]
-    if heads < 1:
-        raise ConfigError(f"model.heads must be >= 1, got {heads}")
     if d % heads != 0:
         raise ConfigError(f"model.d={d} not divisible by model.heads={heads}")
     return dict(d=d, n_heads=heads, n_layers=cfg["model.layers"], gate=gate,
@@ -103,6 +106,7 @@ def _require_scalar_target(cfg: RunConfig) -> None:
 
 def _task(cfg: RunConfig):
     _require_scalar_target(cfg)
+    _model_dims(cfg, None)  # the sizes' checks: model.d_in is the task's feature width
     return make_toy_task(
         seed=cfg["task.seed"],
         n_graphs=cfg["task.n_graphs"],
@@ -233,7 +237,7 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     tol = cfg["gradcheck.tolerance"]
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck.tolerance must be finite and > 0, got {tol}")
-    _model_dims(cfg, _gate_config(cfg))  # a bad model.heads exits before any worker starts
+    _model_dims(cfg, _gate_config(cfg))  # a bad model size exits before any worker starts
     with _pool(parallel, len(jobs)) as map_fn:
         reports = list(map_fn(_gradcheck_one, jobs))
     rows = []

@@ -111,7 +111,7 @@ def attention_entropy(a) -> float:
             raise NonFiniteInputError(f"attention_entropy undefined: row "
                                       f"{np.argmin(np.isfinite(sums))} holds a non-finite value")
         raise ValueError("invalid attention matrix: rows must be non-negative and sum to 1")
-    plogp = np.log(a, out=np.zeros_like(a), where=a > 0.0)
+    plogp = np.log(a) if (a > 0.0).all() else np.log(a, out=np.zeros_like(a), where=a > 0.0)
     plogp *= a
     return float(np.mean(-plogp.sum(axis=1)))
 

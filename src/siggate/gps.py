@@ -120,6 +120,7 @@ class GraphBatch:
     dst: np.ndarray
     edge_features: np.ndarray | None = None
     attn_mask: np.ndarray | None = None
+    _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, graphs) -> "GraphBatch":
@@ -156,6 +157,14 @@ class GraphBatch:
     @property
     def d_e(self) -> int:
         return 0 if self.edge_features is None else self.edge_features.shape[1]
+
+    def scatter(self, x, end: str) -> np.ndarray:
+        """Rows of ``x``, one per edge, summed into the batch's rows at the edges' ``end``
+        ("dst" or "src"); the flat index for that end and ``x``'s width is built once."""
+        idx, key = getattr(self, end), (end, np.shape(x)[-1])
+        if key not in self._flat:
+            self._flat[key] = ad.flat_index(idx, key[1])
+        return ad._scatter_add(x, idx, self.rows, self._flat[key])
 
 
 def _as_batch(g) -> GraphBatch:
@@ -271,27 +280,26 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
     if p.w_val.shape[0] != d:
         raise ShapeError(f"w_val expects {p.w_val.shape[0]} features, hidden has {d}")
     if not graphs.src.size:
-        return np.zeros((graphs.rows, p.w_val.shape[1]))
+        return np.zeros(hv.shape[:-2] + (graphs.rows, p.w_val.shape[1]))
     w_edge, w_val = lift(p.w_edge), lift(p.w_val)
-    (h_dst, dst_back), (h_src, src_back) = (ad.take_rows_vjp(hv, idx)
-                                            for idx in (graphs.dst, graphs.src))
-    parts = [h_dst, h_src]
+    pairs = np.stack((graphs.dst, graphs.src), axis=-1).ravel()
+    cat = np.take(hv, pairs, axis=-2).reshape(hv.shape[:-2] + (-1, 2 * d))  # [h_dst | h_src]
+    h_src = cat[..., d:]
     if graphs.edge_features is not None:
-        parts.append(graphs.edge_features)
-    cat, cat_back = ad.concat_vjp(*parts)
+        cat, _ = ad.concat_vjp(cat, graphs.edge_features)
     pre, pre_back = ad.matmul_vjp(cat, ad.value(w_edge))
-    gate, gate_back = ad.activation_vjp("sigmoid", pre)
-    del pre  # its VJP reads only the gate: free the E x d pre-activation now
+    # the gate overwrites its dead pre-activation: its VJP reads only the gate
+    gate, gate_back = ad.activation_vjp("sigmoid", pre, out=pre)
     val, val_back = ad.matmul_vjp(h_src, ad.value(w_val))
     messages, messages_back = ad.mul_vjp(gate, val)
-    out, out_back = ad.scatter_rows_vjp(messages, graphs.dst, graphs.rows)
+    out = graphs.scatter(messages, "dst")
 
     def back(g):
-        dgate, dval = messages_back(*out_back(g))
+        dgate, dval = messages_back(g[graphs.dst])
         dcat, dw_e = pre_back(*gate_back(dgate))
-        dh_dst, dh_src_cat = cat_back(dcat)[:2]
         dh_src, dw_v = val_back(dval)
-        return (*dst_back(dh_dst), *src_back(dh_src_cat + dh_src), dw_e, dw_v)
+        return (graphs.scatter(dcat[..., :d], "dst"),
+                graphs.scatter(dcat[..., d:2 * d] + dh_src, "src"), dw_e, dw_v)
 
     return ad.fused(out, [h, h, w_edge, w_val], back)
 

@@ -174,13 +174,16 @@ def row_softmax(logits, mask=None) -> np.ndarray:
     return e
 
 
-def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function with one exp: for ``e = exp(-|x|)``
-    it is ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` where x < 0, so
-    the exp never overflows."""
+def sigmoid(x, out=None) -> np.ndarray:
+    """Stable logistic function with one exp, run in place: for ``e = exp(-|x|)`` it
+    is ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` where x < 0, so the exp never
+    overflows; the result goes to ``out`` if given (as in numpy; it may be ``x``)."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0.0) / (1.0 + e)
+    e = np.abs(x, out=np.empty(x.shape))  # an array even for 0-d x
+    np.exp(np.negative(e, out=e), out=e)
+    s = np.maximum(e, x >= 0.0, out=out)
+    s /= np.add(e, 1.0, out=e)
+    return s
 
 
 _TINY = np.finfo(float).tiny

@@ -207,6 +207,8 @@ def calibrate_gate(target_mean: float, target_std: float) -> CalibratedGate:
                 break
             damp *= 0.5
         scale, bias = scale - damp * step[0], bias - damp * step[1]
+        if damp == 0.5 ** 60:  # no halving lowered the residual: Newton has stalled
+            break
     scale = abs(scale)  # sigma(s z + b) and sigma(-s z + b) share a law for z ~ N(0,1)
     m1, m2, _ = _gate_moments(scale, bias, z, w)
     err = max(abs(m1 - target_mean), abs(m2 - target_m2))

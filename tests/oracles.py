@@ -21,8 +21,9 @@ parameter storage it keeps the Box-Muller formula of one
 ``gaussian_matrix`` call per weight, the gradients assembled name by name
 after the backward sweep of a forward with its own memoizing ``lift``
 (:class:`MemoLift`), and the loop that named the first non-finite
-parameter array by array. For the tape it keeps the GPS layer composed of
-autodiff's ops, one tape node each (:func:`per_op_layer_forward`), whose
+parameter array by array. For the tape it keeps the GPS layer and its
+MPNN composed of autodiff's ops, one tape node each
+(:func:`per_op_layer_forward`, :func:`per_op_mpnn_forward`), whose
 gradients the one-node layer must give bit for bit, and the gate
 activations as the op chains the tape ran before ``autodiff`` had one
 closed form per activation (:func:`chained_activation`).
@@ -541,22 +542,29 @@ def _per_op_heads(h, heads, mask, lift, n_graphs):
     return out
 
 
+def per_op_mpnn_forward(graphs, h, p, *, lift=ad.no_tape):
+    """``gps.mpnn_forward`` on a :class:`GraphBatch` op by op: two row gathers,
+    a concatenation, the gate, the values, their product and the scatter;
+    taped, one node per op."""
+    if not graphs.src.size:
+        return np.zeros((graphs.rows, p.w_val.shape[1]))
+    h_dst = ad.take_rows(h, graphs.dst)
+    h_src = ad.take_rows(h, graphs.src)
+    parts = [h_dst, h_src]
+    if graphs.edge_features is not None:
+        parts.append(graphs.edge_features)
+    gate = chained_activation("sigmoid", ad.matmul(ad.concat(parts), lift(p.w_edge)))
+    messages = ad.mul(gate, ad.matmul(h_src, lift(p.w_val)))
+    return ad.scatter_rows(messages, graphs.dst, graphs.rows)
+
+
 def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):
     """One GPS block op by op: ``(h_next, entry)`` as ``gps.gps_layer_forward``
     returns them, but with no head traces; taped, one node per op."""
     from siggate.gps import LN_EPS, LayerTraceEntry, _as_batch
 
     graphs = _as_batch(g)
-    local = np.zeros((graphs.rows, p.mpnn.w_val.shape[1]))
-    if graphs.src.size:
-        h_dst = ad.take_rows(h, graphs.dst)
-        h_src = ad.take_rows(h, graphs.src)
-        parts = [h_dst, h_src]
-        if graphs.edge_features is not None:
-            parts.append(graphs.edge_features)
-        gate = chained_activation("sigmoid", ad.matmul(ad.concat(parts), lift(p.mpnn.w_edge)))
-        messages = ad.mul(gate, ad.matmul(h_src, lift(p.mpnn.w_val)))
-        local = ad.scatter_rows(messages, graphs.dst, graphs.rows)
+    local = per_op_mpnn_forward(graphs, h, p.mpnn, lift=lift)
     heads = _per_op_heads(h, p.attn, graphs.attn_mask, lift, graphs.size)
     global_attn = ad.matmul(ad.merge_stack(heads), lift(p.attn.w_o))
     s = ad.add(ad.add(h, local), global_attn)

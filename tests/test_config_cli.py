@@ -822,6 +822,21 @@ class TestParallelOption:
         assert capsys.readouterr() == ("", "error: model.d=8 not divisible by model.heads=3\n")
         assert pools == [] and list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["ablate", "lr-sweep", "grad-check", "param-count"])
+    @pytest.mark.parametrize("key, bad, low", [("model.layers", 0, 1), ("model.d", 0, 1),
+                                               ("model.d_in", -1, 1), ("model.d_ff", -1, 0)])
+    def test_model_sizes_below_their_floor_name_the_key(self, tmp_path, capsys, pools,
+                                                         command, key, bad, low):
+        # Checked with model.heads before any worker starts (model.d_ff 0: the default).
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("\n".join(line for line in TINY_TRAIN.splitlines()
+                                 if not line.startswith(key + " ")) + f"\n{key} = {bad}\n")
+        parallel = () if command == "param-count" else ("--parallel", "2")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out), *parallel) == 2
+        assert capsys.readouterr() == ("", f"error: {key} must be >= {low}, got {bad}\n")
+        assert pools == [] and list(out.iterdir()) == []
+
 
 class TestBadTrainingInputs:
     """A training or task setting no run can use exits 2 before any cell runs:
@@ -988,7 +1003,7 @@ class TestParamCountCommand:
         cfg.write_text("model.layers = 0\n")
         assert run_cli("param-count", "--config", str(cfg), "--out", str(tmp_path)) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: n_layers must be >= 1, got 0\n"
+        assert captured.err == "error: model.layers must be >= 1, got 0\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("heads", [0, -2])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import add_at_rows, assert_bitwise, two_branch_sigmoid
+from oracles import (
+    MemoLift, add_at_rows, assert_bitwise, per_op_mpnn_forward, two_branch_sigmoid,
+)
 from siggate import autodiff as ad
 from siggate.attention import GateConfig, siggate_mhsa
 from siggate.gps import (
@@ -144,8 +146,25 @@ class TestMpnnForward:
         if case == "isolated":
             assert not want[5].any()
         assert_bitwise(mpnn_forward(batch, h, p), want)
-        taped = mpnn_forward(batch, ad.Var(h), p, lift=ad.Var)
-        assert_bitwise(ad.value(taped), want)
+        # A leading copy axis, as the gradient check stacks its probes: each copy on its own.
+        copies = np.stack([h, 0.5 * h, -h])
+        assert_bitwise(mpnn_forward(batch, copies, p),
+                       np.stack([self.reference(graphs, c, p) for c in copies]))
+        # Taped: the value, and h's, W_edge's and W_val's gradients as the op-by-op tape has them.
+        weight = gaussian_matrix(rng, batch.rows, 4, 1.0)
+        grads = []
+        for forward in (mpnn_forward, per_op_mpnn_forward):
+            lift, x = MemoLift(), ad.Var(h)
+            taped = forward(batch, x, p, lift=lift)
+            assert_bitwise(ad.value(taped), want)
+            if type(taped) is ad.Var:
+                ad.backward(ad.vsum(ad.mul(taped, weight)))
+            grads.append([x.grad, lift.grad(p.w_edge), lift.grad(p.w_val)])
+        for got, expected in zip(*grads):
+            if case == "no_edges":  # zeros off the tape: no gradient reaches anything
+                assert got is None and expected is None
+            else:
+                assert_bitwise(got, expected)
 
     def test_width_mismatch_rejected(self):
         rng = SeededRng(26)

@@ -64,20 +64,30 @@ class TestCalibrateGate:
         with pytest.raises(ValueError, match=r"target std .* feasible range is \[0, 0.4935"):
             calibrate_gate(0.58, std)
 
-    @pytest.mark.parametrize("mean, std", [(0.58, 0.48), (0.58, 0.49), (0.58, 0.4935),
-                                           (0.9, 0.299), (0.1, 0.2999)])
+    @pytest.mark.parametrize("mean, std", [(0.58, 0.48), (0.58, 0.4935), (0.9, 0.299)])
     def test_singular_jacobian_names_the_targets(self, mean, std):
         with pytest.raises(ValueError, match=rf"^calibrate_gate: targets \(mean {mean}, std "
                                              rf"{std}\) make the moment Jacobian singular"):
             calibrate_gate(mean, std)
 
-    def test_newton_that_ends_off_the_targets_raises(self):
-        # Feasible (the limit is 0.4936), but Newton used its steps up 3.8e-3 away.
-        with pytest.raises(ValueError, match=r"^calibrate_gate: targets \(mean 0.58, std "
-                                             r"0.47\) are missed by a moment residual of "
-                                             r"0.00382 > 1e-12 \(the std's Bernoulli limit "
-                                             r"is 0.493559\)$"):
-            calibrate_gate(0.58, 0.47)
+    @pytest.mark.parametrize("mean, std, residual, limit", [
+        (0.58, 0.47, "0.00382", "0.493559"), (0.58, 0.49, "0.0118", "0.493559"),
+        (0.1, 0.2999, "0.00472", "0.3"),
+    ])
+    def test_newton_that_ends_off_the_targets_raises(self, monkeypatch, mean, std, residual,
+                                                     limit):
+        # Feasible, but Newton stalls off the targets: the first line search whose 60
+        # halvings all fail to lower the residual ends it.
+        evaluations = []
+        real = synthexp._gate_moments
+        monkeypatch.setattr(synthexp, "_gate_moments",
+                            lambda *args: evaluations.append(args) or real(*args))
+        with pytest.raises(ValueError, match=rf"^calibrate_gate: targets \(mean {mean}, std "
+                                             rf"{std}\) are missed by a moment residual of "
+                                             rf"{residual} > 1e-12 \(the std's Bernoulli limit "
+                                             rf"is {limit}\)$"):
+            calibrate_gate(mean, std)
+        assert len(evaluations) < 2 * 61  # a search takes at most 61: there is no second stall
 
     @pytest.mark.parametrize("mean, std, scale, bias", [
         (0.58, 0.19, "0x1.d0c49f5d73d93p-1", "0x1.84b8e7b117d86p-2"),

@@ -13,6 +13,7 @@ from oracles import (
     per_name_gradients, per_op_layer_forward,
 )
 from siggate.attention import GATE_ACTIVATIONS, GateConfig, gate_param_count
+from siggate.diagnostics import depth_profile
 from siggate import autodiff as ad
 from siggate import gps
 from siggate.gps import (
@@ -540,6 +541,20 @@ class TestLayerNode:
         assert_bitwise(got.flat, want.flat)
         assert not any(np.any(g) for name, g in got.items() if ".mpnn." in name)
 
+    def test_each_scatter_index_is_built_once_per_batch(self, monkeypatch):
+        # Per group, three layers scatter six times at dst and three at src, all 8 wide.
+        model, pairs = walk_model("g1", "per_head"), walk_batch()
+        built = []
+        real = ad.flat_index
+        monkeypatch.setattr(ad, "flat_index", lambda idx, cols: built.append(cols) or
+                            real(idx, cols))
+        loss, grads = loss_and_gradients(model, pairs, "mse")
+        assert built == [8] * 2 * len(training._graph_groups(pairs))
+        monkeypatch.undo()
+        want_loss, want = per_op_step(model, pairs, "mse", monkeypatch)
+        assert float(loss).hex() == float(want_loss).hex()
+        assert_bitwise(grads.flat, want.flat)
+
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_the_taped_forward_is_the_tape_free_forward(self, placement, sharing):
         model = walk_model(placement, sharing, "sigmoid_squared")
@@ -896,6 +911,57 @@ class TestTapeFreeForwards:
         assert built == []
         loss_and_gradients(model, pairs)  # the count sees a taped pass
         assert built
+
+
+IN_PLACE_CASES = [("none", "sigmoid"), ("g1", "sigmoid"), ("g2", "relu"),
+                  ("g3", "sigmoid_squared"), ("g3", "tanh")]
+
+
+class TestInPlaceSteps:
+    """Some steps of the forward write over arrays it has just made and will
+    not read again: the MPNN gate over its pre-activation, the sigmoid's own
+    temporaries, the scaled attention scores. None may write an array a
+    caller holds: an input, a parameter, a cached hidden state, or a trace
+    an earlier forward returned."""
+
+    @pytest.mark.parametrize("placement, activation", IN_PLACE_CASES)
+    def test_forwards_leave_their_inputs_bitwise(self, placement, activation):
+        model = walk_model(placement, "per_head", activation)
+        pairs = walk_batch()
+        graphs = GraphBatch.of([g for g, _ in pairs if g.n == pairs[0][0].n])
+        h = gps.model_embed(graphs, model)
+        held = [model.layout.flat, h, graphs.node_features, graphs.edge_features]
+        held += [a for g, _ in pairs for a in (g.node_features, g.edge_features)]
+        before = [a.copy() for a in held]
+        gps.gps_layer_forward(graphs, h, model.layers[0])
+        batch_forward(graphs, model)
+        loss_and_gradients(model, pairs)
+        cache = training._PlainForwardCache(model, pairs, "mse")
+        states = [a.copy() for group in cache.hidden for a in group]
+        layer = model.layers[1]
+        cache.probe_losses([(layer.mpnn.w_edge, [0, 7]), (layer.attn.w_q, [1, 9])], 1e-5)
+        for got, want in zip(held + [a for group in cache.hidden for a in group],
+                             before + states):
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("placement, activation", IN_PLACE_CASES)
+    def test_a_returned_trace_outlives_later_forwards(self, placement, activation):
+        model = walk_model(placement, "per_head", activation)
+        pairs = walk_batch()
+        _, trace = model_forward(pairs[0][0], model)
+        arrays = [*trace.hidden, *(a for heads in trace.head_traces for ht in heads
+                                   for a in (ht.attention, ht.gate, ht.output) if a is not None)]
+        before = [a.copy() for a in arrays]
+        depth_profile(trace)  # what diagnose reads of it
+        others = [(GraphInstance(n=g.n, node_features=-g.node_features, edges=g.edges,
+                                 edge_features=g.edge_features, attn_mask=g.attn_mask), y)
+                  for g, y in pairs]  # every graph again, with other values at each size
+        for g, _ in others:
+            model_forward(g, model)
+        loss_and_gradients(model, others)
+        batch_loss(model, others)
+        for got, want in zip(arrays, before):
+            assert_bitwise(got, want)
 
 
 class TestAdamW:
