@@ -12,9 +12,10 @@ Gate placements:
 * ``none`` — plain softmax attention.
 
 Heads either own their gate parameters (``per_head``) or share a single
-set (``shared``). Forward functions accept an optional ``lift``
-callable that wraps parameter arrays into autodiff nodes; with the default,
-``autodiff.no_tape``, they run as plain numpy.
+set (``shared``). The forward functions are forms on plain arrays, as
+autodiff's ops are: each returns its value and traces with ``back``, the
+map from its output's gradient to its input's and its arrays' terms, which
+a GPS layer's tape node calls.
 """
 
 from __future__ import annotations
@@ -110,15 +111,17 @@ class HeadTrace:
 
 
 def _validate_mhsa(n_features: int, params: MhsaParams) -> None:
+    """Check the stacks' shapes: the last axes of each, so that a tape-free
+    pass may stack copies of an array on axes before them."""
     shape = np.shape(params.w_q)
-    if len(shape) != 3 or not shape[0]:
+    if len(shape) < 3 or not shape[-3]:
         raise ShapeError(f"w_q must stack at least one head as K x d x d_k, got shape {shape}")
-    k, d, d_k = shape
+    k, d, d_k = shape[-3:]
     if n_features != d:
         raise ShapeError(f"input has {n_features} features but heads expect {d}")
-    if params.w_o.shape[0] != k * d_k:
+    if np.shape(params.w_o)[-2] != k * d_k:
         raise ShapeError(
-            f"w_o has {params.w_o.shape[0]} input rows but heads concatenate to {k * d_k}"
+            f"w_o has {np.shape(params.w_o)[-2]} input rows but heads concatenate to {k * d_k}"
         )
     g = 1 if params.gate.sharing == "shared" else k
     expected = {"w_k": (k, d, d_k), "w_v": (k, d, d_k), "w_g": (g, d, d_k),
@@ -132,7 +135,7 @@ def _validate_mhsa(n_features: int, params: MhsaParams) -> None:
                                  f"it must be None")
         elif stack is None:
             raise ValueError(f"placement {params.gate.placement!r} needs {name}")
-        elif np.shape(stack) != want:
+        elif np.shape(stack)[-len(want):] != want:
             raise ShapeError(f"{name} has shape {np.shape(stack)}, expected {want}")
 
 
@@ -257,15 +260,16 @@ def _heads_pass(h, cfg: GateConfig, stacks, mask, n_graphs):
     return out, attention, gate, back
 
 
-def gated_head_forward(h, heads: MhsaParams, mask=None, *, lift=ad.no_tape, n_graphs: int = 1):
+def gated_head_forward(h, heads: MhsaParams, mask=None, *, n_graphs: int = 1):
     """Every head's forward pass under the layer's gate, ``heads.gate``, at once.
 
     ``heads`` is a layer's :class:`MhsaParams`, whose stacks run all K heads
     in one pass; a single head is a layer with K = 1. Returns ``(output,
-    traces)``: the K x N x d_k output stack and one :class:`HeadTrace` per
-    head. With placement ``none`` each head is plain scaled dot-product
-    attention, ``softmax(Q K^T / sqrt(d_k)) V``, whose attention rows are
-    stochastic with masked entries exactly 0. Taped, the output is one node.
+    traces, back)``: the K x N x d_k output stack, one :class:`HeadTrace` per
+    head, and the form's ``back`` (see :func:`_heads_pass`). With placement
+    ``none`` each head is plain scaled dot-product attention,
+    ``softmax(Q K^T / sqrt(d_k)) V``, whose attention rows are stochastic
+    with masked entries exactly 0.
 
     ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
     nodes attend only within their own graph. ``mask`` is N x n, the graphs'
@@ -273,22 +277,22 @@ def gated_head_forward(h, heads: MhsaParams, mask=None, *, lift=ad.no_tape, n_gr
     N x d_k, the attention and the g3 gate n x n per graph (B x n x n for
     B > 1).
     """
-    rows, n_features = ad.value(h).shape[-2:]
+    rows, n_features = np.shape(h)[-2:]
     _validate_mhsa(n_features, heads)
     if n_graphs < 1 or rows % n_graphs:
         raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
+    if mask is not None and np.shape(mask) != (rows, rows // n_graphs):
+        raise ShapeError(f"mask has shape {np.shape(mask)}, expected {(rows, rows // n_graphs)}")
     names = heads.stacked_fields()
-    stacks = [lift(getattr(heads, name)) for name in names]
     out, attention, gate, back = _heads_pass(
-        ad.value(h), heads.gate, dict(zip(names, map(ad.value, stacks))), mask, n_graphs)
+        h, heads.gate, {name: getattr(heads, name) for name in names}, mask, n_graphs)
     square = 3 if n_graphs == 1 else 4  # axes from the head axis on of an n x n stack
     k = out.shape[-3]
     gates = ([None] * k if gate is None
              else _per_head(gate, k, square if heads.gate.placement == "g3" else 3))
     traces = [HeadTrace(attention=a, gate=g, output=o)
               for a, g, o in zip(_per_head(attention, k, square), gates, _per_head(out, k, 3))]
-    products = len(names) - ("b_g" in names)  # h times each weight stack
-    return ad.fused(out, [h] * products + stacks, back), traces
+    return out, traces, back
 
 
 def _per_head(x, heads: int, axes: int):
@@ -297,26 +301,25 @@ def _per_head(x, heads: int, axes: int):
     return [x[lead + (k if x.shape[-axes] > 1 else 0,)] for k in range(heads)]
 
 
-def siggate_mhsa(h, params: MhsaParams, mask=None, *, lift=ad.no_tape, n_graphs: int = 1):
+def siggate_mhsa(h, params: MhsaParams, mask=None, *, n_graphs: int = 1):
     """Gated multi-head attention: concat of gated heads times W_O.
 
-    Returns ``(out, traces)`` where ``out`` is N x d_out and ``traces`` is
-    one :class:`HeadTrace` per head in head order. ``h`` holds the rows of
-    ``n_graphs`` graphs of equal size (see :func:`gated_head_forward`). All
-    heads run as one stacked pass (:func:`gated_head_forward` on ``params``).
-    Taped, ``out`` is one node, in place of the heads' node.
+    Returns ``(out, traces, back)``: ``out`` is N x d_out, ``traces`` one
+    :class:`HeadTrace` per head in head order, and ``back(g)`` gives ``h``'s
+    terms and the stacks' gradients as :func:`gated_head_forward`'s
+    ``back`` does, then W_O's. ``h`` holds the rows of ``n_graphs`` graphs
+    of equal size (see :func:`gated_head_forward`). All heads run as one
+    stacked pass (:func:`gated_head_forward` on ``params``).
     """
-    outs, traces = gated_head_forward(h, params, mask, lift=lift, n_graphs=n_graphs)
-    w_o = lift(params.w_o)
-    merged, merge_back = ad.merge_stack_vjp(ad.value(outs))
-    out, out_back = ad.matmul_vjp(merged, ad.value(w_o))
-    heads, head_terms = ad.inline(outs)
+    outs, traces, heads_back = gated_head_forward(h, params, mask, n_graphs=n_graphs)
+    merged, merge_back = ad.merge_stack_vjp(outs)
+    out, out_back = ad.matmul_vjp(merged, params.w_o)
 
     def back(g):
         dmerged, dw_o = out_back(g)
-        return [*head_terms(*merge_back(dmerged)), dw_o]
+        return [*heads_back(*merge_back(dmerged)), dw_o]
 
-    return ad.fused(out, [*heads, w_o], back), traces
+    return out, traces, back
 
 
 def gate_param_count(d: int, d_k: int, n_heads: int, n_layers: int) -> int:

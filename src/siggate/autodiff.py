@@ -3,14 +3,16 @@
 Every op ``f`` in this module is written once, as its form ``f_vjp(*arrays)
 -> (out, back)`` on plain arrays, the convention of ``jax.vjp``: ``back(g)``
 maps the gradient ``g`` of ``out`` to one term per operand, in operand
-order. The op runs its form on the values of its operands, a mix of
-:class:`Var` nodes and plain arrays/scalars, and passes the result through
-:func:`fused`. With no ``Var`` among the operands that is the plain array,
-so forward-only code records nothing; with one, it is a node whose parents
-are the ``Var`` operands. A composite op (a GPS layer and its branches) is
-one :func:`fused` node too: its forward takes each step's value and
-``back`` from the forms here, and its VJP calls those ``back``s. So the
-model's forward is written once and serves both paths.
+order. The ops that code outside a GPS layer applies to taped values
+(``add``, ``matmul``, ``linear``, ``layer_norm``, ...) run their form on the
+values of their operands, a mix of :class:`Var` nodes and plain
+arrays/scalars, and pass the result through :func:`fused`. With no ``Var``
+among the operands that is the plain array, so forward-only code records
+nothing; with one, it is a node whose parents are the ``Var`` operands. A
+GPS layer is the one composite op, one :func:`fused` node: its forward
+runs its branches' forms (``gps.mpnn_forward``, ``attention.siggate_mhsa``)
+and the forms here, on plain arrays, and its VJP calls their ``back``s. So
+the model's forward is written once and serves both paths.
 """
 
 from __future__ import annotations
@@ -30,31 +32,16 @@ __all__ = [
     "backward",
     "add",
     "sub",
-    "mul",
     "div",
     "matmul",
     "linear",
-    "transpose",
     "vsum",
     "vmean",
     "reshape",
-    "concat",
-    "merge_stack",
-    "take_rows",
-    "scatter_rows",
-    "sigmoid",
-    "tanh",
-    "relu",
-    "sqrt",
     "square",
     "absolute",
-    "erf",
-    "gelu",
     "layer_norm",
-    "row_softmax",
-    "apply_activation",
     "fused",
-    "inline",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -149,21 +136,6 @@ def _op(form, *operands, **static):
     return fused(out, operands, back)
 
 
-def inline(x):
-    """``(operands, terms)`` of node ``x``: its parents, and ``terms(g)``, their
-    gradient terms for the gradient ``g`` of ``x``. A :func:`fused` node that
-    lists these operands and these terms takes ``x``'s place on the tape
-    with the same sums. A plain array has neither."""
-    if type(x) is not Var:
-        return [], lambda g: []
-
-    def terms(g):
-        every = x.vjp(g)
-        return [every[i] for _, i in x.parents]
-
-    return [p for p, _ in x.parents], terms
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
@@ -191,7 +163,6 @@ def div_vjp(a, b):
 
 add = partial(_op, add_vjp)
 sub = partial(_op, sub_vjp)
-mul = partial(_op, mul_vjp)
 div = partial(_op, div_vjp)
 
 
@@ -234,13 +205,9 @@ def linear_vjp(x, w, b):
     return out, lambda g: (g @ w.T, x.T @ g, _unbroadcast(g, np.shape(b)))
 
 
-def transpose(x):
+def transpose_vjp(x):
     """Swap the last two axes: the transpose of a matrix, or of each
     matrix in a stack."""
-    return _op(transpose_vjp, x)
-
-
-def transpose_vjp(x):
     return np.asarray(x).swapaxes(-1, -2), lambda g: (np.asarray(g).swapaxes(-1, -2),)
 
 
@@ -277,27 +244,19 @@ def reshape_vjp(x, shape):
     return np.reshape(x, shape), lambda g: (np.asarray(g).reshape(np.shape(x)),)
 
 
-def merge_stack(x):
-    """A stack of K matrices of shape n x m laid side by side: n x (K·m),
-    with matrix k in columns k·m ... (k+1)·m - 1. Tape-free, axes before
-    the K axis are a stack of copies, each merged on its own."""
-    return _op(merge_stack_vjp, x)
-
-
 def merge_stack_vjp(x):
-    """``(merge_stack(x), back)`` on a plain array; ``back`` takes one stack."""
+    """A stack of K matrices of shape n x m laid side by side: n x (K·m),
+    with matrix k in columns k·m ... (k+1)·m - 1, and its ``back``, which
+    takes one stack. Axes before the K axis are a stack of copies, each
+    merged on its own."""
     *lead, heads, rows, cols = x.shape
     return (x.swapaxes(-3, -2).reshape((*lead, rows, heads * cols)),
             lambda g: (np.asarray(g).reshape(rows, heads, cols).transpose(1, 0, 2),))
 
 
-def concat(parts):
-    """Join ``parts`` along their last axis. Tape-free, parts given as stacks
-    of copies along leading axes broadcast the parts that have no such axes."""
-    return _op(concat_vjp, *parts)
-
-
 def concat_vjp(*parts):
+    """Join ``parts`` along their last axis. Parts given as stacks of copies
+    along leading axes broadcast the parts that have no such axes."""
     if any(np.ndim(v) > 2 for v in parts):
         lead = np.broadcast_shapes(*(np.shape(v)[:-2] for v in parts))
         parts = [np.broadcast_to(v, lead + np.shape(v)[-2:]) for v in parts]
@@ -325,22 +284,14 @@ def _scatter_add(x, idx, n_rows, flat=None):
     return out.astype(np.float64, copy=False).reshape((*lead, n_rows, cols))
 
 
-def take_rows(x, idx):
-    """Row gather ``x[idx]`` (tape-free, rows are axis -2 of a stack of
-    matrices); backward scatter-adds into the source rows."""
-    return _op(take_rows_vjp, x, idx=np.asarray(idx, dtype=np.intp))
-
-
 def take_rows_vjp(x, idx):
+    """Row gather ``x[idx]`` (rows are axis -2 of a stack of matrices); its
+    ``back`` scatter-adds into the source rows."""
     return np.take(x, idx, axis=-2), lambda g: (_scatter_add(g, idx, np.shape(x)[-2]),)
 
 
-def scatter_rows(x, idx, n_rows):
-    """Sum rows of ``x`` into an ``n_rows``-row output at positions ``idx``."""
-    return _op(scatter_rows_vjp, x, idx=np.asarray(idx, dtype=np.intp), n_rows=n_rows)
-
-
 def scatter_rows_vjp(x, idx, n_rows):
+    """Sum rows of ``x`` into an ``n_rows``-row output at positions ``idx``."""
     return _scatter_add(x, idx, n_rows), lambda g: (np.asarray(g)[idx],)
 
 
@@ -365,24 +316,17 @@ sqrt_vjp = _elementwise(np.sqrt, lambda x, y: lambda g: g * 0.5 / y)
 square_vjp = _elementwise(np.square, lambda x, y: lambda g: g * 2.0 * x)
 absolute_vjp = _elementwise(np.abs, lambda x, y: lambda g: g * np.sign(x))
 erf_vjp = _elementwise(_erf, lambda x, y: lambda g: g * _TWO_OVER_SQRT_PI * np.exp(-x * x))
-sqrt = partial(_op, sqrt_vjp)
 square = partial(_op, square_vjp)
 absolute = partial(_op, absolute_vjp)
-erf = partial(_op, erf_vjp)
 
 
-def gelu(x):
+def gelu_vjp(x):
     """Exact (erf-based) Gaussian error linear unit, ``(x/2)(1 + erf(x/√2))``.
 
     The derivative is ``(1 + erf(u))/2 + (x/2)(2/√π)e^{-u²}/√2`` with
     ``u = x/√2``, evaluated in the order the chain rule through those
     factors gives.
     """
-    return _op(gelu_vjp, x)
-
-
-def gelu_vjp(x):
-    """``(gelu(x), back)`` on a plain array (see :func:`gelu`)."""
     x = np.asarray(x, dtype=np.float64)
     half = x * 0.5
     u = x * _INV_SQRT2
@@ -426,18 +370,11 @@ def layer_norm_vjp(h, scale, shift, eps):
     return normed * _per_row(scale) + _per_row(shift), back
 
 
-def row_softmax(logits, mask=None):
-    """Differentiable row softmax; see :func:`siggate.numeric.row_softmax`.
-
-    A stack of logit matrices runs as the matrix of all its rows, so its
-    ``mask`` holds those rows stacked in order.
-    """
-    return _op(row_softmax_vjp, logits, mask=mask)
-
-
 def row_softmax_vjp(logits, mask=None):
-    """``(P, back)`` of :func:`row_softmax`, ``back`` being ``t - P·rowsum(t)``
-    with ``t = g·P`` (the FlashAttention backward, Dao et al., 2022, §3.1)."""
+    """``(P, back)`` of the row softmax (:func:`siggate.numeric.row_softmax`),
+    ``back`` being ``t - P·rowsum(t)`` with ``t = g·P`` (the FlashAttention
+    backward, Dao et al., 2022, §3.1). A stack of logit matrices runs as the
+    matrix of all its rows, so its ``mask`` holds those rows stacked in order."""
     z = np.asarray(logits)
     if z.ndim > 2:
         out = numeric.row_softmax(z.reshape(-1, z.shape[-1]), mask).reshape(z.shape)
@@ -475,13 +412,3 @@ def activation_vjp(name: str, x, out=None):
     if form is None:
         raise ValueError(f"unknown activation {name!r}")
     return form(x, out)
-
-
-def apply_activation(name: str, x):
-    """The gate activation ``name`` as one op (:func:`activation_vjp`)."""
-    return _op(partial(activation_vjp, name), x)
-
-
-sigmoid = partial(apply_activation, "sigmoid")
-tanh = partial(apply_activation, "tanh")
-relu = partial(apply_activation, "relu")

@@ -261,36 +261,39 @@ def layer_norm(h, scale, shift):
     return ad.layer_norm(h, scale, shift, LN_EPS)
 
 
-def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
+def mpnn_forward(g, h, p: MpnnParams):
     """Edge-gated local aggregation; isolated nodes receive zeros.
 
     ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch`; ``h`` holds
-    one row per node (the stacked rows of a batch). Taped, the output is
-    one node, over ``h`` (its dst-gather term, then its src-gather term).
+    one row per node (the stacked rows of a batch). A form on plain arrays:
+    returns ``(out, back)``, ``back(g)`` giving ``h``'s terms (its dst
+    gather's, then its src gather's; none without edges), then the
+    gradients of ``w_edge`` and ``w_val`` (exact zeros without edges).
     """
     graphs = _as_batch(g)
-    hv = ad.value(h)
-    d = hv.shape[-1]
+    *lead, rows, d = np.shape(h)
+    if rows != graphs.rows:
+        raise ShapeError(f"h has {rows} rows, but the graph has {graphs.rows} nodes")
     want = 2 * d + graphs.d_e
-    if p.w_edge.shape[0] != want:
+    if p.w_edge.shape[-2] != want:
         raise ShapeError(
-            f"w_edge expects input width {p.w_edge.shape[0]}, "
+            f"w_edge expects input width {p.w_edge.shape[-2]}, "
             f"but [h_i || h_j || e_ij] has width {want}"
         )
-    if p.w_val.shape[0] != d:
-        raise ShapeError(f"w_val expects {p.w_val.shape[0]} features, hidden has {d}")
+    if p.w_val.shape[-2] != d:
+        raise ShapeError(f"w_val expects {p.w_val.shape[-2]} features, hidden has {d}")
     if not graphs.src.size:
-        return np.zeros(hv.shape[:-2] + (graphs.rows, p.w_val.shape[1]))
-    w_edge, w_val = lift(p.w_edge), lift(p.w_val)
+        return (np.zeros((*lead, rows, p.w_val.shape[-1])),
+                lambda g: [np.zeros(p.w_edge.shape), np.zeros(p.w_val.shape)])
     pairs = np.stack((graphs.dst, graphs.src), axis=-1).ravel()
-    cat = np.take(hv, pairs, axis=-2).reshape(hv.shape[:-2] + (-1, 2 * d))  # [h_dst | h_src]
+    cat = np.take(h, pairs, axis=-2).reshape((*lead, -1, 2 * d))  # [h_dst | h_src]
     h_src = cat[..., d:]
     if graphs.edge_features is not None:
         cat, _ = ad.concat_vjp(cat, graphs.edge_features)
-    pre, pre_back = ad.matmul_vjp(cat, ad.value(w_edge))
+    pre, pre_back = ad.matmul_vjp(cat, p.w_edge)
     # the gate overwrites its dead pre-activation: its VJP reads only the gate
     gate, gate_back = ad.activation_vjp("sigmoid", pre, out=pre)
-    val, val_back = ad.matmul_vjp(h_src, ad.value(w_val))
+    val, val_back = ad.matmul_vjp(h_src, p.w_val)
     messages, messages_back = ad.mul_vjp(gate, val)
     out = graphs.scatter(messages, "dst")
 
@@ -298,44 +301,57 @@ def mpnn_forward(g, h, p: MpnnParams, *, lift=ad.no_tape):
         dgate, dval = messages_back(g[graphs.dst])
         dcat, dw_e = pre_back(*gate_back(dgate))
         dh_src, dw_v = val_back(dval)
-        return (graphs.scatter(dcat[..., :d], "dst"),
-                graphs.scatter(dcat[..., d:2 * d] + dh_src, "src"), dw_e, dw_v)
+        return [graphs.scatter(dcat[..., :d], "dst"),
+                graphs.scatter(dcat[..., d:2 * d] + dh_src, "src"), dw_e, dw_v]
 
-    return ad.fused(out, [h, h, w_edge, w_val], back)
+    return out, back
 
 
 def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape):
     """One block: residual sum of branches, then ln2(ffn(ln1(s)) + ln1(s)).
 
     ``g`` is a :class:`GraphInstance` or a :class:`GraphBatch` whose
-    stacked rows ``h`` holds. Taped, the block is one node over ``h`` and
-    its lifted arrays, in place of the MPNN's and the attention's nodes:
-    ``h``'s terms are the residual, the MPNN's, then the attention's.
+    stacked rows ``h`` holds. The block runs the forms of its branches and
+    ops on plain arrays, and is one tape node over ``h`` and its arrays,
+    each lifted once, in carve order; its VJP calls the forms' ``back``s.
+    ``h``'s term is the residual's, plus the MPNN's, plus the attention's,
+    added in that order.
     """
     graphs = _as_batch(g)
-    local = mpnn_forward(graphs, h, p.mpnn, lift=lift)
-    global_attn, head_traces = siggate_mhsa(h, p.attn, graphs.attn_mask, lift=lift,
-                                            n_graphs=graphs.size)
-    leaves = [lift(arr) for arr in (p.ln1.scale, p.ln1.shift, p.ffn.w1, p.ffn.b1,
-                                    p.ffn.w2, p.ffn.b2, p.ln2.scale, p.ln2.shift)]
-    scale1, shift1, w1, b1, w2, b2, scale2, shift2 = map(ad.value, leaves)
-    s = ad.value(h) + ad.value(local) + ad.value(global_attn)
+    attn, fields = p.attn, p.attn.stacked_fields() + ("w_o",)
+    arrays = [lift(getattr(attn, name)) for name in fields] + [
+        lift(arr) for arr in (p.mpnn.w_edge, p.mpnn.w_val, p.ffn.w1, p.ffn.b1, p.ffn.w2,
+                              p.ffn.b2, p.ln1.scale, p.ln1.shift, p.ln2.scale, p.ln2.shift)]
+    operands = [h, *arrays]
+    taped = ad.Var in map(type, operands)  # as in ad.fused; tape-free, no back outlives its step
+    hv, values = ad.value(h), [ad.value(x) for x in arrays]
+    w_edge, w_val, w1, b1, w2, b2, scale1, shift1, scale2, shift2 = values[len(fields):]
+    local, mpnn_back = mpnn_forward(graphs, hv, MpnnParams(w_edge, w_val))
+    mpnn_back = mpnn_back if taped else None  # so the MPNN's E x 2d gather dies here
+    global_attn, head_traces, attn_back = siggate_mhsa(
+        hv, MhsaParams(gate=attn.gate, **dict(zip(fields, values))), graphs.attn_mask,
+        n_graphs=graphs.size)
+    attn_back = attn_back if taped else None
+    s = hv + local + global_attn
     t, ln1_back = ad.layer_norm_vjp(s, scale1, shift1, LN_EPS)
     pre, ffn1_back = ad.linear_vjp(t, w1, b1)
     hidden, gelu_back = ad.gelu_vjp(pre)
     ffn, ffn2_back = ad.linear_vjp(hidden, w2, b2)
     h_next, ln2_back = ad.layer_norm_vjp(ffn + t, scale2, shift2, LN_EPS)
-    (mpnn, mpnn_terms), (attn, attn_terms) = ad.inline(local), ad.inline(global_attn)
 
     def back(g):
         du, *d_ln2 = ln2_back(g)
         dhidden, *d_ffn2 = ffn2_back(du)
         dt, *d_ffn1 = ffn1_back(*gelu_back(dhidden))
         ds, *d_ln1 = ln1_back(du + dt)
-        return [ds, *mpnn_terms(ds), *attn_terms(ds), *d_ln1, *d_ffn1, *d_ffn2, *d_ln2]
+        *dh_mpnn, dw_edge, dw_val = mpnn_back(ds)
+        attn_terms = attn_back(ds)
+        dh_attn, d_attn = attn_terms[:-len(fields)], attn_terms[-len(fields):]
+        return [sum(dh_mpnn + dh_attn, ds), *d_attn, dw_edge, dw_val,
+                *d_ffn1, *d_ffn2, *d_ln1, *d_ln2]
 
     entry = LayerTraceEntry(hidden=h_next, head_traces=head_traces)
-    return ad.fused(h_next, [h, *mpnn, *attn, *leaves], back), entry
+    return ad.fused(h_next, operands, back), entry
 
 
 def model_forward(g: GraphInstance, model: ModelParams, *, lift=ad.no_tape):

@@ -165,9 +165,7 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
     ad.backward(mean)
     taped = [leaf.grad for leaf in leaves.values()]
     if any(g is None for g in taped):
-        ParamSet.from_model(model)  # an edgeless batch leaves the MPNN off; an alias raises
-        taped = [np.zeros(arr.shape) if g is None else g
-                 for (*_, arr), g in zip(layout.index.values(), taped)]
+        ParamSet.from_model(model)  # only an array off the layout (an alias) goes unread: raises
     flat = np.zeros(layout.flat.size)
     flat[layout.slots] = np.concatenate([np.ravel(g) for g in taped])
     grads = layout._like(flat)

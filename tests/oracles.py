@@ -2,7 +2,7 @@
 
 Each is the plain numpy formulation of a kernel, kept here as an
 independent oracle: ``numeric.sigmoid``, the row scatter-add behind
-``autodiff.scatter_rows`` and the ``take_rows`` VJP, the ``0 log 0 = 0``
+``autodiff.scatter_rows_vjp`` and the ``take_rows_vjp`` back, the ``0 log 0 = 0``
 sum of ``diagnostics.attention_entropy``, the power iteration of
 ``numeric.top_singular_value`` with two Gram products per step, and the
 rank study run one (c, rho) cell at a time, each cell drawing its seeds
@@ -467,12 +467,20 @@ def first_nonfinite_by_loop(params):
 # ---------------------------------------------------------------------------
 #
 # ``gps.gps_layer_forward`` as it was written before the layer became one
-# tape node: every numpy op of the layer is an autodiff op (the gate
-# activations are the op chains of :func:`chained_activation`, independent
-# of autodiff's activation table), so a taped pass records one node per
-# op and the backward sweep sums each array's gradient terms in the order
-# its consumers come off the tape. The layer node's closed-form VJP must
-# give these gradients bit for bit.
+# tape node: every numpy op of the layer is an autodiff op, put on the tape
+# through its form by :func:`taped` (the gate activations are the op chains
+# of :func:`chained_activation`, independent of autodiff's activation
+# table), so a taped pass records one node per op and the backward sweep
+# sums each array's gradient terms in the order its consumers come off the
+# tape. The layer node's closed-form VJP must give these gradients bit for
+# bit.
+
+
+def taped(form, *operands, **static):
+    """The op of autodiff's ``form`` on ``operands`` (``static``: its other
+    arguments), one tape node when a ``Var`` is among them."""
+    out, back = form(*map(ad.value, operands), **static)
+    return ad.fused(out, operands, back)
 
 
 def _elementwise_node(x, fwd, vjp):
@@ -504,8 +512,9 @@ def _per_op_by_graph(x, n_graphs):
 
 
 def _per_op_scores(a, b, d_k, n_graphs):
-    prod = ad.matmul(_per_op_by_graph(a, n_graphs), ad.transpose(_per_op_by_graph(b, n_graphs)))
-    return ad.mul(prod, 1.0 / np.sqrt(d_k))
+    prod = ad.matmul(_per_op_by_graph(a, n_graphs),
+                     taped(ad.transpose_vjp, _per_op_by_graph(b, n_graphs)))
+    return taped(ad.mul_vjp, prod, 1.0 / np.sqrt(d_k))
 
 
 def _per_op_heads(h, heads, mask, lift, n_graphs):
@@ -527,35 +536,34 @@ def _per_op_heads(h, heads, mask, lift, n_graphs):
                            np.shape(ad.value(w_g))[-1], n_graphs)
         trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
         b = ad.reshape(b_g, np.shape(ad.value(b_g))[:-1] + trailing)
-        raw = ad.mul(chained_activation(act, ad.add(z, b)), raw)
+        raw = taped(ad.mul_vjp, chained_activation(act, ad.add(z, b)), raw)
     if mask is not None:
         mask = np.tile(mask, (ad.value(raw).size // mask.size, 1))
-    attention = ad.row_softmax(raw, mask)
+    attention = taped(ad.row_softmax_vjp, raw, mask=mask)
     if cfg.placement == "g2":
-        v = ad.mul(value_gate(), v)
+        v = taped(ad.mul_vjp, value_gate(), v)
     out = ad.matmul(attention, _per_op_by_graph(v, n_graphs))
     if n_graphs > 1:
         shape = ad.value(out).shape
         out = ad.reshape(out, shape[:-3] + (-1, shape[-1]))
     if cfg.placement == "g1":
-        out = ad.mul(out, value_gate())
+        out = taped(ad.mul_vjp, out, value_gate())
     return out
 
 
 def per_op_mpnn_forward(graphs, h, p, *, lift=ad.no_tape):
-    """``gps.mpnn_forward`` on a :class:`GraphBatch` op by op: two row gathers,
-    a concatenation, the gate, the values, their product and the scatter;
-    taped, one node per op."""
-    if not graphs.src.size:
-        return np.zeros((graphs.rows, p.w_val.shape[1]))
-    h_dst = ad.take_rows(h, graphs.dst)
-    h_src = ad.take_rows(h, graphs.src)
+    """``gps.mpnn_forward``'s value on a :class:`GraphBatch` op by op: two row
+    gathers, a concatenation, the gate, the values, their product and the
+    scatter; taped, one node per op. Without edges these run on no rows, and
+    give ``h`` and the weights exact zero terms."""
+    h_dst = taped(ad.take_rows_vjp, h, idx=graphs.dst)
+    h_src = taped(ad.take_rows_vjp, h, idx=graphs.src)
     parts = [h_dst, h_src]
     if graphs.edge_features is not None:
         parts.append(graphs.edge_features)
-    gate = chained_activation("sigmoid", ad.matmul(ad.concat(parts), lift(p.w_edge)))
-    messages = ad.mul(gate, ad.matmul(h_src, lift(p.w_val)))
-    return ad.scatter_rows(messages, graphs.dst, graphs.rows)
+    gate = chained_activation("sigmoid", ad.matmul(taped(ad.concat_vjp, *parts), lift(p.w_edge)))
+    messages = taped(ad.mul_vjp, gate, ad.matmul(h_src, lift(p.w_val)))
+    return taped(ad.scatter_rows_vjp, messages, idx=graphs.dst, n_rows=graphs.rows)
 
 
 def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):
@@ -566,10 +574,10 @@ def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):
     graphs = _as_batch(g)
     local = per_op_mpnn_forward(graphs, h, p.mpnn, lift=lift)
     heads = _per_op_heads(h, p.attn, graphs.attn_mask, lift, graphs.size)
-    global_attn = ad.matmul(ad.merge_stack(heads), lift(p.attn.w_o))
+    global_attn = ad.matmul(taped(ad.merge_stack_vjp, heads), lift(p.attn.w_o))
     s = ad.add(ad.add(h, local), global_attn)
     t = ad.layer_norm(s, lift(p.ln1.scale), lift(p.ln1.shift), LN_EPS)
-    hidden = ad.gelu(ad.linear(t, lift(p.ffn.w1), lift(p.ffn.b1)))
+    hidden = taped(ad.gelu_vjp, ad.linear(t, lift(p.ffn.w1), lift(p.ffn.b1)))
     ffn = ad.linear(hidden, lift(p.ffn.w2), lift(p.ffn.b2))
     h_next = ad.layer_norm(ad.add(ffn, t), lift(p.ln2.scale), lift(p.ln2.shift), LN_EPS)
     return h_next, LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=[])

@@ -197,7 +197,7 @@ class TestCriterion4ForwardIdentities:
                                                          bias_init=-1.0),
                                   gate_weight_std=0.0)
         h = gaussian_matrix(rng, 6, 16, 1.0)
-        out, _ = siggate_mhsa(h, params)
+        out, _, _ = siggate_mhsa(h, params)
         report("4b", bool(np.all(out == 0.0)),
                "a closed gate (relu, W_g = 0, bias_init -1) yields an exactly zero "
                "attention branch")
@@ -211,8 +211,8 @@ class TestCriterion4ForwardIdentities:
             w_g=np.repeat(shared.w_g, 4, axis=0), b_g=np.repeat(shared.b_g, 4, axis=0),
         )
         h = gaussian_matrix(rng, 7, 16, 1.0)
-        out_a, _ = siggate_mhsa(h, shared)
-        out_b, _ = siggate_mhsa(h, duplicated)
+        out_a, _, _ = siggate_mhsa(h, shared)
+        out_b, _, _ = siggate_mhsa(h, duplicated)
         report("4c", np.array_equal(out_a, out_b),
                "shared gating is bitwise identical to per-head gating with "
                "the same duplicated parameters")

@@ -69,7 +69,7 @@ def run_head(h, head, placement="none", activation="sigmoid", mask=None, **kwarg
     (the layer stacks copies of the head's arrays)."""
     cfg = GateConfig(placement=placement, activation=activation)
     layer = stack_heads([head], cfg)
-    out, traces = gated_head_forward(h, layer, mask, **kwargs)
+    out, traces, _ = gated_head_forward(h, layer, mask, **kwargs)
     assert out.shape[0] == 1 and len(traces) == 1
     return out[0], traces[0]
 
@@ -243,7 +243,7 @@ class TestSiggateMhsa:
         params = init_mhsa_params(rng, 6, 1, GateConfig(placement="none"))
         params.w_o = np.eye(6)
         h = gaussian_matrix(rng, 5, 6, 1.0)
-        out, traces = siggate_mhsa(h, params)
+        out, traces, _ = siggate_mhsa(h, params)
         y, _, _ = head_forward(h, {name: getattr(params, name)[0]
                                    for name in ("w_q", "w_k", "w_v")}, "none")
         assert np.array_equal(out, y)
@@ -258,17 +258,17 @@ class TestSiggateMhsa:
                               w_g=np.repeat(shared.w_g, 4, axis=0),
                               b_g=np.repeat(shared.b_g, 4, axis=0))
         h = gaussian_matrix(rng, 7, 8, 1.0)
-        out_shared, _ = siggate_mhsa(h, shared)
-        out_per, _ = siggate_mhsa(h, per_head)
+        out_shared, _, _ = siggate_mhsa(h, shared)
+        out_per, _, _ = siggate_mhsa(h, per_head)
         assert np.array_equal(out_shared, out_per)
 
     def test_permutation_equivariance(self):
         rng = SeededRng(12)
         params = init_mhsa_params(rng, 8, 2, GateConfig(placement="g1"))
         h = gaussian_matrix(rng, 9, 8, 1.0)
-        out, _ = siggate_mhsa(h, params)
+        out, _, _ = siggate_mhsa(h, params)
         perm = np.argsort(SeededRng(13).uniform((9,)))
-        out_perm, _ = siggate_mhsa(h[perm], params)
+        out_perm, _, _ = siggate_mhsa(h[perm], params)
         assert np.max(np.abs(out_perm - out[perm])) <= 1e-10
 
     def test_indivisible_heads_rejected(self):
@@ -314,7 +314,7 @@ class TestSiggateMhsa:
         params = init_mhsa_params(rng, 8, 2, GateConfig(placement="g1"))
         h = gaussian_matrix(rng, 5, 8, 1.0)
         mask = np.eye(5, dtype=bool)
-        _, traces = siggate_mhsa(h, params, mask)
+        _, traces, _ = siggate_mhsa(h, params, mask)
         for t in traces:
             assert np.array_equal(t.attention, np.eye(5))
 
@@ -360,10 +360,10 @@ class TestHeadStack:
                   (gaussian_matrix(rng, n, 8, 1.0), mask[:n], 1),
                   (gaussian_matrix(rng, 3 * n, 8, 1.0), mask, 3)]
         for h, m, n_graphs in inputs:
-            out, traces = gated_head_forward(h, params, m, n_graphs=n_graphs)
+            out, traces, _ = gated_head_forward(h, params, m, n_graphs=n_graphs)
             assert out.shape == (4, len(h), 2) and len(traces) == 4
             for k in range(4):
-                (out_k,), (trace_k,) = gated_head_forward(h, head_layer(params, k), m,
+                (out_k,), (trace_k,), _ = gated_head_forward(h, head_layer(params, k), m,
                                                           n_graphs=n_graphs)
                 assert np.array_equal(out[k], out_k)
                 assert np.array_equal(traces[k].output, trace_k.output)
@@ -430,7 +430,7 @@ class TestHeadStack:
             assert getattr(ungated, name) is getattr(gated, name)
         assert ungated.w_g is None
         h = gaussian_matrix(SeededRng(35), 5, 8, 1.0)
-        out_ones, traces = siggate_mhsa(h, gated)
+        out_ones, traces, _ = siggate_mhsa(h, gated)
         assert all(np.all(t.gate == 1.0) for t in traces)
         assert np.array_equal(out_ones, siggate_mhsa(h, ungated)[0])
 
@@ -449,7 +449,7 @@ class TestHeadStack:
         params.w_q[0, 0, 0] -= 1.0
         params.w_g[1, 0, 0] -= 1.0
         h = gaussian_matrix(rng, 5, 8, 1.0)
-        out, _ = siggate_mhsa(h, params)
+        out, _, _ = siggate_mhsa(h, params)
         loop = [run_head(h, head, "g1")[0] for head in heads]
         assert np.array_equal(out, np.concatenate(loop, axis=1) @ np.eye(8))
 
@@ -517,6 +517,18 @@ class TestStackValidation:
         params.w_o = np.eye(6, 8)
         with pytest.raises(ShapeError, match="^w_o has 6 input rows but heads concatenate to 8$"):
             entry(gaussian_matrix(SeededRng(48), 5, 8, 1.0), params)
+
+    @pytest.mark.parametrize("rows, n_graphs, shape, want", [
+        (5, 1, (3, 3), (5, 5)), (10, 2, (10, 10), (10, 5)), (10, 2, (5, 5), (10, 5)),
+    ])
+    @BOTH_ENTRIES
+    def test_mask_shape_rejected(self, rows, n_graphs, shape, want, entry):
+        # The error names the mask the caller passed and the N x n one the rows take.
+        params = stacked_layer(51, "g1", heads=2)
+        with pytest.raises(ShapeError, match=rf"^mask has shape \({shape[0]}, {shape[1]}\), "
+                                             rf"expected \({want[0]}, {want[1]}\)$"):
+            entry(gaussian_matrix(SeededRng(52), rows, 8, 1.0), params,
+                  np.ones(shape, dtype=bool), n_graphs=n_graphs)
 
     @pytest.mark.parametrize("shape", [(8, 2), (0, 8, 2)])
     @BOTH_ENTRIES

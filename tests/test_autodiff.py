@@ -1,12 +1,22 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import add_at_rows, assert_bitwise, chained_activation
+from oracles import add_at_rows, assert_bitwise, chained_activation, taped
 from siggate import autodiff as ad
 from siggate.attention import GATE_ACTIVATIONS
 from siggate.gps import LN_EPS
 from siggate.numeric import NonFiniteInputError, SeededRng, ShapeError, gaussian_matrix
+
+
+mul = partial(taped, ad.mul_vjp)
+
+
+def activation(name):
+    """The form of the gate activation ``name``."""
+    return partial(ad.activation_vjp, name)
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -53,7 +63,7 @@ class TestArithmetic:
         a = np.ones((2, 2))
         assert isinstance(ad.add(a, a), np.ndarray)
         assert isinstance(ad.matmul(a, a), np.ndarray)
-        assert isinstance(ad.sigmoid(a), np.ndarray)
+        assert isinstance(ad.square(a), np.ndarray)
 
     def test_square_at_three_has_gradient_six(self):
         w = ad.Var(np.array(3.0))
@@ -65,7 +75,7 @@ class TestArithmetic:
         a = gaussian_matrix(rng, 4, 3, 1.0)
         b = gaussian_matrix(rng, 1, 3, 1.0).reshape(3)  # (3,) row broadcast
         c = gaussian_matrix(rng, 4, 1, 1.0)
-        check_grads(lambda x, y, z: ad.vsum(ad.mul(ad.add(x, y), z)), [a, b, c])
+        check_grads(lambda x, y, z: ad.vsum(mul(ad.add(x, y), z)), [a, b, c])
 
     def test_sub_div(self, rng):
         a = gaussian_matrix(rng, 3, 3, 1.0)
@@ -76,27 +86,27 @@ class TestArithmetic:
         a = gaussian_matrix(rng, 4, 3, 1.0)
         b = gaussian_matrix(rng, 3, 5, 1.0)
         check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a, b])
-        check_grads(lambda x: ad.vsum(ad.matmul(ad.transpose(x), x)), [a])
+        check_grads(lambda x: ad.vsum(ad.matmul(taped(ad.transpose_vjp, x), x)), [a])
 
     def test_stacked_matmul_and_transpose(self, rng):
         a = gaussian_matrix(rng, 6, 3, 1.0).reshape(2, 3, 3)
         b = gaussian_matrix(rng, 6, 4, 1.0).reshape(2, 3, 4)
         check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a, b])
         check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a[0], b])  # broadcast
-        check_grads(lambda x: ad.vsum(ad.square(ad.matmul(ad.transpose(x), x))), [b])
+        check_grads(lambda x: ad.vsum(ad.square(ad.matmul(taped(ad.transpose_vjp, x), x))), [b])
         for i in range(2):
             assert np.array_equal(ad.matmul(a, b)[i], a[i] @ b[i])
             assert np.array_equal(ad.matmul(a[0], b)[i], a[0] @ b[i])
-            assert np.array_equal(ad.transpose(b)[i], b[i].T)
+            assert np.array_equal(ad.transpose_vjp(b)[0][i], b[i].T)
 
     def test_mixed_var_and_plain(self, rng):
         a = gaussian_matrix(rng, 3, 3, 1.0)
         fixed = gaussian_matrix(rng, 3, 3, 1.0)
-        check_grads(lambda x: ad.vsum(ad.mul(ad.matmul(x, fixed), 2.0)), [a])
+        check_grads(lambda x: ad.vsum(mul(ad.matmul(x, fixed), 2.0)), [a])
 
     def test_diamond_accumulation(self):
         x = ad.Var(np.array([2.0]))
-        out = ad.vsum(ad.add(ad.mul(x, x), x))  # x^2 + x
+        out = ad.vsum(ad.add(mul(x, x), x))  # x^2 + x
         ad.backward(out)
         assert x.grad[0] == pytest.approx(5.0)
 
@@ -128,91 +138,84 @@ class TestReductionsAndShapes:
     def test_concat(self, rng):
         a = gaussian_matrix(rng, 3, 2, 1.0)
         b = gaussian_matrix(rng, 3, 4, 1.0)
-        check_grads(lambda x, y: ad.vsum(ad.square(ad.concat([x, y]))), [a, b])
+        check_grads(lambda x, y: ad.vsum(ad.square(taped(ad.concat_vjp, x, y))), [a, b])
 
     def test_take_rows_with_duplicates(self, rng):
         a = gaussian_matrix(rng, 5, 3, 1.0)
         idx = np.array([0, 2, 2, 4])
         w = gaussian_matrix(rng, 4, 3, 1.0)
-        check_grads(lambda x: ad.vsum(ad.mul(ad.take_rows(x, idx), w)), [a])
+        check_grads(lambda x: ad.vsum(mul(taped(ad.take_rows_vjp, x, idx=idx), w)), [a])
 
     def test_scatter_rows(self, rng):
         a = gaussian_matrix(rng, 4, 3, 1.0)
         idx = np.array([1, 1, 0, 3])
         w = gaussian_matrix(rng, 5, 3, 1.0)
-        check_grads(lambda x: ad.vsum(ad.mul(ad.scatter_rows(x, idx, 5), w)), [a])
+        scatter = partial(taped, ad.scatter_rows_vjp, idx=idx, n_rows=5)
+        check_grads(lambda x: ad.vsum(mul(scatter(x), w)), [a])
 
 
 class TestNonlinearities:
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.erf, ad.gelu,
-                                    ad.square, ad.absolute])
+    @pytest.mark.parametrize("op", [activation("sigmoid"), activation("tanh"), ad.erf_vjp,
+                                    ad.gelu_vjp, ad.square_vjp, ad.absolute_vjp])
     def test_unary_grads(self, op, rng):
         a = gaussian_matrix(rng, 3, 4, 1.0) + 0.1  # keep abs away from its kink
-        check_grads(lambda x: ad.vsum(op(x)), [a])
+        check_grads(lambda x: ad.vsum(taped(op, x)), [a])
 
     def test_relu_grad_off_kink(self, rng):
         a = gaussian_matrix(rng, 3, 4, 1.0)
         a[np.abs(a) < 1e-3] = 0.5
-        check_grads(lambda x: ad.vsum(ad.relu(x)), [a])
+        check_grads(lambda x: ad.vsum(taped(activation("relu"), x)), [a])
 
     def test_sqrt(self, rng):
         a = np.abs(gaussian_matrix(rng, 3, 3, 1.0)) + 0.5
-        check_grads(lambda x: ad.vsum(ad.sqrt(x)), [a])
+        check_grads(lambda x: ad.vsum(taped(ad.sqrt_vjp, x)), [a])
 
-    def test_apply_activation_matches_named_ops(self, rng):
+    def test_activation_table_matches_named_ops(self, rng):
         a = gaussian_matrix(rng, 2, 3, 1.0)
         sig = 1.0 / (1.0 + np.exp(-a))
-        assert np.allclose(ad.apply_activation("sigmoid", a), sig)
-        assert np.allclose(ad.apply_activation("sigmoid_squared", a), sig**2)
-        assert np.array_equal(ad.apply_activation("tanh", a), np.tanh(a))
-        assert np.array_equal(ad.apply_activation("relu", a), np.maximum(a, 0.0))
+        assert np.allclose(ad.activation_vjp("sigmoid", a)[0], sig)
+        assert np.allclose(ad.activation_vjp("sigmoid_squared", a)[0], sig**2)
+        assert np.array_equal(ad.activation_vjp("tanh", a)[0], np.tanh(a))
+        assert np.array_equal(ad.activation_vjp("relu", a)[0], np.maximum(a, 0.0))
         for name in ("softmax", "identity"):
             with pytest.raises(ValueError, match="unknown activation"):
-                ad.apply_activation(name, a)
+                ad.activation_vjp(name, a)
 
 
 class TestActivationTable:
-    """Each gate activation is one node with a closed form. Its value and VJP
-    are bitwise those of the op chain the tape ran before, one node per
-    elementwise op (``oracles.chained_activation``); ``sigmoid``, ``tanh``
-    and ``relu``, the MPNN's edge gate among them, are the table's entries."""
+    """Each gate activation is one form with a closed-form VJP, the MPNN's
+    edge gate (``sigmoid``) among them. Its value and VJP are bitwise those
+    of the op chain the tape ran before, one node per elementwise op
+    (``oracles.chained_activation``)."""
 
     @pytest.mark.parametrize("name", GATE_ACTIVATIONS)
     def test_value_and_vjp_equal_the_op_chain_bitwise(self, name, rng):
         x = rng.standard_normal((4, 6)) * 3.0
         x[0] = [0.0, 40.0, -40.0, 1e-300, -750.0, 750.0]  # the kink and saturation
         weights = rng.standard_normal((4, 6))
-        ops = [lambda v: ad.apply_activation(name, v)]
-        if name != "sigmoid_squared":
-            ops.append(getattr(ad, name))
         chain_leaf = ad.Var(x)
         chain = chained_activation(name, chain_leaf)
-        ad.backward(ad.vsum(ad.mul(chain, weights)))
-        for op in ops:
-            leaf = ad.Var(x)
-            out = op(leaf)
-            assert [p for p, _ in out.parents] == [leaf]  # one node over the leaf
-            ad.backward(ad.vsum(ad.mul(out, weights)))
-            assert_bitwise(out.value, chain.value)
-            assert_bitwise(op(x), chain.value)
-            assert_bitwise(leaf.grad, chain_leaf.grad)
+        ad.backward(ad.vsum(mul(chain, weights)))
+        value, back = ad.activation_vjp(name, x)
+        assert_bitwise(value, chain.value)
+        assert_bitwise(back(weights)[0], chain_leaf.grad)
 
 
 class TestRowSoftmaxGrad:
     def test_unmasked(self, rng):
         a = gaussian_matrix(rng, 4, 5, 1.0)
         w = gaussian_matrix(rng, 4, 5, 1.0)
-        check_grads(lambda x: ad.vsum(ad.mul(ad.row_softmax(x), w)), [a])
+        check_grads(lambda x: ad.vsum(mul(taped(ad.row_softmax_vjp, x), w)), [a])
 
     def test_masked(self, rng):
         a = gaussian_matrix(rng, 4, 5, 1.0)
         mask = rng.uniform((4, 5)) > 0.4
         mask[:, 0] = True
         w = gaussian_matrix(rng, 4, 5, 1.0)
-        check_grads(lambda x: ad.vsum(ad.mul(ad.row_softmax(x, mask), w)), [a])
+        check_grads(lambda x: ad.vsum(mul(taped(ad.row_softmax_vjp, x, mask=mask), w)), [a])
         # masked logits must receive exactly zero gradient
         v = ad.Var(a)
-        out = ad.vsum(ad.mul(ad.row_softmax(v, mask), w))
+        out = ad.vsum(mul(taped(ad.row_softmax_vjp, v, mask=mask), w))
         ad.backward(out)
         assert np.all(v.grad[~mask] == 0.0)
 
@@ -221,9 +224,9 @@ class TestRowSoftmaxGrad:
         mask = rng.uniform((6, 3)) > 0.4
         mask[:, 1] = True
         w = gaussian_matrix(rng, 6, 3, 1.0).reshape(2, 3, 3)
-        stacked = ad.row_softmax(a.reshape(2, 3, 3), mask)
-        assert np.array_equal(stacked.reshape(6, 3), ad.row_softmax(a, mask))
-        check_grads(lambda x: ad.vsum(ad.mul(ad.row_softmax(x, mask), w)),
+        stacked, _ = ad.row_softmax_vjp(a.reshape(2, 3, 3), mask)
+        assert np.array_equal(stacked.reshape(6, 3), ad.row_softmax_vjp(a, mask)[0])
+        check_grads(lambda x: ad.vsum(mul(taped(ad.row_softmax_vjp, x, mask=mask), w)),
                     [a.reshape(2, 3, 3)])
 
 
@@ -242,8 +245,8 @@ def _scatter_case(seed, n_rows, n_idx, cols):
 
 
 def _take_rows_vjp(n_rows, cols, idx):
-    node = ad.take_rows(ad.Var(np.zeros((n_rows, cols))), idx)
-    return lambda g: node.vjp(g)[0]
+    _, back = ad.take_rows_vjp(np.zeros((n_rows, cols)), idx)
+    return lambda g: back(g)[0]
 
 
 SCATTER = dict(n_rows=st.integers(1, 7), n_idx=st.integers(0, 15), cols=st.integers(1, 5),
@@ -251,7 +254,7 @@ SCATTER = dict(n_rows=st.integers(1, 7), n_idx=st.integers(0, 15), cols=st.integ
 
 
 class TestScatterAdd:
-    """``scatter_rows`` and the ``take_rows`` VJP equal ``np.add.at``, bit for bit."""
+    """``scatter_rows_vjp`` and the ``take_rows_vjp`` back equal ``np.add.at``, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(**SCATTER)
@@ -260,8 +263,7 @@ class TestScatterAdd:
     def test_scatter_rows(self, n_rows, n_idx, cols, seed):
         idx, x = _scatter_case(seed, n_rows, n_idx, cols)
         want = add_at_rows(x, idx, n_rows)
-        assert_bitwise(ad.scatter_rows(x, idx, n_rows), want)
-        assert_bitwise(ad.scatter_rows(ad.Var(x), idx, n_rows).value, want)
+        assert_bitwise(ad.scatter_rows_vjp(x, idx, n_rows)[0], want)
 
     @settings(max_examples=60, deadline=None)
     @given(**SCATTER)
@@ -277,16 +279,16 @@ class TestScatterAdd:
         x = np.array([[1e16, 2.0], [0.5, -0.0], [1.0, 3.0], [-1e16, -2.0], [-0.5, 0.0]])
         want = add_at_rows(x, idx, 5)
         assert want[1, 0] == 0.0 and not want[[0, 2, 4]].any()
-        assert_bitwise(ad.scatter_rows(x, idx, 5), want)
+        assert_bitwise(ad.scatter_rows_vjp(x, idx, 5)[0], want)
         assert_bitwise(_take_rows_vjp(5, 2, idx)(x), want)
 
     def test_one_column_and_empty(self):
         idx = np.array([2, 0, 2])
         x = np.array([[0.1], [0.2], [0.3]])
-        assert_bitwise(ad.scatter_rows(x, idx, 4), add_at_rows(x, idx, 4))
+        assert_bitwise(ad.scatter_rows_vjp(x, idx, 4)[0], add_at_rows(x, idx, 4))
         empty = np.zeros((0, 3))
         none = np.zeros(0, dtype=np.intp)
-        assert_bitwise(ad.scatter_rows(empty, none, 3), np.zeros((3, 3)))
+        assert_bitwise(ad.scatter_rows_vjp(empty, none, 3)[0], np.zeros((3, 3)))
         assert_bitwise(_take_rows_vjp(3, 3, none)(empty), np.zeros((3, 3)))
 
 
@@ -299,12 +301,12 @@ def composed_layer_norm(h, scale, shift, eps):
     mu = ad.vmean(h, axis=1, keepdims=True)
     centered = ad.sub(h, mu)
     var = ad.vmean(ad.square(centered), axis=1, keepdims=True)
-    normed = ad.div(centered, ad.sqrt(ad.add(var, eps)))
-    return ad.add(ad.mul(normed, scale), shift)
+    normed = ad.div(centered, taped(ad.sqrt_vjp, ad.add(var, eps)))
+    return ad.add(mul(normed, scale), shift)
 
 
 def composed_gelu(x):
-    return ad.mul(ad.mul(x, 0.5), ad.add(ad.erf(ad.mul(x, 1.0 / np.sqrt(2.0))), 1.0))
+    return mul(mul(x, 0.5), ad.add(taped(ad.erf_vjp, mul(x, 1.0 / np.sqrt(2.0))), 1.0))
 
 
 def composed_linear(x, w, b):
@@ -335,7 +337,7 @@ FUSED = {
     "layer_norm": (lambda h, s, b: ad.layer_norm(h, s, b, LN_EPS),
                    lambda h, s, b: composed_layer_norm(h, s, b, LN_EPS), _ln_inputs,
                    _ln_terms_scale),
-    "gelu": (ad.gelu, composed_gelu,
+    "gelu": (partial(taped, ad.gelu_vjp), composed_gelu,
              lambda rng, rows, cols: [gaussian_matrix(rng, rows, cols, 2.0)],
              lambda arrays, weights: 0.0),
     "linear": (ad.linear, composed_linear, _linear_inputs, lambda arrays, weights: 0.0),
@@ -345,7 +347,7 @@ SHAPES = dict(rows=st.integers(1, 5), cols=st.integers(1, 6), seed=st.integers(0
 
 
 def _weighted_sum(op, weights):
-    return lambda *xs: ad.vsum(ad.mul(op(*xs), weights))
+    return lambda *xs: ad.vsum(mul(op(*xs), weights))
 
 
 class TestFusedOps:
@@ -440,10 +442,11 @@ class TestCopyAxis:
             assert_bitwise(ad.matmul(x, w)[c], ad.matmul(x[c], w))
             assert_bitwise(ad.matmul(x[0], ws)[c], ad.matmul(x[0], ws[c]))
             assert_bitwise(ad.linear(x, ws, vec[:, :3])[c], ad.linear(x[c], ws[c], vec[c, :3]))
-            assert_bitwise(ad.take_rows(x, idx)[c], ad.take_rows(x[c], idx))
-            assert_bitwise(ad.scatter_rows(x, idx, 7)[c], ad.scatter_rows(x[c], idx, 7))
-            assert_bitwise(ad.concat([x, edge])[c], ad.concat([x[c], edge]))
-            assert_bitwise(ad.merge_stack(heads)[c], ad.merge_stack(heads[c]))
+            assert_bitwise(ad.take_rows_vjp(x, idx)[0][c], ad.take_rows_vjp(x[c], idx)[0])
+            assert_bitwise(ad.scatter_rows_vjp(x, idx, 7)[0][c],
+                           ad.scatter_rows_vjp(x[c], idx, 7)[0])
+            assert_bitwise(ad.concat_vjp(x, edge)[0][c], ad.concat_vjp(x[c], edge)[0])
+            assert_bitwise(ad.merge_stack_vjp(heads)[0][c], ad.merge_stack_vjp(heads[c])[0])
             assert_bitwise(ad.layer_norm(x, vec, vec[::-1], LN_EPS)[c],
                            ad.layer_norm(x[c], vec[c], vec[4 - c], LN_EPS))
 
@@ -454,12 +457,12 @@ class TestCopyAxis:
         weights = rng.standard_normal((5, 6, 3))
         xs = [ad.Var(a), ad.Var(b)]
         out = ad.matmul(*xs)
-        ad.backward(ad.vsum(ad.mul(out, weights)))
+        ad.backward(ad.vsum(mul(out, weights)))
         lone_grads = []
         for c in range(5):
             lone = [ad.Var(v[c] if v.ndim == 3 else v) for v in (a, b)]
             prod = ad.matmul(*lone)
-            ad.backward(ad.vsum(ad.mul(prod, weights[c])))
+            ad.backward(ad.vsum(mul(prod, weights[c])))
             assert_bitwise(out.value[c], prod.value)
             for x, leaf in zip(xs, lone):
                 if x.value.ndim == 3:

@@ -38,3 +38,33 @@ def test_every_name_the_package_imports_exists():
             assert hasattr(module, alias.name), f"siggate.{node.module}.{alias.name}"
             assert getattr(siggate, alias.asname or alias.name) \
                 is getattr(module, alias.name)
+
+
+def _autodiff_reads(path: Path) -> set[str]:
+    """Names of ``siggate.autodiff`` that the module at ``path`` reads: attributes of
+    each name it binds to the module, and names it imports from the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, reads = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("autodiff"):
+                reads.update(alias.name for alias in node.names)
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "autodiff")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            reads.add(node.attr)
+    return reads
+
+
+def test_every_autodiff_export_has_a_reader():
+    # An exported tape op that neither the library nor the benchmark calls is dead weight.
+    from siggate import autodiff
+
+    root = Path(__file__).resolve().parents[1]
+    package = Path(siggate.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "autodiff.py"]
+    paths += sorted((root / "perfbench").rglob("*.py"))
+    reads = set().union(*map(_autodiff_reads, paths))
+    assert [name for name in autodiff.__all__ if name not in reads] == []

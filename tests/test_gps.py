@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
-    MemoLift, add_at_rows, assert_bitwise, per_op_mpnn_forward, two_branch_sigmoid,
+    MemoLift, add_at_rows, assert_bitwise, per_op_mpnn_forward, taped, two_branch_sigmoid,
 )
 from siggate import autodiff as ad
 from siggate.attention import GateConfig, siggate_mhsa
@@ -77,7 +77,7 @@ class TestMpnnForward:
         p = MpnnParams(w_edge=gaussian_matrix(rng, 6, 3, 1.0),
                        w_val=gaussian_matrix(rng, 3, 3, 1.0))
         h = gaussian_matrix(rng, 4, 3, 1.0)
-        assert np.array_equal(mpnn_forward(g, h, p), np.zeros((4, 3)))
+        assert np.array_equal(mpnn_forward(g, h, p)[0], np.zeros((4, 3)))
 
     def test_single_edge_zero_edge_weights(self):
         # w_edge = 0 makes the gate exactly sigmoid(0) = 0.5 everywhere
@@ -85,7 +85,7 @@ class TestMpnnForward:
         g = GraphInstance(n=3, node_features=np.zeros((3, 2)), edges=[(1, 0)])
         p = MpnnParams(w_edge=np.zeros((4, 2)), w_val=gaussian_matrix(rng, 2, 2, 1.0))
         h = gaussian_matrix(rng, 3, 2, 1.0)
-        out = mpnn_forward(g, h, p)
+        out, _ = mpnn_forward(g, h, p)
         assert np.allclose(out[0], 0.5 * (h[1] @ p.w_val), atol=1e-15)
         assert np.array_equal(out[1:], np.zeros((2, 2)))
 
@@ -96,7 +96,7 @@ class TestMpnnForward:
         p = MpnnParams(w_edge=gaussian_matrix(rng, 4, 2, 1.0),
                        w_val=gaussian_matrix(rng, 2, 2, 1.0))
         h = gaussian_matrix(rng, 3, 2, 1.0)
-        out = mpnn_forward(g, h, p)
+        out, _ = mpnn_forward(g, h, p)
         msg_to_1 = sigmoid(np.concatenate([h[1], h[0]]) @ p.w_edge) * (h[0] @ p.w_val)
         msg_to_2 = sigmoid(np.concatenate([h[2], h[1]]) @ p.w_edge) * (h[1] @ p.w_val)
         expected = np.vstack([np.zeros(2), msg_to_1, msg_to_2])
@@ -110,7 +110,7 @@ class TestMpnnForward:
         p = MpnnParams(w_edge=gaussian_matrix(rng, 2 * 3 + 2, 3, 1.0),
                        w_val=gaussian_matrix(rng, 3, 3, 1.0))
         h = gaussian_matrix(rng, 4, 3, 1.0)
-        out = mpnn_forward(g, h, p)
+        out, _ = mpnn_forward(g, h, p)
         assert out.shape == (4, 3)
 
     @staticmethod
@@ -145,26 +145,38 @@ class TestMpnnForward:
         want = self.reference(graphs, h, p)
         if case == "isolated":
             assert not want[5].any()
-        assert_bitwise(mpnn_forward(batch, h, p), want)
+        assert_bitwise(mpnn_forward(batch, h, p)[0], want)
         # A leading copy axis, as the gradient check stacks its probes: each copy on its own.
         copies = np.stack([h, 0.5 * h, -h])
-        assert_bitwise(mpnn_forward(batch, copies, p),
+        assert_bitwise(mpnn_forward(batch, copies, p)[0],
                        np.stack([self.reference(graphs, c, p) for c in copies]))
-        # Taped: the value, and h's, W_edge's and W_val's gradients as the op-by-op tape has them.
+        # The form's back: h's summed terms (none without edges), W_edge's and W_val's
+        # gradients, as the op-by-op tape has them.
         weight = gaussian_matrix(rng, batch.rows, 4, 1.0)
-        grads = []
-        for forward in (mpnn_forward, per_op_mpnn_forward):
-            lift, x = MemoLift(), ad.Var(h)
-            taped = forward(batch, x, p, lift=lift)
-            assert_bitwise(ad.value(taped), want)
-            if type(taped) is ad.Var:
-                ad.backward(ad.vsum(ad.mul(taped, weight)))
-            grads.append([x.grad, lift.grad(p.w_edge), lift.grad(p.w_val)])
-        for got, expected in zip(*grads):
-            if case == "no_edges":  # zeros off the tape: no gradient reaches anything
-                assert got is None and expected is None
-            else:
-                assert_bitwise(got, expected)
+        *h_terms, dw_edge, dw_val = mpnn_forward(batch, h, p)[1](weight)
+        assert len(h_terms) == (0 if case == "no_edges" else 2)
+        lift, x = MemoLift(), ad.Var(h)
+        per_op = per_op_mpnn_forward(batch, x, p, lift=lift)
+        assert_bitwise(per_op.value, want)
+        ad.backward(ad.vsum(taped(ad.mul_vjp, per_op, weight)))
+        assert_bitwise(sum(h_terms[1:], h_terms[0]) if h_terms else np.zeros_like(h), x.grad)
+        assert_bitwise(dw_edge, lift.grad(p.w_edge))
+        assert_bitwise(dw_val, lift.grad(p.w_val))
+
+    @pytest.mark.parametrize("rows, edges", [(5, [(0, 1), (2, 1)]), (2, [(0, 1), (2, 1)]),
+                                             (5, [])],
+                             ids=["too_many_rows", "too_few_rows", "edgeless"])
+    def test_rows_off_the_graph_rejected(self, rows, edges):
+        # h must hold one row per node; the error names both counts, in the layer too.
+        g = GraphInstance(n=3, node_features=np.zeros((3, 2)), edges=edges)
+        p = MpnnParams(w_edge=np.zeros((4, 2)), w_val=np.eye(2))
+        message = rf"^h has {rows} rows, but the graph has 3 nodes$"
+        with pytest.raises(ShapeError, match=message):
+            mpnn_forward(g, np.ones((rows, 2)), p)
+        model = init_model(SeededRng(36), d_in=2, d=4, n_heads=2, n_layers=1,
+                           gate=GateConfig(placement="g1"))
+        with pytest.raises(ShapeError, match=message):
+            gps_layer_forward(g, np.ones((rows, 4)), model.layers[0])
 
     def test_width_mismatch_rejected(self):
         rng = SeededRng(26)
@@ -187,7 +199,7 @@ class TestGpsLayerForward:
         h = gaussian_matrix(SeededRng(29), 5, 8, 1.0)
         h_next, _ = gps_layer_forward(g, h, layer)
         t = layer_norm(h, layer.ln1.scale, layer.ln1.shift)
-        ffn = ad.gelu(t @ layer.ffn.w1 + layer.ffn.b1) @ layer.ffn.w2 + layer.ffn.b2
+        ffn = ad.gelu_vjp(t @ layer.ffn.w1 + layer.ffn.b1)[0] @ layer.ffn.w2 + layer.ffn.b2
         expected = layer_norm(ffn + t, layer.ln2.scale, layer.ln2.shift)
         assert np.array_equal(h_next, expected)
 
@@ -201,8 +213,8 @@ class TestGpsLayerForward:
         g = small_graph(SeededRng(31), n=5, d_in=3)
         h = gaussian_matrix(SeededRng(32), 5, 8, 1.0)
         h_next, _ = gps_layer_forward(g, h, layer)
-        attn_out, _ = siggate_mhsa(h, layer.attn, g.attn_mask)
-        s = h + mpnn_forward(g, h, layer.mpnn) + attn_out
+        attn_out, _, _ = siggate_mhsa(h, layer.attn, g.attn_mask)
+        s = h + mpnn_forward(g, h, layer.mpnn)[0] + attn_out
         t = layer_norm(s, layer.ln1.scale, layer.ln1.shift)
         assert np.allclose(h_next, layer_norm(t, layer.ln2.scale, layer.ln2.shift),
                            atol=1e-15)
@@ -215,10 +227,10 @@ class TestGpsLayerForward:
         g = small_graph(SeededRng(34), n=6, d_in=3)
         h = gaussian_matrix(SeededRng(35), 6, 8, 1.0)
         h_next, entry = gps_layer_forward(g, h, layer)
-        attn_out, traces = siggate_mhsa(h, layer.attn, g.attn_mask)
-        s = h + mpnn_forward(g, h, layer.mpnn) + attn_out
+        attn_out, traces, _ = siggate_mhsa(h, layer.attn, g.attn_mask)
+        s = h + mpnn_forward(g, h, layer.mpnn)[0] + attn_out
         t = layer_norm(s, layer.ln1.scale, layer.ln1.shift)
-        ffn = ad.gelu(t @ layer.ffn.w1 + layer.ffn.b1) @ layer.ffn.w2 + layer.ffn.b2
+        ffn = ad.gelu_vjp(t @ layer.ffn.w1 + layer.ffn.b1)[0] @ layer.ffn.w2 + layer.ffn.b2
         expected = layer_norm(ffn + t, layer.ln2.scale, layer.ln2.shift)
         assert np.array_equal(h_next, expected)
         assert np.array_equal(entry.hidden, expected)

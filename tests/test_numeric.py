@@ -109,45 +109,55 @@ class TestRowSoftmax:
         assert np.allclose(out, [[0.0, 0.25, 0.75]], atol=1e-15)
 
 
+def act(name, x):
+    """The value of the gate activation ``name``'s form."""
+    return ad.activation_vjp(name, x)[0]
+
+
+def mul(a, b):
+    """The value of the entrywise product's form."""
+    return ad.mul_vjp(a, b)[0]
+
+
 class TestElementwise:
-    """The gate activations as ``autodiff.apply_activation`` applies them
-    entrywise without a tape, against hand values and the plain-numpy table
-    in ``tests/oracles.py``."""
+    """The gate activations as ``autodiff.activation_vjp`` applies them
+    entrywise, against hand values and the plain-numpy table in
+    ``tests/oracles.py``."""
 
     def test_sigmoid_at_zero(self):
-        assert ad.apply_activation("sigmoid", np.zeros((1, 1)))[0, 0] == 0.5
+        assert act("sigmoid", np.zeros((1, 1)))[0, 0] == 0.5
 
     def test_sigmoid_at_half(self):
         # 1 / (1 + e^{-1/2})
-        val = ad.apply_activation("sigmoid", np.array([[0.5]]))[0, 0]
+        val = act("sigmoid", np.array([[0.5]]))[0, 0]
         assert val == pytest.approx(0.6224593312018546, abs=1e-12)
 
     def test_sigmoid_odd_symmetry(self):
         rng = SeededRng(3)
         x = gaussian_matrix(rng, 4, 4, 3.0)
-        total = ad.apply_activation("sigmoid", x) + ad.apply_activation("sigmoid", -x)
+        total = act("sigmoid", x) + act("sigmoid", -x)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_sigmoid_open_interval(self):
         x = np.array([[-30.0, 30.0]])
-        out = ad.apply_activation("sigmoid", x)
+        out = act("sigmoid", x)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_other_activations(self):
         x = np.array([[-1.0, 0.0, 2.0]])
-        assert np.allclose(ad.apply_activation("tanh", x), np.tanh(x))
-        assert np.array_equal(ad.apply_activation("relu", x), [[0.0, 0.0, 2.0]])
+        assert np.allclose(act("tanh", x), np.tanh(x))
+        assert np.array_equal(act("relu", x), [[0.0, 0.0, 2.0]])
         sig = 1.0 / (1.0 + np.exp(-x))
-        assert np.allclose(ad.apply_activation("sigmoid_squared", x), sig**2, atol=1e-15)
+        assert np.allclose(act("sigmoid_squared", x), sig**2, atol=1e-15)
         m = gaussian_matrix(SeededRng(6), 4, 5, 3.0)
         for name, oracle in GATE_ACTIVATIONS.items():
-            assert_bitwise(ad.apply_activation(name, m), oracle(m))
+            assert_bitwise(act(name, m), oracle(m))
 
     def test_unknown_op(self):
         # "identity" is no gate activation: no GateConfig can name it
         for name in ("softplus", "identity"):
             with pytest.raises(ValueError, match=f"unknown activation '{name}'"):
-                ad.apply_activation(name, np.zeros((1, 1)))
+                act(name, np.zeros((1, 1)))
 
 
 # Beyond |x| = 709.78 exp(|x|) overflows; beyond 745.13 exp(-|x|) is 0.
@@ -186,19 +196,19 @@ class TestSigmoidKernel:
 
 
 class TestHadamard:
-    """Entrywise products as the gates apply them: ``autodiff.mul`` on plain arrays."""
+    """Entrywise products as the gates apply them: ``autodiff.mul_vjp``'s value."""
 
     def test_ones_identity(self):
         rng = SeededRng(4)
         a = gaussian_matrix(rng, 3, 4, 1.0)
-        assert np.array_equal(ad.mul(a, np.ones_like(a)), a)
+        assert np.array_equal(mul(a, np.ones_like(a)), a)
 
     def test_zeros(self):
         a = np.full((2, 2), 7.0)
-        assert np.array_equal(ad.mul(a, np.zeros_like(a)), np.zeros((2, 2)))
+        assert np.array_equal(mul(a, np.zeros_like(a)), np.zeros((2, 2)))
 
     def test_hand_product(self):
-        out = ad.mul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.full((2, 2), 2.0))
+        out = mul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.full((2, 2), 2.0))
         assert np.array_equal(out, [[2.0, 4.0], [6.0, 8.0]])
 
     def test_commutative_and_associative(self):
@@ -206,8 +216,8 @@ class TestHadamard:
         a = gaussian_matrix(rng, 3, 3, 1.0)
         b = gaussian_matrix(rng, 3, 3, 1.0)
         c = gaussian_matrix(rng, 3, 3, 1.0)
-        assert np.array_equal(ad.mul(a, b), ad.mul(b, a))
-        assert np.allclose(ad.mul(ad.mul(a, b), c), ad.mul(a, ad.mul(b, c)), atol=1e-15)
+        assert np.array_equal(mul(a, b), mul(b, a))
+        assert np.allclose(mul(mul(a, b), c), mul(a, mul(b, c)), atol=1e-15)
 
     def test_shape_mismatch(self):
         # A gate whose shape differs from its head's output is rejected by name.

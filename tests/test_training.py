@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -576,6 +577,33 @@ class TestLayerNode:
                     else:
                         assert_bitwise(ht_got.gate, ht_want.gate)
 
+    def test_the_step_builds_only_the_nodes_it_reaches(self, monkeypatch):
+        # The README's step: 12 layers of g1 (d = 16, 4 heads), mae, 9 graphs of 8 nodes.
+        pairs = make_toy_task(seed=0, n_graphs=12, nodes_per_graph=8).train
+        assert len(pairs) == 9 and {g.n for g, _ in pairs} == {8}
+        model = init_model(SeededRng(0), d_in=pairs[0][0].d_in, d=16, n_heads=4, n_layers=12,
+                           gate=GateConfig(placement="g1"))
+        built, roots = [], []
+        real_init, real_backward = ad.Var.__init__, ad.backward
+
+        def counting(node, value, parents=(), vjp=None):
+            if parents:
+                built.append(node)
+            real_init(node, value, parents, vjp)
+
+        monkeypatch.setattr(ad.Var, "__init__", counting)
+        monkeypatch.setattr(ad, "backward", lambda root: roots.append(root) or real_backward(root))
+        loss_and_gradients(model, pairs, "mae")
+        reached, stack = {}, list(roots)
+        while stack:
+            node = stack.pop()
+            if id(node) not in reached:
+                reached[id(node)] = node
+                stack += [parent for parent, _ in node.parents]
+        ops = [node for node in reached.values() if node.parents]
+        assert len(built) == len(ops) == 21
+        assert {id(node) for node in built} == {id(node) for node in ops}
+
     def test_each_layer_is_one_node_over_its_input_and_arrays(self):
         model = walk_model("g3", "shared")
         graphs = GraphBatch.of([g for g, _ in walk_batch()[:1]])
@@ -583,12 +611,10 @@ class TestLayerNode:
         h = gps.model_embed(graphs, model, lift=lift)
         out, entry = gps.gps_layer_forward(graphs, h, model.layers[0], lift=lift)
         assert entry.hidden is out.value
-        # h once per use (residual, two gathers, five products) and each array once
+        # h once, then each array the layer reads once, in carve order
         arrays = [id(arr) for _, layer, _, arr in model.layout.index.values() if layer == 0]
-        parents = [parent for parent, _ in out.parents]
-        assert [p for p in parents if p is h] == [h] * 8
-        assert sorted(id(lift.leaves[key]) for key in arrays) == sorted(
-            id(p) for p in parents if p is not h)
+        assert [parent for parent, _ in out.parents] == [h] + [lift.leaves[a] for a in arrays]
+        assert [i for _, i in out.parents] == list(range(len(arrays) + 1))
 
 
 class TestFiniteDifferenceCheck:
@@ -911,6 +937,40 @@ class TestTapeFreeForwards:
         assert built == []
         loss_and_gradients(model, pairs)  # the count sees a taped pass
         assert built
+
+
+    def test_a_branch_back_dies_as_the_branch_returns(self, monkeypatch):
+        # Tape-free, the MPNN's back (which holds its E x 2d gather) is gone before the
+        # attention runs, and the attention's before the layer norms; taped, the layer keeps both.
+        model, pairs = walk_model("g1", "per_head"), walk_batch()
+        graphs = GraphBatch.of([g for g, _ in pairs if g.n == pairs[0][0].n])
+        real_mpnn, real_mhsa, real_ln = gps.mpnn_forward, gps.siggate_mhsa, ad.layer_norm_vjp
+        refs, seen = {}, []
+
+        def mpnn(*args):
+            out, back = real_mpnn(*args)
+            refs["mpnn"] = weakref.ref(back)
+            return out, back
+
+        def mhsa(*args, **kw):
+            seen.append(refs["mpnn"]() is not None)
+            out, traces, back = real_mhsa(*args, **kw)
+            refs["attn"] = weakref.ref(back)
+            return out, traces, back
+
+        def layer_norm(*args):
+            seen.append((refs["mpnn"]() is not None, refs["attn"]() is not None))
+            return real_ln(*args)
+
+        monkeypatch.setattr(gps, "mpnn_forward", mpnn)
+        monkeypatch.setattr(gps, "siggate_mhsa", mhsa)
+        monkeypatch.setattr(ad, "layer_norm_vjp", layer_norm)
+        for lift in (ad.no_tape, MemoLift()):
+            seen.clear()
+            h = gps.model_embed(graphs, model, lift=lift)
+            gps.gps_layer_forward(graphs, h, model.layers[0], lift=lift)
+            kept = lift is not ad.no_tape
+            assert seen == [kept, (kept, kept), (kept, kept)]
 
 
 IN_PLACE_CASES = [("none", "sigmoid"), ("g1", "sigmoid"), ("g2", "relu"),
@@ -1287,8 +1347,8 @@ class TestParamStorage:
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
     def test_flat_gradients_equal_the_per_name_assembly_bitwise(self, placement, sharing,
                                                                edges):
-        # Without edges mpnn_forward returns before it lifts w_edge and w_val,
-        # so those arrays stay off the tape and their slots must stay zero.
+        # Without edges the MPNN gives w_edge and w_val exact zero terms, so
+        # their slots hold zeros.
         model = walk_model(placement, sharing)
         params = ParamSet.from_model(model)
         pairs = walk_batch()
