@@ -205,12 +205,6 @@ def linear_vjp(x, w, b):
     return out, lambda g: (g @ w.T, x.T @ g, _unbroadcast(g, np.shape(b)))
 
 
-def transpose_vjp(x):
-    """Swap the last two axes: the transpose of a matrix, or of each
-    matrix in a stack."""
-    return np.asarray(x).swapaxes(-1, -2), lambda g: (np.asarray(g).swapaxes(-1, -2),)
-
-
 # ---------------------------------------------------------------------------
 # Reductions and shape ops
 # ---------------------------------------------------------------------------
@@ -284,17 +278,6 @@ def _scatter_add(x, idx, n_rows, flat=None):
     return out.astype(np.float64, copy=False).reshape((*lead, n_rows, cols))
 
 
-def take_rows_vjp(x, idx):
-    """Row gather ``x[idx]`` (rows are axis -2 of a stack of matrices); its
-    ``back`` scatter-adds into the source rows."""
-    return np.take(x, idx, axis=-2), lambda g: (_scatter_add(g, idx, np.shape(x)[-2]),)
-
-
-def scatter_rows_vjp(x, idx, n_rows):
-    """Sum rows of ``x`` into an ``n_rows``-row output at positions ``idx``."""
-    return _scatter_add(x, idx, n_rows), lambda g: (np.asarray(g)[idx],)
-
-
 # ---------------------------------------------------------------------------
 # Nonlinearities
 # ---------------------------------------------------------------------------
@@ -312,10 +295,8 @@ def _elementwise(fwd, make_vjp):
     return form
 
 
-sqrt_vjp = _elementwise(np.sqrt, lambda x, y: lambda g: g * 0.5 / y)
 square_vjp = _elementwise(np.square, lambda x, y: lambda g: g * 2.0 * x)
 absolute_vjp = _elementwise(np.abs, lambda x, y: lambda g: g * np.sign(x))
-erf_vjp = _elementwise(_erf, lambda x, y: lambda g: g * _TWO_OVER_SQRT_PI * np.exp(-x * x))
 square = partial(_op, square_vjp)
 absolute = partial(_op, absolute_vjp)
 

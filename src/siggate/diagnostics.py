@@ -66,12 +66,17 @@ class RankBoundReport:
     holds: bool
 
 
-def stable_rank(m) -> float:
-    """||M||_F^2 / ||M||_2^2 — a continuous effective-rank surrogate."""
+def stable_rank(m):
+    """||M||_F^2 / ||M||_2^2 — a continuous effective-rank surrogate.
+
+    A stack ``(K, r, c)`` gives an array of K values, each bitwise what a
+    lone call on its matrix gives (see :func:`top_singular_value`).
+    """
     m = np.asarray(m, dtype=np.float64)
-    top = top_singular_value(m)  # rejects the zero matrix
-    fro2 = float(np.sum(m * m))
-    return fro2 / (top * top)
+    top = top_singular_value(m)  # rejects the zero matrix and shapes not 2-D or 3-D
+    if m.ndim == 2:
+        return float(np.sum(m * m)) / (top * top)
+    return np.array([np.sum(s * s) for s in m]) / (top * top)  # each sum as its lone call's
 
 
 def mad(h) -> float:

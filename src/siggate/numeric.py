@@ -189,7 +189,7 @@ def sigmoid(x, out=None) -> np.ndarray:
 _TINY = np.finfo(float).tiny
 
 
-def top_singular_value(m, tol=1e-12, max_iter=10_000) -> float:
+def top_singular_value(m, tol=1e-12, max_iter=10_000):
     """Largest singular value by power iteration on the Gram matrix.
 
     Iterates on M^T M (or M M^T, whichever is smaller) from the normalized
@@ -198,21 +198,93 @@ def top_singular_value(m, tol=1e-12, max_iter=10_000) -> float:
     lie in the null space, iteration restarts from basis vectors, which
     always succeeds for a nonzero matrix. A matrix holding NaN or inf is
     rejected before any iteration.
+
+    A stack ``(K, r, c)`` gives an array of K values, each bitwise what a
+    lone call on its matrix gives; an empty stack gives an empty array. A
+    zero or non-finite matrix of a stack is named by its index.
     """
-    m = _as_matrix(m, "m")
-    if not np.isfinite(m).all():
-        row, col = np.argwhere(~np.isfinite(m))[0]
-        raise NonFiniteInputError(
-            f"top_singular_value undefined: entry ({row}, {col}) is {m[row, col]}")
-    if not np.any(m):
-        raise ValueError("top_singular_value undefined for the zero matrix")
-    gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"m must be 2-D or a 3-D stack of matrices, got shape {m.shape}")
+    named = m.ndim == 3
+    stack = m if named else m[None]
+    if not np.isfinite(stack).all():
+        i, row, col = np.argwhere(~np.isfinite(stack))[0]
+        at = f"matrix {i}: " if named else ""
+        raise NonFiniteInputError(f"top_singular_value undefined: {at}entry ({row}, {col}) "
+                                  f"is {stack[i, row, col]}")
+    nonzero = stack.any(axis=(1, 2))
+    if not nonzero.all():
+        raise ValueError(f"top_singular_value undefined: matrix {np.argmin(nonzero)} is the "
+                         f"zero matrix" if named else "top_singular_value undefined for the "
+                         "zero matrix")
+    tops = _stacked_power_iteration(stack, tol, max_iter) if len(stack) else np.empty(0)
+    return tops if named else float(tops[0])
+
+
+def _stacked_power_iteration(stack, tol, max_iter) -> np.ndarray:
+    """The power iteration of every matrix of a nonempty stack at once.
+
+    Stacked ``np.matmul`` runs, per matrix, the BLAS gemv and ddot that the
+    lone loop of :func:`_power_steps` runs, so each value is bitwise that
+    loop's. A matrix leaves the stack at its own convergence step, its slot
+    taken by the last active one. A matrix whose iterate is a null vector
+    (it needs a restart) and the last two active matrices finish in the lone
+    loop, from the state the stack left them in.
+    """
+    t = stack.transpose(0, 2, 1)
+    grams = t @ stack if stack.shape[2] <= stack.shape[1] else stack @ t
+    k, dim = grams.shape[:2]
+    v = np.full((k, dim), 1.0 / np.sqrt(dim))  # the iterates, rewritten each step
+    lam = (v[:, None] @ grams @ v[:, :, None]).reshape(k)
+    gv = (grams @ v[:, :, None]).reshape(k, dim)
+    tops = np.empty(k)
+    slot = np.arange(k)  # the stack index of each active row
+    n = k
+    steps = 0
+
+    def finish(rows, steps_left):
+        for i in rows:
+            tops[slot[i]] = _power_steps(grams[i], gv[i], float(lam[i]), steps_left, tol)
+
+    def compact(leaving):
+        # the active rows past the new end fill the holes the leaving rows make
+        stay = n - len(leaving)
+        keep = np.ones(n, dtype=bool)
+        keep[leaving] = False
+        holes, movers = np.flatnonzero(~keep[:stay]), stay + np.flatnonzero(keep[stay:])
+        for a in (grams, gv, lam, slot):
+            a[holes] = a[movers]
+        return stay
+
+    while n > 2 and steps < max_iter:
+        g, x, gx = grams[:n], v[:n], gv[:n]
+        norm2 = (gx[:, None] @ gx[:, :, None]).reshape(n)
+        if not norm2.all():
+            null = np.flatnonzero(norm2 == 0.0)
+            finish(null, max_iter - steps)
+            n = compact(null)
+            continue
+        np.divide(gx, np.sqrt(norm2)[:, None], out=x)
+        np.matmul(g, x[:, :, None], out=gx[:, :, None])
+        lam_new = (x[:, None] @ gx[:, :, None]).reshape(n)
+        done = np.abs(lam_new - lam[:n]) <= tol * np.maximum(np.abs(lam_new), _TINY)
+        lam[:n] = lam_new
+        steps += 1
+        if done.any():
+            done = np.flatnonzero(done)
+            finish(done, 0)
+            n = compact(done)
+    finish(range(n), max_iter - steps)
+    return tops
+
+
+def _power_steps(gram, gv, lam, steps, tol) -> float:
+    """At most ``steps`` power-iteration steps on ``gram`` from a unit iterate
+    ``v``, given by ``gv = gram @ v`` and ``lam``, its Rayleigh quotient."""
     dim = gram.shape[0]
-    v = np.full(dim, 1.0 / np.sqrt(dim))
-    lam = float(v @ gram @ v)
-    gv = gram @ v  # carried: a step's Rayleigh product is the next step's power product
     restart = 0
-    for _ in range(max_iter):
+    for _ in range(steps):
         norm_w = math.sqrt(gv.dot(gv))
         if norm_w == 0.0:
             v = np.zeros(dim)
@@ -222,7 +294,7 @@ def top_singular_value(m, tol=1e-12, max_iter=10_000) -> float:
             gv = gram @ v
             continue
         v = gv / norm_w
-        gv = gram @ v
+        gv = gram @ v  # carried: a step's Rayleigh product is the next step's power product
         lam_new = float(v @ gv)
         # relative change so the stopping point is scale-free
         if abs(lam_new - lam) <= tol * max(abs(lam_new), _TINY):

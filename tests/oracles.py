@@ -1,8 +1,8 @@
 """Reference formulas the library's faster kernels must match bit for bit.
 
 Each is the plain numpy formulation of a kernel, kept here as an
-independent oracle: ``numeric.sigmoid``, the row scatter-add behind
-``autodiff.scatter_rows_vjp`` and the ``take_rows_vjp`` back, the ``0 log 0 = 0``
+independent oracle: ``numeric.sigmoid``, the row scatter-add behind the
+MPNN's scatters (``autodiff._scatter_add``), the ``0 log 0 = 0``
 sum of ``diagnostics.attention_entropy``, the power iteration of
 ``numeric.top_singular_value`` with two Gram products per step, and the
 rank study run one (c, rho) cell at a time, each cell drawing its seeds
@@ -26,12 +26,17 @@ MPNN composed of autodiff's ops, one tape node each
 (:func:`per_op_layer_forward`, :func:`per_op_mpnn_forward`), whose
 gradients the one-node layer must give bit for bit, and the gate
 activations as the op chains the tape ran before ``autodiff`` had one
-closed form per activation (:func:`chained_activation`).
+closed form per activation (:func:`chained_activation`). The forms those
+op-by-op oracles need and the library does not run (``transpose_vjp``,
+``take_rows_vjp``, ``scatter_rows_vjp``, ``sqrt_vjp``, ``erf_vjp``) live
+here, in autodiff's ``(out, back)`` convention.
 """
 
 import numpy as np
 
 from dataclasses import fields, is_dataclass
+
+from scipy.special import erf
 
 from siggate import autodiff as ad
 from siggate.numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
@@ -483,6 +488,34 @@ def taped(form, *operands, **static):
     return ad.fused(out, operands, back)
 
 
+def transpose_vjp(x):
+    """Swap the last two axes: the transpose of a matrix, or of each
+    matrix in a stack."""
+    return np.asarray(x).swapaxes(-1, -2), lambda g: (np.asarray(g).swapaxes(-1, -2),)
+
+
+def take_rows_vjp(x, idx):
+    """Row gather ``x[idx]`` (rows are axis -2 of a stack of matrices); its
+    ``back`` scatter-adds into the source rows with the MPNN's scatter."""
+    return np.take(x, idx, axis=-2), lambda g: (ad._scatter_add(g, idx, np.shape(x)[-2]),)
+
+
+def scatter_rows_vjp(x, idx, n_rows):
+    """Sum rows of ``x`` into an ``n_rows``-row output at positions ``idx``
+    with the MPNN's scatter."""
+    return ad._scatter_add(x, idx, n_rows), lambda g: (np.asarray(g)[idx],)
+
+
+def sqrt_vjp(x):
+    y = np.sqrt(np.asarray(x, dtype=np.float64))
+    return y, lambda g: (g * 0.5 / y,)
+
+
+def erf_vjp(x):
+    x = np.asarray(x, dtype=np.float64)
+    return erf(x), lambda g: (g * (2.0 / np.sqrt(np.pi)) * np.exp(-x * x),)
+
+
 def _elementwise_node(x, fwd, vjp):
     """``fwd`` on ``x`` as a tape node of its own: ``vjp(g, x, y)`` is x's
     term for ``y = fwd(x)``."""
@@ -513,7 +546,7 @@ def _per_op_by_graph(x, n_graphs):
 
 def _per_op_scores(a, b, d_k, n_graphs):
     prod = ad.matmul(_per_op_by_graph(a, n_graphs),
-                     taped(ad.transpose_vjp, _per_op_by_graph(b, n_graphs)))
+                     taped(transpose_vjp, _per_op_by_graph(b, n_graphs)))
     return taped(ad.mul_vjp, prod, 1.0 / np.sqrt(d_k))
 
 
@@ -556,14 +589,14 @@ def per_op_mpnn_forward(graphs, h, p, *, lift=ad.no_tape):
     gathers, a concatenation, the gate, the values, their product and the
     scatter; taped, one node per op. Without edges these run on no rows, and
     give ``h`` and the weights exact zero terms."""
-    h_dst = taped(ad.take_rows_vjp, h, idx=graphs.dst)
-    h_src = taped(ad.take_rows_vjp, h, idx=graphs.src)
+    h_dst = taped(take_rows_vjp, h, idx=graphs.dst)
+    h_src = taped(take_rows_vjp, h, idx=graphs.src)
     parts = [h_dst, h_src]
     if graphs.edge_features is not None:
         parts.append(graphs.edge_features)
     gate = chained_activation("sigmoid", ad.matmul(taped(ad.concat_vjp, *parts), lift(p.w_edge)))
     messages = taped(ad.mul_vjp, gate, ad.matmul(h_src, lift(p.w_val)))
-    return taped(ad.scatter_rows_vjp, messages, idx=graphs.dst, n_rows=graphs.rows)
+    return taped(scatter_rows_vjp, messages, idx=graphs.dst, n_rows=graphs.rows)
 
 
 def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import add_at_rows, assert_bitwise, chained_activation, taped
+from oracles import (
+    add_at_rows,
+    assert_bitwise,
+    chained_activation,
+    erf_vjp,
+    scatter_rows_vjp,
+    sqrt_vjp,
+    take_rows_vjp,
+    taped,
+    transpose_vjp,
+)
 from siggate import autodiff as ad
 from siggate.attention import GATE_ACTIVATIONS
 from siggate.gps import LN_EPS
@@ -86,18 +96,18 @@ class TestArithmetic:
         a = gaussian_matrix(rng, 4, 3, 1.0)
         b = gaussian_matrix(rng, 3, 5, 1.0)
         check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a, b])
-        check_grads(lambda x: ad.vsum(ad.matmul(taped(ad.transpose_vjp, x), x)), [a])
+        check_grads(lambda x: ad.vsum(ad.matmul(taped(transpose_vjp, x), x)), [a])
 
     def test_stacked_matmul_and_transpose(self, rng):
         a = gaussian_matrix(rng, 6, 3, 1.0).reshape(2, 3, 3)
         b = gaussian_matrix(rng, 6, 4, 1.0).reshape(2, 3, 4)
         check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a, b])
         check_grads(lambda x, y: ad.vsum(ad.square(ad.matmul(x, y))), [a[0], b])  # broadcast
-        check_grads(lambda x: ad.vsum(ad.square(ad.matmul(taped(ad.transpose_vjp, x), x))), [b])
+        check_grads(lambda x: ad.vsum(ad.square(ad.matmul(taped(transpose_vjp, x), x))), [b])
         for i in range(2):
             assert np.array_equal(ad.matmul(a, b)[i], a[i] @ b[i])
             assert np.array_equal(ad.matmul(a[0], b)[i], a[0] @ b[i])
-            assert np.array_equal(ad.transpose_vjp(b)[0][i], b[i].T)
+            assert np.array_equal(transpose_vjp(b)[0][i], b[i].T)
 
     def test_mixed_var_and_plain(self, rng):
         a = gaussian_matrix(rng, 3, 3, 1.0)
@@ -144,18 +154,18 @@ class TestReductionsAndShapes:
         a = gaussian_matrix(rng, 5, 3, 1.0)
         idx = np.array([0, 2, 2, 4])
         w = gaussian_matrix(rng, 4, 3, 1.0)
-        check_grads(lambda x: ad.vsum(mul(taped(ad.take_rows_vjp, x, idx=idx), w)), [a])
+        check_grads(lambda x: ad.vsum(mul(taped(take_rows_vjp, x, idx=idx), w)), [a])
 
     def test_scatter_rows(self, rng):
         a = gaussian_matrix(rng, 4, 3, 1.0)
         idx = np.array([1, 1, 0, 3])
         w = gaussian_matrix(rng, 5, 3, 1.0)
-        scatter = partial(taped, ad.scatter_rows_vjp, idx=idx, n_rows=5)
+        scatter = partial(taped, scatter_rows_vjp, idx=idx, n_rows=5)
         check_grads(lambda x: ad.vsum(mul(scatter(x), w)), [a])
 
 
 class TestNonlinearities:
-    @pytest.mark.parametrize("op", [activation("sigmoid"), activation("tanh"), ad.erf_vjp,
+    @pytest.mark.parametrize("op", [activation("sigmoid"), activation("tanh"), erf_vjp,
                                     ad.gelu_vjp, ad.square_vjp, ad.absolute_vjp])
     def test_unary_grads(self, op, rng):
         a = gaussian_matrix(rng, 3, 4, 1.0) + 0.1  # keep abs away from its kink
@@ -168,7 +178,7 @@ class TestNonlinearities:
 
     def test_sqrt(self, rng):
         a = np.abs(gaussian_matrix(rng, 3, 3, 1.0)) + 0.5
-        check_grads(lambda x: ad.vsum(taped(ad.sqrt_vjp, x)), [a])
+        check_grads(lambda x: ad.vsum(taped(sqrt_vjp, x)), [a])
 
     def test_activation_table_matches_named_ops(self, rng):
         a = gaussian_matrix(rng, 2, 3, 1.0)
@@ -245,7 +255,7 @@ def _scatter_case(seed, n_rows, n_idx, cols):
 
 
 def _take_rows_vjp(n_rows, cols, idx):
-    _, back = ad.take_rows_vjp(np.zeros((n_rows, cols)), idx)
+    _, back = take_rows_vjp(np.zeros((n_rows, cols)), idx)
     return lambda g: back(g)[0]
 
 
@@ -263,7 +273,7 @@ class TestScatterAdd:
     def test_scatter_rows(self, n_rows, n_idx, cols, seed):
         idx, x = _scatter_case(seed, n_rows, n_idx, cols)
         want = add_at_rows(x, idx, n_rows)
-        assert_bitwise(ad.scatter_rows_vjp(x, idx, n_rows)[0], want)
+        assert_bitwise(scatter_rows_vjp(x, idx, n_rows)[0], want)
 
     @settings(max_examples=60, deadline=None)
     @given(**SCATTER)
@@ -279,16 +289,16 @@ class TestScatterAdd:
         x = np.array([[1e16, 2.0], [0.5, -0.0], [1.0, 3.0], [-1e16, -2.0], [-0.5, 0.0]])
         want = add_at_rows(x, idx, 5)
         assert want[1, 0] == 0.0 and not want[[0, 2, 4]].any()
-        assert_bitwise(ad.scatter_rows_vjp(x, idx, 5)[0], want)
+        assert_bitwise(scatter_rows_vjp(x, idx, 5)[0], want)
         assert_bitwise(_take_rows_vjp(5, 2, idx)(x), want)
 
     def test_one_column_and_empty(self):
         idx = np.array([2, 0, 2])
         x = np.array([[0.1], [0.2], [0.3]])
-        assert_bitwise(ad.scatter_rows_vjp(x, idx, 4)[0], add_at_rows(x, idx, 4))
+        assert_bitwise(scatter_rows_vjp(x, idx, 4)[0], add_at_rows(x, idx, 4))
         empty = np.zeros((0, 3))
         none = np.zeros(0, dtype=np.intp)
-        assert_bitwise(ad.scatter_rows_vjp(empty, none, 3)[0], np.zeros((3, 3)))
+        assert_bitwise(scatter_rows_vjp(empty, none, 3)[0], np.zeros((3, 3)))
         assert_bitwise(_take_rows_vjp(3, 3, none)(empty), np.zeros((3, 3)))
 
 
@@ -301,12 +311,12 @@ def composed_layer_norm(h, scale, shift, eps):
     mu = ad.vmean(h, axis=1, keepdims=True)
     centered = ad.sub(h, mu)
     var = ad.vmean(ad.square(centered), axis=1, keepdims=True)
-    normed = ad.div(centered, taped(ad.sqrt_vjp, ad.add(var, eps)))
+    normed = ad.div(centered, taped(sqrt_vjp, ad.add(var, eps)))
     return ad.add(mul(normed, scale), shift)
 
 
 def composed_gelu(x):
-    return mul(mul(x, 0.5), ad.add(taped(ad.erf_vjp, mul(x, 1.0 / np.sqrt(2.0))), 1.0))
+    return mul(mul(x, 0.5), ad.add(taped(erf_vjp, mul(x, 1.0 / np.sqrt(2.0))), 1.0))
 
 
 def composed_linear(x, w, b):
@@ -442,9 +452,9 @@ class TestCopyAxis:
             assert_bitwise(ad.matmul(x, w)[c], ad.matmul(x[c], w))
             assert_bitwise(ad.matmul(x[0], ws)[c], ad.matmul(x[0], ws[c]))
             assert_bitwise(ad.linear(x, ws, vec[:, :3])[c], ad.linear(x[c], ws[c], vec[c, :3]))
-            assert_bitwise(ad.take_rows_vjp(x, idx)[0][c], ad.take_rows_vjp(x[c], idx)[0])
-            assert_bitwise(ad.scatter_rows_vjp(x, idx, 7)[0][c],
-                           ad.scatter_rows_vjp(x[c], idx, 7)[0])
+            assert_bitwise(take_rows_vjp(x, idx)[0][c], take_rows_vjp(x[c], idx)[0])
+            assert_bitwise(scatter_rows_vjp(x, idx, 7)[0][c],
+                           scatter_rows_vjp(x[c], idx, 7)[0])
             assert_bitwise(ad.concat_vjp(x, edge)[0][c], ad.concat_vjp(x[c], edge)[0])
             assert_bitwise(ad.merge_stack_vjp(heads)[0][c], ad.merge_stack_vjp(heads[c])[0])
             assert_bitwise(ad.layer_norm(x, vec, vec[::-1], LN_EPS)[c],

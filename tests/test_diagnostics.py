@@ -65,6 +65,35 @@ class TestStableRank:
             rank_bound_holds(np.full((3, 3), 1.0 / 3.0), m)
 
 
+class TestStackedStableRank:
+    """A stack of matrices in one call against one call per matrix, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (5, 5), (1, 7)])
+    def test_bitwise_equals_lone_calls(self, shape):
+        stack = SeededRng(4).standard_normal((13,) + shape)
+        stack[::4] *= np.linspace(3.0, 0.1, shape[-1])  # spread some spectra
+        for s in (stack, stack.transpose(0, 2, 1), np.asfortranarray(stack)):
+            got = stable_rank(s)
+            assert got.shape == (len(s),)
+            for i, m in enumerate(s):
+                assert_bitwise(got[i], np.float64(stable_rank(m)))
+
+    def test_empty_stack_gives_no_values(self):
+        got = stable_rank(np.zeros((0, 4, 4)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_bad_matrix_named(self):
+        stack = np.ones((3, 2, 2))
+        stack[1] = 0.0
+        with pytest.raises(ValueError, match="matrix 1 is the zero matrix$"):
+            stable_rank(stack)
+        stack[1, 1, 0] = np.inf
+        with pytest.raises(NonFiniteInputError, match=r"matrix 1: entry \(1, 0\) is inf$"):
+            stable_rank(stack)
+        with pytest.raises(ValueError, match="2-D or a 3-D stack"):
+            stable_rank(np.ones(4))
+
+
 class TestMad:
     def test_identical_rows(self):
         h = np.tile([1.0, 2.0, 3.0], (4, 1))

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +13,10 @@ from oracles import (
     two_product_top_singular_value,
 )
 from siggate import autodiff as ad
+from siggate import numeric
 from siggate.attention import GateConfig, MhsaParams, siggate_mhsa
 from siggate.numeric import (
+    NonFiniteInputError,
     SeededRng,
     ShapeError,
     gaussian_matrix,
@@ -311,6 +316,111 @@ class TestPowerIterationKernel:
         for m in (rng.standard_normal((10, 10)), np.array([[1.0, -1.0], [1.0, -1.0]])):
             assert top_singular_value(m, max_iter=max_iter) == \
                 two_product_top_singular_value(m, max_iter=max_iter)
+
+
+def assert_each_matrix_as_lone_call(stack, **kwargs):
+    """A stack's values are bitwise the lone calls', which are the oracle's."""
+    got = top_singular_value(stack, **kwargs)
+    assert got.shape == (len(stack),) and got.dtype == np.float64
+    for i, m in enumerate(stack):
+        lone = top_singular_value(m, **kwargs)
+        assert_bitwise(got[i], np.float64(lone))
+        assert lone == two_product_top_singular_value(m, **kwargs), i
+
+
+# matrices whose all-ones start is a null vector of the Gram matrix, and their sigma
+RESTART_MATRICES = [
+    (np.array([[1.0, -1.0], [1.0, -1.0]]), 2.0),
+    # the first basis vector is a null vector too
+    (np.array([[0.0, 1.0, -1.0]] * 4), np.sqrt(8.0)),
+]
+
+
+class TestStackedPowerIteration:
+    """A stack of matrices in one call against one call per matrix, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 9), st.integers(1, 9), st.data())
+    def test_bitwise_equals_lone_calls(self, k, rows, cols, data):
+        size = k * rows * cols
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size))
+        stack = np.array(values).reshape(k, rows, cols)
+        stack[~stack.any(axis=(1, 2)), 0, 0] = 1.0
+        assert_each_matrix_as_lone_call(stack)
+        assert_each_matrix_as_lone_call(stack.transpose(0, 2, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(range(len(RESTART_MATRICES))), st.integers(1, 20),
+           st.sampled_from([0, 1, 2, 3, 10_000]), st.integers(0, 2 ** 32), st.data())
+    def test_restart_matrices_among_ordinary_ones(self, which, k, max_iter, seed, data):
+        null, sigma = RESTART_MATRICES[which]
+        restart = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+        stack = SeededRng(seed).standard_normal((k,) + null.shape)
+        stack[restart] = null
+        assert_each_matrix_as_lone_call(stack, max_iter=max_iter)
+        if max_iter == 10_000:
+            assert np.all(top_singular_value(stack)[restart] == pytest.approx(sigma, rel=1e-12))
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    def test_stopped_at_max_iter(self, max_iter):
+        stack = SeededRng(33).standard_normal((6, 10, 10))
+        assert_each_matrix_as_lone_call(stack, max_iter=max_iter)
+
+    def test_slow_matrix_finishes_in_the_lone_loop(self, monkeypatch):
+        # singular values 10:1 converge in a few steps, 1:0.99 in hundreds
+        rng = SeededRng(34)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 6)))
+        w, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        fast = [u * [10.0 * (i + 1), 1.0, 0.5, 0.3, 0.2, 0.1] @ w.T for i in range(6)]
+        slow = u * [1.0, 0.99, 0.5, 0.3, 0.2, 0.1] @ w.T
+        stack = np.stack(fast[:2] + [slow] + fast[2:])
+        handed = []
+        lone_loop = numeric._power_steps
+
+        def recorded(gram, gv, lam, steps, tol):
+            handed.append(steps)
+            return lone_loop(gram, gv, lam, steps, tol)
+
+        monkeypatch.setattr(numeric, "_power_steps", recorded)
+        top_singular_value(stack)
+        monkeypatch.undo()
+        # the fast ones leave the stack converged; the slow one and the last
+        # fast one carry on in the lone loop with the steps the stack left them
+        assert handed.count(0) == len(stack) - 2
+        assert len([s for s in handed if 0 < s < 10_000]) == 2
+        assert_each_matrix_as_lone_call(stack)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (0, 0, 3)])
+    def test_empty_stack_gives_no_values(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = top_singular_value(np.zeros(shape))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("bad, text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_non_finite_matrix_named(self, bad, text):
+        stack = np.ones((5, 2, 3))
+        stack[1, 1, 2] = 0.0
+        stack[3, 0, 1] = bad
+        stack[4, 0, 0] = np.nan
+        with pytest.raises(NonFiniteInputError, match=rf"^top_singular_value undefined: "
+                                                      rf"matrix 3: entry \(0, 1\) is {text}$"):
+            top_singular_value(stack)
+
+    def test_zero_matrix_named(self):
+        stack = np.ones((4, 3, 3))
+        stack[2] = 0.0
+        with pytest.raises(ValueError, match="^top_singular_value undefined: matrix 2 is the "
+                                             "zero matrix$"):
+            top_singular_value(stack)
+        with pytest.raises(ValueError, match="matrix 0 is the zero matrix$"):
+            top_singular_value(np.ones((2, 0, 3)))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2, 2)])
+    def test_neither_a_matrix_nor_a_stack_rejected(self, shape):
+        with pytest.raises(ShapeError, match=rf"^m must be 2-D or a 3-D stack of matrices, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            top_singular_value(np.ones(shape))
 
 
 class TestGaussianMatrix:

@@ -217,6 +217,8 @@ SHARED_PASS_CONFIGS = {
     "rho_0": RankExpConfig(n=8, d=16, n_heads=4, d_k=4, seeds=(0, 3), rho=0.0),
     "rho_0.95": RankExpConfig(n=8, d=16, n_heads=4, d_k=4, seeds=(1,), rho=0.95),
     "tiny_c": RankExpConfig(n=16, d=32, n_heads=4, d_k=8, seeds=(0,), c=1e-6, rho=0.0),
+    # 5 heads x 7 sweep pairs x 2 outputs = 70: a full stack of 64, then one of 6
+    "five_heads": RankExpConfig(n=8, d=20, n_heads=5, d_k=4, seeds=(0, 2)),
 }
 
 
@@ -322,6 +324,36 @@ class TestWorkCount:
             with pytest.raises(ValueError, match=f"^sweep cell {bad}: "):
                 run_robustness_sweep(MINI, c_values=c_values, rho_values=rho_values)
         assert counts == {"normal": 0, "calibrate": 0}
+
+
+class TestStackedStableRanks:
+    """Each seed's head outputs reach stable_rank in stacks of at most 64."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        shapes = []
+        stable_rank = synthexp.stable_rank
+
+        def recorded(m):
+            shapes.append(np.shape(m))
+            return stable_rank(m)
+
+        monkeypatch.setattr(synthexp, "stable_rank", recorded)
+        return shapes
+
+    def test_default_sweep_seed_takes_two_calls(self, shapes):
+        # 8 heads x 8 distinct (c, rho) pairs x (y, y * gate) = 128 outputs
+        run_robustness_sweep(RankExpConfig(seeds=(0,)))
+        assert shapes == [(64, 64, 32)] * 2
+
+    def test_one_call_per_seed_when_the_outputs_fit(self, shapes):
+        run_rank_experiment(RankExpConfig(seeds=(0, 1)))
+        assert shapes == [(16, 64, 32)] * 2
+
+    def test_last_stack_holds_the_remainder(self, shapes):
+        run_robustness_sweep(SHARED_PASS_CONFIGS["five_heads"], c_values=(0.5, 1.0, 3.0),
+                             rho_values=(0.0, 0.05, 0.6, 0.95))
+        assert shapes == [(64, 8, 4), (6, 8, 4)] * 2
 
 
 class TestToyTask:
