@@ -101,8 +101,8 @@ def mad(h) -> float:
         raise ValueError("mad undefined: fewer than 2 nonzero rows")
     unit = h[keep] / norms[keep, None]
     sim = unit @ unit.T
-    iu = np.triu_indices(unit.shape[0], k=1)
-    return float(np.mean(1.0 - sim[iu]))
+    upper = sim[~np.tri(sim.shape[0], dtype=bool)]  # the pairs i < j, row by row
+    return float(np.mean(1.0 - upper))
 
 
 def attention_entropy(a) -> float:

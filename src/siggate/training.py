@@ -103,14 +103,21 @@ def _group_loss(pred, targets, kind: str):
 def _summed_loss(model: ModelParams, batch, loss: str, lift=ad.no_tape):
     """``(total, groups)``: the loss summed over the batch, one forward per
     node count (a tape node when ``lift`` tapes), and per group its
-    positions in ``batch`` and its :class:`LayerTrace`."""
+    positions in ``batch``, :class:`GraphBatch`, targets and
+    :class:`LayerTrace`."""
     total, groups = None, []
     for idx, graphs, targets in _graph_groups(batch):
         pred, trace = batch_forward(graphs, model, lift=lift)
         term = _group_loss(pred, targets, loss)
         total = term if total is None else ad.add(total, term)
-        groups.append((idx, trace))
+        groups.append((idx, graphs, targets, trace))
     return total, groups
+
+
+def _group_states(groups):
+    """Per group of :func:`_summed_loss`, its :class:`GraphBatch`, targets and
+    the hidden state after each layer (the trace's, without its head traces)."""
+    return [(graphs, targets, trace.hidden) for _, graphs, targets, trace in groups]
 
 
 def batch_loss(model: ModelParams, batch, loss: str = "mse") -> float:
@@ -122,7 +129,7 @@ def evaluate(model: ModelParams, batch, loss: str = "mse"):
     """Mean loss plus the forward traces for each graph in the batch, in order."""
     total, groups = _summed_loss(model, batch, loss)
     traces: list[LayerTrace] = [None] * len(batch)
-    for idx, trace in groups:
+    for idx, _, _, trace in groups:
         for i, graph_trace in zip(idx, trace.split(len(idx))):
             traces[i] = graph_trace
     return float(total) / len(batch), traces
@@ -135,12 +142,15 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
     tape's leaves are the arrays of the layout's ``index``, one ``Var``
     each; the gradients are one vector laid out as ``model.layout``, the
     leaves' gradients written into it at the layout's ``slots`` (where each
-    array's entries sit). Raises :class:`NonFiniteError` if the
-    loss, an attention logit or any gradient is non-finite, naming the
-    first non-finite parameter (or gradient) of the layout; and ValueError,
-    as :meth:`ParamSet.from_model` does, if the model has no layout or
-    holds an array off it (checked when the forward reads an array outside
-    the index, or leaves one of its arrays without a gradient).
+    array's entries sit). The gradients also hold, as ``states``, the
+    taped pass's :func:`_group_states`: the hidden states
+    :func:`finite_difference_check` probes from. Raises
+    :class:`NonFiniteError` if the loss, an attention logit or any gradient
+    is non-finite, naming the first non-finite parameter (or gradient) of
+    the layout; and ValueError, as :meth:`ParamSet.from_model` does, if the
+    model has no layout or holds an array off it (checked when the forward
+    reads an array outside the index, or leaves one of its arrays without a
+    gradient).
     """
     layout = model.layout or ParamSet.from_model(model)  # no layout: this raises
     leaves = {key: ad.Var(arr) for key, (*_, arr) in layout.index.items()}
@@ -152,7 +162,7 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
         return leaf
 
     try:
-        total, _ = _summed_loss(model, batch, loss, lift)
+        total, groups = _summed_loss(model, batch, loss, lift)
         mean = ad.div(total, float(len(batch)))
         loss_val = float(ad.value(mean))
         if not np.isfinite(loss_val):
@@ -172,6 +182,7 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
     offender = grads.first_nonfinite()
     if offender is not None:
         raise NonFiniteError(f"non-finite gradient for parameter {offender!r}", offender)
+    grads.states = _group_states(groups)
     return loss_val, grads
 
 
@@ -198,11 +209,14 @@ class FdReport:
 
     @property
     def max_param_rel(self) -> float:
-        return max(self.param_rel.values())
+        return self.param_rel[self.worst_param_by_norm]
 
     @property
     def worst_param_by_norm(self) -> str:
-        return max(self.param_rel, key=self.param_rel.get)
+        """The name with the largest ``param_rel``: the first NaN, if there is
+        one, else the first largest value."""
+        rels = np.fromiter(self.param_rel.values(), float, len(self.param_rel))
+        return list(self.param_rel)[int(np.argmax(rels))]
 
 
 PROBE_CHUNK = 256  # perturbed copies per batched pass; bounds the probes' memory
@@ -210,34 +224,37 @@ PACK_ENTRIES = 1 << 16  # copies x entries of the arrays one pass packs; bounds 
 
 
 class _PlainForwardCache:
-    """The hidden state entering each layer of the tape-free forward of each
-    group of a batch.
+    """The hidden state entering each layer of the forward of each group of
+    a batch.
 
     A finite-difference probe changes one entry of one array the forward
     reads, and everything the model computes before the layer that reads
-    that array (the layout's ``index``) stays as it was. :meth:`probe_losses`
-    runs the probes of the arrays one layer reads as few passes: a pass's
-    ``lift`` puts each of its arrays on a leading copy axis, and that
-    layer's :func:`gps_layer_forward`, the later layers and the readout run
-    once over the copies (``input.*`` arrays start at the embedding,
-    ``head.*`` arrays run the readout alone). Each copy keeps its own slice
-    of every op, with the shapes of :func:`batch_loss`, so its loss is
-    bitwise the :func:`batch_loss` of the model holding that copy. The
-    model's arrays are never written.
+    that array (the layout's ``index``) stays as it was. ``states`` is
+    :func:`_group_states` of a forward of the batch that has already run
+    (:func:`finite_difference_check` passes its taped pass's): per group,
+    the state after each layer. A tape-free :func:`model_embed` per group
+    adds the state entering layer 0. A taped pass runs the same ops on the
+    same arrays as a tape-free one, so each state is bitwise the tape-free
+    forward's.
+
+    :meth:`probe_losses` runs the probes of the arrays one layer reads as
+    few passes: a pass's ``lift`` puts each of its arrays on a leading copy
+    axis, and that layer's :func:`gps_layer_forward`, the later layers and
+    the readout run once over the copies (``input.*`` arrays start at the
+    embedding, ``head.*`` arrays run the readout alone). Each copy keeps its
+    own slice of every op, with the shapes of :func:`batch_loss`, so its
+    loss is bitwise the :func:`batch_loss` of the model holding that copy.
+    The model's arrays are never written.
     """
 
-    def __init__(self, model: ModelParams, batch, loss: str):
+    def __init__(self, model: ModelParams, states, loss: str):
         self.model = model
-        self.batch = batch
         self.loss = loss
-        self.groups = _graph_groups(batch)
         self.layout = ParamSet.from_model(model)  # so each array is read by one layer
+        self.groups = [(graphs, targets) for graphs, targets, _ in states]
+        self.n_graphs = sum(graphs.size for graphs, _ in self.groups)
         # Per group: the hidden state entering each layer, then the last one.
-        self.hidden = []
-        for _, graphs, _ in self.groups:
-            states = [model_embed(graphs, model)]
-            states += [h for h, _ in run_layers(graphs, states[0], model.layers)]
-            self.hidden.append(states)
+        self.hidden = [[model_embed(graphs, model), *hidden] for graphs, _, hidden in states]
 
     def probe_losses(self, probes, h: float):
         """``(f_plus, f_minus)``: for each ``(array, flat indices)`` of
@@ -245,39 +262,40 @@ class _PlainForwardCache:
         and for each index j in turn, the :func:`batch_loss` with that
         array's entry j moved to ``old + h`` and to ``old - h``.
 
-        The copies run array after array. An array of more than
-        :data:`PROBE_CHUNK` copies takes passes of its own, that many copies
-        each; smaller ones share a pass while it holds at most that many
-        copies and copies x entries of its arrays stay within
+        The copies run array after array, copy 2m of an array holding its
+        m-th index at ``old + h`` and copy 2m + 1 at ``old - h``. An array of
+        more than :data:`PROBE_CHUNK` copies takes passes of its own, that
+        many copies each; smaller ones share a pass while it holds at most
+        that many copies and copies x entries of its arrays stay within
         :data:`PACK_ENTRIES`. A pass stacks each of its arrays' copies, all
         at the array's values but for its own copies' entries."""
         start = self.layout.index[id(probes[0][0])][1]
-        passes, pack, copies, entries, at = [], [], 0, 0, 0
-        for arr, where in probes:
-            where = np.asarray(where, dtype=np.intp)
-            old = arr.reshape(-1)[where]
-            # Copy 2m holds entry where[m] at old + h, copy 2m + 1 at old - h.
-            values = np.stack([old + h, old - h], axis=1).reshape(-1)
-            run = (arr, np.repeat(where, 2), values, np.arange(at, at + values.size))
-            at += values.size
-            if values.size > PROBE_CHUNK:
-                passes += [[(arr, *(x[lo:lo + PROBE_CHUNK] for x in run[1:]))]
-                           for lo in range(0, values.size, PROBE_CHUNK)]
+        wheres = [np.asarray(where, dtype=np.intp) for _, where in probes]
+        counts = [where.size for where in wheres]
+        # Copy c moves entry where[c] of its array by step[c]; old + (-h) is old - h.
+        where = np.repeat(np.concatenate(wheres), 2)
+        step = np.tile([h, -h], where.size // 2)
+        passes, pack, copies, entries, hi = [], [], 0, 0, 0
+        for (arr, _), count in zip(probes, counts):
+            lo, hi = hi, hi + 2 * count
+            if hi - lo > PROBE_CHUNK:
+                passes += [[(arr, a, min(a + PROBE_CHUNK, hi))]
+                           for a in range(lo, hi, PROBE_CHUNK)]
                 continue
-            copies, entries = copies + values.size, entries + arr.size
+            copies, entries = copies + hi - lo, entries + arr.size
             if pack and (copies > PROBE_CHUNK or copies * entries > PACK_ENTRIES):
                 passes.append(pack)
-                pack, copies, entries = [], values.size, arr.size
-            pack.append(run)
-        losses = np.empty(at)
+                pack, copies, entries = [], hi - lo, arr.size
+            pack.append((arr, lo, hi))
+        losses, copy_axis = np.empty(hi), np.arange(hi)
         for runs in filter(None, passes + [pack]):
-            rows = np.concatenate([at for *_, at in runs])  # the pass's copies, in order
-            stacks, lo = {}, 0
-            for arr, where, values, _ in runs:
-                stacks[id(arr)] = np.repeat(arr[None], rows.size, axis=0)
-                stacks[id(arr)].reshape(rows.size, -1)[np.arange(lo, lo + where.size),
-                                                       where] = values
-                lo += where.size
+            rows = np.concatenate([copy_axis[lo:hi] for _, lo, hi in runs])  # the pass's copies
+            stacks, at = {}, 0
+            for arr, lo, hi in runs:
+                stack = stacks[id(arr)] = arr[None].repeat(rows.size, axis=0)
+                stack.reshape(rows.size, -1)[copy_axis[at:at + hi - lo],
+                                             where[lo:hi]] += step[lo:hi]
+                at += hi - lo
             losses[rows] = self._loss_from(start, lambda a: stacks.get(id(a), a))
         return losses[0::2], losses[1::2]
 
@@ -286,13 +304,50 @@ class _PlainForwardCache:
         embedding, L: the readout alone); ``lift`` gives each copy's arrays."""
         model = self.model
         total = 0.0
-        for (_, graphs, targets), states in zip(self.groups, self.hidden):
+        for (graphs, targets), states in zip(self.groups, self.hidden):
             h = model_embed(graphs, model, lift=lift) if start < 0 else states[start]
             for h, _ in run_layers(graphs, h, model.layers, lift=lift, first=max(start, 0)):
                 pass
             pred = model_readout(h, model, lift=lift, n_graphs=graphs.size)
             total = total + _group_loss(pred, targets, self.loss)
-        return total / len(self.batch)
+        return total / self.n_graphs
+
+
+def _checked_coordinates(sizes, sample: int | None, seed: int):
+    """``(counts, coords)`` for names of ``sizes`` entries: how many
+    coordinates of each name the check probes, and those flat coordinates,
+    name after name, each name's in ascending order. A name of more than
+    ``sample`` entries takes the entries where its piece of one ``uniform``
+    draw holds its ``sample`` smallest values; any other, every entry. The
+    pieces of one size are sorted by one row-wise ``argsort``, which sorts
+    each row as a lone ``argsort`` of that piece does."""
+    counts = sizes if sample is None else np.minimum(sizes, sample)
+    first = np.cumsum(counts) - counts
+    coords = np.arange(counts.sum()) - np.repeat(first, counts)
+    cut = counts < sizes
+    pieces = np.where(cut, sizes, 0)
+    draw = SeededRng(seed).uniform((int(pieces.sum()),))
+    drawn_at = np.cumsum(pieces) - pieces
+    for size in np.unique(sizes[cut]):
+        rows = np.flatnonzero(cut & (sizes == size))
+        picked = np.argsort(draw[drawn_at[rows, None] + np.arange(size)], axis=1)[:, :sample]
+        coords[first[rows, None] + np.arange(sample)] = np.sort(picked, axis=1)
+    return counts, coords
+
+
+def _piece_norms(vectors, counts):
+    """Per row of ``vectors``, the 2-norm of each piece of it, the pieces
+    ``counts`` long one after another, each bitwise its ``np.linalg.norm``.
+    The pieces of one length take one stacked vector-vector ``matmul``,
+    whose every product is the ``ddot`` the norm runs; the stack is
+    C-contiguous so that each runs at unit stride, as the norm's does."""
+    first = np.cumsum(counts) - counts
+    norms = np.empty((len(vectors), len(counts)))
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        block = np.ascontiguousarray(vectors[:, first[rows, None] + np.arange(count)])
+        norms[:, rows] = np.sqrt(block[..., None, :] @ block[..., None])[..., 0, 0]
+    return norms
 
 
 def finite_difference_check(model: ModelParams, params: ParamSet, batch,
@@ -303,63 +358,73 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     ``params`` names the parameters to check, each with the model's shape
     (else ValueError). ``sample`` >= 1 coordinates are drawn per parameter
     (deterministically from ``seed``, in one draw); ``sample=None`` checks
-    every coordinate. The probes of the arrays one layer reads run as a few
-    batched passes (:meth:`_PlainForwardCache.probe_losses`), each loss
-    bitwise the :func:`batch_loss` of the perturbed model; the model is
-    only read.
+    every coordinate. The model runs unperturbed once, as the taped pass of
+    :func:`loss_and_gradients`, whose hidden states the probes start from.
+    The probes of the arrays one layer reads run as a few batched passes
+    (:meth:`_PlainForwardCache.probe_losses`), each loss bitwise the
+    :func:`batch_loss` of the perturbed model; the model is only read.
+
+    The bookkeeping is array ops over every checked coordinate, each bitwise
+    its per-name form: the coordinates come from :func:`_checked_coordinates`,
+    the norms of ``param_rel`` from :func:`_piece_norms`.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"h must lie in [1e-7, 1e-3], got {h}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1 (or None for every coordinate), got {sample}")
-    layout = ParamSet.from_model(model)
+    layout = model.layout or ParamSet.from_model(model)  # no layout: this raises
     if not params.names:
         raise ValueError("params is empty: there is no parameter to check")
-    for name, arr in params.items():
-        if name not in layout.reads:
+    shapes = dict(zip(layout._names, layout._shapes))
+    for name, shape in zip(params._names, params._shapes):
+        if name not in shapes:
             raise ValueError(f"params names {name!r}, which is not a parameter of the model")
-        if arr.shape != layout[name].shape:
-            raise ValueError(f"params gives {name!r} the shape {arr.shape}, "
-                             f"but the model's has {layout[name].shape}")
-    _, grads = loss_and_gradients(model, batch, loss=loss)
-    cache = _PlainForwardCache(model, batch, loss)
-    sizes = {name: arr.size for name, arr in params.items()}
-    cut = [size for size in sizes.values() if sample is not None and sample < size]
-    draws = iter(np.split(SeededRng(seed).uniform((sum(cut),)), np.cumsum(cut)[:-1]))
-    drawn = {}  # name -> its checked flat coordinates
-    by_layer = {}  # layer -> {id of an array it reads: (array, [(name, coordinates in it)])}
-    for name, size in sizes.items():
-        idxs = (np.arange(size) if sample is None or sample >= size
-                else np.sort(np.argsort(next(draws))[:sample]))
-        drawn[name] = idxs
+        if shape != shapes[name]:
+            raise ValueError(f"params gives {name!r} the shape {shape}, "
+                             f"but the model's has {shapes[name]}")
+    _, grads = loss_and_gradients(model, batch, loss=loss)  # off the layout: this raises
+    cache = _PlainForwardCache(model, grads.states, loss)
+    names, sizes = params._names, np.diff(params._starts)
+    counts, coords = _checked_coordinates(sizes, sample, seed)
+    first = np.cumsum(counts) - counts  # where each name's coordinates start
+    # The probes, layer after layer, array after array, each array's names
+    # in order: a head's coordinate j is entry k * size + j of its stack.
+    by_layer = {}  # layer -> {id of an array it reads: [array, its names' positions, count]}
+    shifts = []
+    for i, (name, size, count) in enumerate(zip(names, sizes.tolist(), counts.tolist())):
         stack, k = layout.reads[name]
+        shifts.append((k or 0) * size)
         arrays = by_layer.setdefault(layout.index[id(stack)][1], {})
-        arrays.setdefault(id(stack), (stack, []))[1].append((name, idxs + (k or 0) * size))
-    numeric = {}
+        run = arrays.setdefault(id(stack), [stack, [], 0])
+        run[1].append(i)
+        run[2] += count
+    order = [i for arrays in by_layer.values() for _, named, _ in arrays.values()
+             for i in named]
+    probed = np.repeat(first[order] - (np.cumsum(counts[order]) - counts[order]),
+                       counts[order]) + np.arange(coords.size)  # probe order -> coordinate
+    where = (coords + np.repeat(shifts, counts))[probed]
+    diffs, hi = [], 0
     for arrays in by_layer.values():
-        f_plus, f_minus = cache.probe_losses(
-            [(stack, np.concatenate([w for _, w in named])) for stack, named in arrays.values()],
-            h)
-        names, wheres = zip(*(pair for _, named in arrays.values() for pair in named))
-        cuts = np.cumsum([where.size for where in wheres])[:-1]
-        numeric.update(zip(names, np.split((f_plus - f_minus) / (2.0 * h), cuts)))
-    analytic = {name: grads[name].reshape(-1)[idxs] for name, idxs in drawn.items()}
-    a_all, n_all = (np.concatenate([got[name] for name in drawn]) for got in (analytic, numeric))
+        probes = []
+        for stack, _, count in arrays.values():
+            lo, hi = hi, hi + count
+            probes.append((stack, where[lo:hi]))
+        f_plus, f_minus = cache.probe_losses(probes, h)
+        diffs.append((f_plus - f_minus) / (2.0 * h))
+    n_all = np.empty(coords.size)
+    n_all[probed] = np.concatenate(diffs)
+    starts = dict(zip(grads._names, grads._starts))
+    a_all = grads.flat[np.repeat([starts[name] for name in names], counts) + coords]
     rel = np.abs(a_all - n_all) / np.maximum(np.maximum(np.abs(a_all), np.abs(n_all)), 1e-12)
     worst = int(np.argmax(np.where(rel > 0.0, rel, 0.0)))  # the first maximum, never a NaN
     max_rel, worst_param, worst_index = 0.0, None, None
     if rel[worst] > 0.0:
-        at = np.searchsorted(np.cumsum([idxs.size for idxs in drawn.values()]), worst, "right")
-        worst_param = list(drawn)[at]
-        max_rel, worst_index = rel[worst], int(np.concatenate(list(drawn.values()))[worst])
-    param_rel: dict[str, float] = {}
-    for name, a_vec in analytic.items():
-        n_vec = numeric[name]
-        param_rel[name] = float(
-            np.linalg.norm(a_vec - n_vec)
-            / max(np.linalg.norm(a_vec), np.linalg.norm(n_vec), 1e-12)
-        )
-    return FdReport(max_rel, worst_param, worst_index, a_all.size, param_rel)
+        worst_param = names[np.searchsorted(first + counts, worst, "right")]
+        max_rel, worst_index = rel[worst], int(coords[worst])
+    diff_norm, a_norm, n_norm = _piece_norms(np.stack([a_all - n_all, a_all, n_all]), counts)
+    param_rel = diff_norm / np.maximum(np.maximum(a_norm, n_norm), 1e-12)
+    return FdReport(max_rel, worst_param, worst_index, coords.size,
+                    dict(zip(names, param_rel.tolist())))
 
 
 # ---------------------------------------------------------------------------

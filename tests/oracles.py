@@ -3,7 +3,8 @@
 Each is the plain numpy formulation of a kernel, kept here as an
 independent oracle: ``numeric.sigmoid``, the row scatter-add behind the
 MPNN's scatters (``autodiff._scatter_add``), the ``0 log 0 = 0``
-sum of ``diagnostics.attention_entropy``, the power iteration of
+sum of ``diagnostics.attention_entropy``, the upper triangle of
+``diagnostics.mad`` gathered by ``np.triu_indices``, the power iteration of
 ``numeric.top_singular_value`` with two Gram products per step, and the
 rank study run one (c, rho) cell at a time, each cell drawing its seeds
 from scratch. It also keeps hand-written descriptions of the model's
@@ -39,6 +40,7 @@ from dataclasses import fields, is_dataclass
 from scipy.special import erf
 
 from siggate import autodiff as ad
+from siggate.diagnostics import _ZERO_ROW_TOL
 from siggate.numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
 from siggate.synthexp import calibrate_gate
 
@@ -64,6 +66,17 @@ def nested_where_entropy(a):
     """Mean row entropy of a row-stochastic matrix with ``0 log 0 = 0``."""
     plogp = np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0)
     return float(np.mean(-plogp.sum(axis=1)))
+
+
+def triu_mad(h):
+    """``diagnostics.mad`` of rows whose norms stay finite, the pairs i < j of
+    the nonzero rows gathered by ``np.triu_indices``."""
+    h = np.asarray(h, dtype=np.float64)
+    norms = np.linalg.norm(h, axis=1)
+    keep = norms > _ZERO_ROW_TOL
+    unit = h[keep] / norms[keep, None]
+    sim = unit @ unit.T
+    return float(np.mean(1.0 - sim[np.triu_indices(unit.shape[0], k=1)]))
 
 
 def two_product_top_singular_value(m, tol=1e-12, max_iter=10_000):

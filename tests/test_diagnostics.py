@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import assert_bitwise, nested_where_entropy
+from oracles import assert_bitwise, nested_where_entropy, triu_mad
 from siggate.attention import GateConfig
 from siggate.diagnostics import (
     attention_entropy,
@@ -155,11 +155,22 @@ class TestMad:
     def test_ordinary_rows_bitwise_unchanged(self):
         # the rescaling path runs only for rows whose norm overflows
         h = gaussian_matrix(SeededRng(8), 12, 5, 3.0)
-        norms = np.linalg.norm(h, axis=1)
-        unit = h / norms[:, None]
-        sim = unit @ unit.T
-        iu = np.triu_indices(12, k=1)
-        assert mad(h) == float(np.mean(1.0 - sim[iu]))
+        assert mad(h) == triu_mad(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), d=st.integers(1, 6), zeros=st.integers(0, 38),
+           seed=st.integers(0, 2**31))
+    @example(n=2, d=3, zeros=0, seed=0)
+    @example(n=7, d=2, zeros=5, seed=1)
+    @example(n=128, d=16, zeros=3, seed=2)
+    def test_upper_triangle_bitwise_equals_the_triu_indices_oracle(self, n, d, zeros, seed):
+        # The mask takes the pairs i < j in the row-major order of
+        # ``np.triu_indices``, so the mean sums the same terms in the same order.
+        rng = SeededRng(seed)
+        h = gaussian_matrix(rng, n, d, 3.0)
+        h[np.argsort(rng.uniform((n,)))[:min(zeros, n - 2)]] = 0.0  # rows mad drops
+        got, want = mad(h), triu_mad(h)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestAttentionEntropy:

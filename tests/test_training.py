@@ -50,6 +50,12 @@ def tiny_model(seed=0, placement="g1", **kw):
     return init_model(SeededRng(seed), d_in=4, d=16, n_heads=4, n_layers=2, gate=gate)
 
 
+def plain_cache(model, pairs, loss):
+    """The check's probe cache over the states of a tape-free forward of ``pairs``."""
+    _, groups = training._summed_loss(model, pairs, loss)
+    return training._PlainForwardCache(model, training._group_states(groups), loss)
+
+
 @pytest.fixture
 def batch():
     task = make_toy_task(seed=3, n_graphs=4, nodes_per_graph=6)
@@ -298,7 +304,7 @@ class TestLossAndGradients:
     def test_a_probe_that_overflows_names_its_layer(self, batch):
         # The probes start at the layer that reads the array: layer 1 here.
         model = tiny_model(seed=3, placement="g3", activation="relu")
-        cache = training._PlainForwardCache(model, batch, "mse")
+        cache = plain_cache(model, batch, "mse")
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteInputError,
                 match=r"^layer 1: row 2 has largest logit inf; softmax undefined$"):
@@ -367,7 +373,7 @@ class TestParamWalk:
         params = ParamSet.from_model(walk_model("g1", "per_head"))
         off = "^parameter 'layer0.ln2.scale' is off the model's layout"
         with pytest.raises(ValueError, match=off):
-            training._PlainForwardCache(model, walk_batch(), "mse")
+            plain_cache(model, walk_batch(), "mse")
         with pytest.raises(ValueError, match=off):
             finite_difference_check(model, params, walk_batch(), sample=1)
 
@@ -694,6 +700,7 @@ class TestFiniteDifferenceCheck:
             report = finite_difference_check(model, params, batch[:2], sample=2, seed=4)
             want = one_probe_fd_check(model, params, batch[:2], sample=2, seed=4)
         assert (report.max_rel_err, report.worst_param) == (1.0, "layer0.ffn.b1")
+        assert report.worst_param_by_norm == "layer0.mpnn.w_val"  # its param_rel is NaN
         assert report.worst_index == want.worst_index and report.n_checked == want.n_checked
         assert {name: rel.hex() for name, rel in report.param_rel.items()} == {
             name: rel.hex() for name, rel in want.param_rel.items()}  # NaN != NaN
@@ -710,7 +717,7 @@ class TestFiniteDifferenceCheck:
         masked = GraphInstance(n=6, node_features=batch[0][0].node_features,
                                edges=batch[0][0].edges, attn_mask=mask)
         graphs = batch[:2] + [(masked, 0.25)]
-        cache = training._PlainForwardCache(model, graphs, "mae")
+        cache = plain_cache(model, graphs, "mae")
         rng = np.random.default_rng(0)
         unmoved = batch_loss(model, graphs, "mae")
         for *_, name, arr in cache.layout.index.values():  # each array the forward reads
@@ -722,7 +729,7 @@ class TestFiniteDifferenceCheck:
     def test_cached_probe_over_node_count_groups_is_bitwise(self):
         model = tiny_model(seed=16, placement="g2")
         pairs = mixed_sizes_batch()
-        cache = training._PlainForwardCache(model, pairs, "mse")
+        cache = plain_cache(model, pairs, "mse")
         first, last = model.layers
         for arr in (model.w_in, first.mpnn.w_edge, first.attn.w_g, last.attn.w_o,
                     last.ln2.scale, model.w_head):
@@ -733,7 +740,7 @@ class TestFiniteDifferenceCheck:
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
     def test_probe_index_covers_every_parameter(self, batch, placement, kw):
         model = tiny_model(seed=17, placement=placement, **kw)
-        cache = training._PlainForwardCache(model, batch[:2], "mse")
+        cache = plain_cache(model, batch[:2], "mse")
         for name, (arr, k) in cache.layout.reads.items():  # a head's stack, not its slice
             _, layer, first, _ = cache.layout.index[id(arr)]
             if name.startswith(("input.", "head.")):
@@ -741,6 +748,90 @@ class TestFiniteDifferenceCheck:
             else:
                 assert layer == int(name[len("layer")]), name
             assert first == (name if k is None else name.replace(f"head{k}.", "head0.")), name
+
+    @pytest.mark.parametrize("sample", [None, 5])
+    def test_wide_pieces_equal_the_one_probe_oracle(self, sample):
+        # Checks of 1 to 32 coordinates per parameter, every one exhaustive
+        # when ``sample`` is None: the stacked norms of pieces that long equal
+        # each lone ``np.linalg.norm`` only when each ddot runs at unit stride.
+        model = init_model(SeededRng(23), d_in=4, d=4, n_heads=2, n_layers=1, d_ff=8,
+                           gate=GateConfig(placement="g2"))
+        params = ParamSet.from_model(model)
+        pairs = mixed_sizes_batch()[:3]
+        report = finite_difference_check(model, params, pairs, sample=sample, seed=11)
+        assert {arr.size for _, arr in params.items()} >= {1, 4, 8, 32}
+        assert report == one_probe_fd_check(model, params, pairs, sample=sample, seed=11)
+
+    @pytest.mark.parametrize("rels, worst", [
+        ({"a": 1e-9, "b": np.nan, "c": 0.5}, "b"),
+        ({"a": 1e-9, "b": 0.5, "c": np.nan}, "c"),
+        ({"a": np.nan, "b": 0.5, "c": np.nan}, "a"),
+        ({"a": 1e-9, "b": 0.5, "c": 0.5}, "b"),
+    ], ids=["nan-in-the-middle", "nan-at-the-end", "two-nans", "finite-ties"])
+    def test_a_nan_param_rel_is_the_worst_wherever_it_sits(self, rels, worst):
+        # A NaN counts as the largest error, so grad-check's ``<= tol`` fails
+        # the cell; without one the first largest value is the worst.
+        report = training.FdReport(0.0, None, None, 3, rels)
+        assert report.worst_param_by_norm == worst
+        assert report.max_param_rel is rels[worst]
+        assert (report.max_param_rel <= 1e-5) is not np.isnan(rels[worst])
+
+    def test_the_unperturbed_model_runs_once(self, monkeypatch):
+        # Outside its probe passes the check runs each layer once per node
+        # count, in the taped pass whose hidden states the probes start from.
+        model, pairs = walk_model("g2", "per_head"), walk_batch()
+        params = ParamSet.from_model(model)
+        want = one_probe_fd_check(model, params, pairs, sample=2, seed=7)
+        layer_forward, loss_from = gps.gps_layer_forward, training._PlainForwardCache._loss_from
+        calls, probing = [], []
+
+        def counted(*args, **kw):
+            calls.append(bool(probing))
+            return layer_forward(*args, **kw)
+
+        def probe_pass(cache, *args):
+            probing.append(True)
+            try:
+                return loss_from(cache, *args)
+            finally:
+                probing.pop()
+
+        monkeypatch.setattr(gps, "gps_layer_forward", counted)
+        monkeypatch.setattr(training._PlainForwardCache, "_loss_from", probe_pass)
+        report = finite_difference_check(model, params, pairs, sample=2, seed=7)
+        groups = len(training._graph_groups(pairs))
+        assert calls.count(False) == len(model.layers) * groups == 9
+        assert calls.count(True) > 0
+        assert report == want
+
+    @pytest.mark.parametrize("placement", ["none", "g1", "g2", "g3"])
+    def test_the_probe_states_are_the_tape_free_forward_bitwise(self, monkeypatch, placement):
+        # The check's cache holds the taped pass's states of each node count
+        # (5 and 7 here), the embedding added: those of a tape-free forward.
+        model = walk_model(placement, "per_head")
+        pairs = [pair for pair in walk_batch() if pair[0].n != 6]
+        caches = []
+
+        class Recorded(training._PlainForwardCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        monkeypatch.setattr(training, "_PlainForwardCache", Recorded)
+        finite_difference_check(model, ParamSet.from_model(model), pairs, sample=1)
+        (cache,) = caches
+        groups = training._graph_groups(pairs)
+        assert [graphs.n for _, graphs, _ in groups] == [5, 7]
+        assert len(cache.hidden) == len(cache.groups) == 2
+        for (_, graphs, targets), (got_graphs, got_targets), states in zip(
+                groups, cache.groups, cache.hidden):
+            want = [gps.model_embed(graphs, model)]
+            want += [h for h, _ in gps.run_layers(graphs, want[0], model.layers)]
+            assert len(states) == len(want) == 4
+            for got, state in zip(states, want):
+                assert_bitwise(got, state)
+            assert_bitwise(got_graphs.node_features, graphs.node_features)
+            assert_bitwise(got_targets, targets)
 
     def test_report_deterministic_given_seed(self, batch):
         model = tiny_model(seed=8)
@@ -771,7 +862,7 @@ class TestBatchedProbes:
     def test_every_probe_loss_equals_the_one_probe_oracle(self, placement, sharing):
         model = walk_model(placement, sharing)
         pairs = walk_batch()
-        cache = training._PlainForwardCache(model, pairs, "mse")
+        cache = plain_cache(model, pairs, "mse")
         rng = np.random.default_rng(1)
         for *_, arr in cache.layout.index.values():  # a stack: both heads' entries
             idxs = np.sort(rng.choice(arr.size, size=min(4, arr.size), replace=False))
@@ -789,7 +880,7 @@ class TestBatchedProbes:
         assert [c * training.PROBE_CHUNK // per_head for c in (1, 2)] == [1, 2]
         assert all(c * training.PROBE_CHUNK % per_head for c in (1, 2))
         idxs = np.arange(arr.size)
-        cache = training._PlainForwardCache(model, batch[:1], "mse")
+        cache = plain_cache(model, batch[:1], "mse")
         assert_same_losses(cache.probe_losses([(arr, idxs)], 1e-5),
                            one_probe_losses(model, batch[:1], "mse", arr, idxs, 1e-5))
 
@@ -847,7 +938,7 @@ class TestBatchedProbes:
         # reads under 1,024 entries, so its 32 copies fit one pack.
         model = walk_model(placement, sharing)
         pairs = walk_batch()
-        cache = training._PlainForwardCache(model, pairs, "mse")
+        cache = plain_cache(model, pairs, "mse")
         passes = self.recorded_passes(monkeypatch)
         rng = np.random.default_rng(2)
         for layer in range(3):
@@ -873,7 +964,7 @@ class TestBatchedProbes:
         layer = model.layers[0]
         probes = [(layer.attn.b_g, [0, 2]), (layer.attn.w_q, np.arange(layer.attn.w_q.size)),
                   (layer.ln1.scale, [1, 17]), (layer.ln1.shift, [5])]
-        cache = training._PlainForwardCache(model, batch[:1], "mse")
+        cache = plain_cache(model, batch[:1], "mse")
         passes = self.recorded_passes(monkeypatch)
         got = cache.probe_losses(probes, 1e-5)
         assert [sorted(stacks) for stacks in passes] == [["layer0.attn.head0.w_q"]] * 3 + [
@@ -932,7 +1023,7 @@ class TestTapeFreeForwards:
         monkeypatch.setattr(ad.Var, "__init__", counting)
         batch_loss(model, pairs)
         evaluate(model, pairs)
-        cache = training._PlainForwardCache(model, pairs, "mse")
+        cache = plain_cache(model, pairs, "mse")
         cache.probe_losses([(model.layers[0].attn.w_q, [0, 5])], 1e-5)
         assert built == []
         loss_and_gradients(model, pairs)  # the count sees a taped pass
@@ -996,7 +1087,7 @@ class TestInPlaceSteps:
         gps.gps_layer_forward(graphs, h, model.layers[0])
         batch_forward(graphs, model)
         loss_and_gradients(model, pairs)
-        cache = training._PlainForwardCache(model, pairs, "mse")
+        cache = plain_cache(model, pairs, "mse")
         states = [a.copy() for group in cache.hidden for a in group]
         layer = model.layers[1]
         cache.probe_losses([(layer.mpnn.w_edge, [0, 7]), (layer.attn.w_q, [1, 9])], 1e-5)
