@@ -18,10 +18,9 @@ the model's forward is written once and serves both paths.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import numeric
 
@@ -42,6 +41,7 @@ __all__ = [
     "absolute",
     "layer_norm",
     "fused",
+    "load_erf",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -301,17 +301,27 @@ square = partial(_op, square_vjp)
 absolute = partial(_op, absolute_vjp)
 
 
+@cache
+def load_erf():
+    """``scipy.special.erf``, imported on the first call. The GELU is the
+    library's one use of scipy, whose import costs more than numpy and the
+    library together, so a run with no feed-forward block never pays it."""
+    from scipy.special import erf
+    return erf
+
+
 def gelu_vjp(x):
     """Exact (erf-based) Gaussian error linear unit, ``(x/2)(1 + erf(x/√2))``.
 
     The derivative is ``(1 + erf(u))/2 + (x/2)(2/√π)e^{-u²}/√2`` with
     ``u = x/√2``, evaluated in the order the chain rule through those
-    factors gives.
+    factors gives. ``erf`` is scipy's ufunc, loaded by the first call
+    (:func:`load_erf`).
     """
     x = np.asarray(x, dtype=np.float64)
     half = x * 0.5
     u = x * _INV_SQRT2
-    s = _erf(u) + 1.0
+    s = load_erf()(u) + 1.0
     return half * s, lambda g: (g * s * 0.5
                                 + g * half * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT2,)
 

@@ -24,6 +24,7 @@ from itertools import product
 import numpy as np
 
 from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS, GateConfig
+from .autodiff import load_erf
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (
     depth_profile,
@@ -128,13 +129,17 @@ def _rank_config(cfg: RunConfig) -> RankExpConfig:
 
 
 @contextmanager
-def _pool(parallel: int, tasks: int):
+def _pool(parallel: int, tasks: int, runs_model: bool = False):
     """map() over a process pool of ``parallel`` workers, but no more than the
     ``tasks`` it maps (a forked pool starts every worker at once), when that
-    is more than one; else the builtin."""
+    is more than one; else the builtin. A pool whose tasks run the model
+    loads the GELU's ``erf`` before it forks, so its workers inherit scipy
+    instead of each importing it."""
     if min(parallel, tasks) < 2:
         yield map
     else:
+        if runs_model:
+            load_erf()
         with ProcessPoolExecutor(max_workers=min(parallel, tasks)) as executor:
             yield executor.map
 
@@ -238,7 +243,7 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck.tolerance must be finite and > 0, got {tol}")
     _model_dims(cfg, _gate_config(cfg))  # a bad model size exits before any worker starts
-    with _pool(parallel, len(jobs)) as map_fn:
+    with _pool(parallel, len(jobs), runs_model=True) as map_fn:
         reports = list(map_fn(_gradcheck_one, jobs))
     rows = []
     ok = True
@@ -292,7 +297,7 @@ def _train_cells(cfg: RunConfig, out_dir: str, parallel: int, cells, csv_name: s
     config errors come first), on that task; write their rows to ``csv_name``, return them."""
     task = _task(cfg)
     jobs = [(label, train_cfg, task, out_dir) for label, train_cfg in cells]
-    with _pool(parallel, len(jobs)) as map_fn:
+    with _pool(parallel, len(jobs), runs_model=True) as map_fn:
         rows = list(map_fn(_train_cell, jobs))
     write_csv(os.path.join(out_dir, csv_name), f"{label_header},status,final_train_loss,"
               "final_test_loss,mad_last,entropy_last,gate_mean,gate_std", rows)

@@ -547,6 +547,7 @@ def train_toy(cfg: TrainConfig, task) -> TrainHistory:
         if loss > DIVERGENCE_LIMIT:
             raise DivergenceError(epoch, loss)
         adamw_step(params, grads, state, lr_t)
+        del grads  # with it this step's hidden states, before the next taped pass
         losses.append(loss)
         lrs.append(lr_t)
     final_train = batch_loss(model, task.train, cfg.loss)
