@@ -43,7 +43,7 @@ __all__ = [
 
 PLACEMENTS = ("none", "g1", "g2", "g3")
 SHARINGS = ("per_head", "shared")
-GATE_ACTIVATIONS = tuple(ad._ACTIVATIONS)
+GATE_ACTIVATIONS = tuple(ad.ACTIVATIONS)
 
 
 @dataclass

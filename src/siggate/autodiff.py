@@ -263,7 +263,7 @@ def flat_index(idx, cols: int) -> np.ndarray:
     return np.add.outer(idx * cols, np.arange(cols)).ravel()
 
 
-def _scatter_add(x, idx, n_rows, flat=None):
+def scatter_add(x, idx, n_rows, flat=None):
     """Rows (axis -2) of ``x`` summed into ``n_rows`` rows at ``idx``, each matrix
     of a stack along leading axes on its own: ``bincount`` over flat (matrix, row,
     column) indices (``flat`` is ``flat_index(idx, cols)`` if the caller keeps one)
@@ -387,7 +387,7 @@ def _sigmoid_squared_vjp(x, out=None):
 # The gate activations, whose names in this order are attention.GATE_ACTIVATIONS:
 # one closed form apiece. relu's subgradient is 0 at the kink; sigmoid_squared's
 # VJP is square's, then sigmoid's, in that order.
-_ACTIVATIONS = {
+ACTIVATIONS = {
     "sigmoid": _elementwise(numeric.sigmoid, lambda x, s: lambda g: g * s * (1.0 - s)),
     "tanh": _elementwise(np.tanh, lambda x, t: lambda g: g * (1.0 - t * t)),
     "relu": _elementwise(lambda x, out: np.maximum(x, 0.0, out=out),
@@ -399,7 +399,7 @@ _ACTIVATIONS = {
 def activation_vjp(name: str, x, out=None):
     """``(act(x), back)`` of a plain array for the gate activation ``name``. ``out`` (as in
     numpy) may be ``x``: a ``back`` reads only act(x), or x's sign, which relu keeps."""
-    form = _ACTIVATIONS.get(name)
+    form = ACTIVATIONS.get(name)
     if form is None:
         raise ValueError(f"unknown activation {name!r}")
     return form(x, out)

@@ -50,7 +50,6 @@ from .synthexp import (
 from .training import (
     DivergenceError,
     NonFiniteError,
-    ParamSet,
     TrainConfig,
     finite_difference_check,
     is_gate_param,
@@ -214,7 +213,7 @@ def _gradcheck_one(args):
     )
     try:
         report = finite_difference_check(
-            model, ParamSet.from_model(model), task.train[:1], h=cfg["gradcheck.h"],
+            model, model.params, task.train[:1], h=cfg["gradcheck.h"],
             sample=None if cfg["gradcheck.exhaustive"] else cfg["gradcheck.samples"],
             seed=cfg["gradcheck.seed"], loss=GRADCHECK_LOSS,
         )
@@ -409,10 +408,10 @@ def cmd_param_count(cfg: RunConfig) -> int:
     """Total/gate parameter counts of the configured model: the gate count
     is the size of the parameters :func:`is_gate_param` names, so it follows
     the placement (g3 adds a second projection) and the sharing."""
-    layout = model_skeleton(d_in=cfg["model.d_in"], out_dim=cfg["model.out_dim"],
-                            **_model_dims(cfg, _gate_config(cfg)))[0].layout
-    total = layout.total_count()
-    gate = sum(arr.size for name, arr in layout.items() if is_gate_param(name))
+    params = model_skeleton(d_in=cfg["model.d_in"], out_dim=cfg["model.out_dim"],
+                            **_model_dims(cfg, _gate_config(cfg)))[0].params
+    total = params.flat.size
+    gate = sum(arr.size for name, arr in params.items() if is_gate_param(name))
     print(f"total params: {total}")
     print(f"gate params: {gate}")
     print(f"gate fraction: {gate / total:.4%}")

@@ -18,8 +18,9 @@ Floats are written with 17 significant digits so round-trips are exact.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, is_dataclass
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "model_readout",
     "model_skeleton",
     "init_model",
+    "Layout",
     "ParamSet",
     "write_graph",
     "read_graph",
@@ -164,7 +166,7 @@ class GraphBatch:
         idx, key = getattr(self, end), (end, np.shape(x)[-1])
         if key not in self._flat:
             self._flat[key] = ad.flat_index(idx, key[1])
-        return ad._scatter_add(x, idx, self.rows, self._flat[key])
+        return ad.scatter_add(x, idx, self.rows, self._flat[key])
 
 
 def _as_batch(g) -> GraphBatch:
@@ -211,8 +213,12 @@ class ModelParams:
     w_head: np.ndarray
     b_head: np.ndarray
     readout: str = "mean"
-    # its ParamSet (model_skeleton); None when assembled by hand: forward only
-    layout: ParamSet | None = field(default=None, repr=False, compare=False)
+    # the ParamSet model_skeleton made (its Layout and vector); None if built by hand
+    params: ParamSet | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def layout(self) -> Layout | None:
+        return None if self.params is None else self.params.layout
 
 
 @dataclass
@@ -413,12 +419,13 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
                    out_dim: int = 1, gate_weight_std: float | None = None):
     """``(model, draws)``: the model with every array a view of one zero
     vector (head stacks strided, see :func:`attention.mhsa_skeleton`),
-    layer-norm scales at 1, and as ``model.layout`` the :class:`ParamSet`
-    its declarations make; and each Gaussian block's ``(view, std)`` in draw
-    order: W_in, per layer the attention's, W_edge, W_val, W_1, W_2, then the
-    head (std 1/sqrt(fan-in)). Each parameter is declared where it is carved,
-    in dump order: its name, the array the forward reads (slice k of it for
-    a head's) and its layer (-1: the input projection, L: the readout head)."""
+    layer-norm scales at 1, and as ``model.params`` that vector over the
+    :class:`Layout` its declarations make; and each Gaussian block's
+    ``(view, std)`` in draw order: W_in, per layer the attention's, W_edge,
+    W_val, W_1, W_2, then the head (std 1/sqrt(fan-in)). Each parameter is
+    declared where it is carved, in dump order: its name, the array the
+    forward reads (slice k of it for a head's) and its layer (-1: the input
+    projection, L: the readout head)."""
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if readout not in READOUTS:
@@ -461,20 +468,20 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
         return model, draws, record
 
     (model, draws, record), flat = carve(build)
-    names, arrays, ks, layer_of = zip(*record)
-    layout = model.layout = ParamSet.__new__(ParamSet)._over(
-        names, tuple(arr.shape if k is None else arr.shape[1:] for arr, k in zip(arrays, ks)),
-        flat)
-    layout.reads = dict(zip(names, zip(arrays, ks)))
-    layout.index = {}
-    for entry in zip(layout._starts, layer_of, names, arrays):
-        layout.index.setdefault(id(entry[-1]), entry)  # a stack's first entry: its slice 0
+    names, arrays, ks, layers = zip(*record)
+    shapes = tuple(arr.shape if k is None else arr.shape[1:] for arr, k in zip(arrays, ks))
+    starts = tuple(accumulate(map(math.prod, shapes), initial=0))
+    index = {}
+    for entry in map(Carved, starts, layers, names, arrays):
+        index.setdefault(id(entry.array), entry)  # a stack's first entry: its slice 0
     at = np.arange(flat.size)
-    layout.slots = np.concatenate([np.ndarray(arr.shape, at.dtype, at, start * at.itemsize,
-                                              arr.strides).ravel()
-                                   for start, _, _, arr in layout.index.values()])
-    layout.header = dict(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff,
-                         d_e=d_e, out_dim=out_dim, readout=readout, **vars(gate))
+    slots = np.concatenate([np.ndarray(c.array.shape, at.dtype, at, c.start * at.itemsize,
+                                       c.array.strides).ravel() for c in index.values()])
+    slots.setflags(write=False)
+    header = dict(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff, d_e=d_e,
+                  out_dim=out_dim, readout=readout, **vars(gate))
+    model.params = ParamSet(Layout(names, shapes, starts, dict(zip(names, zip(arrays, ks))),
+                                   index, slots, header), flat)
     return model, draws
 
 
@@ -487,80 +494,67 @@ def init_model(rng: SeededRng, **dims) -> ModelParams:
     return model
 
 
+# An array the forward reads, as carved: where in the vector it starts (it is the view from
+# there with its strides), the layer that reads it, its first parameter's name, the array.
+Carved = namedtuple("Carved", "start layer name array")
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Where a model's parameters lie in one float64 vector, and what its
+    forward reads: made once, by :func:`model_skeleton`, and never changed."""
+
+    names: tuple[str, ...]  # in dump order
+    shapes: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]  # each name's offset in the vector (C order), then its length
+    reads: dict  # name -> the (array, k) the forward reads: slice k of a head stack, or k None
+    index: dict  # by id of each array the forward reads, in carve order: its Carved record
+    slots: np.ndarray  # the vector positions of those arrays' entries, each in C order
+    header: dict  # the dump metadata
+
+
 class ParamSet:
-    """Ordered name -> array registry over all trainable parameters, whose
-    values live in one float64 vector ``flat``, each entry a view of its
-    slice; ``ParamSet(dict)`` copies the arrays into a new vector. A model
-    that :func:`model_skeleton` built holds its own as ``model.layout``,
-    which also records ``reads``, name -> the ``(array, k)`` the forward
-    reads; ``index``, by ``id`` of each array the forward reads, in carve
-    order, ``(offset, layer, name, array)``: where in ``flat`` it starts (it
-    is the view from there with its strides), the layer that reads it, and
-    its first parameter; ``slots``, the positions in ``flat`` of those
-    arrays' entries, array after array, each in C order; and the dump
-    ``header``."""
+    """Values laid out by a :class:`Layout`: name ``layout.names[i]`` holds
+    ``flat[layout.starts[i]:layout.starts[i + 1]]``, and each entry is a view
+    of it, made on each call. A model that :func:`model_skeleton` built holds
+    its own as ``model.params``, over the vector its arrays view."""
 
-    def __init__(self, items: dict[str, np.ndarray]):
-        items = {name: np.asarray(a, dtype=np.float64) for name, a in items.items()}
-        self._over(tuple(items), tuple(a.shape for a in items.values()),
-                   np.concatenate([a.reshape(-1) for a in items.values()] or [np.zeros(0)]))
+    __slots__ = ("layout", "flat")
 
-    def _over(self, names, shapes, flat) -> "ParamSet":
-        self._names, self._shapes, self.flat, self._items = names, shapes, flat, None
-        self._starts = np.cumsum([0, *map(math.prod, shapes)]).tolist()
-        return self
+    def __init__(self, layout: Layout, flat: np.ndarray):
+        self.layout, self.flat = layout, flat
 
     @classmethod
     def from_model(cls, model: ModelParams) -> "ParamSet":
-        """``model.layout``, once the arrays the model holds, in the order of
-        its dataclass fields (the carve order), are (``is``) those its
+        """``model.params``, once the arrays the model holds, in the order of
+        its dataclass fields (the carve order), are (``is``) those its layout's
         ``index`` records, under their own ``id``; else ValueError names the
-        first parameter off the layout. A model assembled by hand has none;
-        an array swapped, copied or aliased, a layer added or removed, or a
-        deep copy of the model (its layout keeps the original ids) is off it."""
-        layout = model.layout
-        if layout is None:
+        first parameter off the layout. A model assembled by hand has none; an
+        array swapped, copied or aliased, a layer added or removed, or a deep
+        copy of the model (its layout keeps the original ids) is off it."""
+        params = model.params
+        if params is None:
             raise ValueError("the model has no layout: a model has one only as init_model "
                              "or load_model built it")
         held = _arrays_held(model, [])
         for arr, (key, (_, _, name, kept)) in zip_longest(
-                held, layout.index.items(), fillvalue=(None, (None,) * 4)):
+                held, params.layout.index.items(), fillvalue=(None, (None,) * 4)):
             if arr is not kept or id(arr) != key:
                 raise ValueError(f"parameter {name!r} is off the model's layout: a model "
                                  f"has one only as init_model or load_model built it")
-        return layout
-
-    def _like(self, flat: np.ndarray) -> "ParamSet":
-        params = ParamSet.__new__(ParamSet)  # laid out as this set, over ``flat``
-        params.__dict__.update(self.__dict__, flat=flat, _items=None)
         return params
 
-    @property
-    def names(self) -> list[str]:
-        return list(self._names)
-
-    def _entries(self) -> dict[str, np.ndarray]:
-        if self._items is None:  # views of the vector, made on first use
-            self._items = {name: self.flat[a:b].reshape(shape) for name, shape, a, b in
-                           zip(self._names, self._shapes, self._starts, self._starts[1:])}
-        return self._items
+    def _entry(self, i: int) -> np.ndarray:
+        starts = self.layout.starts
+        return self.flat[starts[i]:starts[i + 1]].reshape(self.layout.shapes[i])
 
     def items(self):
-        return self._entries().items()
+        return ((name, self._entry(i)) for i, name in enumerate(self.layout.names))
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._entries()[name]
-
-    def total_count(self) -> int:
-        return self._starts[-1]
-
-    def subset(self, names) -> "ParamSet":
-        """Copies of the named entries, as ``ParamSet(dict)``."""
-        return ParamSet({n: self[n] for n in names})
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        """Detached snapshot of the current values."""
-        return {n: a.copy() for n, a in self.items()}
+        if name not in self.layout.names:
+            raise KeyError(name)
+        return self._entry(self.layout.names.index(name))
 
     def first_nonfinite(self) -> str | None:
         """The first entry holding a NaN or an infinity (None if there is
@@ -568,7 +562,7 @@ class ParamSet:
         finite = np.isfinite(self.flat)
         if finite.all():
             return None
-        return self._names[np.searchsorted(self._starts, np.argmin(finite), side="right") - 1]
+        return self.layout.names[np.searchsorted(self.layout.starts, finite.argmin(), "right") - 1]
 
 
 def _arrays_held(value, out: list) -> list:

@@ -2,9 +2,8 @@
 
 The model forward runs over the autodiff tape, so gradients are exact for
 the implemented graph; :func:`finite_difference_check` is the independent
-oracle (central differences) used to verify them. Parameters live in a
-:class:`ParamSet`: a flat, deterministically ordered name -> array
-registry whose arrays are shared by reference with the model structure,
+oracle (central differences) used to verify them. A model's parameters
+are a :class:`ParamSet`, its layout over the one vector its arrays view,
 so in-place optimizer updates are immediately visible to forward passes.
 """
 
@@ -18,6 +17,7 @@ from . import autodiff as ad
 from .attention import _GATE_FIELDS, GateConfig
 from .gps import (
     GraphBatch,
+    Layout,
     LayerTrace,
     ModelParams,
     ParamSet,
@@ -33,6 +33,7 @@ from .numeric import NonFiniteInputError, SeededRng, fmt_exact, write_csv
 
 __all__ = [
     "ParamSet",
+    "Gradients",
     "OptimizerState",
     "TrainConfig",
     "TrainHistory",
@@ -114,12 +115,6 @@ def _summed_loss(model: ModelParams, batch, loss: str, lift=ad.no_tape):
     return total, groups
 
 
-def _group_states(groups):
-    """Per group of :func:`_summed_loss`, its :class:`GraphBatch`, targets and
-    the hidden state after each layer (the trace's, without its head traces)."""
-    return [(graphs, targets, trace.hidden) for _, graphs, targets, trace in groups]
-
-
 def batch_loss(model: ModelParams, batch, loss: str = "mse") -> float:
     """Mean loss over the batch, plain forward (no tape), one pass per node count."""
     return float(_summed_loss(model, batch, loss)[0]) / len(batch)
@@ -135,25 +130,34 @@ def evaluate(model: ModelParams, batch, loss: str = "mse"):
     return float(total) / len(batch), traces
 
 
+class Gradients(ParamSet):
+    """A gradient vector over the model's own :class:`Layout` (shared, not
+    copied), and as ``states``, per node-count group of the taped pass, its
+    :class:`GraphBatch`, targets and the hidden state after each layer."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, layout: Layout, flat: np.ndarray, states):
+        super().__init__(layout, flat)
+        self.states = states
+
+
 def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
-    """Mean batch loss and exact gradients for every parameter of the model.
+    """Mean batch loss and exact :class:`Gradients` of every model parameter.
 
     One taped pass per node count in the batch, one backward sweep. The
     tape's leaves are the arrays of the layout's ``index``, one ``Var``
     each; the gradients are one vector laid out as ``model.layout``, the
     leaves' gradients written into it at the layout's ``slots`` (where each
-    array's entries sit). The gradients also hold, as ``states``, the
-    taped pass's :func:`_group_states`: the hidden states
-    :func:`finite_difference_check` probes from. Raises
-    :class:`NonFiniteError` if the loss, an attention logit or any gradient
-    is non-finite, naming the first non-finite parameter (or gradient) of
-    the layout; and ValueError, as :meth:`ParamSet.from_model` does, if the
-    model has no layout or holds an array off it (checked when the forward
-    reads an array outside the index, or leaves one of its arrays without a
-    gradient).
+    array's entries sit). Raises :class:`NonFiniteError` if the loss, an
+    attention logit or any gradient is non-finite, naming the first
+    non-finite parameter (or gradient) of the layout; and ValueError, as
+    :meth:`ParamSet.from_model` does, if the model has no layout or holds an
+    array off it (checked when the forward reads an array outside the index,
+    or leaves one of its arrays without a gradient).
     """
     layout = model.layout or ParamSet.from_model(model)  # no layout: this raises
-    leaves = {key: ad.Var(arr) for key, (*_, arr) in layout.index.items()}
+    leaves = {key: ad.Var(carved.array) for key, carved in layout.index.items()}
 
     def lift(arr):
         leaf = leaves.get(id(arr))
@@ -168,7 +172,7 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
         if not np.isfinite(loss_val):
             raise NonFiniteInputError("non-finite loss")
     except NonFiniteInputError as exc:
-        offender = layout.first_nonfinite()
+        offender = model.params.first_nonfinite()
         blame = ("every parameter is finite" if offender is None
                  else f"first non-finite parameter: {offender}")
         raise NonFiniteError(f"{exc}; {blame}", offender) from exc
@@ -176,13 +180,13 @@ def loss_and_gradients(model: ModelParams, batch, loss: str = "mse"):
     taped = [leaf.grad for leaf in leaves.values()]
     if any(g is None for g in taped):
         ParamSet.from_model(model)  # only an array off the layout (an alias) goes unread: raises
-    flat = np.zeros(layout.flat.size)
+    flat = np.zeros(layout.starts[-1])
     flat[layout.slots] = np.concatenate([np.ravel(g) for g in taped])
-    grads = layout._like(flat)
+    grads = Gradients(layout, flat, [(graphs, targets, trace.hidden)
+                                     for _, graphs, targets, trace in groups])
     offender = grads.first_nonfinite()
     if offender is not None:
         raise NonFiniteError(f"non-finite gradient for parameter {offender!r}", offender)
-    grads.states = _group_states(groups)
     return loss_val, grads
 
 
@@ -229,12 +233,12 @@ class _PlainForwardCache:
 
     A finite-difference probe changes one entry of one array the forward
     reads, and everything the model computes before the layer that reads
-    that array (the layout's ``index``) stays as it was. ``states`` is
-    :func:`_group_states` of a forward of the batch that has already run
-    (:func:`finite_difference_check` passes its taped pass's): per group,
-    the state after each layer. A tape-free :func:`model_embed` per group
-    adds the state entering layer 0. A taped pass runs the same ops on the
-    same arrays as a tape-free one, so each state is bitwise the tape-free
+    that array (``layout.index`` gives the layer) stays as it was.
+    ``layout`` and ``states`` are those of :class:`Gradients` of the batch:
+    that taped pass tied each array it read to the layout, so the cache
+    walks no parameters. A tape-free :func:`model_embed` per group adds the
+    state entering layer 0. A taped pass runs the same ops on the same
+    arrays as a tape-free one, so each state is bitwise the tape-free
     forward's.
 
     :meth:`probe_losses` runs the probes of the arrays one layer reads as
@@ -247,10 +251,10 @@ class _PlainForwardCache:
     The model's arrays are never written.
     """
 
-    def __init__(self, model: ModelParams, states, loss: str):
+    def __init__(self, model: ModelParams, layout: Layout, states, loss: str):
         self.model = model
         self.loss = loss
-        self.layout = ParamSet.from_model(model)  # so each array is read by one layer
+        self.layout = layout
         self.groups = [(graphs, targets) for graphs, targets, _ in states]
         self.n_graphs = sum(graphs.size for graphs, _ in self.groups)
         # Per group: the hidden state entering each layer, then the last one.
@@ -269,7 +273,7 @@ class _PlainForwardCache:
         that many copies and copies x entries of its arrays stay within
         :data:`PACK_ENTRIES`. A pass stacks each of its arrays' copies, all
         at the array's values but for its own copies' entries."""
-        start = self.layout.index[id(probes[0][0])][1]
+        start = self.layout.index[id(probes[0][0])].layer
         wheres = [np.asarray(where, dtype=np.intp) for _, where in probes]
         counts = [where.size for where in wheres]
         # Copy c moves entry where[c] of its array by step[c]; old + (-h) is old - h.
@@ -373,18 +377,18 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1 (or None for every coordinate), got {sample}")
     layout = model.layout or ParamSet.from_model(model)  # no layout: this raises
-    if not params.names:
+    if not params.layout.names:
         raise ValueError("params is empty: there is no parameter to check")
-    shapes = dict(zip(layout._names, layout._shapes))
-    for name, shape in zip(params._names, params._shapes):
+    shapes = dict(zip(layout.names, layout.shapes))
+    for name, shape in zip(params.layout.names, params.layout.shapes):
         if name not in shapes:
             raise ValueError(f"params names {name!r}, which is not a parameter of the model")
         if shape != shapes[name]:
             raise ValueError(f"params gives {name!r} the shape {shape}, "
                              f"but the model's has {shapes[name]}")
     _, grads = loss_and_gradients(model, batch, loss=loss)  # off the layout: this raises
-    cache = _PlainForwardCache(model, grads.states, loss)
-    names, sizes = params._names, np.diff(params._starts)
+    cache = _PlainForwardCache(model, grads.layout, grads.states, loss)
+    names, sizes = params.layout.names, np.diff(params.layout.starts)
     counts, coords = _checked_coordinates(sizes, sample, seed)
     first = np.cumsum(counts) - counts  # where each name's coordinates start
     # The probes, layer after layer, array after array, each array's names
@@ -394,7 +398,7 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     for i, (name, size, count) in enumerate(zip(names, sizes.tolist(), counts.tolist())):
         stack, k = layout.reads[name]
         shifts.append((k or 0) * size)
-        arrays = by_layer.setdefault(layout.index[id(stack)][1], {})
+        arrays = by_layer.setdefault(layout.index[id(stack)].layer, {})
         run = arrays.setdefault(id(stack), [stack, [], 0])
         run[1].append(i)
         run[2] += count
@@ -413,7 +417,7 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
         diffs.append((f_plus - f_minus) / (2.0 * h))
     n_all = np.empty(coords.size)
     n_all[probed] = np.concatenate(diffs)
-    starts = dict(zip(grads._names, grads._starts))
+    starts = dict(zip(layout.names, layout.starts))
     a_all = grads.flat[np.repeat([starts[name] for name in names], counts) + coords]
     rel = np.abs(a_all - n_all) / np.maximum(np.maximum(np.abs(a_all), np.abs(n_all)), 1e-12)
     worst = int(np.argmax(np.where(rel > 0.0, rel, 0.0)))  # the first maximum, never a NaN
@@ -434,8 +438,8 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
 
 @dataclass
 class OptimizerState:
-    """AdamW moments as flat float64 vectors, one entry per parameter
-    value: the :class:`ParamSet` arrays in order, each flattened in C order."""
+    """AdamW moments as flat float64 vectors laid out as the parameters'
+    ``flat``: one entry per parameter value, in the layout's order."""
 
     m: np.ndarray
     v: np.ndarray
@@ -444,7 +448,7 @@ class OptimizerState:
 
 
 def init_optimizer(params: ParamSet, weight_decay: float = 0.0) -> OptimizerState:
-    size = params.total_count()
+    size = params.flat.size
     return OptimizerState(m=np.zeros(size), v=np.zeros(size), step=0,
                           weight_decay=weight_decay)
 
@@ -453,12 +457,13 @@ def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: f
     """One AdamW update (decoupled weight decay, bias correction) in place on
     ``params.flat`` from ``grads.flat``, by whole-vector ops: each element
     sees the ufuncs of a per-array update. For a set from
-    :meth:`ParamSet.from_model` that vector is the model's own."""
+    :meth:`ParamSet.from_model` that vector is the model's own. A state of
+    another size, or gradients of other names or shapes, is a ValueError."""
     flat = params.flat
     if flat.size != state.m.size:
         raise ValueError(f"parameters hold {flat.size} values, "
                          f"the optimizer state {state.m.size}")
-    if (grads._names, grads._shapes) != (params._names, params._shapes):
+    if (grads.layout.names, grads.layout.shapes) != (params.layout.names, params.layout.shapes):
         raise ValueError("the gradients are not laid out like the parameters")
     state.step += 1
     t = state.step
@@ -534,7 +539,7 @@ def train_toy(cfg: TrainConfig, task) -> TrainHistory:
         SeededRng(cfg.seed), d_in=d_in, d=cfg.d, n_heads=cfg.n_heads,
         n_layers=cfg.n_layers, gate=cfg.gate, d_ff=cfg.d_ff, readout=cfg.readout,
     )
-    params = ParamSet.from_model(model)
+    params = model.params
     state = init_optimizer(params, weight_decay=cfg.weight_decay)
     losses: list[float] = []
     lrs: list[float] = []
@@ -577,11 +582,11 @@ def write_history_csv(history: TrainHistory, path) -> None:
 
 
 def save_model(model: ModelParams, path) -> None:
-    """Write the model's layout: its recorded header, then each parameter of
-    :meth:`ParamSet.from_model` (so only a model with a layout is saved)."""
+    """Write :meth:`ParamSet.from_model` of the model (so only a model with
+    a layout is saved): its layout's header, then each parameter."""
     params = ParamSet.from_model(model)
     lines = ["# siggate-model"]
-    lines += [f"# {k} = {v}" for k, v in params.header.items()]
+    lines += [f"# {k} = {v}" for k, v in params.layout.header.items()]
     for name, arr in params.items():
         mat = np.atleast_2d(arr)
         lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
@@ -664,7 +669,7 @@ def load_model(path) -> ModelParams:
         raise ValueError(f"model dump {path} is missing metadata key {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"model dump {path} has malformed metadata: {exc}") from None
-    for name, arr in ParamSet.from_model(model).items():
+    for name, arr in model.params.items():  # the skeleton's own: no walk to check
         record = arrays.pop(name, None)
         if record is None:
             raise ValueError(f"model dump {path} is missing parameter {name!r}")

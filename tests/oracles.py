@@ -2,7 +2,7 @@
 
 Each is the plain numpy formulation of a kernel, kept here as an
 independent oracle: ``numeric.sigmoid``, the row scatter-add behind the
-MPNN's scatters (``autodiff._scatter_add``), the ``0 log 0 = 0``
+MPNN's scatters (``autodiff.scatter_add``), the ``0 log 0 = 0``
 sum of ``diagnostics.attention_entropy``, the upper triangle of
 ``diagnostics.mad`` gathered by ``np.triu_indices``, the power iteration of
 ``numeric.top_singular_value`` with two Gram products per step, and the
@@ -21,10 +21,11 @@ parameter storage it keeps the Box-Muller formula of one
 ``SeededRng.standard_normal`` call, the model init drawn one
 ``gaussian_matrix`` call per weight, the gradients assembled name by name
 after the backward sweep of a forward with its own memoizing ``lift``
-(:class:`MemoLift`), and the loop that named the first non-finite
-parameter array by array. For the tape it keeps the GPS layer and its
-MPNN composed of autodiff's ops, one tape node each
-(:func:`per_op_layer_forward`, :func:`per_op_mpnn_forward`), whose
+(:class:`MemoLift`), the loop that named the first non-finite parameter
+array by array, and the parameter sets the tests build by hand
+(:func:`param_set`, :func:`subset`, :func:`copy_values`). For the tape it
+keeps the GPS layer and its MPNN composed of autodiff's ops, one tape
+node each (:func:`per_op_layer_forward`, :func:`per_op_mpnn_forward`), whose
 gradients the one-node layer must give bit for bit, and the gate
 activations as the op chains the tape ran before ``autodiff`` had one
 closed form per activation (:func:`chained_activation`). The forms those
@@ -36,11 +37,13 @@ here, in autodiff's ``(out, back)`` convention.
 import numpy as np
 
 from dataclasses import fields, is_dataclass
+from itertools import accumulate
 
 from scipy.special import erf
 
 from siggate import autodiff as ad
 from siggate.diagnostics import _ZERO_ROW_TOL
+from siggate.gps import Layout, ParamSet
 from siggate.numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
 from siggate.synthexp import calibrate_gate
 
@@ -472,6 +475,27 @@ def per_name_gradients(model, params, batch, loss="mse"):
     return grads
 
 
+def param_set(items):
+    """A :class:`ParamSet` of copies of the arrays of ``items`` (name ->
+    array), packed in order into a new vector, over a layout of their
+    names and shapes alone: it reads no model."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in items.values()]
+    starts = tuple(accumulate((a.size for a in arrays), initial=0))
+    layout = Layout(tuple(items), tuple(a.shape for a in arrays), starts, reads={}, index={},
+                    slots=np.zeros(0, dtype=np.intp), header={})
+    return ParamSet(layout, np.concatenate([a.reshape(-1) for a in arrays] or [np.zeros(0)]))
+
+
+def subset(params, names):
+    """Copies of the named entries of ``params``, as :func:`param_set`."""
+    return param_set({name: params[name] for name in names})
+
+
+def copy_values(params):
+    """A detached snapshot of the values of ``params``, by name."""
+    return {name: arr.copy() for name, arr in params.items()}
+
+
 def first_nonfinite_by_loop(params):
     """The first name of ``params`` whose array holds a NaN or an infinity, array by array."""
     for name, arr in params.items():
@@ -510,13 +534,13 @@ def transpose_vjp(x):
 def take_rows_vjp(x, idx):
     """Row gather ``x[idx]`` (rows are axis -2 of a stack of matrices); its
     ``back`` scatter-adds into the source rows with the MPNN's scatter."""
-    return np.take(x, idx, axis=-2), lambda g: (ad._scatter_add(g, idx, np.shape(x)[-2]),)
+    return np.take(x, idx, axis=-2), lambda g: (ad.scatter_add(g, idx, np.shape(x)[-2]),)
 
 
 def scatter_rows_vjp(x, idx, n_rows):
     """Sum rows of ``x`` into an ``n_rows``-row output at positions ``idx``
     with the MPNN's scatter."""
-    return ad._scatter_add(x, idx, n_rows), lambda g: (np.asarray(g)[idx],)
+    return ad.scatter_add(x, idx, n_rows), lambda g: (np.asarray(g)[idx],)
 
 
 def sqrt_vjp(x):

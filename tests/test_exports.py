@@ -84,3 +84,21 @@ def test_every_autodiff_export_has_a_reader():
     forms = _module_level_forms(tree)
     assert "matmul_vjp" in forms and "square_vjp" in forms
     assert [name for name in forms if name not in reads] == []
+
+
+def _private_reads(path: Path) -> list[str]:
+    """``line: expr`` of each attribute ``x._name`` read in the module at
+    ``path`` where ``x`` is not ``self`` or ``cls`` (dunders are not private)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+
+
+def test_no_module_reads_a_private_name_of_another_object():
+    # A name with a leading underscore belongs to its own class or module:
+    # another object reaches it only through a public name.
+    package = Path(siggate.__file__).parent
+    assert sorted(read for path in sorted(package.glob("*.py"))
+                  for read in _private_reads(path)) == []

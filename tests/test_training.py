@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -9,9 +10,9 @@ import pytest
 
 import siggate.training as training
 from oracles import (
-    assert_bitwise, dataclass_probe_index, dump_text, first_nonfinite_by_loop,
-    hand_written_registry, MemoLift, one_probe_fd_check, one_probe_losses, per_call_init,
-    per_name_gradients, per_op_layer_forward,
+    assert_bitwise, copy_values, dataclass_probe_index, dump_text, first_nonfinite_by_loop,
+    hand_written_registry, MemoLift, one_probe_fd_check, one_probe_losses, param_set,
+    per_call_init, per_name_gradients, per_op_layer_forward, subset,
 )
 from siggate.attention import GATE_ACTIVATIONS, GateConfig, gate_param_count
 from siggate.diagnostics import depth_profile
@@ -51,9 +52,11 @@ def tiny_model(seed=0, placement="g1", **kw):
 
 
 def plain_cache(model, pairs, loss):
-    """The check's probe cache over the states of a tape-free forward of ``pairs``."""
+    """The check's probe cache over the states of a tape-free forward of
+    ``pairs``, and the model's layout as ``ParamSet.from_model`` checks it."""
     _, groups = training._summed_loss(model, pairs, loss)
-    return training._PlainForwardCache(model, training._group_states(groups), loss)
+    states = [(graphs, targets, trace.hidden) for _, graphs, targets, trace in groups]
+    return training._PlainForwardCache(model, ParamSet.from_model(model).layout, states, loss)
 
 
 @pytest.fixture
@@ -66,11 +69,11 @@ class TestParamSet:
     def test_registry_is_ordered_and_complete(self):
         model = tiny_model()
         params = ParamSet.from_model(model)
-        names = params.names
+        names = params.layout.names
         assert names[0] == "input.w" and names[-1] == "head.b"
-        assert names == ParamSet.from_model(model).names  # deterministic
+        assert names == ParamSet.from_model(model).layout.names  # deterministic
         total = sum(a.size for _, a in params.items())
-        assert params.total_count() == total
+        assert params.layout.starts[-1] == params.flat.size == total
 
     def test_gate_registry_matches_overhead_formula(self):
         model = tiny_model(placement="g1")
@@ -81,7 +84,7 @@ class TestParamSet:
     def test_shared_gate_registered_once(self):
         model = tiny_model(placement="g1", sharing="shared")
         params = ParamSet.from_model(model)
-        gate_names = [n for n in params.names if is_gate_param(n)]
+        gate_names = [n for n in params.layout.names if is_gate_param(n)]
         assert gate_names == ["layer0.attn.gate.w_g", "layer0.attn.gate.b_g",
                               "layer1.attn.gate.w_g", "layer1.attn.gate.b_g"]
 
@@ -100,7 +103,7 @@ def head_slot(name):
 
 
 def head_names(params):
-    return [name for name in params.names if ".attn.head" in name or ".attn.gate." in name]
+    return [name for name in params.layout.names if ".attn.head" in name or ".attn.gate." in name]
 
 
 class TestHeadStackParams:
@@ -139,7 +142,7 @@ class TestHeadStackParams:
         graph = make_toy_task(seed=7, n_graphs=2, nodes_per_graph=6).train[0][0]
         before, _ = model_forward(graph, model)
         stack = model.layers[1].attn.w_v.copy()
-        grads = ParamSet({n: np.zeros_like(a) for n, a in params.items()})
+        grads = param_set({n: np.zeros_like(a) for n, a in params.items()})
         grads["layer1.attn.head2.w_v"][:] = 1.0
         adamw_step(params, grads, init_optimizer(params), 0.1)
         after, _ = model_forward(graph, model)
@@ -183,7 +186,7 @@ class TestHeadStackParams:
             stack = getattr(model.layers[i].attn, field)
             want = stack.copy()
             want[k].flat[-1] += 0.25
-            values = params.copy_values()
+            values = copy_values(params)
             params[name].flat[-1] += 0.25
             assert np.array_equal(stack, want), name
             assert all(np.array_equal(arr, values[other])
@@ -228,7 +231,7 @@ class TestLossAndGradients:
         model = tiny_model(seed=2, placement="g1")
         params = ParamSet.from_model(model)
         _, grads = loss_and_gradients(model, batch, loss="mse")
-        for name in params.names:
+        for name in params.layout.names:
             if name.endswith(".w_g"):
                 assert np.linalg.norm(grads[name]) > 0.0
 
@@ -337,7 +340,7 @@ def aliased_walk_model():
 def probe_index(layout):
     """The layout's ``index`` as :func:`oracles.dataclass_probe_index` gives
     it: ``id -> layer`` for every array after the input projection."""
-    return {key: layer for key, (_, layer, _, _) in layout.index.items() if layer >= 0}
+    return {key: carved.layer for key, carved in layout.index.items() if carved.layer >= 0}
 
 
 class TestParamWalk:
@@ -349,11 +352,11 @@ class TestParamWalk:
         model = walk_model(placement, sharing)
         want = hand_written_registry(model)
         layout = model.layout
-        assert layout.names == list(layout.reads) == list(want)
+        assert list(layout.names) == list(layout.reads) == list(want)
         assert all(same_array(arr if k is None else arr[k], want[name])
                    for name, (arr, k) in layout.reads.items())
         params = ParamSet.from_model(model)
-        assert params.names == list(want)
+        assert list(params.layout.names) == list(want)
         assert all(same_array(params[name], arr) for name, arr in want.items())
 
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
@@ -363,8 +366,9 @@ class TestParamWalk:
         got = probe_index(model.layout)
         assert set(got) == set(want)
         assert got == want
-        assert [model.layout.index[id(arr)][1:3] for arr in (model.w_in, model.b_in)] == [
-            (-1, "input.w"), (-1, "input.b")]
+        index = model.layout.index
+        assert [(index[id(arr)].layer, index[id(arr)].name)
+                for arr in (model.w_in, model.b_in)] == [(-1, "input.w"), (-1, "input.b")]
 
     def test_an_array_read_under_two_names_cannot_reach_the_check(self):
         # The probe index keeps one layer per array, so a model that reads an
@@ -435,7 +439,7 @@ class TestBatchedPass:
         loss_all, grads_all = loss_and_gradients(model, pairs, loss=loss)
         per_graph = [loss_and_gradients(model, [pair], loss=loss) for pair in pairs]
         assert loss_all == pytest.approx(np.mean([lv for lv, _ in per_graph]), rel=1e-12)
-        for name in params.names:
+        for name in params.layout.names:
             summed = sum(grads[name] for _, grads in per_graph) / len(pairs)
             assert_rel_close(grads_all[name], summed)
 
@@ -618,7 +622,7 @@ class TestLayerNode:
         out, entry = gps.gps_layer_forward(graphs, h, model.layers[0], lift=lift)
         assert entry.hidden is out.value
         # h once, then each array the layer reads once, in carve order
-        arrays = [id(arr) for _, layer, _, arr in model.layout.index.values() if layer == 0]
+        arrays = [id(c.array) for c in model.layout.index.values() if c.layer == 0]
         assert [parent for parent, _ in out.parents] == [h] + [lift.leaves[a] for a in arrays]
         assert [i for _, i in out.parents] == list(range(len(arrays) + 1))
 
@@ -629,7 +633,7 @@ class TestFiniteDifferenceCheck:
         # exact there; what remains is float64 roundoff in the loss values
         model = tiny_model(seed=5)
         params = ParamSet.from_model(model)
-        head_only = params.subset(["head.w", "head.b"])
+        head_only = subset(params, ["head.w", "head.b"])
         report = finite_difference_check(model, head_only, batch, h=1e-5,
                                          sample=None, loss="mse")
         assert report.max_param_rel <= 1e-10
@@ -661,7 +665,7 @@ class TestFiniteDifferenceCheck:
 
         monkeypatch.setattr(training, "loss_and_gradients", taped)
         with pytest.raises(ValueError, match=message):
-            finite_difference_check(tiny_model(), ParamSet(items), batch, sample=2)
+            finite_difference_check(tiny_model(), param_set(items), batch, sample=2)
 
     def test_corrupted_gradient_is_flagged(self, batch, monkeypatch):
         model = tiny_model(seed=6)
@@ -720,7 +724,8 @@ class TestFiniteDifferenceCheck:
         cache = plain_cache(model, graphs, "mae")
         rng = np.random.default_rng(0)
         unmoved = batch_loss(model, graphs, "mae")
-        for *_, name, arr in cache.layout.index.values():  # each array the forward reads
+        for carved in cache.layout.index.values():  # each array the forward reads
+            name, arr = carved.name, carved.array
             idxs = rng.choice(arr.size, size=min(5, arr.size), replace=False)
             got = cache.probe_losses([(arr, idxs)], 1e-3)
             assert_same_losses(got, one_probe_losses(model, graphs, "mae", arr, idxs, 1e-3))
@@ -742,7 +747,8 @@ class TestFiniteDifferenceCheck:
         model = tiny_model(seed=17, placement=placement, **kw)
         cache = plain_cache(model, batch[:2], "mse")
         for name, (arr, k) in cache.layout.reads.items():  # a head's stack, not its slice
-            _, layer, first, _ = cache.layout.index[id(arr)]
+            carved = cache.layout.index[id(arr)]
+            layer, first = carved.layer, carved.name
             if name.startswith(("input.", "head.")):
                 assert layer == (-1 if name[0] == "i" else 2), name
             else:
@@ -864,7 +870,8 @@ class TestBatchedProbes:
         pairs = walk_batch()
         cache = plain_cache(model, pairs, "mse")
         rng = np.random.default_rng(1)
-        for *_, arr in cache.layout.index.values():  # a stack: both heads' entries
+        for carved in cache.layout.index.values():  # a stack: both heads' entries
+            arr = carved.array
             idxs = np.sort(rng.choice(arr.size, size=min(4, arr.size), replace=False))
             assert_same_losses(cache.probe_losses([(arr, idxs)], 1e-5),
                                one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5))
@@ -906,9 +913,9 @@ class TestBatchedProbes:
         monkeypatch.setattr(cache_type, "probe_losses", counted_probe)
         monkeypatch.setattr(cache_type, "_loss_from", counted_pass)
         report = finite_difference_check(model, params, batch[:2], sample=2, seed=3)
-        assert (len(passes), len(params.names)) == (8, 66)
+        assert (len(passes), len(params.layout.names)) == (8, 66)
         assert [start for start, _ in passes] == [-1, 0, 0, 0, 1, 1, 1, 2]
-        layers = [layer for _, layer, _, _ in model.layout.index.values()]
+        layers = [carved.layer for carved in model.layout.index.values()]
         assert probed == [[key for key, at in zip(model.layout.index, layers) if at == layer]
                           for layer in (-1, 0, 1, 2)]
         monkeypatch.undo()
@@ -923,8 +930,8 @@ class TestBatchedProbes:
         loss_from = cache_type._loss_from
 
         def recording(cache, start, lift):
-            passes.append({name: lift(arr) for _, _, name, arr in cache.layout.index.values()
-                           if lift(arr) is not arr})
+            passes.append({c.name: lift(c.array) for c in cache.layout.index.values()
+                           if lift(c.array) is not c.array})
             return loss_from(cache, start, lift)
 
         monkeypatch.setattr(cache_type, "_loss_from", recording)
@@ -942,7 +949,7 @@ class TestBatchedProbes:
         passes = self.recorded_passes(monkeypatch)
         rng = np.random.default_rng(2)
         for layer in range(3):
-            read = {name: arr for _, at, name, arr in cache.layout.index.values() if at == layer}
+            read = {c.name: c.array for c in cache.layout.index.values() if c.layer == layer}
             probes = [(arr, np.sort(rng.choice(arr.size, size=min(2, arr.size), replace=False)))
                       for arr in read.values()]
             got = cache.probe_losses(probes, 1e-5)
@@ -995,7 +1002,7 @@ class TestBatchedProbes:
         model = tiny_model(seed=19, placement=placement, **kw)
         params = ParamSet.from_model(model)
         want = one_probe_fd_check(model, params, batch[:2], sample=3, seed=5)
-        before = params.copy_values()
+        before = copy_values(params)
         stacks = [getattr(layer.attn, f) for layer in model.layers
                   for f in layer.attn.stacked_fields()]
         for arr in stacks + [arr for _, arr in params.items()]:
@@ -1081,7 +1088,7 @@ class TestInPlaceSteps:
         pairs = walk_batch()
         graphs = GraphBatch.of([g for g, _ in pairs if g.n == pairs[0][0].n])
         h = gps.model_embed(graphs, model)
-        held = [model.layout.flat, h, graphs.node_features, graphs.edge_features]
+        held = [model.params.flat, h, graphs.node_features, graphs.edge_features]
         held += [a for g, _ in pairs for a in (g.node_features, g.edge_features)]
         before = [a.copy() for a in held]
         gps.gps_layer_forward(graphs, h, model.layers[0])
@@ -1119,8 +1126,8 @@ class TestAdamW:
     def test_zero_gradients_leave_params_unchanged(self):
         model = tiny_model(seed=10)
         params = ParamSet.from_model(model)
-        before = params.copy_values()
-        zeros = ParamSet({n: np.zeros_like(a) for n, a in params.items()})
+        before = copy_values(params)
+        zeros = param_set({n: np.zeros_like(a) for n, a in params.items()})
         state = init_optimizer(params, weight_decay=0.0)
         adamw_step(params, zeros, state, lr_t=1e-3)
         for name, arr in params.items():
@@ -1129,16 +1136,16 @@ class TestAdamW:
     def test_first_step_magnitude_with_unit_gradient(self):
         # one step, g = 1: bias correction gives m_hat = v_hat = 1, so the
         # update is lr / (1 + eps)
-        params = ParamSet({"w": np.zeros((2, 2))})
-        ones = ParamSet({"w": np.ones((2, 2))})
+        params = param_set({"w": np.zeros((2, 2))})
+        ones = param_set({"w": np.ones((2, 2))})
         state = init_optimizer(params)
         adamw_step(params, ones, state, lr_t=1e-3)
         expected = -1e-3 / (1.0 + training.ADAM_EPS)
         assert np.allclose(params["w"], expected, rtol=1e-12)
 
     def test_decoupled_decay_is_pure_shrink_without_gradients(self):
-        params = ParamSet({"w": np.full((3,), 2.0)})
-        zeros = ParamSet({"w": np.zeros(3)})
+        params = param_set({"w": np.full((3,), 2.0)})
+        zeros = param_set({"w": np.zeros(3)})
         state = init_optimizer(params, weight_decay=0.1)
         for _ in range(4):
             adamw_step(params, zeros, state, lr_t=1e-2)
@@ -1147,8 +1154,8 @@ class TestAdamW:
     def test_zero_weight_decay_reduces_to_adam(self):
         rng = SeededRng(55)
         shapes = {"a": (3, 2), "b": (4,)}
-        params = ParamSet({n: rng.standard_normal(s) for n, s in shapes.items()})
-        reference = params.copy_values()
+        params = param_set({n: rng.standard_normal(s) for n, s in shapes.items()})
+        reference = copy_values(params)
         state = init_optimizer(params, weight_decay=0.0)
         # independent textbook Adam trajectory
         m = {n: np.zeros(s) for n, s in shapes.items()}
@@ -1156,7 +1163,7 @@ class TestAdamW:
         lr, b1, b2, eps = 1e-3, training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
         for t in range(1, 11):
             grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
-            adamw_step(params, ParamSet(grads), state, lr_t=lr)
+            adamw_step(params, param_set(grads), state, lr_t=lr)
             for n in shapes:
                 m[n] = b1 * m[n] + (1 - b1) * grads[n]
                 v[n] = b2 * v[n] + (1 - b2) * grads[n] ** 2
@@ -1185,21 +1192,21 @@ class TestAdamW:
     def test_flat_step_equals_per_array_loop_bitwise(self, sharing):
         model = tiny_model(seed=42, placement="g3", sharing=sharing)
         params = ParamSet.from_model(model)
-        reference = ParamSet(params.copy_values())
+        reference = param_set(copy_values(params))
         m = {n: np.zeros_like(a) for n, a in params.items()}
         v = {n: np.zeros_like(a) for n, a in params.items()}
         state = init_optimizer(params, weight_decay=1e-2)
-        assert state.m.shape == state.v.shape == (params.total_count(),)
+        assert state.m.shape == state.v.shape == (params.flat.size,)
         rng = SeededRng(43)
         for t in range(1, 11):
-            grads = ParamSet({n: rng.standard_normal(a.shape) for n, a in params.items()})
+            grads = param_set({n: rng.standard_normal(a.shape) for n, a in params.items()})
             lr_t = cosine_lr(t - 1, 10, 1e-2)
             adamw_step(params, grads, state, lr_t)
             self._per_array_step(reference, grads, m, v, t, lr_t, 1e-2)
             for name, arr in params.items():
                 assert np.array_equal(arr, reference[name]), name
-        assert np.array_equal(state.m, np.concatenate([m[n].ravel() for n in params.names]))
-        assert np.array_equal(state.v, np.concatenate([v[n].ravel() for n in params.names]))
+        assert np.array_equal(state.m, np.concatenate([m[n].ravel() for n in params.layout.names]))
+        assert np.array_equal(state.v, np.concatenate([v[n].ravel() for n in params.layout.names]))
         gate = "gate" if sharing == "shared" else "head0"
         for i, layer in enumerate(model.layers):  # the updates live in the stacks
             attn = layer.attn
@@ -1212,9 +1219,9 @@ class TestAdamW:
     def test_rejects_a_param_set_of_another_size(self):
         params = ParamSet.from_model(tiny_model(seed=44))
         state = init_optimizer(params)
-        bigger = ParamSet({**dict(params.items()), "extra": np.zeros(3)})
-        zeros = ParamSet({n: np.zeros_like(a) for n, a in bigger.items()})
-        for other in (bigger, params.subset(params.names[1:])):
+        bigger = param_set({**dict(params.items()), "extra": np.zeros(3)})
+        zeros = param_set({n: np.zeros_like(a) for n, a in bigger.items()})
+        for other in (bigger, subset(params, params.layout.names[1:])):
             with pytest.raises(ValueError, match="optimizer state"):
                 adamw_step(other, zeros, state, lr_t=1e-3)
         assert state.step == 0
@@ -1320,7 +1327,7 @@ class TestModelSerialization:
         back = load_model(path)
         p0 = ParamSet.from_model(model)
         p1 = ParamSet.from_model(back)
-        assert p0.names == p1.names
+        assert p0.layout.names == p1.layout.names
         for name, arr in p0.items():
             assert np.array_equal(arr, p1[name]), name
         task = make_toy_task(seed=5, n_graphs=2, nodes_per_graph=5)
@@ -1337,7 +1344,7 @@ class TestModelSerialization:
         # every head reads the one gate: a stack of a single slice
         for layer in back.layers:
             assert layer.attn.w_g.shape == (1, 16, 4) and layer.attn.b_g.shape == (1, 4)
-        names = [n for n in ParamSet.from_model(back).names if is_gate_param(n)]
+        names = [n for n in ParamSet.from_model(back).layout.names if is_gate_param(n)]
         assert names == ["layer0.attn.gate.w_g", "layer0.attn.gate.b_g",
                          "layer1.attn.gate.w_g", "layer1.attn.gate.b_g"]
 
@@ -1390,6 +1397,20 @@ def storage_model(source, placement, sharing, tmp_path):
     return model
 
 
+def arrays_in(value):
+    """Every array ``value`` holds through lists, tuples, dicts and the
+    instance attributes of dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif dataclasses.is_dataclass(value):
+        value = list(vars(value).values())
+    if isinstance(value, (list, tuple)):
+        return [arr for item in value for arr in arrays_in(item)]
+    return []
+
+
 def slots(params):
     """``(name, start, stop)`` of each entry's slice of the set's vector, in order."""
     start = 0
@@ -1412,7 +1433,7 @@ class TestParamStorage:
     def test_each_entry_is_its_slice_of_the_buffer(self, tmp_path, source, placement, sharing):
         params = ParamSet.from_model(storage_model(source, placement, sharing, tmp_path))
         flat = params.flat
-        assert flat is not None and flat.size == params.total_count()
+        assert flat is not None and flat.size == params.layout.starts[-1]
         for name, start, stop in slots(params):
             entry = params[name]
             assert same_array(entry, flat[start:stop].reshape(entry.shape)), name
@@ -1428,8 +1449,8 @@ class TestParamStorage:
         model = storage_model(source, placement, sharing, tmp_path)
         params = ParamSet.from_model(model)
         _, grads = loss_and_gradients(model, walk_batch())
-        assert grads.names == params.names
-        assert grads.flat.shape == (params.total_count(),)
+        assert grads.layout.names == params.layout.names
+        assert grads.flat.shape == (params.flat.size,)
         assert not np.shares_memory(grads.flat, params.flat)
         for name, start, stop in slots(grads):
             assert same_array(grads[name], grads.flat[start:stop].reshape(params[name].shape))
@@ -1449,7 +1470,7 @@ class TestParamStorage:
                      for g, y in pairs]
         _, grads = loss_and_gradients(model, pairs)
         want = per_name_gradients(model, params, pairs)
-        assert grads.names == list(want)
+        assert list(grads.layout.names) == list(want)
         for name, g in grads.items():
             assert_bitwise(g, want[name])
             if not edges and ".mpnn." in name:
@@ -1527,15 +1548,75 @@ class TestParamStorage:
             adamw_step(params, grads, state, 1e-3)
         assert state.step == 2
 
+    def test_a_gradient_check_and_a_load_walk_no_parameters(self, monkeypatch, tmp_path):
+        # The check's cache takes the layout its taped pass used, and a load
+        # fills the skeleton it has just built.
+        model = walk_model("g2", "shared")
+        params = ParamSet.from_model(model)
+        want = one_probe_fd_check(model, params, walk_batch(), sample=2, seed=3)
+        save_model(model, tmp_path / "model.txt")
+
+        def no_walk(value, out):
+            raise AssertionError("the parameters were walked")
+
+        monkeypatch.setattr(gps, "_arrays_held", no_walk)
+        assert finite_difference_check(model, params, walk_batch(), sample=2, seed=3) == want
+        back = load_model(tmp_path / "model.txt")
+        assert batch_loss(back, walk_batch()) == batch_loss(model, walk_batch())
+
+    def test_a_layout_is_frozen(self):
+        layout = walk_model("g3", "per_head").layout
+        for name in ("names", "shapes", "starts", "reads", "index", "slots", "header"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layout, name, getattr(layout, name))
+        with pytest.raises(ValueError, match="read-only"):
+            layout.slots[0] = 0
+        _, grads = loss_and_gradients(walk_model("g3", "per_head"), walk_batch())
+        for held in (ParamSet.from_model(walk_model("g1", "shared")), grads):
+            with pytest.raises(AttributeError):
+                held.extra = None  # a set holds its layout, its vector and nothing else
+
+    @pytest.mark.parametrize("placement, sharing", WALK_CASES)
+    def test_gradients_share_the_models_layout_and_hold_no_model_array(self, placement,
+                                                                      sharing):
+        model = walk_model(placement, sharing)
+        _, grads = loss_and_gradients(model, walk_batch())
+        assert grads.layout is model.layout
+        assert not hasattr(grads, "__dict__")
+        slots = {name for cls in type(grads).__mro__ for name in getattr(cls, "__slots__", ())}
+        assert slots == {"layout", "flat", "states"}
+        held = arrays_in([grads.flat, grads.states])
+        assert len(held) > 1 + 3 * len(model.layers)
+        model_arrays = [model.params.flat] + [c.array for c in model.layout.index.values()]
+        assert not any(np.shares_memory(a, b) for a in held for b in model_arrays)
+
+    def test_adamw_rejects_gradients_laid_out_differently(self):
+        model = walk_model("g1", "per_head")
+        params = ParamSet.from_model(model)
+        state = init_optimizer(params)
+        _, grads = loss_and_gradients(model, walk_batch())
+        renamed = param_set({("x" if name == "head.b" else name): arr
+                             for name, arr in grads.items()})
+        reshaped = param_set({name: (arr.reshape(-1) if name == "head.w" else arr)
+                              for name, arr in grads.items()})
+        for other in (renamed, reshaped):
+            assert other.flat.size == params.flat.size
+            with pytest.raises(ValueError,
+                               match="^the gradients are not laid out like the parameters$"):
+                adamw_step(params, other, state, lr_t=1e-3)
+        assert state.step == 0
+        adamw_step(params, grads, state, lr_t=1e-3)
+        assert state.step == 1
+
     def test_a_dict_set_packs_copies_into_its_own_vector(self):
         a, b = np.arange(6.0).reshape(2, 3), np.array([7.0])
-        params = ParamSet({"a": a, "b": b})
+        params = param_set({"a": a, "b": b})
         assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
         assert same_array(params["a"], params.flat[:6].reshape(2, 3))
         a[0, 0] = 9.0
         params["b"][0] = 3.0
         assert params["a"][0, 0] == 0.0 and params.flat[6] == 3.0
-        params.subset(["b"])["b"][0] = 5.0
+        subset(params, ["b"])["b"][0] = 5.0
         assert params["b"][0] == 3.0
 
     def test_adamw_moves_the_model_buffer_in_place(self):
@@ -1543,7 +1624,7 @@ class TestParamStorage:
         params = ParamSet.from_model(model)
         flat = params.flat
         before = flat.copy()
-        ones = ParamSet({n: np.ones_like(a) for n, a in params.items()})
+        ones = param_set({n: np.ones_like(a) for n, a in params.items()})
         adamw_step(params, ones, init_optimizer(params), 1e-3)
         assert params.flat is flat
         assert np.array_equal(flat, before - 1e-3 * 1.0 / (1.0 + 1e-8))
@@ -1571,7 +1652,7 @@ class TestParamStorage:
         assert err.value.param_name == "layer0.attn.head0.w_q"
         with pytest.raises(NonFiniteError, match="first non-finite parameter: "
                                                  "layer0.attn.head0.w_q$") as err:
-            finite_difference_check(model, params.subset(["head.w"]), walk_batch(), sample=1)
+            finite_difference_check(model, subset(params, ["head.w"]), walk_batch(), sample=1)
         assert err.value.param_name == "layer0.attn.head0.w_q"
 
     @pytest.mark.parametrize("placement, sharing, name", NAN_CASES)
@@ -1615,7 +1696,7 @@ class TestParamStorage:
             want = per_call_init(SeededRng(31), gate=gate, gate_weight_std=gate_weight_std,
                                  **dims)
             params = ParamSet.from_model(model)
-            assert params.names == list(want)
+            assert list(params.layout.names) == list(want)
             for name, arr in params.items():
                 assert_bitwise(arr, want[name])
 
@@ -1662,4 +1743,4 @@ class TestStorageWorkCount:
         monkeypatch.setattr(ad, "backward", backward)
         monkeypatch.setattr(np, "isfinite", isfinite)
         loss_and_gradients(model, make_toy_task(seed=0, n_graphs=12).train)
-        assert calls[calls.index("backward") + 1:] == [(params.total_count(),)]
+        assert calls[calls.index("backward") + 1:] == [(params.flat.size,)]
