@@ -17,8 +17,12 @@ the model's forward is written once and serves both paths.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from functools import cache, partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -303,9 +307,27 @@ absolute = partial(_op, absolute_vjp)
 
 @cache
 def load_erf():
-    """``scipy.special.erf``, imported on the first call. The GELU is the
-    library's one use of scipy, whose import costs more than numpy and the
-    library together, so a run with no feed-forward block never pays it."""
+    """``scipy.special.erf``, loaded on the first call, so a run with no
+    feed-forward block never loads scipy. The call loads only the extension
+    that defines the ufunc, ``scipy.special._special_ufuncs``, which links
+    no BLAS (the ``scipy.special`` package would also load ``_ufuncs`` and
+    with it scipy's own OpenBLAS, a second one beside numpy's). The module
+    is registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.special`` reuses it and its ``erf`` is this object.
+    Where that private extension is missing or has no ``erf``, this imports
+    ``scipy.special`` instead."""
+    scipy = importlib.util.find_spec("scipy")  # locates the package, imports nothing
+    name = "scipy.special._special_ufuncs"
+    spec = scipy and FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "special"),
+        (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is not None:
+        module = sys.modules.get(name)
+        if module is None:
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        if hasattr(module, "erf"):
+            return module.erf
     from scipy.special import erf
     return erf
 
@@ -315,8 +337,8 @@ def gelu_vjp(x):
 
     The derivative is ``(1 + erf(u))/2 + (x/2)(2/√π)e^{-u²}/√2`` with
     ``u = x/√2``, evaluated in the order the chain rule through those
-    factors gives. ``erf`` is scipy's ufunc, loaded by the first call
-    (:func:`load_erf`).
+    factors gives. ``erf`` is scipy's ufunc, loaded by the first call from
+    the one extension that defines it (:func:`load_erf`).
     """
     x = np.asarray(x, dtype=np.float64)
     half = x * 0.5

@@ -132,8 +132,8 @@ def _pool(parallel: int, tasks: int, runs_model: bool = False):
     """map() over a process pool of ``parallel`` workers, but no more than the
     ``tasks`` it maps (a forked pool starts every worker at once), when that
     is more than one; else the builtin. A pool whose tasks run the model
-    loads the GELU's ``erf`` before it forks, so its workers inherit scipy
-    instead of each importing it."""
+    loads the GELU's ``erf`` (one scipy extension) before it forks, so its
+    workers inherit it instead of each loading it."""
     if min(parallel, tasks) < 2:
         yield map
     else:

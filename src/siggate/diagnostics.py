@@ -111,12 +111,13 @@ def attention_entropy(a) -> float:
     if a.ndim != 2:
         raise ValueError(f"attention matrix must be 2-D, got shape {a.shape}")
     sums = a.sum(axis=1)
-    if not np.all(np.abs(sums - 1.0) <= 1e-6) or np.any(a < 0.0):
+    lowest = a.min(initial=np.inf)  # NaN where a is; the row sums name it first
+    if not np.all(np.abs(sums - 1.0) <= 1e-6) or lowest < 0.0:
         if not np.isfinite(sums).all():
             raise NonFiniteInputError(f"attention_entropy undefined: row "
                                       f"{np.argmin(np.isfinite(sums))} holds a non-finite value")
         raise ValueError("invalid attention matrix: rows must be non-negative and sum to 1")
-    plogp = np.log(a) if (a > 0.0).all() else np.log(a, out=np.zeros_like(a), where=a > 0.0)
+    plogp = np.log(a) if lowest > 0.0 else np.log(a, out=np.zeros_like(a), where=a > 0.0)
     plogp *= a
     return float(np.mean(-plogp.sum(axis=1)))
 

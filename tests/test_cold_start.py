@@ -1,9 +1,12 @@
-"""What a fresh interpreter loads. ``scipy.special`` supplies only the exact
-GELU's ``erf``, and it costs more to import than numpy and the library
-together, so it loads on the first GELU: the library, the CLI, a model's
-init, ``param-count`` and ``rank-exp`` never import scipy, and a command
-whose forked workers run the model loads it once, in the parent, before
-the pool forks."""
+"""What a fresh interpreter loads. scipy supplies only the exact GELU's
+``erf``, so nothing loads from it before the first GELU: the library, the
+CLI, a model's init, ``param-count`` and ``rank-exp`` never touch it. The
+first GELU then loads one extension, ``scipy.special._special_ufuncs``, and
+not the ``scipy.special`` package, whose ``_ufuncs`` would map scipy's own
+OpenBLAS beside numpy's. A command whose forked workers run the model loads
+it once, in the parent, before the pool forks. A later ``import
+scipy.special`` reuses that module, and where the extension cannot be
+found the package is imported as before."""
 
 import json
 import os
@@ -18,6 +21,7 @@ import pytest
 from oracles import assert_bitwise, erf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ERF_MODULE = "scipy.special._special_ufuncs"
 
 FAST_RANK = """
 experiment.n = 16
@@ -86,12 +90,12 @@ def test_nothing_before_the_first_gelu_imports_scipy(tmp_path):
         x = np.stack([x, x / 7.0, x + 0.5])
         g = np.sin(3.0 * x) + 0.5
         out, back = siggate.autodiff.gelu_vjp(x)
-        seen["first gelu"] = "scipy.special" in sys.modules
+        seen["first gelu"] = scipy_modules()
         np.save("gelu.npy", np.stack([x, g, out, back(g)[0]]))
         json.dump(seen, open("seen.json", "w"))
     """, tmp_path)
     seen = json.loads((tmp_path / "seen.json").read_text())
-    assert seen.pop("first gelu") is True
+    assert seen.pop("first gelu") == [ERF_MODULE]
     assert seen == {"import": [], "init_model": [], "param-count": [0, []],
                     "rank-exp --parallel 1": [seen["rank-exp --parallel 1"][0], []],
                     "rank-exp --parallel 2": [seen["rank-exp --parallel 1"][0], []]}
@@ -113,8 +117,9 @@ def _worker_probe_script(command: str, worker: str, text: str) -> str:
 
         def probe(args):
             # runs first in each of the pool's cells
+            scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
             with open(os.path.join("probes", str(os.getpid())), "a") as fh:
-                fh.write(f"{{os.getpid() != PARENT}} {{'scipy.special' in sys.modules}}\\n")
+                fh.write(f"{{os.getpid() != PARENT}} {{' '.join(scipy)}}\\n")
             return cell(args)
 
         cli.{worker} = probe
@@ -135,4 +140,50 @@ def test_a_forked_worker_starts_with_scipy_loaded(tmp_path, command, worker, tex
     run_fresh(_worker_probe_script(command, worker, text), tmp_path)
     probes = [line for path in (tmp_path / "probes").iterdir()
               for line in path.read_text().splitlines()]
-    assert probes == ["True True"] * cells  # each cell ran in a forked worker
+    # each cell ran in a forked worker that holds the erf module and nothing else of scipy
+    assert probes == [f"True {ERF_MODULE}"] * cells
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_the_first_gelu_maps_no_second_blas(tmp_path):
+    run_fresh("""
+        import json
+        import numpy as np
+        import siggate
+
+        siggate.autodiff.gelu_vjp(np.linspace(-3.0, 3.0, 7))
+        paths = {line.split()[-1] for line in open("/proc/self/maps") if "/scipy" in line}
+        json.dump(sorted(paths), open("maps.json", "w"))
+    """, tmp_path)
+    paths = json.loads((tmp_path / "maps.json").read_text())
+    assert [Path(p).name.split(".")[0] for p in paths] == ["_special_ufuncs"]
+    assert not [p for p in paths if "/scipy.libs/" in p]
+
+
+def test_a_later_scipy_special_import_reuses_the_erf_module(tmp_path):
+    run_fresh("""
+        import sys
+        from siggate.autodiff import load_erf
+
+        erf = load_erf()
+        assert "scipy.special" not in sys.modules
+        import scipy.special
+        assert scipy.special.erf is erf is load_erf()
+    """, tmp_path)
+
+
+def test_a_hidden_erf_extension_falls_back_to_scipy_special(tmp_path):
+    run_fresh("""
+        import sys
+        from siggate import autodiff
+
+        class FindsNothing(autodiff.FileFinder):
+            def find_spec(self, fullname, target=None):
+                return None
+
+        autodiff.FileFinder = FindsNothing
+        erf = autodiff.load_erf()
+        assert "scipy.special" in sys.modules
+        import scipy.special
+        assert erf is scipy.special.erf
+    """, tmp_path)

@@ -219,6 +219,22 @@ class TestAttentionEntropy:
         got, want = attention_entropy(a), nested_where_entropy(a)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    @pytest.mark.parametrize("entry, branch", [
+        (0.25, "plain log"), (0.0, "masked log"), (-0.0, "masked log"),
+        (-1e-300, "rejected"), (-0.25, "rejected"),
+    ])
+    def test_smallest_entry_picks_the_branch(self, entry, branch):
+        # Row 1 holds `entry` and still sums to 1; the other rows are positive.
+        a = row_softmax(gaussian_matrix(SeededRng(3), 5, 5, 2.0))
+        a[1] = [entry, 0.5 - entry, 0.25, 0.125, 0.125]
+        if branch == "rejected":
+            with pytest.raises(ValueError, match="^invalid attention matrix: rows must be"):
+                attention_entropy(a)
+            return
+        # a plain log over a (signed) zero would make the entropy NaN
+        got, want = attention_entropy(a), nested_where_entropy(a)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_upper_bound_with_equality_only_at_uniform(self):
         rng = SeededRng(5)
         for n in range(2, 9):
