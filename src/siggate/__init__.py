@@ -10,6 +10,7 @@ exact gradients with a finite-difference oracle, and a toy trainer.
 from .attention import (
     GateConfig,
     HeadTrace,
+    HeadTraces,
     MhsaParams,
     gate_param_count,
     gated_head_forward,

@@ -20,6 +20,7 @@ a GPS layer's tape node calls.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "GateConfig",
     "MhsaParams",
     "HeadTrace",
+    "HeadTraces",
     "gated_head_forward",
     "siggate_mhsa",
     "gate_param_count",
@@ -108,6 +110,46 @@ class HeadTrace:
     attention: np.ndarray
     gate: np.ndarray | None
     output: np.ndarray
+
+
+class HeadTraces(Sequence):
+    """A layer's :class:`HeadTrace` per head, kept as the pass's stacks: the
+    attention, the gate (None ungated) and the output, each with its head
+    axis ``axes`` from the end (3; 4 for an n x n stack over B > 1 graphs).
+    The first read makes every head's trace, of views of slice k of each
+    stack (slice 0 of a shared gate's, whose head axis is 1)."""
+
+    __slots__ = ("attention", "gate", "output", "axes", "_heads")
+
+    def __init__(self, attention, gate, output, axes=(3, 3, 3)):
+        self.attention, self.gate, self.output, self.axes = attention, gate, output, axes
+        self._heads = None
+
+    def __len__(self) -> int:
+        return self.output.shape[-3]
+
+    def __getitem__(self, k):
+        if self._heads is None:
+            n = len(self)
+            self._heads = [HeadTrace(*t) for t in zip(*(
+                [None] * n if x is None else _per_head(x, n, axes)
+                for x, axes in zip((self.attention, self.gate, self.output), self.axes)))]
+        return self._heads[k]
+
+    def split(self, n_graphs: int) -> list["HeadTraces"]:
+        """Each graph's traces of a tape-free pass over ``n_graphs`` > 1 graphs:
+        a stack of rows is reshaped once to K x B x n x k, then each graph
+        takes its slice of every stack."""
+        a, g, o = (x if x is None or axes == 4 else _by_graph(x, n_graphs)
+                   for x, axes in zip((self.attention, self.gate, self.output), self.axes))
+        return [HeadTraces(a[:, b], None if g is None else g[:, b], o[:, b])
+                for b in range(n_graphs)]
+
+
+def _per_head(x, heads: int, axes: int):
+    """Each head's part of a stack with its head axis ``axes`` from the end."""
+    lead = (slice(None),) * (x.ndim - axes)
+    return [x[lead + (k if x.shape[-axes] > 1 else 0,)] for k in range(heads)]
 
 
 def _validate_mhsa(n_features: int, params: MhsaParams) -> None:
@@ -265,8 +307,8 @@ def gated_head_forward(h, heads: MhsaParams, mask=None, *, n_graphs: int = 1):
 
     ``heads`` is a layer's :class:`MhsaParams`, whose stacks run all K heads
     in one pass; a single head is a layer with K = 1. Returns ``(output,
-    traces, back)``: the K x N x d_k output stack, one :class:`HeadTrace` per
-    head, and the form's ``back`` (see :func:`_heads_pass`). With placement
+    traces, back)``: the K x N x d_k output stack, the :class:`HeadTraces` of
+    its heads, and the form's ``back`` (see :func:`_heads_pass`). With placement
     ``none`` each head is plain scaled dot-product attention,
     ``softmax(Q K^T / sqrt(d_k)) V``, whose attention rows are stochastic
     with masked entries exactly 0.
@@ -287,25 +329,15 @@ def gated_head_forward(h, heads: MhsaParams, mask=None, *, n_graphs: int = 1):
     out, attention, gate, back = _heads_pass(
         h, heads.gate, {name: getattr(heads, name) for name in names}, mask, n_graphs)
     square = 3 if n_graphs == 1 else 4  # axes from the head axis on of an n x n stack
-    k = out.shape[-3]
-    gates = ([None] * k if gate is None
-             else _per_head(gate, k, square if heads.gate.placement == "g3" else 3))
-    traces = [HeadTrace(attention=a, gate=g, output=o)
-              for a, g, o in zip(_per_head(attention, k, square), gates, _per_head(out, k, 3))]
-    return out, traces, back
-
-
-def _per_head(x, heads: int, axes: int):
-    """Each head's part of a stack with its head axis ``axes`` from the end."""
-    lead = (slice(None),) * (x.ndim - axes)
-    return [x[lead + (k if x.shape[-axes] > 1 else 0,)] for k in range(heads)]
+    axes = (square, square if heads.gate.placement == "g3" else 3, 3)
+    return out, HeadTraces(attention, gate, out, axes), back
 
 
 def siggate_mhsa(h, params: MhsaParams, mask=None, *, n_graphs: int = 1):
     """Gated multi-head attention: concat of gated heads times W_O.
 
-    Returns ``(out, traces, back)``: ``out`` is N x d_out, ``traces`` one
-    :class:`HeadTrace` per head in head order, and ``back(g)`` gives ``h``'s
+    Returns ``(out, traces, back)``: ``out`` is N x d_out, ``traces`` the
+    :class:`HeadTraces` of the heads, in head order, and ``back(g)`` gives ``h``'s
     terms and the stacks' gradients as :func:`gated_head_forward`'s
     ``back`` does, then W_O's. ``h`` holds the rows of ``n_graphs`` graphs
     of equal size (see :func:`gated_head_forward`). All heads run as one

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field, is_dataclass
 from itertools import accumulate, zip_longest
 
@@ -224,7 +225,7 @@ class ModelParams:
 @dataclass
 class LayerTraceEntry:
     hidden: np.ndarray
-    head_traces: list[HeadTrace]
+    head_traces: Sequence[HeadTrace]  # the layer's HeadTraces
 
 
 @dataclass
@@ -232,7 +233,7 @@ class LayerTrace:
     """Per-layer capture of a full forward pass (diagnostics input)."""
 
     hidden: list[np.ndarray] = field(default_factory=list)
-    head_traces: list[list[HeadTrace]] = field(default_factory=list)
+    head_traces: list[Sequence[HeadTrace]] = field(default_factory=list)
 
     def append(self, entry: LayerTraceEntry) -> None:
         self.hidden.append(entry.hidden)
@@ -247,19 +248,10 @@ class LayerTrace:
             return [self]
         out = [LayerTrace() for _ in range(n_graphs)]
         for hidden, heads in zip(self.hidden, self.head_traces):
-            pieces = [(_graph_pieces(ht.attention, n_graphs),
-                       [None] * n_graphs if ht.gate is None
-                       else _graph_pieces(ht.gate, n_graphs),
-                       _graph_pieces(ht.output, n_graphs)) for ht in heads]
-            for b, h_b in enumerate(_graph_pieces(hidden, n_graphs)):
-                out[b].append(LayerTraceEntry(
-                    h_b, [HeadTrace(a[b], g[b], o[b]) for a, g, o in pieces]))
+            rows = hidden.reshape(n_graphs, -1, hidden.shape[-1])
+            for trace, h_b, heads_b in zip(out, rows, heads.split(n_graphs)):
+                trace.append(LayerTraceEntry(h_b, heads_b))
         return out
-
-
-def _graph_pieces(x: np.ndarray, n_graphs: int) -> list[np.ndarray]:
-    """Each graph's piece of a batch array: its matrix of a stack, or its block of rows."""
-    return list(x) if x.ndim == 3 else np.split(x, n_graphs)
 
 
 def layer_norm(h, scale, shift):

@@ -47,13 +47,14 @@ _U53 = float(1 << 53)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 output function (Steele/Lea/Flood). Bijective on uint64."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+    """SplitMix64 output function (Steele/Lea/Flood), in place on the uint64
+    array ``x``, which it returns. Bijective on uint64."""
+    shifted = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     return x
 
 
@@ -77,9 +78,11 @@ class SeededRng:
         self._counter = 0
 
     def _raw(self, count: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        x = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
-        return _mix64(np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
+        x *= np.uint64(_GOLDEN)
+        x += np.uint64(self.seed)
+        return _mix64(x)
 
     def uniform(self, shape=()) -> np.ndarray:
         """I.i.d. uniforms on [0, 1) with 53-bit resolution."""
@@ -109,11 +112,18 @@ class SeededRng:
             second = first + np.repeat(p, p)
         bits = self._raw(2 * total)
         bits >>= np.uint64(11)
-        bits = bits.astype(np.float64)
-        r = np.sqrt(-2.0 * np.log((bits[first] + 1.0) / _U53))  # u1 in (0, 1]
-        angle = 2.0 * np.pi * (bits[second] / _U53)  # u2 in [0, 1)
-        z = np.empty(2 * total)  # each normal sits where its u1 or u2 was drawn
-        z[first], z[second] = r * np.cos(angle), r * np.sin(angle)
+        z = bits.astype(np.float64)  # each normal sits where its u1 or u2 was drawn
+        r, angle = z[first], z[second]  # views of z for one block, copies for more
+        r += 1.0
+        r /= _U53  # u1 in (0, 1]
+        np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
+        angle /= _U53  # u2 in [0, 1)
+        angle *= 2.0 * np.pi
+        cos = np.cos(angle)
+        np.multiply(r, np.sin(angle, out=angle), out=angle)
+        np.multiply(r, cos, out=r)
+        if len(pairs) > 1:
+            z[first], z[second] = r, angle
         starts = itertools.accumulate(pairs, initial=0)
         return [z[2 * a:2 * a + n] for a, n in zip(starts, sizes)]
 
@@ -144,6 +154,14 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
+# The longest rows whose maxima row_softmax takes from a transposed copy. ``z.max(axis=1)``
+# runs one reduction loop per row, while the copy's ``max(axis=0)`` runs one loop over all
+# rows; max is exact, so both give the same bits. On 2 cores (numpy 2.4, 288-4096 rows) the
+# copy is 6-15x faster at 4-8 columns, 3.3-4.1x at 16-24, 1.3-1.6x at 32, about even at
+# 48-56 and 0.35-0.9x at 64, the width of perfbench rank_sweep's rows.
+_SHORT_ROW = 32
+
+
 def row_softmax(logits, mask=None) -> np.ndarray:
     """Row-wise softmax, stabilized by row-max subtraction.
 
@@ -163,7 +181,10 @@ def row_softmax(logits, mask=None) -> np.ndarray:
             bad = int(np.flatnonzero(~m.any(axis=1))[0])
             raise ValueError(f"row {bad} is fully masked; softmax undefined")
         z = np.where(m, z, -np.inf)
-    zmax = z.max(axis=1, keepdims=True)
+    if z.shape[1] <= _SHORT_ROW:  # the maxima of a transposed copy: the same bits, one pass
+        zmax = np.ascontiguousarray(z.T).max(axis=0)[:, None]
+    else:
+        zmax = z.max(axis=1, keepdims=True)
     if not np.isfinite(zmax).all():
         bad = int(np.flatnonzero(~np.isfinite(zmax))[0])
         raise NonFiniteInputError(
@@ -321,7 +342,7 @@ def fill_gaussian(rng: SeededRng, draws) -> None:
     if bad:
         raise ValueError(f"std must be positive, got {bad[0]}")
     for (view, std), z in zip(draws, rng.normal_blocks([v.size for v, _ in draws])):
-        view[...] = std * z.reshape(view.shape)
+        np.multiply(std, z.reshape(view.shape), out=view)
 
 
 def carve(build):

@@ -439,12 +439,17 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
 @dataclass
 class OptimizerState:
     """AdamW moments as flat float64 vectors laid out as the parameters'
-    ``flat``: one entry per parameter value, in the layout's order."""
+    ``flat``: one entry per parameter value, in the layout's order; and two
+    vectors of that size that each step writes its intermediates into."""
 
     m: np.ndarray
     v: np.ndarray
     step: int
     weight_decay: float
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.m.size))
 
 
 def init_optimizer(params: ParamSet, weight_decay: float = 0.0) -> OptimizerState:
@@ -455,8 +460,9 @@ def init_optimizer(params: ParamSet, weight_decay: float = 0.0) -> OptimizerStat
 
 def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: float):
     """One AdamW update (decoupled weight decay, bias correction) in place on
-    ``params.flat`` from ``grads.flat``, by whole-vector ops: each element
-    sees the ufuncs of a per-array update. For a set from
+    ``params.flat`` from ``grads.flat``, by whole-vector ops written into the
+    state's scratch vectors: each element sees the ufuncs of a per-array
+    update, in its order, and the step allocates no vector. For a set from
     :meth:`ParamSet.from_model` that vector is the model's own. A state of
     another size, or gradients of other names or shapes, is a ValueError."""
     flat = params.flat
@@ -470,13 +476,16 @@ def adamw_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr_t: f
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     g, m, v = grads.flat, state.m, state.v
+    update, denom = state.scratch
     if state.weight_decay:
         flat *= 1.0 - lr_t * state.weight_decay
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (g * g)
-    flat -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=update), out=update)
+    np.multiply(lr_t, np.divide(m, bc1, out=update), out=update)
+    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
+    flat -= np.divide(update, denom, out=update)
     return params, state
 
 

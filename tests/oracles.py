@@ -31,7 +31,10 @@ activations as the op chains the tape ran before ``autodiff`` had one
 closed form per activation (:func:`chained_activation`). The forms those
 op-by-op oracles need and the library does not run (``transpose_vjp``,
 ``take_rows_vjp``, ``scatter_rows_vjp``, ``sqrt_vjp``, ``erf_vjp``) live
-here, in autodiff's ``(out, back)`` convention.
+here, in autodiff's ``(out, back)`` convention. For the per-call costs of a
+training step it keeps the row softmax with one max reduction per row, the
+SplitMix64 stream in Python integers, the per-head traces made up front and
+cut by ``np.split``, and the AdamW step that allocated its intermediates.
 """
 
 import numpy as np
@@ -44,7 +47,7 @@ from scipy.special import erf
 from siggate import autodiff as ad
 from siggate.diagnostics import _ZERO_ROW_TOL
 from siggate.gps import Layout, ParamSet
-from siggate.numeric import SeededRng, gaussian_matrix, row_softmax, sigmoid
+from siggate.numeric import NonFiniteInputError, SeededRng, gaussian_matrix, row_softmax, sigmoid
 from siggate.synthexp import calibrate_gate
 
 
@@ -269,6 +272,28 @@ GATE_ACTIVATIONS = {
 }
 
 
+def per_row_max_softmax(logits, mask=None):
+    """``numeric.row_softmax`` with every row's maximum taken by ``z.max(axis=1)``,
+    one reduction loop per row, as it was for rows of every length: its checks
+    and messages too."""
+    z = np.asarray(logits, dtype=np.float64)
+    if mask is not None:
+        m = np.asarray(mask, dtype=bool)
+        if not m.any(axis=1).all():
+            bad = int(np.flatnonzero(~m.any(axis=1))[0])
+            raise ValueError(f"row {bad} is fully masked; softmax undefined")
+        z = np.where(m, z, -np.inf)
+    zmax = z.max(axis=1, keepdims=True)
+    if not np.isfinite(zmax).all():
+        bad = int(np.flatnonzero(~np.isfinite(zmax))[0])
+        raise NonFiniteInputError(
+            f"row {bad} has largest logit {zmax[bad, 0]}; softmax undefined")
+    e = z - zmax
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
 def masked_softmax(logits, mask=None):
     """Row softmax after max subtraction; masked entries come out exactly 0."""
     z = np.asarray(logits, dtype=np.float64)
@@ -383,13 +408,26 @@ def one_probe_fd_check(model, params, batch, h=1e-5, sample=100, seed=0, loss="m
     return FdReport(max_rel, worst_param, worst_index, n_checked, param_rel)
 
 
+def splitmix64(seed, counter, count):
+    """Raw outputs ``counter + 1`` to ``counter + count`` of the SplitMix64
+    stream of ``seed``, in Python integers: ``mix64(seed + i * GOLDEN)`` mod 2^64."""
+    mask, out = (1 << 64) - 1, []
+    for i in range(counter + 1, counter + count + 1):
+        x = (seed + i * 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(x ^ (x >> 31))
+    return np.array(out, dtype=np.uint64)
+
+
 def concatenated_box_muller(rng, count):
     """``count`` normals as one ``standard_normal`` call drew them: p =
-    ceil(count / 2) pairs from the next 2p raw outputs, u1 the first p and u2
-    the next p, then the p cosine values and the p sine values, cut to
-    ``count``."""
+    ceil(count / 2) pairs from the next 2p raw outputs (:func:`splitmix64`,
+    advancing ``rng``'s counter), u1 the first p and u2 the next p, then the
+    p cosine values and the p sine values, cut to ``count``."""
     pairs = (count + 1) // 2
-    raw = rng._raw(2 * pairs)
+    raw = splitmix64(rng.seed, rng._counter, 2 * pairs)
+    rng._counter += 2 * pairs
     u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
     u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) / float(1 << 53)
     r = np.sqrt(-2.0 * np.log(u1))
@@ -651,3 +689,55 @@ def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):
     ffn = ad.linear(hidden, lift(p.ffn.w2), lift(p.ffn.b2))
     h_next = ad.layer_norm(ad.add(ffn, t), lift(p.ln2.scale), lift(p.ln2.shift), LN_EPS)
     return h_next, LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=[])
+
+
+def eager_head_traces(traces, placement, n_graphs):
+    """A layer's :class:`HeadTrace` per head, each made up front from the stacks
+    of ``traces`` (a :class:`attention.HeadTraces`), as ``gated_head_forward``
+    built them before it kept the stacks: slice k along each stack's head axis,
+    which sits 3 axes from the end (4 for an n x n stack over several graphs),
+    behind any axes of copies."""
+    from siggate.attention import HeadTrace
+
+    def per_head(x, axes):
+        lead = (slice(None),) * (x.ndim - axes)
+        return [x[lead + (k if x.shape[-axes] > 1 else 0,)] for k in range(heads)]
+
+    square = 3 if n_graphs == 1 else 4
+    heads = traces.output.shape[-3]
+    gates = ([None] * heads if traces.gate is None
+             else per_head(traces.gate, square if placement == "g3" else 3))
+    return [HeadTrace(attention=a, gate=g, output=o) for a, g, o in
+            zip(per_head(traces.attention, square), gates, per_head(traces.output, 3))]
+
+
+def np_split_trace(trace, n_graphs):
+    """The per-graph pieces of a batch's :class:`gps.LayerTrace` as ``split``
+    cut them before it reshaped the stacks: per head, a stack's matrices one by
+    one, or ``np.split`` of its rows; ``[(hidden, [(attention, gate, output)])]``
+    per layer, for each graph."""
+    def pieces(x):
+        return list(x) if x.ndim == 3 else np.split(x, n_graphs)
+
+    out = [[] for _ in range(n_graphs)]
+    for hidden, heads in zip(trace.hidden, trace.head_traces):
+        cut = [(pieces(ht.attention), [None] * n_graphs if ht.gate is None
+                else pieces(ht.gate), pieces(ht.output)) for ht in heads]
+        for b, h_b in enumerate(pieces(hidden)):
+            out[b].append((h_b, [(a[b], g[b], o[b]) for a, g, o in cut]))
+    return out
+
+
+def allocating_adamw_step(flat, g, m, v, t, lr_t, weight_decay):
+    """One AdamW step on whole vectors, in place on ``flat``, ``m`` and ``v``,
+    as ``training.adamw_step`` wrote it before it had scratch vectors: each
+    intermediate a fresh array."""
+    bc1 = 1.0 - 0.9 ** t
+    bc2 = 1.0 - 0.999 ** t
+    if weight_decay:
+        flat *= 1.0 - lr_t * weight_decay
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v *= 0.999
+    v += (1.0 - 0.999) * (g * g)
+    flat -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)

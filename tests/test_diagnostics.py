@@ -55,6 +55,23 @@ class TestStableRank:
         with pytest.raises(ValueError):
             stable_rank(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("layout", ["C", "transposed", "F", "sliced", "broadcast"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 7), (4, 64, 32), (5, 33, 65),
+                                       (17, 9, 6)])
+    def test_each_layout_of_a_stack_gives_the_lone_values(self, layout, shape):
+        base = gaussian_matrix(SeededRng(4), shape[0] * shape[1], shape[2], 1.0)
+        base = base.reshape(shape) * np.geomspace(1e-3, 1e3, shape[2])
+        stack = {
+            "C": base,
+            "transposed": np.ascontiguousarray(base.transpose(0, 2, 1)).transpose(0, 2, 1),
+            "F": np.asfortranarray(base),
+            "sliced": np.concatenate([base, base], axis=2)[:, :, ::2],
+            "broadcast": np.broadcast_to(base[:1], shape),
+        }[layout]
+        got = stable_rank(stack)
+        assert got.shape == (shape[0],)
+        assert_bitwise(got, np.array([stable_rank(m) for m in stack]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected_before_iterating(self, bad):
         m = np.eye(3)

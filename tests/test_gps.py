@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import (
-    MemoLift, add_at_rows, assert_bitwise, per_op_mpnn_forward, taped, two_branch_sigmoid,
+    MemoLift, add_at_rows, assert_bitwise, eager_head_traces, np_split_trace,
+    per_op_mpnn_forward, taped, two_branch_sigmoid,
 )
 from siggate import autodiff as ad
-from siggate.attention import GateConfig, siggate_mhsa
+from siggate.attention import GateConfig, HeadTrace, HeadTraces, siggate_mhsa
 from siggate.gps import (
     GraphBatch,
     GraphInstance,
@@ -389,6 +390,80 @@ class TestBatchForward:
             GraphBatch.of([small_graph(rng, n=4, d_in=3), small_graph(rng, n=4, d_in=2)])
         with pytest.raises(ValueError, match="at least one graph"):
             GraphBatch.of([])
+
+
+TRACE_CASES = [(p, s) for p in ("none", "g1", "g2", "g3") for s in ("per_head", "shared")
+               if p != "none" or s == "per_head"]
+
+
+def trace_model(placement, sharing):
+    return init_model(SeededRng(53), d_in=3, d=8, n_heads=4, n_layers=2,
+                      gate=GateConfig(placement=placement, sharing=sharing))
+
+
+def masked_graphs(count):
+    """``count`` 6-node graphs, the first with an attention mask."""
+    return TestBatchForward.graphs(masked=(0,))[:count]
+
+
+def assert_same_head(got, want):
+    assert type(got) is HeadTrace
+    assert_bitwise(got.attention, want.attention)
+    assert_bitwise(got.output, want.output)
+    if want.gate is None:
+        assert got.gate is None
+    else:
+        assert_bitwise(got.gate, want.gate)
+
+
+class TestHeadTraces:
+    """A layer's head traces are read as views of its stacks, made on each read."""
+
+    @pytest.mark.parametrize("placement, sharing", TRACE_CASES)
+    @pytest.mark.parametrize("n_graphs", [1, 3])
+    def test_each_head_is_the_eager_trace_bitwise(self, placement, sharing, n_graphs):
+        model = trace_model(placement, sharing)
+        _, trace = batch_forward(GraphBatch.of(masked_graphs(n_graphs)), model)
+        for heads in trace.head_traces:
+            assert type(heads) is HeadTraces and len(heads) == 4
+            want = eager_head_traces(heads, placement, n_graphs)
+            for got, w in zip(heads, want, strict=True):
+                assert_same_head(got, w)
+                assert np.shares_memory(got.attention, heads.attention)
+            for k in range(-4, 4):
+                assert_same_head(heads[k], want[k])
+            for got, w in zip(heads[1:3], want[1:3], strict=True):
+                assert_same_head(got, w)
+            with pytest.raises(IndexError):
+                heads[4]
+
+    @pytest.mark.parametrize("placement", ["g1", "g3"])
+    def test_copies_of_the_input_keep_their_axes(self, placement):
+        model = trace_model(placement, "shared")
+        h = gaussian_matrix(SeededRng(54), 12, 8, 1.0)
+        copies = np.stack([h, 2.0 * h])
+        _, traces, _ = siggate_mhsa(copies, model.layers[0].attn, n_graphs=2)
+        want = eager_head_traces(traces, placement, 2)
+        assert len(traces) == 4
+        for got, w in zip(traces, want, strict=True):
+            assert_same_head(got, w)
+            assert got.output.shape == (2, 12, 2)
+
+    @pytest.mark.parametrize("placement, sharing", TRACE_CASES)
+    def test_split_pieces_are_np_splits_bitwise(self, placement, sharing):
+        model = trace_model(placement, sharing)
+        _, trace = batch_forward(GraphBatch.of(masked_graphs(3)), model)
+        want = np_split_trace(trace, 3)
+        got = trace.split(3)
+        assert len(got) == len(want) == 3
+        for graph_got, graph_want in zip(got, want):
+            assert len(graph_got) == len(graph_want) == 2
+            for h, heads, (h_want, heads_want) in zip(graph_got.hidden, graph_got.head_traces,
+                                                       graph_want):
+                assert_bitwise(h, h_want)
+                assert len(heads) == len(heads_want) == 4
+                for ht, (a, g, o) in zip(heads, heads_want, strict=True):
+                    assert_same_head(ht, HeadTrace(a, g, o))
 
 
 class TestGraphFile:

@@ -9,6 +9,8 @@ from oracles import (
     GATE_ACTIVATIONS,
     assert_bitwise,
     concatenated_box_muller,
+    per_row_max_softmax,
+    splitmix64,
     two_branch_sigmoid,
     two_product_top_singular_value,
 )
@@ -19,6 +21,7 @@ from siggate.numeric import (
     NonFiniteInputError,
     SeededRng,
     ShapeError,
+    fill_gaussian,
     gaussian_matrix,
     matmul,
     row_softmax,
@@ -112,6 +115,71 @@ class TestRowSoftmax:
         out = row_softmax(np.array([[-np.inf, 0.0, np.log(3.0)]]))
         assert out[0, 0] == 0.0
         assert np.allclose(out, [[0.0, 0.25, 0.75]], atol=1e-15)
+
+
+def softmax_or_error(form, logits, mask):
+    """``form(logits, mask)``, or the type and message of what it raised."""
+    try:
+        return form(logits, mask)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestShortRowMaxima:
+    """Rows of up to ``numeric._SHORT_ROW`` entries take their maxima from a
+    transposed copy, longer ones row by row: both give the values, and raise
+    the errors, of the row-by-row oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           special=st.sampled_from(["none", "-inf", "zeros", "nan", "+inf", "all -inf"]),
+           masked=st.booleans(), fortran=st.booleans())
+    @example(rows=3, cols=numeric._SHORT_ROW, seed=1, special="-inf", masked=True, fortran=False)
+    @example(rows=3, cols=numeric._SHORT_ROW + 1, seed=1, special="-inf", masked=True,
+             fortran=False)
+    def test_either_path_is_the_row_by_row_softmax(self, rows, cols, seed, special, masked,
+                                                   fortran):
+        rng = np.random.default_rng(seed)
+        logits = 5.0 * rng.standard_normal((rows, cols))
+        pick = rng.random((rows, cols)) < 0.3
+        if special == "zeros":  # ties of +0.0 and -0.0 at the maximum
+            logits = np.where(pick, 0.0, -0.0)
+        elif special == "-inf":
+            logits[pick] = -np.inf
+        elif special in ("nan", "+inf"):
+            logits[rng.integers(rows), rng.integers(cols)] = np.nan if special == "nan" else np.inf
+        elif special == "all -inf":
+            logits[rng.integers(rows)] = -np.inf
+        mask = None
+        if masked:
+            mask = rng.random((rows, cols)) < 0.6
+            mask[rng.integers(rows)] = rng.random() < 0.5  # sometimes a fully masked row
+        if fortran:
+            logits = np.asfortranarray(logits)
+        got = softmax_or_error(row_softmax, logits, mask)
+        want = softmax_or_error(per_row_max_softmax, logits, mask)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("cols", [1, 8, numeric._SHORT_ROW, numeric._SHORT_ROW + 1, 64])
+    def test_a_zero_maximum_of_either_sign_gives_the_same_bits(self, cols):
+        logits = np.full((4, cols), -0.0)
+        logits[1::2, ::2] = 0.0
+        logits[2, 1:] = -np.inf  # row 2 keeps its first entry
+        assert_bitwise(row_softmax(logits), per_row_max_softmax(logits))
+
+    @pytest.mark.parametrize("cols", [3, numeric._SHORT_ROW + 5])
+    def test_either_path_names_the_first_bad_row(self, cols):
+        logits = np.zeros((4, cols))
+        logits[2, 1], logits[3, 0] = np.inf, np.nan
+        with pytest.raises(NonFiniteInputError, match="row 2 has largest logit inf; "):
+            row_softmax(logits)
+        mask = np.ones((4, cols), dtype=bool)
+        mask[1] = False
+        with pytest.raises(ValueError, match="row 1 is fully masked"):
+            row_softmax(logits, mask)
 
 
 def act(name, x):
@@ -503,6 +571,34 @@ class TestNormalBlocks:
             assert_bitwise(block, calls.standard_normal((n,)))
             assert_bitwise(block, concatenated_box_muller(oracle, n))
         assert one_pass._counter == calls._counter == oracle._counter
+
+    @pytest.mark.parametrize("sizes", [[1], [2], [7], [8192], [3, 1, 1, 5, 2], [64, 7, 1, 256],
+                                       [1] * 9])
+    def test_single_and_multi_block_lists_equal_the_oracle(self, sizes):
+        rng, oracle = SeededRng(2**64 - 11), SeededRng(2**64 - 11)
+        rng.uniform((3,))
+        oracle._counter += 3
+        for block, n in zip(rng.normal_blocks(sizes), sizes):
+            assert_bitwise(block, concatenated_box_muller(oracle, n))
+        assert rng._counter == oracle._counter
+
+    @given(seed=st.integers(0, 2**64 - 1), skip=st.integers(0, 2**40), count=st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_raw_outputs_are_splitmix64_in_exact_integers(self, seed, skip, count):
+        rng = SeededRng(seed)
+        rng._counter = skip
+        assert_bitwise(rng._raw(count), splitmix64(seed, skip, count))
+        assert rng._counter == skip + count
+
+    def test_fill_gaussian_writes_each_strided_view_in_place(self):
+        rng, oracle = SeededRng(31), SeededRng(31)
+        vector = np.zeros(2 * 3 * 4 + 5)
+        stack = vector[:24].reshape(3, 2, 4)[:, 1]  # strided: every other row
+        tail = vector[24:].reshape(5, 1)
+        fill_gaussian(rng, [(stack, 0.5), (tail, 3.0)])
+        assert_bitwise(stack, 0.5 * concatenated_box_muller(oracle, 12).reshape(3, 4))
+        assert_bitwise(tail, 3.0 * concatenated_box_muller(oracle, 5).reshape(5, 1))
+        assert not vector[:24].reshape(3, 2, 4)[:, 0].any()  # the rows between stay 0
 
     def test_standard_normal_keeps_its_per_call_formula(self):
         rng, oracle = SeededRng(77), SeededRng(77)

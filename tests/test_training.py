@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import siggate.training as training
 from oracles import (
-    assert_bitwise, copy_values, dataclass_probe_index, dump_text, first_nonfinite_by_loop,
+    allocating_adamw_step, assert_bitwise, copy_values, dataclass_probe_index, dump_text, first_nonfinite_by_loop,
     hand_written_registry, MemoLift, one_probe_fd_check, one_probe_losses, param_set,
     per_call_init, per_name_gradients, per_op_layer_forward, subset,
 )
@@ -1215,6 +1216,38 @@ class TestAdamW:
             for name in ("w_g", "w_g2", "b_g"):
                 assert np.array_equal(getattr(attn, name)[0],
                                       reference[f"layer{i}.attn.{gate}.{name}"])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_scratch_steps_equal_the_allocating_formula_bitwise(self, weight_decay):
+        model = tiny_model(seed=45, placement="g1")
+        params = ParamSet.from_model(model)
+        flat, m, v = params.flat.copy(), np.zeros(params.flat.size), np.zeros(params.flat.size)
+        state = init_optimizer(params, weight_decay=weight_decay)
+        rng = SeededRng(46)
+        for t in range(1, 7):
+            g = rng.standard_normal((flat.size,)) * 10.0 ** (6.0 * rng.uniform((flat.size,)) - 3.0)
+            g[::17] = 0.0
+            grads = ParamSet(params.layout, g)
+            lr_t = cosine_lr(t - 1, 6, 3e-3)
+            adamw_step(params, grads, state, lr_t)
+            allocating_adamw_step(flat, g, m, v, t, lr_t, weight_decay)
+            assert_bitwise(params.flat, flat)
+            assert_bitwise(state.m, m)
+            assert_bitwise(state.v, v)
+        assert state.step == 6
+
+    def test_a_step_allocates_no_parameter_sized_vector(self):
+        params = ParamSet.from_model(tiny_model(seed=47, placement="g3"))
+        grads = param_set({n: np.ones_like(a) for n, a in params.items()})
+        state = init_optimizer(params, weight_decay=1e-2)
+        adamw_step(params, grads, state, 1e-3)  # any lazy set-up happens here
+        tracemalloc.start()
+        try:
+            adamw_step(params, grads, state, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes, (peak, params.flat.nbytes)
 
     def test_rejects_a_param_set_of_another_size(self):
         params = ParamSet.from_model(tiny_model(seed=44))
