@@ -157,8 +157,8 @@ def matmul(a, b) -> np.ndarray:
 # The longest rows whose maxima row_softmax takes from a transposed copy. ``z.max(axis=1)``
 # runs one reduction loop per row, while the copy's ``max(axis=0)`` runs one loop over all
 # rows; max is exact, so both give the same bits. On 2 cores (numpy 2.4, 288-4096 rows) the
-# copy is 6-15x faster at 4-8 columns, 3.3-4.1x at 16-24, 1.3-1.6x at 32, about even at
-# 48-56 and 0.35-0.9x at 64, the width of perfbench rank_sweep's rows.
+# copy is 5.7-15x faster at 4-8 columns, 3.2-4.1x at 16-24, 1.25-1.6x at 32, 0.9-2.1x at
+# 48-56 and 0.35-0.9x at 64, the width of the rank study's rows.
 _SHORT_ROW = 32
 
 
