@@ -240,12 +240,14 @@ def verdict_lines(rec: dict) -> list[str]:
     return lines
 
 
-def parse_checks(specs: list[str]) -> dict:
-    out = {}
-    for spec in specs:
-        workload, seeds = spec.split("=")
-        out.setdefault(workload, []).extend(int(s) for s in seeds.split(","))
-    return out
+def check_spec(text: str) -> tuple[str, list[int]]:
+    """``WORKLOAD=SEED[,SEED...]`` as (workload, seeds)."""
+    workload, _, seeds = text.partition("=")
+    try:
+        return workload, [int(s) for s in seeds.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD=SEED[,SEED...], got {text!r}") \
+            from None
 
 
 def main(argv=None) -> int:
@@ -259,7 +261,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="perfbench --seconds (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--workloads", nargs="+", default=None)
-    parser.add_argument("--check", action="append", default=[], metavar="WORKLOAD=SEEDS")
+    parser.add_argument("--check", action="append", default=[], type=check_spec,
+                        metavar="WORKLOAD=SEEDS")
     parser.add_argument("--check-seconds", type=float, default=2.0)
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     parser.add_argument("--out", default=None, help="default: BENCH_<label>.json")
@@ -267,9 +270,20 @@ def main(argv=None) -> int:
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         benchmark = json.load(fh)
     seconds = args.seconds or benchmark["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
+    known = [w["name"] for w in benchmark["workloads"]]
+    workloads = args.workloads or known
     seeds = [args.seed_base + i for i in range(args.pairs)]
-    checks = parse_checks(args.check)
+    checks = {}
+    for name, check_seeds in args.check:
+        checks.setdefault(name, []).extend(check_seeds)
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    named = [*workloads, *checks, *(c.partition(":")[0] for c in args.claim)]
+    if args.pairs < 1 or seconds <= 0:
+        parser.error("--pairs and --seconds must be positive")
+    if any(name not in known for name in named):
+        parser.error(f"workloads are {known}, got {named}")
+    if any(c.partition(":")[2] not in metrics for c in args.claim):
+        parser.error(f"a claim is WORKLOAD:METRIC with METRIC one of {metrics}")
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees, revisions = {}, {}
         for side, rev in zip(SIDES, (args.parent, args.change)):

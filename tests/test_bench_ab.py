@@ -159,6 +159,19 @@ class TestDriver:
         assert rec["workloads"]["train_deep"]["seeds"] == [70, 71, 72]
 
 
+    @pytest.mark.parametrize("args", [
+        ["--check", "train_deep=25,x"], ["--check", "nosuch=1"], ["--workloads", "nosuch"],
+        ["--claim", "train_deep:speed"], ["--claim", "nosuch:peak_rss_mb"], ["--pairs", "0"],
+    ])
+    def test_malformed_arguments_exit_before_any_run(self, args, monkeypatch, capsys):
+        monkeypatch.setattr(ab, "extract", lambda rev, dest: pytest.fail("extracted"))
+        monkeypatch.chdir(ROOT)
+        with pytest.raises(SystemExit) as exc:
+            ab.main(["P", "C", "--label", "x", "--seed-base", "1", *args])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_every_committed_record_carries_the_shared_keys(path):
     with open(path, encoding="utf-8") as fh:
