@@ -417,7 +417,7 @@ def assert_same_head(got, want):
 
 
 class TestHeadTraces:
-    """A layer's head traces are read as views of its stacks, made on each read."""
+    """A layer's head traces are views of its stacks, made once, on the first read."""
 
     @pytest.mark.parametrize("placement, sharing", TRACE_CASES)
     @pytest.mark.parametrize("n_graphs", [1, 3])
@@ -436,6 +436,7 @@ class TestHeadTraces:
                 assert_same_head(got, w)
             with pytest.raises(IndexError):
                 heads[4]
+            assert heads[0] is heads[0]
 
     @pytest.mark.parametrize("placement", ["g1", "g3"])
     def test_copies_of_the_input_keep_their_axes(self, placement):
