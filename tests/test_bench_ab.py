@@ -1,4 +1,4 @@
-"""The A/B driver's bookkeeping (``bench/ab.py``) on synthetic run records.
+"""The A/B tool's bookkeeping (``bench/ab.py``) on synthetic run records.
 
 No perfbench run starts here: the runner and the checkout copies are
 replaced by stand-ins, so these tests cover the summary, the verdicts,
@@ -121,7 +121,7 @@ class TestParseRun:
                        "problems": ["g1: loss rose"], "metrics": {"norm_wall_s": 0.5}}
 
 
-class TestDriver:
+class TestMain:
     def test_sides_alternate_and_the_record_carries_the_shared_keys(self, tmp_path,
                                                                      monkeypatch):
         calls = []
