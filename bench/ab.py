@@ -1,20 +1,21 @@
 """Alternating A/B runs of perfbench between two git revisions, written as one record.
 
     python3 bench/ab.py PARENT CHANGE --label NAME --seed-base N
-        [--pairs 10] [--seconds 10] [--workloads W ...]
-        [--check WORKLOAD=SEED,SEED ...] [--check-seconds 2]
-        [--claim WORKLOAD:METRIC ...] [--out BENCH_NAME.json]
+        [--check WORKLOAD=SEED,SEED ...] [--claim WORKLOAD:METRIC ...]
+        [--out BENCH_NAME.json]
 
 Run from the root of a checkout. Each revision is extracted with
 ``git archive`` into a fresh directory, so neither copy holds bytecode, and
 each run is ``python3 -B perfbench/run.py --workload W --seed S --seconds T``
-from the root of its copy. Pair i of a workload runs seed ``seed-base + i``
-on both sides, the parent first when i is even and the change first when
-it is odd. Every run is recorded, a failing one included: its exit code,
-``correct``, attempted and failed units, the checks it failed, and its
-end-to-end metrics. ``--check`` runs each listed seed once per side (at
-``--check-seconds``) and records whether both sides end alike; use it for
-the reference seed and for seeds known to fail on a correct library.
+from the root of its copy, T being ``BENCHMARK.json``'s ``run_seconds``.
+Every workload of ``BENCHMARK.json`` runs :data:`PAIRS` pairs; pair i runs
+seed ``seed-base + i`` on both sides, the parent first when i is even and
+the change first when it is odd. Every run is recorded, a failing one
+included: its exit code, ``correct``, attempted and failed units, the
+checks it failed, and its end-to-end metrics. ``--check`` runs each listed
+seed once per side (at :data:`CHECK_SECONDS`) and records whether both
+sides end alike; use it for the reference seed and for seeds known to fail
+on a correct library.
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` the record holds
 each side's median and quartiles, the pairs the change wins, its relative
@@ -33,20 +34,26 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+CHECK_SECONDS = 2.0
 RUN_TIMEOUT_S = 900
 CHECK_PREFIX = "perfbench: check failed: "
 WHAT = (
     "perfbench end-to-end metrics of the parent and the change, in alternating pairs on "
     "the same seed: the parent runs first in even pairs (0-based), the change in odd ones. "
     "Both sides are fresh git archive copies run with python3 -B. Quartiles are "
-    "statistics.quantiles(method='inclusive'). A pair counts as a win for the side whose "
-    "value is better; ties count for neither. Verdicts: 'better' when the change wins at "
-    "least 9/10 of the pairs and the medians differ by more than the parent's IQR; 'worse "
-    "beyond the bound' when the change's median is worse than the parent's by more than the "
-    "bound; 'worse inside the bound' when it loses 9/10 of the pairs by more than the "
-    "parent's IQR but stays inside the bound; 'unresolved' when the parent's IQR is wider "
-    "than the bound and not every change run beats every parent run; else 'inside the "
-    "bound'. Runs that fail a check are kept and counted in failed_share."
+    "statistics.quantiles(method='inclusive') over each side's runs with a value. The "
+    "change wins a pair when both sides have a value and its own is better, and loses it "
+    "when its value is worse or missing (a crashed or timed-out run); ties count for "
+    "neither, and the 9/10 below counts every pair run. Verdicts: 'better' when the change "
+    "wins at least 9/10 of the pairs and the medians differ by more than the parent's IQR; "
+    "'worse beyond the bound' when the change's median is worse than the parent's by more "
+    "than the bound; 'worse inside the bound' when it loses 9/10 of the pairs by more than "
+    "the parent's IQR but stays inside the bound; 'unresolved' when the parent's IQR is "
+    "wider than the bound and not every change run beats every parent run; 'no value on a "
+    "side' when a side has none; else 'inside the bound'. Runs that fail a check are kept "
+    "and counted in failed_share. A claim is met when its verdict is 'better' and the "
+    "change's failed share does not rise."
 )
 
 
@@ -58,14 +65,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
-    """The change's verdict on one metric from its paired values (``parent[i]``
-    and ``change[i]`` come from pair i); ``better`` is "lower" or "higher"."""
+def outcomes(parent: list, change: list, better: str) -> tuple[int, int]:
+    """The pairs the change wins and loses; a pair with no change value is a
+    loss, and one with only the parent's value missing is neither."""
     sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    q1, p_med, q3 = quartiles(parent)
-    c_med = statistics.median(change)
+    wins = losses = 0
+    for p, c in zip(parent, change):
+        if c is None:
+            losses += 1
+        elif p is not None:
+            wins += sign * (c - p) > 0
+            losses += sign * (c - p) < 0
+    return wins, losses
+
+
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The change's verdict on one metric from its paired values (``parent[i]``
+    and ``change[i]`` come from pair i, None where that run gave no value);
+    ``better`` is "lower" or "higher". Wins and losses count against every
+    pair run (see :func:`outcomes`)."""
+    parent_values = [p for p in parent if p is not None]
+    change_values = [c for c in change if c is not None]
+    if not parent_values or not change_values:
+        return "no value on a side"
+    sign = 1.0 if better == "higher" else -1.0
+    wins, losses = outcomes(parent, change, better)
+    q1, p_med, q3 = quartiles(parent_values)
+    c_med = statistics.median(change_values)
     gap = sign * (c_med - p_med)  # > 0: the change is better
     most = math.ceil(0.9 * len(parent))
     if wins >= most and gap > q3 - q1:
@@ -74,8 +100,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
         return "worse beyond the bound"
     if losses >= most and -gap > q3 - q1:
         return "worse inside the bound"
-    every_run_better = (min(change) > max(parent) if better == "higher"
-                        else max(change) < min(parent))
+    every_run_better = len(change_values) == len(change) and (
+        min(change_values) > max(parent_values) if better == "higher"
+        else max(change_values) < min(parent_values))
     if q3 - q1 > bound * abs(p_med) and not every_run_better:
         return "unresolved (parent IQR wider than the bound)"
     return "inside the bound"
@@ -83,25 +110,25 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric of ``metrics`` (BENCHMARK.json's ``end_to_end`` entries), the
-    statistics of ``pairs`` and the verdict; a pair where a side reports no
-    value for the metric (its run crashed) is left out and counted."""
+    statistics of ``pairs`` and the verdict. A side's median and quartiles are
+    over its runs with a value; a pair whose change run has none (it crashed)
+    is a loss for the change (see :func:`outcomes`)."""
     out = {}
     for spec in metrics:
         name = spec["name"]
-        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
-                if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
-        entry = {"pairs": len(both), "pairs_without_value": len(pairs) - len(both)}
-        if both:
-            parent, change = map(list, zip(*both))
-            sign = 1.0 if spec["better"] == "higher" else -1.0
-            for side, values in zip(SIDES, (parent, change)):
+        parent, change = ([p[side]["metrics"].get(name) for p in pairs] for side in SIDES)
+        entry = {"pairs": len(pairs),
+                 "pairs_without_value": sum(p is None or c is None
+                                            for p, c in zip(parent, change))}
+        entry["change_wins"], entry["parent_wins"] = outcomes(parent, change, spec["better"])
+        entry["verdict"] = verdict(parent, change, spec["better"], spec["bound"])
+        present = [[v for v in values if v is not None] for values in (parent, change)]
+        if all(present):
+            for side, values in zip(SIDES, present):
                 q1, med, q3 = quartiles(values)
                 entry[side] = {"median": med, "q1": q1, "q3": q3}
-            entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in both)
-            entry["parent_wins"] = sum(sign * (c - p) < 0 for p, c in both)
             p_med = entry["parent"]["median"]
             entry["rel_change"] = (entry["change"]["median"] - p_med) / p_med if p_med else None
-            entry["verdict"] = verdict(parent, change, spec["better"], spec["bound"])
         out[name] = entry
     return out
 
@@ -191,8 +218,10 @@ def same_outcome(pair: dict) -> bool:
 
 
 def record(label: str, revisions: dict, benchmark: dict, runs: dict, checks: dict,
-           claims: list[str], seconds: float, machine) -> dict:
-    """The BENCH record: the eight shared keys, then the checked seeds."""
+           claims: list[str], machine) -> dict:
+    """The BENCH record: the eight shared keys, then the checked seeds. A claim
+    is met when its verdict is "better" and the change's failed share did not
+    rise."""
     metrics = benchmark["end_to_end"]
     workloads = {name: {"seeds": [p["seed"] for p in pairs], "pairs": pairs,
                         "summary": summarize(pairs, metrics),
@@ -201,14 +230,16 @@ def record(label: str, revisions: dict, benchmark: dict, runs: dict, checks: dic
     claim = {}
     for spec in claims:
         workload, metric = spec.split(":")
-        got = workloads.get(workload, {}).get("summary", {}).get(metric, {}).get("verdict")
-        claim[spec] = {"verdict": got, "met": got == "better"}
+        got = workloads[workload]["summary"][metric]["verdict"]
+        rises = workloads[workload]["failed_share"]["rises"]
+        claim[spec] = {"verdict": got, "met": got == "better" and rises is not True}
     return {
         "label": label,
         "revisions": revisions,
         "what": WHAT,
         "command": " ".join(["python3 -B", *benchmark["command"][1:],
-                             f"--workload WORKLOAD --seed SEED --seconds {seconds:g}"]),
+                             "--workload WORKLOAD --seed SEED",
+                             f"--seconds {benchmark['run_seconds']:g}"]),
         "bounds": {m["name"]: {"better": m["better"], "bound": m["bound"]} for m in metrics},
         "machine": machine,
         "claim": claim,
@@ -223,8 +254,8 @@ def verdict_lines(rec: dict) -> list[str]:
     lines = []
     for name, wl in rec["workloads"].items():
         for metric, s in wl["summary"].items():
-            if not s["pairs"]:
-                lines.append(f"{name} {metric}: no pair with values")
+            if "parent" not in s:
+                lines.append(f"{name} {metric}: {s['verdict']}")
                 continue
             lines.append(f"{name} {metric}: {s['parent']['median']:.6g} -> "
                          f"{s['change']['median']:.6g} ({100 * (s['rel_change'] or 0):+.1f}%), "
@@ -257,29 +288,20 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--seed-base", type=int, required=True,
                         help="pair i of every workload runs seed seed-base + i")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="perfbench --seconds (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--workloads", nargs="+", default=None)
     parser.add_argument("--check", action="append", default=[], type=check_spec,
                         metavar="WORKLOAD=SEEDS")
-    parser.add_argument("--check-seconds", type=float, default=2.0)
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     parser.add_argument("--out", default=None, help="default: BENCH_<label>.json")
     args = parser.parse_args(argv)
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    seconds = args.seconds or benchmark["run_seconds"]
     known = [w["name"] for w in benchmark["workloads"]]
-    workloads = args.workloads or known
-    seeds = [args.seed_base + i for i in range(args.pairs)]
+    seeds = [args.seed_base + i for i in range(PAIRS)]
     checks = {}
     for name, check_seeds in args.check:
         checks.setdefault(name, []).extend(check_seeds)
     metrics = [m["name"] for m in benchmark["end_to_end"]]
-    named = [*workloads, *checks, *(c.partition(":")[0] for c in args.claim)]
-    if args.pairs < 1 or seconds <= 0:
-        parser.error("--pairs and --seconds must be positive")
+    named = [*checks, *(c.partition(":")[0] for c in args.claim)]
     if any(name not in known for name in named):
         parser.error(f"workloads are {known}, got {named}")
     if any(c.partition(":")[2] not in metrics for c in args.claim):
@@ -290,12 +312,12 @@ def main(argv=None) -> int:
             trees[side] = Path(tmp) / side
             revisions[side] = extract(rev, trees[side])
         runs = {}
-        for name in workloads:
-            runs[name] = paired_runs(trees, name, seeds, seconds)
+        for name in known:
+            runs[name] = paired_runs(trees, name, seeds, benchmark["run_seconds"])
             print(f"{name}: {len(seeds)} pairs done", file=sys.stderr)
-        checked = {name: paired_runs(trees, name, check_seeds, args.check_seconds)
+        checked = {name: paired_runs(trees, name, check_seeds, CHECK_SECONDS)
                    for name, check_seeds in checks.items()}
-        rec = record(args.label, revisions, benchmark, runs, checked, args.claim, seconds,
+        rec = record(args.label, revisions, benchmark, runs, checked, args.claim,
                      machine_of(trees["change"]))
     out = args.out or f"BENCH_{args.label}.json"
     with open(out, "w", encoding="utf-8") as fh:

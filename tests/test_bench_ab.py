@@ -75,6 +75,28 @@ class TestVerdict:
         parent = [1.0, 2.0] * 5
         change = [0.9] * 10
         assert ab.verdict(parent, change, "lower", 0.25) == "inside the bound"
+        change[4] = None  # a crashed run beats nothing
+        assert ab.verdict(parent, change, "lower", 0.25).startswith("unresolved")
+
+    def test_wins_count_against_every_pair_run(self):
+        # Five crashed change runs and five wins are 5 of 10, not 5 of 5.
+        change = [p * 1.05 for p in self.PARENT]
+        change[5:] = [None] * 5
+        assert ab.outcomes(self.PARENT, change, "higher") == (5, 5)
+        assert ab.verdict(self.PARENT, change, "higher", 0.25) == "inside the bound"
+        change = [p * 1.05 for p in self.PARENT]
+        change[3] = None  # nine wins and a crash are still 9 of 10
+        assert ab.verdict(self.PARENT, change, "higher", 0.25) == "better"
+
+    def test_a_missing_parent_value_is_no_win_for_the_change(self):
+        parent, change = list(self.PARENT), [p * 1.05 for p in self.PARENT]
+        parent[2] = parent[7] = None
+        assert ab.outcomes(parent, change, "higher") == (8, 0)
+        assert ab.verdict(parent, change, "higher", 0.25) == "inside the bound"
+
+    def test_a_side_without_values(self):
+        assert ab.verdict(self.PARENT, [None] * 10, "higher", 0.25) == "no value on a side"
+        assert ab.outcomes(self.PARENT, [None] * 10, "higher") == (0, 10)
 
 
 class TestSummary:
@@ -89,15 +111,23 @@ class TestSummary:
         assert s["verdict"] == "inside the bound"  # 4 of 5 wins is under 9/10
         assert ab.summarize(pairs, BENCHMARK["end_to_end"])["norm_wall_s"]["change_wins"] == 0
 
-    def test_a_crashed_run_is_kept_and_left_out_of_the_statistics(self):
+    def test_a_crashed_run_is_kept_and_counted_as_a_lost_pair(self):
         pairs = pairs_of([100] * 4, [110] * 4)
         crashed = ab.parse_run(subprocess.CompletedProcess([], 1, "", "Traceback\nBoom\n"))
         pairs[2]["change"] = crashed
         s = ab.summarize(pairs, BENCHMARK["end_to_end"])["norm_units_per_s"]
-        assert (s["pairs"], s["pairs_without_value"]) == (3, 1)
+        assert (s["pairs"], s["pairs_without_value"]) == (4, 1)
+        assert (s["change_wins"], s["parent_wins"]) == (3, 1)
+        assert s["change"] == {"median": 110, "q1": 110, "q3": 110}
+        assert s["verdict"] == "inside the bound"  # 3 of 4 wins is under 9/10
         share = ab.failed_share(pairs)
         assert share["change"]["runs"] == 4 and share["change"]["runs_not_correct"] == 1
         assert crashed["error"] == ["Traceback", "Boom"] and crashed["exit"] == 1
+        for pair in pairs:
+            pair["change"] = crashed
+        s = ab.summarize(pairs, BENCHMARK["end_to_end"])["norm_units_per_s"]
+        assert (s["verdict"], s["change_wins"], s["parent_wins"]) == ("no value on a side", 0, 4)
+        assert "parent" not in s and "change" not in s
 
     def test_failed_units_count_against_attempted_ones(self):
         pairs = pairs_of([100] * 3, [100] * 3)
@@ -108,6 +138,20 @@ class TestSummary:
         assert share["rises"] is False
         pairs[1]["change"] = run(correct=False, failed=1)
         assert ab.failed_share(pairs)["rises"] is True
+
+
+class TestRecord:
+    CLAIM = "train_deep:norm_units_per_s"
+
+    def test_a_claim_is_not_met_when_the_change_fails_more_units(self):
+        parent = TestVerdict.PARENT
+        pairs = pairs_of(parent, [p * 1.05 for p in parent])
+        rec = ab.record("x", {}, BENCHMARK, {"train_deep": pairs}, {}, [self.CLAIM], None)
+        assert rec["claim"][self.CLAIM] == {"verdict": "better", "met": True}
+        pairs[4]["change"] = run(units=parent[4] * 1.05, correct=False, failed=1)
+        rec = ab.record("x", {}, BENCHMARK, {"train_deep": pairs}, {}, [self.CLAIM], None)
+        assert rec["workloads"]["train_deep"]["failed_share"]["rises"] is True
+        assert rec["claim"][self.CLAIM] == {"verdict": "better", "met": False}
 
 
 class TestParseRun:
@@ -131,21 +175,26 @@ class TestMain:
             return f"{rev}-sha"
 
         def fake_run(tree, workload, seed, seconds):
-            calls.append((tree.name, seed, seconds))
+            calls.append((workload, tree.name, seed, seconds))
             return run(units=110.0 if tree.name == "change" else 100.0)
 
         monkeypatch.setattr(ab, "extract", fake_extract)
         monkeypatch.setattr(ab, "run_once", fake_run)
+        monkeypatch.setattr(ab, "PAIRS", 3)
         monkeypatch.chdir(ROOT)  # where BENCHMARK.json is read
         out = tmp_path / "BENCH_test.json"
-        assert ab.main(["P", "C", "--label", "test", "--seed-base", "70", "--pairs", "3",
-                        "--workloads", "train_deep", "--check", "train_deep=25,900",
+        assert ab.main(["P", "C", "--label", "test", "--seed-base", "70",
+                        "--check", "train_deep=25,900",
                         "--claim", "train_deep:norm_units_per_s", "--out", str(out)]) == 0
-        assert calls[:6] == [("parent", 70, 10), ("change", 70, 10), ("change", 71, 10),
-                             ("parent", 71, 10), ("parent", 72, 10), ("change", 72, 10)]
-        assert calls[6:] == [("parent", 25, 2.0), ("change", 25, 2.0), ("change", 900, 2.0),
-                             ("parent", 900, 2.0)]
+        workloads = [w["name"] for w in BENCHMARK["workloads"]]
+        assert [c[0] for c in calls[:-4]] == [w for w in workloads for _ in range(6)]
+        paired = [c[1:] for c in calls if c[0] == "train_deep"]
+        assert paired[:6] == [("parent", 70, 10), ("change", 70, 10), ("change", 71, 10),
+                              ("parent", 71, 10), ("parent", 72, 10), ("change", 72, 10)]
+        assert paired[6:] == [("parent", 25, 2.0), ("change", 25, 2.0), ("change", 900, 2.0),
+                              ("parent", 900, 2.0)]
         rec = json.loads(out.read_text(encoding="utf-8"))
+        assert list(rec["workloads"]) == workloads
         assert list(rec)[:8] == list(SHARED_KEYS)
         assert rec["revisions"] == {"parent": "P-sha", "change": "C-sha"}
         assert rec["command"] == ("python3 -B perfbench/run.py --workload WORKLOAD "
@@ -160,8 +209,8 @@ class TestMain:
 
 
     @pytest.mark.parametrize("args", [
-        ["--check", "train_deep=25,x"], ["--check", "nosuch=1"], ["--workloads", "nosuch"],
-        ["--claim", "train_deep:speed"], ["--claim", "nosuch:peak_rss_mb"], ["--pairs", "0"],
+        ["--check", "train_deep=25,x"], ["--check", "nosuch=1"],
+        ["--claim", "train_deep:speed"], ["--claim", "nosuch:peak_rss_mb"],
     ])
     def test_malformed_arguments_exit_before_any_run(self, args, monkeypatch, capsys):
         monkeypatch.setattr(ab, "extract", lambda rev, dest: pytest.fail("extracted"))
