@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass, field, is_dataclass
 from itertools import accumulate, zip_longest
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import GateConfig, HeadTrace, MhsaParams, mhsa_skeleton, siggate_mhsa
+from .attention import GateConfig, HeadTraces, MhsaParams, mhsa_skeleton, siggate_mhsa
 from .numeric import NonFiniteInputError, SeededRng, ShapeError, carve, fill_gaussian, fmt_exact
 
 __all__ = [
@@ -225,7 +224,7 @@ class ModelParams:
 @dataclass
 class LayerTraceEntry:
     hidden: np.ndarray
-    head_traces: Sequence[HeadTrace]  # the layer's HeadTraces
+    head_traces: HeadTraces
 
 
 @dataclass
@@ -233,7 +232,7 @@ class LayerTrace:
     """Per-layer capture of a full forward pass (diagnostics input)."""
 
     hidden: list[np.ndarray] = field(default_factory=list)
-    head_traces: list[Sequence[HeadTrace]] = field(default_factory=list)
+    head_traces: list[HeadTraces] = field(default_factory=list)
 
     def append(self, entry: LayerTraceEntry) -> None:
         self.hidden.append(entry.hidden)

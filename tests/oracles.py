@@ -676,7 +676,8 @@ def per_op_mpnn_forward(graphs, h, p, *, lift=ad.no_tape):
 
 def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):
     """One GPS block op by op: ``(h_next, entry)`` as ``gps.gps_layer_forward``
-    returns them, but with no head traces; taped, one node per op."""
+    returns them, but with a trace of no heads; taped, one node per op."""
+    from siggate.attention import HeadTraces
     from siggate.gps import LN_EPS, LayerTraceEntry, _as_batch
 
     graphs = _as_batch(g)
@@ -688,7 +689,8 @@ def per_op_layer_forward(g, h, p, *, lift=ad.no_tape):
     hidden = taped(ad.gelu_vjp, ad.linear(t, lift(p.ffn.w1), lift(p.ffn.b1)))
     ffn = ad.linear(hidden, lift(p.ffn.w2), lift(p.ffn.b2))
     h_next = ad.layer_norm(ad.add(ffn, t), lift(p.ln2.scale), lift(p.ln2.shift), LN_EPS)
-    return h_next, LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=[])
+    no_heads = HeadTraces(np.empty((0, 0, 0)), None, np.empty((0, 0, 0)))
+    return h_next, LayerTraceEntry(hidden=np.asarray(ad.value(h_next)), head_traces=no_heads)
 
 
 def eager_head_traces(traces, placement, n_graphs):
