@@ -221,10 +221,11 @@ def _scores(a, b, d_k: int, n_graphs: int):
 
 
 def _softmax(logits, mask):
-    """``(P, back)`` of every head's row softmax; all heads read the same mask."""
+    """``(P, back)`` of every head's row softmax; all heads read the same mask.
+    P overwrites the logits, a fresh stack that no ``back`` reads."""
     if mask is not None:
         mask = np.tile(mask, (logits.size // mask.size, 1))
-    return ad.row_softmax_vjp(logits, mask)
+    return ad.row_softmax_vjp(logits, mask, out=logits)
 
 
 def _gate(h, stacks, cfg: GateConfig, n_graphs: int):

@@ -205,7 +205,14 @@ def linear(x, w, b):
 
 def linear_vjp(x, w, b):
     """``(x @ w + b, back)`` on plain arrays; ``back`` takes matrices."""
-    out = numeric.matmul(x, w) + _per_row(b)
+    out = numeric.matmul(x, w)
+    bias = _per_row(b)
+    # in place only where the sum has the product's shape for sure: a bias with
+    # copy axes (a probe's stack) may broadcast the product into a larger array
+    if np.ndim(bias) == 1 or np.shape(bias) == out.shape:
+        out += bias
+    else:
+        out = out + bias
     return out, lambda g: (g @ w.T, x.T @ g, _unbroadcast(g, np.shape(b)))
 
 
@@ -343,7 +350,8 @@ def gelu_vjp(x):
     x = np.asarray(x, dtype=np.float64)
     half = x * 0.5
     u = x * _INV_SQRT2
-    s = load_erf()(u) + 1.0
+    s = load_erf()(u)
+    s += 1.0
     return half * s, lambda g: (g * s * 0.5
                                 + g * half * _TWO_OVER_SQRT_PI * np.exp(-u * u) * _INV_SQRT2,)
 
@@ -372,7 +380,7 @@ def layer_norm_vjp(h, scale, shift, eps):
         row = int(np.flatnonzero(np.isinf(std))[0])
         raise numeric.NonFiniteInputError(
             f"layer_norm: row {row} has an infinite standard deviation (its variance overflows)")
-    normed = centered / std
+    normed = np.divide(centered, std, out=centered)
 
     def back(g):
         gn = g * scale  # the means over a row are its sums over ``cols``, as ``np.mean`` has them
@@ -383,16 +391,19 @@ def layer_norm_vjp(h, scale, shift, eps):
     return normed * _per_row(scale) + _per_row(shift), back
 
 
-def row_softmax_vjp(logits, mask=None):
+def row_softmax_vjp(logits, mask=None, out=None):
     """``(P, back)`` of the row softmax (:func:`siggate.numeric.row_softmax`),
     ``back`` being ``t - P·rowsum(t)`` with ``t = g·P`` (the FlashAttention
     backward, Dao et al., 2022, §3.1). A stack of logit matrices runs as the
-    matrix of all its rows, so its ``mask`` holds those rows stacked in order."""
+    matrix of all its rows, so its ``mask`` holds those rows stacked in order.
+    ``out`` (as in numpy, C-contiguous) may be ``logits``: ``back`` reads only P."""
     z = np.asarray(logits)
     if z.ndim > 2:
-        out = numeric.row_softmax(z.reshape(-1, z.shape[-1]), mask).reshape(z.shape)
+        rows = (-1, z.shape[-1])
+        out = numeric.row_softmax(z.reshape(rows), mask,
+                                  None if out is None else out.reshape(rows)).reshape(z.shape)
     else:
-        out = numeric.row_softmax(z, mask)
+        out = numeric.row_softmax(z, mask, out)
 
     def back(g):
         t = np.asarray(g) * out

@@ -185,22 +185,49 @@ def rank_bound_holds(a, v, tol: float = 1e-9) -> RankBoundReport:
 
 
 def trace_gate_values(trace: LayerTrace) -> list[np.ndarray]:
-    """Per-layer gate values stacked over heads; empty list if ungated."""
-    out = []
-    for heads in trace.head_traces:
-        vals = [ht.gate for ht in heads if ht.gate is not None]
-        if vals:
-            out.append(np.concatenate([v.ravel() for v in vals]))
-    return out
+    """Per-layer gate values, head after head (a shared gate once per head,
+    as each head reads it); empty list if ungated. Each is the layer's gate
+    stack raveled, a view of it where the stack allows."""
+    return [np.broadcast_to(heads.gate, (len(heads), *heads.gate.shape[1:])).ravel()
+            for heads in trace.head_traces if heads.gate is not None]
+
+
+def _head_entropies(a, layer: int) -> list[float]:
+    """:func:`attention_entropy` of each matrix of a K x n x n stack, bitwise:
+    the stack is validated once, and each head's ``p log p`` goes to one
+    reused n x n buffer, never to a stack-wide temporary. A bad head raises
+    what its lone call raises, with its layer and head named."""
+    if a.ndim != 3:
+        raise ValueError(f"layer {layer}, head 0: attention matrix must be 2-D, "
+                         f"got shape {a.shape[1:]}")
+    sums = a.sum(axis=-1)
+    lowest = a.min(axis=(1, 2), initial=np.inf)
+    bad = ~(np.abs(sums - 1.0) <= 1e-6).all(axis=1) | (lowest < 0.0)
+    if bad.any():
+        k = int(bad.argmax())
+        try:
+            attention_entropy(a[k])
+        except ValueError as exc:
+            raise type(exc)(f"layer {layer}, head {k}: {exc}") from exc
+    plogp = np.empty(a.shape[1:])
+    ents = []
+    for a_k, low in zip(a, lowest):
+        if low > 0.0:
+            np.log(a_k, out=plogp)
+        else:
+            plogp.fill(0.0)
+            np.log(a_k, out=plogp, where=a_k > 0.0)
+        plogp *= a_k
+        ents.append(float(np.mean(-plogp.sum(axis=1))))
+    return ents
 
 
 def depth_profile(trace: LayerTrace) -> DepthProfile:
-    """Per-layer MAD of hidden states and head-averaged attention entropy."""
+    """Per-layer MAD of hidden states and head-averaged attention entropy,
+    the latter read from each layer's attention stack (head axis first)."""
     mads = [mad(h) for h in trace.hidden]
-    ents = [
-        float(np.mean([attention_entropy(ht.attention) for ht in heads]))
-        for heads in trace.head_traces
-    ]
+    ents = [float(np.mean(_head_entropies(np.asarray(heads.attention, dtype=np.float64), i)))
+            for i, heads in enumerate(trace.head_traces)]
     return DepthProfile(mad=mads, entropy=ents)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, is_dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, zip_longest
 
 import numpy as np
 
@@ -139,8 +139,10 @@ class GraphBatch:
                     f"graph {i} has (n, d_in, d_e) = {(g.n, g.d_in, g.d_e)}, "
                     f"but graph 0 has {(n, d_in, d_e)}"
                 )
-        edges = np.array([e for g in graphs for e in g.edges], dtype=np.intp).reshape(-1, 2)
-        offsets = np.repeat(np.arange(len(graphs)) * n, [len(g.edges) for g in graphs])
+        counts = [len(g.edges) for g in graphs]
+        edges = np.fromiter(chain.from_iterable(e for g in graphs for e in g.edges),
+                            dtype=np.intp, count=2 * sum(counts)).reshape(-1, 2)
+        offsets = np.repeat(np.arange(len(graphs)) * n, counts)
         mask = None
         if any(g.attn_mask is not None for g in graphs):
             mask = np.concatenate([np.ones((n, n), dtype=bool) if g.attn_mask is None
@@ -329,7 +331,11 @@ def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape):
         hv, MhsaParams(gate=attn.gate, **dict(zip(fields, values))), graphs.attn_mask,
         n_graphs=graphs.size)
     attn_back = attn_back if taped else None
-    s = hv + local + global_attn
+    if local.shape == global_attn.shape:  # the sum has the MPNN output's shape: write it there
+        s = np.add(hv, local, out=local)
+        s += global_attn
+    else:  # copies of one branch's arrays only: the sum broadcasts
+        s = hv + local + global_attn
     t, ln1_back = ad.layer_norm_vjp(s, scale1, shift1, LN_EPS)
     pre, ffn1_back = ad.linear_vjp(t, w1, b1)
     hidden, gelu_back = ad.gelu_vjp(pre)

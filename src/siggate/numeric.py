@@ -162,7 +162,7 @@ def matmul(a, b) -> np.ndarray:
 _SHORT_ROW = 32
 
 
-def row_softmax(logits, mask=None) -> np.ndarray:
+def row_softmax(logits, mask=None, out=None) -> np.ndarray:
     """Row-wise softmax, stabilized by row-max subtraction.
 
     ``mask`` is an optional boolean array of the same shape; False entries
@@ -171,8 +171,14 @@ def row_softmax(logits, mask=None) -> np.ndarray:
     is a row whose largest kept logit is NaN or infinite (a NaN or +inf
     entry, or every entry -inf): its distribution is undefined. A -inf
     entry in a row with a finite maximum simply gets weight 0.
+
+    The result goes to ``out`` if given (as in numpy; it may be ``logits``),
+    bitwise what the allocating call returns; a rejected row raises before
+    ``out`` is written.
     """
     z = _as_matrix(logits, "logits")
+    if out is not None and np.shape(out) != z.shape:
+        raise ShapeError(f"out shape {np.shape(out)} != logits shape {z.shape}")
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
         if m.shape != z.shape:
@@ -189,7 +195,7 @@ def row_softmax(logits, mask=None) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(zmax))[0])
         raise NonFiniteInputError(
             f"row {bad} has largest logit {zmax[bad, 0]}; softmax undefined")
-    e = z - zmax
+    e = np.subtract(z, zmax, out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e

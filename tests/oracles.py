@@ -35,6 +35,10 @@ here, in autodiff's ``(out, back)`` convention. For the per-call costs of a
 training step it keeps the row softmax with one max reduction per row, the
 SplitMix64 stream in Python integers, the per-head traces made up front and
 cut by ``np.split``, and the AdamW step that allocated its intermediates.
+For the instruments it keeps ``diagnostics.depth_profile`` and
+``diagnostics.trace_gate_values`` as they read each head's trace on its own:
+one ``attention_entropy`` call per head, and the heads' gates joined one by
+one.
 """
 
 import numpy as np
@@ -45,7 +49,7 @@ from itertools import accumulate
 from scipy.special import erf
 
 from siggate import autodiff as ad
-from siggate.diagnostics import _ZERO_ROW_TOL
+from siggate.diagnostics import _ZERO_ROW_TOL, DepthProfile, attention_entropy, mad
 from siggate.gps import Layout, ParamSet
 from siggate.numeric import NonFiniteInputError, SeededRng, gaussian_matrix, row_softmax, sigmoid
 from siggate.synthexp import calibrate_gate
@@ -743,3 +747,22 @@ def allocating_adamw_step(flat, g, m, v, t, lr_t, weight_decay):
     v *= 0.999
     v += (1.0 - 0.999) * (g * g)
     flat -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+def per_head_depth_profile(trace):
+    """``diagnostics.depth_profile`` read head by head: each layer's entropy is
+    the mean of one :func:`attention_entropy` call per head's matrix."""
+    ents = [float(np.mean([attention_entropy(ht.attention) for ht in heads]))
+            for heads in trace.head_traces]
+    return DepthProfile(mad=[mad(h) for h in trace.hidden], entropy=ents)
+
+
+def per_head_trace_gate_values(trace):
+    """``diagnostics.trace_gate_values`` read head by head: each layer's heads'
+    gates (a shared gate once per head), raveled and joined in head order."""
+    out = []
+    for heads in trace.head_traces:
+        vals = [ht.gate for ht in heads if ht.gate is not None]
+        if vals:
+            out.append(np.concatenate([v.ravel() for v in vals]))
+    return out

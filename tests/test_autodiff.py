@@ -460,6 +460,20 @@ class TestCopyAxis:
             assert_bitwise(ad.layer_norm(x, vec, vec[::-1], LN_EPS)[c],
                            ad.layer_norm(x[c], vec[c], vec[4 - c], LN_EPS))
 
+    def test_a_bias_or_shift_with_copies_broadcasts_a_plain_product(self, rng):
+        # linear adds a 1-D bias into its product in place; copies of the bias alone
+        # (a probe's stack of ffn.b1) or of a shift make the result larger than the product
+        x = rng.standard_normal((6, 4))
+        w = rng.standard_normal((4, 3))
+        vec = rng.standard_normal((5, 4))
+        assert_bitwise(ad.linear(x, w, vec[0, :3]), x @ w + vec[0, :3])
+        biased = ad.linear(x, w, vec[:, :3])
+        shifted = ad.layer_norm(x, vec[0], vec, LN_EPS)
+        assert biased.shape == (5, 6, 3) and shifted.shape == (5, 6, 4)
+        for c in range(5):
+            assert_bitwise(biased[c], ad.linear(x, w, vec[c, :3]))
+            assert_bitwise(shifted[c], ad.layer_norm(x, vec[0], vec[c], LN_EPS))
+
     @pytest.mark.parametrize("stacked", ["left", "right", "both"])
     def test_taped_matmul_gives_each_copy_its_lone_product_and_vjps(self, rng, stacked):
         a = rng.standard_normal((5, 6, 4) if stacked != "right" else (6, 4))

@@ -1,12 +1,19 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import assert_bitwise, nested_where_entropy, triu_mad
-from siggate.attention import GateConfig
+from oracles import (
+    assert_bitwise,
+    nested_where_entropy,
+    per_head_depth_profile,
+    per_head_trace_gate_values,
+    triu_mad,
+)
+from siggate.attention import GateConfig, HeadTraces
 from siggate.diagnostics import (
     attention_entropy,
     depth_profile,
@@ -18,7 +25,7 @@ from siggate.diagnostics import (
     write_diagnostics_csv,
     write_diagnostics_json,
 )
-from siggate.gps import init_model, model_forward
+from siggate.gps import GraphBatch, GraphInstance, batch_forward, init_model, model_forward
 from siggate.numeric import NonFiniteInputError, SeededRng, gaussian_matrix, row_softmax
 from siggate.synthexp import make_toy_task
 
@@ -392,6 +399,120 @@ class TestDepthProfile:
 
     def test_gate_values_absent_for_ungated(self):
         assert trace_gate_values(forward_trace(placement="none")) == []
+
+
+def three_graphs(seed=30, n=7):
+    """A masked graph, an open one and another masked one, of n nodes each."""
+    rng = SeededRng(seed)
+    ring = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 3) % n) for i in range(n)]
+    graphs = []
+    for masked in (True, False, True):
+        mask = None
+        if masked:
+            mask = rng.uniform((n, n)) < 0.6
+            np.fill_diagonal(mask, True)
+        graphs.append(GraphInstance(n=n, node_features=rng.standard_normal((n, 4)),
+                                    edges=ring, attn_mask=mask))
+    return graphs
+
+
+def loud_head_model(placement, sharing):
+    """Two layers of 4 heads whose head 0 has a 1000x query, so its softmax
+    underflows to exact zeros where the other heads' rows have none."""
+    model = init_model(SeededRng(31), d_in=4, d=16, n_heads=4, n_layers=2,
+                       gate=GateConfig(placement=placement, sharing=sharing))
+    for layer in model.layers:
+        layer.attn.w_q[0] *= 1e3
+    return model
+
+
+def assert_same_instruments(trace):
+    got, want = depth_profile(trace), per_head_depth_profile(trace)
+    assert [x.hex() for x in got.mad + got.entropy] == [x.hex() for x in want.mad + want.entropy]
+    gates, want_gates = trace_gate_values(trace), per_head_trace_gate_values(trace)
+    assert len(gates) == len(want_gates)
+    for g, w in zip(gates, want_gates):
+        assert_bitwise(g, w)
+
+
+class TestStackedInstruments:
+    """``depth_profile`` and ``trace_gate_values`` read each layer's head
+    stacks, and give bitwise what reading head by head gives."""
+
+    @pytest.mark.parametrize("sharing", ["per_head", "shared"])
+    @pytest.mark.parametrize("placement", ["none", "g1", "g2", "g3"])
+    def test_stacks_equal_the_per_head_reads(self, placement, sharing):
+        model, graphs = loud_head_model(placement, sharing), three_graphs()
+        lone = [model_forward(g, model)[1] for g in graphs]
+        split = batch_forward(GraphBatch.of(graphs), model)[1].split(3)
+        for trace in lone + split:
+            assert_same_instruments(trace)
+        # the split traces' stacks are strided views of the batch's, and the open
+        # graph's heads take both entropy branches: head 0 has exact zeros, head 1 none
+        assert not split[1].head_traces[0].attention.flags.c_contiguous
+        for trace in (lone[1], split[1]):
+            stack = trace.head_traces[1].attention
+            assert (stack[0] == 0.0).any() and (stack[1] > 0.0).all()
+        assert all((t.head_traces[0].attention == 0.0).all(axis=0).any() for t in lone[::2])
+
+    @pytest.mark.parametrize("fault, kind", [
+        ("nan", NonFiniteInputError), ("inf", NonFiniteInputError),
+        ("negative", ValueError), ("row sum", ValueError),
+    ])
+    def test_a_bad_head_raises_what_its_lone_read_raised(self, fault, kind):
+        trace = forward_trace(n_layers=2)
+        heads = trace.head_traces[1]
+        a = heads.attention.copy()
+        if fault == "negative":  # row 3 still sums to 1
+            a[2, 3, :2] = [-0.25, a[2, 3, 0] + a[2, 3, 1] + 0.25]
+        elif fault == "row sum":
+            a[2, 3] *= 2.0
+        else:
+            a[2, 3, 0] = np.nan if fault == "nan" else np.inf
+        a[3, 0, 0] = np.nan  # a later head's fault is not the one named
+        trace.head_traces[1] = HeadTraces(a, heads.gate, heads.output)
+        with pytest.raises(ValueError) as want:
+            per_head_depth_profile(trace)
+        with pytest.raises(kind) as got:
+            depth_profile(trace)
+        assert type(got.value) is type(want.value) is kind
+        assert str(got.value) == f"layer 1, head 2: {want.value}"
+
+    def test_an_unsplit_batch_trace_is_rejected_as_head_by_head(self):
+        trace = batch_forward(GraphBatch.of(three_graphs()[:2]), loud_head_model("g1", "per_head"))[1]
+        with pytest.raises(ValueError) as want:
+            per_head_depth_profile(trace)
+        with pytest.raises(ValueError, match="must be 2-D") as got:
+            depth_profile(trace)
+        assert str(got.value) == f"layer 0, head 0: {want.value}"
+
+    def test_no_stack_wide_temporary(self):
+        # At perfbench forward_large's sizes (n = 128, d = 64, 8 heads, 800 edges) a
+        # layer's attention stack is 1 MB; the profile holds one n x n buffer at a time.
+        rng = np.random.default_rng(32)
+        n, heads = 128, 8
+        src, dst = rng.integers(0, n, 400), rng.integers(0, n, 400)
+        edges = [(int(a), int(b)) for a, b in zip(src, dst)]
+        graph = GraphInstance(n=n, node_features=rng.standard_normal((n, 8)),
+                              edges=edges + [(b, a) for a, b in edges])
+        model = init_model(SeededRng(32), d_in=8, d=64, n_heads=heads, n_layers=1,
+                           gate=GateConfig(placement="g1"))
+        _, trace = model_forward(graph, model)
+        stack_bytes = trace.head_traces[0].attention.nbytes
+        assert stack_bytes == heads * n * n * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            depth_profile(trace)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            np.log(trace.head_traces[0].attention)  # what a stack-wide log would hold
+            stack_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert stack_peak >= stack_bytes
+        assert peak < stack_bytes // 2, peak
 
 
 class TestReports:

@@ -182,6 +182,69 @@ class TestShortRowMaxima:
             row_softmax(logits, mask)
 
 
+class TestRowSoftmaxOut:
+    """``row_softmax(..., out=)`` writes bitwise what the allocating call
+    returns, into the logits themselves or another buffer, and writes
+    nothing when it rejects a row."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(rows=st.sampled_from([1, 2, 9, 40]),
+           cols=st.sampled_from([1, 3, 8, numeric._SHORT_ROW, numeric._SHORT_ROW + 1, 70]),
+           seed=st.integers(0, 2**32 - 1), masked=st.booleans(), minus_inf=st.booleans(),
+           into=st.sampled_from(["logits", "buffer"]))
+    def test_out_is_bitwise_the_allocating_call(self, rows, cols, seed, masked, minus_inf,
+                                                into):
+        rng = np.random.default_rng(seed)
+        logits = 6.0 * rng.standard_normal((rows, cols))
+        if minus_inf:
+            logits[rng.random((rows, cols)) < 0.3] = -np.inf
+            logits[:, 0] = 1.0  # a finite maximum in every row
+        mask = None
+        if masked:
+            mask = rng.random((rows, cols)) < 0.6
+            mask[:, 0] = True
+        want = row_softmax(logits, mask)
+        out = logits if into == "logits" else np.full((rows, cols), np.nan)
+        got = row_softmax(logits, mask, out=out)
+        assert got is out
+        assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("cols", [3, numeric._SHORT_ROW + 5])
+    @pytest.mark.parametrize("fault", ["nan", "+inf", "all -inf", "fully masked"])
+    def test_a_rejected_row_raises_before_out_is_written(self, cols, fault):
+        logits = np.random.default_rng(1).standard_normal((4, cols))
+        mask = np.ones((4, cols), dtype=bool)
+        if fault == "fully masked":
+            mask[2] = False
+        elif fault == "all -inf":
+            logits[2] = -np.inf
+        else:
+            logits[2, 1] = np.nan if fault == "nan" else np.inf
+        before = logits.copy()
+        with pytest.raises(ValueError, match="^row 2 "):
+            row_softmax(logits, mask, out=logits)
+        assert_bitwise(logits, before)
+
+    def test_out_of_another_shape_is_rejected(self):
+        logits = np.zeros((2, 3))
+        with pytest.raises(ShapeError, match=r"out shape \(1, 2, 3\) != logits shape"):
+            row_softmax(logits, out=np.zeros((1, 2, 3)))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_a_stack_softmax_overwrites_its_logits(self, masked):
+        # the attention pass's call: a K x n x n stack of logits that die after it
+        rng = np.random.default_rng(2)
+        logits = rng.standard_normal((3, 5, 5))
+        mask = None
+        if masked:
+            mask = np.tile((rng.random((5, 5)) < 0.5) | np.eye(5, dtype=bool), (3, 1))
+        want, _ = ad.row_softmax_vjp(logits, mask)
+        got, back = ad.row_softmax_vjp(logits, mask, out=logits)
+        assert np.shares_memory(got, logits)
+        assert_bitwise(got, want)
+        assert_bitwise(logits, want)
+
+
 def act(name, x):
     """The value of the gate activation ``name``'s form."""
     return ad.activation_vjp(name, x)[0]
