@@ -118,16 +118,35 @@ def attention_entropy(a) -> float:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"attention matrix must be 2-D, got shape {a.shape}")
-    sums = a.sum(axis=1)
-    lowest = a.min(initial=np.inf)  # NaN where a is; the row sums name it first
-    if not np.all(np.abs(sums - 1.0) <= 1e-6) or lowest < 0.0:
-        if not np.isfinite(sums).all():
-            raise NonFiniteInputError(f"attention_entropy undefined: row "
-                                      f"{np.argmin(np.isfinite(sums))} holds a non-finite value")
-        raise ValueError("invalid attention matrix: rows must be non-negative and sum to 1")
-    plogp = np.log(a) if lowest > 0.0 else np.log(a, out=np.zeros_like(a), where=a > 0.0)
-    plogp *= a
-    return float(np.mean(-plogp.sum(axis=1)))
+    return _entropies(a[None])[0]
+
+
+def _entropies(stack, layer: int | None = None) -> list[float]:
+    """:func:`attention_entropy` of each matrix of a K x n x n stack, bitwise. The
+    stack is validated once; each matrix's ``p log p`` then goes to one reused
+    n x n buffer, never to a stack-wide temporary. A bad matrix raises what
+    its lone call raises, naming ``layer`` and the head when ``layer`` is given."""
+    sums = stack.sum(axis=-1)
+    lowest = stack.min(axis=(1, 2), initial=np.inf)  # NaN where a is; the row sums name it first
+    bad = ~(np.abs(sums - 1.0) <= 1e-6).all(axis=1) | (lowest < 0.0)
+    if bad.any():
+        k = int(bad.argmax())
+        at = "" if layer is None else f"layer {layer}, head {k}: "
+        if not np.isfinite(sums[k]).all():
+            raise NonFiniteInputError(f"{at}attention_entropy undefined: row "
+                                      f"{np.argmin(np.isfinite(sums[k]))} holds a non-finite value")
+        raise ValueError(f"{at}invalid attention matrix: rows must be non-negative and sum to 1")
+    plogp = np.empty_like(stack[0])  # laid out as the matrices, as np.log(a) would be
+    out = []
+    for a, low in zip(stack, lowest):
+        if low > 0.0:  # every entry positive: the plain log is bitwise the masked one
+            np.log(a, out=plogp)
+        else:
+            plogp.fill(0.0)
+            np.log(a, out=plogp, where=a > 0.0)
+        plogp *= a
+        out.append(float(np.mean(-plogp.sum(axis=1))))
+    return out
 
 
 def _stats_of(values: np.ndarray) -> GateStats:
@@ -192,43 +211,17 @@ def trace_gate_values(trace: LayerTrace) -> list[np.ndarray]:
             for heads in trace.head_traces if heads.gate is not None]
 
 
-def _head_entropies(a, layer: int) -> list[float]:
-    """:func:`attention_entropy` of each matrix of a K x n x n stack, bitwise:
-    the stack is validated once, and each head's ``p log p`` goes to one
-    reused n x n buffer, never to a stack-wide temporary. A bad head raises
-    what its lone call raises, with its layer and head named."""
-    if a.ndim != 3:
-        raise ValueError(f"layer {layer}, head 0: attention matrix must be 2-D, "
-                         f"got shape {a.shape[1:]}")
-    sums = a.sum(axis=-1)
-    lowest = a.min(axis=(1, 2), initial=np.inf)
-    bad = ~(np.abs(sums - 1.0) <= 1e-6).all(axis=1) | (lowest < 0.0)
-    if bad.any():
-        k = int(bad.argmax())
-        try:
-            attention_entropy(a[k])
-        except ValueError as exc:
-            raise type(exc)(f"layer {layer}, head {k}: {exc}") from exc
-    plogp = np.empty(a.shape[1:])
-    ents = []
-    for a_k, low in zip(a, lowest):
-        if low > 0.0:
-            np.log(a_k, out=plogp)
-        else:
-            plogp.fill(0.0)
-            np.log(a_k, out=plogp, where=a_k > 0.0)
-        plogp *= a_k
-        ents.append(float(np.mean(-plogp.sum(axis=1))))
-    return ents
-
-
 def depth_profile(trace: LayerTrace) -> DepthProfile:
     """Per-layer MAD of hidden states and head-averaged attention entropy,
     the latter read from each layer's attention stack (head axis first)."""
-    mads = [mad(h) for h in trace.hidden]
-    ents = [float(np.mean(_head_entropies(np.asarray(heads.attention, dtype=np.float64), i)))
-            for i, heads in enumerate(trace.head_traces)]
-    return DepthProfile(mad=mads, entropy=ents)
+    ents = []
+    for i, heads in enumerate(trace.head_traces):
+        stack = np.asarray(heads.attention, dtype=np.float64)
+        if stack.ndim != 3:  # a batch's K x B x n x n stack: a head's is no matrix
+            raise ValueError(f"layer {i}, head 0: attention matrix must be 2-D, "
+                             f"got shape {stack.shape[1:]}")
+        ents.append(float(np.mean(_entropies(stack, i))))
+    return DepthProfile(mad=[mad(h) for h in trace.hidden], entropy=ents)
 
 
 # ---------------------------------------------------------------------------

@@ -479,7 +479,8 @@ class TestStackedInstruments:
         assert str(got.value) == f"layer 1, head 2: {want.value}"
 
     def test_an_unsplit_batch_trace_is_rejected_as_head_by_head(self):
-        trace = batch_forward(GraphBatch.of(three_graphs()[:2]), loud_head_model("g1", "per_head"))[1]
+        model = loud_head_model("g1", "per_head")
+        trace = batch_forward(GraphBatch.of(three_graphs()[:2]), model)[1]
         with pytest.raises(ValueError) as want:
             per_head_depth_profile(trace)
         with pytest.raises(ValueError, match="must be 2-D") as got:
