@@ -193,6 +193,17 @@ def _per_row(v):
     return v if np.ndim(v) < 2 else np.expand_dims(v, -2)
 
 
+def _add_bias(out, b):
+    """``out + b`` for a fresh ``out`` and a vector ``b`` broadcast over its rows,
+    written into ``out`` where the sum has its shape for sure: ``b`` 1-D, or of
+    ``out``'s shape. A ``b`` with copy axes (a probe's stack) may make it larger."""
+    b = _per_row(b)
+    if np.ndim(b) == 1 or np.shape(b) == out.shape:
+        out += b
+        return out
+    return out + b
+
+
 def linear(x, w, b):
     """``x @ w + b`` as one node: the matrix product (shape-checked as in
     :func:`matmul`) plus a bias broadcast over the rows. Tape-free, each
@@ -205,14 +216,7 @@ def linear(x, w, b):
 
 def linear_vjp(x, w, b):
     """``(x @ w + b, back)`` on plain arrays; ``back`` takes matrices."""
-    out = numeric.matmul(x, w)
-    bias = _per_row(b)
-    # in place only where the sum has the product's shape for sure: a bias with
-    # copy axes (a probe's stack) may broadcast the product into a larger array
-    if np.ndim(bias) == 1 or np.shape(bias) == out.shape:
-        out += bias
-    else:
-        out = out + bias
+    out = _add_bias(numeric.matmul(x, w), b)
     return out, lambda g: (g @ w.T, x.T @ g, _unbroadcast(g, np.shape(b)))
 
 
@@ -388,7 +392,7 @@ def layer_norm_vjp(h, scale, shift, eps):
                  - normed * ((gn * normed).sum(axis=-1, keepdims=True) / cols)) / std,
                 _unbroadcast(g * normed, scale.shape), _unbroadcast(g, shift.shape))
 
-    return normed * _per_row(scale) + _per_row(shift), back
+    return _add_bias(normed * _per_row(scale), shift), back
 
 
 def row_softmax_vjp(logits, mask=None, out=None):

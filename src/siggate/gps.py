@@ -340,7 +340,8 @@ def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape):
     pre, ffn1_back = ad.linear_vjp(t, w1, b1)
     hidden, gelu_back = ad.gelu_vjp(pre)
     ffn, ffn2_back = ad.linear_vjp(hidden, w2, b2)
-    h_next, ln2_back = ad.layer_norm_vjp(ffn + t, scale2, shift2, LN_EPS)
+    u = np.add(ffn, t, out=ffn) if ffn.shape == t.shape else ffn + t  # ffn is dead
+    h_next, ln2_back = ad.layer_norm_vjp(u, scale2, shift2, LN_EPS)
 
     def back(g):
         du, *d_ln2 = ln2_back(g)
