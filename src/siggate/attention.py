@@ -114,15 +114,16 @@ class HeadTrace:
 
 class HeadTraces(Sequence):
     """A layer's :class:`HeadTrace` per head, kept as the pass's stacks: the
-    attention, the gate (None ungated) and the output, each with its head
-    axis ``axes`` from the end (3; 4 for an n x n stack over B > 1 graphs).
-    The first read makes every head's trace, of views of slice k of each
-    stack (slice 0 of a shared gate's, whose head axis is 1)."""
+    attention, the gate (None ungated) and the K x N x d_k output. A stack's head
+    axis is 3 from the end, plus one per axis it has beyond the output's (the graph
+    axis of an n x n stack over B > 1 graphs; copies of the input give every stack
+    the same copy axes). The first read makes every head's trace, of views of
+    slice k of each stack (slice 0 of a shared gate's, whose head axis is 1)."""
 
-    __slots__ = ("attention", "gate", "output", "axes", "_heads")
+    __slots__ = ("attention", "gate", "output", "_heads")
 
-    def __init__(self, attention, gate, output, axes=(3, 3, 3)):
-        self.attention, self.gate, self.output, self.axes = attention, gate, output, axes
+    def __init__(self, attention, gate, output):
+        self.attention, self.gate, self.output = attention, gate, output
         self._heads = None
 
     def __len__(self) -> int:
@@ -132,16 +133,16 @@ class HeadTraces(Sequence):
         if self._heads is None:
             n = len(self)
             self._heads = [HeadTrace(*t) for t in zip(*(
-                [None] * n if x is None else _per_head(x, n, axes)
-                for x, axes in zip((self.attention, self.gate, self.output), self.axes)))]
+                [None] * n if x is None else _per_head(x, n, 3 + x.ndim - self.output.ndim)
+                for x in (self.attention, self.gate, self.output)))]
         return self._heads[k]
 
     def split(self, n_graphs: int) -> list["HeadTraces"]:
         """Each graph's traces of a tape-free pass over ``n_graphs`` > 1 graphs:
         a stack of rows is reshaped once to K x B x n x k, then each graph
         takes its slice of every stack."""
-        a, g, o = (x if x is None or axes == 4 else _by_graph(x, n_graphs)
-                   for x, axes in zip((self.attention, self.gate, self.output), self.axes))
+        a, g, o = (x if x is None or x.ndim > self.output.ndim else _by_graph(x, n_graphs)
+                   for x in (self.attention, self.gate, self.output))
         return [HeadTraces(a[:, b], None if g is None else g[:, b], o[:, b])
                 for b in range(n_graphs)]
 
@@ -329,9 +330,7 @@ def gated_head_forward(h, heads: MhsaParams, mask=None, *, n_graphs: int = 1):
     names = heads.stacked_fields()
     out, attention, gate, back = _heads_pass(
         h, heads.gate, {name: getattr(heads, name) for name in names}, mask, n_graphs)
-    square = 3 if n_graphs == 1 else 4  # axes from the head axis on of an n x n stack
-    axes = (square, square if heads.gate.placement == "g3" else 3, 3)
-    return out, HeadTraces(attention, gate, out, axes), back
+    return out, HeadTraces(attention, gate, out), back
 
 
 def siggate_mhsa(h, params: MhsaParams, mask=None, *, n_graphs: int = 1):

@@ -193,15 +193,12 @@ def _per_row(v):
     return v if np.ndim(v) < 2 else np.expand_dims(v, -2)
 
 
-def _add_bias(out, b):
-    """``out + b`` for a fresh ``out`` and a vector ``b`` broadcast over its rows,
-    written into ``out`` where the sum has its shape for sure: ``b`` 1-D, or of
-    ``out``'s shape. A ``b`` with copy axes (a probe's stack) may make it larger."""
-    b = _per_row(b)
-    if np.ndim(b) == 1 or np.shape(b) == out.shape:
-        out += b
-        return out
-    return out + b
+def add_into(dead, b):
+    """``dead + b``, written into ``dead``, a fresh array no ``back`` reads, when
+    ``b`` has no axis that ``dead`` lacks; else a fresh sum. Axes of copies lead,
+    and in a probe pass every array that has copies has the same ones, so then the
+    sum has ``dead``'s shape (were it larger, numpy would raise, not write)."""
+    return np.add(dead, b, out=dead) if np.ndim(b) <= dead.ndim else dead + b
 
 
 def linear(x, w, b):
@@ -216,7 +213,7 @@ def linear(x, w, b):
 
 def linear_vjp(x, w, b):
     """``(x @ w + b, back)`` on plain arrays; ``back`` takes matrices."""
-    out = _add_bias(numeric.matmul(x, w), b)
+    out = add_into(numeric.matmul(x, w), _per_row(b))
     return out, lambda g: (g @ w.T, x.T @ g, _unbroadcast(g, np.shape(b)))
 
 
@@ -392,7 +389,7 @@ def layer_norm_vjp(h, scale, shift, eps):
                  - normed * ((gn * normed).sum(axis=-1, keepdims=True) / cols)) / std,
                 _unbroadcast(g * normed, scale.shape), _unbroadcast(g, shift.shape))
 
-    return _add_bias(normed * _per_row(scale), shift), back
+    return add_into(normed * _per_row(scale), _per_row(shift)), back
 
 
 def row_softmax_vjp(logits, mask=None, out=None):
@@ -402,12 +399,9 @@ def row_softmax_vjp(logits, mask=None, out=None):
     matrix of all its rows, so its ``mask`` holds those rows stacked in order.
     ``out`` (as in numpy, C-contiguous) may be ``logits``: ``back`` reads only P."""
     z = np.asarray(logits)
-    if z.ndim > 2:
-        rows = (-1, z.shape[-1])
-        out = numeric.row_softmax(z.reshape(rows), mask,
-                                  None if out is None else out.reshape(rows)).reshape(z.shape)
-    else:
-        out = numeric.row_softmax(z, mask, out)
+    rows = (-1, z.shape[-1])
+    out = numeric.row_softmax(z.reshape(rows), mask,
+                              None if out is None else out.reshape(rows)).reshape(z.shape)
 
     def back(g):
         t = np.asarray(g) * out

@@ -8,7 +8,8 @@ Subcommands: rank-exp, grad-check, ablate, lr-sweep, diagnose, param-count.
 Human-readable summaries go to stdout; data goes to CSV files in the output
 directory. The commands of ``_COMMANDS`` also write the fully resolved
 configuration there (rerunning from that echo reproduces every output
-bitwise). Exit codes: 0 success, 1 acceptance-band failure, 2 usage/config error.
+bitwise). Exit codes: 0 success, 1 acceptance-band failure, 2 usage/config error,
+3 a pool worker died before every cell had returned (the run wrote no output).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import contextmanager
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,6 +63,7 @@ from .training import (
 EXIT_OK = 0
 EXIT_BAND = 1
 EXIT_USAGE = 2
+EXIT_WORKER = 3
 
 GRADCHECK_LOSS = "mse"  # smooth by construction; MAE's kink would poison FD
 
@@ -270,14 +273,14 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
 
 
 def _train_cell(args):
-    """Train one cell (pool-friendly), write its loss history to
-    ``histories/<label>.csv`` if it completes, and return its CSV row: the
-    label, the status, then six numbers ("nan" if it diverged or has no gate)."""
-    label, train_cfg, task, out_dir = args
+    """Train one cell (pool-friendly) and return its CSV row, the label, the
+    status, then six numbers ("nan" if it diverged or has no gate), and its
+    ``losses`` and ``lrs`` (None if it diverged). It writes nothing."""
+    label, train_cfg, task = args
     try:
         history = train_toy(train_cfg, task)
     except DivergenceError as exc:
-        return [*label, f"diverged@{exc.epoch}"] + ["nan"] * 6
+        return [*label, f"diverged@{exc.epoch}"] + ["nan"] * 6, None
     profiles = [depth_profile(t) for t in history.final_test_traces]
     gates = [g for t in history.final_test_traces for g in trace_gate_values(t)]
     pooled = gate_stats(gates, "pooled") if gates else None
@@ -285,19 +288,24 @@ def _train_cell(args):
            float(np.mean([p.mad[-1] for p in profiles])),
            float(np.mean([p.entropy[-1] for p in profiles])),
            pooled.mean if pooled else "nan", pooled.std if pooled else "nan"]
-    os.makedirs(os.path.join(out_dir, "histories"), exist_ok=True)
-    write_history_csv(history, os.path.join(out_dir, "histories", "_".join(label) + ".csv"))
-    return row
+    return row, SimpleNamespace(losses=history.losses, lrs=history.lrs)
 
 
 def _train_cells(cfg: RunConfig, out_dir: str, parallel: int, cells, csv_name: str,
                  label_header: str) -> list:
     """Train ``cells``, ``(label, TrainConfig)`` pairs drawn once the task is built (its
-    config errors come first), on that task; write their rows to ``csv_name``, return them."""
+    config errors come first), on that task. Once every cell has returned, write each
+    completed cell's history to ``histories/<label>.csv``, then the rows to ``csv_name``;
+    return the rows."""
     task = _task(cfg)
-    jobs = [(label, train_cfg, task, out_dir) for label, train_cfg in cells]
+    jobs = [(label, train_cfg, task) for label, train_cfg in cells]
     with _pool(parallel, len(jobs), runs_model=True) as map_fn:
-        rows = list(map_fn(_train_cell, jobs))
+        rows, histories = zip(*map_fn(_train_cell, jobs))
+    histories_dir = os.path.join(out_dir, "histories")
+    for (label, *_), history in zip(jobs, histories):
+        if history is not None:
+            os.makedirs(histories_dir, exist_ok=True)
+            write_history_csv(history, os.path.join(histories_dir, "_".join(label) + ".csv"))
     write_csv(os.path.join(out_dir, csv_name), f"{label_header},status,final_train_loss,"
               "final_test_loss,mad_last,entropy_last,gate_mean,gate_std", rows)
     return rows
@@ -487,6 +495,10 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenProcessPool:
+        print(f"error: {args.command}: a worker process died before every cell had "
+              "returned; this run wrote no output", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

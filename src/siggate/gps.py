@@ -331,16 +331,12 @@ def gps_layer_forward(g, h, p: GpsLayerParams, *, lift=ad.no_tape):
         hv, MhsaParams(gate=attn.gate, **dict(zip(fields, values))), graphs.attn_mask,
         n_graphs=graphs.size)
     attn_back = attn_back if taped else None
-    if local.shape == global_attn.shape:  # the sum has the MPNN output's shape: write it there
-        s = np.add(hv, local, out=local)
-        s += global_attn
-    else:  # copies of one branch's arrays only: the sum broadcasts
-        s = hv + local + global_attn
+    s = ad.add_into(ad.add_into(local, hv), global_attn)  # local + h is h + local, bitwise
     t, ln1_back = ad.layer_norm_vjp(s, scale1, shift1, LN_EPS)
     pre, ffn1_back = ad.linear_vjp(t, w1, b1)
     hidden, gelu_back = ad.gelu_vjp(pre)
     ffn, ffn2_back = ad.linear_vjp(hidden, w2, b2)
-    u = np.add(ffn, t, out=ffn) if ffn.shape == t.shape else ffn + t  # ffn is dead
+    u = ad.add_into(ffn, t)
     h_next, ln2_back = ad.layer_norm_vjp(u, scale2, shift2, LN_EPS)
 
     def back(g):

@@ -371,20 +371,13 @@ class SyntheticTask:
 
 
 def triangle_count(n: int, edges) -> int:
-    """Number of undirected triangles; brute-force over node triples."""
-    adj = set()
+    """Number of undirected triangles: trace(A³) / 6 of the adjacency matrix
+    without self-loops, each triangle being 6 closed walks of length 3."""
+    adj = np.zeros((n, n), dtype=np.int64)
     for a, b in edges:
         if a != b:
-            adj.add((min(a, b), max(a, b)))
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in adj:
-                continue
-            for k in range(j + 1, n):
-                if (i, k) in adj and (j, k) in adj:
-                    count += 1
-    return count
+            adj[a, b] = adj[b, a] = 1
+    return int(np.trace(adj @ adj @ adj)) // 6
 
 
 def toy_label(g: GraphInstance) -> float:
@@ -400,15 +393,13 @@ def make_toy_task(seed: int, n_graphs: int = 24, nodes_per_graph: int = 8,
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     rng = SeededRng(seed)
+    n = nodes_per_graph
+    upper = np.triu_indices(n, 1)  # each pair's draw, in the order of the scalar draws
     pairs = []
     for _ in range(n_graphs):
-        n = nodes_per_graph
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.uniform() < edge_prob:
-                    edges.append((i, j))
-                    edges.append((j, i))
+        kept = rng.uniform((len(upper[0]),)) < edge_prob
+        src, dst = (ix[kept].tolist() for ix in upper)
+        edges = [e for i, j in zip(src, dst) for e in ((i, j), (j, i))]
         feats = gaussian_matrix(rng, n, feature_dim, 1.0)
         graph = GraphInstance(n=n, node_features=feats, edges=edges)
         pairs.append((graph, toy_label(graph)))

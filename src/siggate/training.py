@@ -574,7 +574,8 @@ def train_toy(cfg: TrainConfig, task) -> TrainHistory:
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
-    """One ``epoch,loss,lr`` row per epoch of ``history``."""
+    """One ``epoch,loss,lr`` row per epoch of ``history``: it reads only its
+    ``losses`` and ``lrs``, which is all a pool worker sends back of it."""
     rows = ((i, loss, lr) for i, (loss, lr) in enumerate(zip(history.losses, history.lrs)))
     write_csv(path, "epoch,loss,lr", rows)
 

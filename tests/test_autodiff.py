@@ -474,6 +474,21 @@ class TestCopyAxis:
             assert_bitwise(biased[c], ad.linear(x, w, vec[c, :3]))
             assert_bitwise(shifted[c], ad.layer_norm(x, vec[0], vec[c], LN_EPS))
 
+    @pytest.mark.parametrize("dead, b, in_place", [
+        ((6, 3), (), True), ((6, 3), (3,), True), ((6, 3), (6, 3), True),
+        ((5, 6, 3), (3,), True), ((5, 6, 3), (6, 3), True), ((5, 6, 3), (5, 1, 3), True),
+        ((5, 6, 3), (5, 6, 3), True), ((6, 3), (5, 1, 3), False), ((6, 3), (5, 6, 3), False),
+    ])
+    def test_add_into_writes_into_dead_when_b_adds_no_axis(self, rng, dead, b, in_place):
+        x, y = rng.standard_normal(dead), np.asarray(rng.standard_normal(b))
+        want, x_before, y_before = x + y, x.copy(), y.copy()
+        got = ad.add_into(x, y)
+        assert (got is x) == in_place
+        assert_bitwise(got, want)
+        assert_bitwise(y, y_before)
+        if not in_place:
+            assert_bitwise(x, x_before)
+
     @pytest.mark.parametrize("stacked", ["left", "right", "both"])
     def test_taped_matmul_gives_each_copy_its_lone_product_and_vjps(self, rng, stacked):
         a = rng.standard_normal((5, 6, 4) if stacked != "right" else (6, 4))

@@ -520,6 +520,60 @@ class TestTrainingCommands:
         assert final_train == history.losses[0]
 
 
+def tree(out):
+    return {str(p.relative_to(out)): read(p) for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestKilledWorker:
+    """A pool worker that dies mid-run ends the command with exit 3 and one
+    stderr line, and the run writes nothing: workers write no file, and the
+    parent writes every output only once all cells have returned."""
+
+    CFG = TINY_TRAIN + "training.lrs = 1e-3\n"
+
+    @staticmethod
+    def kill_gated_cell(monkeypatch):
+        import os
+        import time
+
+        real = cli.train_toy
+
+        def dying(cfg, task):  # the forked worker inherits this patch
+            if cfg.gate.placement != "none":
+                time.sleep(0.2)  # time for the other cell to end (and write, were it to)
+                os._exit(1)
+            return real(cfg, task)
+
+        monkeypatch.setattr(cli, "train_toy", dying)
+
+    def run(self, tmp_path, out, *parallel):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(self.CFG)
+        return run_cli("lr-sweep", "--config", str(cfg), "--out", str(out), *parallel)
+
+    def test_exits_three_with_one_line(self, tmp_path, capfd, monkeypatch):
+        self.kill_gated_cell(monkeypatch)
+        out = tmp_path / "out"
+        assert self.run(tmp_path, out, "--parallel", "2") == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: lr-sweep: a worker process died before every cell "
+                                "had returned; this run wrote no output\n")
+        assert list(out.iterdir()) == []
+
+    def test_a_killed_rerun_leaves_the_first_runs_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, out) == 0
+        first = tree(out)
+        assert sorted(first) == ["histories/gated_0.001.csv", "histories/ungated_0.001.csv",
+                                 "lr_sweep.csv", "lr_sweep_summary.csv", "resolved_config.txt"]
+        written = {name: (out / name).stat().st_mtime_ns for name in first}
+        self.kill_gated_cell(monkeypatch)
+        assert self.run(tmp_path, out, "--parallel", "2") == 3
+        assert tree(out) == first
+        assert {name: (out / name).stat().st_mtime_ns for name in first} == written
+
+
 class TestDiagnoseCommand:
     def test_round_trip_matches_in_memory(self, tmp_path):
         model = init_model(SeededRng(5), d_in=4, d=16, n_heads=4, n_layers=2,
