@@ -114,11 +114,12 @@ class HeadTrace:
 
 class HeadTraces(Sequence):
     """A layer's :class:`HeadTrace` per head, kept as the pass's stacks: the
-    attention, the gate (None ungated) and the K x N x d_k output. A stack's head
-    axis is 3 from the end, plus one per axis it has beyond the output's (the graph
-    axis of an n x n stack over B > 1 graphs; copies of the input give every stack
-    the same copy axes). The first read makes every head's trace, of views of
-    slice k of each stack (slice 0 of a shared gate's, whose head axis is 1)."""
+    attention, the gate (None ungated) and the K x N x d_k output. A stack whose
+    row count (axis -2) is not the output's is an n x n stack over B > 1 graphs,
+    with its head axis 4 from the end; every other stack has it 3 from the end.
+    Axes of copies lead, so the rule holds whichever stacks carry them. The first
+    read makes every head's trace, of views of slice k of each stack (slice 0 of
+    a shared gate's, whose head axis is 1)."""
 
     __slots__ = ("attention", "gate", "output", "_heads")
 
@@ -133,18 +134,22 @@ class HeadTraces(Sequence):
         if self._heads is None:
             n = len(self)
             self._heads = [HeadTrace(*t) for t in zip(*(
-                [None] * n if x is None else _per_head(x, n, 3 + x.ndim - self.output.ndim)
+                [None] * n if x is None else _per_head(x, n, 3 + self._by_graphs(x))
                 for x in (self.attention, self.gate, self.output)))]
         return self._heads[k]
 
     def split(self, n_graphs: int) -> list["HeadTraces"]:
         """Each graph's traces of a tape-free pass over ``n_graphs`` > 1 graphs:
         a stack of rows is reshaped once to K x B x n x k, then each graph
-        takes its slice of every stack."""
-        a, g, o = (x if x is None or x.ndim > self.output.ndim else _by_graph(x, n_graphs)
+        takes its slice of every stack's graph axis, 3 from the end."""
+        a, g, o = (x if x is None or self._by_graphs(x) else _by_graph(x, n_graphs)
                    for x in (self.attention, self.gate, self.output))
-        return [HeadTraces(a[:, b], None if g is None else g[:, b], o[:, b])
-                for b in range(n_graphs)]
+        return [HeadTraces(a[..., b, :, :], None if g is None else g[..., b, :, :],
+                           o[..., b, :, :]) for b in range(n_graphs)]
+
+    def _by_graphs(self, x) -> bool:
+        """Whether ``x`` is an n x n stack over B > 1 graphs: its rows are not the output's."""
+        return x.shape[-2] != self.output.shape[-2]
 
 
 def _per_head(x, heads: int, axes: int):

@@ -129,9 +129,6 @@ class RunConfig:
             raise ConfigError(f"unknown configuration key {key!r}")
         self._values[key] = value
 
-    def as_dict(self) -> dict:
-        return dict(self._values)
-
     def render(self) -> str:
         """Full configuration in the input format; parsing it back is lossless."""
         return "\n".join(f"{k} = {_render(v)}" for k, v in self._values.items()) + "\n"

@@ -474,8 +474,7 @@ def model_skeleton(*, d_in: int, d: int, n_heads: int, n_layers: int, gate: Gate
     slots.setflags(write=False)
     header = dict(d_in=d_in, d=d, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff, d_e=d_e,
                   out_dim=out_dim, readout=readout, **vars(gate))
-    model.params = ParamSet(Layout(names, shapes, starts, dict(zip(names, zip(arrays, ks))),
-                                   index, slots, header), flat)
+    model.params = ParamSet(Layout(names, shapes, starts, index, slots, header), flat)
     return model, draws
 
 
@@ -501,7 +500,6 @@ class Layout:
     names: tuple[str, ...]  # in dump order
     shapes: tuple[tuple[int, ...], ...]
     starts: tuple[int, ...]  # each name's offset in the vector (C order), then its length
-    reads: dict  # name -> the (array, k) the forward reads: slice k of a head stack, or k None
     index: dict  # by id of each array the forward reads, in carve order: its Carved record
     slots: np.ndarray  # the vector positions of those arrays' entries, each in C order
     header: dict  # the dump metadata

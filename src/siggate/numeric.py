@@ -58,10 +58,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mix64_int(x: int) -> int:
-    return int(_mix64(np.array([x & _MASK64], dtype=np.uint64))[0])
-
-
 class SeededRng:
     """Counter-based SplitMix64 generator with Box-Muller normals.
 
@@ -126,10 +122,6 @@ class SeededRng:
             z[first], z[second] = r, angle
         starts = itertools.accumulate(pairs, initial=0)
         return [z[2 * a:2 * a + n] for a, n in zip(starts, sizes)]
-
-    def child(self, index: int) -> "SeededRng":
-        """Independent stream for parallel work; deterministic in (seed, index)."""
-        return SeededRng(_mix64_int(self.seed ^ _mix64_int((int(index) + 1) * _GOLDEN)))
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,10 @@ class _PlainForwardCache:
     """The hidden state entering each layer of the forward of each group of
     a batch.
 
-    A finite-difference probe changes one entry of one array the forward
-    reads, and everything the model computes before the layer that reads
-    that array (``layout.index`` gives the layer) stays as it was.
+    A finite-difference probe changes one entry of the model's vector, so of
+    one array the forward reads (``layout.slots`` says which), and
+    everything the model computes before the layer that reads that array
+    (``layout.index`` gives the layer) stays as it was.
     ``layout`` and ``states`` are those of :class:`Gradients` of the batch:
     that taped pass tied each array it read to the layout, so the cache
     walks no parameters. A tape-free :func:`model_embed` per group adds the
@@ -241,8 +242,8 @@ class _PlainForwardCache:
     arrays as a tape-free one, so each state is bitwise the tape-free
     forward's.
 
-    :meth:`probe_losses` runs the probes of the arrays one layer reads as
-    few passes: a pass's ``lift`` puts each of its arrays on a leading copy
+    :meth:`probe_losses` runs the probes of each layer's arrays as few
+    passes: a pass's ``lift`` puts each of its arrays on a leading copy
     axis, and that layer's :func:`gps_layer_forward`, the later layers and
     the readout run once over the copies (``input.*`` arrays start at the
     embedding, ``head.*`` arrays run the readout alone). Each copy keeps its
@@ -260,48 +261,62 @@ class _PlainForwardCache:
         # Per group: the hidden state entering each layer, then the last one.
         self.hidden = [[model_embed(graphs, model), *hidden] for graphs, _, hidden in states]
 
-    def probe_losses(self, probes, h: float):
-        """``(f_plus, f_minus)``: for each ``(array, flat indices)`` of
-        ``probes``, arrays of the layout's ``index`` that one layer reads,
-        and for each index j in turn, the :func:`batch_loss` with that
-        array's entry j moved to ``old + h`` and to ``old - h``.
+    def probe_losses(self, at, h: float):
+        """``(f_plus, f_minus)``: for each position of ``at`` in the model's
+        vector, the :func:`batch_loss` with that entry moved to ``old + h``
+        and to ``old - h``, in ``at``'s order.
 
-        The copies run array after array, copy 2m of an array holding its
-        m-th index at ``old + h`` and copy 2m + 1 at ``old - h``. An array of
-        more than :data:`PROBE_CHUNK` copies takes passes of its own, that
-        many copies each; smaller ones share a pass while it holds at most
-        that many copies and copies x entries of its arrays stay within
-        :data:`PACK_ENTRIES`. A pass stacks each of its arrays' copies, all
-        at the array's values but for its own copies' entries."""
-        start = self.layout.index[id(probes[0][0])].layer
-        wheres = [np.asarray(where, dtype=np.intp) for _, where in probes]
-        counts = [where.size for where in wheres]
+        The copies run in the order of the layout's ``slots``: array after
+        array in carve order, so layer after layer, copy 2m of an array
+        holding its m-th probed entry at ``old + h`` and copy 2m + 1 at
+        ``old - h``. An array of more than :data:`PROBE_CHUNK` copies takes
+        passes of its own, that many copies each; smaller ones of one layer
+        share a pass while it holds at most that many copies and copies x
+        entries of its arrays stay within :data:`PACK_ENTRIES`. A pass stacks
+        each of its arrays' copies, all at the array's values but for its own
+        copies' entries, and runs from the layer that reads them."""
+        index = self.layout.index.values()
+        place = np.argsort(self.layout.slots)[at]  # each position's place in ``slots``
+        order = np.argsort(place, kind="stable")  # the probes in slots order
+        place = place[order]
+        sizes = [carved.array.size for carved in index]
+        ends = np.cumsum(sizes)
+        counts = np.diff(np.searchsorted(place, ends), prepend=0)
         # Copy c moves entry where[c] of its array by step[c]; old + (-h) is old - h.
-        where = np.repeat(np.concatenate(wheres), 2)
-        step = np.tile([h, -h], where.size // 2)
-        passes, pack, copies, entries, hi = [], [], 0, 0, 0
-        for (arr, _), count in zip(probes, counts):
+        where = np.repeat(place - np.repeat(ends - sizes, counts), 2)
+        step = np.tile([h, -h], place.size)
+        passes, pack, layer, copies, entries, hi = [], [], None, 0, 0, 0
+        for carved, count in zip(index, counts.tolist()):
+            if not count:
+                continue
+            arr = carved.array
+            if carved.layer != layer:  # a pass runs one layer's arrays
+                passes.append((layer, pack))
+                pack, layer, copies, entries = [], carved.layer, 0, 0
             lo, hi = hi, hi + 2 * count
             if hi - lo > PROBE_CHUNK:
-                passes += [[(arr, a, min(a + PROBE_CHUNK, hi))]
+                passes += [(layer, [(arr, a, min(a + PROBE_CHUNK, hi))])
                            for a in range(lo, hi, PROBE_CHUNK)]
                 continue
             copies, entries = copies + hi - lo, entries + arr.size
             if pack and (copies > PROBE_CHUNK or copies * entries > PACK_ENTRIES):
-                passes.append(pack)
+                passes.append((layer, pack))
                 pack, copies, entries = [], hi - lo, arr.size
             pack.append((arr, lo, hi))
         losses, copy_axis = np.empty(hi), np.arange(hi)
-        for runs in filter(None, passes + [pack]):
+        for start, runs in passes + [(layer, pack)]:
+            if not runs:
+                continue
             rows = np.concatenate([copy_axis[lo:hi] for _, lo, hi in runs])  # the pass's copies
-            stacks, at = {}, 0
+            stacks, filled = {}, 0
             for arr, lo, hi in runs:
                 stack = stacks[id(arr)] = arr[None].repeat(rows.size, axis=0)
-                stack.reshape(rows.size, -1)[copy_axis[at:at + hi - lo],
+                stack.reshape(rows.size, -1)[copy_axis[filled:filled + hi - lo],
                                              where[lo:hi]] += step[lo:hi]
-                at += hi - lo
+                filled += hi - lo
             losses[rows] = self._loss_from(start, lambda a: stacks.get(id(a), a))
-        return losses[0::2], losses[1::2]
+        plus = 2 * np.argsort(order)  # each probe's copy at old + h, in ``at``'s order
+        return losses[plus], losses[plus + 1]
 
     def _loss_from(self, start, lift):
         """Per copy, the mean loss of a forward from layer ``start`` (-1: the
@@ -364,9 +379,11 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     (deterministically from ``seed``, in one draw); ``sample=None`` checks
     every coordinate. The model runs unperturbed once, as the taped pass of
     :func:`loss_and_gradients`, whose hidden states the probes start from.
-    The probes of the arrays one layer reads run as a few batched passes
-    (:meth:`_PlainForwardCache.probe_losses`), each loss bitwise the
-    :func:`batch_loss` of the perturbed model; the model is only read.
+    Each checked coordinate is addressed once, as its position in the
+    model's vector: the analytic side reads the gradient vector there, and
+    one :meth:`_PlainForwardCache.probe_losses` call runs every probe as a
+    few batched passes, each loss bitwise the :func:`batch_loss` of the
+    perturbed model; the model is only read.
 
     The bookkeeping is array ops over every checked coordinate, each bitwise
     its per-name form: the coordinates come from :func:`_checked_coordinates`,
@@ -391,34 +408,10 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     names, sizes = params.layout.names, np.diff(params.layout.starts)
     counts, coords = _checked_coordinates(sizes, sample, seed)
     first = np.cumsum(counts) - counts  # where each name's coordinates start
-    # The probes, layer after layer, array after array, each array's names
-    # in order: a head's coordinate j is entry k * size + j of its stack.
-    by_layer = {}  # layer -> {id of an array it reads: [array, its names' positions, count]}
-    shifts = []
-    for i, (name, size, count) in enumerate(zip(names, sizes.tolist(), counts.tolist())):
-        stack, k = layout.reads[name]
-        shifts.append((k or 0) * size)
-        arrays = by_layer.setdefault(layout.index[id(stack)].layer, {})
-        run = arrays.setdefault(id(stack), [stack, [], 0])
-        run[1].append(i)
-        run[2] += count
-    order = [i for arrays in by_layer.values() for _, named, _ in arrays.values()
-             for i in named]
-    probed = np.repeat(first[order] - (np.cumsum(counts[order]) - counts[order]),
-                       counts[order]) + np.arange(coords.size)  # probe order -> coordinate
-    where = (coords + np.repeat(shifts, counts))[probed]
-    diffs, hi = [], 0
-    for arrays in by_layer.values():
-        probes = []
-        for stack, _, count in arrays.values():
-            lo, hi = hi, hi + count
-            probes.append((stack, where[lo:hi]))
-        f_plus, f_minus = cache.probe_losses(probes, h)
-        diffs.append((f_plus - f_minus) / (2.0 * h))
-    n_all = np.empty(coords.size)
-    n_all[probed] = np.concatenate(diffs)
     starts = dict(zip(layout.names, layout.starts))
-    a_all = grads.flat[np.repeat([starts[name] for name in names], counts) + coords]
+    at = np.repeat([starts[name] for name in names], counts) + coords  # in the model's vector
+    f_plus, f_minus = cache.probe_losses(at, h)
+    n_all, a_all = (f_plus - f_minus) / (2.0 * h), grads.flat[at]
     rel = np.abs(a_all - n_all) / np.maximum(np.maximum(np.abs(a_all), np.abs(n_all)), 1e-12)
     worst = int(np.argmax(np.where(rel > 0.0, rel, 0.0)))  # the first maximum, never a NaN
     max_rel, worst_param, worst_index = 0.0, None, None
@@ -593,10 +586,11 @@ def write_history_csv(history: TrainHistory, path) -> None:
 
 def save_model(model: ModelParams, path) -> None:
     """Write :meth:`ParamSet.from_model` of the model (so only a model with
-    a layout is saved): its layout's header, then each parameter."""
+    a layout is saved): its layout's header with the readout the model runs
+    (which may be set after the build), then each parameter."""
     params = ParamSet.from_model(model)
-    lines = ["# siggate-model"]
-    lines += [f"# {k} = {v}" for k, v in params.layout.header.items()]
+    header = {**params.layout.header, "readout": model.readout}
+    lines = ["# siggate-model"] + [f"# {k} = {v}" for k, v in header.items()]
     for name, arr in params.items():
         mat = np.atleast_2d(arr)
         lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")

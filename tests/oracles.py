@@ -186,15 +186,17 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def hand_written_registry(model):
-    """``{name: array}`` of every parameter, written out name by name in the
-    order of the model dump."""
+def hand_written_reads(model):
+    """``{name: (array, k)}`` of every parameter, written out name by name in
+    the order of the model dump from the model's dataclasses: the array the
+    forward reads for it, of which the parameter is slice k (a head stack's)
+    or, k None, the whole."""
     items = {}
 
-    def put(name, arr):
+    def put(name, arr, k=None):
         if name in items:
             raise ValueError(f"duplicate parameter name {name!r}")
-        items[name] = arr
+        items[name] = (arr, k)
 
     put("input.w", model.w_in)
     put("input.b", model.b_in)
@@ -202,22 +204,22 @@ def hand_written_registry(model):
         pre = f"layer{i}"
         attn = layer.attn
         for k in range(attn.w_q.shape[0]):
-            put(f"{pre}.attn.head{k}.w_q", attn.w_q[k])
-            put(f"{pre}.attn.head{k}.w_k", attn.w_k[k])
-            put(f"{pre}.attn.head{k}.w_v", attn.w_v[k])
+            put(f"{pre}.attn.head{k}.w_q", attn.w_q, k)
+            put(f"{pre}.attn.head{k}.w_k", attn.w_k, k)
+            put(f"{pre}.attn.head{k}.w_v", attn.w_v, k)
         cfg = attn.gate
         if cfg.placement != "none":
             if cfg.sharing == "shared":
-                put(f"{pre}.attn.gate.w_g", attn.w_g[0])
+                put(f"{pre}.attn.gate.w_g", attn.w_g, 0)
                 if attn.w_g2 is not None:
-                    put(f"{pre}.attn.gate.w_g2", attn.w_g2[0])
-                put(f"{pre}.attn.gate.b_g", attn.b_g[0])
+                    put(f"{pre}.attn.gate.w_g2", attn.w_g2, 0)
+                put(f"{pre}.attn.gate.b_g", attn.b_g, 0)
             else:
                 for k in range(attn.w_q.shape[0]):
-                    put(f"{pre}.attn.head{k}.w_g", attn.w_g[k])
+                    put(f"{pre}.attn.head{k}.w_g", attn.w_g, k)
                     if attn.w_g2 is not None:
-                        put(f"{pre}.attn.head{k}.w_g2", attn.w_g2[k])
-                    put(f"{pre}.attn.head{k}.b_g", attn.b_g[k])
+                        put(f"{pre}.attn.head{k}.w_g2", attn.w_g2, k)
+                    put(f"{pre}.attn.head{k}.b_g", attn.b_g, k)
         put(f"{pre}.attn.w_o", attn.w_o)
         put(f"{pre}.mpnn.w_edge", layer.mpnn.w_edge)
         put(f"{pre}.mpnn.w_val", layer.mpnn.w_val)
@@ -232,6 +234,13 @@ def hand_written_registry(model):
     put("head.w", model.w_head)
     put("head.b", model.b_head)
     return items
+
+
+def hand_written_registry(model):
+    """``{name: array}`` of every parameter: :func:`hand_written_reads`, each
+    head's slice taken."""
+    return {name: arr if k is None else arr[k]
+            for name, (arr, k) in hand_written_reads(model).items()}
 
 
 def dataclass_arrays(obj):
@@ -381,17 +390,34 @@ def one_probe_losses(model, batch, loss, arr, idxs, h):
     return plus, minus
 
 
+def vector_positions(model, probes):
+    """The positions in the model's vector of the entries of ``probes``, a
+    list of ``(array, flat indices)`` of arrays that view that vector, array
+    after array: each entry's byte offset from the vector's first entry, as
+    its array's strides place it, in entries."""
+    base = model.params.flat.__array_interface__["data"][0]
+    at = []
+    for arr, idxs in probes:
+        loc = np.unravel_index(np.asarray(idxs, dtype=np.intp), arr.shape)
+        offset = arr.__array_interface__["data"][0] - base
+        offset += sum(i * stride for i, stride in zip(loc, arr.strides))
+        at.append(offset // arr.itemsize)
+    return np.concatenate(at)
+
+
 def one_probe_fd_check(model, params, batch, h=1e-5, sample=100, seed=0, loss="mse"):
     """``training.finite_difference_check`` with its probes run one at a
     time by :func:`one_probe_losses`: the same coordinates, arithmetic and
-    report."""
+    report. ``params`` names the parameters to check, in its order; each
+    is probed as the model's own entry of that name."""
     from siggate.training import FdReport, loss_and_gradients
 
     _, grads = loss_and_gradients(model, batch, loss=loss)
     rng = SeededRng(seed)
     max_rel, worst_param, worst_index, n_checked = 0.0, None, None, 0
     param_rel = {}
-    for name, arr in params.items():
+    for name in params.layout.names:
+        arr = model.params[name]
         analytic = grads[name].reshape(-1)
         if sample is None or sample >= arr.size:
             idxs = range(arr.size)
@@ -495,8 +521,9 @@ class MemoLift:
 def per_name_gradients(model, params, batch, loss="mse"):
     """``{name: gradient}`` for every name of ``params``, assembled name by
     name after one taped pass: each name looks up the array the model's
-    layout records for it and takes that array's gradient (slice k of a
-    head stack's), or zeros when the array is not on the tape."""
+    dataclasses hold for it (:func:`hand_written_reads`) and takes that
+    array's gradient (slice k of a head stack's), or zeros when the array is
+    not on the tape."""
     from siggate.gps import batch_forward
     from siggate.training import _graph_groups, _group_loss
 
@@ -507,7 +534,7 @@ def per_name_gradients(model, params, batch, loss="mse"):
         term = _group_loss(pred, targets, loss)
         total = term if total is None else ad.add(total, term)
     ad.backward(ad.div(total, float(len(batch))))
-    read = model.layout.reads
+    read = hand_written_reads(model)
     grads = {}
     for name, arr in params.items():
         stack, k = read[name]
@@ -523,7 +550,7 @@ def param_set(items):
     names and shapes alone: it reads no model."""
     arrays = [np.asarray(a, dtype=np.float64) for a in items.values()]
     starts = tuple(accumulate((a.size for a in arrays), initial=0))
-    layout = Layout(tuple(items), tuple(a.shape for a in arrays), starts, reads={}, index={},
+    layout = Layout(tuple(items), tuple(a.shape for a in arrays), starts, index={},
                     slots=np.zeros(0, dtype=np.intp), header={})
     return ParamSet(layout, np.concatenate([a.reshape(-1) for a in arrays] or [np.zeros(0)]))
 

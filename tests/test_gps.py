@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -449,6 +451,30 @@ class TestHeadTraces:
         for got, w in zip(traces, want, strict=True):
             assert_same_head(got, w)
             assert got.output.shape == (2, 12, 2)
+
+    @pytest.mark.parametrize("n_graphs", [1, 2])
+    def test_copies_of_one_stack_leave_the_other_stacks_axes(self, n_graphs):
+        # Two copies of W_g alone: the g1 gate and the output carry the copy
+        # axis and the attention does not; each head reads its own slice of
+        # every stack, in the whole pass and in each graph's split piece.
+        attn = trace_model("g1", "per_head").layers[0].attn
+        copies = np.stack([attn.w_g, 2.0 * attn.w_g])
+        h = gaussian_matrix(SeededRng(54), 6 * n_graphs, 8, 1.0)
+        _, traces, _ = siggate_mhsa(h, dataclasses.replace(attn, w_g=copies), n_graphs=n_graphs)
+        lone = [siggate_mhsa(h, dataclasses.replace(attn, w_g=w_g), n_graphs=n_graphs)[1]
+                for w_g in copies]
+        assert traces.attention.shape == ((4, 6, 6) if n_graphs == 1 else (4, 2, 6, 6))
+        assert traces.output.shape == (2, 4, 6 * n_graphs, 2)
+        pieces = [(traces, lone)]
+        if n_graphs > 1:
+            pieces += zip(traces.split(n_graphs), zip(*(t.split(n_graphs) for t in lone)))
+        for got, want in pieces:
+            assert len(got) == 4
+            for k in range(4):
+                assert_bitwise(got[k].attention, want[0][k].attention)
+                for c in range(2):
+                    assert_bitwise(got[k].gate[c], want[c][k].gate)
+                    assert_bitwise(got[k].output[c], want[c][k].output)
 
     @pytest.mark.parametrize("placement, sharing", TRACE_CASES)
     def test_split_pieces_are_np_splits_bitwise(self, placement, sharing):

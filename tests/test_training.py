@@ -12,8 +12,8 @@ import pytest
 import siggate.training as training
 from oracles import (
     allocating_adamw_step, assert_bitwise, copy_values, dataclass_probe_index, dump_text, first_nonfinite_by_loop,
-    hand_written_registry, MemoLift, one_probe_fd_check, one_probe_losses, param_set,
-    per_call_init, per_name_gradients, per_op_layer_forward, subset,
+    hand_written_reads, hand_written_registry, MemoLift, one_probe_fd_check, one_probe_losses,
+    param_set, per_call_init, per_name_gradients, per_op_layer_forward, subset, vector_positions,
 )
 from siggate.attention import GATE_ACTIVATIONS, GateConfig, gate_param_count
 from siggate.diagnostics import depth_profile
@@ -312,7 +312,7 @@ class TestLossAndGradients:
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteInputError,
                 match=r"^layer 1: row 2 has largest logit inf; softmax undefined$"):
-            cache.probe_losses([(model.layers[1].attn.b_g, [0])], 1e308)
+            cache.probe_losses(vector_positions(model, [(model.layers[1].attn.b_g, [0])]), 1e308)
 
 
 WALK_CASES = [(placement, sharing) for placement in ("none", "g1", "g2", "g3")
@@ -353,9 +353,8 @@ class TestParamWalk:
         model = walk_model(placement, sharing)
         want = hand_written_registry(model)
         layout = model.layout
-        assert list(layout.names) == list(layout.reads) == list(want)
-        assert all(same_array(arr if k is None else arr[k], want[name])
-                   for name, (arr, k) in layout.reads.items())
+        assert list(layout.names) == list(want)
+        assert all(id(arr) in layout.index for arr, _ in hand_written_reads(model).values())
         params = ParamSet.from_model(model)
         assert list(params.layout.names) == list(want)
         assert all(same_array(params[name], arr) for name, arr in want.items())
@@ -728,9 +727,10 @@ class TestFiniteDifferenceCheck:
         for carved in cache.layout.index.values():  # each array the forward reads
             name, arr = carved.name, carved.array
             idxs = rng.choice(arr.size, size=min(5, arr.size), replace=False)
-            got = cache.probe_losses([(arr, idxs)], 1e-3)
+            at = vector_positions(model, [(arr, idxs)])
+            got = cache.probe_losses(at, 1e-3)
             assert_same_losses(got, one_probe_losses(model, graphs, "mae", arr, idxs, 1e-3))
-            assert all(loss == unmoved for loss in cache.probe_losses([(arr, idxs)], 0.0)[0]), name
+            assert all(loss == unmoved for loss in cache.probe_losses(at, 0.0)[0]), name
 
     def test_cached_probe_over_node_count_groups_is_bitwise(self):
         model = tiny_model(seed=16, placement="g2")
@@ -740,14 +740,14 @@ class TestFiniteDifferenceCheck:
         for arr in (model.w_in, first.mpnn.w_edge, first.attn.w_g, last.attn.w_o,
                     last.ln2.scale, model.w_head):
             where = [1, arr.size - 1]  # in the W_g stack: head 0's and head 3's
-            got = cache.probe_losses([(arr, where)], 1e-3)
+            got = cache.probe_losses(vector_positions(model, [(arr, where)]), 1e-3)
             assert_same_losses(got, one_probe_losses(model, pairs, "mse", arr, where, 1e-3))
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
     def test_probe_index_covers_every_parameter(self, batch, placement, kw):
         model = tiny_model(seed=17, placement=placement, **kw)
         cache = plain_cache(model, batch[:2], "mse")
-        for name, (arr, k) in cache.layout.reads.items():  # a head's stack, not its slice
+        for name, (arr, k) in hand_written_reads(model).items():  # a head's stack, not its slice
             carved = cache.layout.index[id(arr)]
             layer, first = carved.layer, carved.name
             if name.startswith(("input.", "head.")):
@@ -840,6 +840,20 @@ class TestFiniteDifferenceCheck:
             assert_bitwise(got_graphs.node_features, graphs.node_features)
             assert_bitwise(got_targets, targets)
 
+    @pytest.mark.parametrize("placement", ["g1", "g3"])
+    @pytest.mark.parametrize("order", ["reversed", "without-layer0"])
+    def test_names_in_any_order_or_subset_equal_the_one_probe_oracle(self, placement, order):
+        # The check addresses each coordinate by its position in the model's
+        # vector, so its names need not follow the layout or start at layer 0.
+        model = walk_model(placement, "per_head")
+        names = ParamSet.from_model(model).layout.names
+        names = (names[::-1] if order == "reversed"
+                 else [name for name in names if not name.startswith("layer0.")])
+        params, pairs = subset(model.params, names), walk_batch()[:3]
+        report = finite_difference_check(model, params, pairs, sample=3, seed=6)
+        assert list(report.param_rel) == list(names)
+        assert report == one_probe_fd_check(model, params, pairs, sample=3, seed=6)
+
     def test_report_deterministic_given_seed(self, batch):
         model = tiny_model(seed=8)
         params = ParamSet.from_model(model)
@@ -874,7 +888,7 @@ class TestBatchedProbes:
         for carved in cache.layout.index.values():  # a stack: both heads' entries
             arr = carved.array
             idxs = np.sort(rng.choice(arr.size, size=min(4, arr.size), replace=False))
-            assert_same_losses(cache.probe_losses([(arr, idxs)], 1e-5),
+            assert_same_losses(cache.probe_losses(vector_positions(model, [(arr, idxs)]), 1e-5),
                                one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5))
 
     def test_an_exhaustive_head_stack_crosses_chunk_boundaries(self, batch):
@@ -889,8 +903,24 @@ class TestBatchedProbes:
         assert all(c * training.PROBE_CHUNK % per_head for c in (1, 2))
         idxs = np.arange(arr.size)
         cache = plain_cache(model, batch[:1], "mse")
-        assert_same_losses(cache.probe_losses([(arr, idxs)], 1e-5),
+        assert_same_losses(cache.probe_losses(vector_positions(model, [(arr, idxs)]), 1e-5),
                            one_probe_losses(model, batch[:1], "mse", arr, idxs, 1e-5))
+
+    def test_one_call_returns_each_loss_in_the_order_of_its_positions(self):
+        # Positions out of carve order, over the embedding, layers 0 and 2, a
+        # head stack and the readout: the passes run in slots order, and each
+        # loss comes back where its position sits in ``at``.
+        model, pairs = walk_model("g3", "per_head"), walk_batch()
+        first, last = model.layers[0], model.layers[2]
+        probes = [(last.ffn.w1, [3]), (model.w_in, [2, 0]), (model.w_head, [1]),
+                  (first.attn.w_k, [40, 5]), (last.ln2.shift, [7]), (model.b_in, [4])]
+        at = vector_positions(model, probes)
+        shuffle = np.random.default_rng(3).permutation(at.size)
+        cache = plain_cache(model, pairs, "mse")
+        got = cache.probe_losses(at[shuffle], 1e-5)
+        want = [one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5) for arr, idxs in probes]
+        assert_same_losses(got, [np.array(sum((side[i] for side in want), []))[shuffle]
+                                 for i in (0, 1)])
 
     def test_the_check_makes_one_pass_per_pack(self, batch, monkeypatch):
         # Two g1/per_head layers of four heads, two coordinates per parameter:
@@ -903,9 +933,9 @@ class TestBatchedProbes:
         cache_type = training._PlainForwardCache
         probe, loss_from = cache_type.probe_losses, cache_type._loss_from
 
-        def counted_probe(cache, probes, *args):
-            probed.append([id(arr) for arr, _ in probes])
-            return probe(cache, probes, *args)
+        def counted_probe(cache, at, *args):
+            probed.append(at)
+            return probe(cache, at, *args)
 
         def counted_pass(cache, *args):
             passes.append(args)
@@ -916,9 +946,10 @@ class TestBatchedProbes:
         report = finite_difference_check(model, params, batch[:2], sample=2, seed=3)
         assert (len(passes), len(params.layout.names)) == (8, 66)
         assert [start for start, _ in passes] == [-1, 0, 0, 0, 1, 1, 1, 2]
-        layers = [carved.layer for carved in model.layout.index.values()]
-        assert probed == [[key for key, at in zip(model.layout.index, layers) if at == layer]
-                          for layer in (-1, 0, 1, 2)]
+        (at,) = probed  # one call, two positions of each name in the model's vector
+        starts = model.layout.starts
+        assert np.array_equal(np.searchsorted(starts, at, "right") - 1,
+                              np.repeat(np.arange(66), np.minimum(np.diff(starts), 2)))
         monkeypatch.undo()
         assert report == one_probe_fd_check(model, params, batch[:2], sample=2, seed=3)
 
@@ -953,7 +984,7 @@ class TestBatchedProbes:
             read = {c.name: c.array for c in cache.layout.index.values() if c.layer == layer}
             probes = [(arr, np.sort(rng.choice(arr.size, size=min(2, arr.size), replace=False)))
                       for arr in read.values()]
-            got = cache.probe_losses(probes, 1e-5)
+            got = cache.probe_losses(vector_positions(model, probes), 1e-5)
             stacks = passes.pop()
             assert not passes
             assert list(stacks) == list(read)
@@ -974,7 +1005,7 @@ class TestBatchedProbes:
                   (layer.ln1.scale, [1, 17]), (layer.ln1.shift, [5])]
         cache = plain_cache(model, batch[:1], "mse")
         passes = self.recorded_passes(monkeypatch)
-        got = cache.probe_losses(probes, 1e-5)
+        got = cache.probe_losses(vector_positions(model, probes), 1e-5)
         assert [sorted(stacks) for stacks in passes] == [["layer0.attn.head0.w_q"]] * 3 + [
             ["layer0.attn.head0.b_g", "layer0.ln1.scale", "layer0.ln1.shift"]]
         assert [next(iter(stacks.values())).shape[0] for stacks in passes] == [256, 256, 136, 10]
@@ -1032,7 +1063,7 @@ class TestTapeFreeForwards:
         batch_loss(model, pairs)
         evaluate(model, pairs)
         cache = plain_cache(model, pairs, "mse")
-        cache.probe_losses([(model.layers[0].attn.w_q, [0, 5])], 1e-5)
+        cache.probe_losses(vector_positions(model, [(model.layers[0].attn.w_q, [0, 5])]), 1e-5)
         assert built == []
         loss_and_gradients(model, pairs)  # the count sees a taped pass
         assert built
@@ -1098,7 +1129,8 @@ class TestInPlaceSteps:
         cache = plain_cache(model, pairs, "mse")
         states = [a.copy() for group in cache.hidden for a in group]
         layer = model.layers[1]
-        cache.probe_losses([(layer.mpnn.w_edge, [0, 7]), (layer.attn.w_q, [1, 9])], 1e-5)
+        cache.probe_losses(vector_positions(model, [(layer.mpnn.w_edge, [0, 7]),
+                                                    (layer.attn.w_q, [1, 9])]), 1e-5)
         for got, want in zip(held + [a for group in cache.hidden for a in group],
                              before + states):
             assert_bitwise(got, want)
@@ -1411,6 +1443,18 @@ class TestModelSerialization:
                                               f"malformed metadata: .*{re.escape(message)}")):
             load_model(path)
 
+    def test_a_readout_set_after_init_round_trips(self, tmp_path):
+        # The dump writes the readout the model runs, not the one it was built with.
+        model = init_model(SeededRng(25), d_in=4, d=16, n_heads=4, n_layers=1,
+                           gate=GateConfig(placement="g1"))
+        model.readout = "sum"
+        g = make_toy_task(seed=5, n_graphs=2, nodes_per_graph=5).train[0][0]
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.readout == "sum"
+        assert_bitwise(model_forward(g, back)[0], model_forward(g, model)[0])
+
     def test_loss_round_trips_through_batch_loss(self, tmp_path):
         model = tiny_model(seed=23)
         task = make_toy_task(seed=6, n_graphs=3, nodes_per_graph=5)
@@ -1599,7 +1643,7 @@ class TestParamStorage:
 
     def test_a_layout_is_frozen(self):
         layout = walk_model("g3", "per_head").layout
-        for name in ("names", "shapes", "starts", "reads", "index", "slots", "header"):
+        for name in ("names", "shapes", "starts", "index", "slots", "header"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(layout, name, getattr(layout, name))
         with pytest.raises(ValueError, match="read-only"):
@@ -1696,7 +1740,7 @@ class TestParamStorage:
         _, grads = loss_and_gradients(model, walk_batch())
         grads[name].reshape(-1)[0] = np.inf
         assert grads.first_nonfinite() == first_nonfinite_by_loop(grads) == name
-        stack, k = model.layout.reads[name]
+        stack, k = hand_written_reads(model)[name]
         first = (k or 0) * params[name].size
 
         real_backward = ad.backward
