@@ -17,6 +17,13 @@ seed once per side (at :data:`CHECK_SECONDS`) and records whether both
 sides end alike; use it for the reference seed and for seeds known to fail
 on a correct library.
 
+After each run, ``python3 -B -c`` from the same copy's root puts ``src`` and
+``perfbench`` on the path as ``perfbench/run.py`` does, imports
+``workloads`` and prints its peak RSS. The record keeps that as the run's
+``import_rss_mb``, with each side's median per workload: the part of
+``peak_rss_mb`` that the import alone reaches, which follows the size of the
+compiled source. It gets no verdict and no claim.
+
 Per workload and end-to-end metric of ``BENCHMARK.json`` the record holds
 each side's median and quartiles, the pairs the change wins, its relative
 change, and a verdict against the metric's bound (see :func:`verdict`).
@@ -27,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -53,8 +61,12 @@ WHAT = (
     "wider than the bound and not every change run beats every parent run; 'no value on a "
     "side' when a side has none; else 'inside the bound'. Runs that fail a check are kept "
     "and counted in failed_share. A claim is met when its verdict is 'better' and the "
-    "change's failed share does not rise."
+    "change's failed share does not rise. import_rss_mb is the peak RSS in MB of a fresh "
+    "python3 -B that only imports perfbench's workloads from the same copy, run after each "
+    "run; it has medians and no verdict."
 )
+IMPORT_RSS = ("import resource, sys; sys.path[:0] = sys.argv[1:]; import workloads; "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -166,7 +178,8 @@ def parse_run(proc: subprocess.CompletedProcess) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run from the root of ``tree``."""
+    """One perfbench run from the root of ``tree``, with the ``import_rss_mb``
+    measured right after it."""
     cmd = [sys.executable, "-B", "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     try:
@@ -174,7 +187,22 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                               timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:  # its JSON line, the last it prints, never came
         proc = subprocess.CompletedProcess(cmd, -1, "", f"timed out after {RUN_TIMEOUT_S} s")
-    return parse_run(proc)
+    return {**parse_run(proc), "import_rss_mb": import_rss_mb(tree)}
+
+
+def import_rss_mb(tree: Path) -> float | None:
+    """Peak RSS in MB of a fresh ``python3 -B`` that imports perfbench's
+    ``workloads`` from ``tree`` as ``perfbench/run.py`` does (``src`` and
+    ``perfbench`` first on the path, BLAS threads capped alike); None if it fails."""
+    threads = str(min(2, os.cpu_count() or 1))
+    env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, **os.environ}
+    try:
+        proc = subprocess.run([sys.executable, "-B", "-c", IMPORT_RSS, "src", "perfbench"],
+                              cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+        return float(proc.stdout) if proc.returncode == 0 else None
+    except (subprocess.TimeoutExpired, ValueError):
+        return None
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -210,6 +238,16 @@ def paired_runs(trees: dict, workload: str, seeds: list[int], seconds: float) ->
     return pairs
 
 
+def import_rss_medians(pairs: list[dict]) -> dict:
+    """Per side, the median ``import_rss_mb`` over its runs with a value (None if none)."""
+    out = {}
+    for side in SIDES:
+        values = [p[side].get("import_rss_mb") for p in pairs]
+        values = [v for v in values if v is not None]
+        out[side] = statistics.median(values) if values else None
+    return out
+
+
 def same_outcome(pair: dict) -> bool:
     """Whether both sides of a checked seed ended alike: exit code, verdict,
     units and the checks they failed."""
@@ -225,7 +263,8 @@ def record(label: str, revisions: dict, benchmark: dict, runs: dict, checks: dic
     metrics = benchmark["end_to_end"]
     workloads = {name: {"seeds": [p["seed"] for p in pairs], "pairs": pairs,
                         "summary": summarize(pairs, metrics),
-                        "failed_share": failed_share(pairs)}
+                        "failed_share": failed_share(pairs),
+                        "import_rss_mb": import_rss_medians(pairs)}
                  for name, pairs in runs.items()}
     claim = {}
     for spec in claims:
@@ -263,6 +302,9 @@ def verdict_lines(rec: dict) -> list[str]:
         share = wl["failed_share"]
         lines.append(f"{name} failed share: parent {share['parent']['share']}, "
                      f"change {share['change']['share']}")
+        rss = wl["import_rss_mb"]
+        lines.append(f"{name} import_rss_mb (no verdict): parent {rss['parent']}, "
+                     f"change {rss['change']}")
     for name, pairs in rec["checked_seeds"].items():
         for pair in pairs:
             lines.append(f"check {name} seed {pair['seed']}: correct "

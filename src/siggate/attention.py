@@ -117,26 +117,24 @@ class HeadTraces(Sequence):
     attention, the gate (None ungated) and the K x N x d_k output. A stack whose
     row count (axis -2) is not the output's is an n x n stack over B > 1 graphs,
     with its head axis 4 from the end; every other stack has it 3 from the end.
-    Axes of copies lead, so the rule holds whichever stacks carry them. The first
-    read makes every head's trace, of views of slice k of each stack (slice 0 of
-    a shared gate's, whose head axis is 1)."""
+    Axes of copies lead, so the rule holds whichever stacks carry them. Each
+    read makes head k's trace anew, of views of slice k of each stack (slice 0
+    of a shared gate's, whose head axis is 1); a slice gives a list of them."""
 
-    __slots__ = ("attention", "gate", "output", "_heads")
+    __slots__ = ("attention", "gate", "output")
 
     def __init__(self, attention, gate, output):
         self.attention, self.gate, self.output = attention, gate, output
-        self._heads = None
 
     def __len__(self) -> int:
         return self.output.shape[-3]
 
     def __getitem__(self, k):
-        if self._heads is None:
-            n = len(self)
-            self._heads = [HeadTrace(*t) for t in zip(*(
-                [None] * n if x is None else _per_head(x, n, 3 + self._by_graphs(x))
-                for x in (self.attention, self.gate, self.output)))]
-        return self._heads[k]
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # a list's bounds: a shared gate has one slice for every k
+        return HeadTrace(*(None if x is None else _head(x, k, 3 + self._by_graphs(x))
+                           for x in (self.attention, self.gate, self.output)))
 
     def split(self, n_graphs: int) -> list["HeadTraces"]:
         """Each graph's traces of a tape-free pass over ``n_graphs`` > 1 graphs:
@@ -152,10 +150,9 @@ class HeadTraces(Sequence):
         return x.shape[-2] != self.output.shape[-2]
 
 
-def _per_head(x, heads: int, axes: int):
-    """Each head's part of a stack with its head axis ``axes`` from the end."""
-    lead = (slice(None),) * (x.ndim - axes)
-    return [x[lead + (k if x.shape[-axes] > 1 else 0,)] for k in range(heads)]
+def _head(x, k: int, axes: int):
+    """Head ``k``'s part of a stack with its head axis ``axes`` from the end."""
+    return x[(slice(None),) * (x.ndim - axes) + (k if x.shape[-axes] > 1 else 0,)]
 
 
 def _validate_mhsa(n_features: int, params: MhsaParams) -> None:

@@ -9,7 +9,8 @@ Human-readable summaries go to stdout; data goes to CSV files in the output
 directory. The commands of ``_COMMANDS`` also write the fully resolved
 configuration there (rerunning from that echo reproduces every output
 bitwise). Exit codes: 0 success, 1 acceptance-band failure, 2 usage/config error,
-3 a pool worker died before every cell had returned (the run wrote no output).
+3 a pool worker died, or a cell raised an error that is not a config, input or
+file error, before every cell had returned (the run wrote no output).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import contextmanager
-from itertools import product
+from itertools import product, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,20 +131,39 @@ def _rank_config(cfg: RunConfig) -> RankExpConfig:
     )
 
 
+class CellError(Exception):
+    """A cell raised an error that ``main`` does not report itself; the message
+    names the cell and the error."""
+
+
+def _cell(fn, name, job):
+    try:
+        return fn(job)
+    except (ValueError, OSError):  # config, input and file errors: main reports them
+        raise
+    except Exception as exc:
+        raise CellError(f"cell {name} raised {type(exc).__name__}: {exc}") from None
+
+
 @contextmanager
-def _pool(parallel: int, tasks: int, runs_model: bool = False):
+def _pool(parallel: int, cells: list[str], runs_model: bool = False):
     """map() over a process pool of ``parallel`` workers, but no more than the
-    ``tasks`` it maps (a forked pool starts every worker at once), when that
-    is more than one; else the builtin. A pool whose tasks run the model
-    loads the GELU's ``erf`` (one scipy extension) before it forks, so its
-    workers inherit it instead of each loading it."""
-    if min(parallel, tasks) < 2:
-        yield map
+    ``cells`` it maps (a forked pool starts every worker at once), when that
+    is more than one; else the builtin. ``cells`` names the mapped jobs in
+    order: at every ``parallel``, an error a job raises that is not a
+    ValueError or OSError comes back as a :class:`CellError` naming it. A pool
+    whose tasks run the model loads the GELU's ``erf`` (one scipy extension)
+    before it forks, so its workers inherit it instead of each loading it."""
+    def named(map_fn):
+        return lambda fn, jobs: map_fn(_cell, repeat(fn), cells, jobs)
+
+    if min(parallel, len(cells)) < 2:
+        yield named(map)
     else:
         if runs_model:
             load_erf()
-        with ProcessPoolExecutor(max_workers=min(parallel, tasks)) as executor:
-            yield executor.map
+        with ProcessPoolExecutor(max_workers=min(parallel, len(cells))) as executor:
+            yield named(executor.map)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +176,7 @@ def cmd_rank_exp(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     base = _rank_config(cfg)
     robust = cfg["experiment.robustness"]
     # The default cell runs as the c sweep's first cell: one pass per seed serves both.
-    with _pool(parallel, len(base.seeds)) as map_fn:
+    with _pool(parallel, [f"seed {seed}" for seed in base.seeds]) as map_fn:
         first, *sweep_cells = run_robustness_sweep(
             base, (base.c, *(cfg["experiment.c_sweep"] if robust else ())),
             cfg["experiment.rho_sweep"] if robust else (), map_fn=map_fn)
@@ -245,7 +265,7 @@ def cmd_grad_check(cfg: RunConfig, out_dir: str, parallel: int = 1) -> int:
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck.tolerance must be finite and > 0, got {tol}")
     _model_dims(cfg, _gate_config(cfg))  # a bad model size exits before any worker starts
-    with _pool(parallel, len(jobs), runs_model=True) as map_fn:
+    with _pool(parallel, [f"{p}/{a}" for p, a, _ in jobs], runs_model=True) as map_fn:
         reports = list(map_fn(_gradcheck_one, jobs))
     rows = []
     ok = True
@@ -299,7 +319,7 @@ def _train_cells(cfg: RunConfig, out_dir: str, parallel: int, cells, csv_name: s
     return the rows."""
     task = _task(cfg)
     jobs = [(label, train_cfg, task) for label, train_cfg in cells]
-    with _pool(parallel, len(jobs), runs_model=True) as map_fn:
+    with _pool(parallel, ["/".join(label) for label, *_ in jobs], runs_model=True) as map_fn:
         rows, histories = zip(*map_fn(_train_cell, jobs))
     histories_dir = os.path.join(out_dir, "histories")
     for (label, *_), history in zip(jobs, histories):
@@ -498,6 +518,9 @@ def main(argv=None) -> int:
     except BrokenProcessPool:
         print(f"error: {args.command}: a worker process died before every cell had "
               "returned; this run wrote no output", file=sys.stderr)
+        return EXIT_WORKER
+    except CellError as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return EXIT_WORKER
 
 

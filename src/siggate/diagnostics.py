@@ -70,20 +70,14 @@ def stable_rank(m):
     """||M||_F^2 / ||M||_2^2 — a continuous effective-rank surrogate.
 
     A stack ``(K, r, c)`` gives an array of K values, each bitwise what a
-    lone call on its matrix gives (see :func:`top_singular_value`). A stack
-    of C-ordered matrices, or of their transposes, sums the squares of 8
-    matrices per call; each sum then runs over a contiguous matrix, as a
-    lone call's does. Other layouts sum matrix by matrix, since one call
-    would add in another order.
+    lone call on its matrix gives (see :func:`top_singular_value`): the
+    squares are summed matrix by matrix, as a lone call sums them, whatever
+    the stack's layout.
     """
     m = np.asarray(m, dtype=np.float64)
     top = top_singular_value(m)  # rejects the zero matrix and shapes not 2-D or 3-D
     if m.ndim == 2:
         return float(np.sum(m * m)) / (top * top)
-    if m.flags.c_contiguous or m.transpose(0, 2, 1).flags.c_contiguous:
-        # 8 at a time: the squares of a whole rank-study stack (1 MB) raised its peak memory
-        blocks = np.split(m, range(8, len(m), 8))
-        return np.concatenate([np.sum(b * b, axis=(1, 2)) for b in blocks]) / (top * top)
     return np.array([np.sum(s * s) for s in m]) / (top * top)
 
 

@@ -230,17 +230,11 @@ def _unit_column_gaussian(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
-# The most head outputs one stable_rank call takes. At the default scale the
-# buffer holds 1 MB; one stack of 128 per sweep seed ran perfbench rank_sweep
-# about 10% faster, but for 2 MB more peak memory.
-_RANK_BATCH = 64
-
-
 def _run_seed(args):
     """One seed of the rank study for every (c, rho) in ``pairs``: the draws and
     the gate do not depend on c or rho, so they are made once (top-level so
-    process pools can map it). Each head's ``y`` and ``y * gate`` go to a buffer
-    whose stable ranks are taken in one stacked call each time it fills."""
+    process pools can map it). Each head's ``y`` and ``y * gate`` for every pair
+    go to one stack, whose stable ranks are taken in one call."""
     cfg, pairs, seed, cal = args
     inv_sqrt_dk = 1.0 / np.sqrt(cfg.d_k)
     proj_std = 1.0 / np.sqrt(cfg.d)
@@ -253,13 +247,9 @@ def _run_seed(args):
         keep = uniforms >= rho
         np.fill_diagonal(keep, True)
         masks.append(keep)
-    sranks = np.empty((cfg.n_heads, len(pairs), 2))  # (head, pair, gated)
-    flat = sranks.reshape(-1)
-    outputs = np.empty((min(_RANK_BATCH, flat.size), cfg.n, cfg.d_k))
-    filled = done = 0
-    gate_sum = gate_sq_sum = 0.0
-    gate_count = 0
-    for _ in range(cfg.n_heads):
+    outputs = np.empty((cfg.n_heads, len(pairs), 2, cfg.n, cfg.d_k))  # (head, pair, gated)
+    moments = np.zeros(3)  # the gate values' sum, sum of squares and count
+    for head in outputs:
         w_q = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_k = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_v = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
@@ -267,25 +257,19 @@ def _run_seed(args):
         q, k, v = hidden @ w_q, hidden @ w_k, hidden @ w_v
         scores = q @ k.T
         gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias)
-        gate_sum += gate.sum()
-        gate_sq_sum += (gate * gate).sum()
-        gate_count += gate.size
-        for (c, rho), mask in zip(pairs, masks):
+        moments += gate.sum(), (gate * gate).sum(), gate.size
+        for (c, rho), mask, (y, gated) in zip(pairs, masks, head):
             try:
                 attn = row_softmax(c * scores * inv_sqrt_dk, mask)
             except NonFiniteInputError as exc:
                 raise NonFiniteInputError(f"rank study cell c={c:g} rho={rho:g}: {exc}") from None
-            y = np.matmul(attn, v, out=outputs[filled])
-            np.multiply(y, gate, out=outputs[filled + 1])
-            filled += 2  # the buffer and the outputs both hold an even count
-            if filled == len(outputs) or done + filled == flat.size:
-                flat[done:done + filled] = stable_rank(outputs[:filled])
-                done += filled
-                filled = 0
+            np.matmul(attn, v, out=y)
+            np.multiply(y, gate, out=gated)
+    sranks = stable_rank(outputs.reshape(-1, cfg.n, cfg.d_k)).reshape(outputs.shape[:3])
     results = [SeedResult(seed=seed, srank_ungated=float(np.mean(sranks[:, i, 0])),
                           srank_gated=float(np.mean(sranks[:, i, 1])))
                for i in range(len(pairs))]
-    return results, gate_sum, gate_sq_sum, gate_count
+    return results, moments
 
 
 def _run_configs(configs: list[RankExpConfig], map_fn=map) -> list[RankExpResult]:
@@ -298,14 +282,12 @@ def _run_configs(configs: list[RankExpConfig], map_fn=map) -> list[RankExpResult
     slot = {key: i for i, key in enumerate(dict.fromkeys((c.c, c.rho) for c in configs))}
     jobs = [(cfg, list(slot), seed, cal) for seed in cfg.seeds]
     per_seed = [[] for _ in slot]
-    gate_sum = gate_sq_sum = 0.0
-    gate_count = 0
-    for results, gsum, gsq, gcount in map_fn(_run_seed, jobs):
+    moments = np.zeros(3)
+    for results, seed_moments in map_fn(_run_seed, jobs):
         for i, result in enumerate(results):
             per_seed[i].append(result)
-        gate_sum += gsum
-        gate_sq_sum += gsq
-        gate_count += gcount
+        moments += seed_moments
+    gate_sum, gate_sq_sum, gate_count = moments
     gate_mean = gate_sum / gate_count
     gate_var = gate_sq_sum / gate_count - gate_mean ** 2
     return [RankExpResult(

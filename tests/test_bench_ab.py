@@ -165,6 +165,52 @@ class TestParseRun:
                        "problems": ["g1: loss rose"], "metrics": {"norm_wall_s": 0.5}}
 
 
+class TestImportRss:
+    """Each run carries the peak RSS of an import-only interpreter from the same
+    copy; the record keeps its medians and gives it no verdict."""
+
+    LINE = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+        "peak_rss_mb": {"value": 38.0, "unit": "MB"}}})
+
+    def stub_runner(self, monkeypatch, probe_stdout, probe_exit=0):
+        calls = []
+
+        def fake_run(cmd, **kw):
+            calls.append((cmd, kw))
+            if cmd[2] == "perfbench/run.py":
+                return subprocess.CompletedProcess(cmd, 0, self.LINE + "\n", "")
+            return subprocess.CompletedProcess(cmd, probe_exit, probe_stdout, "")
+
+        monkeypatch.setattr(ab.subprocess, "run", fake_run)
+        return calls
+
+    def test_the_probe_runs_after_the_run_from_the_copys_root(self, tmp_path, monkeypatch):
+        calls = self.stub_runner(monkeypatch, "31.5\n")
+        got = ab.run_once(tmp_path, "rank_sweep", 7, 10)
+        assert got["import_rss_mb"] == 31.5 and got["metrics"] == {"peak_rss_mb": 38.0}
+        (run_cmd, run_kw), (probe_cmd, probe_kw) = calls
+        assert run_cmd[1:3] == ["-B", "perfbench/run.py"] and run_kw["cwd"] == tmp_path
+        assert probe_cmd[1:] == ["-B", "-c", ab.IMPORT_RSS, "src", "perfbench"]
+        assert probe_kw["cwd"] == tmp_path
+        assert probe_kw["env"]["OPENBLAS_NUM_THREADS"] and probe_kw["env"]["OMP_NUM_THREADS"]
+
+    @pytest.mark.parametrize("stdout, code", [("", 1), ("not a number\n", 0)])
+    def test_a_failed_probe_has_no_value(self, tmp_path, monkeypatch, stdout, code):
+        self.stub_runner(monkeypatch, stdout, code)
+        assert ab.run_once(tmp_path, "rank_sweep", 7, 10)["import_rss_mb"] is None
+
+    def test_the_record_keeps_medians_and_no_verdict(self):
+        pairs = pairs_of([100] * 3, [100] * 3)
+        for pair, (p, c) in zip(pairs, [(30.0, 31.0), (30.5, None), (29.0, 32.0)]):
+            pair["parent"]["import_rss_mb"], pair["change"]["import_rss_mb"] = p, c
+        rec = ab.record("x", {}, BENCHMARK, {"rank_sweep": pairs}, {}, [], None)
+        wl = rec["workloads"]["rank_sweep"]
+        assert wl["import_rss_mb"] == {"parent": 30.0, "change": 31.5}
+        assert "import_rss_mb" not in wl["summary"]
+        assert ("rank_sweep import_rss_mb (no verdict): parent 30.0, change 31.5"
+                in ab.verdict_lines(rec))
+
+
 class TestMain:
     def test_sides_alternate_and_the_record_carries_the_shared_keys(self, tmp_path,
                                                                      monkeypatch):

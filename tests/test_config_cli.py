@@ -574,6 +574,76 @@ class TestKilledWorker:
         assert {name: (out / name).stat().st_mtime_ns for name in first} == written
 
 
+class TestCellError:
+    """A cell that raises an error no command reports itself (not a config,
+    input or file error) ends the command with exit 3 and one stderr line
+    naming the command, the cell and the error, at every --parallel; the run
+    writes nothing."""
+
+    @staticmethod
+    def fail_gated_cell(monkeypatch):
+        real = cli.train_toy
+
+        def failing(cfg, task):  # the forked worker inherits this patch
+            if cfg.gate.placement != "none":
+                raise RuntimeError("a cell failed")
+            return real(cfg, task)
+
+        monkeypatch.setattr(cli, "train_toy", failing)
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_lr_sweep_exits_three_and_leaves_the_first_runs_files(
+            self, tmp_path, capfd, monkeypatch, parallel):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TestKilledWorker.CFG)
+        out = tmp_path / "out"
+        assert run_cli("lr-sweep", "--config", str(cfg), "--out", str(out)) == 0
+        first = tree(out)
+        written = {name: (out / name).stat().st_mtime_ns for name in first}
+        capfd.readouterr()
+        self.fail_gated_cell(monkeypatch)
+        assert run_cli("lr-sweep", "--config", str(cfg), "--out", str(out),
+                       "--parallel", parallel) == 3
+        captured = capfd.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err == ("error: lr-sweep: cell gated/0.001 raised RuntimeError: "
+                                "a cell failed\n")
+        assert captured.out == ""
+        assert tree(out) == first
+        assert {name: (out / name).stat().st_mtime_ns for name in first} == written
+
+    @pytest.mark.parametrize("command, config, module, name, cell", [
+        ("rank-exp", FAST_RANK, "synthexp", "_run_seed", "seed 1"),
+        ("grad-check", "gradcheck.placements = none, g1\ngradcheck.activations = sigmoid\n"
+         "gradcheck.exhaustive = false\ngradcheck.samples = 1\n", "cli",
+         "finite_difference_check", "g1/sigmoid"),
+        ("ablate", TINY_TRAIN, "cli", "train_toy", "g1/per_head/sigmoid"),
+    ], ids=["rank-exp", "grad-check", "ablate"])
+    def test_every_pooled_command_names_its_cell(self, tmp_path, capfd, monkeypatch, command,
+                                                 config, module, name, cell):
+        import siggate.synthexp as synthexp
+
+        target = {"cli": cli, "synthexp": synthexp}[module]
+        real = getattr(target, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ZeroDivisionError("no cell handles this")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, failing)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 3
+        captured = capfd.readouterr()
+        assert captured.err == (f"error: {command}: cell {cell} raised ZeroDivisionError: "
+                                f"no cell handles this\n")
+        assert list(out.iterdir()) == []
+
+
 class TestDiagnoseCommand:
     def test_round_trip_matches_in_memory(self, tmp_path):
         model = init_model(SeededRng(5), d_in=4, d=16, n_heads=4, n_layers=2,

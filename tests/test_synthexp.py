@@ -327,7 +327,8 @@ class TestWorkCount:
 
 
 class TestStackedStableRanks:
-    """Each seed's head outputs reach stable_rank in stacks of at most 64."""
+    """Each seed's head outputs reach stable_rank in one stack: heads x distinct
+    (c, rho) pairs x (y, y * gate) matrices."""
 
     @pytest.fixture
     def shapes(self, monkeypatch):
@@ -341,19 +342,20 @@ class TestStackedStableRanks:
         monkeypatch.setattr(synthexp, "stable_rank", recorded)
         return shapes
 
-    def test_default_sweep_seed_takes_two_calls(self, shapes):
+    def test_default_sweep_seed_takes_one_call(self, shapes):
         # 8 heads x 8 distinct (c, rho) pairs x (y, y * gate) = 128 outputs
         run_robustness_sweep(RankExpConfig(seeds=(0,)))
-        assert shapes == [(64, 64, 32)] * 2
+        assert shapes == [(128, 64, 32)]
 
-    def test_one_call_per_seed_when_the_outputs_fit(self, shapes):
+    def test_default_experiment_seed_takes_one_call(self, shapes):
         run_rank_experiment(RankExpConfig(seeds=(0, 1)))
         assert shapes == [(16, 64, 32)] * 2
 
-    def test_last_stack_holds_the_remainder(self, shapes):
+    def test_five_heads_seed_takes_one_call(self, shapes):
+        # 5 heads x 7 distinct pairs (of 12 cells) x 2 = 70 outputs
         run_robustness_sweep(SHARED_PASS_CONFIGS["five_heads"], c_values=(0.5, 1.0, 3.0),
                              rho_values=(0.0, 0.05, 0.6, 0.95))
-        assert shapes == [(64, 8, 4), (6, 8, 4)] * 2
+        assert shapes == [(70, 8, 4)] * 2
 
 
 class TestToyTask:
