@@ -39,6 +39,7 @@ __all__ = [
     "gated_head_forward",
     "siggate_mhsa",
     "gate_param_count",
+    "is_gate_param",
     "mhsa_skeleton",
     "init_mhsa_params",
 ]
@@ -72,6 +73,11 @@ class GateConfig:
 
 _QKV = ("w_q", "w_k", "w_v")
 _GATE_FIELDS = ("w_g", "w_g2", "b_g")
+
+
+def is_gate_param(name: str) -> bool:
+    """Whether the parameter ``name`` (as a layout names it) is a gate's."""
+    return name.rsplit(".", 1)[-1] in _GATE_FIELDS
 
 
 @dataclass
@@ -223,22 +229,15 @@ def _scores(a, b, d_k: int, n_graphs: int):
     return np.multiply(prod, scale, out=prod), back
 
 
-def _softmax(logits, mask):
-    """``(P, back)`` of every head's row softmax; all heads read the same mask.
-    P overwrites the logits, a fresh stack that no ``back`` reads."""
-    if mask is not None:
-        mask = np.tile(mask, (logits.size // mask.size, 1))
-    return ad.row_softmax_vjp(logits, mask, out=logits)
-
-
-def _gate(h, stacks, cfg: GateConfig, n_graphs: int):
-    """``(gate, back)``: g1/g2's G x N x d_k act(H W_g + b_g), or g3's G x (B x)
-    n x n gate; ``back(dgate)`` is ``(h's terms, the gate stacks' gradients)``."""
-    w_g, b_g = stacks["w_g"], stacks["b_g"]
+def _gate(h, heads: MhsaParams, n_graphs: int):
+    """``(gate, back)`` of the layer ``heads``: g1/g2's G x N x d_k act(H W_g +
+    b_g), or g3's G x (B x) n x n gate; ``back(dgate)`` is ``(h's terms, the
+    gate stacks' gradients)``."""
+    cfg, w_g, b_g = heads.gate, heads.w_g, heads.b_g
     z, z_back = ad.matmul_vjp(h, w_g)
     trailing = (1, b_g.shape[-1])
     if cfg.placement == "g3":
-        z2, z2_back = ad.matmul_vjp(h, stacks["w_g2"])
+        z2, z2_back = ad.matmul_vjp(h, heads.w_g2)
         z, scores_back = _scores(z, z2, w_g.shape[-1], n_graphs)
         trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
     pre, bias_back = ad.add_vjp(z, b_g.reshape(b_g.shape[:-1] + trailing))
@@ -256,31 +255,55 @@ def _gate(h, stacks, cfg: GateConfig, n_graphs: int):
     return gate, back
 
 
-def _heads_pass(h, cfg: GateConfig, stacks, mask, n_graphs):
-    """``(output, attention, gate, back)`` of every head, on the plain arrays
-    ``stacks`` (by field name). ``back(g)`` gives ``h``'s term for each of
-    its products, in the order an op-by-op tape summed them (Q, K, V, gate
-    for g1/none; Q, K, gate, V for g2; W_g, W_g2, Q, K, V for g3), then each
-    stack's gradient in field order, all from the ``back`` of each op's form."""
-    placement = cfg.placement
+def gated_head_forward(h, heads: MhsaParams, mask=None, *, n_graphs: int = 1):
+    """Every head's forward pass under the layer's gate, ``heads.gate``, at once.
+
+    ``heads`` is a layer's :class:`MhsaParams`, whose stacks run all K heads
+    in one pass; a single head is a layer with K = 1. Returns ``(output,
+    traces, back)``: the K x N x d_k output stack, the :class:`HeadTraces` of
+    its heads, and the form's ``back``. ``back(g)`` gives ``h``'s term for
+    each of its products, in the order an op-by-op tape summed them (Q, K,
+    V, gate for g1/none; Q, K, gate, V for g2; W_g, W_g2, Q, K, V for g3),
+    then each stack's gradient in field order, all from the ``back`` of
+    each op's form. With placement ``none`` each head is plain scaled
+    dot-product attention, ``softmax(Q K^T / sqrt(d_k)) V``, whose attention
+    rows are stochastic with masked entries exactly 0.
+
+    ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
+    nodes attend only within their own graph. ``mask`` is N x n, the graphs'
+    n x n masks stacked by rows. Per head, the output and the g1/g2 gate are
+    N x d_k, the attention and the g3 gate n x n per graph (B x n x n for
+    B > 1).
+    """
+    rows, n_features = np.shape(h)[-2:]
+    _validate_mhsa(n_features, heads)
+    if n_graphs < 1 or rows % n_graphs:
+        raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
+    if mask is not None and np.shape(mask) != (rows, rows // n_graphs):
+        raise ShapeError(f"mask has shape {np.shape(mask)}, expected {(rows, rows // n_graphs)}")
+    placement = heads.gate.placement
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}")
     if np.ndim(h) > 2:  # tape-free copies of the input: add the head axis
         h = h[..., None, :, :]
-    (q, q_back), (k, k_back), (v, v_back) = (ad.matmul_vjp(h, stacks[name]) for name in _QKV)
-    raw, scores_back = _scores(q, k, stacks["w_q"].shape[-1], n_graphs)
+    (q, q_back), (k, k_back), (v, v_back) = (ad.matmul_vjp(h, getattr(heads, name))
+                                             for name in _QKV)
+    raw, scores_back = _scores(q, k, heads.w_q.shape[-1], n_graphs)
     gate = None
     if placement == "g3":
-        gate, gate_back = _gate(h, stacks, cfg, n_graphs)
+        gate, gate_back = _gate(h, heads, n_graphs)
         raw, gated_back = ad.mul_vjp(gate, raw)
-    attention, softmax_back = _softmax(raw, mask)
+    if mask is not None:  # every head reads the same mask
+        mask = np.tile(mask, (raw.size // mask.size, 1))
+    # P overwrites the logits, a fresh stack that no ``back`` reads.
+    attention, softmax_back = ad.row_softmax_vjp(raw, mask, out=raw)
     if placement == "g2":
-        gate, gate_back = _gate(h, stacks, cfg, n_graphs)
+        gate, gate_back = _gate(h, heads, n_graphs)
         v, gated_back = ad.mul_vjp(gate, v)
     out_b, out_back = ad.matmul_vjp(attention, _by_graph(v, n_graphs))
     out = out_b.reshape(out_b.shape[:-3] + (-1, out_b.shape[-1])) if n_graphs > 1 else out_b
     if placement == "g1":
-        gate, gate_back = _gate(h, stacks, cfg, n_graphs)
+        gate, gate_back = _gate(h, heads, n_graphs)
         out, gated_back = ad.mul_vjp(out, gate)
 
     def back(g):
@@ -303,35 +326,6 @@ def _heads_pass(h, cfg: GateConfig, stacks, mask, n_graphs):
             grads += gate_grads
         return terms + grads
 
-    return out, attention, gate, back
-
-
-def gated_head_forward(h, heads: MhsaParams, mask=None, *, n_graphs: int = 1):
-    """Every head's forward pass under the layer's gate, ``heads.gate``, at once.
-
-    ``heads`` is a layer's :class:`MhsaParams`, whose stacks run all K heads
-    in one pass; a single head is a layer with K = 1. Returns ``(output,
-    traces, back)``: the K x N x d_k output stack, the :class:`HeadTraces` of
-    its heads, and the form's ``back`` (see :func:`_heads_pass`). With placement
-    ``none`` each head is plain scaled dot-product attention,
-    ``softmax(Q K^T / sqrt(d_k)) V``, whose attention rows are stochastic
-    with masked entries exactly 0.
-
-    ``h`` holds the N = B·n rows of ``n_graphs`` = B graphs of n nodes each;
-    nodes attend only within their own graph. ``mask`` is N x n, the graphs'
-    n x n masks stacked by rows. Per head, the output and the g1/g2 gate are
-    N x d_k, the attention and the g3 gate n x n per graph (B x n x n for
-    B > 1).
-    """
-    rows, n_features = np.shape(h)[-2:]
-    _validate_mhsa(n_features, heads)
-    if n_graphs < 1 or rows % n_graphs:
-        raise ShapeError(f"{rows} rows do not split into {n_graphs} graphs of equal size")
-    if mask is not None and np.shape(mask) != (rows, rows // n_graphs):
-        raise ShapeError(f"mask has shape {np.shape(mask)}, expected {(rows, rows // n_graphs)}")
-    names = heads.stacked_fields()
-    out, attention, gate, back = _heads_pass(
-        h, heads.gate, {name: getattr(heads, name) for name in names}, mask, n_graphs)
     return out, HeadTraces(attention, gate, out), back
 
 

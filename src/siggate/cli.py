@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS, GateConfig
+from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS, GateConfig, is_gate_param
 from .autodiff import load_erf
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (
@@ -55,7 +55,6 @@ from .training import (
     NonFiniteError,
     TrainConfig,
     finite_difference_check,
-    is_gate_param,
     load_model,
     train_toy,
     write_history_csv,
@@ -80,7 +79,7 @@ def _model_dims(cfg: RunConfig, gate: GateConfig | None) -> dict:
     once every size is known to be positive (``model.d_ff`` 0: the default) and
     ``model.heads`` to split ``model.d``."""
     for key, low in (("model.heads", 1), ("model.layers", 1), ("model.d", 1),
-                     ("model.d_in", 1), ("model.d_ff", 0)):
+                     ("model.d_in", 1), ("model.out_dim", 1), ("model.d_ff", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
     d, heads = cfg["model.d"], cfg["model.heads"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import _GATE_FIELDS, GateConfig
+from .attention import GateConfig
 from .gps import (
     GraphBatch,
     Layout,
@@ -51,7 +51,6 @@ __all__ = [
     "write_history_csv",
     "save_model",
     "load_model",
-    "is_gate_param",
 ]
 
 _LOSS_OPS = {"mse": ad.square, "mae": ad.absolute}  # per-entry op, summed over a group
@@ -71,10 +70,6 @@ class NonFiniteError(RuntimeError):
     def __init__(self, message: str, param_name: str | None):
         super().__init__(message)
         self.param_name = param_name
-
-
-def is_gate_param(name: str) -> bool:
-    return name.rsplit(".", 1)[-1] in _GATE_FIELDS
 
 
 def _graph_groups(batch):
@@ -227,109 +222,91 @@ PROBE_CHUNK = 256  # perturbed copies per batched pass; bounds the probes' memor
 PACK_ENTRIES = 1 << 16  # copies x entries of the arrays one pass packs; bounds the same
 
 
-class _PlainForwardCache:
-    """The hidden state entering each layer of the forward of each group of
-    a batch.
+def _probe_losses(model: ModelParams, layout: Layout, states, loss: str, at, h: float):
+    """``(f_plus, f_minus)``: for each position of ``at`` in the model's
+    vector, the :func:`batch_loss` with that entry moved to ``old + h`` and
+    to ``old - h``, in ``at``'s order.
 
-    A finite-difference probe changes one entry of the model's vector, so of
-    one array the forward reads (``layout.slots`` says which), and
-    everything the model computes before the layer that reads that array
-    (``layout.index`` gives the layer) stays as it was.
-    ``layout`` and ``states`` are those of :class:`Gradients` of the batch:
-    that taped pass tied each array it read to the layout, so the cache
-    walks no parameters. A tape-free :func:`model_embed` per group adds the
-    state entering layer 0. A taped pass runs the same ops on the same
-    arrays as a tape-free one, so each state is bitwise the tape-free
-    forward's.
+    A probe changes one entry of the model's vector, so of one array the
+    forward reads (``layout.slots`` says which), and everything the model
+    computes before the layer that reads that array (``layout.index`` gives
+    the layer) stays as it was. ``layout`` and ``states`` are those of
+    :class:`Gradients` of the batch: that taped pass tied each array it read
+    to the layout, so no parameters are walked here, and its states are
+    bitwise a tape-free forward's. A tape-free :func:`model_embed` per group
+    adds the state entering layer 0.
 
-    :meth:`probe_losses` runs the probes of each layer's arrays as few
-    passes: a pass's ``lift`` puts each of its arrays on a leading copy
-    axis, and that layer's :func:`gps_layer_forward`, the later layers and
-    the readout run once over the copies (``input.*`` arrays start at the
-    embedding, ``head.*`` arrays run the readout alone). Each copy keeps its
-    own slice of every op, with the shapes of :func:`batch_loss`, so its
-    loss is bitwise the :func:`batch_loss` of the model holding that copy.
-    The model's arrays are never written.
-    """
+    The copies run in the order of the layout's ``slots``: array after
+    array in carve order, so layer after layer, copy 2m of an array holding
+    its m-th probed entry at ``old + h`` and copy 2m + 1 at ``old - h``. An
+    array of more than :data:`PROBE_CHUNK` copies takes passes of its own,
+    that many copies each; smaller ones of one layer share a pass while it
+    holds at most that many copies and copies x entries of its arrays stay
+    within :data:`PACK_ENTRIES`. A pass stacks each of its arrays' copies,
+    all at the array's values but for its own copies' entries, on a leading
+    copy axis, and runs :func:`_loss_from` from the layer that reads them.
+    Each copy keeps its own slice of every op, with the shapes of
+    :func:`batch_loss`, so its loss is bitwise the :func:`batch_loss` of the
+    model holding that copy. The model's arrays are never written."""
+    index = layout.index.values()
+    place = np.argsort(layout.slots)[at]  # each position's place in ``slots``
+    order = np.argsort(place, kind="stable")  # the probes in slots order
+    place = place[order]
+    sizes = [carved.array.size for carved in index]
+    ends = np.cumsum(sizes)
+    counts = np.diff(np.searchsorted(place, ends), prepend=0)
+    # Copy c moves entry where[c] of its array by step[c]; old + (-h) is old - h.
+    where = np.repeat(place - np.repeat(ends - sizes, counts), 2)
+    step = np.tile([h, -h], place.size)
+    passes, pack, layer, copies, entries, hi = [], [], None, 0, 0, 0
+    for carved, count in zip(index, counts.tolist()):
+        if not count:
+            continue
+        arr = carved.array
+        if carved.layer != layer:  # a pass runs one layer's arrays
+            passes.append((layer, pack))
+            pack, layer, copies, entries = [], carved.layer, 0, 0
+        lo, hi = hi, hi + 2 * count
+        if hi - lo > PROBE_CHUNK:
+            passes += [(layer, [(arr, a, min(a + PROBE_CHUNK, hi))])
+                       for a in range(lo, hi, PROBE_CHUNK)]
+            continue
+        copies, entries = copies + hi - lo, entries + arr.size
+        if pack and (copies > PROBE_CHUNK or copies * entries > PACK_ENTRIES):
+            passes.append((layer, pack))
+            pack, copies, entries = [], hi - lo, arr.size
+        pack.append((arr, lo, hi))
+    states = [(graphs, targets, [model_embed(graphs, model), *hidden])
+              for graphs, targets, hidden in states]
+    losses, copy_axis = np.empty(hi), np.arange(hi)
+    for start, runs in passes + [(layer, pack)]:
+        if not runs:
+            continue
+        rows = np.concatenate([copy_axis[lo:hi] for _, lo, hi in runs])  # the pass's copies
+        stacks, filled = {}, 0
+        for arr, lo, hi in runs:
+            stack = stacks[id(arr)] = arr[None].repeat(rows.size, axis=0)
+            stack.reshape(rows.size, -1)[copy_axis[filled:filled + hi - lo],
+                                         where[lo:hi]] += step[lo:hi]
+            filled += hi - lo
+        losses[rows] = _loss_from(model, states, loss, start, lambda a: stacks.get(id(a), a))
+    plus = 2 * np.argsort(order)  # each probe's copy at old + h, in ``at``'s order
+    return losses[plus], losses[plus + 1]
 
-    def __init__(self, model: ModelParams, layout: Layout, states, loss: str):
-        self.model = model
-        self.loss = loss
-        self.layout = layout
-        self.groups = [(graphs, targets) for graphs, targets, _ in states]
-        self.n_graphs = sum(graphs.size for graphs, _ in self.groups)
-        # Per group: the hidden state entering each layer, then the last one.
-        self.hidden = [[model_embed(graphs, model), *hidden] for graphs, _, hidden in states]
 
-    def probe_losses(self, at, h: float):
-        """``(f_plus, f_minus)``: for each position of ``at`` in the model's
-        vector, the :func:`batch_loss` with that entry moved to ``old + h``
-        and to ``old - h``, in ``at``'s order.
-
-        The copies run in the order of the layout's ``slots``: array after
-        array in carve order, so layer after layer, copy 2m of an array
-        holding its m-th probed entry at ``old + h`` and copy 2m + 1 at
-        ``old - h``. An array of more than :data:`PROBE_CHUNK` copies takes
-        passes of its own, that many copies each; smaller ones of one layer
-        share a pass while it holds at most that many copies and copies x
-        entries of its arrays stay within :data:`PACK_ENTRIES`. A pass stacks
-        each of its arrays' copies, all at the array's values but for its own
-        copies' entries, and runs from the layer that reads them."""
-        index = self.layout.index.values()
-        place = np.argsort(self.layout.slots)[at]  # each position's place in ``slots``
-        order = np.argsort(place, kind="stable")  # the probes in slots order
-        place = place[order]
-        sizes = [carved.array.size for carved in index]
-        ends = np.cumsum(sizes)
-        counts = np.diff(np.searchsorted(place, ends), prepend=0)
-        # Copy c moves entry where[c] of its array by step[c]; old + (-h) is old - h.
-        where = np.repeat(place - np.repeat(ends - sizes, counts), 2)
-        step = np.tile([h, -h], place.size)
-        passes, pack, layer, copies, entries, hi = [], [], None, 0, 0, 0
-        for carved, count in zip(index, counts.tolist()):
-            if not count:
-                continue
-            arr = carved.array
-            if carved.layer != layer:  # a pass runs one layer's arrays
-                passes.append((layer, pack))
-                pack, layer, copies, entries = [], carved.layer, 0, 0
-            lo, hi = hi, hi + 2 * count
-            if hi - lo > PROBE_CHUNK:
-                passes += [(layer, [(arr, a, min(a + PROBE_CHUNK, hi))])
-                           for a in range(lo, hi, PROBE_CHUNK)]
-                continue
-            copies, entries = copies + hi - lo, entries + arr.size
-            if pack and (copies > PROBE_CHUNK or copies * entries > PACK_ENTRIES):
-                passes.append((layer, pack))
-                pack, copies, entries = [], hi - lo, arr.size
-            pack.append((arr, lo, hi))
-        losses, copy_axis = np.empty(hi), np.arange(hi)
-        for start, runs in passes + [(layer, pack)]:
-            if not runs:
-                continue
-            rows = np.concatenate([copy_axis[lo:hi] for _, lo, hi in runs])  # the pass's copies
-            stacks, filled = {}, 0
-            for arr, lo, hi in runs:
-                stack = stacks[id(arr)] = arr[None].repeat(rows.size, axis=0)
-                stack.reshape(rows.size, -1)[copy_axis[filled:filled + hi - lo],
-                                             where[lo:hi]] += step[lo:hi]
-                filled += hi - lo
-            losses[rows] = self._loss_from(start, lambda a: stacks.get(id(a), a))
-        plus = 2 * np.argsort(order)  # each probe's copy at old + h, in ``at``'s order
-        return losses[plus], losses[plus + 1]
-
-    def _loss_from(self, start, lift):
-        """Per copy, the mean loss of a forward from layer ``start`` (-1: the
-        embedding, L: the readout alone); ``lift`` gives each copy's arrays."""
-        model = self.model
-        total = 0.0
-        for (graphs, targets), states in zip(self.groups, self.hidden):
-            h = model_embed(graphs, model, lift=lift) if start < 0 else states[start]
-            for h, _ in run_layers(graphs, h, model.layers, lift=lift, first=max(start, 0)):
-                pass
-            pred = model_readout(h, model, lift=lift, n_graphs=graphs.size)
-            total = total + _group_loss(pred, targets, self.loss)
-        return total / self.n_graphs
+def _loss_from(model: ModelParams, states, loss: str, start: int, lift):
+    """Per copy, the mean loss of a forward from layer ``start`` (-1: the
+    embedding, L: the readout alone); ``lift`` gives each copy's arrays.
+    ``states`` holds per group its :class:`GraphBatch`, targets and the
+    hidden state entering each layer, the embedding first, then the last."""
+    total = 0.0
+    for graphs, targets, hidden in states:
+        h = model_embed(graphs, model, lift=lift) if start < 0 else hidden[start]
+        for h, _ in run_layers(graphs, h, model.layers, lift=lift, first=max(start, 0)):
+            pass
+        pred = model_readout(h, model, lift=lift, n_graphs=graphs.size)
+        total = total + _group_loss(pred, targets, loss)
+    return total / sum(graphs.size for graphs, _, _ in states)
 
 
 def _checked_coordinates(sizes, sample: int | None, seed: int):
@@ -381,8 +358,8 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
     :func:`loss_and_gradients`, whose hidden states the probes start from.
     Each checked coordinate is addressed once, as its position in the
     model's vector: the analytic side reads the gradient vector there, and
-    one :meth:`_PlainForwardCache.probe_losses` call runs every probe as a
-    few batched passes, each loss bitwise the :func:`batch_loss` of the
+    one :func:`_probe_losses` call runs every probe as a few batched
+    passes, each loss bitwise the :func:`batch_loss` of the
     perturbed model; the model is only read.
 
     The bookkeeping is array ops over every checked coordinate, each bitwise
@@ -404,13 +381,12 @@ def finite_difference_check(model: ModelParams, params: ParamSet, batch,
             raise ValueError(f"params gives {name!r} the shape {shape}, "
                              f"but the model's has {shapes[name]}")
     _, grads = loss_and_gradients(model, batch, loss=loss)  # off the layout: this raises
-    cache = _PlainForwardCache(model, grads.layout, grads.states, loss)
     names, sizes = params.layout.names, np.diff(params.layout.starts)
     counts, coords = _checked_coordinates(sizes, sample, seed)
     first = np.cumsum(counts) - counts  # where each name's coordinates start
     starts = dict(zip(layout.names, layout.starts))
     at = np.repeat([starts[name] for name in names], counts) + coords  # in the model's vector
-    f_plus, f_minus = cache.probe_losses(at, h)
+    f_plus, f_minus = _probe_losses(model, grads.layout, grads.states, loss, at, h)
     n_all, a_all = (f_plus - f_minus) / (2.0 * h), grads.flat[at]
     rel = np.abs(a_all - n_all) / np.maximum(np.maximum(np.abs(a_all), np.abs(n_all)), 1e-12)
     worst = int(np.argmax(np.where(rel > 0.0, rel, 0.0)))  # the first maximum, never a NaN

@@ -530,6 +530,15 @@ class TestStackValidation:
             entry(gaussian_matrix(SeededRng(52), rows, 8, 1.0), params,
                   np.ones(shape, dtype=bool), n_graphs=n_graphs)
 
+    @BOTH_ENTRIES
+    def test_a_placement_set_after_construction_is_checked(self, entry):
+        # GateConfig checks its placement when built; a g1 layer's stacks also
+        # fit a name assigned afterwards, so the pass checks it again.
+        params = stacked_layer(53, "g1")
+        params.gate.placement = "g4"
+        with pytest.raises(ValueError, match="^unknown placement 'g4'$"):
+            entry(gaussian_matrix(SeededRng(54), 5, 8, 1.0), params)
+
     @pytest.mark.parametrize("shape", [(8, 2), (0, 8, 2)])
     @BOTH_ENTRIES
     def test_w_q_without_a_head_axis_or_a_head_rejected(self, shape, entry):

@@ -1076,6 +1076,13 @@ class TestOutDim:
 
         assert total(3) - total(1) == 2 * (16 + 1)  # readout weight column + bias
 
+    @pytest.mark.parametrize("out_dim", [0, -2])
+    def test_param_count_names_a_width_below_one(self, tmp_path, capsys, out_dim):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"model.out_dim = {out_dim}\n")
+        assert run_cli("param-count", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr() == ("", f"error: model.out_dim must be >= 1, got {out_dim}\n")
+
 
 class TestParamCountCommand:
     def test_reference_scale_gate_counts(self, tmp_path, capsys):

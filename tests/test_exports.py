@@ -86,14 +86,20 @@ def test_every_autodiff_export_has_a_reader():
     assert [name for name in forms if name not in reads] == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def _private_reads(path: Path) -> list[str]:
     """``line: expr`` of each attribute ``x._name`` read in the module at
-    ``path`` where ``x`` is not ``self`` or ``cls`` (dunders are not private)."""
+    ``path`` where ``x`` is not ``self`` or ``cls``, and of each
+    ``from .x import _name`` (dunders are not private)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
-            and not (node.attr.startswith("__") and node.attr.endswith("__"))
-            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+            if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+            or (isinstance(node, ast.ImportFrom) and node.level
+                and any(_is_private(alias.name) for alias in node.names))]
 
 
 def test_no_module_reads_a_private_name_of_another_object():

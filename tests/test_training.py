@@ -15,7 +15,7 @@ from oracles import (
     hand_written_reads, hand_written_registry, MemoLift, one_probe_fd_check, one_probe_losses,
     param_set, per_call_init, per_name_gradients, per_op_layer_forward, subset, vector_positions,
 )
-from siggate.attention import GATE_ACTIVATIONS, GateConfig, gate_param_count
+from siggate.attention import GATE_ACTIVATIONS, GateConfig, gate_param_count, is_gate_param
 from siggate.diagnostics import depth_profile
 from siggate import autodiff as ad
 from siggate import gps
@@ -35,7 +35,6 @@ from siggate.training import (
     evaluate,
     finite_difference_check,
     init_optimizer,
-    is_gate_param,
     load_model,
     loss_and_gradients,
     save_model,
@@ -52,12 +51,14 @@ def tiny_model(seed=0, placement="g1", **kw):
     return init_model(SeededRng(seed), d_in=4, d=16, n_heads=4, n_layers=2, gate=gate)
 
 
-def plain_cache(model, pairs, loss):
-    """The check's probe cache over the states of a tape-free forward of
-    ``pairs``, and the model's layout as ``ParamSet.from_model`` checks it."""
+def plain_probes(model, pairs, loss):
+    """``(at, h) -> training._probe_losses(...)`` over the states of a
+    tape-free forward of ``pairs``, and the model's layout as
+    ``ParamSet.from_model`` checks it."""
     _, groups = training._summed_loss(model, pairs, loss)
     states = [(graphs, targets, trace.hidden) for _, graphs, targets, trace in groups]
-    return training._PlainForwardCache(model, ParamSet.from_model(model).layout, states, loss)
+    layout = ParamSet.from_model(model).layout
+    return lambda at, h: training._probe_losses(model, layout, states, loss, at, h)
 
 
 @pytest.fixture
@@ -308,11 +309,11 @@ class TestLossAndGradients:
     def test_a_probe_that_overflows_names_its_layer(self, batch):
         # The probes start at the layer that reads the array: layer 1 here.
         model = tiny_model(seed=3, placement="g3", activation="relu")
-        cache = plain_cache(model, batch, "mse")
+        probe_losses = plain_probes(model, batch, "mse")
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteInputError,
                 match=r"^layer 1: row 2 has largest logit inf; softmax undefined$"):
-            cache.probe_losses(vector_positions(model, [(model.layers[1].attn.b_g, [0])]), 1e308)
+            probe_losses(vector_positions(model, [(model.layers[1].attn.b_g, [0])]), 1e308)
 
 
 WALK_CASES = [(placement, sharing) for placement in ("none", "g1", "g2", "g3")
@@ -377,7 +378,7 @@ class TestParamWalk:
         params = ParamSet.from_model(walk_model("g1", "per_head"))
         off = "^parameter 'layer0.ln2.scale' is off the model's layout"
         with pytest.raises(ValueError, match=off):
-            plain_cache(model, walk_batch(), "mse")
+            plain_probes(model, walk_batch(), "mse")
         with pytest.raises(ValueError, match=off):
             finite_difference_check(model, params, walk_batch(), sample=1)
 
@@ -721,34 +722,34 @@ class TestFiniteDifferenceCheck:
         masked = GraphInstance(n=6, node_features=batch[0][0].node_features,
                                edges=batch[0][0].edges, attn_mask=mask)
         graphs = batch[:2] + [(masked, 0.25)]
-        cache = plain_cache(model, graphs, "mae")
+        probe_losses = plain_probes(model, graphs, "mae")
         rng = np.random.default_rng(0)
         unmoved = batch_loss(model, graphs, "mae")
-        for carved in cache.layout.index.values():  # each array the forward reads
+        for carved in model.layout.index.values():  # each array the forward reads
             name, arr = carved.name, carved.array
             idxs = rng.choice(arr.size, size=min(5, arr.size), replace=False)
             at = vector_positions(model, [(arr, idxs)])
-            got = cache.probe_losses(at, 1e-3)
+            got = probe_losses(at, 1e-3)
             assert_same_losses(got, one_probe_losses(model, graphs, "mae", arr, idxs, 1e-3))
-            assert all(loss == unmoved for loss in cache.probe_losses(at, 0.0)[0]), name
+            assert all(loss == unmoved for loss in probe_losses(at, 0.0)[0]), name
 
     def test_cached_probe_over_node_count_groups_is_bitwise(self):
         model = tiny_model(seed=16, placement="g2")
         pairs = mixed_sizes_batch()
-        cache = plain_cache(model, pairs, "mse")
+        probe_losses = plain_probes(model, pairs, "mse")
         first, last = model.layers
         for arr in (model.w_in, first.mpnn.w_edge, first.attn.w_g, last.attn.w_o,
                     last.ln2.scale, model.w_head):
             where = [1, arr.size - 1]  # in the W_g stack: head 0's and head 3's
-            got = cache.probe_losses(vector_positions(model, [(arr, where)]), 1e-3)
+            got = probe_losses(vector_positions(model, [(arr, where)]), 1e-3)
             assert_same_losses(got, one_probe_losses(model, pairs, "mse", arr, where, 1e-3))
 
     @pytest.mark.parametrize("placement, kw", [("g3", {}), ("g1", {"sharing": "shared"})])
     def test_probe_index_covers_every_parameter(self, batch, placement, kw):
         model = tiny_model(seed=17, placement=placement, **kw)
-        cache = plain_cache(model, batch[:2], "mse")
+        layout = ParamSet.from_model(model).layout  # as the check's layout is checked
         for name, (arr, k) in hand_written_reads(model).items():  # a head's stack, not its slice
-            carved = cache.layout.index[id(arr)]
+            carved = layout.index[id(arr)]
             layer, first = carved.layer, carved.name
             if name.startswith(("input.", "head.")):
                 assert layer == (-1 if name[0] == "i" else 2), name
@@ -789,22 +790,22 @@ class TestFiniteDifferenceCheck:
         model, pairs = walk_model("g2", "per_head"), walk_batch()
         params = ParamSet.from_model(model)
         want = one_probe_fd_check(model, params, pairs, sample=2, seed=7)
-        layer_forward, loss_from = gps.gps_layer_forward, training._PlainForwardCache._loss_from
+        layer_forward, loss_from = gps.gps_layer_forward, training._loss_from
         calls, probing = [], []
 
         def counted(*args, **kw):
             calls.append(bool(probing))
             return layer_forward(*args, **kw)
 
-        def probe_pass(cache, *args):
+        def probe_pass(*args):
             probing.append(True)
             try:
-                return loss_from(cache, *args)
+                return loss_from(*args)
             finally:
                 probing.pop()
 
         monkeypatch.setattr(gps, "gps_layer_forward", counted)
-        monkeypatch.setattr(training._PlainForwardCache, "_loss_from", probe_pass)
+        monkeypatch.setattr(training, "_loss_from", probe_pass)
         report = finite_difference_check(model, params, pairs, sample=2, seed=7)
         groups = len(training._graph_groups(pairs))
         assert calls.count(False) == len(model.layers) * groups == 9
@@ -813,25 +814,23 @@ class TestFiniteDifferenceCheck:
 
     @pytest.mark.parametrize("placement", ["none", "g1", "g2", "g3"])
     def test_the_probe_states_are_the_tape_free_forward_bitwise(self, monkeypatch, placement):
-        # The check's cache holds the taped pass's states of each node count
+        # The probes start from the taped pass's states of each node count
         # (5 and 7 here), the embedding added: those of a tape-free forward.
         model = walk_model(placement, "per_head")
         pairs = [pair for pair in walk_batch() if pair[0].n != 6]
-        caches = []
+        seen, loss_from = [], training._loss_from
 
-        class Recorded(training._PlainForwardCache):
-            def __init__(self, *args):
-                super().__init__(*args)
-                caches.append(self)
+        def recorded(model, states, *args):
+            seen.append(states)
+            return loss_from(model, states, *args)
 
-        monkeypatch.setattr(training, "_PlainForwardCache", Recorded)
+        monkeypatch.setattr(training, "_loss_from", recorded)
         finite_difference_check(model, ParamSet.from_model(model), pairs, sample=1)
-        (cache,) = caches
+        assert seen and all(states is seen[0] for states in seen)  # every pass's
         groups = training._graph_groups(pairs)
         assert [graphs.n for _, graphs, _ in groups] == [5, 7]
-        assert len(cache.hidden) == len(cache.groups) == 2
-        for (_, graphs, targets), (got_graphs, got_targets), states in zip(
-                groups, cache.groups, cache.hidden):
+        assert len(seen[0]) == 2
+        for (_, graphs, targets), (got_graphs, got_targets, states) in zip(groups, seen[0]):
             want = [gps.model_embed(graphs, model)]
             want += [h for h, _ in gps.run_layers(graphs, want[0], model.layers)]
             assert len(states) == len(want) == 4
@@ -874,7 +873,7 @@ def walk_batch():
 
 
 class TestBatchedProbes:
-    """``_PlainForwardCache.probe_losses`` runs all probes of one array the
+    """``training._probe_losses`` runs all probes of one array the
     forward reads as one pass over a copy axis, from the layer that reads
     it; each loss is the one-probe oracle's ``batch_loss`` bit for bit
     (tests/oracles.py)."""
@@ -883,12 +882,12 @@ class TestBatchedProbes:
     def test_every_probe_loss_equals_the_one_probe_oracle(self, placement, sharing):
         model = walk_model(placement, sharing)
         pairs = walk_batch()
-        cache = plain_cache(model, pairs, "mse")
+        probe_losses = plain_probes(model, pairs, "mse")
         rng = np.random.default_rng(1)
-        for carved in cache.layout.index.values():  # a stack: both heads' entries
+        for carved in model.layout.index.values():  # a stack: both heads' entries
             arr = carved.array
             idxs = np.sort(rng.choice(arr.size, size=min(4, arr.size), replace=False))
-            assert_same_losses(cache.probe_losses(vector_positions(model, [(arr, idxs)]), 1e-5),
+            assert_same_losses(probe_losses(vector_positions(model, [(arr, idxs)]), 1e-5),
                                one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5))
 
     def test_an_exhaustive_head_stack_crosses_chunk_boundaries(self, batch):
@@ -902,8 +901,8 @@ class TestBatchedProbes:
         assert [c * training.PROBE_CHUNK // per_head for c in (1, 2)] == [1, 2]
         assert all(c * training.PROBE_CHUNK % per_head for c in (1, 2))
         idxs = np.arange(arr.size)
-        cache = plain_cache(model, batch[:1], "mse")
-        assert_same_losses(cache.probe_losses(vector_positions(model, [(arr, idxs)]), 1e-5),
+        probe_losses = plain_probes(model, batch[:1], "mse")
+        assert_same_losses(probe_losses(vector_positions(model, [(arr, idxs)]), 1e-5),
                            one_probe_losses(model, batch[:1], "mse", arr, idxs, 1e-5))
 
     def test_one_call_returns_each_loss_in_the_order_of_its_positions(self):
@@ -916,8 +915,7 @@ class TestBatchedProbes:
                   (first.attn.w_k, [40, 5]), (last.ln2.shift, [7]), (model.b_in, [4])]
         at = vector_positions(model, probes)
         shuffle = np.random.default_rng(3).permutation(at.size)
-        cache = plain_cache(model, pairs, "mse")
-        got = cache.probe_losses(at[shuffle], 1e-5)
+        got = plain_probes(model, pairs, "mse")(at[shuffle], 1e-5)
         want = [one_probe_losses(model, pairs, "mse", arr, idxs, 1e-5) for arr, idxs in probes]
         assert_same_losses(got, [np.array(sum((side[i] for side in want), []))[shuffle]
                                  for i in (0, 1)])
@@ -930,19 +928,18 @@ class TestBatchedProbes:
         model = tiny_model(seed=21)
         params = ParamSet.from_model(model)
         probed, passes = [], []
-        cache_type = training._PlainForwardCache
-        probe, loss_from = cache_type.probe_losses, cache_type._loss_from
+        probe, loss_from = training._probe_losses, training._loss_from
 
-        def counted_probe(cache, at, *args):
+        def counted_probe(model, layout, states, loss, at, h):
             probed.append(at)
-            return probe(cache, at, *args)
+            return probe(model, layout, states, loss, at, h)
 
-        def counted_pass(cache, *args):
-            passes.append(args)
-            return loss_from(cache, *args)
+        def counted_pass(model, states, loss, start, lift):
+            passes.append((start, lift))
+            return loss_from(model, states, loss, start, lift)
 
-        monkeypatch.setattr(cache_type, "probe_losses", counted_probe)
-        monkeypatch.setattr(cache_type, "_loss_from", counted_pass)
+        monkeypatch.setattr(training, "_probe_losses", counted_probe)
+        monkeypatch.setattr(training, "_loss_from", counted_pass)
         report = finite_difference_check(model, params, batch[:2], sample=2, seed=3)
         assert (len(passes), len(params.layout.names)) == (8, 66)
         assert [start for start, _ in passes] == [-1, 0, 0, 0, 1, 1, 1, 2]
@@ -955,18 +952,17 @@ class TestBatchedProbes:
 
     @staticmethod
     def recorded_passes(monkeypatch):
-        """Per pass of ``_PlainForwardCache``, the copy stacks its ``lift``
-        gives, by the name of the array's first parameter."""
+        """Per probe pass (``training._loss_from`` call), the copy stacks its
+        ``lift`` gives, by the name of the array's first parameter."""
         passes = []
-        cache_type = training._PlainForwardCache
-        loss_from = cache_type._loss_from
+        loss_from = training._loss_from
 
-        def recording(cache, start, lift):
-            passes.append({c.name: lift(c.array) for c in cache.layout.index.values()
+        def recording(model, states, loss, start, lift):
+            passes.append({c.name: lift(c.array) for c in model.layout.index.values()
                            if lift(c.array) is not c.array})
-            return loss_from(cache, start, lift)
+            return loss_from(model, states, loss, start, lift)
 
-        monkeypatch.setattr(cache_type, "_loss_from", recording)
+        monkeypatch.setattr(training, "_loss_from", recording)
         return passes
 
     @pytest.mark.parametrize("placement, sharing", WALK_CASES)
@@ -977,14 +973,14 @@ class TestBatchedProbes:
         # reads under 1,024 entries, so its 32 copies fit one pack.
         model = walk_model(placement, sharing)
         pairs = walk_batch()
-        cache = plain_cache(model, pairs, "mse")
+        probe_losses = plain_probes(model, pairs, "mse")
         passes = self.recorded_passes(monkeypatch)
         rng = np.random.default_rng(2)
         for layer in range(3):
-            read = {c.name: c.array for c in cache.layout.index.values() if c.layer == layer}
+            read = {c.name: c.array for c in model.layout.index.values() if c.layer == layer}
             probes = [(arr, np.sort(rng.choice(arr.size, size=min(2, arr.size), replace=False)))
                       for arr in read.values()]
-            got = cache.probe_losses(vector_positions(model, probes), 1e-5)
+            got = probe_losses(vector_positions(model, probes), 1e-5)
             stacks = passes.pop()
             assert not passes
             assert list(stacks) == list(read)
@@ -1003,9 +999,9 @@ class TestBatchedProbes:
         layer = model.layers[0]
         probes = [(layer.attn.b_g, [0, 2]), (layer.attn.w_q, np.arange(layer.attn.w_q.size)),
                   (layer.ln1.scale, [1, 17]), (layer.ln1.shift, [5])]
-        cache = plain_cache(model, batch[:1], "mse")
+        probe_losses = plain_probes(model, batch[:1], "mse")
         passes = self.recorded_passes(monkeypatch)
-        got = cache.probe_losses(vector_positions(model, probes), 1e-5)
+        got = probe_losses(vector_positions(model, probes), 1e-5)
         assert [sorted(stacks) for stacks in passes] == [["layer0.attn.head0.w_q"]] * 3 + [
             ["layer0.attn.head0.b_g", "layer0.ln1.scale", "layer0.ln1.shift"]]
         assert [next(iter(stacks.values())).shape[0] for stacks in passes] == [256, 256, 136, 10]
@@ -1062,8 +1058,8 @@ class TestTapeFreeForwards:
         monkeypatch.setattr(ad.Var, "__init__", counting)
         batch_loss(model, pairs)
         evaluate(model, pairs)
-        cache = plain_cache(model, pairs, "mse")
-        cache.probe_losses(vector_positions(model, [(model.layers[0].attn.w_q, [0, 5])]), 1e-5)
+        plain_probes(model, pairs, "mse")(
+            vector_positions(model, [(model.layers[0].attn.w_q, [0, 5])]), 1e-5)
         assert built == []
         loss_and_gradients(model, pairs)  # the count sees a taped pass
         assert built
@@ -1115,7 +1111,7 @@ class TestInPlaceSteps:
     an earlier forward returned."""
 
     @pytest.mark.parametrize("placement, activation", IN_PLACE_CASES)
-    def test_forwards_leave_their_inputs_bitwise(self, placement, activation):
+    def test_forwards_leave_their_inputs_bitwise(self, monkeypatch, placement, activation):
         model = walk_model(placement, "per_head", activation)
         pairs = walk_batch()
         graphs = GraphBatch.of([g for g, _ in pairs if g.n == pairs[0][0].n])
@@ -1126,13 +1122,19 @@ class TestInPlaceSteps:
         gps.gps_layer_forward(graphs, h, model.layers[0])
         batch_forward(graphs, model)
         loss_and_gradients(model, pairs)
-        cache = plain_cache(model, pairs, "mse")
-        states = [a.copy() for group in cache.hidden for a in group]
+        cached, loss_from = [], training._loss_from
+
+        def recorded(model, states, *args):
+            if not cached:  # before the first pass: the states every pass starts from
+                cached.extend((a, a.copy()) for _, _, hidden in states for a in hidden)
+            return loss_from(model, states, *args)
+
+        monkeypatch.setattr(training, "_loss_from", recorded)
         layer = model.layers[1]
-        cache.probe_losses(vector_positions(model, [(layer.mpnn.w_edge, [0, 7]),
-                                                    (layer.attn.w_q, [1, 9])]), 1e-5)
-        for got, want in zip(held + [a for group in cache.hidden for a in group],
-                             before + states):
+        plain_probes(model, pairs, "mse")(vector_positions(
+            model, [(layer.mpnn.w_edge, [0, 7]), (layer.attn.w_q, [1, 9])]), 1e-5)
+        assert cached
+        for got, want in zip(held + [a for a, _ in cached], before + [c for _, c in cached]):
             assert_bitwise(got, want)
 
     @pytest.mark.parametrize("placement, activation", IN_PLACE_CASES)
