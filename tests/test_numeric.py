@@ -603,6 +603,32 @@ class TestSeededRng:
         for a, b in zip(seq1, seq2):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("draw, arg, bad", [
+        ("uniform", (-1,), -1), ("uniform", (2, -3), -3),
+        ("standard_normal", (-3,), -3), ("standard_normal", (-1, -3), -1),
+        ("normal_blocks", [4, -2], -2), ("normal_blocks", [-1], -1),
+    ])
+    def test_a_negative_size_raises_before_drawing(self, draw, arg, bad):
+        rng, fresh = SeededRng(1), SeededRng(1)
+        rng.uniform((2,))
+        fresh.uniform((2,))
+        with pytest.raises(ShapeError, match=rf"non-negative, got {bad}\b"):
+            getattr(rng, draw)(arg)
+        assert rng._counter == 2
+        assert_bitwise(rng.standard_normal((5,)), fresh.standard_normal((5,)))
+
+    def test_numpy_shapes_draw_like_tuples(self):
+        rng, fresh = SeededRng(4), SeededRng(4)
+        assert_bitwise(rng.uniform(np.array([2, 3])), fresh.uniform((2, 3)))
+        assert_bitwise(rng.standard_normal(np.int64(5)), fresh.standard_normal((5,)))
+        assert_bitwise(rng.standard_normal(np.array(3)), fresh.standard_normal(3))
+
+    def test_size_zero_draws_nothing(self):
+        rng = SeededRng(1)
+        assert rng.uniform((0,)).shape == (0,) and rng.standard_normal((2, 0)).shape == (2, 0)
+        assert [b.shape for b in rng.normal_blocks([0, 0])] == [(0,), (0,)]
+        assert rng._counter == 0
+
 
 class TestNormalBlocks:
     """``normal_blocks`` draws consecutive ``standard_normal`` calls in one pass."""
@@ -625,7 +651,8 @@ class TestNormalBlocks:
         assert one_pass._counter == calls._counter == oracle._counter
 
     @pytest.mark.parametrize("sizes", [[1], [2], [7], [8192], [3, 1, 1, 5, 2], [64, 7, 1, 256],
-                                       [1] * 9])
+                                       [1] * 9, [0], [3, 0, 2], [16384], [16384, 8192, 8192],
+                                       [8191, 4097, 3]])
     def test_single_and_multi_block_lists_equal_the_oracle(self, sizes):
         rng, oracle = SeededRng(2**64 - 11), SeededRng(2**64 - 11)
         rng.uniform((3,))
@@ -633,6 +660,22 @@ class TestNormalBlocks:
         for block, n in zip(rng.normal_blocks(sizes), sizes):
             assert_bitwise(block, concatenated_box_muller(oracle, n))
         assert rng._counter == oracle._counter
+
+    def test_cos_takes_the_angles_in_order_of_their_leading_bits(self, monkeypatch):
+        # libm's cos and sin branch on the angle's range; ordered angles keep
+        # those branches predictable (the key is u2's top 8 of 53 bits)
+        expected = concatenated_box_muller(SeededRng(9101), 8192)
+        seen, cos = [], np.cos
+        monkeypatch.setattr(numeric.np, "cos", lambda x: seen.append(x.copy()) or cos(x))
+        assert_bitwise(SeededRng(9101).normal_blocks([8192])[0], expected)
+        u2 = splitmix64(9101, 4096, 4096) >> np.uint64(11)
+        angle, key = u2.astype(np.float64) / 2.0**53 * (2.0 * np.pi), u2 >> np.uint64(45)
+        (got,) = seen
+        by_angle = np.argsort(angle)
+        assert_bitwise(np.sort(got), angle[by_angle])
+        got_key = key[by_angle][np.searchsorted(angle[by_angle], got)]
+        assert np.all(np.diff(got_key.astype(np.int64)) >= 0)
+        assert np.unique(key).size > 200  # the draw covers most of the 256 keys
 
     @given(seed=st.integers(0, 2**64 - 1), skip=st.integers(0, 2**40), count=st.integers(1, 9))
     @settings(max_examples=60, deadline=None)

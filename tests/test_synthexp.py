@@ -106,6 +106,20 @@ class TestCalibrateGate:
         b = calibrate_gate(0.3, 0.15)
         assert (a.scale, a.bias) == (b.scale, b.bias)
 
+    def test_the_quadrature_rule_is_computed_once_and_read_only(self, monkeypatch):
+        calls, hermgauss = [], np.polynomial.hermite.hermgauss
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                            lambda order: calls.append(order) or hermgauss(order))
+        synthexp._gauss_hermite.cache_clear()
+        try:
+            assert calibrate_gate(0.58, 0.19) == calibrate_gate(0.58, 0.19)
+            assert calls == [96]
+            for a in synthexp._gauss_hermite():
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+        finally:
+            synthexp._gauss_hermite.cache_clear()
+
 
 class TestRankExperiment:
     def test_miniature_sranks_match_svd_recomputation(self):
