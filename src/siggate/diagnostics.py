@@ -72,13 +72,17 @@ def stable_rank(m):
     A stack ``(K, r, c)`` gives an array of K values, each bitwise what a
     lone call on its matrix gives (see :func:`top_singular_value`): the
     squares are summed matrix by matrix, as a lone call sums them, whatever
-    the stack's layout.
+    the stack's layout. A finite matrix whose squares overflow is divided by
+    its top singular value first: its value is then ||M / sigma||_F^2.
     """
     m = np.asarray(m, dtype=np.float64)
     top = top_singular_value(m)  # rejects the zero matrix and shapes not 2-D or 3-D
-    if m.ndim == 2:
-        return float(np.sum(m * m)) / (top * top)
-    return np.array([np.sum(s * s) for s in m]) / (top * top)
+    stack, tops = (m, top) if m.ndim == 3 else (m[None], np.array([top]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf: recomputed below
+        ranks = np.array([np.sum(s * s) for s in stack]) / (tops * tops)
+    for i in np.flatnonzero(~np.isfinite(ranks)):
+        ranks[i] = np.sum(np.square(stack[i] / tops[i]))
+    return ranks if m.ndim == 3 else float(ranks[0])
 
 
 def mad(h) -> float:

@@ -47,16 +47,22 @@ _U53 = float(1 << 53)
 _TRIG_KEY_BITS = 8  # the leading bits of u2 that order the angles (see normal_blocks)
 
 
+def _bad_sizes(sizes) -> list:
+    """The sizes that are negative or not whole numbers (2.0 is whole, 2.5 and NaN are not)."""
+    return [n for n in sizes if n < 0 or not float(n).is_integer()]
+
+
 def _draw_shape(shape) -> tuple:
     """``shape`` as a tuple of ints, ``()`` for one scalar draw; a negative
-    dimension is a :class:`ShapeError`."""
+    dimension, or one that is not a whole number, is a :class:`ShapeError`."""
     if isinstance(shape, tuple) and not shape:
         return ()
-    shape = tuple(np.atleast_1d(shape).astype(int).tolist())
-    bad = [n for n in shape if n < 0]
+    shape = tuple(np.atleast_1d(shape).tolist())
+    bad = _bad_sizes(shape)
     if bad:
-        raise ShapeError(f"draw dimensions must be non-negative, got {bad[0]} in {shape}")
-    return shape
+        raise ShapeError(f"draw dimensions must be integral and non-negative, got {bad[0]} "
+                         f"in {shape}")
+    return tuple(map(int, shape))
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -125,12 +131,14 @@ class SeededRng:
         8 bits fill one byte, whose radix argsort takes about 14 us there
         against 23 us for a ``uint16`` key.
 
-        A negative size is a :class:`ShapeError`, raised before anything is
-        drawn."""
+        A negative size, or one that is not a whole number, is a
+        :class:`ShapeError`, raised before anything is drawn."""
         sizes = list(sizes)
-        bad = [n for n in sizes if n < 0]
+        bad = _bad_sizes(sizes)
         if bad:
-            raise ShapeError(f"normal block sizes must be non-negative, got {bad[0]}")
+            raise ShapeError(f"normal block sizes must be integral and non-negative, "
+                             f"got {bad[0]}")
+        sizes = list(map(int, sizes))
         pairs = [(n + 1) // 2 for n in sizes]
         total = sum(pairs)
         if len(pairs) == 1:
@@ -243,122 +251,47 @@ def sigmoid(x, out=None) -> np.ndarray:
     return s
 
 
-_TINY = np.finfo(float).tiny
-
-
-def top_singular_value(m, tol=1e-12, max_iter=10_000):
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Iterates on M^T M (or M M^T, whichever is smaller) from the normalized
-    all-ones vector, stopping when the Rayleigh quotient changes by less
-    than ``tol`` relative to its magnitude. If the start vector happens to
-    lie in the null space, iteration restarts from basis vectors, which
-    always succeeds for a nonzero matrix. A matrix holding NaN or inf is
-    rejected before any iteration.
+def top_singular_value(m):
+    """Largest singular value: the square root of the largest eigenvalue of the
+    Gram matrix M^T M (or M M^T, whichever is smaller), which LAPACK's
+    symmetric eigensolver (``np.linalg.eigvalsh``) takes for every matrix of
+    the stack in one call. Its ``LinAlgError`` (a ``ValueError``) on a
+    failure to converge propagates. A matrix holding NaN or inf is rejected.
+    A finite matrix whose squares could overflow (largest magnitude a with
+    a^2 times its number of entries beyond the largest float) is divided by
+    a first and its value multiplied back.
 
     A stack ``(K, r, c)`` gives an array of K values, each bitwise what a
-    lone call on its matrix gives; an empty stack gives an empty array. A
-    zero or non-finite matrix of a stack is named by its index.
+    lone call on its matrix gives: numpy runs one LAPACK call per matrix. An
+    empty stack gives an empty array. A zero or non-finite matrix of a stack
+    is named by its index.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim not in (2, 3):
         raise ShapeError(f"m must be 2-D or a 3-D stack of matrices, got shape {m.shape}")
     named = m.ndim == 3
     stack = m if named else m[None]
-    if not np.isfinite(stack).all():
+    # each matrix's largest magnitude, NaN where it holds one, without a temporary of |M|
+    biggest = np.maximum(stack.max(axis=(1, 2), initial=0.0),
+                         -stack.min(axis=(1, 2), initial=0.0))
+    if not np.isfinite(biggest).all():
         i, row, col = np.argwhere(~np.isfinite(stack))[0]
         at = f"matrix {i}: " if named else ""
         raise NonFiniteInputError(f"top_singular_value undefined: {at}entry ({row}, {col}) "
                                   f"is {stack[i, row, col]}")
-    nonzero = stack.any(axis=(1, 2))
-    if not nonzero.all():
-        raise ValueError(f"top_singular_value undefined: matrix {np.argmin(nonzero)} is the "
+    if not biggest.all():
+        raise ValueError(f"top_singular_value undefined: matrix {np.argmin(biggest)} is the "
                          f"zero matrix" if named else "top_singular_value undefined for the "
                          "zero matrix")
-    tops = _stacked_power_iteration(stack, tol, max_iter) if len(stack) else np.empty(0)
-    return tops if named else float(tops[0])
-
-
-def _stacked_power_iteration(stack, tol, max_iter) -> np.ndarray:
-    """The power iteration of every matrix of a nonempty stack at once.
-
-    Stacked ``np.matmul`` runs, per matrix, the BLAS gemv and ddot that the
-    lone loop of :func:`_power_steps` runs, so each value is bitwise that
-    loop's. A matrix leaves the stack at its own convergence step, its slot
-    taken by the last active one. A matrix whose iterate is a null vector
-    (it needs a restart) and the last two active matrices finish in the lone
-    loop, from the state the stack left them in.
-    """
+    if not len(stack):
+        return np.empty(0)
+    scale = np.where(biggest > math.sqrt(np.finfo(float).max / stack[0].size), biggest, 1.0)
+    if (scale != 1.0).any():  # dividing by 1 leaves every other matrix's bits as they are
+        stack = stack / scale[:, None, None]
     t = stack.transpose(0, 2, 1)
     grams = t @ stack if stack.shape[2] <= stack.shape[1] else stack @ t
-    k, dim = grams.shape[:2]
-    v = np.full((k, dim), 1.0 / np.sqrt(dim))  # the iterates, rewritten each step
-    lam = (v[:, None] @ grams @ v[:, :, None]).reshape(k)
-    gv = (grams @ v[:, :, None]).reshape(k, dim)
-    tops = np.empty(k)
-    slot = np.arange(k)  # the stack index of each active row
-    n = k
-    steps = 0
-
-    def finish(rows, steps_left):
-        for i in rows:
-            tops[slot[i]] = _power_steps(grams[i], gv[i], float(lam[i]), steps_left, tol)
-
-    def compact(leaving):
-        # the active rows past the new end fill the holes the leaving rows make
-        stay = n - len(leaving)
-        keep = np.ones(n, dtype=bool)
-        keep[leaving] = False
-        holes, movers = np.flatnonzero(~keep[:stay]), stay + np.flatnonzero(keep[stay:])
-        for a in (grams, gv, lam, slot):
-            a[holes] = a[movers]
-        return stay
-
-    while n > 2 and steps < max_iter:
-        g, x, gx = grams[:n], v[:n], gv[:n]
-        norm2 = (gx[:, None] @ gx[:, :, None]).reshape(n)
-        if not norm2.all():
-            null = np.flatnonzero(norm2 == 0.0)
-            finish(null, max_iter - steps)
-            n = compact(null)
-            continue
-        np.divide(gx, np.sqrt(norm2)[:, None], out=x)
-        np.matmul(g, x[:, :, None], out=gx[:, :, None])
-        lam_new = (x[:, None] @ gx[:, :, None]).reshape(n)
-        done = np.abs(lam_new - lam[:n]) <= tol * np.maximum(np.abs(lam_new), _TINY)
-        lam[:n] = lam_new
-        steps += 1
-        if done.any():
-            done = np.flatnonzero(done)
-            finish(done, 0)
-            n = compact(done)
-    finish(range(n), max_iter - steps)
-    return tops
-
-
-def _power_steps(gram, gv, lam, steps, tol) -> float:
-    """At most ``steps`` power-iteration steps on ``gram`` from a unit iterate
-    ``v``, given by ``gv = gram @ v`` and ``lam``, its Rayleigh quotient."""
-    dim = gram.shape[0]
-    restart = 0
-    for _ in range(steps):
-        norm_w = math.sqrt(gv.dot(gv))
-        if norm_w == 0.0:
-            v = np.zeros(dim)
-            v[restart % dim] = 1.0
-            restart += 1
-            lam = float(v @ gram @ v)
-            gv = gram @ v
-            continue
-        v = gv / norm_w
-        gv = gram @ v  # carried: a step's Rayleigh product is the next step's power product
-        lam_new = float(v @ gv)
-        # relative change so the stopping point is scale-free
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), _TINY):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    tops = np.sqrt(np.linalg.eigvalsh(grams)[:, -1]) * scale
+    return tops if named else float(tops[0])
 
 
 def gaussian_matrix(rng: SeededRng, rows: int, cols: int, std: float) -> np.ndarray:

@@ -4,10 +4,9 @@ Each is the plain numpy formulation of a kernel, kept here as an
 independent oracle: ``numeric.sigmoid``, the row scatter-add behind the
 MPNN's scatters (``autodiff.scatter_add``), the ``0 log 0 = 0``
 sum of ``diagnostics.attention_entropy``, the upper triangle of
-``diagnostics.mad`` gathered by ``np.triu_indices``, the power iteration of
-``numeric.top_singular_value`` with two Gram products per step, and the
-rank study run one (c, rho) cell at a time, each cell drawing its seeds
-from scratch. It also keeps hand-written descriptions of the model's
+``diagnostics.mad`` gathered by ``np.triu_indices``, and the rank study run
+one (c, rho) cell at a time, each cell drawing its seeds from scratch and
+taking each stable rank from a lone eigensolver call on its Gram matrix. It also keeps hand-written descriptions of the model's
 parameters, against which the declarations of ``gps.model_skeleton`` are
 checked: the parameter registry written out name by name (a head's
 parameter is its slice of the layer's stack), and the probe index built by
@@ -89,35 +88,17 @@ def triu_mad(h):
     return float(np.mean(1.0 - sim[np.triu_indices(unit.shape[0], k=1)]))
 
 
-def two_product_top_singular_value(m, tol=1e-12, max_iter=10_000):
-    """Largest singular value of a finite nonzero matrix by power iteration on
-    its Gram matrix, computing ``gram @ v`` twice per step."""
+def eigvalsh_top_singular_value(m):
+    """Largest singular value of a finite nonzero matrix whose squares stay
+    finite: the square root of the largest eigenvalue of its smaller Gram
+    matrix, from one lone ``np.linalg.eigvalsh`` call."""
     m = np.asarray(m, dtype=np.float64)
     gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
-    dim = gram.shape[0]
-    v = np.full(dim, 1.0 / np.sqrt(dim))
-    lam = float(v @ gram @ v)
-    restart = 0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            v = np.zeros(dim)
-            v[restart % dim] = 1.0
-            restart += 1
-            lam = float(v @ gram @ v)
-            continue
-        v = w / norm_w
-        lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 def _stable_rank(m):
-    top = two_product_top_singular_value(m)
+    top = eigvalsh_top_singular_value(m)
     return float(np.sum(m * m)) / (top * top)
 
 

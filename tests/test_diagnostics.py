@@ -62,6 +62,18 @@ class TestStableRank:
         with pytest.raises(ValueError):
             stable_rank(np.zeros((3, 3)))
 
+    def test_matrix_whose_squares_overflow(self):
+        # ||M||_F^2 and sigma^2 overflow; the matrix is divided by sigma first
+        big = np.full((3, 3), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stable_rank(big) == pytest.approx(1.0, rel=1e-15)
+            assert stable_rank(np.diag([1e154, 1e154])) == pytest.approx(2.0, rel=1e-15)
+            ordinary = gaussian_matrix(SeededRng(5), 3, 3, 1.0)
+            got = stable_rank(np.stack([big, ordinary]))
+        assert got[0] == stable_rank(big)
+        assert_bitwise(got[1], np.float64(stable_rank(ordinary)))
+
     @pytest.mark.parametrize("layout", ["C", "transposed", "F", "sliced", "broadcast"])
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 7), (4, 64, 32), (5, 33, 65),
                                        (17, 9, 6)])

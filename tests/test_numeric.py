@@ -12,11 +12,11 @@ from oracles import (
     per_row_max_softmax,
     splitmix64,
     two_branch_sigmoid,
-    two_product_top_singular_value,
 )
 from siggate import autodiff as ad
 from siggate import numeric
 from siggate.attention import GateConfig, MhsaParams, siggate_mhsa
+from siggate.diagnostics import stable_rank
 from siggate.numeric import (
     NonFiniteInputError,
     SeededRng,
@@ -409,117 +409,60 @@ class TestTopSingularValue:
         )
 
 
-class TestPowerIterationKernel:
-    """One Gram product per step against two per step, bit for bit."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 9), st.integers(1, 9), st.data())
-    def test_bitwise_equals_two_product_iteration(self, rows, cols, data):
-        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=rows * cols,
-                                    max_size=rows * cols))
-        m = np.array(values).reshape(rows, cols)
-        if not np.any(m):
-            m[0, 0] = 1.0
-        assert top_singular_value(m) == two_product_top_singular_value(m)
-
-    @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (8, 4), (13, 13)])
-    def test_gaussian_draws(self, shape):
-        rng = SeededRng(31)
-        for _ in range(10):
-            m = rng.standard_normal(shape)
-            assert top_singular_value(m) == two_product_top_singular_value(m)
-
     @pytest.mark.parametrize("m, sigma", [
-        # the all-ones start is a null vector; one restart finds sigma = 2
         ([[1.0, -1.0], [1.0, -1.0]], 2.0),
-        # the all-ones start and the first basis vector are both null vectors
         ([[0.0, 1.0, -1.0]] * 4, np.sqrt(8.0)),
     ])
-    def test_restart_path(self, m, sigma):
-        m = np.array(m)
-        got = top_singular_value(m)
-        assert got == two_product_top_singular_value(m)
-        assert got == pytest.approx(sigma, rel=1e-12)
+    def test_rank_one_matrices_whose_gram_annihilates_the_ones_vector(self, m, sigma):
+        assert top_singular_value(np.array(m)) == pytest.approx(sigma, rel=1e-12)
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
-    def test_stopped_at_max_iter(self, max_iter):
-        rng = SeededRng(32)
-        for m in (rng.standard_normal((10, 10)), np.array([[1.0, -1.0], [1.0, -1.0]])):
-            assert top_singular_value(m, max_iter=max_iter) == \
-                two_product_top_singular_value(m, max_iter=max_iter)
+    def test_matrix_whose_squares_overflow(self):
+        # its Gram matrix and ||M||_F^2 overflow; it is divided by its largest magnitude first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert top_singular_value(np.full((3, 3), 1e200)) == pytest.approx(3e200, rel=1e-15)
+            assert top_singular_value(np.full((2, 5), -1e307)) == \
+                pytest.approx(np.sqrt(10.0) * 1e307, rel=1e-15)
 
 
-def assert_each_matrix_as_lone_call(stack, **kwargs):
-    """A stack's values are bitwise the lone calls', which are the oracle's."""
-    got = top_singular_value(stack, **kwargs)
-    assert got.shape == (len(stack),) and got.dtype == np.float64
-    for i, m in enumerate(stack):
-        lone = top_singular_value(m, **kwargs)
-        assert_bitwise(got[i], np.float64(lone))
-        assert lone == two_product_top_singular_value(m, **kwargs), i
+class TestAgainstDenseSvd:
+    """``top_singular_value`` and ``stable_rank``, lone and stacked, against
+    ``np.linalg.svd`` to 1e-12 relative; a stack's values bitwise the lone ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 4), rows=st.integers(1, 40), cols=st.integers(1, 40),
+           rank=st.integers(1, 40),
+           exponents=st.lists(st.integers(-150, 150), min_size=4, max_size=4),
+           seed=st.integers(0, 2**64 - 1))
+    @example(k=1, rows=1, cols=1, rank=1, exponents=[0] * 4, seed=0)
+    @example(k=4, rows=40, cols=40, rank=40, exponents=[150, -150, 0, 150], seed=1)
+    @example(k=2, rows=40, cols=3, rank=1, exponents=[-150, 150, 0, 0], seed=2)
+    def test_lone_and_stacked_values(self, k, rows, cols, rank, exponents, seed):
+        rank = min(rank, rows, cols)  # below min(rows, cols): a rank-deficient matrix
+        rng = SeededRng(seed)
+        stack = rng.standard_normal((k, rows, rank)) @ rng.standard_normal((k, rank, cols))
+        stack *= 10.0 ** np.array(exponents[:k], dtype=float)[:, None, None]
+        tops, ranks = top_singular_value(stack), stable_rank(stack)
+        for i, m in enumerate(stack):
+            sigma = np.linalg.svd(m, compute_uv=False)[0]
+            assert_bitwise(tops[i], np.float64(top_singular_value(m)))
+            assert_bitwise(ranks[i], np.float64(stable_rank(m)))
+            assert abs(tops[i] - sigma) <= 1e-12 * sigma
+            want = np.sum(np.square(m / sigma))
+            assert abs(ranks[i] - want) <= 1e-12 * want
 
 
-# matrices whose all-ones start is a null vector of the Gram matrix, and their sigma
-RESTART_MATRICES = [
-    (np.array([[1.0, -1.0], [1.0, -1.0]]), 2.0),
-    # the first basis vector is a null vector too
-    (np.array([[0.0, 1.0, -1.0]] * 4), np.sqrt(8.0)),
-]
+class TestStackedTopSingularValue:
+    """A stack of matrices in one call: the values and the checks of lone calls."""
 
-
-class TestStackedPowerIteration:
-    """A stack of matrices in one call against one call per matrix, bit for bit."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 20), st.integers(1, 9), st.integers(1, 9), st.data())
-    def test_bitwise_equals_lone_calls(self, k, rows, cols, data):
-        size = k * rows * cols
-        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size))
-        stack = np.array(values).reshape(k, rows, cols)
-        stack[~stack.any(axis=(1, 2)), 0, 0] = 1.0
-        assert_each_matrix_as_lone_call(stack)
-        assert_each_matrix_as_lone_call(stack.transpose(0, 2, 1))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(range(len(RESTART_MATRICES))), st.integers(1, 20),
-           st.sampled_from([0, 1, 2, 3, 10_000]), st.integers(0, 2 ** 32), st.data())
-    def test_restart_matrices_among_ordinary_ones(self, which, k, max_iter, seed, data):
-        null, sigma = RESTART_MATRICES[which]
-        restart = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
-        stack = SeededRng(seed).standard_normal((k,) + null.shape)
-        stack[restart] = null
-        assert_each_matrix_as_lone_call(stack, max_iter=max_iter)
-        if max_iter == 10_000:
-            assert np.all(top_singular_value(stack)[restart] == pytest.approx(sigma, rel=1e-12))
-
-    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
-    def test_stopped_at_max_iter(self, max_iter):
-        stack = SeededRng(33).standard_normal((6, 10, 10))
-        assert_each_matrix_as_lone_call(stack, max_iter=max_iter)
-
-    def test_slow_matrix_finishes_in_the_lone_loop(self, monkeypatch):
-        # singular values 10:1 converge in a few steps, 1:0.99 in hundreds
-        rng = SeededRng(34)
-        u, _ = np.linalg.qr(rng.standard_normal((8, 6)))
-        w, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        fast = [u * [10.0 * (i + 1), 1.0, 0.5, 0.3, 0.2, 0.1] @ w.T for i in range(6)]
-        slow = u * [1.0, 0.99, 0.5, 0.3, 0.2, 0.1] @ w.T
-        stack = np.stack(fast[:2] + [slow] + fast[2:])
-        handed = []
-        lone_loop = numeric._power_steps
-
-        def recorded(gram, gv, lam, steps, tol):
-            handed.append(steps)
-            return lone_loop(gram, gv, lam, steps, tol)
-
-        monkeypatch.setattr(numeric, "_power_steps", recorded)
-        top_singular_value(stack)
-        monkeypatch.undo()
-        # the fast ones leave the stack converged; the slow one and the last
-        # fast one carry on in the lone loop with the steps the stack left them
-        assert handed.count(0) == len(stack) - 2
-        assert len([s for s in handed if 0 < s < 10_000]) == 2
-        assert_each_matrix_as_lone_call(stack)
+    def test_matrix_whose_squares_overflow_among_ordinary_ones(self):
+        ordinary = SeededRng(33).standard_normal((2, 3, 3))
+        stack = np.stack([ordinary[0], np.full((3, 3), 1e200), ordinary[1]])
+        got = top_singular_value(stack)
+        assert got[1] == top_singular_value(stack[1])
+        assert got[1] == pytest.approx(3e200, rel=1e-15)
+        for i in (0, 2):
+            assert_bitwise(got[i], np.float64(top_singular_value(stack[i])))
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (0, 0, 3)])
     def test_empty_stack_gives_no_values(self, shape):
@@ -616,6 +559,16 @@ class TestSeededRng:
             getattr(rng, draw)(arg)
         assert rng._counter == 2
         assert_bitwise(rng.standard_normal((5,)), fresh.standard_normal((5,)))
+
+    @pytest.mark.parametrize("draw, arg, bad", [
+        ("uniform", (2.7,), 2.7), ("standard_normal", 2.9, 2.9), ("normal_blocks", [2.5], 2.5),
+    ])
+    def test_a_size_that_is_not_whole_raises_before_drawing(self, draw, arg, bad):
+        rng, fresh = SeededRng(1), SeededRng(1)
+        with pytest.raises(ShapeError, match=rf"must be integral and non-negative, got {bad}\b"):
+            getattr(rng, draw)(arg)
+        assert rng._counter == 0
+        assert_bitwise(rng.uniform((3,)), fresh.uniform((3,)))
 
     def test_numpy_shapes_draw_like_tuples(self):
         rng, fresh = SeededRng(4), SeededRng(4)
