@@ -416,6 +416,24 @@ class TestTopSingularValue:
     def test_rank_one_matrices_whose_gram_annihilates_the_ones_vector(self, m, sigma):
         assert top_singular_value(np.array(m)) == pytest.approx(sigma, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (8, 4), (13, 13)])
+    def test_gaussian_draws(self, shape):
+        rng = SeededRng(31)
+        for _ in range(10):
+            m = rng.standard_normal(shape)
+            sigma = np.linalg.svd(m, compute_uv=False)[0]
+            assert top_singular_value(m) == pytest.approx(sigma, rel=1e-12)
+
+    def test_close_top_singular_values(self):
+        # top two singular values 1 : 0.99 and 1 : 1 - 1e-9, known by construction
+        rng = SeededRng(34)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 6)))
+        w, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        for second in (0.99, 1.0 - 1e-9):
+            m = u * [1.0, second, 0.5, 0.3, 0.2, 0.1] @ w.T
+            assert top_singular_value(m) == pytest.approx(1.0, rel=1e-12)
+            assert top_singular_value(m.T) == pytest.approx(1.0, rel=1e-12)
+
     def test_matrix_whose_squares_overflow(self):
         # its Gram matrix and ||M||_F^2 overflow; it is divided by its largest magnitude first
         with warnings.catch_warnings():
@@ -452,8 +470,42 @@ class TestAgainstDenseSvd:
             assert abs(ranks[i] - want) <= 1e-12 * want
 
 
+# matrices whose Gram matrix annihilates the all-ones vector, and their sigma
+RANK_ONE_MATRICES = [
+    (np.array([[1.0, -1.0], [1.0, -1.0]]), 2.0),
+    # the first basis vector is a null vector too
+    (np.array([[0.0, 1.0, -1.0]] * 4), np.sqrt(8.0)),
+]
+
+
 class TestStackedTopSingularValue:
     """A stack of matrices in one call: the values and the checks of lone calls."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 9), st.integers(1, 9), st.data())
+    def test_bitwise_equals_lone_calls(self, k, rows, cols, data):
+        size = k * rows * cols
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size))
+        stack = np.array(values).reshape(k, rows, cols)
+        stack[~stack.any(axis=(1, 2)), 0, 0] = 1.0
+        for s in (stack, stack.transpose(0, 2, 1)):
+            got = top_singular_value(s)
+            assert got.shape == (k,) and got.dtype == np.float64
+            for i, m in enumerate(s):
+                assert_bitwise(got[i], np.float64(top_singular_value(m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(range(len(RANK_ONE_MATRICES))), st.integers(1, 20),
+           st.integers(0, 2 ** 32), st.data())
+    def test_rank_one_matrices_among_ordinary_ones(self, which, k, seed, data):
+        rank_one, sigma = RANK_ONE_MATRICES[which]
+        chosen = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+        stack = SeededRng(seed).standard_normal((k,) + rank_one.shape)
+        stack[chosen] = rank_one
+        got = top_singular_value(stack)
+        for i, m in enumerate(stack):
+            assert_bitwise(got[i], np.float64(top_singular_value(m)))
+        assert np.all(got[chosen] == pytest.approx(sigma, rel=1e-12))
 
     def test_matrix_whose_squares_overflow_among_ordinary_ones(self):
         ordinary = SeededRng(33).standard_normal((2, 3, 3))
