@@ -6,17 +6,20 @@ Run from anywhere in a checkout. Each run of :func:`run_all` goes through
 ``siggate.cli.main`` in this process, into its own fresh ``--out``
 directory: ``rank-exp`` and ``lr-sweep`` on their configuration files,
 ``param-count`` for each placement, and ``diagnose`` of a seeded model dump
-and graph that :func:`write_dump` writes first. Per run, the record holds
-the exit code and the SHA-256 of the stdout and of every file under
-``--out`` (keyed by its path there); the ``diagnose`` entry also holds the
-hashes of its dump (``input model.txt``, ``input graph.txt``).
+and graph that :func:`write_dump` writes first. The script also runs
+:data:`GRAD_CHECK`, the exhaustive ``grad-check`` as acceptance criterion 3
+runs it. Per run, the record holds the exit code and the SHA-256 of the
+stdout and of every file under ``--out`` (keyed by its path there); the
+``diagnose`` entry also holds the hashes of its dump (``input model.txt``,
+``input graph.txt``).
 
 The script rewrites ``tests/golden/fingerprints.json`` with these entries
 and the numpy version and BLAS that made them, and prints each entry that
 changed, appeared or went away. ``tests/test_fingerprints.py`` recomputes
-the entries and fails on any difference, naming the run and the file. A
-change whose outputs are meant to differ refreshes the file with this
-script and lists the entries it printed.
+the entries of :func:`run_all` and fails on any difference, naming the run
+and the file; criterion 3's test checks the ``grad-check`` entry from the
+output it already writes. A change whose outputs are meant to differ
+refreshes the file with this script and lists the entries it printed.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from siggate.training import save_model
 
 GOLDEN = ROOT / "tests" / "golden" / "fingerprints.json"
 CONFIGS = ROOT / "configs"
+GRAD_CHECK = ["grad-check", "--parallel", "2"]  # as acceptance criterion 3 runs it
 
 
 def sha256(data: bytes) -> str:
@@ -66,6 +70,22 @@ def write_dump(folder: Path) -> tuple[Path, Path]:
     return model_path, graph_path
 
 
+def entry_of(code: int, stdout: str, out: Path) -> dict[str, str | int]:
+    """A run's entry: its exit code and the hashes of its stdout and of every file under ``out``."""
+    entry = {"exit": code, "stdout": sha256(stdout.encode("utf-8"))}
+    for path in sorted(p for p in Path(out).rglob("*") if p.is_file()):
+        entry[path.relative_to(out).as_posix()] = sha256(path.read_bytes())
+    return entry
+
+
+def run(argv: list[str], out: Path) -> dict[str, str | int]:
+    """The entry of ``siggate.cli.main(argv + ["--out", out])``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(argv + ["--out", str(out)])
+    return entry_of(code, stdout.getvalue(), out)
+
+
 def run_all(workdir) -> dict[str, dict]:
     """``{run: {entry: value}}`` of every run, each written under ``workdir``."""
     workdir = Path(workdir)
@@ -79,16 +99,7 @@ def run_all(workdir) -> dict[str, dict]:
         cfg.write_text(f"model.placement = {placement}\n", encoding="utf-8")
         argvs[f"param-count {placement}"] = ["param-count", "--config", str(cfg)]
     argvs["diagnose"] = ["diagnose", "--model", str(model_path), "--graph", str(graph_path)]
-    runs = {}
-    for name, argv in argvs.items():
-        out = workdir / name.replace(" ", "_")
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli_main(argv + ["--out", str(out)])
-        entry = {"exit": code, "stdout": sha256(stdout.getvalue().encode("utf-8"))}
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            entry[path.relative_to(out).as_posix()] = sha256(path.read_bytes())
-        runs[name] = entry
+    runs = {name: run(argv, workdir / name.replace(" ", "_")) for name, argv in argvs.items()}
     for path in (model_path, graph_path):
         runs["diagnose"][f"input {path.name}"] = sha256(path.read_bytes())
     return runs
@@ -112,7 +123,7 @@ def differences(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="fingerprints-") as tmp:
-        runs = run_all(tmp)
+        runs = {**run_all(tmp), "grad-check": run(GRAD_CHECK, Path(tmp) / "grad-check")}
     old = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"] if GOLDEN.exists() else {}
     record = {"made_with": made_with(), "runs": runs}
     GOLDEN.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -10,8 +10,11 @@ but not for stable rank; its violations are reported as a finding (see
 the README's "Known limitations").
 """
 
+import importlib.util
+import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,10 @@ from siggate.synthexp import (
 from siggate.training import TrainConfig, train_toy
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+_spec = importlib.util.spec_from_file_location(
+    "bench_fingerprints", Path(__file__).resolve().parents[1] / "bench" / "fingerprints.py")
+fingerprints = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fingerprints)
 
 
 def report(criterion, ok, detail):
@@ -141,10 +148,17 @@ class TestCriterion2RankBound:
 
 
 class TestCriterion3GradientCorrectness:
-    def test_exhaustive_grad_check_all_placements_and_activations(self, tmp_path):
+    def test_exhaustive_grad_check_all_placements_and_activations(self, tmp_path, capsys):
         start = time.perf_counter()
-        code = main(["grad-check", "--out", str(tmp_path), "--parallel", "2"])
+        code = main(fingerprints.GRAD_CHECK + ["--out", str(tmp_path)])
         elapsed = time.perf_counter() - start
+        stdout = capsys.readouterr().out
+        golden = json.loads(fingerprints.GOLDEN.read_text(encoding="utf-8"))["runs"]
+        changed = fingerprints.differences(
+            {"grad-check": golden["grad-check"]},
+            {"grad-check": fingerprints.entry_of(code, stdout, tmp_path)})
+        assert not changed, "grad-check outputs differ from tests/golden/fingerprints.json:\n" \
+            + "\n".join(changed)
         rows = (tmp_path / "gradcheck_report.csv").read_text().strip().splitlines()[1:]
         worst = max(float(r.split(",")[3]) for r in rows)
         ok = code == 0 and elapsed < 120.0 and len(rows) == 13

@@ -1,8 +1,10 @@
 """Every output of the fixed CLI runs of ``bench/fingerprints.py``, bit for bit.
 
 The runs are recomputed here and their hashes compared with
-``tests/golden/fingerprints.json``. A change whose outputs are meant to
-differ refreshes that file with ``python3 bench/fingerprints.py``.
+``tests/golden/fingerprints.json``; the ``grad-check`` entry is checked by
+acceptance criterion 3's test, which already runs that command. A change
+whose outputs are meant to differ refreshes that file with
+``python3 bench/fingerprints.py``.
 """
 
 import importlib.util
@@ -18,7 +20,8 @@ _spec.loader.exec_module(fingerprints)
 
 def test_every_output_matches_its_fingerprint(tmp_path):
     golden = json.loads(fingerprints.GOLDEN.read_text(encoding="utf-8"))
-    changed = fingerprints.differences(golden["runs"], fingerprints.run_all(tmp_path))
+    runs = {name: entry for name, entry in golden["runs"].items() if name != "grad-check"}
+    changed = fingerprints.differences(runs, fingerprints.run_all(tmp_path))
     here = fingerprints.made_with()
     note = ("" if here == golden["made_with"] else
             f"\n(the fingerprints were made with {golden['made_with']}, this run has {here})")
