@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gps import LayerTrace
-from .numeric import NonFiniteInputError, top_singular_value, write_csv
+from .numeric import _SQRT_TINY, NonFiniteInputError, top_singular_value, write_csv
 
 __all__ = [
     "GateStats",
@@ -72,15 +72,16 @@ def stable_rank(m):
     A stack ``(K, r, c)`` gives an array of K values, each bitwise what a
     lone call on its matrix gives (see :func:`top_singular_value`): the
     squares are summed matrix by matrix, as a lone call sums them, whatever
-    the stack's layout. A finite matrix whose squares overflow is divided by
-    its top singular value first: its value is then ||M / sigma||_F^2.
+    the stack's layout. A finite matrix whose squares overflow, or whose
+    sigma^2 underflows, is divided by its top singular value first: its
+    value is then ||M / sigma||_F^2.
     """
     m = np.asarray(m, dtype=np.float64)
     top = top_singular_value(m)  # rejects the zero matrix and shapes not 2-D or 3-D
     stack, tops = (m, top) if m.ndim == 3 else (m[None], np.array([top]))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf: recomputed below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # recomputed below
         ranks = np.array([np.sum(s * s) for s in stack]) / (tops * tops)
-    for i in np.flatnonzero(~np.isfinite(ranks)):
+    for i in np.flatnonzero(~np.isfinite(ranks) | (tops < _SQRT_TINY)):
         ranks[i] = np.sum(np.square(stack[i] / tops[i]))
     return ranks if m.ndim == 3 else float(ranks[0])
 

@@ -285,6 +285,9 @@ def sigmoid(x, out=None) -> np.ndarray:
     return s
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # below it a magnitude's square is subnormal
+
+
 def top_singular_value(m):
     """Largest singular value: the square root of the largest eigenvalue of the
     Gram matrix M^T M (or M M^T, whichever is smaller), which LAPACK's
@@ -292,8 +295,9 @@ def top_singular_value(m):
     the stack in one call. Its ``LinAlgError`` (a ``ValueError``) on a
     failure to converge propagates. A matrix holding NaN or inf is rejected.
     A finite matrix whose squares could overflow (largest magnitude a with
-    a^2 times its number of entries beyond the largest float) is divided by
-    a first and its value multiplied back.
+    a^2 times its number of entries beyond the largest float) or underflow
+    (a below the square root of the smallest normal float) is divided by a
+    first and its value multiplied back.
 
     A stack ``(K, r, c)`` gives an array of K values, each bitwise what a
     lone call on its matrix gives: numpy runs one LAPACK call per matrix. An
@@ -319,7 +323,8 @@ def top_singular_value(m):
                          "zero matrix")
     if not len(stack):
         return np.empty(0)
-    scale = np.where(biggest > math.sqrt(np.finfo(float).max / stack[0].size), biggest, 1.0)
+    fits = (biggest <= math.sqrt(np.finfo(float).max / stack[0].size)) & (biggest >= _SQRT_TINY)
+    scale = np.where(fits, 1.0, biggest)
     if (scale != 1.0).any():  # dividing by 1 leaves every other matrix's bits as they are
         stack = stack / scale[:, None, None]
     t = stack.transpose(0, 2, 1)

@@ -74,6 +74,19 @@ class TestStableRank:
         assert got[0] == stable_rank(big)
         assert_bitwise(got[1], np.float64(stable_rank(ordinary)))
 
+    def test_matrix_whose_squares_underflow(self):
+        # ||M||_F^2 and sigma^2 are subnormal or zero; the matrix is divided by sigma first
+        small = np.full((3, 3), 1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stable_rank(small) == pytest.approx(1.0, rel=1e-15)
+            assert stable_rank(np.full((3, 3), 1e-160)) == pytest.approx(1.0, rel=1e-15)
+            assert stable_rank(np.diag([1e-170, 1e-170])) == pytest.approx(2.0, rel=1e-15)
+            ordinary = gaussian_matrix(SeededRng(5), 3, 3, 1.0)
+            got = stable_rank(np.stack([small, ordinary]))
+        assert got[0] == stable_rank(small)
+        assert_bitwise(got[1], np.float64(stable_rank(ordinary)))
+
     @pytest.mark.parametrize("layout", ["C", "transposed", "F", "sliced", "broadcast"])
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 7), (4, 64, 32), (5, 33, 65),
                                        (17, 9, 6)])

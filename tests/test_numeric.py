@@ -442,6 +442,15 @@ class TestTopSingularValue:
             assert top_singular_value(np.full((2, 5), -1e307)) == \
                 pytest.approx(np.sqrt(10.0) * 1e307, rel=1e-15)
 
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-200, 1e-310, 5e-324])
+    def test_matrix_whose_squares_underflow(self, tiny):
+        # its Gram matrix is subnormal or zero; it is divided by its largest magnitude first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert top_singular_value(np.full((3, 3), tiny)) == pytest.approx(
+                3 * tiny, rel=1e-15, abs=0.0)
+            assert top_singular_value(np.diag([tiny, -2 * tiny])) == 2 * tiny
+
 
 class TestAgainstDenseSvd:
     """``top_singular_value`` and ``stable_rank``, lone and stacked, against
@@ -513,6 +522,15 @@ class TestStackedTopSingularValue:
         got = top_singular_value(stack)
         assert got[1] == top_singular_value(stack[1])
         assert got[1] == pytest.approx(3e200, rel=1e-15)
+        for i in (0, 2):
+            assert_bitwise(got[i], np.float64(top_singular_value(stack[i])))
+
+    def test_matrix_whose_squares_underflow_among_ordinary_ones(self):
+        ordinary = SeededRng(33).standard_normal((2, 3, 3))
+        stack = np.stack([ordinary[0], np.full((3, 3), 1e-200), ordinary[1]])
+        got = top_singular_value(stack)
+        assert got[1] == top_singular_value(stack[1])
+        assert got[1] == pytest.approx(3e-200, rel=1e-15, abs=0.0)
         for i in (0, 2):
             assert_bitwise(got[i], np.float64(top_singular_value(stack[i])))
 
