@@ -22,7 +22,10 @@ After each run, ``python3 -B -c`` from the same copy's root puts ``src`` and
 ``workloads`` and prints its peak RSS. The record keeps that as the run's
 ``import_rss_mb``, with each side's median per workload: the part of
 ``peak_rss_mb`` that the import alone reaches, which follows the size of the
-compiled source. It gets no verdict and no claim.
+compiled source. Each run also keeps its ``minor_faults``: the change in
+``resource.getrusage(RUSAGE_CHILDREN).ru_minflt`` across the perfbench
+child, interpreter start-up and set-up included, with each side's median
+per workload. Neither gets a verdict or a claim.
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` the record holds
 each side's median and quartiles, the pairs the change wins, its relative
@@ -35,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -63,7 +67,8 @@ WHAT = (
     "and counted in failed_share. A claim is met when its verdict is 'better' and the "
     "change's failed share does not rise. import_rss_mb is the peak RSS in MB of a fresh "
     "python3 -B that only imports perfbench's workloads from the same copy, run after each "
-    "run; it has medians and no verdict."
+    "run; minor_faults is the rise in getrusage(RUSAGE_CHILDREN).ru_minflt across the "
+    "perfbench run itself, start-up included. Both have per-side medians and no verdict."
 )
 IMPORT_RSS = ("import resource, sys; sys.path[:0] = sys.argv[1:]; import workloads; "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
@@ -177,17 +182,24 @@ def parse_run(proc: subprocess.CompletedProcess) -> dict:
     return record
 
 
+def children_minflt() -> int:
+    """Minor page faults of this process's children that have been waited for."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run from the root of ``tree``, with the ``import_rss_mb``
-    measured right after it."""
+    """One perfbench run from the root of ``tree``, with its ``minor_faults``
+    and the ``import_rss_mb`` measured right after it."""
     cmd = [sys.executable, "-B", "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
+    faults = children_minflt()
     try:
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:  # its JSON line, the last it prints, never came
         proc = subprocess.CompletedProcess(cmd, -1, "", f"timed out after {RUN_TIMEOUT_S} s")
-    return {**parse_run(proc), "import_rss_mb": import_rss_mb(tree)}
+    faults = children_minflt() - faults
+    return {**parse_run(proc), "minor_faults": faults, "import_rss_mb": import_rss_mb(tree)}
 
 
 def import_rss_mb(tree: Path) -> float | None:
@@ -238,11 +250,11 @@ def paired_runs(trees: dict, workload: str, seeds: list[int], seconds: float) ->
     return pairs
 
 
-def import_rss_medians(pairs: list[dict]) -> dict:
-    """Per side, the median ``import_rss_mb`` over its runs with a value (None if none)."""
+def side_medians(pairs: list[dict], key: str) -> dict:
+    """Per side, the median of each run's ``key`` over its runs with a value (None if none)."""
     out = {}
     for side in SIDES:
-        values = [p[side].get("import_rss_mb") for p in pairs]
+        values = [p[side].get(key) for p in pairs]
         values = [v for v in values if v is not None]
         out[side] = statistics.median(values) if values else None
     return out
@@ -264,7 +276,8 @@ def record(label: str, revisions: dict, benchmark: dict, runs: dict, checks: dic
     workloads = {name: {"seeds": [p["seed"] for p in pairs], "pairs": pairs,
                         "summary": summarize(pairs, metrics),
                         "failed_share": failed_share(pairs),
-                        "import_rss_mb": import_rss_medians(pairs)}
+                        "import_rss_mb": side_medians(pairs, "import_rss_mb"),
+                        "minor_faults": side_medians(pairs, "minor_faults")}
                  for name, pairs in runs.items()}
     claim = {}
     for spec in claims:
@@ -302,9 +315,9 @@ def verdict_lines(rec: dict) -> list[str]:
         share = wl["failed_share"]
         lines.append(f"{name} failed share: parent {share['parent']['share']}, "
                      f"change {share['change']['share']}")
-        rss = wl["import_rss_mb"]
-        lines.append(f"{name} import_rss_mb (no verdict): parent {rss['parent']}, "
-                     f"change {rss['change']}")
+        for key in ("import_rss_mb", "minor_faults"):
+            lines.append(f"{name} {key} (no verdict): parent {wl[key]['parent']}, "
+                         f"change {wl[key]['change']}")
     for name, pairs in rec["checked_seeds"].items():
         for pair in pairs:
             lines.append(f"check {name} seed {pair['seed']}: correct "

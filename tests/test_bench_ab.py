@@ -8,6 +8,7 @@ the alternation of the sides and the record's keys.
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,42 @@ class TestImportRss:
         assert wl["import_rss_mb"] == {"parent": 30.0, "change": 31.5}
         assert "import_rss_mb" not in wl["summary"]
         assert ("rank_sweep import_rss_mb (no verdict): parent 30.0, change 31.5"
+                in ab.verdict_lines(rec))
+
+
+class TestMinorFaults:
+    """Each run carries the minor faults of its perfbench child; the record
+    keeps their medians and gives them no verdict."""
+
+    def test_only_the_perfbench_child_is_counted(self, tmp_path, monkeypatch):
+        faults = {"total": 1_000}
+
+        def fake_run(cmd, **kw):  # each child adds its faults once it has been waited for
+            run_ = cmd[2] == "perfbench/run.py"
+            faults["total"] += 500 if run_ else 70
+            return subprocess.CompletedProcess(cmd, 0, TestImportRss.LINE + "\n" if run_
+                                               else "31.5\n", "")
+
+        monkeypatch.setattr(ab.subprocess, "run", fake_run)
+        monkeypatch.setattr(ab, "children_minflt", lambda: faults["total"])
+        got = ab.run_once(tmp_path, "gradcheck", 7, 10)
+        assert got["minor_faults"] == 500 and got["import_rss_mb"] == 31.5
+        assert got["metrics"] == {"peak_rss_mb": 38.0}
+
+    def test_a_waited_for_child_adds_its_faults(self):
+        before = ab.children_minflt()
+        subprocess.run([sys.executable, "-c", "bytearray(8 << 20)"], check=True)
+        assert ab.children_minflt() - before >= 2048  # 8 MiB of fresh 4 KiB pages
+
+    def test_the_record_keeps_medians_and_no_verdict(self):
+        pairs = pairs_of([100] * 3, [100] * 3)
+        for pair, (p, c) in zip(pairs, [(13_600, 300), (13_900, None), (13_700, 310)]):
+            pair["parent"]["minor_faults"], pair["change"]["minor_faults"] = p, c
+        rec = ab.record("x", {}, BENCHMARK, {"gradcheck": pairs}, {}, [], None)
+        wl = rec["workloads"]["gradcheck"]
+        assert wl["minor_faults"] == {"parent": 13_700, "change": 305.0}
+        assert "minor_faults" not in wl["summary"]
+        assert ("gradcheck minor_faults (no verdict): parent 13700, change 305.0"
                 in ab.verdict_lines(rec))
 
 
