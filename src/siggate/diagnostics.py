@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gps import LayerTrace
-from .numeric import _SQRT_TINY, NonFiniteInputError, top_singular_value, write_csv
+from .numeric import NonFiniteInputError, top_singular_value, write_csv
 
 __all__ = [
     "GateStats",
@@ -80,8 +80,9 @@ def stable_rank(m):
     top = top_singular_value(m)  # rejects the zero matrix and shapes not 2-D or 3-D
     stack, tops = (m, top) if m.ndim == 3 else (m[None], np.array([top]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # recomputed below
-        ranks = np.array([np.sum(s * s) for s in stack]) / (tops * tops)
-    for i in np.flatnonzero(~np.isfinite(ranks) | (tops < _SQRT_TINY)):
+        squares = tops * tops
+        ranks = np.array([np.sum(s * s) for s in stack]) / squares
+    for i in np.flatnonzero(~np.isfinite(ranks) | (squares < np.finfo(float).tiny)):
         ranks[i] = np.sum(np.square(stack[i] / tops[i]))
     return ranks if m.ndim == 3 else float(ranks[0])
 
