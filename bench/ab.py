@@ -24,8 +24,11 @@ After each run, ``python3 -B -c`` from the same copy's root puts ``src`` and
 ``peak_rss_mb`` that the import alone reaches, which follows the size of the
 compiled source. Each run also keeps its ``minor_faults``: the change in
 ``resource.getrusage(RUSAGE_CHILDREN).ru_minflt`` across the perfbench
-child, interpreter start-up and set-up included, with each side's median
-per workload. Neither gets a verdict or a claim.
+child, interpreter start-up and set-up included, and its
+``import_minor_faults``, the same rise across the import-only child. So
+``minor_faults - import_minor_faults`` is roughly what the set-up and the
+timed loop fault. Each of the three has each side's median per workload;
+none gets a verdict or a claim.
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` the record holds
 each side's median and quartiles, the pairs the change wins, its relative
@@ -68,7 +71,9 @@ WHAT = (
     "change's failed share does not rise. import_rss_mb is the peak RSS in MB of a fresh "
     "python3 -B that only imports perfbench's workloads from the same copy, run after each "
     "run; minor_faults is the rise in getrusage(RUSAGE_CHILDREN).ru_minflt across the "
-    "perfbench run itself, start-up included. Both have per-side medians and no verdict."
+    "perfbench run itself, start-up included; import_minor_faults is the same rise across the "
+    "import-only interpreter, so minor_faults - import_minor_faults is roughly what set-up "
+    "and the timed loop fault. All three have per-side medians and no verdict."
 )
 IMPORT_RSS = ("import resource, sys; sys.path[:0] = sys.argv[1:]; import workloads; "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
@@ -189,7 +194,7 @@ def children_minflt() -> int:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run from the root of ``tree``, with its ``minor_faults``
-    and the ``import_rss_mb`` measured right after it."""
+    and the ``import_rss_mb`` and ``import_minor_faults`` measured right after it."""
     cmd = [sys.executable, "-B", "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     faults = children_minflt()
@@ -199,22 +204,27 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except subprocess.TimeoutExpired:  # its JSON line, the last it prints, never came
         proc = subprocess.CompletedProcess(cmd, -1, "", f"timed out after {RUN_TIMEOUT_S} s")
     faults = children_minflt() - faults
-    return {**parse_run(proc), "minor_faults": faults, "import_rss_mb": import_rss_mb(tree)}
+    rss, import_faults = import_probe(tree)
+    return {**parse_run(proc), "minor_faults": faults, "import_rss_mb": rss,
+            "import_minor_faults": import_faults}
 
 
-def import_rss_mb(tree: Path) -> float | None:
-    """Peak RSS in MB of a fresh ``python3 -B`` that imports perfbench's
-    ``workloads`` from ``tree`` as ``perfbench/run.py`` does (``src`` and
-    ``perfbench`` first on the path, BLAS threads capped alike); None if it fails."""
+def import_probe(tree: Path) -> tuple[float | None, int | None]:
+    """Peak RSS in MB and minor faults of a fresh ``python3 -B`` that imports
+    perfbench's ``workloads`` from ``tree`` as ``perfbench/run.py`` does (``src``
+    and ``perfbench`` first on the path, BLAS threads capped alike); both None
+    if it fails."""
     threads = str(min(2, os.cpu_count() or 1))
     env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, **os.environ}
+    faults = children_minflt()
     try:
         proc = subprocess.run([sys.executable, "-B", "-c", IMPORT_RSS, "src", "perfbench"],
                               cwd=tree, env=env, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S)
-        return float(proc.stdout) if proc.returncode == 0 else None
+        faults = children_minflt() - faults
+        return (float(proc.stdout), faults) if proc.returncode == 0 else (None, None)
     except (subprocess.TimeoutExpired, ValueError):
-        return None
+        return None, None
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -277,7 +287,8 @@ def record(label: str, revisions: dict, benchmark: dict, runs: dict, checks: dic
                         "summary": summarize(pairs, metrics),
                         "failed_share": failed_share(pairs),
                         "import_rss_mb": side_medians(pairs, "import_rss_mb"),
-                        "minor_faults": side_medians(pairs, "minor_faults")}
+                        "minor_faults": side_medians(pairs, "minor_faults"),
+                        "import_minor_faults": side_medians(pairs, "import_minor_faults")}
                  for name, pairs in runs.items()}
     claim = {}
     for spec in claims:
@@ -315,7 +326,7 @@ def verdict_lines(rec: dict) -> list[str]:
         share = wl["failed_share"]
         lines.append(f"{name} failed share: parent {share['parent']['share']}, "
                      f"change {share['change']['share']}")
-        for key in ("import_rss_mb", "minor_faults"):
+        for key in ("import_rss_mb", "minor_faults", "import_minor_faults"):
             lines.append(f"{name} {key} (no verdict): parent {wl[key]['parent']}, "
                          f"change {wl[key]['change']}")
     for name, pairs in rec["checked_seeds"].items():

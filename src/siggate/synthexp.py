@@ -238,41 +238,56 @@ def _unit_column_gaussian(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
 
 
 def _run_seed(args):
-    """One seed of the rank study for every (c, rho) in ``pairs``: the draws and
-    the gate do not depend on c or rho, so they are made once (top-level so
-    process pools can map it). Each head's ``y`` and ``y * gate`` for every pair
-    go to one stack, whose stable ranks are taken in one call."""
+    """One seed of the rank study for every (c, rho) in ``pairs`` (top-level so
+    process pools can map it). The draws and the gate do not depend on c or rho,
+    so each head's ``q k^T``, ``v`` and gate are made once, into stacks over the
+    heads; each pair then takes its logits, softmax, ``A V`` and gating for every
+    head in one call each, the logits and attention in one reused buffer. Every
+    head's ``y`` and ``y * gate`` for every pair go to one stack, whose stable
+    ranks are taken in one call."""
     cfg, pairs, seed, cal = args
+    heads, n = cfg.n_heads, cfg.n
     inv_sqrt_dk = 1.0 / np.sqrt(cfg.d_k)
     proj_std = 1.0 / np.sqrt(cfg.d)
     rng = SeededRng(seed)
-    hidden = gaussian_matrix(rng, cfg.n, cfg.d, 1.0)
-    uniforms = rng.uniform((cfg.n, cfg.n))
-    masks = []
-    for _, rho in pairs:
-        # each off-diagonal pair dropped independently; diagonal kept so no row is empty
-        keep = uniforms >= rho
-        np.fill_diagonal(keep, True)
-        masks.append(keep)
-    outputs = np.empty((cfg.n_heads, len(pairs), 2, cfg.n, cfg.d_k))  # (head, pair, gated)
+    hidden = gaussian_matrix(rng, n, cfg.d, 1.0)
+    uniforms = rng.uniform((n, n))
+    scores = np.empty((heads, n, n))
+    values = np.empty((heads, n, cfg.d_k))
+    gates = np.empty((heads, n, cfg.d_k))
     moments = np.zeros(3)  # the gate values' sum, sum of squares and count
-    for head in outputs:
+    for h in range(heads):
         w_q = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_k = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_v = gaussian_matrix(rng, cfg.d, cfg.d_k, proj_std)
         w_g = _unit_column_gaussian(rng, cfg.d, cfg.d_k)
-        q, k, v = hidden @ w_q, hidden @ w_k, hidden @ w_v
-        scores = q @ k.T
-        gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias)
+        np.matmul(hidden @ w_q, (hidden @ w_k).T, out=scores[h])
+        np.matmul(hidden, w_v, out=values[h])
+        gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias, out=gates[h])
         moments += gate.sum(), (gate * gate).sum(), gate.size
-        for (c, rho), mask, (y, gated) in zip(pairs, masks, head):
-            try:
-                attn = row_softmax(c * scores * inv_sqrt_dk, mask)
-            except NonFiniteInputError as exc:
-                raise NonFiniteInputError(f"rank study cell c={c:g} rho={rho:g}: {exc}") from None
-            np.matmul(attn, v, out=y)
-            np.multiply(y, gate, out=gated)
-    sranks = stable_rank(outputs.reshape(-1, cfg.n, cfg.d_k)).reshape(outputs.shape[:3])
+    outputs = np.empty((heads, len(pairs), 2, n, cfg.d_k))  # (head, pair, gated)
+    attn = np.empty((heads, n, n))  # a pair's logits, then its attention
+    rows = attn.reshape(heads * n, n)
+    for i, (c, rho) in enumerate(pairs):
+        # each off-diagonal pair dropped independently; diagonal kept so no row is empty
+        keep = uniforms >= rho
+        np.fill_diagonal(keep, True)
+        np.multiply(scores, c, out=attn)
+        attn *= inv_sqrt_dk
+        try:
+            row_softmax(rows, np.tile(keep, (heads, 1)), out=rows)
+        except NonFiniteInputError:
+            # the stack is still the logits: name the row within its head
+            for head in attn:
+                try:
+                    row_softmax(head, keep)
+                except NonFiniteInputError as exc:
+                    raise NonFiniteInputError(
+                        f"rank study cell c={c:g} rho={rho:g}: {exc}") from None
+            raise
+        np.matmul(attn, values, out=outputs[:, i, 0])
+        np.multiply(outputs[:, i, 0], gates, out=outputs[:, i, 1])
+    sranks = stable_rank(outputs.reshape(-1, n, cfg.d_k)).reshape(outputs.shape[:3])
     results = [SeedResult(seed=seed, srank_ungated=float(np.mean(sranks[:, i, 0])),
                           srank_gated=float(np.mean(sranks[:, i, 1])))
                for i in range(len(pairs))]

@@ -212,6 +212,44 @@ class TestImportRss:
                 in ab.verdict_lines(rec))
 
 
+class TestImportMinorFaults:
+    """Each run carries the minor faults of the import-only interpreter, so the
+    start-up faults can be taken off the run's; the record keeps their medians
+    and gives them no verdict."""
+
+    def test_the_probe_is_counted_apart_from_the_run(self, tmp_path, monkeypatch):
+        faults = {"total": 1_000}
+
+        def fake_run(cmd, **kw):  # each child adds its faults once it has been waited for
+            run_ = cmd[2] == "perfbench/run.py"
+            faults["total"] += 21_500 if run_ else 21_000
+            return subprocess.CompletedProcess(cmd, 0, TestImportRss.LINE + "\n" if run_
+                                               else "31.5\n", "")
+
+        monkeypatch.setattr(ab.subprocess, "run", fake_run)
+        monkeypatch.setattr(ab, "children_minflt", lambda: faults["total"])
+        got = ab.run_once(tmp_path, "rank_sweep", 7, 10)
+        assert (got["minor_faults"], got["import_minor_faults"]) == (21_500, 21_000)
+        assert got["import_rss_mb"] == 31.5
+
+    @pytest.mark.parametrize("stdout, code", [("", 1), ("not a number\n", 0)])
+    def test_a_failed_probe_has_no_value(self, tmp_path, monkeypatch, stdout, code):
+        TestImportRss().stub_runner(monkeypatch, stdout, code)
+        assert ab.run_once(tmp_path, "rank_sweep", 7, 10)["import_minor_faults"] is None
+
+    def test_the_record_keeps_medians_and_no_verdict(self):
+        pairs = pairs_of([100] * 3, [100] * 3)
+        for pair, (p, c) in zip(pairs, [(21_000, 21_100), (21_300, None), (20_900, 21_000)]):
+            pair["parent"]["import_minor_faults"] = p
+            pair["change"]["import_minor_faults"] = c
+        rec = ab.record("x", {}, BENCHMARK, {"rank_sweep": pairs}, {}, [], None)
+        wl = rec["workloads"]["rank_sweep"]
+        assert wl["import_minor_faults"] == {"parent": 21_000, "change": 21_050.0}
+        assert "import_minor_faults" not in wl["summary"]
+        assert ("rank_sweep import_minor_faults (no verdict): parent 21000, change 21050.0"
+                in ab.verdict_lines(rec))
+
+
 class TestMinorFaults:
     """Each run carries the minor faults of its perfbench child; the record
     keeps their medians and gives them no verdict."""

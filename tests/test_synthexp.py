@@ -9,7 +9,7 @@ import pytest
 from oracles import per_cell_rank_experiment
 from siggate import synthexp
 from siggate.gps import GraphInstance
-from siggate.numeric import SeededRng
+from siggate.numeric import NonFiniteInputError, SeededRng
 from siggate.synthexp import (
     RankExpConfig,
     calibrate_gate,
@@ -233,6 +233,8 @@ SHARED_PASS_CONFIGS = {
     "tiny_c": RankExpConfig(n=16, d=32, n_heads=4, d_k=8, seeds=(0,), c=1e-6, rho=0.0),
     # 5 heads x 7 sweep pairs x 2 outputs = 70: a full stack of 64, then one of 6
     "five_heads": RankExpConfig(n=8, d=20, n_heads=5, d_k=4, seeds=(0, 2)),
+    # rows wider than numeric._SHORT_ROW take their maxima row by row
+    "long_rows": RankExpConfig(n=40, d=32, n_heads=4, d_k=8, seeds=(0,)),
 }
 
 
@@ -370,6 +372,68 @@ class TestStackedStableRanks:
         run_robustness_sweep(SHARED_PASS_CONFIGS["five_heads"], c_values=(0.5, 1.0, 3.0),
                              rho_values=(0.0, 0.05, 0.6, 0.95))
         assert shapes == [(70, 8, 4)] * 2
+
+
+class TestStackedSoftmax:
+    """Each seed takes one softmax per distinct (c, rho) pair, over every head's
+    rows at once, with the mask tiled over the heads."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        row_softmax = synthexp.row_softmax
+
+        def recorded(logits, mask=None, out=None):
+            calls.append((np.shape(logits), np.shape(mask)))
+            return row_softmax(logits, mask, out=out)
+
+        monkeypatch.setattr(synthexp, "row_softmax", recorded)
+        return calls
+
+    def test_default_sweep_seed_takes_one_call_per_pair(self, calls):
+        # 9 cells, 8 distinct (c, rho) pairs; 8 heads x 64 rows of 64 logits
+        run_robustness_sweep(RankExpConfig(seeds=(0,)))
+        assert calls == [((512, 64), (512, 64))] * 8
+
+    def test_default_experiment_seed_takes_one_call(self, calls):
+        run_rank_experiment(RankExpConfig(seeds=(0, 1)))
+        assert calls == [((512, 64), (512, 64))] * 2
+
+    def test_five_heads_seed_takes_one_call_per_pair(self, calls):
+        # 7 distinct pairs (of 12 cells) per seed, 2 seeds; 5 heads x 8 rows
+        run_robustness_sweep(SHARED_PASS_CONFIGS["five_heads"], c_values=(0.5, 1.0, 3.0),
+                             rho_values=(0.0, 0.05, 0.6, 0.95))
+        assert calls == [((40, 8), (40, 8))] * 14
+
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_an_overflow_in_one_head_names_its_cell_and_its_row_in_that_head(
+            self, monkeypatch, n):
+        # Head 2 alone gets w_q = big e_0 e_0^T and w_k = e_0 e_0^T, so its scores
+        # are big * h_i0 * h_j0 and each row's largest is big * m_i (see below).
+        # big puts only the largest m_i past the float maximum, and only at c = 3.
+        cfg = RankExpConfig(n=n, d=32, n_heads=4, d_k=8, rho=0.0, seeds=(0,))
+        draws = []
+        gaussian_matrix = synthexp.gaussian_matrix
+
+        def patched(rng, rows, cols, std):
+            m = gaussian_matrix(rng, rows, cols, std)  # every draw is still made
+            draws.append(m)
+            if len(draws) in (10, 11):  # hidden, then 4 draws per head: head 2's w_q, w_k
+                m = np.zeros_like(m)
+                h = draws[0][:, 0]
+                top = np.where(h > 0, h * h.max(), -h * -h.min())
+                first, second = np.sort(top)[::-1][:2]
+                m[0, 0] = (np.finfo(float).max / (3.0 * np.sqrt(first * second))
+                           if len(draws) == 10 else 1.0)
+            return m
+
+        monkeypatch.setattr(synthexp, "gaussian_matrix", patched)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteInputError) as err:
+            run_robustness_sweep(cfg, c_values=(0.5, 1.0, 3.0), rho_values=(0.0,))
+        h = draws[0][:, 0]
+        row = int(np.argmax(np.where(h > 0, h * h.max(), -h * -h.min())))
+        assert str(err.value) == (f"rank study cell c=3 rho=0: row {row} has largest logit "
+                                  "inf; softmax undefined")
 
 
 class TestToyTask:
