@@ -237,15 +237,13 @@ def _unit_column_gaussian(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
-def _run_seed(args):
-    """One seed of the rank study for every (c, rho) in ``pairs`` (top-level so
-    process pools can map it). The draws and the gate do not depend on c or rho,
-    so each head's ``q k^T``, ``v`` and gate are made once, into stacks over the
-    heads; each pair then takes its logits, softmax, ``A V`` and gating for every
-    head in one call each, the logits and attention in one reused buffer. Every
-    head's ``y`` and ``y * gate`` for every pair go to one stack, whose stable
-    ranks are taken in one call."""
-    cfg, pairs, seed, cal = args
+def _head_outputs(cfg: RankExpConfig, pairs, seed: int, cal: CalibratedGate):
+    """Every head's ``y`` and ``y * gate`` for every (c, rho) in ``pairs``, as a
+    ``(heads, pairs, 2, n, d_k)`` stack, and the gate moments. The draws and the
+    gate do not depend on c or rho, so each head's ``q k^T``, ``v`` and gate are
+    made once, into stacks over the heads; each pair then takes its logits,
+    softmax, ``A V`` and gating for every head in one call each, the logits and
+    attention in one reused buffer."""
     heads, n = cfg.n_heads, cfg.n
     inv_sqrt_dk = 1.0 / np.sqrt(cfg.d_k)
     proj_std = 1.0 / np.sqrt(cfg.d)
@@ -287,7 +285,16 @@ def _run_seed(args):
             raise
         np.matmul(attn, values, out=outputs[:, i, 0])
         np.multiply(outputs[:, i, 0], gates, out=outputs[:, i, 1])
-    sranks = stable_rank(outputs.reshape(-1, n, cfg.d_k)).reshape(outputs.shape[:3])
+    return outputs, moments
+
+
+def _run_seed(args):
+    """One seed of the rank study for every (c, rho) in ``pairs`` (top-level so
+    process pools can map it). The stable ranks of every head's outputs are
+    taken in one call, once the pass's stacks are freed."""
+    cfg, pairs, seed, cal = args
+    outputs, moments = _head_outputs(cfg, pairs, seed, cal)
+    sranks = stable_rank(outputs.reshape(-1, cfg.n, cfg.d_k)).reshape(outputs.shape[:3])
     results = [SeedResult(seed=seed, srank_ungated=float(np.mean(sranks[:, i, 0])),
                           srank_gated=float(np.mean(sranks[:, i, 1])))
                for i in range(len(pairs))]
