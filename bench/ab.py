@@ -26,9 +26,10 @@ compiled source. Each run also keeps its ``minor_faults``: the change in
 ``resource.getrusage(RUSAGE_CHILDREN).ru_minflt`` across the perfbench
 child, interpreter start-up and set-up included, and its
 ``import_minor_faults``, the same rise across the import-only child. So
-``minor_faults - import_minor_faults`` is roughly what the set-up and the
-timed loop fault. Each of the three has each side's median per workload;
-none gets a verdict or a claim.
+``minor_faults - import_minor_faults`` is what a run faults on top of that
+import: perfbench's own start-up and set-up, then the timed loop. Each of
+the three has each side's median per workload; none gets a verdict or a
+claim.
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` the record holds
 each side's median and quartiles, the pairs the change wins, its relative
@@ -72,8 +73,8 @@ WHAT = (
     "python3 -B that only imports perfbench's workloads from the same copy, run after each "
     "run; minor_faults is the rise in getrusage(RUSAGE_CHILDREN).ru_minflt across the "
     "perfbench run itself, start-up included; import_minor_faults is the same rise across the "
-    "import-only interpreter, so minor_faults - import_minor_faults is roughly what set-up "
-    "and the timed loop fault. All three have per-side medians and no verdict."
+    "import-only interpreter, so minor_faults - import_minor_faults is what a run faults on "
+    "top of that import. All three have per-side medians and no verdict."
 )
 IMPORT_RSS = ("import resource, sys; sys.path[:0] = sys.argv[1:]; import workloads; "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")

@@ -274,15 +274,15 @@ def _head_outputs(cfg: RankExpConfig, pairs, seed: int, cal: CalibratedGate):
         attn *= inv_sqrt_dk
         try:
             row_softmax(rows, np.tile(keep, (heads, 1)), out=rows)
-        except NonFiniteInputError:
-            # the stack is still the logits: name the row within its head
+        except NonFiniteInputError as exc:
+            # the stack is still the logits: a lone head's softmax names the row within it
             for head in attn:
                 try:
                     row_softmax(head, keep)
-                except NonFiniteInputError as exc:
-                    raise NonFiniteInputError(
-                        f"rank study cell c={c:g} rho={rho:g}: {exc}") from None
-            raise
+                except NonFiniteInputError as lone:
+                    exc = lone
+                    break
+            raise NonFiniteInputError(f"rank study cell c={c:g} rho={rho:g}: {exc}") from None
         np.matmul(attn, values, out=outputs[:, i, 0])
         np.multiply(outputs[:, i, 0], gates, out=outputs[:, i, 1])
     return outputs, moments
