@@ -198,7 +198,8 @@ class TestImportRss:
     @pytest.mark.parametrize("stdout, code", [("", 1), ("not a number\n", 0)])
     def test_a_failed_probe_has_no_value(self, tmp_path, monkeypatch, stdout, code):
         self.stub_runner(monkeypatch, stdout, code)
-        assert ab.run_once(tmp_path, "rank_sweep", 7, 10)["import_rss_mb"] is None
+        got = ab.run_once(tmp_path, "rank_sweep", 7, 10)
+        assert got["import_rss_mb"] is None and got["import_minor_faults"] is None
 
     def test_the_record_keeps_medians_and_no_verdict(self):
         pairs = pairs_of([100] * 3, [100] * 3)
@@ -231,11 +232,6 @@ class TestImportMinorFaults:
         got = ab.run_once(tmp_path, "rank_sweep", 7, 10)
         assert (got["minor_faults"], got["import_minor_faults"]) == (21_500, 21_000)
         assert got["import_rss_mb"] == 31.5
-
-    @pytest.mark.parametrize("stdout, code", [("", 1), ("not a number\n", 0)])
-    def test_a_failed_probe_has_no_value(self, tmp_path, monkeypatch, stdout, code):
-        TestImportRss().stub_runner(monkeypatch, stdout, code)
-        assert ab.run_once(tmp_path, "rank_sweep", 7, 10)["import_minor_faults"] is None
 
     def test_the_record_keeps_medians_and_no_verdict(self):
         pairs = pairs_of([100] * 3, [100] * 3)
