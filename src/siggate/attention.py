@@ -293,10 +293,10 @@ def gated_head_forward(h, heads: MhsaParams, mask=None, *, n_graphs: int = 1):
     if placement == "g3":
         gate, gate_back = _gate(h, heads, n_graphs)
         raw, gated_back = ad.mul_vjp(gate, raw)
-    if mask is not None:  # every head reads the same mask
-        mask = np.tile(mask, (raw.size // mask.size, 1))
-    # P overwrites the logits, a fresh stack that no ``back`` reads.
-    attention, softmax_back = ad.row_softmax_vjp(raw, mask, out=raw)
+    # Every head reads its graph's n x n mask. P overwrites the logits, a fresh
+    # stack that no ``back`` reads.
+    attention, softmax_back = ad.row_softmax_vjp(
+        raw, None if mask is None else _by_graph(mask, n_graphs), out=raw)
     if placement == "g2":
         gate, gate_back = _gate(h, heads, n_graphs)
         v, gated_back = ad.mul_vjp(gate, v)

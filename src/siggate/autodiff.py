@@ -393,15 +393,11 @@ def layer_norm_vjp(h, scale, shift, eps):
 
 
 def row_softmax_vjp(logits, mask=None, out=None):
-    """``(P, back)`` of the row softmax (:func:`siggate.numeric.row_softmax`),
-    ``back`` being ``t - P·rowsum(t)`` with ``t = g·P`` (the FlashAttention
-    backward, Dao et al., 2022, §3.1). A stack of logit matrices runs as the
-    matrix of all its rows, so its ``mask`` holds those rows stacked in order.
-    ``out`` (as in numpy, C-contiguous) may be ``logits``: ``back`` reads only P."""
-    z = np.asarray(logits)
-    rows = (-1, z.shape[-1])
-    out = numeric.row_softmax(z.reshape(rows), mask,
-                              None if out is None else out.reshape(rows)).reshape(z.shape)
+    """``(P, back)`` of the row softmax of a matrix or a stack, with its ``mask``
+    (:func:`siggate.numeric.row_softmax`), ``back`` being ``t - P·rowsum(t)``
+    with ``t = g·P`` (the FlashAttention backward, Dao et al., 2022, §3.1).
+    ``out`` (as in numpy) may be ``logits``: ``back`` reads only P."""
+    out = numeric.row_softmax(logits, mask, out)
 
     def back(g):
         t = np.asarray(g) * out

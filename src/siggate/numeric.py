@@ -209,13 +209,6 @@ class SeededRng:
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(x, name="operand") -> np.ndarray:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
-
-
 def matmul(a, b) -> np.ndarray:
     """Matrix product with an explicit shape check. Stacks of matrices along
     leading axes broadcast as in ``np.matmul``, each product on its own."""
@@ -235,41 +228,54 @@ _SHORT_ROW = 32
 
 
 def row_softmax(logits, mask=None, out=None) -> np.ndarray:
-    """Row-wise softmax, stabilized by row-max subtraction.
+    """Row-wise softmax of a matrix or a stack ``(..., r, c)`` of them,
+    stabilized by row-max subtraction.
 
-    ``mask`` is an optional boolean array of the same shape; False entries
-    are excluded (treated as -inf logits) and come out exactly 0. A fully
-    masked row is rejected: it would have no distribution to normalize. So
-    is a row whose largest kept logit is NaN or infinite (a NaN or +inf
-    entry, or every entry -inf): its distribution is undefined. A -inf
-    entry in a row with a finite maximum simply gets weight 0.
+    ``mask`` is an optional boolean array: one ``(r, c)`` matrix, or a stack
+    equal to the logits' trailing axes, that broadcasts over the leading ones.
+    False entries are excluded (treated as -inf logits) and come out exactly
+    0. A fully masked row is rejected: it would have no distribution to
+    normalize. So is a row whose largest kept logit is NaN or infinite (a NaN
+    or +inf entry, or every entry -inf): its distribution is undefined. A
+    -inf entry in a row with a finite maximum simply gets weight 0.
 
-    The result goes to ``out`` if given (as in numpy; it may be ``logits``),
-    bitwise what the allocating call returns; a rejected row raises before
-    ``out`` is written.
+    Each matrix of a stack gives bitwise, and raises, what a lone call on it
+    gives: the error is that of the first matrix whose softmax is undefined,
+    and names its row by the index over all but the last axis (``row (2,
+    5)``; ``row 5`` for a matrix). The result goes to ``out`` if given (as in
+    numpy; it may be ``logits``), bitwise what the allocating call returns; a
+    rejected row raises before ``out`` is written.
     """
-    z = _as_matrix(logits, "logits")
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim < 2:
+        raise ShapeError(f"logits must be 2-D or a stack of matrices, got shape {z.shape}")
     if out is not None and np.shape(out) != z.shape:
         raise ShapeError(f"out shape {np.shape(out)} != logits shape {z.shape}")
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
-        if m.shape != z.shape:
+        if m.ndim < 2 or m.shape != z.shape[-m.ndim:]:
             raise ShapeError(f"mask shape {m.shape} != logits shape {z.shape}")
-        if not m.any(axis=1).all():
-            bad = int(np.flatnonzero(~m.any(axis=1))[0])
-            raise ValueError(f"row {bad} is fully masked; softmax undefined")
         z = np.where(m, z, -np.inf)
-    if z.shape[1] <= _SHORT_ROW:  # the maxima of a transposed copy: the same bits, one pass
-        zmax = np.ascontiguousarray(z.T).max(axis=0)[:, None]
+    rows = z.reshape(-1, z.shape[-1])
+    if rows.shape[1] <= _SHORT_ROW:  # the maxima of a transposed copy: the same bits, one pass
+        zmax = np.ascontiguousarray(rows.T).max(axis=0)
     else:
-        zmax = z.max(axis=1, keepdims=True)
+        zmax = rows.max(axis=1)
+    zmax = zmax.reshape(z.shape[:-1])
     if not np.isfinite(zmax).all():
-        bad = int(np.flatnonzero(~np.isfinite(zmax))[0])
+        *at, row = np.argwhere(~np.isfinite(zmax))[0].tolist()
+        # a lone call on that matrix names its first fully masked row before any other
+        empty = [] if mask is None else \
+            np.flatnonzero(~np.broadcast_to(m, z.shape)[tuple(at)].any(axis=1)).tolist()
+        row = empty[0] if empty else row
+        name = (*at, row) if at else row
+        if empty:
+            raise ValueError(f"row {name} is fully masked; softmax undefined")
         raise NonFiniteInputError(
-            f"row {bad} has largest logit {zmax[bad, 0]}; softmax undefined")
-    e = np.subtract(z, zmax, out=out)
+            f"row {name} has largest logit {zmax[(*at, row)]}; softmax undefined")
+    e = np.subtract(z, zmax[..., None], out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

@@ -181,8 +181,7 @@ def calibrate_gate(target_mean: float, target_std: float) -> CalibratedGate:
             f"the feasible range is [0, {sup_std:.6g})"
         )
     if target_std == 0.0:
-        bias = _logit(target_mean) if target_mean != 0.5 else 0.0
-        return CalibratedGate(scale=0.0, bias=bias,
+        return CalibratedGate(scale=0.0, bias=_logit(target_mean),
                               attained_mean=target_mean, attained_std=0.0)
 
     def unreached(why: str) -> ValueError:
@@ -242,8 +241,7 @@ def _head_outputs(cfg: RankExpConfig, pairs, seed: int, cal: CalibratedGate):
     ``(heads, pairs, 2, n, d_k)`` stack, and the gate moments. The draws and the
     gate do not depend on c or rho, so each head's ``q k^T``, ``v`` and gate are
     made once, into stacks over the heads; each pair then takes its logits,
-    softmax, ``A V`` and gating for every head in one call each, the logits and
-    attention in one reused buffer."""
+    softmax, ``A V`` and gating for every head in one call each."""
     heads, n = cfg.n_heads, cfg.n
     inv_sqrt_dk = 1.0 / np.sqrt(cfg.d_k)
     proj_std = 1.0 / np.sqrt(cfg.d)
@@ -264,24 +262,13 @@ def _head_outputs(cfg: RankExpConfig, pairs, seed: int, cal: CalibratedGate):
         gate = sigmoid(cal.scale * (hidden @ w_g) + cal.bias, out=gates[h])
         moments += gate.sum(), (gate * gate).sum(), gate.size
     outputs = np.empty((heads, len(pairs), 2, n, cfg.d_k))  # (head, pair, gated)
-    attn = np.empty((heads, n, n))  # a pair's logits, then its attention
-    rows = attn.reshape(heads * n, n)
     for i, (c, rho) in enumerate(pairs):
         # each off-diagonal pair dropped independently; diagonal kept so no row is empty
         keep = uniforms >= rho
         np.fill_diagonal(keep, True)
-        np.multiply(scores, c, out=attn)
-        attn *= inv_sqrt_dk
-        try:
-            row_softmax(rows, np.tile(keep, (heads, 1)), out=rows)
+        try:  # every head reads the one mask; an error names the head and the row
+            attn = row_softmax(scores * c * inv_sqrt_dk, keep)
         except NonFiniteInputError as exc:
-            # the stack is still the logits: a lone head's softmax names the row within it
-            for head in attn:
-                try:
-                    row_softmax(head, keep)
-                except NonFiniteInputError as lone:
-                    exc = lone
-                    break
             raise NonFiniteInputError(f"rank study cell c={c:g} rho={rho:g}: {exc}") from None
         np.matmul(attn, values, out=outputs[:, i, 0])
         np.multiply(outputs[:, i, 0], gates, out=outputs[:, i, 1])
@@ -375,10 +362,6 @@ class SyntheticTask:
     train: list[tuple[GraphInstance, float]]
     test: list[tuple[GraphInstance, float]]
     seed: int = 0
-
-    @property
-    def graphs(self):
-        return [g for g, _ in self.train] + [g for g, _ in self.test]
 
 
 def triangle_count(n: int, edges) -> int:

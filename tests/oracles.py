@@ -657,9 +657,8 @@ def _per_op_heads(h, heads, mask, lift, n_graphs):
         trailing = (1, 1) if n_graphs == 1 else (1, 1, 1)
         b = ad.reshape(b_g, np.shape(ad.value(b_g))[:-1] + trailing)
         raw = taped(ad.mul_vjp, chained_activation(act, ad.add(z, b)), raw)
-    if mask is not None:
-        mask = np.tile(mask, (ad.value(raw).size // mask.size, 1))
-    attention = taped(ad.row_softmax_vjp, raw, mask=mask)
+    attention = taped(ad.row_softmax_vjp, raw,
+                      mask=None if mask is None else _per_op_by_graph(mask, n_graphs))
     if cfg.placement == "g2":
         v = taped(ad.mul_vjp, value_gate(), v)
     out = ad.matmul(attention, _per_op_by_graph(v, n_graphs))

@@ -230,12 +230,14 @@ class TestRowSoftmaxGrad:
         assert np.all(v.grad[~mask] == 0.0)
 
     def test_stack_runs_as_its_rows(self, rng):
+        # one mask for both matrices of the stack
         a = gaussian_matrix(rng, 6, 3, 1.0)
-        mask = rng.uniform((6, 3)) > 0.4
+        mask = rng.uniform((3, 3)) > 0.4
         mask[:, 1] = True
         w = gaussian_matrix(rng, 6, 3, 1.0).reshape(2, 3, 3)
         stacked, _ = ad.row_softmax_vjp(a.reshape(2, 3, 3), mask)
-        assert np.array_equal(stacked.reshape(6, 3), ad.row_softmax_vjp(a, mask)[0])
+        for k, matrix in enumerate(a.reshape(2, 3, 3)):
+            assert np.array_equal(stacked[k], ad.row_softmax_vjp(matrix, mask)[0])
         check_grads(lambda x: ad.vsum(mul(taped(ad.row_softmax_vjp, x, mask=mask), w)),
                     [a.reshape(2, 3, 3)])
 

@@ -363,7 +363,7 @@ class TestGradCheckCommand:
 
     @pytest.mark.parametrize("setting, cell, op", [
         ("model.bias_init = 1e308\ngradcheck.placements = g3", "g3/relu",
-         "layer 1: row 8 has largest logit inf; softmax undefined"),
+         "layer 1: row (1, 2) has largest logit inf; softmax undefined"),
         ("model.readout = sum\nmodel.bias_init = 1e300\ngradcheck.placements = g1", "g1/relu",
          "layer 0: layer_norm: row 0 has an infinite standard deviation (its variance overflows)"),
     ], ids=["logits-overflow", "sum-readout-layer-norm"])
@@ -1035,7 +1035,7 @@ class TestOverflowingSettings:
          2, "error: grad-check cell g1/relu: layer 0: layer_norm: row 0 has an infinite "
             "standard deviation (its variance overflows); every parameter is finite\n"),
         ("rank-exp", FAST_RANK + "experiment.c = 1e308", 2,
-         "error: rank study cell c=1e+308 rho=0.2: row 0 has largest logit inf; "
+         "error: rank study cell c=1e+308 rho=0.2: row (0, 0) has largest logit inf; "
          "softmax undefined\n"),
         ("lr-sweep", TINY_TRAIN + "training.weight_decay = 1e308", 0, ""),
         ("lr-sweep", TINY_TRAIN + "model.bias_init = 1e308\nmodel.activation = relu", 0, ""),

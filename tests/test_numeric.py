@@ -182,6 +182,73 @@ class TestShortRowMaxima:
             row_softmax(logits, mask)
 
 
+class TestStackedRowSoftmax:
+    """A stack ``(..., r, c)`` runs each of its matrices as a lone call does:
+    the same bits, with and without ``out=``, and else the error of the first
+    lone call that raises, its row named by the index over all but the last
+    axis. The mask is one matrix or a stack of the logits' trailing axes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=3), rows=st.integers(1, 40),
+           cols=st.integers(1, 40), mask_axes=st.none() | st.integers(0, 3),
+           faults=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @example(lead=[2, 3], rows=5, cols=numeric._SHORT_ROW, mask_axes=1, faults=3, seed=1)
+    @example(lead=[3], rows=5, cols=numeric._SHORT_ROW + 1, mask_axes=0, faults=3, seed=1)
+    def test_each_matrix_is_its_lone_call(self, lead, rows, cols, mask_axes, faults, seed):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, rows, cols)
+        logits = 5.0 * rng.standard_normal(shape)
+        mask = None
+        if mask_axes is not None:
+            mask = rng.random(shape[len(lead) - min(mask_axes, len(lead)):]) < 0.7
+            mask[..., 0] = True
+        for _ in range(faults):  # a row with NaN, +inf or -inf, all -inf, or fully masked
+            row = logits.reshape(-1, cols)[rng.integers(logits.size // cols)]
+            fault = rng.integers(5)
+            if fault < 3:
+                row[rng.integers(cols)] = (np.nan, np.inf, -np.inf)[fault]
+            elif fault == 3:
+                row[:] = -np.inf
+            elif mask is not None:
+                mask.reshape(-1, cols)[rng.integers(mask.size // cols)] = False
+        lone = {at: softmax_or_error(row_softmax, logits[at], None if mask is None
+                                     else np.broadcast_to(mask, shape)[at])
+                for at in np.ndindex(*lead)}
+        raised = [(at, got) for at, got in lone.items() if isinstance(got, tuple)]
+        before = logits.copy()
+        for out in (None, logits):
+            got = softmax_or_error(lambda z, m: row_softmax(z, m, out=out), logits, mask)
+            if raised:
+                at, (kind, text) = raised[0]
+                named = re.sub(r"^row (\d+)", lambda r: f"row {(*at, int(r[1]))}", text) \
+                    if at else text
+                assert got == (kind, named)
+                assert_bitwise(logits, before)
+            else:
+                assert out is None or got is out
+                for at, want in lone.items():
+                    assert_bitwise(got[at], want)
+
+    @pytest.mark.parametrize("nan_at, text", [
+        ((0, 0, 3), "row (0, 0, 3) has largest logit nan; softmax undefined"),
+        ((0, 1, 0), "row (0, 1, 2) is fully masked; softmax undefined"),
+    ])
+    def test_the_first_matrix_that_raises_names_its_row(self, nan_at, text):
+        # matrices (i, 1) read mask[1], whose row 2 is fully masked
+        logits = np.zeros((2, 3, 4, 4))
+        logits[(*nan_at, 0)] = np.nan
+        mask = np.ones((3, 4, 4), dtype=bool)
+        mask[1, 2] = False
+        with pytest.raises(ValueError) as err:
+            row_softmax(logits, mask)
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("mask_shape", [(4, 5), (2, 4, 5), (3, 2, 4, 5), (3, 4, 5), (5,)])
+    def test_a_mask_of_other_trailing_axes_is_rejected(self, mask_shape):
+        with pytest.raises(ShapeError, match=r"^mask shape .* != logits shape \(3, 2, 4, 4\)$"):
+            row_softmax(np.zeros((3, 2, 4, 4)), np.ones(mask_shape, dtype=bool))
+
+
 class TestRowSoftmaxOut:
     """``row_softmax(..., out=)`` writes bitwise what the allocating call
     returns, into the logits themselves or another buffer, and writes
@@ -237,7 +304,7 @@ class TestRowSoftmaxOut:
         logits = rng.standard_normal((3, 5, 5))
         mask = None
         if masked:
-            mask = np.tile((rng.random((5, 5)) < 0.5) | np.eye(5, dtype=bool), (3, 1))
+            mask = (rng.random((5, 5)) < 0.5) | np.eye(5, dtype=bool)  # one for every matrix
         want, _ = ad.row_softmax_vjp(logits, mask)
         got, back = ad.row_softmax_vjp(logits, mask, out=logits)
         assert np.shares_memory(got, logits)

@@ -375,8 +375,8 @@ class TestStackedStableRanks:
 
 
 class TestStackedSoftmax:
-    """Each seed takes one softmax per distinct (c, rho) pair, over every head's
-    rows at once, with the mask tiled over the heads."""
+    """Each seed takes one softmax per distinct (c, rho) pair, over the stack of
+    every head's logits at once, with one mask that every head reads."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -391,19 +391,19 @@ class TestStackedSoftmax:
         return calls
 
     def test_default_sweep_seed_takes_one_call_per_pair(self, calls):
-        # 9 cells, 8 distinct (c, rho) pairs; 8 heads x 64 rows of 64 logits
+        # 9 cells, 8 distinct (c, rho) pairs; 8 heads of 64 x 64 logits, one 64 x 64 mask
         run_robustness_sweep(RankExpConfig(seeds=(0,)))
-        assert calls == [((512, 64), (512, 64))] * 8
+        assert calls == [((8, 64, 64), (64, 64))] * 8
 
     def test_default_experiment_seed_takes_one_call(self, calls):
         run_rank_experiment(RankExpConfig(seeds=(0, 1)))
-        assert calls == [((512, 64), (512, 64))] * 2
+        assert calls == [((8, 64, 64), (64, 64))] * 2
 
     def test_five_heads_seed_takes_one_call_per_pair(self, calls):
-        # 7 distinct pairs (of 12 cells) per seed, 2 seeds; 5 heads x 8 rows
+        # 7 distinct pairs (of 12 cells) per seed, 2 seeds; 5 heads of 8 x 8 logits
         run_robustness_sweep(SHARED_PASS_CONFIGS["five_heads"], c_values=(0.5, 1.0, 3.0),
                              rho_values=(0.0, 0.05, 0.6, 0.95))
-        assert calls == [((40, 8), (40, 8))] * 14
+        assert calls == [((5, 8, 8), (8, 8))] * 14
 
     @pytest.mark.parametrize("n", [16, 40])
     def test_an_overflow_in_one_head_names_its_cell_and_its_row_in_that_head(
@@ -432,7 +432,7 @@ class TestStackedSoftmax:
             run_robustness_sweep(cfg, c_values=(0.5, 1.0, 3.0), rho_values=(0.0,))
         h = draws[0][:, 0]
         row = int(np.argmax(np.where(h > 0, h * h.max(), -h * -h.min())))
-        assert str(err.value) == (f"rank study cell c=3 rho=0: row {row} has largest logit "
+        assert str(err.value) == (f"rank study cell c=3 rho=0: row (2, {row}) has largest logit "
                                   "inf; softmax undefined")
 
 

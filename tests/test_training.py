@@ -288,7 +288,7 @@ class TestLossAndGradients:
         # tape-free forward, the taped step and training give one text.
         gate = GateConfig(placement="g3", activation="relu", bias_init=1e308)
         model = init_model(SeededRng(3), d_in=4, d=16, n_heads=4, n_layers=2, gate=gate)
-        text = "layer 0: row 21 has largest logit inf; softmax undefined"
+        text = "layer 0: row (1, 0, 3) has largest logit inf; softmax undefined"
         with np.errstate(all="ignore"), pytest.raises(Exception) as err:
             if path == "batch_loss":
                 batch_loss(model, batch)
@@ -312,7 +312,7 @@ class TestLossAndGradients:
         probe_losses = plain_probes(model, batch, "mse")
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteInputError,
-                match=r"^layer 1: row 2 has largest logit inf; softmax undefined$"):
+                match=r"^layer 1: row \(0, 0, 0, 2\) has largest logit inf; softmax undefined$"):
             probe_losses(vector_positions(model, [(model.layers[1].attn.b_g, [0])]), 1e308)
 
 
