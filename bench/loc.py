@@ -19,8 +19,9 @@ from pathlib import Path
 KINDS = ("lines", "code", "docstring", "comment", "blank")
 
 
-def count_lines(source: str) -> dict[str, int]:
-    """The count of each of :data:`KINDS` in the module ``source``."""
+def line_kinds(source: str) -> list[str]:
+    """The kind of each line of the module ``source`` (one of :data:`KINDS`
+    but ``lines``), in order."""
     docstring = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -28,14 +29,18 @@ def count_lines(source: str) -> dict[str, int]:
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
                 docstring.update(range(first.lineno, first.end_lineno + 1))
-    counts = dict.fromkeys(KINDS, 0)
+    kinds = []
     for number, line in enumerate(source.splitlines(), start=1):
         stripped = line.strip()
-        kind = ("docstring" if number in docstring else "blank" if not stripped
-                else "comment" if stripped.startswith("#") else "code")
-        counts[kind] += 1
-        counts["lines"] += 1
-    return counts
+        kinds.append("docstring" if number in docstring else "blank" if not stripped
+                     else "comment" if stripped.startswith("#") else "code")
+    return kinds
+
+
+def count_lines(source: str) -> dict[str, int]:
+    """The count of each of :data:`KINDS` in the module ``source``."""
+    kinds = line_kinds(source)
+    return {"lines": len(kinds), **{kind: kinds.count(kind) for kind in KINDS[1:]}}
 
 
 def main(argv=None) -> int:

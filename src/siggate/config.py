@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS
 from .gps import READOUTS
+from .numeric import write_lines
 from .synthexp import C_SWEEP, RHO_SWEEP
 from .training import LOSSES
 
@@ -134,8 +135,7 @@ class RunConfig:
         return "\n".join(f"{k} = {_render(v)}" for k, v in self._values.items()) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render())
+        write_lines(path, self.render().split("\n")[:-1])
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gps import LayerTrace
-from .numeric import NonFiniteInputError, top_singular_value, write_csv
+from .numeric import NonFiniteInputError, top_singular_value, write_csv, write_lines
 
 __all__ = [
     "GateStats",
@@ -261,6 +261,5 @@ def diagnostics_report(profile: DepthProfile, per_layer, pooled) -> dict:
 
 
 def write_diagnostics_json(path, profile: DepthProfile, per_layer, pooled) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(diagnostics_report(profile, per_layer, pooled), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report = diagnostics_report(profile, per_layer, pooled)
+    write_lines(path, [json.dumps(report, indent=2, sort_keys=True)])

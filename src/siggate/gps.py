@@ -26,7 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import GateConfig, HeadTraces, MhsaParams, mhsa_skeleton, siggate_mhsa
-from .numeric import NonFiniteInputError, SeededRng, ShapeError, carve, fill_gaussian, fmt_exact
+from .numeric import (NonFiniteInputError, SeededRng, ShapeError, carve, fill_gaussian, read_rows,
+                      row_text, write_lines)
 
 __all__ = [
     "LN_EPS",
@@ -577,63 +578,51 @@ def _arrays_held(value, out: list) -> list:
 
 
 def write_graph(g: GraphInstance, path) -> None:
-    lines = [f"{g.n} {g.d_in} {g.d_e}"]
-    for row in g.node_features:
-        lines.append(" ".join(fmt_exact(x) for x in row))
-    lines.append(str(len(g.edges)))
+    lines = [f"{g.n} {g.d_in} {g.d_e}", *map(row_text, g.node_features), str(len(g.edges))]
     for i, (src, dst) in enumerate(g.edges):
-        parts = [str(src), str(dst)]
-        if g.edge_features is not None:
-            parts.extend(fmt_exact(x) for x in g.edge_features[i])
-        lines.append(" ".join(parts))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(f"{src} {dst} {row_text(g.edge_features[i])}" if g.d_e else f"{src} {dst}")
+    write_lines(path, lines)
 
 
 def read_graph(path) -> GraphInstance:
-    """Parse a graph file. A malformed or non-finite row, an edge row off the
-    nodes, or any line after the last edge row raises ValueError naming the
-    file (and the row). Only the rows the file holds are stored, whatever
-    sizes its header gives."""
+    """Parse a graph file. An empty file, a header that is not three sizes, a
+    missing or malformed edge count, a malformed or non-finite row, an edge
+    endpoint that is not an integer or is off the nodes, or any line after
+    the last edge row raises ValueError naming the file (and the row). Only
+    the rows the file holds are stored, whatever sizes its header gives."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     try:
-        pos = 0
-        n, d_in, d_e = (int(t) for t in raw[pos].split())
+        if not raw:
+            raise ValueError("the file is empty")
+        try:
+            n, d_in, d_e = map(int, raw[0].split())
+        except ValueError:
+            raise ValueError(f"the header {raw[0]!r} is not three integer sizes") from None
         if min(n, d_in, d_e) < 0:
-            raise ValueError(f"the header {raw[pos]!r} has a negative size")
-        pos += 1
-        feats = []
-        for i in range(n):
-            row = [float(t) for t in raw[pos].split()]
-            if len(row) != d_in:
-                raise ValueError(f"node row {i} has {len(row)} values, expected {d_in}")
-            if not np.isfinite(row).all():
-                raise ValueError(f"node row {i} has a non-finite value: {raw[pos]!r}")
-            feats.append(row)
-            pos += 1
-        m = int(raw[pos])
+            raise ValueError(f"the header {raw[0]!r} has a negative size")
+        feats, pos = read_rows(raw, 1, n, d_in, "node")
+        if pos == len(raw):
+            raise ValueError("the file ends before the edge count")
+        try:
+            m = int(raw[pos])
+        except ValueError:
+            raise ValueError(f"the edge count {raw[pos]!r} is not an integer") from None
         if m < 0:
             raise ValueError(f"the edge count {raw[pos]!r} is negative")
-        pos += 1
-        edges, edge_feats = [], []
-        for i in range(m):
-            toks = raw[pos].split()
-            if len(toks) != 2 + d_e:
-                raise ValueError(f"edge row {i} has {len(toks)} tokens, expected {2 + d_e}")
-            edges.append((int(toks[0]), int(toks[1])))
+        edge_rows, stop = read_rows(raw, pos + 1, m, 2 + d_e, "edge")
+        edges = []
+        for i, line in enumerate(raw[pos + 1:stop]):
+            try:
+                edges.append(tuple(int(t) for t in line.split()[:2]))
+            except ValueError:
+                raise ValueError(f"edge row {i} has a non-integer endpoint: {line!r}") from None
             if not all(0 <= end < n for end in edges[i]):
                 raise ValueError(f"edge row {i} joins {edges[i]}, outside nodes 0..{n - 1}")
-            if d_e:
-                edge_feats.append([float(t) for t in toks[2:]])
-                if not np.isfinite(edge_feats[i]).all():
-                    raise ValueError(f"edge row {i} has a non-finite value: {raw[pos]!r}")
-            pos += 1
-        if pos < len(raw):
-            raise ValueError(f"{len(raw) - pos} line(s) after the last edge row, "
-                             f"starting with {raw[pos]!r}")
-        feats = np.array(feats, dtype=np.float64).reshape(n, d_in)
-        edge_feats = np.array(edge_feats, dtype=np.float64).reshape(m, d_e) if d_e else None
-    except (ValueError, IndexError) as exc:
+        if stop < len(raw):
+            raise ValueError(f"{len(raw) - stop} line(s) after the last edge row, "
+                             f"starting with {raw[stop]!r}")
+    except ValueError as exc:
         raise ValueError(f"malformed graph file {path}: {exc}") from exc
+    edge_feats = np.ascontiguousarray(edge_rows[:, 2:]) if d_e else None
     return GraphInstance(n=n, node_features=feats, edges=edges, edge_features=edge_feats)

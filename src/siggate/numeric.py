@@ -30,6 +30,9 @@ __all__ = [
     "fill_gaussian",
     "carve",
     "fmt_exact",
+    "row_text",
+    "read_rows",
+    "write_lines",
     "write_csv",
 ]
 
@@ -387,17 +390,44 @@ def fmt_exact(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write ``header`` and one comma-separated line per row of ``rows``.
+def row_text(values) -> str:
+    """One row of a text file: each of ``values`` through :func:`fmt_exact`, spaced."""
+    return " ".join(map(fmt_exact, values))
 
-    Text cells are written as they are, integers in decimal and every other
-    number through :func:`fmt_exact`, so each value reads back as the same
-    float64. Each line, the last included, ends in a newline.
-    """
+
+def read_rows(lines, pos, count, width, where):
+    """``(matrix, pos + count)``: the ``count`` x ``width`` float64 matrix held by
+    ``lines[pos:]``, one row a line, read only as far as the lines go. A row
+    that is missing, does not parse, has another number of values or holds
+    a NaN or an infinity raises ValueError naming it ``{where} row {r}``."""
+    rows = []
+    for r, line in enumerate(lines[pos:pos + count]):
+        try:
+            row = [float(t) for t in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{where} row {r}: {exc}") from None
+        if len(row) != width:
+            raise ValueError(f"{where} row {r} has {len(row)} values, expected {width}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"{where} row {r} has a non-finite value: {line.strip()!r}")
+        rows.append(row)
+    if len(rows) < count:
+        raise ValueError(f"{where} row {len(rows)}: the file ends after {len(rows)} of "
+                         f"{count} rows")
+    return np.array(rows, dtype=np.float64).reshape(count, width), pos + count
+
+
+def write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a newline to ``path``, as UTF-8."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_cell, row)) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """:func:`write_lines` of ``header`` and one comma-separated line per row of
+    ``rows``: text cells as they are, integers in decimal and every other
+    number through :func:`fmt_exact`, so each value reads back as the same float64."""
+    write_lines(path, [header, *(",".join(map(_csv_cell, row)) for row in rows)])
 
 
 def _csv_cell(c) -> str:

@@ -29,7 +29,7 @@ from .gps import (
     model_skeleton,
     run_layers,
 )
-from .numeric import NonFiniteInputError, SeededRng, fmt_exact, write_csv
+from .numeric import NonFiniteInputError, SeededRng, read_rows, row_text, write_csv, write_lines
 
 __all__ = [
     "ParamSet",
@@ -569,11 +569,8 @@ def save_model(model: ModelParams, path) -> None:
     lines = ["# siggate-model"] + [f"# {k} = {v}" for k, v in header.items()]
     for name, arr in params.items():
         mat = np.atleast_2d(arr)
-        lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
-        for row in mat:
-            lines.append(" ".join(map(fmt_exact, row.tolist())))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines += [f"{name} {mat.shape[0]} {mat.shape[1]}", *map(row_text, mat.tolist())]
+    write_lines(path, lines)
 
 
 def _read_dump(path):
@@ -588,36 +585,18 @@ def _read_dump(path):
     while i < len(raw):
         line = raw[i].strip()
         i += 1
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
+        if not line or line.startswith("#"):  # a blank line holds no "="
+            key, eq, val = line.lstrip("#").partition("=")
+            if eq:
                 meta[key.strip()] = val.strip()
             continue
         toks = line.split()
-        if len(toks) != 3 or not (toks[1].isdigit() and toks[2].isdigit()):
+        if len(toks) != 3 or not all(t.isascii() and t.isdigit() for t in toks[1:]):
             raise ValueError(f"malformed parameter header in {path}: {line!r}")
         name, rows, cols = toks[0], int(toks[1]), int(toks[2])
         if name in arrays:
             raise ValueError(f"model dump {path}: parameter {name!r} appears twice")
-        mat = []  # only the rows the file holds: the header's sizes may be huge
-        for r in range(rows):
-            where = f"model dump {path}: parameter {name!r} row {r}"
-            if i >= len(raw):
-                raise ValueError(f"{where}: the file ends after {r} of {rows} rows")
-            try:
-                vals = [float(t) for t in raw[i].split()]
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if len(vals) != cols:
-                raise ValueError(f"{where} has {len(vals)} values, expected {cols}")
-            if not np.isfinite(vals).all():
-                raise ValueError(f"{where} has a non-finite value: {raw[i].strip()!r}")
-            mat.append(vals)
-            i += 1
-        arrays[name] = np.array(mat, dtype=np.float64).reshape(rows, cols)
+        arrays[name], i = read_rows(raw, i, rows, cols, f"model dump {path}: parameter {name!r}")
     return meta, arrays
 
 
@@ -633,9 +612,11 @@ def load_model(path) -> ModelParams:
     meta, arrays = _read_dump(path)
     longest = max((n for record in arrays.values() for n in record.shape), default=0)
     try:
-        d_in, d, n_heads, n_layers, d_ff, d_e, out_dim = (
-            int(meta[key]) for key in ("d_in", "d", "n_heads", "n_layers", "d_ff", "d_e",
-                                       "out_dim"))
+        keys = ("d_in", "d", "n_heads", "n_layers", "d_ff", "d_e", "out_dim")
+        for key in keys:
+            if not (meta[key].isascii() and meta[key].removeprefix("-").isdigit()):
+                raise ValueError(f"{key} = {meta[key]!r} is not an integer")
+        d_in, d, n_heads, n_layers, d_ff, d_e, out_dim = (int(meta[key]) for key in keys)
         if n_layers > len(arrays) or max(d_in, d, d_ff, d_e, out_dim) > longest:
             raise ValueError(f"it describes a model larger than the {len(arrays)} records")
         gate = GateConfig(

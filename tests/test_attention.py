@@ -6,11 +6,14 @@ import pytest
 from oracles import GATE_ACTIVATIONS as ACTIVATION_ORACLES, head_by_head_init, head_forward
 from siggate.attention import (
     GATE_ACTIVATIONS,
+    PLACEMENTS,
+    SHARINGS,
     GateConfig,
     MhsaParams,
     gate_param_count,
     gated_head_forward,
     init_mhsa_params,
+    mhsa_skeleton,
     siggate_mhsa,
 )
 from siggate.numeric import SeededRng, ShapeError, gaussian_matrix
@@ -546,3 +549,20 @@ class TestStackValidation:
         params.w_q = np.zeros(shape)
         with pytest.raises(ShapeError, match="^w_q must stack at least one head"):
             entry(gaussian_matrix(SeededRng(50), 5, 8, 1.0), params)
+
+
+# Rejections that no other test reaches: each raise statement's type and text.
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: GateConfig(placement="g4"), ValueError,
+                 f"placement must be one of {PLACEMENTS}, got 'g4'", id="placement"),
+    pytest.param(lambda: GateConfig(sharing="per_layer"), ValueError,
+                 f"sharing must be one of {SHARINGS}, got 'per_layer'", id="sharing"),
+    pytest.param(lambda: GateConfig(activation="softmax"), ValueError,
+                 f"activation must be one of {GATE_ACTIVATIONS}, got 'softmax'", id="activation"),
+    pytest.param(lambda: mhsa_skeleton(lambda *shape: np.zeros(shape), 4, 0, GateConfig()),
+                 ValueError, "n_heads must be >= 1, got 0", id="no-heads"),
+])
+def test_each_rejection_gives_its_type_and_text(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

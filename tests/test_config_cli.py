@@ -1,16 +1,19 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import siggate.cli as cli
 from siggate.cli import main
-from siggate.config import SCHEMA, ConfigError, RunConfig, parse_config_text
-from siggate.gps import init_model, model_forward, write_graph
+from siggate.config import SCHEMA, ConfigError, RunConfig, _parse_bool, parse_config_text
+from siggate.gps import GraphInstance, init_model, model_forward, read_graph, write_graph
 from siggate.numeric import SeededRng
 from siggate.attention import GateConfig
 from siggate.diagnostics import depth_profile, gate_stats, trace_gate_values
 from siggate.synthexp import make_toy_task
-from siggate.training import save_model
+from siggate.training import load_model, save_model
 
 FAST_RANK = """
 experiment.n = 16
@@ -871,6 +874,98 @@ class TestDiagnoseCommand:
         assert f"model dump {model_path} has malformed metadata" in capsys.readouterr().err
 
 
+def _written(write) -> str:
+    """The text that ``write(path)`` puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write(Path(tmp) / "file.txt")
+        return (Path(tmp) / "file.txt").read_text(encoding="utf-8")
+
+
+# A graph file with one edge feature, so edge rows carry floats, and a dump.
+GRAPH_TEXT = _written(lambda path: write_graph(GraphInstance(
+    n=3, node_features=[[0.5, -1.25], [2.0, 0.0], [1e-3, 3.0]], edges=[(0, 1), (2, 0)],
+    edge_features=[[0.75], [-2.5]]), path))
+DUMP_TEXT = _written(lambda path: save_model(init_model(
+    SeededRng(5), d_in=2, d=4, n_heads=2, n_layers=1, gate=GateConfig(), d_e=1, d_ff=4), path))
+TOKENS = ("x", "nan", "1e999", "1.5", "\u00b2", "-1")
+UNCLEAR = ("list index out of range", "not enough values to unpack", "invalid literal")
+# The malformed graph files that a reader once reported with one of UNCLEAR,
+# and the message each gives now.
+CUT_GRAPHS = [
+    ("", "the file is empty"),
+    ("2 1\n", "the header '2 1' is not three integer sizes"),
+    ("2 1 0\n1\n2\n", "the file ends before the edge count"),
+    ("2 1 0\n1\n2\n2\n0 1\n", "edge row 1: the file ends after 1 of 2 rows"),
+    ("2 1 0\n1\n2\n1\n0 1.5\n", "edge row 0 has a non-integer endpoint: '0 1.5'"),
+]
+
+
+@st.composite
+def corrupt_files(draw):
+    """``(kind, text)``: a graph file or a dump with one line dropped,
+    duplicated or cut after, or one token replaced by one of TOKENS."""
+    kind = draw(st.sampled_from(["graph", "dump"]))
+    lines = (GRAPH_TEXT if kind == "graph" else DUMP_TEXT).splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["drop", "cut", "duplicate", "token"]))
+    if edit == "drop":
+        del lines[k]
+    elif edit == "cut":
+        del lines[k + 1:]
+    elif edit == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        toks = lines[k].split()
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(TOKENS))
+        lines[k] = " ".join(toks)
+    return kind, "".join(line + "\n" for line in lines)
+
+
+class TestCorruptTextFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(case=corrupt_files())
+    @example(case=("dump", DUMP_TEXT.replace("input.w 2 4", "input.w \u00b2 4")))
+    @example(case=("dump", DUMP_TEXT.replace("# d = 4", "# d = 1.5")))
+    @example(case=("graph", CUT_GRAPHS[0][0]))
+    @example(case=("graph", CUT_GRAPHS[1][0]))
+    @example(case=("graph", CUT_GRAPHS[2][0]))
+    @example(case=("graph", CUT_GRAPHS[3][0]))
+    @example(case=("graph", CUT_GRAPHS[4][0]))
+    def test_a_reader_loads_or_names_the_file(self, case):
+        kind, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.txt"
+            path.write_text(text, encoding="utf-8")
+            try:
+                read_graph(path) if kind == "graph" else load_model(path)
+            except ValueError as exc:
+                message = str(exc)
+                assert str(path) in message
+                assert kind == "dump" or message.startswith(f"malformed graph file {path}: ")
+                assert not [unclear for unclear in UNCLEAR if unclear in message]
+
+    @pytest.mark.parametrize("graph_text, message", CUT_GRAPHS)
+    def test_a_cut_graph_file_names_its_row_on_one_line(self, tmp_path, capsys, graph_text,
+                                                         message):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(DUMP_TEXT)
+        graph = tmp_path / "graph.txt"
+        graph.write_text(graph_text)
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr() == ("", f"error: malformed graph file {graph}: {message}\n")
+
+    def test_a_non_ascii_digit_in_a_record_header_names_the_file(self, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(DUMP_TEXT.replace("input.w 2 4", "input.w \u00b2 4"))
+        graph = tmp_path / "graph.txt"
+        graph.write_text(GRAPH_TEXT)
+        assert run_cli("diagnose", "--model", str(model_path), "--graph", str(graph),
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr() == ("", f"error: malformed parameter header in "
+                                           f"{model_path}: 'input.w \u00b2 4'\n")
+
+
 class FakeExecutor:
     """A process pool stand-in: records each pool's worker count, maps in process."""
 
@@ -1146,3 +1241,18 @@ class TestParamCountCommand:
 
     def test_usage_error_exits_two(self):
         assert run_cli("no-such-command") == 2
+
+
+# Rejections that no other test reaches: each raise statement's type and text.
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: _parse_bool("yes"), ValueError, "expected 'true' or 'false', got 'yes'",
+                 id="bool"),
+    pytest.param(lambda: RunConfig({"model.nope": 1}), ConfigError,
+                 "unknown configuration key 'model.nope'", id="unknown-override"),
+    pytest.param(lambda: RunConfig().set("model.nope", 1), ConfigError,
+                 "unknown configuration key 'model.nope'", id="unknown-set"),
+])
+def test_each_rejection_gives_its_type_and_text(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

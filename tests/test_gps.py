@@ -13,6 +13,7 @@ from siggate.gps import (
     GraphBatch,
     GraphInstance,
     MpnnParams,
+    ParamSet,
     batch_forward,
     gps_layer_forward,
     init_model,
@@ -559,3 +560,36 @@ class TestGraphFile:
         with pytest.raises(ValueError, match=r"trailing.txt: 2 line\(s\) after the last "
                                              r"edge row, starting with '5 5 5'"):
             read_graph(path)
+
+
+def _one_edge():
+    return GraphInstance(n=2, node_features=np.zeros((2, 1)), edges=[(0, 1)])
+
+
+def _one_layer():
+    return init_model(SeededRng(0), d_in=1, d=4, n_heads=2, n_layers=1, gate=GateConfig())
+
+
+# Rejections that no other test reaches: each raise statement's type and text.
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: GraphInstance(n=3, node_features=np.zeros((2, 1)), edges=[]),
+                 ShapeError, "node_features must be (3, d_in), got (2, 1)", id="node-features"),
+    pytest.param(lambda: GraphInstance(n=2, node_features=np.zeros((2, 1)), edges=[],
+                                       attn_mask=np.ones((3, 3), dtype=bool)),
+                 ShapeError, "attn_mask must be (2, 2)", id="attn-mask"),
+    pytest.param(lambda: mpnn_forward(_one_edge(), np.zeros((2, 4)),
+                                      MpnnParams(w_edge=np.zeros((8, 4)), w_val=np.zeros((3, 4)))),
+                 ShapeError, "w_val expects 3 features, hidden has 4", id="w-val"),
+    pytest.param(lambda: batch_forward(GraphBatch.of([_one_edge()]),
+                                       dataclasses.replace(_one_layer(), layers=[])),
+                 ValueError, "model needs at least one layer", id="no-layers"),
+    pytest.param(lambda: batch_forward(GraphBatch.of([_one_edge()]),
+                                       dataclasses.replace(_one_layer(), readout="max")),
+                 ValueError, "readout must be one of ('mean', 'sum'), got 'max'", id="readout"),
+    pytest.param(lambda: ParamSet.from_model(_one_layer())["layer9.w"], KeyError, "'layer9.w'",
+                 id="unknown-parameter"),
+])
+def test_each_rejection_gives_its_type_and_text(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

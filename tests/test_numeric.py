@@ -18,6 +18,7 @@ from siggate import numeric
 from siggate.attention import GateConfig, MhsaParams, siggate_mhsa
 from siggate.diagnostics import stable_rank
 from siggate.numeric import (
+    carve,
     NonFiniteInputError,
     SeededRng,
     ShapeError,
@@ -819,3 +820,20 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         write_csv(path, "a,b", iter(()))
         assert path.read_bytes() == b"a,b\n"
+
+
+# Rejections that no other test reaches: each raise statement's type and text.
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: row_softmax(np.zeros(3)), ShapeError,
+                 "logits must be 2-D or a stack of matrices, got shape (3,)", id="softmax-1d"),
+    pytest.param(lambda: gaussian_matrix(SeededRng(0), 0, 3, 1.0), ShapeError,
+                 "matrix dimensions must be positive, got 0x3", id="gaussian-dims"),
+    pytest.param(lambda: fill_gaussian(SeededRng(0), [(np.zeros(2), 1.0), (np.zeros(2), -0.5)]),
+                 ValueError, "std must be positive, got -0.5", id="fill-std"),
+    pytest.param(lambda: carve(lambda take: take(3, 0)), ShapeError,
+                 "matrix dimensions must be positive, got 3x0", id="carve-dims"),
+])
+def test_each_rejection_gives_its_type_and_text(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

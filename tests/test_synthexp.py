@@ -492,3 +492,16 @@ class TestToyTask:
         for g, _ in task.train:
             pairs = set(g.edges)
             assert all((b, a) in pairs for a, b in pairs)
+
+
+# Rejections that no other test reaches: each raise statement's type and text.
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: RankExpConfig(seeds=()), ValueError, "at least one seed required",
+                 id="no-seeds"),
+    pytest.param(lambda: make_toy_task(seed=0, n_graphs=1), ValueError,
+                 "need at least 2 graphs and 1 node per graph", id="one-graph"),
+])
+def test_each_rejection_gives_its_type_and_text(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

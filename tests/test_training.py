@@ -25,6 +25,7 @@ from siggate.gps import (
 from siggate.numeric import NonFiniteInputError, SeededRng
 from siggate.synthexp import make_toy_task
 from siggate.training import (
+    LOSSES,
     DivergenceError,
     NonFiniteError,
     ParamSet,
@@ -1445,6 +1446,15 @@ class TestModelSerialization:
                                               f"malformed metadata: .*{re.escape(message)}")):
             load_model(path)
 
+    def test_blank_lines_between_records_and_comments_are_skipped(self, tmp_path):
+        model = tiny_model(seed=26)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        text = path.read_text().replace("\ninput.b ", "\n\n   \n# a note\ninput.b ")
+        path.write_text("\n" + text + "\n\n")
+        back = load_model(path)
+        assert np.array_equal(ParamSet.from_model(back).flat, ParamSet.from_model(model).flat)
+
     def test_a_readout_set_after_init_round_trips(self, tmp_path):
         # The dump writes the readout the model runs, not the one it was built with.
         model = init_model(SeededRng(25), d_in=4, d=16, n_heads=4, n_layers=1,
@@ -1823,3 +1833,30 @@ class TestStorageWorkCount:
         monkeypatch.setattr(np, "isfinite", isfinite)
         loss_and_gradients(model, make_toy_task(seed=0, n_graphs=12).train)
         assert calls[calls.index("backward") + 1:] == [(params.flat.size,)]
+
+
+def _dump_without(path, key):
+    """``path``, holding a dump of :func:`tiny_model` without its ``key`` metadata line."""
+    save_model(tiny_model(), path)
+    path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                            if not line.startswith(f"# {key} =")))
+    return path
+
+
+# Rejections that no other test reaches: each raise statement's type and text.
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda tmp: batch_loss(tiny_model(), make_toy_task(seed=0, n_graphs=2).train,
+                                        loss="huber"),
+                 ValueError, f"loss must be one of {LOSSES}, got 'huber'", id="batch-loss"),
+    pytest.param(lambda tmp: TrainConfig(epochs=0), ValueError, "epochs must be >= 1, got 0",
+                 id="epochs"),
+    pytest.param(lambda tmp: TrainConfig(loss="huber"), ValueError,
+                 f"loss must be one of {LOSSES}, got 'huber'", id="config-loss"),
+    pytest.param(lambda tmp: load_model(_dump_without(tmp / "model.txt", "d_ff")), ValueError,
+                 "model dump {tmp}/model.txt is missing metadata key 'd_ff'", id="metadata-key"),
+])
+def test_each_rejection_gives_its_type_and_text(tmp_path, make, error, message):
+    message = message.format(tmp=tmp_path)
+    with pytest.raises(error) as info:
+        make(tmp_path)
+    assert type(info.value) is error and str(info.value) == message
