@@ -28,7 +28,7 @@ import numpy as np
 
 from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS, GateConfig, is_gate_param
 from .autodiff import load_erf
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config_text
 from .diagnostics import (
     depth_profile,
     gate_stats,
@@ -37,7 +37,7 @@ from .diagnostics import (
     write_diagnostics_json,
 )
 from .gps import init_model, model_forward, model_skeleton, read_graph
-from .numeric import NonFiniteInputError, SeededRng, write_csv
+from .numeric import NonFiniteInputError, SeededRng, read_lines, write_csv
 from .synthexp import (
     GATE_MEAN_TOL,
     GATE_STD_TOL,
@@ -481,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path, seed: int | None = None) -> RunConfig:
-    cfg = parse_config(path) if path else RunConfig()
+    cfg = parse_config_text("\n".join(read_lines(path)), str(path)) if path else RunConfig()
     if seed is not None:
         cfg.set("training.seed", seed)
         cfg.set("task.seed", seed)

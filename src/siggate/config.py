@@ -11,13 +11,13 @@ that echo reproduces the outputs bitwise.
 
 from __future__ import annotations
 
-from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS
+from .attention import GATE_ACTIVATIONS, PLACEMENTS, SHARINGS, GateConfig
 from .gps import READOUTS
 from .numeric import write_lines
-from .synthexp import C_SWEEP, RHO_SWEEP
-from .training import LOSSES
+from .synthexp import C_SWEEP, RHO_SWEEP, RankExpConfig
+from .training import LOSSES, TrainConfig
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text", "SCHEMA"]
+__all__ = ["ConfigError", "RunConfig", "parse_config_text", "SCHEMA"]
 
 
 class ConfigError(ValueError):
@@ -60,26 +60,26 @@ def _render(value) -> str:
     return str(value)
 
 
-# key -> (parser, default)
+# key -> (parser, default); a default that a dataclass declares is read from it
 SCHEMA: dict[str, tuple] = {
     # GPS model used by training-flavoured commands
     "model.d_in": (int, 4),
-    "model.d": (int, 16),
-    "model.heads": (int, 4),
-    "model.layers": (int, 2),
+    "model.d": (int, TrainConfig.d),
+    "model.heads": (int, TrainConfig.n_heads),
+    "model.layers": (int, TrainConfig.n_layers),
     "model.d_ff": (int, 0),  # 0 means 2 * model.d
     "model.out_dim": (int, 1),
-    "model.readout": (_parse_choice(*READOUTS), "mean"),
-    "model.placement": (_parse_choice(*PLACEMENTS), "g1"),
-    "model.sharing": (_parse_choice(*SHARINGS), "per_head"),
-    "model.activation": (_parse_choice(*GATE_ACTIVATIONS), "sigmoid"),
-    "model.bias_init": (float, 0.5),
+    "model.readout": (_parse_choice(*READOUTS), TrainConfig.readout),
+    "model.placement": (_parse_choice(*PLACEMENTS), GateConfig.placement),
+    "model.sharing": (_parse_choice(*SHARINGS), GateConfig.sharing),
+    "model.activation": (_parse_choice(*GATE_ACTIVATIONS), GateConfig.activation),
+    "model.bias_init": (float, GateConfig.bias_init),
     # toy training
-    "training.lr": (float, 1e-3),
-    "training.weight_decay": (float, 1e-5),
-    "training.epochs": (int, 150),
-    "training.seed": (int, 0),
-    "training.loss": (_parse_choice(*LOSSES), "mae"),
+    "training.lr": (float, TrainConfig.lr),
+    "training.weight_decay": (float, TrainConfig.weight_decay),
+    "training.epochs": (int, TrainConfig.epochs),
+    "training.seed": (int, TrainConfig.seed),
+    "training.loss": (_parse_choice(*LOSSES), TrainConfig.loss),
     "training.lrs": (_parse_list(float), (5e-4, 1e-3, 2e-3, 3e-3, 5e-3)),
     # synthetic regression task
     "task.seed": (int, 0),
@@ -87,15 +87,15 @@ SCHEMA: dict[str, tuple] = {
     "task.nodes": (int, 8),
     "task.edge_prob": (float, 0.35),
     # stable-rank experiment
-    "experiment.n": (int, 64),
-    "experiment.d": (int, 256),
-    "experiment.heads": (int, 8),
-    "experiment.d_k": (int, 32),
-    "experiment.rho": (float, 0.20),
-    "experiment.c": (float, 1.0),
-    "experiment.seeds": (_parse_list(int), (0, 1, 2, 3, 4)),
-    "experiment.target_gate_mean": (float, 0.58),
-    "experiment.target_gate_std": (float, 0.19),
+    "experiment.n": (int, RankExpConfig.n),
+    "experiment.d": (int, RankExpConfig.d),
+    "experiment.heads": (int, RankExpConfig.n_heads),
+    "experiment.d_k": (int, RankExpConfig.d_k),
+    "experiment.rho": (float, RankExpConfig.rho),
+    "experiment.c": (float, RankExpConfig.c),
+    "experiment.seeds": (_parse_list(int), RankExpConfig.seeds),
+    "experiment.target_gate_mean": (float, RankExpConfig.target_gate_mean),
+    "experiment.target_gate_std": (float, RankExpConfig.target_gate_std),
     "experiment.robustness": (_parse_bool, False),
     "experiment.c_sweep": (_parse_list(float), C_SWEEP),
     "experiment.rho_sweep": (_parse_list(float), RHO_SWEEP),
@@ -158,12 +158,3 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     return RunConfig(overrides)
-
-
-def parse_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))

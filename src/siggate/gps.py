@@ -26,8 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import GateConfig, HeadTraces, MhsaParams, mhsa_skeleton, siggate_mhsa
-from .numeric import (NonFiniteInputError, SeededRng, ShapeError, carve, fill_gaussian, read_rows,
-                      row_text, write_lines)
+from .numeric import (NonFiniteInputError, SeededRng, ShapeError, carve, fill_gaussian,
+                      read_lines, read_rows, row_text, write_lines)
 
 __all__ = [
     "LN_EPS",
@@ -589,9 +589,9 @@ def read_graph(path) -> GraphInstance:
     missing or malformed edge count, a malformed or non-finite row, an edge
     endpoint that is not an integer or is off the nodes, or any line after
     the last edge row raises ValueError naming the file (and the row). Only
-    the rows the file holds are stored, whatever sizes its header gives."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
+    the rows the file holds are stored, whatever sizes its header gives;
+    ``d_in = 0`` node rows are empty, written blank and read from no line."""
+    raw = [ln.strip() for ln in read_lines(path) if ln.strip()]
     try:
         if not raw:
             raise ValueError("the file is empty")
@@ -601,7 +601,7 @@ def read_graph(path) -> GraphInstance:
             raise ValueError(f"the header {raw[0]!r} is not three integer sizes") from None
         if min(n, d_in, d_e) < 0:
             raise ValueError(f"the header {raw[0]!r} has a negative size")
-        feats, pos = read_rows(raw, 1, n, d_in, "node")
+        feats, pos = read_rows(raw, 1, n, d_in, "node") if d_in else (np.zeros((n, 0)), 1)
         if pos == len(raw):
             raise ValueError("the file ends before the edge count")
         try:

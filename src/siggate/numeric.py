@@ -32,6 +32,7 @@ __all__ = [
     "fmt_exact",
     "row_text",
     "read_rows",
+    "read_lines",
     "write_lines",
     "write_csv",
 ]
@@ -415,6 +416,16 @@ def read_rows(lines, pos, count, width, where):
         raise ValueError(f"{where} row {len(rows)}: the file ends after {len(rows)} of "
                          f"{count} rows")
     return np.array(rows, dtype=np.float64).reshape(count, width), pos + count
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, without their newlines. A
+    file that cannot be read or is not UTF-8 raises ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.removesuffix("\n") for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def write_lines(path, lines) -> None:

@@ -29,7 +29,8 @@ from .gps import (
     model_skeleton,
     run_layers,
 )
-from .numeric import NonFiniteInputError, SeededRng, read_rows, row_text, write_csv, write_lines
+from .numeric import (NonFiniteInputError, SeededRng, read_lines, read_rows, row_text, write_csv,
+                      write_lines)
 
 __all__ = [
     "ParamSet",
@@ -302,6 +303,7 @@ def _loss_from(model: ModelParams, states, loss: str, start: int, lift):
     total = 0.0
     for graphs, targets, hidden in states:
         h = model_embed(graphs, model, lift=lift) if start < 0 else hidden[start]
+        # Its own loop frees each layer's trace before the next; batch_forward holds them all.
         for h, _ in run_layers(graphs, h, model.layers, lift=lift, first=max(start, 0)):
             pass
         pred = model_readout(h, model, lift=lift, n_graphs=graphs.size)
@@ -579,8 +581,7 @@ def _read_dump(path):
     ValueError naming the file (and the parameter and row)."""
     meta: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
+    raw = read_lines(path)
     i = 0
     while i < len(raw):
         line = raw[i].strip()

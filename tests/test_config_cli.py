@@ -921,6 +921,24 @@ def corrupt_files(draw):
     return kind, "".join(line + "\n" for line in lines)
 
 
+@st.composite
+def undecodable_files(draw):
+    """``(kind, data)``: the bytes of a graph file or a dump with one byte of a
+    line replaced by 0xff, a byte that UTF-8 text never holds."""
+    kind = draw(st.sampled_from(["graph", "dump"]))
+    data = bytearray((GRAPH_TEXT if kind == "graph" else DUMP_TEXT).encode("utf-8"))
+    data[draw(st.sampled_from([k for k, byte in enumerate(data) if byte != ord("\n")]))] = 0xFF
+    return kind, bytes(data)
+
+
+# Three ways to make a path that no reader can read.
+UNREADABLE = {
+    "undecodable": lambda path: path.write_bytes(b"\xff\xfe x\n"),
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+}
+
+
 class TestCorruptTextFiles:
     @settings(max_examples=300, deadline=None)
     @given(case=corrupt_files())
@@ -943,6 +961,36 @@ class TestCorruptTextFiles:
                 assert str(path) in message
                 assert kind == "dump" or message.startswith(f"malformed graph file {path}: ")
                 assert not [unclear for unclear in UNCLEAR if unclear in message]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=undecodable_files())
+    def test_an_undecodable_byte_names_the_file(self, case):
+        kind, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.txt"
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as info:
+                read_graph(path) if kind == "graph" else load_model(path)
+        assert str(info.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode "
+                                          "byte 0xff")
+
+    @pytest.mark.parametrize("how", sorted(UNREADABLE))
+    @pytest.mark.parametrize("command, option", [("rank-exp", "--config"),
+                                                 ("diagnose", "--model"),
+                                                 ("diagnose", "--graph")])
+    def test_an_unreadable_input_exits_two_on_one_line(self, tmp_path, capsys, command, option,
+                                                       how):
+        inputs = {"--model": tmp_path / "model.txt", "--graph": tmp_path / "graph.txt"}
+        inputs["--model"].write_text(DUMP_TEXT)
+        inputs["--graph"].write_text(GRAPH_TEXT)
+        bad = inputs[option] = tmp_path / "input"
+        UNREADABLE[how](bad)
+        args = [command, "--config", str(bad)] if command == "rank-exp" else \
+            ["diagnose", "--model", str(inputs["--model"]), "--graph", str(inputs["--graph"])]
+        assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read {bad}: ")
 
     @pytest.mark.parametrize("graph_text, message", CUT_GRAPHS)
     def test_a_cut_graph_file_names_its_row_on_one_line(self, tmp_path, capsys, graph_text,

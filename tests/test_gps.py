@@ -515,6 +515,20 @@ class TestGraphFile:
         assert back.edges == g.edges
         assert back.edge_features is None
 
+    @pytest.mark.parametrize("edge_features", [None, [[0.75]]], ids=["no-edge-features",
+                                                                   "edge-features"])
+    def test_round_trip_without_node_features(self, tmp_path, edge_features):
+        # Its node rows are blank lines, which the reader skips.
+        g = GraphInstance(n=2, node_features=np.zeros((2, 0)), edges=[(0, 1)],
+                          edge_features=edge_features)
+        path = tmp_path / "graph.txt"
+        write_graph(g, path)
+        back = read_graph(path)
+        assert back.n == 2 and back.node_features.shape == (2, 0)
+        assert back.edges == g.edges
+        assert np.array_equal(back.edge_features, g.edge_features) if edge_features \
+            else back.edge_features is None
+
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2 0\n1.0 2.0\n")  # missing a node row and edge count

@@ -25,10 +25,12 @@ from siggate.numeric import (
     fill_gaussian,
     gaussian_matrix,
     matmul,
+    read_lines,
     row_softmax,
     sigmoid,
     top_singular_value,
     write_csv,
+    write_lines,
 )
 
 
@@ -820,6 +822,21 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         write_csv(path, "a,b", iter(()))
         assert path.read_bytes() == b"a,b\n"
+
+
+class TestReadLines:
+    def test_reads_back_what_write_lines_wrote(self, tmp_path):
+        lines = ["2 1 0", "", "  0.5 \u00b2", "# d = 4"]
+        path = tmp_path / "t.txt"
+        write_lines(path, lines)
+        assert read_lines(path) == lines
+
+    @pytest.mark.parametrize("data, lines", [(b"", []), (b"a\nb", ["a", "b"]),
+                                             (b"a\r\n\nb\n", ["a", "", "b"])])
+    def test_each_line_without_its_newline(self, tmp_path, data, lines):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        assert read_lines(path) == lines
 
 
 # Rejections that no other test reaches: each raise statement's type and text.
